@@ -20,7 +20,7 @@ print("differential vars:", dae.k, " algebraic vars:", dae.s,
       " period:", round(dae.period, 6))
 
 # the completed field is tangent to the curve at every time
-field = ForcedField(dae)
+field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
 x = np.array([1.0])
 point = np.concatenate([x, implicit_solve_y(dae.constraint, x)])
 for t in (0.0, 1.3, 5.1):

@@ -16,7 +16,6 @@ from .continuation import (
     trace_branch,
 )
 from .dae import (
-    ForcedField,
     SemiExplicitDae,
     average_wind,
     build_autonomous_tangent,
@@ -54,9 +53,9 @@ from .expr import Environment, evaluate, gradient, parse, to_source
 from .fields import AmbientMap, FieldHandle
 from .flow import FlowResult, flow_map, period_map, projected_step, write_trajectory_csv
 from .manifold import (
+    ForcedField,
     ImplicitConstraint,
     ManifoldDegreeResult,
-    TangentField,
     complete_velocity,
     implicit_solve_y,
     manifold_degree,
@@ -79,7 +78,7 @@ __all__ = [
     "ForcedField", "ImplicitConstraint", "IntegrationError", "ManidegError",
     "ManifoldDegreeResult", "NumericError", "Problem", "ProblemError",
     "ProblemFormatError", "REGISTRY", "RegularityError", "RootFindingError",
-    "SemiExplicitDae", "SolutionPair", "TangentField",
+    "SemiExplicitDae", "SolutionPair",
     "UndeclaredVariableError", "ZeroRecord",
     "average_wind", "boundary_min", "build_autonomous_tangent",
     "build_forcing_tangent", "complete_velocity", "correct", "degree_sign_sum",

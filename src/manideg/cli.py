@@ -16,8 +16,8 @@ Three subcommands:
     compare against their known values; exit 1 on any mismatch.
 
 ``PROBLEM`` is a problem-file path or the name of a bundled problem.
-Exit codes: 2 malformed problem, 3 constraint regularity failure,
-4 inadmissible boundary, 5 numeric failure.
+Exit codes: 2 malformed problem or option value, 3 constraint
+regularity failure, 4 inadmissible boundary, 5 numeric failure.
 """
 
 import argparse
@@ -26,8 +26,8 @@ import sys
 
 import numpy as np
 
-from .continuation import trace_branch
-from .degree import DomainBox, degree_sign_sum, degree_winding_2d, boundary_min
+from .continuation import seed_points, trace_branch
+from .degree import DegreeResult, DomainBox, boundary_min, degree_winding_2d
 from .errors import (
     AdmissibilityError,
     NumericError,
@@ -35,8 +35,10 @@ from .errors import (
     ProblemFormatError,
     RegularityError,
 )
-from .manifold import partial2_sign, reduced_map
-from .problems import REFERENCE_DEGREES, REGISTRY, parse_problem
+from .manifold import ManifoldDegreeResult, manifold_degree, partial2_sign, reduced_map
+from .problems import (
+    REFERENCE_DEGREES, REGISTRY, ZERO_SEARCH_OPTIONS, _parse_box, parse_problem,
+)
 
 __all__ = ["main", "run", "load_problem", "verify_reference_problems"]
 
@@ -99,12 +101,7 @@ def load_problem(source):
 
 
 def _parse_box_option(text, dim):
-    ranges = []
-    for part in text.split(","):
-        pieces = part.replace(":", " ").split()
-        if len(pieces) != 2:
-            raise ProblemFormatError(f"--box range {part!r} is not 'lo:hi'")
-        ranges.append((float(pieces[0]), float(pieces[1])))
+    ranges = _parse_box(text.replace(":", " "))
     if len(ranges) != dim:
         raise ProblemFormatError(f"--box has {len(ranges)} ranges, problem needs {dim}")
     return DomainBox.from_bounds(ranges)
@@ -118,51 +115,42 @@ def _cmd_degree(args):
     phi1 = problem.build_phi1(args.quadrature_nodes)
     box = (_parse_box_option(args.box, constraint.dim)
            if args.box else problem.domain())
-    sign = partial2_sign(constraint, box=box,
-                         sample_density=problem.option("sample_density"))
-    field = reduced_map(phi1, constraint)
-    options = {}
-    for key in ("grid_density", "newton_tol", "dedup_radius", "boundary_samples"):
-        value = problem.option(key)
-        if value is not None:
-            options[key] = value
-
+    options = problem.solver_options()
     if args.method == "winding":
+        sign = partial2_sign(constraint, box=box,
+                             sample_density=options.get("sample_density"))
         if constraint.dim != 2:
             raise ProblemFormatError(
                 "--method winding applies to planar problems only"
             )
+        field = reduced_map(phi1, constraint)
         degree = degree_winding_2d(field, box)
-        record = {
-            "problem": problem.name,
-            "method": "winding",
-            "degree": degree,
-            "manifold_degree": sign * degree,
-            "partial2_sign": sign,
-            "boundary_min": boundary_min(field, box),
-            "zeros": [],
-            "warnings": [],
-        }
+        result = ManifoldDegreeResult(
+            sign * degree,
+            DegreeResult(degree, [], "winding", boundary_min(field, box)),
+            sign,
+        )
     else:
-        result = degree_sign_sum(field, box, **options)
-        record = {
-            "problem": problem.name,
-            "method": result.method,
-            "degree": result.degree,
-            "manifold_degree": sign * result.degree,
-            "partial2_sign": sign,
-            "boundary_min": result.boundary_min,
-            "zeros": [
-                {
-                    "location": list(z.location),
-                    "residual": z.residual,
-                    "jacobian_det": z.jacobian_det,
-                    "index": z.index,
-                }
-                for z in result.zeros
-            ],
-            "warnings": list(result.warnings),
-        }
+        result = manifold_degree(phi1, constraint, box, **options)
+    ambient = result.ambient
+    record = {
+        "problem": problem.name,
+        "method": ambient.method,
+        "degree": ambient.degree,
+        "manifold_degree": result.degree,
+        "partial2_sign": result.constraint_sign,
+        "boundary_min": ambient.boundary_min,
+        "zeros": [
+            {
+                "location": list(z.location),
+                "residual": z.residual,
+                "jacobian_det": z.jacobian_det,
+                "index": z.index,
+            }
+            for z in ambient.zeros
+        ],
+        "warnings": list(ambient.warnings),
+    }
     _print_json(record)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -174,10 +162,18 @@ def _cmd_trace(args):
     problem = load_problem(args.problem)
     dae = problem.build_dae()
     seed_map = problem.build_seed_map(args.quadrature_nodes)
-    seeds = [z for z in _find_seeds(problem, seed_map) if not z.degenerate]
+    seeds = [z for z in seed_points(seed_map, problem.domain(),
+                                    **problem.solver_options(ZERO_SEARCH_OPTIONS))
+             if not z.degenerate]
     if not seeds:
         raise NumericError("no nondegenerate seed-map zero inside the box")
-    seed = seeds[args.seed_index]
+    try:
+        seed = seeds[args.seed_index]
+    except IndexError:
+        raise ProblemFormatError(
+            f"--seed-index {args.seed_index} is out of range for "
+            f"{len(seeds)} seed-map zero(s)"
+        ) from None
     steps = args.steps_per_period or problem.option("steps_per_period", 256)
     branch = trace_branch(dae, seed, ds=args.ds, lambda_max=args.lambda_max,
                           max_steps=args.max_steps, steps_per_period=int(steps))
@@ -191,17 +187,6 @@ def _cmd_trace(args):
     else:
         _write_branch_csv(branch, problem.variables, dae.k, sys.stdout)
     return 0
-
-
-def _find_seeds(problem, seed_map):
-    from .degree import find_zeros
-
-    options = {}
-    for key in ("grid_density", "newton_tol", "dedup_radius"):
-        value = problem.option(key)
-        if value is not None:
-            options[key] = value
-    return find_zeros(seed_map, problem.domain(), **options)
 
 
 def _write_branch_csv(branch, variables, k, out):
@@ -227,26 +212,25 @@ def verify_reference_problems(expected=None, json_mode=False, out=None):
         problem = REGISTRY[name]
         want = expected[name]
         constraint = problem.build_constraint()
-        sign = partial2_sign(constraint)
-        field = reduced_map(problem.build_phi1(), constraint)
-        result = degree_sign_sum(field, problem.domain())
-        manifold = sign * result.degree
+        result = manifold_degree(problem.build_phi1(), constraint,
+                                 **problem.solver_options())
+        ambient = result.ambient
         zero_err = float("nan")
-        if len(result.zeros) == 1:
+        if len(ambient.zeros) == 1:
             zero_err = float(np.linalg.norm(
-                result.zeros[0].location - np.array(want.zero)))
+                ambient.zeros[0].location - np.array(want.zero)))
         ok = (
-            result.degree == want.ambient_degree
-            and sign == want.constraint_sign
-            and manifold == want.manifold_degree
-            and len(result.zeros) == 1
+            ambient.degree == want.ambient_degree
+            and result.constraint_sign == want.constraint_sign
+            and result.degree == want.manifold_degree
+            and len(ambient.zeros) == 1
             and zero_err <= 1e-8
         )
         rows.append({
             "problem": name,
-            "ambient_degree": result.degree,
-            "constraint_sign": sign,
-            "manifold_degree": manifold,
+            "ambient_degree": ambient.degree,
+            "constraint_sign": result.constraint_sign,
+            "manifold_degree": result.degree,
             "expected_ambient": want.ambient_degree,
             "expected_sign": want.constraint_sign,
             "expected_manifold": want.manifold_degree,

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dae import ForcedField
 from .degree import find_zeros
 from .errors import CorrectorError, DomainEscapeError, NumericError
 from .flow import flow_map
-from .manifold import implicit_solve_y
+from .manifold import ForcedField, implicit_solve_y
 
 __all__ = [
     "SolutionPair", "Branch", "seed_points", "shooting_residual",
@@ -57,7 +56,7 @@ def seed_points(seed_map, box, **find_options):
 
 
 def _integrate_pair(dae, x0, lam, steps, y_guess, projection_tol=1e-12):
-    field = ForcedField(dae)
+    field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
     y0 = implicit_solve_y(dae.constraint, x0, y_guess=y_guess, tol=projection_tol)
     xi0 = np.concatenate([x0, y0])
     res = flow_map(field, xi0, 0.0, dae.period, lam,
@@ -76,7 +75,7 @@ def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_
     if dae.period is None:
         raise NumericError("shooting needs a forcing period")
     x0 = np.asarray(x0, dtype=float)
-    field = ForcedField(dae)
+    field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
     y0 = implicit_solve_y(dae.constraint, x0, y_guess=y_guess, tol=projection_tol)
     xi0 = np.concatenate([x0, y0])
     final = flow_map(field, xi0, 0.0, dae.period, lam, n_steps=steps_per_period,

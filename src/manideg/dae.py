@@ -26,7 +26,7 @@ import numpy as np
 from . import expr
 from .errors import DomainEvalError, ProblemFormatError
 from .fields import TIME_NAME, AmbientMap
-from .manifold import complete_velocity, reduced_map, tangent_completion
+from .manifold import ForcedField, reduced_map
 
 __all__ = [
     "SemiExplicitDae", "ForcedField",
@@ -95,14 +95,14 @@ def build_autonomous_tangent(dae):
     """Tangent field f with first components gamma."""
     if dae.gamma is None:
         raise ProblemFormatError("the system has no autonomous part gamma")
-    return tangent_completion(dae.gamma, dae.constraint)
+    return ForcedField(dae.constraint, gamma=dae.gamma)
 
 
 def build_forcing_tangent(dae):
-    """Time-dependent tangent field h with first components sigma."""
+    """Tangent field h with first components lam * sigma."""
     if dae.sigma is None:
         raise ProblemFormatError("the system has no forcing part sigma")
-    return tangent_completion(dae.sigma, dae.constraint)
+    return ForcedField(dae.constraint, sigma=dae.sigma)
 
 
 def _averaged_map(sigma, period, nodes):
@@ -150,7 +150,7 @@ def average_wind(dae, quadrature_nodes=DEFAULT_QUADRATURE_NODES):
     if dae.sigma is None:
         raise ProblemFormatError("the system has no forcing part sigma")
     sigma_bar = _averaged_map(dae.sigma, dae.period, int(quadrature_nodes))
-    return sigma_bar, tangent_completion(sigma_bar, dae.constraint)
+    return sigma_bar, ForcedField(dae.constraint, gamma=sigma_bar)
 
 
 def seed_map_F(dae):
@@ -164,27 +164,3 @@ def seed_map_Phi(dae, quadrature_nodes=DEFAULT_QUADRATURE_NODES):
     """Square map (Sigma, g) built from the averaged forcing."""
     sigma_bar, _ = average_wind(dae, quadrature_nodes)
     return reduced_map(sigma_bar, dae.constraint)
-
-
-class ForcedField:
-    """Tangent field of gamma + lam * sigma, evaluated per (t, point, lam)."""
-
-    def __init__(self, dae):
-        self.dae = dae
-        self.constraint = dae.constraint
-        self.time_dependent = dae.sigma is not None and dae.sigma.time_dependent
-
-    def first(self, t, point, lam=0.0):
-        dae = self.dae
-        if dae.gamma is not None:
-            out = dae.gamma(point)
-            if dae.sigma is not None and lam != 0.0:
-                out = out + lam * dae.sigma(point, t)
-            return out
-        return lam * dae.sigma(point, t)
-
-    def velocity(self, t, point, lam=0.0):
-        return complete_velocity(self.constraint, point, self.first(t, point, lam))
-
-    def eval(self, t, point):
-        return self.velocity(t, point, 1.0)

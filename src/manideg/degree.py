@@ -20,6 +20,7 @@ from .errors import (
     DegenerateZeroError,
     DomainEvalError,
     NumericError,
+    RootFindingError,
 )
 from .fields import FieldHandle
 
@@ -137,29 +138,33 @@ class DegreeResult:
     warnings: list = dataclass_field(default_factory=list)
 
 
-def _newton(field, start, tol, max_iter):
-    """Damped Newton from one start; returns the converged point or None."""
-    x = np.array(start, dtype=float)
-    try:
-        fx = np.asarray(field(x), dtype=float)
-    except _EVAL_ERRORS:
-        return None
+@np.errstate(over="ignore", invalid="ignore")
+def damped_newton(residual, newton_step, x, tol, max_iter):
+    """Residual-halving Newton iteration from ``x``.
+
+    ``residual(x)`` is the vector driven to zero and ``newton_step(x, fx)``
+    the full Newton step at ``x``, which is always the point of the latest
+    ``residual`` call.  A step is halved, up to 20 times,
+    until the residual norm decreases; an evaluation error while halving
+    counts as an infinite residual, and so does a norm that overflows.
+    Returns ``(x, residual(x))`` once the norm is at most ``tol``, checked
+    before each of the ``max_iter`` steps and after the last.
+
+    Raises :class:`RootFindingError` on a step no halving improves or a
+    residual still above ``tol`` at the cap; errors from ``newton_step``
+    propagate.
+    """
+    fx = residual(x)
     r = np.linalg.norm(fx)
     for _ in range(max_iter):
         if r <= tol:
-            return _polish(field, x, fx)
-        try:
-            jac = np.asarray(field.jacobian(x), dtype=float)
-            step = np.linalg.solve(jac, -fx)
-        except (np.linalg.LinAlgError, *_EVAL_ERRORS):
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
+            return x, fx
+        step = newton_step(x, fx)
         scale = 1.0
-        for _ in range(20):  # halve on residual increase
+        for _ in range(20):
             xn = x + scale * step
             try:
-                fn = np.asarray(field(xn), dtype=float)
+                fn = residual(xn)
                 rn = np.linalg.norm(fn)
             except _EVAL_ERRORS:
                 rn = np.inf
@@ -167,9 +172,33 @@ def _newton(field, start, tol, max_iter):
                 break
             scale *= 0.5
         else:
-            return None
+            raise RootFindingError(f"Newton stalled at residual {r:.3e}")
         x, fx, r = xn, fn, rn
-    return _polish(field, x, fx) if r <= tol else None
+    if r <= tol:
+        return x, fx
+    raise RootFindingError(
+        f"Newton did not reach tolerance {tol:.1e} "
+        f"(residual {r:.3e} after {max_iter} iterations)"
+    )
+
+
+def _newton(field, start, tol, max_iter):
+    """Damped Newton from one start; returns the polished point or None."""
+    def residual(x):
+        return np.asarray(field(x), dtype=float)
+
+    def newton_step(x, fx):
+        step = np.linalg.solve(np.asarray(field.jacobian(x), dtype=float), -fx)
+        if not np.all(np.isfinite(step)):
+            raise RootFindingError("non-finite Newton step")
+        return step
+
+    try:
+        x, fx = damped_newton(residual, newton_step, np.array(start, dtype=float),
+                              tol, max_iter)
+    except (RootFindingError, np.linalg.LinAlgError, *_EVAL_ERRORS):
+        return None
+    return _polish(field, x, fx)
 
 
 def _polish(field, x, fx, max_extra=60):

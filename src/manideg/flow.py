@@ -76,7 +76,7 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
     ----------
     field :
         Object with ``velocity(t, state, lam)`` and a ``constraint``
-        attribute (a TangentField or a ForcedField).
+        attribute (a ForcedField).
     xi0 : array
         Initial state; must satisfy the constraint to ``on_manifold_tol``.
     n_steps, dt_max :

@@ -20,14 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import DegreeResult, DomainBox, degree_sign_sum
+from .degree import (
+    DegreeResult, _default_density, damped_newton, degree_sign_sum, find_zeros,
+)
 from .errors import (
     AdmissibilityError, DomainEscapeError, RegularityError, RootFindingError,
 )
 from .fields import AmbientMap, FieldHandle
 
 __all__ = [
-    "ImplicitConstraint", "TangentField", "ManifoldDegreeResult",
+    "ImplicitConstraint", "ForcedField", "ManifoldDegreeResult",
     "partial2_sign", "tangent_completion", "tangency_residual",
     "reduced_map", "manifold_degree", "multi_region_degree",
     "implicit_solve_y", "schur_determinant_split", "complete_velocity",
@@ -96,7 +98,7 @@ def partial2_sign(constraint, sample_density=None, box=None, *,
     """
     box = box or constraint.domain
     if sample_density is None:
-        sample_density = {1: 16, 2: 16, 3: 8, 4: 6}.get(box.dim, 5)
+        sample_density = _default_density(box.dim)
     dets = np.array([constraint.det_partial2(p) for p in box.grid(sample_density)])
     worst = float(np.min(np.abs(dets)))
     if worst < singular_tol:
@@ -141,35 +143,43 @@ def complete_velocity(constraint, point, psi1_value):
     return np.concatenate([np.asarray(psi1_value, dtype=float), psi2])
 
 
-class TangentField:
-    """A field on the ambient space tangent to the constraint level set."""
+class ForcedField:
+    """Tangent field on the level set with first components gamma + lam * sigma.
 
-    def __init__(self, psi1, constraint):
-        if psi1.n_out != constraint.k or psi1.n_in != constraint.dim:
-            raise ValueError(
-                f"first component map is {psi1.n_in}->{psi1.n_out}, "
-                f"expected {constraint.dim}->{constraint.k}"
-            )
-        self.psi1 = psi1
+    Either part may be absent: without sigma the field ignores ``lam``,
+    without gamma it is ``lam`` times the completed forcing.
+    """
+
+    def __init__(self, constraint, gamma=None, sigma=None):
         self.constraint = constraint
-        self.time_dependent = psi1.time_dependent
+        self.gamma = gamma
+        self.sigma = sigma
+        self.time_dependent = any(part is not None and part.time_dependent
+                                  for part in (gamma, sigma))
 
-    def first(self, t, point):
-        return self.psi1(point, t)
-
-    def eval(self, t, point):
-        return complete_velocity(self.constraint, point, self.psi1(point, t))
-
-    __call__ = eval
+    def first(self, t, point, lam=0.0):
+        if self.gamma is not None:
+            out = self.gamma(point, t)
+            if self.sigma is not None and lam != 0.0:
+                out = out + lam * self.sigma(point, t)
+            return out
+        return lam * self.sigma(point, t)
 
     def velocity(self, t, point, lam=0.0):
-        # unforced field: the continuation parameter plays no role here
-        return self.eval(t, point)
+        return complete_velocity(self.constraint, point, self.first(t, point, lam))
+
+    def eval(self, t, point):
+        return self.velocity(t, point, 1.0)
 
 
 def tangent_completion(psi1, constraint):
     """Tangent field on M with prescribed first k components."""
-    return TangentField(psi1, constraint)
+    if psi1.n_out != constraint.k or psi1.n_in != constraint.dim:
+        raise ValueError(
+            f"first component map is {psi1.n_in}->{psi1.n_out}, "
+            f"expected {constraint.dim}->{constraint.k}"
+        )
+    return ForcedField(constraint, gamma=psi1)
 
 
 def tangency_residual(field, point, t=0.0):
@@ -204,59 +214,41 @@ def implicit_solve_y(constraint, x, y_guess=None, tol=1e-12, max_iter=50):
 
     The guess defaults to the midpoint of the y-slice of the
     constraint's domain box.  The converged point must lie inside the
-    domain box, otherwise :class:`RootFindingError` is raised.
+    domain box, otherwise :class:`DomainEscapeError` is raised; a solve
+    that does not converge raises :class:`RootFindingError`.
     """
     x = np.asarray(x, dtype=float)
     if y_guess is None:
         y = np.array([(a + b) / 2.0 for a, b in constraint.y_slice()])
     else:
         y = np.array(y_guess, dtype=float)
-    k, s = constraint.k, constraint.s
-    point = np.concatenate([x, y])
-    gval = constraint.g(point)
-    r = np.linalg.norm(gval)
-    for _ in range(max_iter):
-        if r <= tol:
-            if not constraint.domain.contains(point, margin=1e-9 * constraint.domain.diameter):
-                raise DomainEscapeError(
-                    f"y-solve at x = {x} converged to {point[k:]}, "
-                    "outside the domain box"
-                )
-            return point[k:].copy()
+
+    point = None
+
+    def residual(yv):
+        nonlocal point
+        point = np.concatenate([x, yv])
+        return constraint.g(point)
+
+    def newton_step(yv, gval):
+        # point is (x, yv): damped_newton steps from its latest residual point
         d2 = constraint.partial2(point)
-        if s == 1:
+        if constraint.s == 1:
             if d2[0, 0] == 0.0:
                 raise RootFindingError(f"singular d_y g during y-solve at x = {x}")
-            step = np.array([-gval[0] / d2[0, 0]])
-        else:
-            try:
-                step = np.linalg.solve(d2, -gval)
-            except np.linalg.LinAlgError:
-                raise RootFindingError(f"singular d_y g during y-solve at x = {x}") from None
-        scale = 1.0
-        for _ in range(20):
-            yn = point[k:] + scale * step
-            candidate = np.concatenate([x, yn])
-            gn = constraint.g(candidate)
-            rn = np.linalg.norm(gn)
-            if rn < r:
-                break
-            scale *= 0.5
-        else:
-            raise RootFindingError(
-                f"y-solve stalled at x = {x} (residual {r:.3e})"
-            )
-        point, gval, r = candidate, gn, rn
-    if r <= tol:
-        if not constraint.domain.contains(point, margin=1e-9 * constraint.domain.diameter):
-            raise RootFindingError(
-                f"y-solve at x = {x} converged to {point[k:]}, outside the domain box"
-            )
-        return point[k:].copy()
-    raise RootFindingError(
-        f"y-solve did not reach tolerance {tol:.1e} at x = {x} "
-        f"(residual {r:.3e} after {max_iter} iterations)"
-    )
+            return np.array([-gval[0] / d2[0, 0]])
+        try:
+            return np.linalg.solve(d2, -gval)
+        except np.linalg.LinAlgError:
+            raise RootFindingError(f"singular d_y g during y-solve at x = {x}") from None
+
+    y, _ = damped_newton(residual, newton_step, y, tol, max_iter)
+    domain = constraint.domain
+    if not domain.contains(point, margin=1e-9 * domain.diameter):
+        raise DomainEscapeError(
+            f"y-solve at x = {x} converged to {y}, outside the domain box"
+        )
+    return y
 
 
 def schur_determinant_split(phi1, constraint, point):
@@ -320,12 +312,8 @@ def multi_region_degree(phi1, constraint, boxes, **degree_options):
             if boxes[i].overlaps(boxes[j]):
                 raise ValueError(f"boxes {i} and {j} overlap: "
                                  f"{boxes[i].bounds} vs {boxes[j].bounds}")
-    field = reduced_map(phi1, constraint)
-    from .degree import find_zeros  # local import keeps module load light
-
-    sample_density = degree_options.pop("sample_density", None)
     stray = [
-        z for z in find_zeros(field, constraint.domain,
+        z for z in find_zeros(reduced_map(phi1, constraint), constraint.domain,
                               grid_density=degree_options.get("grid_density"))
         if not any(b.contains(z.location) for b in boxes)
     ]
@@ -334,8 +322,5 @@ def multi_region_degree(phi1, constraint, boxes, **degree_options):
             f"zero of the reduced map at {stray[0].location} lies outside "
             "every supplied box; enlarge or add boxes"
         )
-    total = 0
-    for box in boxes:
-        sign = partial2_sign(constraint, box=box, sample_density=sample_density)
-        total += sign * degree_sign_sum(field, box, **degree_options).degree
-    return total
+    return sum(manifold_degree(phi1, constraint, box, **degree_options).degree
+               for box in boxes)

@@ -28,23 +28,23 @@ degrees are known in closed form; ``manideg verify-paper`` recomputes
 them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .dae import SemiExplicitDae, average_wind, seed_map_F, seed_map_Phi
+from .dae import SemiExplicitDae, average_wind
 from .degree import DomainBox
 from .errors import ProblemFormatError
 from .fields import AmbientMap
-from .manifold import ImplicitConstraint
+from .manifold import ImplicitConstraint, reduced_map
 
 __all__ = [
     "Problem", "parse_problem", "format_problem",
     "REGISTRY", "REFERENCE_DEGREES", "ReferenceDegrees",
 ]
 
-_OPTION_KEYS = (
-    "grid_density", "newton_tol", "dedup_radius", "boundary_samples",
-    "sample_density", "quadrature_nodes", "steps_per_period",
-)
+# solver overrides accepted by find_zeros, and in addition by manifold_degree
+ZERO_SEARCH_OPTIONS = ("grid_density", "newton_tol", "dedup_radius")
+DEGREE_OPTIONS = ZERO_SEARCH_OPTIONS + ("boundary_samples", "sample_density")
+_OPTION_KEYS = DEGREE_OPTIONS + ("quadrature_nodes", "steps_per_period")
 _INT_OPTIONS = {"grid_density", "boundary_samples", "sample_density",
                 "quadrature_nodes", "steps_per_period"}
 
@@ -63,6 +63,7 @@ class Problem:
     sigma: tuple | None = None
     period: float | None = None
     options: tuple = ()  # sorted (key, value) pairs
+    _dae: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1 or self.s < 1:
@@ -93,14 +94,18 @@ class Problem:
             self.k, self.s, self.g, self.variables, self.domain())
 
     def build_dae(self):
-        constraint = self.build_constraint()
-        gamma = sigma = None
-        if self.gamma is not None:
-            gamma = AmbientMap.from_expressions(self.gamma, self.variables,
-                                                allow_time=False)
-        if self.sigma is not None:
-            sigma = AmbientMap.from_expressions(self.sigma, self.variables)
-        return SemiExplicitDae(constraint, gamma, sigma, self.period)
+        """The problem's DAE, built on the first call and kept on the instance."""
+        if self._dae is None:
+            constraint = self.build_constraint()
+            gamma = sigma = None
+            if self.gamma is not None:
+                gamma = AmbientMap.from_expressions(self.gamma, self.variables,
+                                                    allow_time=False)
+            if self.sigma is not None:
+                sigma = AmbientMap.from_expressions(self.sigma, self.variables)
+            object.__setattr__(
+                self, "_dae", SemiExplicitDae(constraint, gamma, sigma, self.period))
+        return self._dae
 
     def build_phi1(self, quadrature_nodes=None):
         """First-component map whose zeros seed the analysis.
@@ -115,11 +120,11 @@ class Problem:
         return average_wind(dae, int(nodes))[0]
 
     def build_seed_map(self, quadrature_nodes=None):
-        dae = self.build_dae()
-        if dae.gamma is not None:
-            return seed_map_F(dae)
-        nodes = quadrature_nodes or self.option("quadrature_nodes", 64)
-        return seed_map_Phi(dae, int(nodes))
+        return reduced_map(self.build_phi1(quadrature_nodes), self.build_dae().constraint)
+
+    def solver_options(self, keys=DEGREE_OPTIONS):
+        """The problem's overrides among ``keys``, as keyword arguments."""
+        return {key: value for key, value in self.options if key in keys}
 
     def option(self, key, default=None):
         for name, value in self.options:

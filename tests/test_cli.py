@@ -161,9 +161,16 @@ def test_degree_from_problem_file(capsys, tmp_path):
 
 # --- exit codes ------------------------------------------------------------------
 
-def test_exit_2_for_unknown_problem(capsys):
-    code, _, err = run_cli(capsys, "degree", "missing")
-    assert code == 2 and "bundled" in err
+@pytest.mark.parametrize("argv,needle", [
+    (("degree", "missing"), "bundled"),
+    (("degree", "example-4-1", "--box", "a:1,-1:1"), "bound"),     # non-numeric
+    (("degree", "example-4-1", "--box", "1:-1,-1:1"), "empty"),    # reversed
+    (("degree", "example-4-1", "--box", "0:1"), "ranges"),         # too few ranges
+    (("trace", "example-5-5", "--seed-index", "3"), "seed-index"),
+], ids=["unknown-problem", "box-bound", "box-reversed", "box-arity", "seed-index"])
+def test_exit_2_for_bad_input(capsys, argv, needle):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and needle in err
 
 
 def test_exit_3_for_sign_flipping_constraint(capsys, tmp_path):

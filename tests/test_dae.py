@@ -201,7 +201,7 @@ def test_seed_map_F_requires_gamma():
 def test_forced_field_combines_parts():
     prob = REGISTRY["example-5-5"]
     dae = prob.build_dae()
-    field = ForcedField(dae)
+    field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
     p = np.array([0.3, -0.1, 0.05])
     t, lam = 0.9, 0.35
     expected = dae.gamma(p) + lam * dae.sigma(p, t)
@@ -214,7 +214,7 @@ def test_forced_field_combines_parts():
 
 def test_forced_field_without_gamma_scales_sigma():
     dae = forced_cubic()
-    field = ForcedField(dae)
+    field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
     p = np.array([0.4, 0.1])
     assert np.allclose(field.first(1.0, p, 0.5), 0.5 * dae.sigma(p, 1.0))
     assert np.allclose(field.first(1.0, p, 0.0), [0.0])

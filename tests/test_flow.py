@@ -37,7 +37,8 @@ def exponential_flow():
 
 
 def spring_field():
-    return ForcedField(REGISTRY["example-5-5"].build_dae())
+    dae = REGISTRY["example-5-5"].build_dae()
+    return ForcedField(dae.constraint, dae.gamma, dae.sigma)
 
 
 def on_spring_manifold(x1, x2):

@@ -10,13 +10,17 @@ Hand-computed oracles:
     per-branch contributions (+1)*(+1) and (-1)*(-1), total degree 2.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from manideg import (
     AdmissibilityError,
+    REGISTRY,
     AmbientMap,
     DomainBox,
+    DomainEscapeError,
     ImplicitConstraint,
     RegularityError,
     RootFindingError,
@@ -31,6 +35,7 @@ from manideg import (
     tangency_residual,
 )
 from manideg.fields import finite_difference_jacobian
+from manideg.problems import REFERENCE_DEGREES
 
 BOX2 = DomainBox.cube(-2.0, 2.0, 2)
 
@@ -216,6 +221,14 @@ def test_implicit_solve_y_rejects_root_outside_domain():
         implicit_solve_y(con, np.array([0.0]), y_guess=(1.5,))
 
 
+def test_implicit_solve_y_escape_on_last_iteration():
+    # the one Newton step lands on y = 3, outside the box, as the loop ends
+    con = ImplicitConstraint.from_expressions(
+        1, 1, ("y - x",), ("x", "y"), DomainBox.cube(-1.0, 1.0, 2))
+    with pytest.raises(DomainEscapeError):
+        implicit_solve_y(con, np.array([3.0]), y_guess=[0.0], max_iter=1)
+
+
 def test_implicit_solve_y_iteration_cap():
     con = cubic_graph()
     with pytest.raises(RootFindingError):
@@ -266,6 +279,16 @@ def test_manifold_degree_helix_chart():
     assert res.constraint_sign == 1
     assert len(res.ambient.zeros) == 1
     assert np.allclose(res.ambient.zeros[0].location, [1.0, 0.0, 0.0], atol=1e-8)
+
+
+def test_manifold_degree_without_numpy_warnings():
+    # Newton starts on exp(y1) overflow; that must count as a failed start,
+    # not surface as a RuntimeWarning
+    prob = REGISTRY["example-5-2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = manifold_degree(prob.build_phi1(), prob.build_constraint())
+    assert res.degree == REFERENCE_DEGREES["example-5-2"].manifold_degree
 
 
 def test_manifold_degree_graph_equals_direct_degree():
