@@ -35,7 +35,7 @@ print("steps taken:", res.steps)
 # halving the step size divides the endpoint error by about 2^4
 errs = []
 for n in (64, 128, 256):
-    r = flow_map(field, start, 0.0, 1.0, n_steps=n, record=False)
+    r = flow_map(field, start, 0.0, 1.0, n_steps=n)
     errs.append(abs(r.final_state[0] - math.e))
 print("errors at 64/128/256 steps:", ["%.3e" % e for e in errs])
 print("ratios:", [round(float(a / b), 2) for a, b in zip(errs, errs[1:])])
@@ -51,8 +51,9 @@ for _ in range(3):
 
 # recorded trajectories export as CSV rows (t, x..., y..., |g|)
 rec = flow_map(field, start, 0.0, 1.0, n_steps=10)
-path = os.path.join(tempfile.mkdtemp(), "flow.csv")
-write_trajectory_csv(rec, ("x", "y"), path)
-with open(path) as fh:
-    for line in list(fh)[:4]:
-        print(line.rstrip())
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "flow.csv")
+    write_trajectory_csv(rec, ("x", "y"), path)
+    with open(path) as fh:
+        for line in list(fh)[:4]:
+            print(line.rstrip())

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .continuation import seed_points, trace_branch
+from .continuation import DEFAULT_TRACE_STEPS_PER_PERIOD, seed_points, trace_branch
 from .degree import DegreeResult, DomainBox, boundary_min, degree_winding_2d
 from .errors import (
     AdmissibilityError,
@@ -174,7 +174,8 @@ def _cmd_trace(args):
             f"--seed-index {args.seed_index} is out of range for "
             f"{len(seeds)} seed-map zero(s)"
         ) from None
-    steps = args.steps_per_period or problem.option("steps_per_period", 256)
+    steps = args.steps_per_period or problem.option("steps_per_period",
+                                                    DEFAULT_TRACE_STEPS_PER_PERIOD)
     branch = trace_branch(dae, seed, ds=args.ds, lambda_max=args.lambda_max,
                           max_steps=args.max_steps, steps_per_period=int(steps))
     if args.out:

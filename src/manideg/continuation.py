@@ -6,6 +6,9 @@ point of the period map in the x-coordinates, y being slaved to x
 through the constraint.  The tracer takes pseudo-arclength steps in
 (x0, lam) with a secant predictor and a Newton corrector whose
 sensitivities come from forward finite differences of the period map.
+Every shot integrates one period once, and the same trajectory gives
+both the shooting residual and the solution pair (residual, amplitude,
+drift), so the corrector returns the pair of its converged shot.
 Corrector failures halve the step length a few times before the branch
 is abandoned.
 
@@ -55,32 +58,27 @@ def seed_points(seed_map, box, **find_options):
     return find_zeros(seed_map, box, **find_options)
 
 
-def _integrate_pair(dae, x0, lam, steps, y_guess, projection_tol=1e-12):
+def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD,
+                      y_guess=None, projection_tol=1e-12):
+    """Shoot one period from (x0, lam).
+
+    Returns x(T) - x(0) and the :class:`SolutionPair` built from the
+    same trajectory.
+    """
+    if dae.period is None:
+        raise NumericError("shooting needs a forcing period")
+    x0 = np.array(x0, dtype=float)  # the pair keeps it; callers may mutate theirs
     field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
     y0 = implicit_solve_y(dae.constraint, x0, y_guess=y_guess, tol=projection_tol)
     xi0 = np.concatenate([x0, y0])
-    res = flow_map(field, xi0, 0.0, dae.period, lam,
-                   n_steps=steps, projection_tol=projection_tol, record=True)
+    res = flow_map(field, xi0, 0.0, dae.period, lam, n_steps=steps_per_period,
+                   projection_tol=projection_tol)
     mean = res.states.mean(axis=0)
     amplitude = float(np.max(np.linalg.norm(res.states - mean, axis=1)))
     residual = float(np.linalg.norm(res.final_state - xi0))
-    pair = SolutionPair(float(lam), np.asarray(x0, dtype=float).copy(), y0,
-                        dae.period, residual, amplitude, res.max_drift)
-    return pair, res
-
-
-def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD,
-                      y_guess=None, projection_tol=1e-12):
-    """x(T) - x(0) for the trajectory launched at (x0, lam)."""
-    if dae.period is None:
-        raise NumericError("shooting needs a forcing period")
-    x0 = np.asarray(x0, dtype=float)
-    field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
-    y0 = implicit_solve_y(dae.constraint, x0, y_guess=y_guess, tol=projection_tol)
-    xi0 = np.concatenate([x0, y0])
-    final = flow_map(field, xi0, 0.0, dae.period, lam, n_steps=steps_per_period,
-                     projection_tol=projection_tol, record=False).final_state
-    return final[: dae.k] - x0
+    pair = SolutionPair(float(lam), x0, y0, dae.period, residual, amplitude,
+                        res.max_drift)
+    return res.final_state[: dae.k] - x0, pair
 
 
 def correct(dae, x0, lam, *, arclength=None, tol=1e-8, max_iter=10,
@@ -102,12 +100,12 @@ def correct(dae, x0, lam, *, arclength=None, tol=1e-8, max_iter=10,
     n_unknowns = k if arclength is None else k + 1
 
     def residual_vec(zv):
-        r = shooting_residual(dae, zv[:k], zv[k], steps_per_period=steps_per_period,
-                              y_guess=y_guess)
+        r, pair = shooting_residual(dae, zv[:k], zv[k],
+                                    steps_per_period=steps_per_period, y_guess=y_guess)
         if arclength is None:
-            return r
+            return r, pair
         z_prev, tangent, ds = arclength
-        return np.append(r, tangent @ (zv - z_prev) - ds)
+        return np.append(r, tangent @ (zv - z_prev) - ds), pair
 
     def build_jacobian(zv, r0):
         cols = []
@@ -115,16 +113,15 @@ def correct(dae, x0, lam, *, arclength=None, tol=1e-8, max_iter=10,
             h = fd_step * (1.0 + abs(zv[j]))
             zp = zv.copy()
             zp[j] += h
-            cols.append((residual_vec(zp) - r0) / h)
+            cols.append((residual_vec(zp)[0] - r0) / h)
         return np.column_stack(cols)
 
     try:
-        r = residual_vec(z)
+        r, pair = residual_vec(z)  # pair: the shot at the current z
         jac = None
         refreshed = False
         for _ in range(max_iter):
             if np.linalg.norm(r) <= tol:
-                pair, _ = _integrate_pair(dae, z[:k], z[k], steps_per_period, y_guess)
                 return pair
             if jac is None:
                 jac = build_jacobian(z, r)
@@ -136,13 +133,12 @@ def correct(dae, x0, lam, *, arclength=None, tol=1e-8, max_iter=10,
                 z[:k] += delta
             else:
                 z += delta
-            r_new = residual_vec(z)
+            r_new, pair = residual_vec(z)
             if np.linalg.norm(r_new) > 0.9 * np.linalg.norm(r) and not refreshed:
                 jac = None  # frozen sensitivities went stale; rebuild once
                 refreshed = True
             r = r_new
         if np.linalg.norm(r) <= tol:
-            pair, _ = _integrate_pair(dae, z[:k], z[k], steps_per_period, y_guess)
             return pair
     except NumericError as exc:
         raise CorrectorError(f"corrector aborted: {exc}") from exc
@@ -197,7 +193,8 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
     x_seed = np.asarray(seed.location[:k], dtype=float)
     y_hint = np.asarray(seed.location[k:], dtype=float)
 
-    pair, _ = _integrate_pair(dae, x_seed, 0.0, steps_per_period, y_hint)
+    _, pair = shooting_residual(dae, x_seed, 0.0, steps_per_period=steps_per_period,
+                                y_guess=y_hint)
     if pair.residual > 1e-6:
         raise CorrectorError(
             f"seed at {x_seed} is not a periodic pair at lam = 0 "

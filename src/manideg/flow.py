@@ -28,14 +28,14 @@ _MAX_HALVINGS = 20
 
 @dataclass
 class FlowResult:
-    """Trajectory summary; sample arrays are None when recording is off."""
+    """A trajectory: its end state and the samples at every step."""
 
     final_state: np.ndarray
     max_drift: float
     steps: int
-    times: np.ndarray | None = None
-    states: np.ndarray | None = None
-    drifts: np.ndarray | None = None
+    times: np.ndarray   # (steps + 1,)
+    states: np.ndarray  # (steps + 1, state size)
+    drifts: np.ndarray  # |g| at each sample
 
 
 def projected_step(field, state, t, dt, lam=0.0, projection_tol=1e-12):
@@ -69,7 +69,7 @@ def _advance(field, state, t, dt, lam, projection_tol, depth=0):
 
 
 def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
-             projection_tol=1e-12, on_manifold_tol=1e-8, record=True):
+             projection_tol=1e-12, on_manifold_tol=1e-8):
     """Flow ``xi0`` from ``t0`` to ``t1`` along a tangent field.
 
     Parameters
@@ -83,8 +83,8 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
         Either a fixed step count or a step-size cap from which the
         count is derived (``ceil`` of span / dt_max).  Defaults to 4096
         steps over the span.
-    record : bool
-        When set, keep the full sample arrays in the result.
+
+    The result keeps the state and drift at every step.
     """
     c = field.constraint
     xi0 = np.asarray(xi0, dtype=float)
@@ -96,10 +96,8 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
         )
     span = float(t1 - t0)
     if span == 0.0:
-        times = np.array([t0]) if record else None
-        states = xi0[None, :].copy() if record else None
-        drifts = np.array([drift0]) if record else None
-        return FlowResult(xi0.copy(), drift0, 0, times, states, drifts)
+        return FlowResult(xi0.copy(), drift0, 0, np.array([t0]),
+                          xi0[None, :].copy(), np.array([drift0]))
     if n_steps is None:
         n_steps = DEFAULT_STEPS_PER_PERIOD if dt_max is None else max(
             1, int(np.ceil(abs(span) / dt_max)))
@@ -108,37 +106,30 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
 
     state = xi0.copy()
     max_drift = drift0
-    if record:
-        times = np.empty(n_steps + 1)
-        states = np.empty((n_steps + 1, xi0.size))
-        drifts = np.empty(n_steps + 1)
-        times[0], states[0], drifts[0] = t0, state, drift0
+    times = np.empty(n_steps + 1)
+    states = np.empty((n_steps + 1, xi0.size))
+    drifts = np.empty(n_steps + 1)
+    times[0], states[0], drifts[0] = t0, state, drift0
     for i in range(n_steps):
         state = _advance(field, state, t0 + i * dt, dt, lam, projection_tol)
         drift = c.residual(state)
         max_drift = max(max_drift, drift)
-        if record:
-            times[i + 1] = t0 + (i + 1) * dt
-            states[i + 1] = state
-            drifts[i + 1] = drift
-    if record:
-        return FlowResult(state, max_drift, n_steps, times, states, drifts)
-    return FlowResult(state, max_drift, n_steps)
+        times[i + 1] = t0 + (i + 1) * dt
+        states[i + 1] = state
+        drifts[i + 1] = drift
+    return FlowResult(state, max_drift, n_steps, times, states, drifts)
 
 
 def period_map(field, xi0, lam, period, **options):
     """State after one period, starting at time zero."""
-    options.setdefault("record", False)
     return flow_map(field, xi0, 0.0, period, lam, **options).final_state
 
 
 def write_trajectory_csv(result, var_names, out):
-    """Rows (t, state..., |g|) at the recorded resolution.
+    """Rows (t, state..., |g|), one per step of the flow.
 
     ``out`` is a path or a writable text file object.
     """
-    if result.times is None:
-        raise ValueError("the flow was run without recording; nothing to export")
     close = False
     if isinstance(out, str):
         out = open(out, "w", encoding="utf-8")

@@ -30,7 +30,7 @@ them.
 
 from dataclasses import dataclass, field
 
-from .dae import SemiExplicitDae, average_wind
+from .dae import DEFAULT_QUADRATURE_NODES, SemiExplicitDae, average_wind
 from .degree import DomainBox
 from .errors import ProblemFormatError
 from .fields import AmbientMap
@@ -63,6 +63,7 @@ class Problem:
     sigma: tuple | None = None
     period: float | None = None
     options: tuple = ()  # sorted (key, value) pairs
+    _constraint: object = field(default=None, init=False, repr=False, compare=False)
     _dae: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -90,8 +91,11 @@ class Problem:
         return DomainBox.from_bounds(self.box)
 
     def build_constraint(self):
-        return ImplicitConstraint.from_expressions(
-            self.k, self.s, self.g, self.variables, self.domain())
+        """The problem's constraint, built on the first call and kept on the instance."""
+        if self._constraint is None:
+            object.__setattr__(self, "_constraint", ImplicitConstraint.from_expressions(
+                self.k, self.s, self.g, self.variables, self.domain()))
+        return self._constraint
 
     def build_dae(self):
         """The problem's DAE, built on the first call and kept on the instance."""
@@ -116,7 +120,8 @@ class Problem:
         dae = self.build_dae()
         if dae.gamma is not None:
             return dae.gamma
-        nodes = quadrature_nodes or self.option("quadrature_nodes", 64)
+        nodes = quadrature_nodes or self.option("quadrature_nodes",
+                                                DEFAULT_QUADRATURE_NODES)
         return average_wind(dae, int(nodes))[0]
 
     def build_seed_map(self, quadrature_nodes=None):

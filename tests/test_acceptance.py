@@ -312,8 +312,7 @@ def test_rk4_order_window():
         field = build_autonomous_tangent(SemiExplicitDae(con, gamma=gamma))
         errs = []
         for n in (32, 64):
-            res = flow_map(field, np.array([1.0, 1.0]), 0.0, 1.0,
-                           n_steps=n, record=False)
+            res = flow_map(field, np.array([1.0, 1.0]), 0.0, 1.0, n_steps=n)
             errs.append(abs(res.final_state[0] - math.e))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 

@@ -48,6 +48,11 @@ def test_parse_problem_fields():
     assert prob.option("steps_per_period") == 128
 
 
+def test_problem_builds_its_constraint_once():
+    prob = parse_problem(SPRING_TEXT)
+    assert prob.build_constraint() is prob.build_constraint() is prob.build_dae().constraint
+
+
 def test_format_parse_round_trip():
     prob = parse_problem(SPRING_TEXT)
     assert parse_problem(format_problem(prob)) == prob

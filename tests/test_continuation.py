@@ -6,9 +6,12 @@ residual must vanish for all (x0, lam).  The damped oscillator problem
 from the registry provides the genuinely nonlinear branch.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import manideg.continuation as continuation
 from manideg import (
     AmbientMap,
     CorrectorError,
@@ -60,13 +63,13 @@ def test_seed_points_finds_trivial_pair():
 def test_shooting_residual_vanishes_on_linear_problem():
     dae = linear_forced()
     for x0, lam in ((0.0, 0.3), (0.7, 0.3), (-1.2, 0.9), (0.4, 0.0)):
-        r = shooting_residual(dae, np.array([x0]), lam)
+        r, _ = shooting_residual(dae, np.array([x0]), lam)
         assert abs(r[0]) <= 1e-8
 
 
 def test_shooting_residual_detects_nonperiodic_start():
     dae = spring()
-    r = shooting_residual(dae, np.array([0.5, 0.3]), 0.0)
+    r, _ = shooting_residual(dae, np.array([0.5, 0.3]), 0.0)
     assert np.linalg.norm(r) > 1e-3
 
 
@@ -75,6 +78,16 @@ def test_shooting_needs_period():
     autonomous = SemiExplicitDae(dae.constraint, gamma=dae.gamma)
     with pytest.raises(NumericError):
         shooting_residual(autonomous, np.zeros(2), 0.0)
+
+
+def test_shooting_pair_comes_from_the_same_trajectory():
+    dae = spring()
+    r, pair = shooting_residual(dae, np.array([0.5, 0.3]), 0.2)
+    assert pair.lam == 0.2
+    assert np.array_equal(pair.x0, [0.5, 0.3])
+    # the full-state residual bounds the x-part of the same shot
+    assert pair.residual >= np.linalg.norm(r) > 1e-3
+    assert pair.amplitude > 0.0 and pair.drift <= 1e-10
 
 
 # --- corrector -------------------------------------------------------------------
@@ -95,6 +108,20 @@ def test_correct_pulls_back_to_periodic_pair():
     assert pair.residual <= 1e-8
 
 
+def test_correct_returns_the_pair_of_its_converged_shot():
+    dae = spring()
+    y_guess = np.zeros(1)
+    pair = correct(dae, np.zeros(2), 0.2, y_guess=y_guess)
+    assert np.linalg.norm(pair.x0) > 1e-3  # Newton moved off the prediction
+    _, shot = shooting_residual(dae, pair.x0, pair.lam, y_guess=y_guess)
+    for f in dataclasses.fields(pair):
+        mine, theirs = getattr(pair, f.name), getattr(shot, f.name)
+        if isinstance(mine, np.ndarray):
+            assert np.array_equal(mine, theirs), f.name
+        else:
+            assert mine == theirs, f.name
+
+
 def test_correct_fails_when_starved():
     dae = spring()
     with pytest.raises(CorrectorError):
@@ -102,6 +129,26 @@ def test_correct_fails_when_starved():
 
 
 # --- tracing ---------------------------------------------------------------------
+
+def test_trace_integrates_one_period_per_shot(monkeypatch):
+    counts = {"flow_map": 0, "shooting_residual": 0}
+
+    def counting(name):
+        inner = getattr(continuation, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(continuation, name, counting(name))
+    dae, seed = spring_seed()
+    branch = trace_branch(dae, seed, ds=0.05, lambda_max=0.1, steps_per_period=64)
+    assert len(branch.points) >= 3
+    assert counts["shooting_residual"] > len(branch.points)
+    assert counts["flow_map"] == counts["shooting_residual"]
+
 
 def test_trace_trivial_when_lambda_max_is_zero():
     dae, seed = spring_seed()

@@ -22,3 +22,4 @@ def test_demo_runs(path, monkeypatch, tmp_path):
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(path), run_name="__main__")
     assert out.getvalue()
+    assert not any(tmp_path.iterdir())  # scratch files are cleaned up

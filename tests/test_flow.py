@@ -61,7 +61,7 @@ def test_rk4_order_from_step_halving():
     start = np.array([1.0, 1.0])
     errs = []
     for n in (32, 64):
-        res = flow_map(field, start, 0.0, 1.0, n_steps=n, record=False)
+        res = flow_map(field, start, 0.0, 1.0, n_steps=n)
         errs.append(abs(res.final_state[0] - math.e))
     ratio = errs[0] / errs[1]
     assert 12.0 <= ratio <= 20.0
@@ -69,7 +69,7 @@ def test_rk4_order_from_step_halving():
 
 def test_fine_flow_reaches_reference_accuracy():
     field = exponential_flow()
-    res = flow_map(field, np.array([1.0, 1.0]), 0.0, 1.0, n_steps=4096, record=False)
+    res = flow_map(field, np.array([1.0, 1.0]), 0.0, 1.0, n_steps=4096)
     assert res.final_state[0] == pytest.approx(math.e, abs=1e-12)
     assert res.max_drift <= 1e-12
 
@@ -98,19 +98,17 @@ def test_flow_recording_shapes():
     assert res.states.shape == (11, 2)
     assert res.drifts.shape == (11,)
     assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(1.0)
-    quiet = flow_map(field, np.array([1.0, 1.0]), 0.0, 1.0, n_steps=10, record=False)
-    assert quiet.times is None and quiet.states is None and quiet.drifts is None
 
 
 def test_flow_step_count_from_dt_cap():
     field = exponential_flow()
-    res = flow_map(field, np.array([1.0, 1.0]), 0.0, 1.0, dt_max=0.3, record=False)
+    res = flow_map(field, np.array([1.0, 1.0]), 0.0, 1.0, dt_max=0.3)
     assert res.steps == 4
 
 
 def test_flow_backwards_in_time():
     field = exponential_flow()
-    res = flow_map(field, np.array([1.0, 1.0]), 1.0, 0.0, n_steps=512, record=False)
+    res = flow_map(field, np.array([1.0, 1.0]), 1.0, 0.0, n_steps=512)
     assert res.final_state[0] == pytest.approx(1.0 / math.e, abs=1e-12)
 
 
@@ -120,10 +118,9 @@ def test_flow_semigroup_property():
     period = REGISTRY["example-5-5"].period
     lam = 0.2
     half = period / 2.0
-    first = flow_map(field, start, 0.0, half, lam, n_steps=2048, record=False)
-    second = flow_map(field, first.final_state, half, period, lam, n_steps=2048,
-                      record=False)
-    direct = flow_map(field, start, 0.0, period, lam, n_steps=4096, record=False)
+    first = flow_map(field, start, 0.0, half, lam, n_steps=2048)
+    second = flow_map(field, first.final_state, half, period, lam, n_steps=2048)
+    direct = flow_map(field, start, 0.0, period, lam, n_steps=4096)
     assert np.allclose(second.final_state, direct.final_state, atol=1e-12)
 
 
@@ -146,7 +143,7 @@ def test_integration_error_when_leaving_solvable_region():
     gamma = AmbientMap.from_expressions(("0 - 1",), ("x", "y"))
     field = build_autonomous_tangent(SemiExplicitDae(con, gamma=gamma))
     with pytest.raises(IntegrationError):
-        flow_map(field, np.array([1.0, 1.0]), 0.0, 2.0, n_steps=64, record=False)
+        flow_map(field, np.array([1.0, 1.0]), 0.0, 2.0, n_steps=64)
 
 
 # --- period map ------------------------------------------------------------------
@@ -181,10 +178,3 @@ def test_trajectory_csv_round_trip():
         assert float(row[0]) == res.times[i]
         assert float(row[1]) == res.states[i, 0]
         assert float(row[3]) == res.drifts[i]
-
-
-def test_trajectory_csv_requires_recording():
-    field = exponential_flow()
-    res = flow_map(field, np.array([1.0, 1.0]), 0.0, 0.5, n_steps=8, record=False)
-    with pytest.raises(ValueError):
-        write_trajectory_csv(res, ("x", "y"), io.StringIO())
