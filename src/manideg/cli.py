@@ -21,6 +21,7 @@ regularity failure, 4 inadmissible boundary, 5 numeric failure.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -107,9 +108,28 @@ def _parse_box_option(text, dim):
     return DomainBox.from_bounds(ranges)
 
 
+def _check_count(flag, value):
+    if value is not None and value < 1:
+        raise ProblemFormatError(f"{flag} must be at least 1, got {value}")
+
+
+def _check_trace_options(args):
+    if not (math.isfinite(args.ds) and args.ds > 0.0):
+        raise ProblemFormatError(f"--ds must be a positive finite step, got {args.ds}")
+    if not (math.isfinite(args.lambda_max) and args.lambda_max >= 0.0):
+        raise ProblemFormatError(
+            f"--lambda-max must be finite and non-negative, got {args.lambda_max}")
+    _check_count("--steps-per-period", args.steps_per_period)
+    _check_count("--max-steps", args.max_steps)
+    _check_count("--quadrature-nodes", args.quadrature_nodes)
+    if args.seed_index < 0:
+        raise ProblemFormatError(f"--seed-index must be non-negative, got {args.seed_index}")
+
+
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_degree(args):
+    _check_count("--quadrature-nodes", args.quadrature_nodes)
     problem = load_problem(args.problem)
     constraint = problem.build_constraint()
     phi1 = problem.build_phi1(args.quadrature_nodes)
@@ -159,6 +179,7 @@ def _cmd_degree(args):
 
 
 def _cmd_trace(args):
+    _check_trace_options(args)
     problem = load_problem(args.problem)
     dae = problem.build_dae()
     seed_map = problem.build_seed_map(args.quadrature_nodes)
@@ -174,10 +195,11 @@ def _cmd_trace(args):
             f"--seed-index {args.seed_index} is out of range for "
             f"{len(seeds)} seed-map zero(s)"
         ) from None
-    steps = args.steps_per_period or problem.option("steps_per_period",
-                                                    DEFAULT_TRACE_STEPS_PER_PERIOD)
+    steps = args.steps_per_period
+    if steps is None:
+        steps = problem.option("steps_per_period", DEFAULT_TRACE_STEPS_PER_PERIOD)
     branch = trace_branch(dae, seed, ds=args.ds, lambda_max=args.lambda_max,
-                          max_steps=args.max_steps, steps_per_period=int(steps))
+                          max_steps=args.max_steps, steps_per_period=steps)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             _write_branch_csv(branch, problem.variables, dae.k, fh)

@@ -4,13 +4,19 @@ A zero of a seed map (a trivial solution pair at lam = 0) is continued
 in the forcing amplitude lam by shooting: a solution pair is a fixed
 point of the period map in the x-coordinates, y being slaved to x
 through the constraint.  The tracer takes pseudo-arclength steps in
-(x0, lam) with a secant predictor and a Newton corrector whose
-sensitivities come from forward finite differences of the period map.
-Every shot integrates one period once, and the same trajectory gives
-both the shooting residual and the solution pair (residual, amplitude,
-drift), so the corrector returns the pair of its converged shot.
-Corrector failures halve the step length a few times before the branch
-is abandoned.
+(x0, lam) with a secant predictor and a Newton corrector.  The
+corrector's sensitivities W = dx(T)/d(x0, lam) are exact up to the
+integration error: the shot at the prediction integrates the
+variational equation W' = A W + [0 | sigma] alongside its trajectory,
+with A = d_x p + d_y p * S, p = gamma + lam * sigma and
+S = -(d_y g)^-1 d_x g the slope of y slaved to x, so only first
+derivatives are needed (Allgower & Georg, "Introduction to Numerical
+Continuation Methods"; Seydel, "Practical Bifurcation and Stability
+Analysis").  Every shot integrates one period once, and the same
+trajectory gives the shooting residual, the solution pair (residual,
+amplitude, drift) and, when asked, the sensitivities, so the corrector
+returns the pair of its converged shot.  Corrector failures halve the
+step length a few times before the branch is abandoned.
 
 Everything here is deterministic: rerunning a trace reproduces the
 branch point for point.
@@ -59,11 +65,14 @@ def seed_points(seed_map, box, **find_options):
 
 
 def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD,
-                      y_guess=None, projection_tol=1e-12):
+                      y_guess=None, projection_tol=1e-12, jacobian=False):
     """Shoot one period from (x0, lam).
 
     Returns x(T) - x(0) and the :class:`SolutionPair` built from the
-    same trajectory.
+    same trajectory.  With ``jacobian`` a third item follows: the k x
+    (k + 1) derivative of the residual with respect to (x0, lam),
+    W - [I | 0], where W = dx(T)/d(x0, lam) is integrated by the
+    variational equation alongside the same trajectory.
     """
     if dae.period is None:
         raise NumericError("shooting needs a forcing period")
@@ -72,18 +81,20 @@ def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_
     y0 = implicit_solve_y(dae.constraint, x0, y_guess=y_guess, tol=projection_tol)
     xi0 = np.concatenate([x0, y0])
     res = flow_map(field, xi0, 0.0, dae.period, lam, n_steps=steps_per_period,
-                   projection_tol=projection_tol)
+                   projection_tol=projection_tol, sensitivity=jacobian)
     mean = res.states.mean(axis=0)
     amplitude = float(np.max(np.linalg.norm(res.states - mean, axis=1)))
     residual = float(np.linalg.norm(res.final_state - xi0))
     pair = SolutionPair(float(lam), x0, y0, dae.period, residual, amplitude,
                         res.max_drift)
-    return res.final_state[: dae.k] - x0, pair
+    r = res.final_state[: dae.k] - x0
+    if not jacobian:
+        return r, pair
+    return r, pair, res.sensitivity - np.eye(dae.k, dae.k + 1)
 
 
 def correct(dae, x0, lam, *, arclength=None, tol=1e-8, max_iter=10,
-            steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD, fd_step=1e-6,
-            y_guess=None):
+            steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD, y_guess=None):
     """Newton-correct a predicted solution pair.
 
     With ``arclength=None`` the forcing amplitude is held fixed and
@@ -91,40 +102,38 @@ def correct(dae, x0, lam, *, arclength=None, tol=1e-8, max_iter=10,
     ``(z_prev, tangent, ds)`` over z = (x0, lam) and the corrector also
     satisfies the arclength condition tangent . (z - z_prev) = ds.
 
-    The shooting sensitivities are forward finite differences with a
-    relative step ``fd_step``, built once at the prediction and reused
-    (refreshed once if Newton stalls).
+    The Newton matrix is ``[W - [I | 0]; tangent]`` (without the
+    tangent row and the lam column when lam is fixed), with W the
+    exact shooting sensitivities that the shot at the prediction
+    integrates alongside its trajectory.  It is kept frozen over the
+    Newton steps, each of which shoots one plain period; if a step
+    stalls, the next iteration re-shoots the current z with
+    sensitivities once to refresh it.
     """
     k = dae.k
     z = np.concatenate([np.asarray(x0, dtype=float), [float(lam)]])
-    n_unknowns = k if arclength is None else k + 1
 
-    def residual_vec(zv):
-        r, pair = shooting_residual(dae, zv[:k], zv[k],
-                                    steps_per_period=steps_per_period, y_guess=y_guess)
+    def shoot(zv, jacobian=False):
+        # (residual, pair of the shot, Newton matrix or None)
+        r, pair, *jac = shooting_residual(dae, zv[:k], zv[k], y_guess=y_guess,
+                                          steps_per_period=steps_per_period,
+                                          jacobian=jacobian)
         if arclength is None:
-            return r, pair
-        z_prev, tangent, ds = arclength
-        return np.append(r, tangent @ (zv - z_prev) - ds), pair
-
-    def build_jacobian(zv, r0):
-        cols = []
-        for j in range(n_unknowns):
-            h = fd_step * (1.0 + abs(zv[j]))
-            zp = zv.copy()
-            zp[j] += h
-            cols.append((residual_vec(zp)[0] - r0) / h)
-        return np.column_stack(cols)
+            jac = [m[:, :k] for m in jac]
+        else:
+            z_prev, tangent, ds = arclength
+            r = np.append(r, tangent @ (zv - z_prev) - ds)
+            jac = [np.vstack([m, tangent]) for m in jac]
+        return r, pair, jac[0] if jac else None
 
     try:
-        r, pair = residual_vec(z)  # pair: the shot at the current z
-        jac = None
+        r, pair, jac = shoot(z, jacobian=True)  # pair: the shot at the current z
         refreshed = False
         for _ in range(max_iter):
             if np.linalg.norm(r) <= tol:
                 return pair
             if jac is None:
-                jac = build_jacobian(z, r)
+                r, pair, jac = shoot(z, jacobian=True)
             try:
                 delta = np.linalg.solve(jac, -r)
             except np.linalg.LinAlgError:
@@ -133,7 +142,7 @@ def correct(dae, x0, lam, *, arclength=None, tol=1e-8, max_iter=10,
                 z[:k] += delta
             else:
                 z += delta
-            r_new, pair = residual_vec(z)
+            r_new, pair, _ = shoot(z)
             if np.linalg.norm(r_new) > 0.9 * np.linalg.norm(r) and not refreshed:
                 jac = None  # frozen sensitivities went stale; rebuild once
                 refreshed = True

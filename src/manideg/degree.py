@@ -84,10 +84,12 @@ class DomainBox:
         return math.sqrt(sum((b - a) ** 2 for a, b in self.bounds))
 
     def contains(self, point, margin=0.0):
-        return all(
-            a - margin <= v <= b + margin
-            for v, (a, b) in zip(np.asarray(point, dtype=float), self.bounds)
-        )
+        # plain floats: this runs once per Newton step and per y-solve
+        values = point.tolist() if isinstance(point, np.ndarray) else map(float, point)
+        for v, a, b in zip(values, self.lower, self.upper):
+            if not a - margin <= v <= b + margin:
+                return False
+        return True
 
     def grid(self, density):
         """All nodes of a ``density``-per-axis grid, shape (density^dim, dim)."""
@@ -182,12 +184,18 @@ def damped_newton(residual, newton_step, x, tol, max_iter):
     )
 
 
-def _newton(field, start, tol, max_iter):
-    """Damped Newton from one start; returns the polished point or None."""
+def _newton(field, start, tol, max_iter, fence):
+    """Damped Newton from one start; returns the polished point or None.
+
+    The start is abandoned (None) as soon as an accepted iterate leaves
+    the box ``fence``; no Jacobian is evaluated outside it.
+    """
     def residual(x):
         return np.asarray(field(x), dtype=float)
 
     def newton_step(x, fx):
+        if not fence.contains(x):
+            raise RootFindingError(f"Newton left the search region at {x}")
         step = np.linalg.solve(np.asarray(field.jacobian(x), dtype=float), -fx)
         if not np.all(np.isfinite(step)):
             raise RootFindingError("non-finite Newton step")
@@ -197,6 +205,8 @@ def _newton(field, start, tol, max_iter):
         x, fx = damped_newton(residual, newton_step, np.array(start, dtype=float),
                               tol, max_iter)
     except (RootFindingError, np.linalg.LinAlgError, *_EVAL_ERRORS):
+        return None
+    if not fence.contains(x):
         return None
     return _polish(field, x, fx)
 
@@ -240,7 +250,9 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10,
     field : FieldHandle
         Square vector field with Jacobian access.
     box : DomainBox
-        Search region; converged points outside it are discarded.
+        Search region; converged points outside it are discarded, and a
+        start is abandoned once an iterate leaves the box widened by
+        one box width on each side.
     grid_density : int, optional
         Newton starts per axis.  Defaults depend on the dimension
         (16 for one or two axes, 8 for three, 6 for four).
@@ -262,10 +274,14 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10,
     density = grid_density if grid_density is not None else _default_density(box.dim)
     density = max(2, int(density))
     radius = dedup_radius if dedup_radius is not None else 1e-6 * box.diameter
+    # starts that run this far off (one box width past every face) are
+    # abandoned instead of being followed towards overflow
+    width = np.subtract(box.upper, box.lower)
+    fence = DomainBox.from_bounds(zip(box.lower - width, box.upper + width))
 
     accepted = []
     for start in box.grid(density):
-        x = _newton(field, start, newton_tol, max_newton_iter)
+        x = _newton(field, start, newton_tol, max_newton_iter, fence)
         if x is None or not box.contains(x):
             continue
         for seen in accepted:

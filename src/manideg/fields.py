@@ -35,11 +35,12 @@ class AmbientMap:
     """Differentiable map R^n (x time, optionally) -> R^p."""
 
     def __init__(self, n_in, n_out, func, jac=None, *, time_dependent=False,
-                 asts=None, variables=None, sources=None):
+                 asts=None, variables=None, sources=None, value_and_jac=None):
         self.n_in = int(n_in)
         self.n_out = int(n_out)
         self._func = func
         self._jac = jac
+        self._value_and_jac = value_and_jac
         self.time_dependent = bool(time_dependent)
         self.asts = asts
         self.variables = variables
@@ -76,6 +77,11 @@ class AmbientMap:
                 args = _floats(point)
                 args.append(t)
                 return np.array([g(*args)[1:] for g in grads])
+
+            def value_and_jac(point, t=0.0):
+                args = _floats(point)
+                args.append(t)
+                return _split_rows([g(*args) for g in grads])
         else:
             def func(point, t=0.0):
                 return np.array([f(*_floats(point)) for f in vals])
@@ -83,8 +89,13 @@ class AmbientMap:
             def jac(point, t=0.0):
                 return np.array([g(*_floats(point))[1:] for g in grads])
 
+            def value_and_jac(point, t=0.0):
+                args = _floats(point)
+                return _split_rows([g(*args) for g in grads])
+
         return cls(n, len(sources), func, jac, time_dependent=time_dependent,
-                   asts=asts, variables=variables, sources=sources)
+                   asts=asts, variables=variables, sources=sources,
+                   value_and_jac=value_and_jac)
 
     @classmethod
     def from_callable(cls, n_in, n_out, func, jac=None, *, time_dependent=False):
@@ -109,6 +120,22 @@ class AmbientMap:
         if self._jac is not None:
             return self._jac(point, t)
         return finite_difference_jacobian(lambda p: self._func(p, t), point)
+
+    def value_and_jacobian(self, point, t=0.0):
+        """``(self(point, t), self.jacobian(point, t))``.
+
+        Expression-backed maps get both from one dual-number pass per
+        component; the value is bit-identical to ``self(point, t)``
+        because the compiled value code is the same in both passes.
+        """
+        if self._value_and_jac is not None:
+            return self._value_and_jac(point, t)
+        return self._func(point, t), self.jacobian(point, t)
+
+
+def _split_rows(rows):
+    # rows of (value, d/dx1, ...) from compiled gradient calls
+    return np.array([r[0] for r in rows]), np.array([r[1:] for r in rows])
 
 
 def _floats(point):

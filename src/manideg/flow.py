@@ -10,6 +10,11 @@ projection tolerance instead of letting it accumulate.
 Steps whose projection fails are retried at half the step size; the
 step size underflowing signals that the flow leaves the region where
 the constraint can be solved.
+
+On request the same steps also carry the sensitivities
+W = dx/d(x0, lam) of the x-components, by the variational equation of
+the x-dynamics with y slaved to x; a shot that asks for them visits
+exactly the states of a plain shot.
 """
 
 from dataclasses import dataclass
@@ -36,24 +41,52 @@ class FlowResult:
     times: np.ndarray   # (steps + 1,)
     states: np.ndarray  # (steps + 1, state size)
     drifts: np.ndarray  # |g| at each sample
+    sensitivity: np.ndarray | None = None  # d x(t1) / d (x(t0), lam), k x (k + 1)
 
 
-def projected_step(field, state, t, dt, lam=0.0, projection_tol=1e-12):
-    """One RK4 step of ``field.velocity(t, ., lam)`` plus y-projection."""
+def projected_step(field, state, t, dt, lam=0.0, projection_tol=1e-12,
+                   sensitivity=None):
+    """One RK4 step of ``field.velocity(t, ., lam)`` plus y-projection.
+
+    Given ``sensitivity``, the k x (k + 1) matrix W = dx/d(x0, lam) at
+    ``state``, the step also advances W by the variational equation
+    W' = A W + [0 | sigma] through the same four stages (A and sigma
+    from ``field.linearize``) and returns ``(state, W)``.  The state is
+    bit-identical to the plain step's: W never feeds back into it.
+    """
     c = field.constraint
-    k1 = field.velocity(t, state, lam)
-    k2 = field.velocity(t + dt / 2.0, state + (dt / 2.0) * k1, lam)
-    k3 = field.velocity(t + dt / 2.0, state + (dt / 2.0) * k2, lam)
-    k4 = field.velocity(t + dt, state + dt * k3, lam)
+    if sensitivity is None:
+        k1 = field.velocity(t, state, lam)
+        k2 = field.velocity(t + dt / 2.0, state + (dt / 2.0) * k1, lam)
+        k3 = field.velocity(t + dt / 2.0, state + (dt / 2.0) * k2, lam)
+        k4 = field.velocity(t + dt, state + dt * k3, lam)
+    else:
+        w = sensitivity
+
+        def stage(ts, point, ws):
+            v, a, dp_dlam = field.linearize(ts, point, lam)
+            dw = a @ ws
+            dw[:, -1] += dp_dlam
+            return v, dw
+
+        k1, m1 = stage(t, state, w)
+        k2, m2 = stage(t + dt / 2.0, state + (dt / 2.0) * k1, w + (dt / 2.0) * m1)
+        k3, m3 = stage(t + dt / 2.0, state + (dt / 2.0) * k2, w + (dt / 2.0) * m2)
+        k4, m4 = stage(t + dt, state + dt * k3, w + dt * m3)
+        w = w + (dt / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
     raw = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     x = raw[: c.k]
     y = implicit_solve_y(c, x, y_guess=raw[c.k:], tol=projection_tol)
-    return np.concatenate([x, y])
+    stepped = np.concatenate([x, y])
+    return stepped if sensitivity is None else (stepped, w)
 
 
-def _advance(field, state, t, dt, lam, projection_tol, depth=0):
+def _advance(field, state, w, t, dt, lam, projection_tol, depth=0):
+    # (state, W) one step of dt later; W stays None when not integrated
     try:
-        return projected_step(field, state, t, dt, lam, projection_tol)
+        if w is None:
+            return projected_step(field, state, t, dt, lam, projection_tol), None
+        return projected_step(field, state, t, dt, lam, projection_tol, w)
     except RootFindingError as exc:
         if depth >= _MAX_HALVINGS:
             reason = ("the trajectory left the domain box"
@@ -64,12 +97,12 @@ def _advance(field, state, t, dt, lam, projection_tol, depth=0):
                 f"time step underflow near t = {t:.6g}; {reason}"
             ) from exc
         half = dt / 2.0
-        mid = _advance(field, state, t, half, lam, projection_tol, depth + 1)
-        return _advance(field, mid, t + half, half, lam, projection_tol, depth + 1)
+        mid, w = _advance(field, state, w, t, half, lam, projection_tol, depth + 1)
+        return _advance(field, mid, w, t + half, half, lam, projection_tol, depth + 1)
 
 
 def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
-             projection_tol=1e-12, on_manifold_tol=1e-8):
+             projection_tol=1e-12, on_manifold_tol=1e-8, sensitivity=False):
     """Flow ``xi0`` from ``t0`` to ``t1`` along a tangent field.
 
     Parameters
@@ -83,6 +116,10 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
         Either a fixed step count or a step-size cap from which the
         count is derived (``ceil`` of span / dt_max).  Defaults to 4096
         steps over the span.
+    sensitivity : bool
+        Also integrate W = dx(t1)/d(x(t0), lam) along the same steps
+        (the field must offer ``linearize``); the states are the same
+        as without it.
 
     The result keeps the state and drift at every step.
     """
@@ -94,10 +131,11 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
             f"initial state violates the constraint (|g| = {drift0:.3e} "
             f"> {on_manifold_tol:.1e})"
         )
+    w = np.eye(c.k, c.k + 1) if sensitivity else None
     span = float(t1 - t0)
     if span == 0.0:
         return FlowResult(xi0.copy(), drift0, 0, np.array([t0]),
-                          xi0[None, :].copy(), np.array([drift0]))
+                          xi0[None, :].copy(), np.array([drift0]), w)
     if n_steps is None:
         n_steps = DEFAULT_STEPS_PER_PERIOD if dt_max is None else max(
             1, int(np.ceil(abs(span) / dt_max)))
@@ -111,13 +149,13 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
     drifts = np.empty(n_steps + 1)
     times[0], states[0], drifts[0] = t0, state, drift0
     for i in range(n_steps):
-        state = _advance(field, state, t0 + i * dt, dt, lam, projection_tol)
+        state, w = _advance(field, state, w, t0 + i * dt, dt, lam, projection_tol)
         drift = c.residual(state)
         max_drift = max(max_drift, drift)
         times[i + 1] = t0 + (i + 1) * dt
         states[i + 1] = state
         drifts[i + 1] = drift
-    return FlowResult(state, max_drift, n_steps, times, states, drifts)
+    return FlowResult(state, max_drift, n_steps, times, states, drifts, w)
 
 
 def period_map(field, xi0, lam, period, **options):

@@ -126,7 +126,11 @@ def complete_velocity(constraint, point, psi1_value):
     Solves d_y g * psi_2 = -d_x g * psi_1 by a linear solve (never an
     explicit inverse), so the result satisfies g'(point) * psi = 0.
     """
-    jac = constraint.jacobian(point)
+    return _complete(constraint, constraint.jacobian(point), point, psi1_value)
+
+
+def _complete(constraint, jac, point, psi1_value):
+    # complete_velocity with the constraint Jacobian at point already known
     k = constraint.k
     rhs = jac[:, :k] @ psi1_value
     d2 = jac[:, k:]
@@ -167,6 +171,40 @@ class ForcedField:
 
     def velocity(self, t, point, lam=0.0):
         return complete_velocity(self.constraint, point, self.first(t, point, lam))
+
+    def linearize(self, t, point, lam=0.0):
+        """Velocity and the first-order data of the x-equations at ``point``.
+
+        With y slaved to x on the level set (dy/dx = S = -(d_y g)^-1 d_x g)
+        the x-components p = gamma + lam * sigma obey x' = p(t, x, y(x)).
+        Returns ``(velocity, A, dp_dlam)`` where the velocity is
+        bit-identical to :meth:`velocity`, A = d_x p + d_y p * S is the
+        k x k matrix of the variational equation and dp_dlam = sigma
+        (zero without a forcing part).  Only first derivatives are used.
+        """
+        c = self.constraint
+        k = c.k
+        if self.gamma is not None:
+            first, dp = self.gamma.value_and_jacobian(point, t)
+            if self.sigma is None:
+                dp_dlam = np.zeros(k)
+            else:
+                dp_dlam, dsigma = self.sigma.value_and_jacobian(point, t)
+                if lam != 0.0:
+                    first = first + lam * dp_dlam
+                    dp = dp + lam * dsigma
+        else:
+            dp_dlam, dsigma = self.sigma.value_and_jacobian(point, t)
+            first = lam * dp_dlam
+            dp = lam * dsigma
+        jac = c.jacobian(point)
+        velocity = _complete(c, jac, point, first)
+        d2 = jac[:, k:]
+        if c.s == 1:
+            slave = jac[:, :k] / -d2[0, 0]
+        else:
+            slave = np.linalg.solve(d2, -jac[:, :k])
+        return velocity, dp[:, :k] + dp[:, k:] @ slave, dp_dlam
 
     def eval(self, t, point):
         return self.velocity(t, point, 1.0)

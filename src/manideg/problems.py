@@ -21,7 +21,7 @@ drift, k lines, time-free) and ``sigma`` (forcing, k lines, may use
 ``t``) are optional; ``box`` lists one ``lo hi`` pair per variable.
 Remaining keys are numeric solver overrides (grid_density, newton_tol,
 dedup_radius, boundary_samples, sample_density, quadrature_nodes,
-steps_per_period).
+steps_per_period); the integer ones must be at least 1.
 
 The registry at the bottom bundles six reference problems whose
 degrees are known in closed form; ``manideg verify-paper`` recomputes
@@ -168,6 +168,9 @@ def parse_problem(text):
                 raise ProblemFormatError(
                     f"line {lineno}: bad numeric value for {key!r}: {value!r}"
                 ) from None
+            if key in _INT_OPTIONS and options[key] < 1:
+                raise ProblemFormatError(
+                    f"line {lineno}: {key!r} must be at least 1, got {options[key]}")
         else:
             raise ProblemFormatError(f"line {lineno}: unknown key {key!r}")
 

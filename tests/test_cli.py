@@ -75,6 +75,7 @@ def test_registry_problems_round_trip():
     lambda t: t + "just a line\n",                        # no key/value shape
     lambda t: t.replace("g = y^3 + y - x1^5 - x1", "g ="),
     lambda t: t.replace("gamma = x2", "gamma = x2 +"),    # eager expression check
+    lambda t: t.replace("steps_per_period = 128", "steps_per_period = 0"),
 ])
 def test_malformed_problem_text_rejected(mutation):
     # expression-level failures surface as their own ProblemError subclass
@@ -172,7 +173,21 @@ def test_degree_from_problem_file(capsys, tmp_path):
     (("degree", "example-4-1", "--box", "1:-1,-1:1"), "empty"),    # reversed
     (("degree", "example-4-1", "--box", "0:1"), "ranges"),         # too few ranges
     (("trace", "example-5-5", "--seed-index", "3"), "seed-index"),
-], ids=["unknown-problem", "box-bound", "box-reversed", "box-arity", "seed-index"])
+    (("trace", "example-5-5", "--steps-per-period", "-4"), "--steps-per-period"),
+    (("trace", "example-5-5", "--steps-per-period", "0"), "--steps-per-period"),
+    (("trace", "example-5-5", "--ds", "0"), "--ds"),
+    (("trace", "example-5-5", "--ds", "-1"), "--ds"),
+    (("trace", "example-5-5", "--ds", "nan"), "--ds"),
+    (("trace", "example-5-5", "--lambda-max", "nan"), "--lambda-max"),
+    (("trace", "example-5-5", "--lambda-max", "-0.5"), "--lambda-max"),
+    (("trace", "example-5-5", "--seed-index", "-1"), "--seed-index"),
+    (("trace", "example-5-5", "--max-steps", "0"), "--max-steps"),
+    (("trace", "example-5-5", "--quadrature-nodes", "0"), "--quadrature-nodes"),
+    (("degree", "example-5-7", "--quadrature-nodes", "0"), "--quadrature-nodes"),
+], ids=["unknown-problem", "box-bound", "box-reversed", "box-arity", "seed-index",
+        "steps-negative", "steps-zero", "ds-zero", "ds-negative", "ds-nan",
+        "lambda-max-nan", "lambda-max-negative", "seed-index-negative",
+        "max-steps-zero", "quadrature-nodes-zero", "degree-quadrature-nodes-zero"])
 def test_exit_2_for_bad_input(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and needle in err

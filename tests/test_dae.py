@@ -20,6 +20,7 @@ from manideg import (
     average_wind,
     build_autonomous_tangent,
     build_forcing_tangent,
+    implicit_solve_y,
     seed_map_F,
     seed_map_Phi,
     tangency_residual,
@@ -219,3 +220,30 @@ def test_forced_field_without_gamma_scales_sigma():
     assert np.allclose(field.first(1.0, p, 0.5), 0.5 * dae.sigma(p, 1.0))
     assert np.allclose(field.first(1.0, p, 0.0), [0.0])
     assert np.allclose(field.eval(1.0, p)[: 1], field.first(1.0, p, 1.0))
+
+
+@pytest.mark.parametrize("name,parts", [
+    ("example-5-5", "both"), ("example-5-5", "gamma"), ("example-5-7", "sigma"),
+])
+def test_linearize_is_the_slaved_x_dynamics(name, parts):
+    # A and dp/dlam are the derivatives of (x, lam) -> p(t, x, y(x), lam),
+    # y slaved to x through the constraint; the velocity is velocity()'s
+    dae = REGISTRY[name].build_dae()
+    con, k = dae.constraint, dae.k
+    field = ForcedField(con, None if parts == "sigma" else dae.gamma,
+                        None if parts == "gamma" else dae.sigma)
+    x = np.array([1.1, 0.4]) if name == "example-5-7" else np.array([0.3, -0.2])
+    y = implicit_solve_y(con, x)
+    t, lam = 0.9, 0.35
+    v, a, dp_dlam = field.linearize(t, np.concatenate([x, y]), lam)
+    assert np.array_equal(v, field.velocity(t, np.concatenate([x, y]), lam))
+
+    def slaved(xv, lv):
+        return field.first(t, np.concatenate([xv, implicit_solve_y(con, xv, y)]), lv)
+
+    h = 1e-6
+    cols = [(slaved(x + h * e, lam) - slaved(x - h * e, lam)) / (2.0 * h)
+            for e in np.eye(k)]
+    assert np.allclose(a, np.column_stack(cols), atol=1e-7)
+    expected = (slaved(x, lam + h) - slaved(x, lam - h)) / (2.0 * h)
+    assert np.allclose(dp_dlam, expected, atol=1e-7)

@@ -291,6 +291,35 @@ def test_manifold_degree_without_numpy_warnings():
     assert res.degree == REFERENCE_DEGREES["example-5-2"].manifold_degree
 
 
+def test_newton_starts_are_fenced_near_the_box():
+    # starts that exp(y1) sends towards overflow are abandoned once an
+    # iterate leaves the box widened by one box width on each side, so no
+    # Jacobian is evaluated beyond that fence
+    from manideg import find_zeros
+
+    prob = REGISTRY["example-5-2"]
+    field = reduced_map(prob.build_phi1(), prob.build_constraint())
+    box = prob.domain()
+    points = []
+    jacobian = field.jacobian
+
+    def recording(point, t=0.0):
+        points.append(np.array(point, dtype=float))
+        return jacobian(point, t)
+
+    field.jacobian = recording
+    zeros = find_zeros(field, box)
+    lower, upper = np.array(box.lower), np.array(box.upper)
+    width = upper - lower
+    assert points
+    outside = [p for p in points
+               if np.any(p < lower - width) or np.any(p > upper + width)]
+    assert not outside, outside[0]
+    assert len(zeros) == 1
+    assert np.allclose(zeros[0].location, REFERENCE_DEGREES["example-5-2"].zero,
+                       atol=1e-8)
+
+
 def test_manifold_degree_graph_equals_direct_degree():
     # for a graph constraint the reduction must reproduce the plain
     # one-dimensional degree of x -> phi1(x, p(x))
