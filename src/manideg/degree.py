@@ -140,24 +140,25 @@ class DegreeResult:
     warnings: list = dataclass_field(default_factory=list)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def damped_newton(residual, newton_step, x, tol, max_iter):
+def damped_newton(residual, newton_step, x, tol, max_iter, norm=np.linalg.norm):
     """Residual-halving Newton iteration from ``x``.
 
     ``residual(x)`` is the vector driven to zero and ``newton_step(x, fx)``
     the full Newton step at ``x``, which is always the point of the latest
-    ``residual`` call.  A step is halved, up to 20 times,
+    ``residual`` call; ``norm`` measures the residual (``abs`` for a
+    scalar unknown).  A step is halved, up to 20 times,
     until the residual norm decreases; an evaluation error while halving
     counts as an infinite residual, and so does a norm that overflows.
     Returns ``(x, residual(x))`` once the norm is at most ``tol``, checked
-    before each of the ``max_iter`` steps and after the last.
+    before each of the ``max_iter`` steps and after the last.  Callers
+    iterating on numpy arrays run it with over/invalid warnings off.
 
     Raises :class:`RootFindingError` on a step no halving improves or a
     residual still above ``tol`` at the cap; errors from ``newton_step``
     propagate.
     """
     fx = residual(x)
-    r = np.linalg.norm(fx)
+    r = norm(fx)
     for _ in range(max_iter):
         if r <= tol:
             return x, fx
@@ -167,7 +168,7 @@ def damped_newton(residual, newton_step, x, tol, max_iter):
             xn = x + scale * step
             try:
                 fn = residual(xn)
-                rn = np.linalg.norm(fn)
+                rn = norm(fn)
             except _EVAL_ERRORS:
                 rn = np.inf
             if rn < r:
@@ -202,8 +203,9 @@ def _newton(field, start, tol, max_iter, fence):
         return step
 
     try:
-        x, fx = damped_newton(residual, newton_step, np.array(start, dtype=float),
-                              tol, max_iter)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, fx = damped_newton(residual, newton_step, np.array(start, dtype=float),
+                                  tol, max_iter)
     except (RootFindingError, np.linalg.LinAlgError, *_EVAL_ERRORS):
         return None
     if not fence.contains(x):

@@ -16,9 +16,9 @@ sin, cos, exp, log, sqrt and abs.
 Derivatives are forward-mode dual numbers: every AST node propagates a
 value together with one derivative component per requested variable.
 For speed the propagation is unrolled into generated Python source and
-compiled once per (tree, variable order) pair; partials that are
-structurally zero are never materialised.  Results are bit-identical
-across repeated evaluations.
+compiled once per (tree, variable order) pair, or into one function for
+a tuple of trees; partials that are structurally zero are never
+materialised.  Results are bit-identical across repeated evaluations.
 """
 
 import itertools
@@ -485,16 +485,20 @@ def _compile(ast, variables, seeds, backend):
     fn = _COMPILED.get(key)
     if fn is not None:
         return fn
-    missing = variables_in(ast) - set(variables)
+    trees = ast if isinstance(ast, tuple) else (ast,)
+    missing = set().union(*map(variables_in, trees)) - set(variables)
     if missing:
         raise UndeclaredVariableError(f"unbound variables {sorted(missing)}")
     em = _Emitter(variables, seeds, backend)
-    value, deriv = em.emit(ast)
-    if seeds:
-        parts = ", ".join([value] + [deriv.get(j, "0.0") for j in range(len(seeds))])
-        em.lines.append(f"return ({parts})")
+    parts = []
+    for tree in trees:
+        value, deriv = em.emit(tree)
+        parts.append(value)
+        parts.extend(deriv.get(j, "0.0") for j in range(len(seeds)))
+    if seeds or isinstance(ast, tuple):
+        em.lines.append(f"return ({', '.join(parts)},)")
     else:
-        em.lines.append(f"return {value}")
+        em.lines.append(f"return {parts[0]}")
     args = ", ".join(f"a{i}" for i in range(len(variables)))
     source = f"def _f({args}):\n" + "".join(f"    {ln}\n" for ln in em.lines)
     ns = dict(_SCALAR_NS if backend == "scalar" else _VECTOR_NS)
@@ -505,7 +509,10 @@ def _compile(ast, variables, seeds, backend):
 
 
 def compile_value(ast, variables, backend="scalar"):
-    """Callable ``f(*values) -> float`` over the given variable order."""
+    """Callable ``f(*values) -> float`` over the given variable order.
+
+    For a tuple of trees the callable returns the tuple of their values.
+    """
     return _compile(ast, tuple(variables), (), backend)
 
 
@@ -513,7 +520,9 @@ def compile_gradient(ast, variables, seeds=None, backend="scalar"):
     """Callable ``f(*values) -> (value, d/d seeds[0], ...)``.
 
     ``seeds`` selects the variables to differentiate against (defaults
-    to all of them); the rest are treated as passive inputs.
+    to all of them); the rest are treated as passive inputs.  For a
+    tuple of trees the callable returns these groups one after another
+    in one flat tuple, from a single generated function.
     """
     variables = tuple(variables)
     seeds = variables if seeds is None else tuple(seeds)

@@ -32,15 +32,23 @@ def finite_difference_jacobian(func, point, h=1e-6):
 
 
 class AmbientMap:
-    """Differentiable map R^n (x time, optionally) -> R^p."""
+    """Differentiable map R^n (x time, optionally) -> R^p.
+
+    Besides the array interface (``__call__``, ``jacobian``) every map
+    has a plain-float one, ``flat(args, t=0.0, jacobian=False)``: at the
+    coordinates ``args`` (a list of floats) it returns the p values, or
+    with ``jacobian`` per component the value followed by its n partials,
+    as one flat sequence.  Expression maps answer it from one generated
+    function; callable-backed maps adapt their array output.
+    """
 
     def __init__(self, n_in, n_out, func, jac=None, *, time_dependent=False,
-                 asts=None, variables=None, sources=None, value_and_jac=None):
+                 asts=None, variables=None, sources=None, flat=None):
         self.n_in = int(n_in)
         self.n_out = int(n_out)
         self._func = func
         self._jac = jac
-        self._value_and_jac = value_and_jac
+        self.flat = flat if flat is not None else self._flat_from_arrays
         self.time_dependent = bool(time_dependent)
         self.asts = asts
         self.variables = variables
@@ -63,39 +71,25 @@ class AmbientMap:
         declared = variables + (TIME_NAME,) if allow_time else variables
         asts = tuple(expr.parse(src, declared) for src in sources)
         time_dependent = allow_time and any(TIME_NAME in expr.variables_in(a) for a in asts)
-        vals = [expr.compile_value(a, declared) for a in asts]
-        grads = [expr.compile_gradient(a, declared, seeds=variables) for a in asts]
-        n = len(variables)
+        values = expr.compile_value(asts, declared)
+        jet = expr.compile_gradient(asts, declared, seeds=variables)
+        n, p = len(variables), len(sources)
 
         if allow_time:
-            def func(point, t=0.0):
-                args = _floats(point)
-                args.append(t)
-                return np.array([f(*args) for f in vals])
-
-            def jac(point, t=0.0):
-                args = _floats(point)
-                args.append(t)
-                return np.array([g(*args)[1:] for g in grads])
-
-            def value_and_jac(point, t=0.0):
-                args = _floats(point)
-                args.append(t)
-                return _split_rows([g(*args) for g in grads])
+            def flat(args, t=0.0, jacobian=False):
+                return (jet if jacobian else values)(*args, t)
         else:
-            def func(point, t=0.0):
-                return np.array([f(*_floats(point)) for f in vals])
+            def flat(args, t=0.0, jacobian=False):
+                return (jet if jacobian else values)(*args)
 
-            def jac(point, t=0.0):
-                return np.array([g(*_floats(point))[1:] for g in grads])
+        def func(point, t=0.0):
+            return np.array(flat(_floats(point), t))
 
-            def value_and_jac(point, t=0.0):
-                args = _floats(point)
-                return _split_rows([g(*args) for g in grads])
+        def jac(point, t=0.0):
+            return np.array(flat(_floats(point), t, True)).reshape(p, n + 1)[:, 1:]
 
-        return cls(n, len(sources), func, jac, time_dependent=time_dependent,
-                   asts=asts, variables=variables, sources=sources,
-                   value_and_jac=value_and_jac)
+        return cls(n, p, func, jac, time_dependent=time_dependent,
+                   asts=asts, variables=variables, sources=sources, flat=flat)
 
     @classmethod
     def from_callable(cls, n_in, n_out, func, jac=None, *, time_dependent=False):
@@ -121,21 +115,13 @@ class AmbientMap:
             return self._jac(point, t)
         return finite_difference_jacobian(lambda p: self._func(p, t), point)
 
-    def value_and_jacobian(self, point, t=0.0):
-        """``(self(point, t), self.jacobian(point, t))``.
-
-        Expression-backed maps get both from one dual-number pass per
-        component; the value is bit-identical to ``self(point, t)``
-        because the compiled value code is the same in both passes.
-        """
-        if self._value_and_jac is not None:
-            return self._value_and_jac(point, t)
-        return self._func(point, t), self.jacobian(point, t)
-
-
-def _split_rows(rows):
-    # rows of (value, d/dx1, ...) from compiled gradient calls
-    return np.array([r[0] for r in rows]), np.array([r[1:] for r in rows])
+    def _flat_from_arrays(self, args, t=0.0, jacobian=False):
+        # ``flat`` of a map given by array callables
+        point = np.array(args, dtype=float)
+        value = np.asarray(self(point, t), dtype=float)
+        if not jacobian:
+            return value.tolist()
+        return np.column_stack([value, self.jacobian(point, t)]).ravel().tolist()
 
 
 def _floats(point):
@@ -149,9 +135,9 @@ class FieldHandle(AmbientMap):
     """Square vector field R^m -> R^m, the object degree theory acts on."""
 
     def __init__(self, dim, func, jac=None, *, time_dependent=False,
-                 asts=None, variables=None, sources=None):
+                 asts=None, variables=None, sources=None, flat=None):
         super().__init__(dim, dim, func, jac, time_dependent=time_dependent,
-                         asts=asts, variables=variables, sources=sources)
+                         asts=asts, variables=variables, sources=sources, flat=flat)
 
     @property
     def dim(self):
@@ -166,7 +152,8 @@ class FieldHandle(AmbientMap):
                 "a degree field must be square"
             )
         return cls(base.n_in, base._func, base._jac,
-                   asts=base.asts, variables=base.variables, sources=base.sources)
+                   asts=base.asts, variables=base.variables, sources=base.sources,
+                   flat=base.flat)
 
     @classmethod
     def from_callable(cls, dim, func, jac=None):

@@ -2,10 +2,12 @@
 
 Each step is a classical 4-stage Runge-Kutta update in ambient
 coordinates followed by a projection of the y-components back onto the
-level set (Newton on g with x frozen).  An RK4 step leaves the level
-set only at the local error order, so the projection preserves the
-fourth-order accuracy while keeping the constraint drift at the
-projection tolerance instead of letting it accumulate.
+level set (Newton on g with x frozen), the standard projection method
+(Hairer, Lubich & Wanner, "Geometric Numerical Integration", IV.4).  An
+RK4 step leaves the level set only at the local error order, so the
+projection preserves the fourth-order accuracy while keeping the
+constraint drift at the projection tolerance instead of letting it
+accumulate.
 
 Steps whose projection fails are retried at half the step size; the
 step size underflowing signals that the flow leaves the region where
@@ -15,14 +17,23 @@ On request the same steps also carry the sensitivities
 W = dx/d(x0, lam) of the x-components, by the variational equation of
 the x-dynamics with y slaved to x; a shot that asks for them visits
 exactly the states of a plain shot.
+
+The steps run on plain Python floats: the state, the RK4 stages, the
+tangent completion and the y-projection (a scalar y for one constraint)
+are lists of floats, because building tiny numpy arrays would cost far
+more than their few dozen flops.  numpy remains for the trajectory
+arrays of :class:`FlowResult`, the linear solves of a constraint with
+several equations, and the sensitivity matrix W with its product A @ W.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainEscapeError, IntegrationError, RootFindingError
-from .manifold import implicit_solve_y
+from .fields import _floats
+from .manifold import _solve_y
 
 __all__ = ["FlowResult", "projected_step", "flow_map", "period_map",
            "write_trajectory_csv", "DEFAULT_STEPS_PER_PERIOD"]
@@ -54,39 +65,51 @@ def projected_step(field, state, t, dt, lam=0.0, projection_tol=1e-12,
     from ``field.linearize``) and returns ``(state, W)``.  The state is
     bit-identical to the plain step's: W never feeds back into it.
     """
-    c = field.constraint
-    if sensitivity is None:
-        k1 = field.velocity(t, state, lam)
-        k2 = field.velocity(t + dt / 2.0, state + (dt / 2.0) * k1, lam)
-        k3 = field.velocity(t + dt / 2.0, state + (dt / 2.0) * k2, lam)
-        k4 = field.velocity(t + dt, state + dt * k3, lam)
-    else:
-        w = sensitivity
-
-        def stage(ts, point, ws):
-            v, a, dp_dlam = field.linearize(ts, point, lam)
-            dw = a @ ws
-            dw[:, -1] += dp_dlam
-            return v, dw
-
-        k1, m1 = stage(t, state, w)
-        k2, m2 = stage(t + dt / 2.0, state + (dt / 2.0) * k1, w + (dt / 2.0) * m1)
-        k3, m3 = stage(t + dt / 2.0, state + (dt / 2.0) * k2, w + (dt / 2.0) * m2)
-        k4, m4 = stage(t + dt, state + dt * k3, w + dt * m3)
-        w = w + (dt / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-    raw = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    x = raw[: c.k]
-    y = implicit_solve_y(c, x, y_guess=raw[c.k:], tol=projection_tol)
-    stepped = np.concatenate([x, y])
+    stepped, w, _ = _step(field, _floats(state), t, dt, float(lam), projection_tol,
+                          sensitivity)
+    stepped = np.array(stepped)
     return stepped if sensitivity is None else (stepped, w)
 
 
+def _shift(state, h, velocity):
+    return [a + h * b for a, b in zip(state, velocity)]
+
+
+def _step(field, state, t, dt, lam, projection_tol, w):
+    # projected_step on the float list state: (state, W, |g| at the new state)
+    h = dt / 2.0
+    if w is None:
+        velocity = field._velocity
+        k1 = velocity(t, state, lam)
+        k2 = velocity(t + h, _shift(state, h, k1), lam)
+        k3 = velocity(t + h, _shift(state, h, k2), lam)
+        k4 = velocity(t + dt, _shift(state, dt, k3), lam)
+    else:
+        def stage(ts, point, ws):
+            v, a, dp_dlam = field._linearize(ts, point, lam)
+            dw = a.dot(ws)  # as a @ ws, without the ufunc dispatch
+            for i, d in enumerate(dp_dlam):
+                dw[i, -1] += d
+            return v, dw
+
+        k1, m1 = stage(t, state, w)
+        k2, m2 = stage(t + h, _shift(state, h, k1), w + h * m1)
+        k3, m3 = stage(t + h, _shift(state, h, k2), w + h * m2)
+        k4, m4 = stage(t + dt, _shift(state, dt, k3), w + dt * m3)
+        w = w + (dt / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+    sixth = dt / 6.0
+    raw = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+           for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
+    c = field.constraint
+    x = raw[: c.k]
+    y, drift = _solve_y(c, x, raw[c.k:], projection_tol)
+    return x + y, w, drift
+
+
 def _advance(field, state, w, t, dt, lam, projection_tol, depth=0):
-    # (state, W) one step of dt later; W stays None when not integrated
+    # (state, W, drift) one step of dt later; W stays None when not integrated
     try:
-        if w is None:
-            return projected_step(field, state, t, dt, lam, projection_tol), None
-        return projected_step(field, state, t, dt, lam, projection_tol, w)
+        return _step(field, state, t, dt, lam, projection_tol, w)
     except RootFindingError as exc:
         if depth >= _MAX_HALVINGS:
             reason = ("the trajectory left the domain box"
@@ -97,7 +120,7 @@ def _advance(field, state, w, t, dt, lam, projection_tol, depth=0):
                 f"time step underflow near t = {t:.6g}; {reason}"
             ) from exc
         half = dt / 2.0
-        mid, w = _advance(field, state, w, t, half, lam, projection_tol, depth + 1)
+        mid, w, _ = _advance(field, state, w, t, half, lam, projection_tol, depth + 1)
         return _advance(field, mid, w, t + half, half, lam, projection_tol, depth + 1)
 
 
@@ -107,22 +130,24 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
 
     Parameters
     ----------
-    field :
-        Object with ``velocity(t, state, lam)`` and a ``constraint``
-        attribute (a ForcedField).
+    field : ForcedField
+        The tangent field; its ``constraint`` defines the level set.
     xi0 : array
         Initial state; must satisfy the constraint to ``on_manifold_tol``.
     n_steps, dt_max :
-        Either a fixed step count or a step-size cap from which the
-        count is derived (``ceil`` of span / dt_max).  Defaults to 4096
-        steps over the span.
+        Either a fixed step count (at least 1) or a positive step-size
+        cap from which the count is derived (``ceil`` of span / dt_max).
+        Defaults to 4096 steps over the span.
     sensitivity : bool
-        Also integrate W = dx(t1)/d(x(t0), lam) along the same steps
-        (the field must offer ``linearize``); the states are the same
-        as without it.
+        Also integrate W = dx(t1)/d(x(t0), lam) along the same steps;
+        the states are the same as without it.
 
     The result keeps the state and drift at every step.
     """
+    if n_steps is not None and not n_steps >= 1:
+        raise IntegrationError(f"n_steps must be at least 1, got {n_steps!r}")
+    if dt_max is not None and not (dt_max > 0.0 and math.isfinite(dt_max)):
+        raise IntegrationError(f"dt_max must be positive and finite, got {dt_max!r}")
     c = field.constraint
     xi0 = np.asarray(xi0, dtype=float)
     drift0 = c.residual(xi0)
@@ -142,20 +167,18 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
     n_steps = int(n_steps)
     dt = span / n_steps
 
-    state = xi0.copy()
-    max_drift = drift0
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, xi0.size))
-    drifts = np.empty(n_steps + 1)
-    times[0], states[0], drifts[0] = t0, state, drift0
+    # numpy scalars would turn every float of the steps into one
+    t0, lam = float(t0), float(lam)
+    state = xi0.tolist()
+    times, states, drifts = [t0], [state], [drift0]
     for i in range(n_steps):
-        state, w = _advance(field, state, w, t0 + i * dt, dt, lam, projection_tol)
-        drift = c.residual(state)
-        max_drift = max(max_drift, drift)
-        times[i + 1] = t0 + (i + 1) * dt
-        states[i + 1] = state
-        drifts[i + 1] = drift
-    return FlowResult(state, max_drift, n_steps, times, states, drifts, w)
+        state, w, drift = _advance(field, state, w, t0 + i * dt, dt, lam,
+                                   projection_tol)
+        times.append(t0 + (i + 1) * dt)
+        states.append(state)
+        drifts.append(drift)
+    return FlowResult(np.array(state), max(drifts), n_steps, np.array(times),
+                      np.array(states), np.array(drifts), w)
 
 
 def period_map(field, xi0, lam, period, **options):

@@ -26,7 +26,7 @@ from .degree import (
 from .errors import (
     AdmissibilityError, DomainEscapeError, RegularityError, RootFindingError,
 )
-from .fields import AmbientMap, FieldHandle
+from .fields import AmbientMap, FieldHandle, _floats
 
 __all__ = [
     "ImplicitConstraint", "ForcedField", "ManifoldDegreeResult",
@@ -53,6 +53,8 @@ class ImplicitConstraint:
         self.s = int(s)
         self.gmap = gmap
         self.domain = domain
+        # slack a solved point may have outside the domain box
+        self.escape_margin = 1e-9 * domain.diameter
 
     @classmethod
     def from_expressions(cls, k, s, g_sources, variables, domain):
@@ -126,32 +128,40 @@ def complete_velocity(constraint, point, psi1_value):
     Solves d_y g * psi_2 = -d_x g * psi_1 by a linear solve (never an
     explicit inverse), so the result satisfies g'(point) * psi = 0.
     """
-    return _complete(constraint, constraint.jacobian(point), point, psi1_value)
+    point = _floats(point)
+    jet = constraint.gmap.flat(point, jacobian=True)
+    return np.array(_complete(constraint, jet, point, _floats(psi1_value)))
 
 
-def _complete(constraint, jac, point, psi1_value):
-    # complete_velocity with the constraint Jacobian at point already known
-    k = constraint.k
-    rhs = jac[:, :k] @ psi1_value
-    d2 = jac[:, k:]
-    if constraint.s == 1:
-        pivot = d2[0, 0]
+def _complete(constraint, jet, point, psi1):
+    # complete_velocity on floats, from the constraint's flat jet at point
+    k, s = constraint.k, constraint.s
+    if s == 1:
+        pivot = jet[k + 1]
         if pivot == 0.0:
             raise RegularityError(f"d_y g is singular at {np.asarray(point)}")
-        psi2 = np.array([-rhs[0] / pivot])
-    else:
-        try:
-            psi2 = np.linalg.solve(d2, -rhs)
-        except np.linalg.LinAlgError:
-            raise RegularityError(f"d_y g is singular at {np.asarray(point)}") from None
-    return np.concatenate([np.asarray(psi1_value, dtype=float), psi2])
+        # d_x g . psi1 left to right: the same bits on every machine, which
+        # a BLAS dot with fused multiply-adds does not promise
+        rhs = jet[1] * psi1[0]
+        for a, b in zip(jet[2:k + 1], psi1[1:]):
+            rhs += a * b
+        return [*psi1, -rhs / pivot]
+    jac = np.array(jet).reshape(s, constraint.dim + 1)[:, 1:]
+    rhs = jac[:, :k] @ np.array(psi1)
+    try:
+        psi2 = np.linalg.solve(jac[:, k:], -rhs)
+    except np.linalg.LinAlgError:
+        raise RegularityError(f"d_y g is singular at {np.asarray(point)}") from None
+    return [*psi1, *psi2.tolist()]
 
 
 class ForcedField:
     """Tangent field on the level set with first components gamma + lam * sigma.
 
     Either part may be absent: without sigma the field ignores ``lam``,
-    without gamma it is ``lam`` times the completed forcing.
+    without gamma it is ``lam`` times the completed forcing.  The array
+    methods wrap plain-float ones (``_velocity``, ``_linearize``), which
+    the flow steps call directly on lists of floats.
     """
 
     def __init__(self, constraint, gamma=None, sigma=None):
@@ -161,16 +171,54 @@ class ForcedField:
         self.time_dependent = any(part is not None and part.time_dependent
                                   for part in (gamma, sigma))
 
+    def _first(self, t, p, lam):
+        # gamma + lam * sigma at the float list p
+        if self.gamma is None:
+            return [lam * b for b in self.sigma.flat(p, t)]
+        first = self.gamma.flat(p, t)
+        if self.sigma is not None and lam != 0.0:
+            first = [a + lam * b for a, b in zip(first, self.sigma.flat(p, t))]
+        return first
+
     def first(self, t, point, lam=0.0):
-        if self.gamma is not None:
-            out = self.gamma(point, t)
-            if self.sigma is not None and lam != 0.0:
-                out = out + lam * self.sigma(point, t)
-            return out
-        return lam * self.sigma(point, t)
+        return np.array(self._first(t, _floats(point), lam))
+
+    def _velocity(self, t, p, lam):
+        c = self.constraint
+        return _complete(c, c.gmap.flat(p, jacobian=True), p, self._first(t, p, lam))
 
     def velocity(self, t, point, lam=0.0):
-        return complete_velocity(self.constraint, point, self.first(t, point, lam))
+        return np.array(self._velocity(t, _floats(point), lam))
+
+    def _linearize(self, t, p, lam):
+        # linearize at the float list p: velocity and dp/dlam as lists, A as an array
+        c = self.constraint
+        k, n1 = c.k, c.dim + 1
+        if self.sigma is None:
+            jet = self.gamma.flat(p, t, True)
+            dp_dlam = [0.0] * k
+        else:
+            forcing = self.sigma.flat(p, t, True)
+            dp_dlam = forcing[::n1]
+            if self.gamma is None:
+                jet = [lam * b for b in forcing]
+            else:
+                jet = self.gamma.flat(p, t, True)
+                if lam != 0.0:
+                    jet = [a + lam * b for a, b in zip(jet, forcing)]
+        gjet = c.gmap.flat(p, jacobian=True)
+        velocity = _complete(c, gjet, p, jet[::n1])
+        if c.s == 1:
+            pivot = -gjet[k + 1]
+            slave = [d / pivot for d in gjet[1:k + 1]]
+            # row i of d_(x, y) p starts at jet[r], r = i * n1 + 1
+            a = np.array([[jet[r + j] + jet[r + k] * sj for j, sj in enumerate(slave)]
+                          for r in range(1, k * n1, n1)])
+        else:
+            dp = np.array(jet).reshape(k, n1)[:, 1:]
+            jac = np.array(gjet).reshape(c.s, n1)[:, 1:]
+            a = dp[:, :k] + dp[:, k:] @ np.linalg.solve(jac[:, k:], -jac[:, :k])
+        return velocity, a, dp_dlam
 
     def linearize(self, t, point, lam=0.0):
         """Velocity and the first-order data of the x-equations at ``point``.
@@ -182,29 +230,8 @@ class ForcedField:
         k x k matrix of the variational equation and dp_dlam = sigma
         (zero without a forcing part).  Only first derivatives are used.
         """
-        c = self.constraint
-        k = c.k
-        if self.gamma is not None:
-            first, dp = self.gamma.value_and_jacobian(point, t)
-            if self.sigma is None:
-                dp_dlam = np.zeros(k)
-            else:
-                dp_dlam, dsigma = self.sigma.value_and_jacobian(point, t)
-                if lam != 0.0:
-                    first = first + lam * dp_dlam
-                    dp = dp + lam * dsigma
-        else:
-            dp_dlam, dsigma = self.sigma.value_and_jacobian(point, t)
-            first = lam * dp_dlam
-            dp = lam * dsigma
-        jac = c.jacobian(point)
-        velocity = _complete(c, jac, point, first)
-        d2 = jac[:, k:]
-        if c.s == 1:
-            slave = jac[:, :k] / -d2[0, 0]
-        else:
-            slave = np.linalg.solve(d2, -jac[:, :k])
-        return velocity, dp[:, :k] + dp[:, k:] @ slave, dp_dlam
+        velocity, a, dp_dlam = self._linearize(t, _floats(point), lam)
+        return np.array(velocity), a, np.array(dp_dlam)
 
     def eval(self, t, point):
         return self.velocity(t, point, 1.0)
@@ -255,38 +282,57 @@ def implicit_solve_y(constraint, x, y_guess=None, tol=1e-12, max_iter=50):
     domain box, otherwise :class:`DomainEscapeError` is raised; a solve
     that does not converge raises :class:`RootFindingError`.
     """
-    x = np.asarray(x, dtype=float)
     if y_guess is None:
-        y = np.array([(a + b) / 2.0 for a, b in constraint.y_slice()])
-    else:
-        y = np.array(y_guess, dtype=float)
+        y_guess = [(a + b) / 2.0 for a, b in constraint.y_slice()]
+    y, _ = _solve_y(constraint, _floats(x), _floats(y_guess), tol, max_iter)
+    return np.array(y)
 
+
+def _solve_y(constraint, x, y, tol, max_iter=50):
+    # implicit_solve_y on float lists; returns (y, |g| at the solution).
+    # A scalar y is solved on floats, s > 1 by numpy solves.
+    gmap, k, s = constraint.gmap, constraint.k, constraint.s
     point = None
 
-    def residual(yv):
-        nonlocal point
-        point = np.concatenate([x, yv])
-        return constraint.g(point)
+    if s == 1:
+        def residual(yv):
+            nonlocal point
+            point = x + [yv]
+            return gmap.flat(point)[0]
 
-    def newton_step(yv, gval):
-        # point is (x, yv): damped_newton steps from its latest residual point
-        d2 = constraint.partial2(point)
-        if constraint.s == 1:
-            if d2[0, 0] == 0.0:
+        def newton_step(yv, gval):
+            # point is (x, yv): damped_newton steps from its latest residual point
+            pivot = gmap.flat(point, jacobian=True)[k + 1]
+            if pivot == 0.0:
                 raise RootFindingError(f"singular d_y g during y-solve at x = {x}")
-            return np.array([-gval[0] / d2[0, 0]])
-        try:
-            return np.linalg.solve(d2, -gval)
-        except np.linalg.LinAlgError:
-            raise RootFindingError(f"singular d_y g during y-solve at x = {x}") from None
+            return -gval / pivot
 
-    y, _ = damped_newton(residual, newton_step, y, tol, max_iter)
-    domain = constraint.domain
-    if not domain.contains(point, margin=1e-9 * domain.diameter):
+        y, gval = damped_newton(residual, newton_step, y[0], tol, max_iter, norm=abs)
+        y, drift = [y], abs(gval)
+    else:
+        def residual(yv):
+            nonlocal point
+            point = x + yv.tolist()
+            return np.array(gmap.flat(point))
+
+        def newton_step(yv, gval):
+            jet = gmap.flat(point, jacobian=True)
+            d2 = np.array(jet).reshape(s, k + s + 1)[:, k + 1:]
+            try:
+                return np.linalg.solve(d2, -gval)
+            except np.linalg.LinAlgError:
+                raise RootFindingError(
+                    f"singular d_y g during y-solve at x = {x}") from None
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, gval = damped_newton(residual, newton_step, np.array(y), tol, max_iter)
+            drift = float(np.linalg.norm(gval))
+        y = y.tolist()
+    if not constraint.domain.contains(point, margin=constraint.escape_margin):
         raise DomainEscapeError(
             f"y-solve at x = {x} converged to {y}, outside the domain box"
         )
-    return y
+    return y, drift
 
 
 def schur_determinant_split(phi1, constraint, point):

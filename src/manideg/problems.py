@@ -115,14 +115,18 @@ class Problem:
         """First-component map whose zeros seed the analysis.
 
         The autonomous drift when present, otherwise the averaged
-        forcing.
+        forcing.  ``quadrature_nodes`` overrides the problem's node
+        count for the average and must be at least 1.
         """
+        if quadrature_nodes is not None and not quadrature_nodes >= 1:
+            raise ProblemFormatError(
+                f"quadrature_nodes must be at least 1, got {quadrature_nodes!r}")
         dae = self.build_dae()
         if dae.gamma is not None:
             return dae.gamma
-        nodes = quadrature_nodes or self.option("quadrature_nodes",
-                                                DEFAULT_QUADRATURE_NODES)
-        return average_wind(dae, int(nodes))[0]
+        if quadrature_nodes is None:
+            quadrature_nodes = self.option("quadrature_nodes", DEFAULT_QUADRATURE_NODES)
+        return average_wind(dae, int(quadrature_nodes))[0]
 
     def build_seed_map(self, quadrature_nodes=None):
         return reduced_map(self.build_phi1(quadrature_nodes), self.build_dae().constraint)

@@ -53,6 +53,16 @@ def test_problem_builds_its_constraint_once():
     assert prob.build_constraint() is prob.build_constraint() is prob.build_dae().constraint
 
 
+@pytest.mark.parametrize("nodes", [0, -2])
+def test_build_phi1_rejects_quadrature_nodes_below_one(nodes):
+    # example-5-7 has no gamma, so its phi1 is the averaged forcing
+    problem = REGISTRY["example-5-7"]
+    with pytest.raises(ProblemFormatError, match="quadrature_nodes"):
+        problem.build_phi1(nodes)
+    with pytest.raises(ProblemFormatError, match="quadrature_nodes"):
+        problem.build_seed_map(nodes)
+
+
 def test_format_parse_round_trip():
     prob = parse_problem(SPRING_TEXT)
     assert parse_problem(format_problem(prob)) == prob

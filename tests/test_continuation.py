@@ -136,6 +136,25 @@ def test_sensitivities_match_finite_differences():
     assert np.linalg.norm(jac - fd) <= 1e-5 * np.linalg.norm(fd)
 
 
+def test_sensitivities_match_finite_differences_with_two_constraints():
+    # example-5-7 has s = 2: the completion and the slave matrix take the
+    # linear-solve branch; central differences of the shooting residual
+    dae = REGISTRY["example-5-7"].build_dae()
+    z = np.array([1.0, 0.3, 0.2])
+    r0, _, jac = shooting_residual(dae, z[:2], z[2], jacobian=True)
+    assert np.linalg.norm(r0) > 1e-3  # not a periodic pair
+    cols = []
+    for j in range(3):
+        h = 1e-5 * (1.0 + abs(z[j]))
+        step = np.zeros(3)
+        step[j] = h
+        hi, lo = z + step, z - step
+        cols.append((shooting_residual(dae, hi[:2], hi[2])[0]
+                     - shooting_residual(dae, lo[:2], lo[2])[0]) / (2.0 * h))
+    fd = np.column_stack(cols)
+    assert np.linalg.norm(jac - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
 def test_sensitivity_shot_matches_plain_shot_bit_for_bit():
     dae = spring()
     x0, lam = np.array([0.5, 0.3]), 0.2

@@ -20,6 +20,7 @@ from manideg import (
     average_wind,
     build_autonomous_tangent,
     build_forcing_tangent,
+    complete_velocity,
     implicit_solve_y,
     seed_map_F,
     seed_map_Phi,
@@ -220,6 +221,19 @@ def test_forced_field_without_gamma_scales_sigma():
     assert np.allclose(field.first(1.0, p, 0.5), 0.5 * dae.sigma(p, 1.0))
     assert np.allclose(field.first(1.0, p, 0.0), [0.0])
     assert np.allclose(field.eval(1.0, p)[: 1], field.first(1.0, p, 1.0))
+
+
+@pytest.mark.parametrize("name, x", [("example-5-5", (0.4, -0.7)),
+                                     ("example-5-7", (1.0, 0.3))])
+def test_velocity_is_the_completion_of_the_first_components(name, x):
+    dae = REGISTRY[name].build_dae()
+    field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    c = dae.constraint
+    point = np.concatenate([x, implicit_solve_y(c, np.array(x))])
+    for t, lam in ((0.0, 0.0), (1.3, 0.25), (4.0, -0.6)):
+        expected = complete_velocity(c, point, field.first(t, point, lam))
+        assert np.array_equal(field.velocity(t, point, lam), expected)
+        assert np.array_equal(field.linearize(t, point, lam)[0], expected)
 
 
 @pytest.mark.parametrize("name,parts", [

@@ -263,6 +263,17 @@ def test_seeded_gradient_skips_other_partials():
     assert value == 22.0 and dy == 2.0
 
 
+def test_tuple_of_trees_compiles_to_one_function():
+    asts = tuple(expr.parse(src, XYZ) for src in GRAD_SOURCES)
+    values = expr.compile_value(asts, XYZ)
+    jet = expr.compile_gradient(asts, XYZ, seeds=("x", "z"))
+    point = (0.7, 1.3, 0.4)
+    assert values(*point) == tuple(expr.compile_value(a, XYZ)(*point) for a in asts)
+    assert jet(*point) == tuple(
+        v for a in asts for v in expr.compile_gradient(a, XYZ, seeds=("x", "z"))(*point))
+    assert expr.compile_value(asts[:1], XYZ)(*point) == (values(*point)[0],)
+
+
 def test_vector_backend_matches_scalar():
     ast = expr.parse("sin(x)*y + x^3", ("x", "y"))
     fs = expr.compile_value(ast, ("x", "y"))

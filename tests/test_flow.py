@@ -18,6 +18,7 @@ from manideg import (
     ForcedField,
     ImplicitConstraint,
     IntegrationError,
+    ManidegError,
     REGISTRY,
     SemiExplicitDae,
     build_autonomous_tangent,
@@ -25,6 +26,7 @@ from manideg import (
     implicit_solve_y,
     period_map,
     projected_step,
+    shooting_residual,
     write_trajectory_csv,
 )
 
@@ -106,6 +108,23 @@ def test_flow_step_count_from_dt_cap():
     assert res.steps == 4
 
 
+@pytest.mark.parametrize("options, needle", [
+    ({"n_steps": 0}, "n_steps"),
+    ({"n_steps": -3}, "n_steps"),
+    ({"dt_max": 0.0}, "dt_max"),
+], ids=["zero-steps", "negative-steps", "zero-dt-max"])
+def test_flow_rejects_bad_step_counts(options, needle):
+    field = exponential_flow()
+    with pytest.raises(IntegrationError, match=needle):
+        flow_map(field, np.array([1.0, 1.0]), 0.0, 1.0, **options)
+
+
+def test_shooting_rejects_zero_steps_per_period():
+    dae = REGISTRY["example-5-5"].build_dae()
+    with pytest.raises(ManidegError):
+        shooting_residual(dae, np.zeros(2), 0.0, steps_per_period=0)
+
+
 def test_flow_backwards_in_time():
     field = exponential_flow()
     res = flow_map(field, np.array([1.0, 1.0]), 1.0, 0.0, n_steps=512)
@@ -122,6 +141,67 @@ def test_flow_semigroup_property():
     second = flow_map(field, first.final_state, half, period, lam, n_steps=2048)
     direct = flow_map(field, start, 0.0, period, lam, n_steps=4096)
     assert np.allclose(second.final_state, direct.final_state, atol=1e-12)
+
+
+# Final state and sensitivities of one 256-step period of example-5-5 from
+# (0.5, -0.25, y) at lam = 0.3, as computed when the step code was last
+# changed; the arithmetic of a step is meant to stay bit for bit the same.
+PINNED_START = [0.5, -0.25, 0.44382504501286757]
+PINNED_FINAL = [0.08336899981830324, 0.46659926433950133, 0.08280525554905306]
+PINNED_SENSITIVITY = [
+    [0.10793777280531942, -0.13666377757594392, -0.2193657864412753],
+    [0.12862807858860775, 0.23749906685622965, 1.6270079303180616],
+]
+
+
+def test_spring_period_is_pinned_bit_for_bit():
+    field = spring_field()
+    period = REGISTRY["example-5-5"].period
+    plain = flow_map(field, np.array(PINNED_START), 0.0, period, 0.3, n_steps=256)
+    sens = flow_map(field, np.array(PINNED_START), 0.0, period, 0.3, n_steps=256,
+                    sensitivity=True)
+    assert plain.final_state.tolist() == PINNED_FINAL
+    assert sens.final_state.tolist() == PINNED_FINAL
+    assert sens.sensitivity.tolist() == PINNED_SENSITIVITY
+
+
+def callable_spring_field():
+    # example-5-5 from numpy callables: every part goes through AmbientMap's
+    # adapter from array output to plain floats
+    dae = REGISTRY["example-5-5"].build_dae()
+
+    def g(p):
+        return np.array([p[2] ** 3 + p[2] - p[0] ** 5 - p[0]])
+
+    def g_jac(p):
+        return np.array([[-5.0 * p[0] ** 4 - 1.0, 0.0, 3.0 * p[2] ** 2 + 1.0]])
+
+    def gamma(p):
+        return np.array([p[1], -p[2] - 0.5 * p[1]])
+
+    def gamma_jac(p):
+        return np.array([[0.0, 1.0, 0.0], [0.0, -0.5, -1.0]])
+
+    def sigma(p, t):
+        return np.array([0.0, math.cos(t)])
+
+    def sigma_jac(p, t):
+        return np.zeros((2, 3))
+
+    con = ImplicitConstraint(2, 1, AmbientMap.from_callable(3, 1, g, g_jac),
+                             dae.constraint.domain)
+    return ForcedField(con, AmbientMap.from_callable(3, 2, gamma, gamma_jac),
+                       AmbientMap.from_callable(3, 2, sigma, sigma_jac,
+                                                time_dependent=True))
+
+
+def test_callable_backed_field_flows_like_expression_field():
+    period = REGISTRY["example-5-5"].period
+    start = np.array(PINNED_START)
+    runs = [flow_map(field, start, 0.0, period, 0.3, n_steps=64, sensitivity=True)
+            for field in (spring_field(), callable_spring_field())]
+    assert np.max(np.abs(runs[0].states - runs[1].states)) <= 1e-12
+    assert np.max(np.abs(runs[0].sensitivity - runs[1].sensitivity)) <= 1e-12
 
 
 # --- drift control -------------------------------------------------------------
