@@ -23,9 +23,8 @@ averaging sigma first and completing once.
 
 import numpy as np
 
-from . import expr
 from .errors import DomainEvalError, ProblemFormatError
-from .fields import TIME_NAME, AmbientMap
+from .fields import AmbientMap
 from .manifold import ForcedField, reduced_map
 
 __all__ = [
@@ -105,40 +104,46 @@ def build_forcing_tangent(dae):
     return ForcedField(dae.constraint, sigma=dae.sigma)
 
 
+# the averaged map sums sigma over its nodes for about this many
+# (point, node) values at a time, which bounds the memory of large batches
+_AVERAGE_BLOCK_VALUES = 16384
+
+
 def _averaged_map(sigma, period, nodes):
     """Uniform-node mean of sigma over one period, as a time-free map.
 
     Uniform sampling of a periodic integrand is the composite
     trapezoid rule and is exact for trigonometric polynomials of
-    degree below the node count.
+    degree below the node count.  Points are broadcast against the
+    nodes through sigma's ``vector`` function, block by block.
     """
     ts = period * np.arange(nodes) / nodes
-    if sigma.asts is not None:
-        # vectorise the quadrature over t through the array backend
-        declared = tuple(sigma.variables) + (TIME_NAME,)
-        vals = [expr.compile_value(a, declared, backend="vector") for a in sigma.asts]
-        grads = [expr.compile_gradient(a, declared, seeds=sigma.variables,
-                                       backend="vector") for a in sigma.asts]
+    rows = max(1, _AVERAGE_BLOCK_VALUES // nodes)
 
-        def func(point, t=0.0):
-            args = point.tolist() if isinstance(point, np.ndarray) else list(point)
-            return np.array([float(np.mean(f(*args, ts))) for f in vals])
+    def vector(cols, t=0.0, jacobian=False):
+        size = len(cols[0])
+        width = sigma.n_out * (sigma.n_in + 1) if jacobian else sigma.n_out
+        means = np.empty((width, size))
+        for lo in range(0, size, rows):
+            block = [c[lo:lo + rows, None] for c in cols]
+            for j, part in enumerate(sigma.vector(block, ts, jacobian)):
+                # the mean along the node axis (last, contiguous); a part that does
+                # not vary with t keeps its value, which summing copies would round
+                part = np.asarray(part)
+                means[j, lo:lo + rows] = (np.mean(part, axis=-1) if part.shape[-1:] == (nodes,)
+                                          else part[..., 0] if part.ndim else part)
+        return tuple(means)
 
-        def jac(point, t=0.0):
-            args = point.tolist() if isinstance(point, np.ndarray) else list(point)
-            rows = []
-            for gfn in grads:
-                out = gfn(*args, ts)
-                rows.append([float(np.mean(c)) for c in out[1:]])
-            return np.array(rows)
-    else:
-        def func(point, t=0.0):
-            return np.mean([sigma(point, tj) for tj in ts], axis=0)
+    def one(point, jacobian):
+        # a single point is a batch of one, so there is one averaging code
+        out, valid = averaged.batch(np.asarray(point, dtype=float)[None], jacobian)
+        if not valid[0]:
+            raise DomainEvalError(f"the averaged forcing is undefined at {point}")
+        return out[0]
 
-        def jac(point, t=0.0):
-            return np.mean([sigma.jacobian(point, tj) for tj in ts], axis=0)
-
-    return AmbientMap(sigma.n_in, sigma.n_out, func, jac, time_dependent=False)
+    averaged = AmbientMap(sigma.n_in, sigma.n_out, lambda point, t=0.0: one(point, False),
+                          lambda point, t=0.0: one(point, True), vector=vector)
+    return averaged
 
 
 def average_wind(dae, quadrature_nodes=DEFAULT_QUADRATURE_NODES):

@@ -8,6 +8,14 @@ sampling (a heuristic, reported as a warning on the result).  In two
 dimensions an independent winding-number computation is available as a
 cross-check; it needs no Jacobians and tolerates degenerate interior
 zeros.
+
+The Newton starts run in lock-step: per iteration one batched residual
+(``AmbientMap.batch``), one batched Jacobian and one stacked linear
+solve serve every live start, and masks give each start the rule of
+:func:`damped_newton` (its own halvings, fence, stall and convergence).
+Boundary and winding samples are batched too.  ``damped_newton`` itself
+stays the scalar loop of the flow's y-solve, where a batch of one would
+only add numpy overhead.
 """
 
 import math
@@ -22,7 +30,7 @@ from .errors import (
     NumericError,
     RootFindingError,
 )
-from .fields import FieldHandle
+from .fields import EVAL_ERRORS, FieldHandle
 
 __all__ = [
     "DomainBox", "ZeroRecord", "DegreeResult", "FieldHandle",
@@ -33,8 +41,6 @@ __all__ = [
 # Newton starts per axis, by dimension; beyond 4 axes the grid is kept coarse.
 _DEFAULT_GRID = {1: 16, 2: 16, 3: 8, 4: 6}
 _DEFAULT_FACE = {1: 2, 2: 64, 3: 16, 4: 8}
-
-_EVAL_ERRORS = (DomainEvalError, OverflowError, ZeroDivisionError, FloatingPointError)
 
 
 def _default_density(dim):
@@ -84,7 +90,7 @@ class DomainBox:
         return math.sqrt(sum((b - a) ** 2 for a, b in self.bounds))
 
     def contains(self, point, margin=0.0):
-        # plain floats: this runs once per Newton step and per y-solve
+        # plain floats: this runs once per y-solve of the flow
         values = point.tolist() if isinstance(point, np.ndarray) else map(float, point)
         for v, a, b in zip(values, self.lower, self.upper):
             if not a - margin <= v <= b + margin:
@@ -169,7 +175,7 @@ def damped_newton(residual, newton_step, x, tol, max_iter, norm=np.linalg.norm):
             try:
                 fn = residual(xn)
                 rn = norm(fn)
-            except _EVAL_ERRORS:
+            except EVAL_ERRORS:
                 rn = np.inf
             if rn < r:
                 break
@@ -185,61 +191,113 @@ def damped_newton(residual, newton_step, x, tol, max_iter, norm=np.linalg.norm):
     )
 
 
-def _newton(field, start, tol, max_iter, fence):
-    """Damped Newton from one start; returns the polished point or None.
+def _norms(a):
+    # Euclidean norm of each row, bit for bit np.linalg.norm of the row
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
 
-    The start is abandoned (None) as soon as an accepted iterate leaves
-    the box ``fence``; no Jacobian is evaluated outside it.
-    """
-    def residual(x):
-        return np.asarray(field(x), dtype=float)
 
-    def newton_step(x, fx):
-        if not fence.contains(x):
-            raise RootFindingError(f"Newton left the search region at {x}")
-        step = np.linalg.solve(np.asarray(field.jacobian(x), dtype=float), -fx)
-        if not np.all(np.isfinite(step)):
-            raise RootFindingError("non-finite Newton step")
-        return step
+def _residual_norms(values, valid):
+    # an invalid or non-finite residual counts as infinite
+    r = _norms(values)
+    r[~(valid & np.isfinite(r))] = np.inf
+    return r
 
+
+def _inside(box, points):
+    return np.all((np.array(box.lower) <= points) & (points <= np.array(box.upper)), axis=1)
+
+
+def _newton_steps(field, x, fx):
+    """Full Newton steps at the rows ``x`` (residuals ``fx``), one stacked
+    solve; NaN where the Jacobian does not evaluate or is singular."""
+    jac, valid = field.batch(x, jacobian=True)
+    jac[~valid] = np.eye(x.shape[1])
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, fx = damped_newton(residual, newton_step, np.array(start, dtype=float),
-                                  tol, max_iter)
-    except (RootFindingError, np.linalg.LinAlgError, *_EVAL_ERRORS):
-        return None
-    if not fence.contains(x):
-        return None
-    return _polish(field, x, fx)
+        steps = np.linalg.solve(jac, -fx[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # a singular matrix fails the stacked solve: solve row by row this once
+        steps = np.full_like(fx, np.nan)
+        for i in range(len(x)):
+            try:
+                steps[i] = np.linalg.solve(jac[i], -fx[i])
+            except np.linalg.LinAlgError:
+                pass
+    steps[~valid] = np.nan
+    return steps
+
+
+def _lockstep_newton(field, x, tol, max_iter, fence):
+    """Damped Newton from every row of ``x`` at once, in lock-step.
+
+    Each row follows the rule of :func:`damped_newton`: a step is halved,
+    up to 20 times, until the residual norm decreases; the tolerance is
+    checked before each of the ``max_iter`` steps and after the last.  A
+    row is abandoned when its start does not evaluate, when an iterate
+    about to step lies outside ``fence`` (so no Jacobian is evaluated
+    there), when its step is not finite and when no halving improves it.
+    Returns the final points and residuals, and the mask of the rows
+    that converged inside ``fence``.
+    """
+    fx, valid = field.batch(x)
+    r = _residual_norms(fx, valid)
+    live = np.isfinite(r)
+    converged = np.zeros(len(x), dtype=bool)
+    for _ in range(max_iter):
+        done = live & (r <= tol)
+        converged |= done
+        live &= ~done & _inside(fence, x)
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            break
+        steps = _newton_steps(field, x[rows], fx[rows])
+        finite = np.isfinite(steps).all(axis=1)
+        live[rows[~finite]] = False
+        rows, steps = rows[finite], steps[finite]
+        scale = 1.0
+        for _ in range(20):
+            if not rows.size:
+                break
+            xn = x[rows] + scale * steps
+            fn, valid = field.batch(xn)
+            rn = _residual_norms(fn, valid)
+            better = rn < r[rows]
+            took = rows[better]
+            x[took], fx[took], r[took] = xn[better], fn[better], rn[better]
+            rows, steps = rows[~better], steps[~better]
+            scale *= 0.5
+        live[rows] = False  # stalled: no halving decreased the residual
+    else:
+        converged |= live & (r <= tol)
+    return x, fx, converged & _inside(fence, x)
 
 
 def _polish(field, x, fx, max_extra=60):
-    """Push a residual-converged iterate to stationarity.
+    """Push residual-converged iterates (the rows of ``x``) to stationarity.
 
     At a multiple zero the residual tolerance is met while the point is
     still O(sqrt(tol)) away and the Jacobian determinant looks merely
     small instead of singular.  Continuing until the Newton step itself
-    is negligible makes degeneracy detectable and sharpens dedup.
+    is negligible makes degeneracy detectable and sharpens dedup.  A row
+    stops at a Jacobian that does not evaluate or is singular, at a
+    non-finite or negligible step, and at a step whose residual does not
+    evaluate or bounces up; it keeps its last good iterate.
     """
+    rows = np.arange(len(x))
     for _ in range(max_extra):
-        try:
-            jac = np.asarray(field.jacobian(x), dtype=float)
-            step = np.linalg.solve(jac, -fx)
-        except (np.linalg.LinAlgError, *_EVAL_ERRORS):
-            return x
-        if not np.all(np.isfinite(step)):
-            return x
-        if np.linalg.norm(step) <= 1e-14 * (1.0 + np.linalg.norm(x)):
-            return x
-        xn = x + step
-        try:
-            fn = np.asarray(field(xn), dtype=float)
-        except _EVAL_ERRORS:
-            return x
+        if not rows.size:
+            break
+        steps = _newton_steps(field, x[rows], fx[rows])
+        moving = np.isfinite(steps).all(axis=1)
+        moving[moving] = ~(_norms(steps[moving])
+                           <= 1e-14 * (1.0 + _norms(x[rows[moving]])))
+        rows, steps = rows[moving], steps[moving]
+        xn = x[rows] + steps
+        fn, valid = field.batch(xn)
         # roundoff bounce: keep the better iterate and stop
-        if np.linalg.norm(fn) > max(4.0 * np.linalg.norm(fx), 1e-13):
-            return x
-        x, fx = xn, fn
+        calm = ~(_residual_norms(fn, valid) > np.maximum(4.0 * _norms(fx[rows]), 1e-13))
+        rows = rows[calm]
+        x[rows], fx[rows] = xn[calm], fn[calm]
     return x
 
 
@@ -256,8 +314,9 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10,
         start is abandoned once an iterate leaves the box widened by
         one box width on each side.
     grid_density : int, optional
-        Newton starts per axis.  Defaults depend on the dimension
-        (16 for one or two axes, 8 for three, 6 for four).
+        Newton starts per axis, all run in lock-step.  Defaults depend
+        on the dimension (16 for one or two axes, 8 for three, 6 for
+        four).
     newton_tol : float
         Residual norm below which a start counts as converged.
     dedup_radius : float, optional
@@ -281,16 +340,16 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10,
     width = np.subtract(box.upper, box.lower)
     fence = DomainBox.from_bounds(zip(box.lower - width, box.upper + width))
 
-    accepted = []
-    for start in box.grid(density):
-        x = _newton(field, start, newton_tol, max_newton_iter, fence)
-        if x is None or not box.contains(x):
-            continue
-        for seen in accepted:
-            if np.linalg.norm(seen - x) <= radius:
-                break
-        else:
-            accepted.append(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, fx, converged = _lockstep_newton(field, box.grid(density), newton_tol,
+                                            max_newton_iter, fence)
+        x = _polish(field, x[converged], fx[converged])
+    # dedup in grid order: the first point is kept, with every later one
+    # within the radius of it dropped, and so on with the rest
+    rest, accepted = x[_inside(box, x)], []
+    while len(rest):
+        accepted.append(rest[0])
+        rest = rest[_norms(rest - rest[0]) > radius]
 
     records = []
     for x in sorted(accepted, key=lambda p: tuple(p)):
@@ -317,11 +376,15 @@ def local_index(field, zero, degenerate_tol=1e-10):
 def boundary_min(field, box, samples_per_face=None):
     """Minimum field magnitude over a dense sampling of the box boundary."""
     n = samples_per_face if samples_per_face is not None else _DEFAULT_FACE.get(box.dim, 6)
-    pts = box.boundary_grid(max(2, int(n)))
-    best = np.inf
-    for p in pts:
-        best = min(best, float(np.linalg.norm(field(p))))
-    return best
+    return float(_norms(_sample(field, box.boundary_grid(max(2, int(n))))).min())
+
+
+def _sample(field, points):
+    # field values at boundary samples, each of which must evaluate
+    values, valid = field.batch(points)
+    if not valid.all():
+        raise DomainEvalError(f"the field is undefined at the sample {points[~valid][0]}")
+    return values
 
 
 def degree_sign_sum(field, box, *, grid_density=None, newton_tol=1e-10,
@@ -395,7 +458,7 @@ def degree_winding_2d(field, box, boundary_samples=256, *, zero_tol=1e-10,
     ts = np.linspace(0.0, 4.0, max(8, int(boundary_samples)), endpoint=False)
     for _ in range(max_passes):
         pts = _boundary_path(box, ts)
-        vals = np.array([field(p) for p in pts])
+        vals = _sample(field, pts)
         norms = np.hypot(vals[:, 0], vals[:, 1])
         if norms.min() <= zero_tol:
             raise AdmissibilityError(

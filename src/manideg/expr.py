@@ -19,6 +19,12 @@ For speed the propagation is unrolled into generated Python source and
 compiled once per (tree, variable order) pair, or into one function for
 a tuple of trees; partials that are structurally zero are never
 materialised.  Results are bit-identical across repeated evaluations.
+
+The default ``scalar`` backend works on Python floats and raises
+:class:`DomainEvalError` outside an operation's domain.  The ``vector``
+backend takes numpy arrays, evaluates every point at once and returns
+NaN at a point outside the domain, so one bad point does not fail the
+others.
 """
 
 import itertools
@@ -314,34 +320,30 @@ def _dabs(u, du):
     return du if u > 0.0 else -du
 
 
+# The vector helpers evaluate many points at once: a point outside an
+# operation's domain becomes NaN instead of failing the whole array, and
+# batch evaluation (AmbientMap.batch) reads NaN rows as invalid.
+
 def _div_v(a, b):
-    if np.any(b == 0.0):
-        raise DomainEvalError("division by zero")
-    return a / b
+    return a / np.where(b == 0.0, np.nan, b)
 
 
 def _log_v(x):
-    if np.any(x <= 0.0):
-        raise DomainEvalError("log of non-positive value")
-    return np.log(x)
+    return np.log(np.where(x > 0.0, x, np.nan))
 
 
 def _sqrt_v(x):
-    if np.any(x < 0.0):
-        raise DomainEvalError("sqrt of negative value")
-    return np.sqrt(x)
+    return np.sqrt(np.where(x < 0.0, np.nan, x))
 
 
 def _ipow_v(b, n):
-    if n < 0 and np.any(b == 0.0):
-        raise DomainEvalError("zero raised to a negative power")
+    if n < 0:
+        b = np.where(b == 0.0, np.nan, b)
     return b ** n
 
 
 def _dabs_v(u, du):
-    if np.any(u == 0.0):
-        raise DomainEvalError("abs is not differentiable at 0")
-    return np.where(u > 0.0, du, -du)
+    return np.where(u > 0.0, du, np.where(u < 0.0, -du, np.nan))
 
 
 _SCALAR_NS = {

@@ -6,14 +6,20 @@ its Jacobian with respect to the space variables.  Expression-backed
 maps differentiate exactly through the compiled dual-number code in
 :mod:`manideg.expr`; callable-backed maps fall back to central finite
 differences unless a Jacobian callable is supplied.
+
+Every map also evaluates many points at once through ``batch``, which
+the degree routines use for their multi-start searches and samplings.
 """
 
 import numpy as np
 
 from . import expr
-from .errors import ProblemFormatError
+from .errors import DomainEvalError, ProblemFormatError
 
 TIME_NAME = "t"
+
+# what evaluating a map at a point outside its domain may raise
+EVAL_ERRORS = (DomainEvalError, OverflowError, ZeroDivisionError, FloatingPointError)
 
 
 def finite_difference_jacobian(func, point, h=1e-6):
@@ -40,15 +46,23 @@ class AmbientMap:
     with ``jacobian`` per component the value followed by its n partials,
     as one flat sequence.  Expression maps answer it from one generated
     function; callable-backed maps adapt their array output.
+
+    Its array twin ``vector(cols, t=0.0, jacobian=False)`` takes one
+    coordinate array per variable (broadcast together and with ``t``)
+    and returns the same flat sequence of outputs as arrays, NaN where a
+    point is outside the map's domain.  Expression maps answer it from
+    the generated ``vector`` backend code; callable-backed maps loop over
+    the points.  ``batch`` is its row-wise form.
     """
 
     def __init__(self, n_in, n_out, func, jac=None, *, time_dependent=False,
-                 asts=None, variables=None, sources=None, flat=None):
+                 asts=None, variables=None, sources=None, flat=None, vector=None):
         self.n_in = int(n_in)
         self.n_out = int(n_out)
         self._func = func
         self._jac = jac
         self.flat = flat if flat is not None else self._flat_from_arrays
+        self.vector = vector if vector is not None else self._vector_from_rows
         self.time_dependent = bool(time_dependent)
         self.asts = asts
         self.variables = variables
@@ -75,6 +89,16 @@ class AmbientMap:
         jet = expr.compile_gradient(asts, declared, seeds=variables)
         n, p = len(variables), len(sources)
 
+        vector_fns = {}  # the vector backend's functions, compiled on first use
+
+        def vector(cols, t=0.0, jacobian=False):
+            fn = vector_fns.get(jacobian)
+            if fn is None:
+                fn = vector_fns[jacobian] = (
+                    expr.compile_gradient(asts, declared, seeds=variables, backend="vector")
+                    if jacobian else expr.compile_value(asts, declared, backend="vector"))
+            return fn(*cols, t) if allow_time else fn(*cols)
+
         if allow_time:
             def flat(args, t=0.0, jacobian=False):
                 return (jet if jacobian else values)(*args, t)
@@ -89,7 +113,8 @@ class AmbientMap:
             return np.array(flat(_floats(point), t, True)).reshape(p, n + 1)[:, 1:]
 
         return cls(n, p, func, jac, time_dependent=time_dependent,
-                   asts=asts, variables=variables, sources=sources, flat=flat)
+                   asts=asts, variables=variables, sources=sources, flat=flat,
+                   vector=vector)
 
     @classmethod
     def from_callable(cls, n_in, n_out, func, jac=None, *, time_dependent=False):
@@ -123,6 +148,38 @@ class AmbientMap:
             return value.tolist()
         return np.column_stack([value, self.jacobian(point, t)]).ravel().tolist()
 
+    def _vector_from_rows(self, cols, t=0.0, jacobian=False):
+        # ``vector`` of a map given by array callables: one ``flat`` call per point
+        *cols, t = np.broadcast_arrays(*cols, t)
+        width = self.n_out * (self.n_in + 1) if jacobian else self.n_out
+        out = np.full((t.size, width), np.nan)
+        points = np.stack([c.ravel() for c in cols], axis=1).tolist()
+        for i, (point, ti) in enumerate(zip(points, t.ravel().tolist())):
+            try:
+                out[i] = self.flat(point, ti, jacobian)
+            except EVAL_ERRORS:
+                pass
+        # one contiguous array per output, shaped like the broadcast inputs
+        return tuple(np.ascontiguousarray(out.T).reshape((width,) + t.shape))
+
+    def batch(self, points, jacobian=False):
+        """Evaluate the time-free map at the N rows of ``points``.
+
+        Returns the values (N, p), or with ``jacobian`` the Jacobians
+        (N, p, n), and the (N,) mask of the rows that evaluated; a row
+        outside the domain is NaN and masked out instead of raising.
+        """
+        points = np.asarray(points, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = self.vector(list(np.ascontiguousarray(points.T)), 0.0, jacobian)
+        out = np.empty((len(points), len(parts)))
+        for j, part in enumerate(parts):
+            out[:, j] = part
+        valid = ~np.isnan(out).any(axis=1)
+        if jacobian:
+            out = out.reshape(len(points), self.n_out, self.n_in + 1)[:, :, 1:]
+        return out, valid
+
 
 def _floats(point):
     # math-module calls are fastest on plain Python floats
@@ -135,9 +192,10 @@ class FieldHandle(AmbientMap):
     """Square vector field R^m -> R^m, the object degree theory acts on."""
 
     def __init__(self, dim, func, jac=None, *, time_dependent=False,
-                 asts=None, variables=None, sources=None, flat=None):
+                 asts=None, variables=None, sources=None, flat=None, vector=None):
         super().__init__(dim, dim, func, jac, time_dependent=time_dependent,
-                         asts=asts, variables=variables, sources=sources, flat=flat)
+                         asts=asts, variables=variables, sources=sources, flat=flat,
+                         vector=vector)
 
     @property
     def dim(self):
@@ -153,7 +211,7 @@ class FieldHandle(AmbientMap):
             )
         return cls(base.n_in, base._func, base._jac,
                    asts=base.asts, variables=base.variables, sources=base.sources,
-                   flat=base.flat)
+                   flat=base.flat, vector=base.vector)
 
     @classmethod
     def from_callable(cls, dim, func, jac=None):

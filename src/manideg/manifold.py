@@ -24,7 +24,8 @@ from .degree import (
     DegreeResult, _default_density, damped_newton, degree_sign_sum, find_zeros,
 )
 from .errors import (
-    AdmissibilityError, DomainEscapeError, RegularityError, RootFindingError,
+    AdmissibilityError, DomainEscapeError, DomainEvalError, RegularityError,
+    RootFindingError,
 )
 from .fields import AmbientMap, FieldHandle, _floats
 
@@ -101,7 +102,13 @@ def partial2_sign(constraint, sample_density=None, box=None, *,
     box = box or constraint.domain
     if sample_density is None:
         sample_density = _default_density(box.dim)
-    dets = np.array([constraint.det_partial2(p) for p in box.grid(sample_density)])
+    points = box.grid(sample_density)
+    jac, valid = constraint.gmap.batch(points, jacobian=True)
+    if not valid.all():
+        raise DomainEvalError(
+            f"the constraint is undefined at the sample {points[~valid][0]}")
+    d2 = jac[:, :, constraint.k:]
+    dets = d2[:, 0, 0] if constraint.s == 1 else np.linalg.det(d2)
     worst = float(np.min(np.abs(dets)))
     if worst < singular_tol:
         raise RegularityError(
@@ -271,7 +278,10 @@ def reduced_map(phi1, constraint):
     def jac(point, t=0.0):
         return np.vstack([phi1.jacobian(point), constraint.jacobian(point)])
 
-    return FieldHandle(constraint.dim, func, jac)
+    def vector(cols, t=0.0, jacobian=False):
+        return (*phi1.vector(cols, t, jacobian), *constraint.gmap.vector(cols, t, jacobian))
+
+    return FieldHandle(constraint.dim, func, jac, vector=vector)
 
 
 def implicit_solve_y(constraint, x, y_guess=None, tol=1e-12, max_iter=50):

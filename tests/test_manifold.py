@@ -301,13 +301,19 @@ def test_newton_starts_are_fenced_near_the_box():
     field = reduced_map(prob.build_phi1(), prob.build_constraint())
     box = prob.domain()
     points = []
-    jacobian = field.jacobian
+    jacobian, batch = field.jacobian, field.batch
 
     def recording(point, t=0.0):
         points.append(np.array(point, dtype=float))
         return jacobian(point, t)
 
+    def recording_batch(rows, jacobian=False):
+        if jacobian:
+            points.extend(np.array(rows, dtype=float))
+        return batch(rows, jacobian)
+
     field.jacobian = recording
+    field.batch = recording_batch
     zeros = find_zeros(field, box)
     lower, upper = np.array(box.lower), np.array(box.upper)
     width = upper - lower
