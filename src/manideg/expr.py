@@ -368,9 +368,12 @@ class _Emitter:
     def __init__(self, variables, seeds, backend):
         self.lines = []
         self.counter = itertools.count()
+        self.bind(variables, seeds)
+        self.fn = _FUNC_NAMES[backend]
+
+    def bind(self, variables, seeds):  # for the trees emitted next: a0, a1, ... and seeds
         self.arg_index = {name: i for i, name in enumerate(variables)}
         self.seed_index = {name: j for j, name in enumerate(seeds)}
-        self.fn = _FUNC_NAMES[backend]
 
     def new(self, expr):
         t = f"v{next(self.counter)}"

@@ -44,8 +44,8 @@ class AmbientMap:
     has a plain-float one, ``flat(args, t=0.0, jacobian=False)``: at the
     coordinates ``args`` (a list of floats) it returns the p values, or
     with ``jacobian`` per component the value followed by its n partials,
-    as one flat sequence.  Expression maps answer it from one generated
-    function; callable-backed maps adapt their array output.
+    as one flat sequence, adapted from the array interface (generated step
+    code calls it for callable-backed maps only).
 
     Its array twin ``vector(cols, t=0.0, jacobian=False)`` takes one
     coordinate array per variable (broadcast together and with ``t``)
@@ -56,12 +56,11 @@ class AmbientMap:
     """
 
     def __init__(self, n_in, n_out, func, jac=None, *, time_dependent=False,
-                 asts=None, variables=None, sources=None, flat=None, vector=None):
+                 asts=None, variables=None, sources=None, vector=None):
         self.n_in = int(n_in)
         self.n_out = int(n_out)
         self._func = func
         self._jac = jac
-        self.flat = flat if flat is not None else self._flat_from_arrays
         self.vector = vector if vector is not None else self._vector_from_rows
         self.time_dependent = bool(time_dependent)
         self.asts = asts
@@ -82,9 +81,10 @@ class AmbientMap:
             raise ProblemFormatError("a map needs at least one component expression")
         if TIME_NAME in variables:
             raise ProblemFormatError("'t' is reserved for time and cannot be a variable")
-        declared = variables + (TIME_NAME,) if allow_time else variables
-        asts = tuple(expr.parse(src, declared) for src in sources)
-        time_dependent = allow_time and any(TIME_NAME in expr.variables_in(a) for a in asts)
+        # the generated code always takes t, last; only allow_time lets it appear
+        declared = variables + (TIME_NAME,)
+        asts = tuple(expr.parse(src, declared if allow_time else variables) for src in sources)
+        time_dependent = any(TIME_NAME in expr.variables_in(a) for a in asts)
         values = expr.compile_value(asts, declared)
         jet = expr.compile_gradient(asts, declared, seeds=variables)
         n, p = len(variables), len(sources)
@@ -97,24 +97,16 @@ class AmbientMap:
                 fn = vector_fns[jacobian] = (
                     expr.compile_gradient(asts, declared, seeds=variables, backend="vector")
                     if jacobian else expr.compile_value(asts, declared, backend="vector"))
-            return fn(*cols, t) if allow_time else fn(*cols)
-
-        if allow_time:
-            def flat(args, t=0.0, jacobian=False):
-                return (jet if jacobian else values)(*args, t)
-        else:
-            def flat(args, t=0.0, jacobian=False):
-                return (jet if jacobian else values)(*args)
+            return fn(*cols, t)
 
         def func(point, t=0.0):
-            return np.array(flat(_floats(point), t))
+            return np.array(values(*_floats(point), t))
 
         def jac(point, t=0.0):
-            return np.array(flat(_floats(point), t, True)).reshape(p, n + 1)[:, 1:]
+            return np.array(jet(*_floats(point), t)).reshape(p, n + 1)[:, 1:]
 
         return cls(n, p, func, jac, time_dependent=time_dependent,
-                   asts=asts, variables=variables, sources=sources, flat=flat,
-                   vector=vector)
+                   asts=asts, variables=variables, sources=sources, vector=vector)
 
     @classmethod
     def from_callable(cls, n_in, n_out, func, jac=None, *, time_dependent=False):
@@ -140,8 +132,8 @@ class AmbientMap:
             return self._jac(point, t)
         return finite_difference_jacobian(lambda p: self._func(p, t), point)
 
-    def _flat_from_arrays(self, args, t=0.0, jacobian=False):
-        # ``flat`` of a map given by array callables
+    def flat(self, args, t=0.0, jacobian=False):
+        """The plain-float interface (see the class docstring)."""
         point = np.array(args, dtype=float)
         value = np.asarray(self(point, t), dtype=float)
         if not jacobian:
@@ -191,11 +183,8 @@ def _floats(point):
 class FieldHandle(AmbientMap):
     """Square vector field R^m -> R^m, the object degree theory acts on."""
 
-    def __init__(self, dim, func, jac=None, *, time_dependent=False,
-                 asts=None, variables=None, sources=None, flat=None, vector=None):
-        super().__init__(dim, dim, func, jac, time_dependent=time_dependent,
-                         asts=asts, variables=variables, sources=sources, flat=flat,
-                         vector=vector)
+    def __init__(self, dim, func, jac=None, **options):
+        super().__init__(dim, dim, func, jac, **options)
 
     @property
     def dim(self):
@@ -211,7 +200,7 @@ class FieldHandle(AmbientMap):
             )
         return cls(base.n_in, base._func, base._jac,
                    asts=base.asts, variables=base.variables, sources=base.sources,
-                   flat=base.flat, vector=base.vector)
+                   vector=base.vector)
 
     @classmethod
     def from_callable(cls, dim, func, jac=None):

@@ -7,23 +7,21 @@ level set (Newton on g with x frozen), the standard projection method
 RK4 step leaves the level set only at the local error order, so the
 projection preserves the fourth-order accuracy while keeping the
 constraint drift at the projection tolerance instead of letting it
-accumulate.
-
-Steps whose projection fails are retried at half the step size; the
-step size underflowing signals that the flow leaves the region where
-the constraint can be solved.
+accumulate.  Steps whose projection fails are retried at half the step
+size; the step size underflowing signals that the flow leaves the
+region where the constraint can be solved.
 
 On request the same steps also carry the sensitivities
 W = dx/d(x0, lam) of the x-components, by the variational equation of
 the x-dynamics with y slaved to x; a shot that asks for them visits
 exactly the states of a plain shot.
 
-The steps run on plain Python floats: the state, the RK4 stages, the
-tangent completion and the y-projection (a scalar y for one constraint)
-are lists of floats, because building tiny numpy arrays would cost far
-more than their few dozen flops.  numpy remains for the trajectory
-arrays of :class:`FlowResult`, the linear solves of a constraint with
-several equations, and the sensitivity matrix W with its product A @ W.
+A step runs the field's generated straight-line code on Python floats
+(see :class:`~manideg.manifold.ForcedField`): one call for the four
+stages, the shifted points and the stage sum, then the y-projection on
+the constraint's generated g.  W stays in numpy: A @ W goes through
+BLAS, whose fused multiply-adds round differently from left-to-right
+Python floats.
 """
 
 import math
@@ -65,45 +63,16 @@ def projected_step(field, state, t, dt, lam=0.0, projection_tol=1e-12,
     from ``field.linearize``) and returns ``(state, W)``.  The state is
     bit-identical to the plain step's: W never feeds back into it.
     """
-    stepped, w, _ = _step(field, _floats(state), t, dt, float(lam), projection_tol,
-                          sensitivity)
-    stepped = np.array(stepped)
-    return stepped if sensitivity is None else (stepped, w)
-
-
-def _shift(state, h, velocity):
-    return [a + h * b for a, b in zip(state, velocity)]
+    stepped, w, _ = _step(field, _floats(state), t, dt, float(lam), projection_tol, sensitivity)
+    return np.array(stepped) if sensitivity is None else (np.array(stepped), w)
 
 
 def _step(field, state, t, dt, lam, projection_tol, w):
     # projected_step on the float list state: (state, W, |g| at the new state)
-    h = dt / 2.0
-    if w is None:
-        velocity = field._velocity
-        k1 = velocity(t, state, lam)
-        k2 = velocity(t + h, _shift(state, h, k1), lam)
-        k3 = velocity(t + h, _shift(state, h, k2), lam)
-        k4 = velocity(t + dt, _shift(state, dt, k3), lam)
-    else:
-        def stage(ts, point, ws):
-            v, a, dp_dlam = field._linearize(ts, point, lam)
-            dw = a.dot(ws)  # as a @ ws, without the ufunc dispatch
-            for i, d in enumerate(dp_dlam):
-                dw[i, -1] += d
-            return v, dw
-
-        k1, m1 = stage(t, state, w)
-        k2, m2 = stage(t + h, _shift(state, h, k1), w + h * m1)
-        k3, m3 = stage(t + h, _shift(state, h, k2), w + h * m2)
-        k4, m4 = stage(t + dt, _shift(state, dt, k3), w + dt * m3)
-        w = w + (dt / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-    sixth = dt / 6.0
-    raw = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-           for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
-    c = field.constraint
-    x = raw[: c.k]
-    y, drift = _solve_y(c, x, raw[c.k:], projection_tol)
-    return x + y, w, drift
+    raw, w = field._code["rk4" if w is None else "rk4w"](t, dt, lam, w, *state)
+    k = field.constraint.k
+    y, drift = _solve_y(field.constraint, raw[:k], raw[k:], projection_tol)
+    return raw[:k] + y, w, drift
 
 
 def _advance(field, state, w, t, dt, lam, projection_tol, depth=0):
@@ -144,8 +113,8 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
 
     The result keeps the state and drift at every step.
     """
-    if n_steps is not None and not n_steps >= 1:
-        raise IntegrationError(f"n_steps must be at least 1, got {n_steps!r}")
+    if n_steps is not None and not (n_steps >= 1 and float(n_steps).is_integer()):
+        raise IntegrationError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
     if dt_max is not None and not (dt_max > 0.0 and math.isfinite(dt_max)):
         raise IntegrationError(f"dt_max must be positive and finite, got {dt_max!r}")
     c = field.constraint

@@ -17,6 +17,7 @@ its own constant sign, can be combined additively.
 
 import warnings as _warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,8 @@ from .errors import (
     AdmissibilityError, DomainEscapeError, DomainEvalError, RegularityError,
     RootFindingError,
 )
-from .fields import AmbientMap, FieldHandle, _floats
+from . import expr
+from .fields import TIME_NAME, AmbientMap, FieldHandle, _floats
 
 __all__ = [
     "ImplicitConstraint", "ForcedField", "ManifoldDegreeResult",
@@ -56,6 +58,8 @@ class ImplicitConstraint:
         self.domain = domain
         # slack a solved point may have outside the domain box
         self.escape_margin = 1e-9 * domain.diameter
+
+    _code = cached_property(lambda self: _generated(self))  # _source's, on first use
 
     @classmethod
     def from_expressions(cls, k, s, g_sources, variables, domain):
@@ -135,97 +139,34 @@ def complete_velocity(constraint, point, psi1_value):
     Solves d_y g * psi_2 = -d_x g * psi_1 by a linear solve (never an
     explicit inverse), so the result satisfies g'(point) * psi = 0.
     """
-    point = _floats(point)
-    jet = constraint.gmap.flat(point, jacobian=True)
-    return np.array(_complete(constraint, jet, point, _floats(psi1_value)))
-
-
-def _complete(constraint, jet, point, psi1):
-    # complete_velocity on floats, from the constraint's flat jet at point
-    k, s = constraint.k, constraint.s
-    if s == 1:
-        pivot = jet[k + 1]
-        if pivot == 0.0:
-            raise RegularityError(f"d_y g is singular at {np.asarray(point)}")
-        # d_x g . psi1 left to right: the same bits on every machine, which
-        # a BLAS dot with fused multiply-adds does not promise
-        rhs = jet[1] * psi1[0]
-        for a, b in zip(jet[2:k + 1], psi1[1:]):
-            rhs += a * b
-        return [*psi1, -rhs / pivot]
-    jac = np.array(jet).reshape(s, constraint.dim + 1)[:, 1:]
-    rhs = jac[:, :k] @ np.array(psi1)
-    try:
-        psi2 = np.linalg.solve(jac[:, k:], -rhs)
-    except np.linalg.LinAlgError:
-        raise RegularityError(f"d_y g is singular at {np.asarray(point)}") from None
-    return [*psi1, *psi2.tolist()]
+    return np.array(constraint._code["tangent"](*_floats(point), *_floats(psi1_value)))
 
 
 class ForcedField:
     """Tangent field on the level set with first components gamma + lam * sigma.
 
     Either part may be absent: without sigma the field ignores ``lam``,
-    without gamma it is ``lam`` times the completed forcing.  The array
-    methods wrap plain-float ones (``_velocity``, ``_linearize``), which
-    the flow steps call directly on lists of floats.
+    without gamma it is ``lam`` times the completed forcing.  Its arithmetic,
+    and the RK4 steps :mod:`manideg.flow` runs, are straight-line code
+    generated once per combination of parts (see :func:`_source`).
     """
 
     def __init__(self, constraint, gamma=None, sigma=None):
+        if gamma is None and sigma is None:
+            raise ValueError("a field needs gamma, sigma or both")
         self.constraint = constraint
         self.gamma = gamma
         self.sigma = sigma
         self.time_dependent = any(part is not None and part.time_dependent
                                   for part in (gamma, sigma))
 
-    def _first(self, t, p, lam):
-        # gamma + lam * sigma at the float list p
-        if self.gamma is None:
-            return [lam * b for b in self.sigma.flat(p, t)]
-        first = self.gamma.flat(p, t)
-        if self.sigma is not None and lam != 0.0:
-            first = [a + lam * b for a, b in zip(first, self.sigma.flat(p, t))]
-        return first
+    _code = cached_property(lambda self: _generated(self.constraint, self.gamma, self.sigma))
 
     def first(self, t, point, lam=0.0):
-        return np.array(self._first(t, _floats(point), lam))
-
-    def _velocity(self, t, p, lam):
-        c = self.constraint
-        return _complete(c, c.gmap.flat(p, jacobian=True), p, self._first(t, p, lam))
+        return np.array(self._code["first"](*_floats(point), t, lam))
 
     def velocity(self, t, point, lam=0.0):
-        return np.array(self._velocity(t, _floats(point), lam))
-
-    def _linearize(self, t, p, lam):
-        # linearize at the float list p: velocity and dp/dlam as lists, A as an array
-        c = self.constraint
-        k, n1 = c.k, c.dim + 1
-        if self.sigma is None:
-            jet = self.gamma.flat(p, t, True)
-            dp_dlam = [0.0] * k
-        else:
-            forcing = self.sigma.flat(p, t, True)
-            dp_dlam = forcing[::n1]
-            if self.gamma is None:
-                jet = [lam * b for b in forcing]
-            else:
-                jet = self.gamma.flat(p, t, True)
-                if lam != 0.0:
-                    jet = [a + lam * b for a, b in zip(jet, forcing)]
-        gjet = c.gmap.flat(p, jacobian=True)
-        velocity = _complete(c, gjet, p, jet[::n1])
-        if c.s == 1:
-            pivot = -gjet[k + 1]
-            slave = [d / pivot for d in gjet[1:k + 1]]
-            # row i of d_(x, y) p starts at jet[r], r = i * n1 + 1
-            a = np.array([[jet[r + j] + jet[r + k] * sj for j, sj in enumerate(slave)]
-                          for r in range(1, k * n1, n1)])
-        else:
-            dp = np.array(jet).reshape(k, n1)[:, 1:]
-            jac = np.array(gjet).reshape(c.s, n1)[:, 1:]
-            a = dp[:, :k] + dp[:, k:] @ np.linalg.solve(jac[:, k:], -jac[:, :k])
-        return velocity, a, dp_dlam
+        return np.array(self._code["velocity"](*_floats(point), t, lam))
 
     def linearize(self, t, point, lam=0.0):
         """Velocity and the first-order data of the x-equations at ``point``.
@@ -237,11 +178,144 @@ class ForcedField:
         k x k matrix of the variational equation and dp_dlam = sigma
         (zero without a forcing part).  Only first derivatives are used.
         """
-        velocity, a, dp_dlam = self._linearize(t, _floats(point), lam)
+        velocity, a, dp_dlam = self._code["linearize"](*_floats(point), t, lam)
         return np.array(velocity), a, np.array(dp_dlam)
 
     def eval(self, t, point):
         return self.velocity(t, point, 1.0)
+
+
+# --- generated step code ------------------------------------------------------
+
+_STEP_CODE = {}  # (parts' ASTs and variables, k, s) -> {name: code of its def}
+
+
+def _generated(constraint, *field):
+    # _source's functions, with the callable parts' flat as their globals g, gamma, sigma
+    parts = (constraint.gmap, *field)
+    key = (tuple(p if p is None else (p.asts, p.variables) if p.asts else "flat"
+                 for p in parts), constraint.k, constraint.s)
+    if key not in _STEP_CODE:  # one by one: compiling all at once peaks at 0.5 MB
+        _STEP_CODE[key] = {name: compile(source, "<manideg step>", "exec")
+                           for name, source in _source(constraint.k, constraint.s, *parts)}
+    ns = dict(globals(), **expr._SCALAR_NS)  # numpy as np, the errors, math
+    ns.update(zip(("g", "gamma", "sigma"), (p and p.flat for p in parts)))
+    for code in _STEP_CODE[key].values():
+        exec(code, ns)
+    return {name: ns[name] for name in _STEP_CODE[key]}
+
+
+def _tuple(names):
+    return f"({', '.join(names)},)"
+
+
+def _source(k, s, g, *field):
+    # (name, source) of straight-line functions of the float coordinates a0, ...,
+    # a[n-1] that do their formulas' float operations in order.  For the constraint
+    # alone: residual, newton_y (the y-Newton step) and tangent (completing f0, ...).
+    # For a field: first, velocity, linearize of (a0, ..., t, lam) and rk4(w) of (t,
+    # dt, lam, W, a0, ...) -> (state, W).  Callable parts are called as g, gamma, sigma.
+    n = k + s
+    a = [f"a{i}" for i in range(n)]
+    point, em, out = ", ".join(a), expr._Emitter((), (), "scalar"), []
+
+    def define(name, params, result):
+        body = "\n".join([*em.lines, f"return {result}"]).splitlines()
+        out.append((name, "\n".join([f"def {name}({params}):", *(f"    {ln}" for ln in body)])))
+        em.lines = []
+
+    if not field:
+        values = [r[0] for r in _emit_part(em, g, "g", n, ())]
+        define("residual", point, values[0] if s == 1 else _tuple(values))
+        dy = [d for r in _emit_part(em, g, "g", n, range(k, n)) for d in r[1:]]
+        fail = ("raise RootFindingError(f'singular d_y g during y-solve at x = "
+                f"{{[{', '.join(a[:k])}]}}')")
+        em.lines += [f"if {dy[0]} == 0.0:\n    {fail}"] if s == 1 else [
+            f"try:\n    step = np.linalg.solve(np.array({_tuple(dy)}).reshape({s}, {s}), -gval)",
+            f"except np.linalg.LinAlgError:\n    {fail} from None"]
+        define("newton_y", f"{point}, gval", f"-gval / {dy[0]}" if s == 1 else "step")
+        f, gjet = [f"f{i}" for i in range(k)], _emit_part(em, g, "g", n, range(n))
+        define("tangent", ", ".join(a + f), _completion(em, k, s, gjet, f, point))
+        return out
+    args = f"{point}, a{n}, lam"
+    define("first", args, _tuple(r[0] for r in _emit_p(em, *field, n, ())[0]))
+    for name, seeds in (("velocity", ()), ("linearize", range(n))):
+        p, forcing = _emit_p(em, *field, n, seeds)
+        gjet = _emit_part(em, g, "g", n, range(n))
+        ret = _completion(em, k, s, gjet, [r[0] for r in p], point)
+        if seeds and s == 1:  # A = d_x p + d_y p * slave, slave = d_x g / (-d_y g)
+            pivot = em.new(f"-{gjet[0][k + 1]}")
+            slave = [em.new(f"{d} / {pivot}") for d in gjet[0][1:k + 1]]
+            rows = [_tuple(em.new(f"{r[1 + j]} + {r[1 + k]} * {sj}")
+                           for j, sj in enumerate(slave)) for r in p]
+            ret += f", np.array({_tuple(rows)})"
+        elif seeds:  # by numpy, with jac = d_(x, y) g from the completion
+            em.lines.append(f"dp = np.array({_tuple(sum(p, []))}).reshape({k}, {n + 1})[:, 1:]")
+            ret += f", dp[:, :{k}] + dp[:, {k}:] @ np.linalg.solve(jac[:, {k}:], -jac[:, :{k}])"
+        if seeds:  # dp/dlam
+            ret += ", " + _tuple([r[0] for r in forcing] if forcing else ["0.0"] * k)
+        define(name, args, ret)
+    for name, lin in (("rk4", False), ("rk4w", True)):
+        em.lines, ks = ["h = dt / 2.0"], a
+        for i, (c, ts) in enumerate(zip(("", "h", "h", "dt"), ("t", "t + h", "t + h", "t + dt"))):
+            shifted = ", ".join(f"{x} + {c} * {v}" if i else x for x, v in zip(a, ks))
+            ks = [f"k{i}_{j}" for j in range(n)]
+            em.lines += [f"{_tuple(ks)}, A, d = linearize({shifted}, {ts}, lam)",
+                         f"m{i} = A.dot({f'w + {c} * m{i - 1}' if i else 'w'})",  # W' = AW + [0|d]
+                         *(f"m{i}[{r}, -1] += d[{r}]" for r in range(k))] if lin else [
+                             f"{_tuple(ks)} = velocity({shifted}, {ts}, lam)"]
+        raw = ", ".join(f"{x} + sixth * (k0_{j} + 2.0 * k1_{j} + 2.0 * k2_{j} + k3_{j})"
+                        for j, x in enumerate(a))
+        em.lines.append("sixth = dt / 6.0")
+        define(name, f"t, dt, lam, w, {point}",
+               f"[{raw}], w" + (" + sixth * (m0 + 2.0 * m1 + 2.0 * m2 + m3)" if lin else ""))
+    return out
+
+
+def _emit_part(em, part, name, n, seeds, t="0.0"):
+    # per component of ``part`` (``name`` in the source) at (a0, ...) and time t: the
+    # names of its value and partials by ``seeds``; a callable part calls its flat
+    if part.asts is None:
+        jet = em.new(f"{name}([{', '.join(f'a{i}' for i in range(n))}], {t}, {bool(seeds)})")
+        return [[f"{jet}[{i * (n + 1) + j if seeds else i}]"
+                 for j in (0, *(1 + j for j in seeds))] for i in range(part.n_out)]
+    em.bind(part.variables + (TIME_NAME,), [part.variables[j] for j in seeds])
+    emitted = [em.emit(tree) for tree in part.asts]  # (value, {seed slot: partial})
+    return [[v, *(d.get(j, "0.0") for j in range(len(seeds)))] for v, d in emitted]
+
+
+def _emit_p(em, gamma, sigma, n, seeds):
+    # rows (as _emit_part's) of p = gamma + lam * sigma and of sigma; sigma is
+    # evaluated where lam != 0.0 only, unless partials are asked for (dp/dlam)
+    t = f"a{n}"
+    forcing = sigma and (seeds or gamma is None) and _emit_part(em, sigma, "sigma", n, seeds, t)
+    if gamma is None:
+        return [[em.new(f"lam * {b}") for b in row] for row in forcing], forcing
+    own, mark = _emit_part(em, gamma, "gamma", n, seeds, t), len(em.lines)
+    if sigma is None:
+        return own, None
+    forcing = forcing or _emit_part(em, sigma, "sigma", n, seeds, t)
+    p = [[em.new(f"{u} + lam * {v}") for u, v in zip(*pair)] for pair in zip(own, forcing)]
+    em.lines[mark:] = ["if lam != 0.0:", *(f"    {ln}" for ln in em.lines[mark:]), "else:",
+                       *(f"    {q} = {u}" for rq, ru in zip(p, own) for q, u in zip(rq, ru))]
+    return p, forcing
+
+
+def _completion(em, k, s, gjet, first, point):
+    # the velocity completing ``first`` by d_y g * psi_2 = -d_x g * psi_1; for s = 1 on
+    # floats, d_x g . psi_1 left to right (a BLAS dot's fused multiply-adds round otherwise)
+    fail = f"raise RegularityError(f'd_y g is singular at {{np.asarray([{point}])}}')"
+    if s > 1:
+        em.lines += [f"jac = np.array({_tuple(sum(gjet, []))}).reshape({s}, {k + s + 1})[:, 1:]",
+                     f"try:\n    psi2 = np.linalg.solve(jac[:, {k}:], "
+                     f"-(jac[:, :{k}] @ np.array({_tuple(first)})))",
+                     f"except np.linalg.LinAlgError:\n    {fail} from None"]
+        return f"[{', '.join(first)}, *psi2.tolist()]"
+    d = gjet[0]
+    em.lines += [f"if {d[k + 1]} == 0.0:\n    {fail}"]
+    rhs = em.new(f"{d[1]} * {first[0]}")
+    em.lines += [f"{rhs} += {u} * {v}" for u, v in zip(d[2:k + 1], first[1:])]
+    return _tuple([*first, f"-{rhs} / {d[k + 1]}"])
 
 
 def tangent_completion(psi1, constraint):
@@ -301,44 +375,19 @@ def implicit_solve_y(constraint, x, y_guess=None, tol=1e-12, max_iter=50):
 def _solve_y(constraint, x, y, tol, max_iter=50):
     # implicit_solve_y on float lists; returns (y, |g| at the solution).
     # A scalar y is solved on floats, s > 1 by numpy solves.
-    gmap, k, s = constraint.gmap, constraint.k, constraint.s
-    point = None
-
-    if s == 1:
-        def residual(yv):
-            nonlocal point
-            point = x + [yv]
-            return gmap.flat(point)[0]
-
-        def newton_step(yv, gval):
-            # point is (x, yv): damped_newton steps from its latest residual point
-            pivot = gmap.flat(point, jacobian=True)[k + 1]
-            if pivot == 0.0:
-                raise RootFindingError(f"singular d_y g during y-solve at x = {x}")
-            return -gval / pivot
-
-        y, gval = damped_newton(residual, newton_step, y[0], tol, max_iter, norm=abs)
+    g, step = constraint._code["residual"], constraint._code["newton_y"]
+    if constraint.s == 1:
+        y, gval = damped_newton(lambda yv: g(*x, yv), lambda yv, gv: step(*x, yv, gv),
+                                y[0], tol, max_iter, norm=abs)
         y, drift = [y], abs(gval)
     else:
-        def residual(yv):
-            nonlocal point
-            point = x + yv.tolist()
-            return np.array(gmap.flat(point))
-
-        def newton_step(yv, gval):
-            jet = gmap.flat(point, jacobian=True)
-            d2 = np.array(jet).reshape(s, k + s + 1)[:, k + 1:]
-            try:
-                return np.linalg.solve(d2, -gval)
-            except np.linalg.LinAlgError:
-                raise RootFindingError(
-                    f"singular d_y g during y-solve at x = {x}") from None
-
         with np.errstate(over="ignore", invalid="ignore"):
-            y, gval = damped_newton(residual, newton_step, np.array(y), tol, max_iter)
+            y, gval = damped_newton(lambda yv: np.array(g(*x, *yv.tolist())),
+                                    lambda yv, gv: step(*x, *yv.tolist(), gv),
+                                    np.array(y), tol, max_iter)
             drift = float(np.linalg.norm(gval))
         y = y.tolist()
-    if not constraint.domain.contains(point, margin=constraint.escape_margin):
+    if not constraint.domain.contains(x + y, margin=constraint.escape_margin):
         raise DomainEscapeError(
             f"y-solve at x = {x} converged to {y}, outside the domain box"
         )

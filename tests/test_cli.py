@@ -8,6 +8,7 @@ failure.
 import csv
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -252,6 +253,26 @@ def test_trace_to_stdout(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("index,lambda,")
     assert len(lines) == 2
+
+
+GOLDEN_TRACE = pathlib.Path(__file__).with_name("golden_trace_example_5_5.csv")
+
+
+def test_trace_matches_golden_branch(capsys, tmp_path):
+    # the CSV of `trace example-5-5 --lambda-max 0.4` as committed: the header
+    # and the index column exactly, the floats to a relative 1e-12 (values at
+    # roundoff level, residuals and drifts, to 1e-14 absolutely)
+    path = tmp_path / "branch.csv"
+    code, _, _ = run_cli(capsys, "trace", "example-5-5", "--lambda-max", "0.4",
+                         "--out", str(path))
+    assert code == 0
+    got = list(csv.reader(path.open()))
+    want = list(csv.reader(GOLDEN_TRACE.open()))
+    assert got[0] == want[0] and len(got) == len(want)
+    for row, golden in zip(got[1:], want[1:]):
+        assert row[0] == golden[0]
+        assert [float(v) for v in row[1:]] == pytest.approx(
+            [float(v) for v in golden[1:]], rel=1e-12, abs=1e-14)
 
 
 # --- verify-paper -------------------------------------------------------------------

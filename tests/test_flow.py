@@ -15,13 +15,17 @@ import pytest
 from manideg import (
     AmbientMap,
     DomainBox,
+    DomainEvalError,
     ForcedField,
     ImplicitConstraint,
     IntegrationError,
     ManidegError,
     REGISTRY,
+    RegularityError,
     SemiExplicitDae,
     build_autonomous_tangent,
+    build_forcing_tangent,
+    complete_velocity,
     flow_map,
     implicit_solve_y,
     period_map,
@@ -29,6 +33,7 @@ from manideg import (
     shooting_residual,
     write_trajectory_csv,
 )
+from manideg import manifold
 
 
 def exponential_flow():
@@ -112,7 +117,8 @@ def test_flow_step_count_from_dt_cap():
     ({"n_steps": 0}, "n_steps"),
     ({"n_steps": -3}, "n_steps"),
     ({"dt_max": 0.0}, "dt_max"),
-], ids=["zero-steps", "negative-steps", "zero-dt-max"])
+    ({"n_steps": 2.5}, "n_steps"),
+], ids=["zero-steps", "negative-steps", "zero-dt-max", "fractional-steps"])
 def test_flow_rejects_bad_step_counts(options, needle):
     field = exponential_flow()
     with pytest.raises(IntegrationError, match=needle):
@@ -165,6 +171,29 @@ def test_spring_period_is_pinned_bit_for_bit():
     assert sens.sensitivity.tolist() == PINNED_SENSITIVITY
 
 
+# The same for one 64-step period of example-5-7 from (1, 0.5, y) at lam = 0.3:
+# two constraint equations, so the completion, the slaved matrix and the
+# y-Newton steps go through numpy's LAPACK solves.
+PINNED_START_5_7 = [1.0, 0.5, 1.1180339887498942, 0.4636476090008056]
+PINNED_FINAL_5_7 = [2.125075474974513, 2.106205078768267, 2.9919969264969835,
+                    0.7809384564926339]
+PINNED_SENSITIVITY_5_7 = [
+    [1.2486159809521142, 1.2645989689855779, 5.400958754692195],
+    [3.0137961271534333, 4.346617060717545, 13.655097104828078],
+]
+
+
+def test_two_constraint_period_is_pinned_bit_for_bit():
+    dae = REGISTRY["example-5-7"].build_dae()
+    field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    start = np.array(PINNED_START_5_7)
+    plain = flow_map(field, start, 0.0, dae.period, 0.3, n_steps=64)
+    sens = flow_map(field, start, 0.0, dae.period, 0.3, n_steps=64, sensitivity=True)
+    assert plain.final_state.tolist() == PINNED_FINAL_5_7
+    assert sens.final_state.tolist() == PINNED_FINAL_5_7
+    assert sens.sensitivity.tolist() == PINNED_SENSITIVITY_5_7
+
+
 def callable_spring_field():
     # example-5-5 from numpy callables: every part goes through AmbientMap's
     # adapter from array output to plain floats
@@ -202,6 +231,60 @@ def test_callable_backed_field_flows_like_expression_field():
             for field in (spring_field(), callable_spring_field())]
     assert np.max(np.abs(runs[0].states - runs[1].states)) <= 1e-12
     assert np.max(np.abs(runs[0].sensitivity - runs[1].sensitivity)) <= 1e-12
+
+
+# --- the generated step code ---------------------------------------------------
+
+def test_forcing_only_field_keeps_signed_zeros_at_zero_lambda():
+    # lam * sigma at lam = 0 is +-0.0, and the completion -rhs / pivot is -0.0
+    field = build_forcing_tangent(REGISTRY["example-5-5"].build_dae())
+    v = field.velocity(0.0, np.array(PINNED_START), 0.0)
+    assert v.tolist() == [0.0, 0.0, 0.0]
+    assert np.signbit(v).tolist() == [False, False, True]
+    assert np.signbit(field.linearize(0.0, np.array(PINNED_START), 0.0)[0]).tolist() == [
+        False, False, True]
+    res = flow_map(field, np.array(PINNED_START), 0.0, 1.0, 0.0, n_steps=4)
+    assert res.final_state.tolist() == PINNED_START
+
+
+def test_forcing_is_not_evaluated_at_zero_lambda():
+    dae = REGISTRY["example-5-5"].build_dae()
+    sigma = AmbientMap.from_expressions(("0", "log(x1 - 5)"), ("x1", "x2", "y"))
+    field = ForcedField(dae.constraint, dae.gamma, sigma)
+    start = np.array(PINNED_START)
+    assert np.array_equal(field.velocity(0.0, start, 0.0),
+                          spring_field().velocity(0.0, start, 0.0))
+    flow_map(field, start, 0.0, 1.0, 0.0, n_steps=4)
+    with pytest.raises(DomainEvalError):
+        field.velocity(0.0, start, 0.3)
+    with pytest.raises(DomainEvalError):
+        flow_map(field, start, 0.0, 1.0, 0.3, n_steps=4)
+
+
+def test_zero_pivot_raises_regularity_error():
+    # g = y^2 - x has d_y g = 2y = 0 at the origin
+    con = ImplicitConstraint.from_expressions(
+        1, 1, ("y^2 - x",), ("x", "y"), DomainBox.cube(-2.0, 2.0, 2))
+    field = build_autonomous_tangent(SemiExplicitDae(
+        con, gamma=AmbientMap.from_expressions(("1",), ("x", "y"))))
+    for evaluate in (field.velocity, field.linearize):
+        with pytest.raises(RegularityError, match="singular"):
+            evaluate(0.0, np.zeros(2))
+    with pytest.raises(RegularityError, match="singular"):
+        complete_velocity(con, np.zeros(2), np.ones(1))
+
+
+def test_shooting_compiles_the_step_code_once(monkeypatch):
+    dae = REGISTRY["example-5-5"].build_dae()
+    compiled = []
+    source = manifold._source
+    monkeypatch.setattr(manifold, "_STEP_CODE", {})
+    monkeypatch.setattr(manifold, "_source",
+                        lambda *parts: compiled.append(parts) or source(*parts))
+    first = shooting_residual(dae, np.array([0.1, 0.0]), 0.2, steps_per_period=8)
+    second = shooting_residual(dae, np.array([0.1, 0.0]), 0.2, steps_per_period=8)
+    assert len(compiled) == 1
+    assert np.array_equal(first[0], second[0])
 
 
 # --- drift control -------------------------------------------------------------
