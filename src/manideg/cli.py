@@ -297,7 +297,8 @@ def build_parser():
     p_degree.add_argument("problem", help="problem file or bundled name")
     p_degree.add_argument("--method", choices=("sign-sum", "winding"),
                           default="sign-sum")
-    p_degree.add_argument("--box", help="override region, 'lo:hi,lo:hi,...'")
+    p_degree.add_argument("--box", help="override region, --box=lo:hi,lo:hi,... (with '=', "
+                               "since a range may start with '-')")
     p_degree.add_argument("--quadrature-nodes", type=int, default=None)
     p_degree.add_argument("--out", help="also write the JSON record to a file")
     p_degree.set_defaults(func=_cmd_degree)

@@ -134,16 +134,7 @@ def _averaged_map(sigma, period, nodes):
                                           else part[..., 0] if part.ndim else part)
         return tuple(means)
 
-    def one(point, jacobian):
-        # a single point is a batch of one, so there is one averaging code
-        out, valid = averaged.batch(np.asarray(point, dtype=float)[None], jacobian)
-        if not valid[0]:
-            raise DomainEvalError(f"the averaged forcing is undefined at {point}")
-        return out[0]
-
-    averaged = AmbientMap(sigma.n_in, sigma.n_out, lambda point, t=0.0: one(point, False),
-                          lambda point, t=0.0: one(point, True), vector=vector)
-    return averaged
+    return AmbientMap(sigma.n_in, sigma.n_out, vector)
 
 
 def average_wind(dae, quadrature_nodes=DEFAULT_QUADRATURE_NODES):

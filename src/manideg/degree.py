@@ -301,6 +301,15 @@ def _polish(field, x, fx, max_extra=60):
     return x
 
 
+def _check_search_tolerances(newton_tol=1e-10, dedup_radius=None):
+    # newton_tol positive and finite, dedup_radius (if given) non-negative and finite
+    if not 0.0 < newton_tol < math.inf:
+        raise ValueError(f"newton_tol must be positive and finite, got {newton_tol!r}")
+    if dedup_radius is not None and not 0.0 <= dedup_radius < math.inf:
+        raise ValueError(
+            f"dedup_radius must be non-negative and finite, got {dedup_radius!r}")
+
+
 def find_zeros(field, box, grid_density=None, newton_tol=1e-10,
                dedup_radius=None, max_newton_iter=60, degenerate_tol=1e-10):
     """Locate the zeros of ``field`` inside ``box``.
@@ -332,6 +341,7 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10,
     """
     if field.dim != box.dim:
         raise ValueError(f"field dimension {field.dim} != box dimension {box.dim}")
+    _check_search_tolerances(newton_tol, dedup_radius)
     density = grid_density if grid_density is not None else _default_density(box.dim)
     density = max(2, int(density))
     radius = dedup_radius if dedup_radius is not None else 1e-6 * box.diameter
@@ -351,11 +361,11 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10,
         accepted.append(rest[0])
         rest = rest[_norms(rest - rest[0]) > radius]
 
+    # the residuals and determinants of all zeros come from one batch each
+    zeros = np.array(sorted(accepted, key=tuple)).reshape(-1, box.dim)
+    residuals, dets = _norms(_sample(field, zeros)), np.linalg.det(_sample(field, zeros, True))
     records = []
-    for x in sorted(accepted, key=lambda p: tuple(p)):
-        residual = float(np.linalg.norm(field(x)))
-        jac = np.asarray(field.jacobian(x), dtype=float)
-        det = float(np.linalg.det(jac))
+    for x, residual, det in zip(zeros, residuals.tolist(), dets.tolist()):
         degenerate = abs(det) < degenerate_tol
         index = 0 if degenerate else (1 if det > 0 else -1)
         records.append(ZeroRecord(x, residual, det, index, degenerate))
@@ -364,7 +374,7 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10,
 
 def local_index(field, zero, degenerate_tol=1e-10):
     """Sign of the Jacobian determinant at a nondegenerate zero."""
-    det = float(np.linalg.det(np.asarray(field.jacobian(np.asarray(zero, dtype=float)))))
+    det = float(np.linalg.det(field.jacobian(zero)))
     if abs(det) < degenerate_tol:
         raise DegenerateZeroError(
             f"Jacobian determinant {det:.3e} at {np.asarray(zero)} is (numerically) "
@@ -379,9 +389,9 @@ def boundary_min(field, box, samples_per_face=None):
     return float(_norms(_sample(field, box.boundary_grid(max(2, int(n))))).min())
 
 
-def _sample(field, points):
-    # field values at boundary samples, each of which must evaluate
-    values, valid = field.batch(points)
+def _sample(field, points, jacobian=False):
+    # field values (or Jacobians) at sample points, each of which must evaluate
+    values, valid = field.batch(points, jacobian)
     if not valid.all():
         raise DomainEvalError(f"the field is undefined at the sample {points[~valid][0]}")
     return values

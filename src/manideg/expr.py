@@ -10,8 +10,8 @@ Grammar, from loosest to tightest binding::
     exponent := ['-'] INTEGER | '(' ['-'] INTEGER ')'
 
 Binary operators of equal precedence associate to the left, and '^'
-requires a constant integer exponent.  The recognised functions are
-sin, cos, exp, log, sqrt and abs.
+requires a constant integer exponent; literals must be finite doubles.
+The recognised functions are sin, cos, exp, log, sqrt and abs.
 
 Derivatives are forward-mode dual numbers: every AST node propagates a
 value together with one derivative component per requested variable.
@@ -24,7 +24,7 @@ The default ``scalar`` backend works on Python floats and raises
 :class:`DomainEvalError` outside an operation's domain.  The ``vector``
 backend takes numpy arrays, evaluates every point at once and returns
 NaN at a point outside the domain, so one bad point does not fail the
-others.
+others.  Maps (:mod:`manideg.fields`) evaluate on the ``vector`` one only.
 """
 
 import itertools
@@ -213,6 +213,8 @@ class _Parser:
     def atom(self):
         tok = self.take()
         if tok.kind == "num":
+            if not math.isfinite(float(tok.text)):
+                self.fail(f"numeric literal {tok.text!r} overflows", tok)
             return Num(float(tok.text))
         if tok.kind == "name":
             if tok.text in FUNCTIONS:

@@ -2,14 +2,17 @@
 
 An :class:`AmbientMap` is a map from ambient coordinates (and, if the
 defining expressions mention ``t``, from time) into R^p, with access to
-its Jacobian with respect to the space variables.  Expression-backed
-maps differentiate exactly through the compiled dual-number code in
-:mod:`manideg.expr`; callable-backed maps fall back to central finite
-differences unless a Jacobian callable is supplied.
-
-Every map also evaluates many points at once through ``batch``, which
-the degree routines use for their multi-start searches and samplings.
+its Jacobian with respect to the space variables.  A map holds one
+evaluation function, ``vector``, over many points at once: expression
+maps run the dual-number ``vector`` backend code of :mod:`manideg.expr`;
+callable maps call their functions point by point and fall back to
+central finite differences unless a Jacobian callable is supplied.
+``batch`` (the degree routines' multi-start searches and samplings) is
+its row form and a single point is a batch of one, so every number a
+map gives about a point comes from the same code.
 """
+
+import math
 
 import numpy as np
 
@@ -40,28 +43,23 @@ def finite_difference_jacobian(func, point, h=1e-6):
 class AmbientMap:
     """Differentiable map R^n (x time, optionally) -> R^p.
 
-    Besides the array interface (``__call__``, ``jacobian``) every map
-    has a plain-float one, ``flat(args, t=0.0, jacobian=False)``: at the
-    coordinates ``args`` (a list of floats) it returns the p values, or
-    with ``jacobian`` per component the value followed by its n partials,
-    as one flat sequence, adapted from the array interface (generated step
-    code calls it for callable-backed maps only).
-
-    Its array twin ``vector(cols, t=0.0, jacobian=False)`` takes one
-    coordinate array per variable (broadcast together and with ``t``)
-    and returns the same flat sequence of outputs as arrays, NaN where a
-    point is outside the map's domain.  Expression maps answer it from
-    the generated ``vector`` backend code; callable-backed maps loop over
-    the points.  ``batch`` is its row-wise form.
+    Its one evaluation function ``vector(cols, t=0.0, jacobian=False)``
+    takes one coordinate array per variable (broadcast together and with
+    ``t``) and returns a flat sequence of outputs as arrays: the p values,
+    or with ``jacobian`` per component the value followed by its n
+    partials; NaN where a point is outside the map's domain.  ``batch`` is
+    its row-wise form.  ``__call__``, ``jacobian`` and the plain-float
+    ``flat(args, t=0.0, jacobian=False)`` (the same flat sequence as a
+    list of floats, which generated step code calls for callable-backed
+    maps) are a batch of one, and raise :class:`DomainEvalError` where an
+    output is not finite.
     """
 
-    def __init__(self, n_in, n_out, func, jac=None, *, time_dependent=False,
-                 asts=None, variables=None, sources=None, vector=None):
+    def __init__(self, n_in, n_out, vector, *, time_dependent=False,
+                 asts=None, variables=None, sources=None):
         self.n_in = int(n_in)
         self.n_out = int(n_out)
-        self._func = func
-        self._jac = jac
-        self.vector = vector if vector is not None else self._vector_from_rows
+        self.vector = vector
         self.time_dependent = bool(time_dependent)
         self.asts = asts
         self.variables = variables
@@ -85,10 +83,6 @@ class AmbientMap:
         declared = variables + (TIME_NAME,)
         asts = tuple(expr.parse(src, declared if allow_time else variables) for src in sources)
         time_dependent = any(TIME_NAME in expr.variables_in(a) for a in asts)
-        values = expr.compile_value(asts, declared)
-        jet = expr.compile_gradient(asts, declared, seeds=variables)
-        n, p = len(variables), len(sources)
-
         vector_fns = {}  # the vector backend's functions, compiled on first use
 
         def vector(cols, t=0.0, jacobian=False):
@@ -99,60 +93,46 @@ class AmbientMap:
                     if jacobian else expr.compile_value(asts, declared, backend="vector"))
             return fn(*cols, t)
 
-        def func(point, t=0.0):
-            return np.array(values(*_floats(point), t))
-
-        def jac(point, t=0.0):
-            return np.array(jet(*_floats(point), t)).reshape(p, n + 1)[:, 1:]
-
-        return cls(n, p, func, jac, time_dependent=time_dependent,
-                   asts=asts, variables=variables, sources=sources, vector=vector)
+        return cls(len(variables), len(sources), vector, time_dependent=time_dependent,
+                   asts=asts, variables=variables, sources=sources)
 
     @classmethod
     def from_callable(cls, n_in, n_out, func, jac=None, *, time_dependent=False):
-        if time_dependent:
-            wrapped, wrapped_jac = func, jac
-        else:
-            def wrapped(point, t=0.0):
-                return np.asarray(func(point), dtype=float)
+        """Build from ``func(point)`` and optionally ``jac(point)`` (both also
+        taking ``t`` when ``time_dependent``), else finite differences."""
+        def value(point, t):
+            return np.asarray(func(point, t) if time_dependent else func(point), dtype=float)
 
-            wrapped_jac = None
-            if jac is not None:
-                def wrapped_jac(point, t=0.0):
-                    return np.asarray(jac(point), dtype=float)
+        def jet(point, t):
+            d = (finite_difference_jacobian(lambda p: value(p, t), point) if jac is None
+                 else jac(point, t) if time_dependent else jac(point))
+            return np.column_stack([value(point, t), d]).ravel()
 
-        return cls(n_in, n_out, wrapped, wrapped_jac, time_dependent=time_dependent)
+        def vector(cols, t=0.0, jacobian=False):
+            # one call per point of the broadcast inputs; NaN where the callables fail
+            points = np.broadcast(*cols, t)
+            width = n_out * (n_in + 1) if jacobian else n_out
+            out = np.full((points.size, width), np.nan)
+            for i, (*point, ti) in enumerate(points):
+                try:
+                    out[i] = (jet if jacobian else value)(np.array(point, dtype=float), float(ti))
+                except EVAL_ERRORS:
+                    pass
+            # one contiguous array per output, shaped like the broadcast inputs
+            return tuple(np.ascontiguousarray(out.T).reshape((width,) + points.shape))
+
+        return cls(n_in, n_out, vector, time_dependent=time_dependent)
 
     def __call__(self, point, t=0.0):
-        return self._func(point, t)
+        return np.array(self._row(point, t, False))
 
     def jacobian(self, point, t=0.0):
         """Jacobian with respect to the space variables only."""
-        if self._jac is not None:
-            return self._jac(point, t)
-        return finite_difference_jacobian(lambda p: self._func(p, t), point)
+        return np.array(self._row(point, t, True)).reshape(self.n_out, self.n_in + 1)[:, 1:]
 
     def flat(self, args, t=0.0, jacobian=False):
         """The plain-float interface (see the class docstring)."""
-        point = np.array(args, dtype=float)
-        value = np.asarray(self(point, t), dtype=float)
-        if not jacobian:
-            return value.tolist()
-        return np.column_stack([value, self.jacobian(point, t)]).ravel().tolist()
-
-    def _vector_from_rows(self, cols, t=0.0, jacobian=False):
-        # ``vector`` of a map given by array callables: one ``flat`` call per point
-        *cols, t = np.broadcast_arrays(*cols, t)
-        width = self.n_out * (self.n_in + 1) if jacobian else self.n_out
-        out = np.full((t.size, width), np.nan)
-        points = np.stack([c.ravel() for c in cols], axis=1).tolist()
-        for i, (point, ti) in enumerate(zip(points, t.ravel().tolist())):
-            try:
-                out[i] = self.flat(point, ti, jacobian)
-            except EVAL_ERRORS:
-                pass
-        # one contiguous array per output, shaped like the broadcast inputs
-        return tuple(np.ascontiguousarray(out.T).reshape((width,) + t.shape))
+        return self._row(args, t, jacobian)
 
     def batch(self, points, jacobian=False):
         """Evaluate the time-free map at the N rows of ``points``.
@@ -162,15 +142,27 @@ class AmbientMap:
         outside the domain is NaN and masked out instead of raising.
         """
         points = np.asarray(points, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            parts = self.vector(list(np.ascontiguousarray(points.T)), 0.0, jacobian)
-        out = np.empty((len(points), len(parts)))
-        for j, part in enumerate(parts):
-            out[:, j] = part
+        out = self._rows(list(np.ascontiguousarray(points.T)), 0.0, jacobian)
         valid = ~np.isnan(out).any(axis=1)
         if jacobian:
             out = out.reshape(len(points), self.n_out, self.n_in + 1)[:, :, 1:]
         return out, valid
+
+    def _row(self, point, t, jacobian):
+        # a batch of one at time t, as a list of floats that must all be finite
+        row = self._rows([np.array([v]) for v in _floats(point)], t, jacobian)[0].tolist()
+        if not all(map(math.isfinite, row)):
+            raise DomainEvalError(f"the map does not evaluate to finite numbers at {point}")
+        return row
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _rows(self, cols, t, jacobian):
+        # vector's flat outputs at the points with coordinates ``cols``, a row each
+        parts = self.vector(cols, t, jacobian)
+        out = np.empty((len(cols[0]), len(parts)))
+        for j, part in enumerate(parts):
+            out[:, j] = part
+        return out
 
 
 def _floats(point):
@@ -183,8 +175,8 @@ def _floats(point):
 class FieldHandle(AmbientMap):
     """Square vector field R^m -> R^m, the object degree theory acts on."""
 
-    def __init__(self, dim, func, jac=None, **options):
-        super().__init__(dim, dim, func, jac, **options)
+    def __init__(self, dim, vector, **options):
+        super().__init__(dim, dim, vector, **options)
 
     @property
     def dim(self):
@@ -198,11 +190,9 @@ class FieldHandle(AmbientMap):
                 f"field has {base.n_out} components over {base.n_in} variables; "
                 "a degree field must be square"
             )
-        return cls(base.n_in, base._func, base._jac,
-                   asts=base.asts, variables=base.variables, sources=base.sources,
-                   vector=base.vector)
+        return cls(base.n_in, base.vector,
+                   asts=base.asts, variables=base.variables, sources=base.sources)
 
     @classmethod
     def from_callable(cls, dim, func, jac=None):
-        base = AmbientMap.from_callable(dim, dim, func, jac)
-        return cls(dim, base._func, base._jac)
+        return cls(dim, AmbientMap.from_callable(dim, dim, func, jac).vector)

@@ -87,7 +87,9 @@ class ImplicitConstraint:
         return float(d2[0, 0]) if self.s == 1 else float(np.linalg.det(d2))
 
     def residual(self, point):
-        return float(np.linalg.norm(self.gmap(point)))
+        """|g| at ``point``, by the generated code every y-solve's drift comes from."""
+        g = self._code["residual"](*_floats(point))
+        return abs(g) if self.s == 1 else float(np.linalg.norm(g))
 
     def y_slice(self, box=None):
         box = box or self.domain
@@ -346,16 +348,10 @@ def reduced_map(phi1, constraint):
             f"expected {constraint.dim}->{constraint.k}"
         )
 
-    def func(point, t=0.0):
-        return np.concatenate([phi1(point), constraint.g(point)])
-
-    def jac(point, t=0.0):
-        return np.vstack([phi1.jacobian(point), constraint.jacobian(point)])
-
     def vector(cols, t=0.0, jacobian=False):
         return (*phi1.vector(cols, t, jacobian), *constraint.gmap.vector(cols, t, jacobian))
 
-    return FieldHandle(constraint.dim, func, jac, vector=vector)
+    return FieldHandle(constraint.dim, vector)
 
 
 def implicit_solve_y(constraint, x, y_guess=None, tol=1e-12, max_iter=50):

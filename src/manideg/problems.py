@@ -21,7 +21,8 @@ drift, k lines, time-free) and ``sigma`` (forcing, k lines, may use
 ``t``) are optional; ``box`` lists one ``lo hi`` pair per variable.
 Remaining keys are numeric solver overrides (grid_density, newton_tol,
 dedup_radius, boundary_samples, sample_density, quadrature_nodes,
-steps_per_period); the integer ones must be at least 1.
+steps_per_period); the integer ones must be at least 1, newton_tol
+positive and finite, dedup_radius non-negative and finite.
 
 The registry at the bottom bundles six reference problems whose
 degrees are known in closed form; ``manideg verify-paper`` recomputes
@@ -31,7 +32,7 @@ them.
 from dataclasses import dataclass, field
 
 from .dae import DEFAULT_QUADRATURE_NODES, SemiExplicitDae, average_wind
-from .degree import DomainBox
+from .degree import DomainBox, _check_search_tolerances
 from .errors import ProblemFormatError
 from .fields import AmbientMap
 from .manifold import ImplicitConstraint, reduced_map
@@ -175,6 +176,11 @@ def parse_problem(text):
             if key in _INT_OPTIONS and options[key] < 1:
                 raise ProblemFormatError(
                     f"line {lineno}: {key!r} must be at least 1, got {options[key]}")
+            if key in ("newton_tol", "dedup_radius"):
+                try:
+                    _check_search_tolerances(**{key: options[key]})
+                except ValueError as exc:
+                    raise ProblemFormatError(f"line {lineno}: {exc}") from None
         else:
             raise ProblemFormatError(f"line {lineno}: unknown key {key!r}")
 

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import pathlib
+import shlex
 
 import pytest
 
@@ -87,6 +88,11 @@ def test_registry_problems_round_trip():
     lambda t: t.replace("g = y^3 + y - x1^5 - x1", "g ="),
     lambda t: t.replace("gamma = x2", "gamma = x2 +"),    # eager expression check
     lambda t: t.replace("steps_per_period = 128", "steps_per_period = 0"),
+    lambda t: t.replace("gamma = x2", "gamma = 1e999*x2"),  # literal overflows
+    lambda t: t + "newton_tol = -1\n",
+    lambda t: t + "newton_tol = nan\n",
+    lambda t: t + "dedup_radius = inf\n",
+    lambda t: t + "dedup_radius = -1\n",
 ])
 def test_malformed_problem_text_rejected(mutation):
     # expression-level failures surface as their own ProblemError subclass
@@ -202,6 +208,35 @@ def test_degree_from_problem_file(capsys, tmp_path):
 def test_exit_2_for_bad_input(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and needle in err
+
+
+@pytest.mark.parametrize("old,new,needle", [
+    ("gamma = x2", "gamma = 1e999*x2", "1e999"),
+    ("steps_per_period = 128", "newton_tol = -1", "newton_tol"),
+], ids=["overflowing-literal", "newton-tol-negative"])
+def test_exit_2_for_bad_problem_file(capsys, tmp_path, old, new, needle):
+    path = tmp_path / "osc.problem"
+    path.write_text(SPRING_TEXT.replace(old, new), encoding="utf-8")
+    code, _, err = run_cli(capsys, "degree", str(path))
+    assert code == 2 and needle in err
+
+
+def test_readme_command_lines_run(capsys, tmp_path):
+    # every `manideg ...` line of README's command-line block, on a bundled
+    # problem instead of the placeholder file and writing into tmp_path
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(ln, comments=True) for ln in block.splitlines()
+             if ln.startswith("manideg ")]
+    assert len(lines) >= 3
+    for words in lines:
+        argv = ["example-4-1" if w == "myproblem.txt" else w for w in words[1:]]
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (words, err)
 
 
 def test_exit_3_for_sign_flipping_constraint(capsys, tmp_path):

@@ -277,3 +277,14 @@ def test_winding_requires_plane_field():
     line = handle(("x",), ("x",))
     with pytest.raises(ValueError):
         degree_winding_2d(line, DomainBox.cube(-1.0, 1.0, 1))
+
+
+@pytest.mark.parametrize("newton_tol, dedup_radius", [
+    (-1.0, None), (0.0, None), (math.nan, None), (math.inf, None),
+    (1e-10, -1.0), (1e-10, math.nan), (1e-10, math.inf)])
+def test_find_zeros_rejects_bad_tolerances(newton_tol, dedup_radius):
+    # the only zero, (-5, 0), lies outside the box: a search that took a
+    # negative radius would find nothing to merge instead of looping
+    field = handle(("x + 5", "y"), ("x", "y"))
+    with pytest.raises(ValueError):
+        find_zeros(field, SQUARE, newton_tol=newton_tol, dedup_radius=dedup_radius)

@@ -75,6 +75,10 @@ def test_syntax_error_carries_byte_offset():
     with pytest.raises(ExpressionSyntaxError) as err:
         expr.parse("x1 + * y1", ("x1", "y1"))
     assert err.value.offset == 5
+    # a literal that overflows to inf, which generated code cannot spell
+    with pytest.raises(ExpressionSyntaxError) as err:
+        expr.parse("x1 + 1e999*y1", ("x1", "y1"))
+    assert err.value.offset == 5
 
 
 def test_undeclared_variable_offset():
