@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 DEFAULT_TRACE_STEPS_PER_PERIOD = 256
+CORRECTOR_TOL = 1e-8  # residual norm at which the corrector stops
+ARCLENGTH_HALVINGS = 5  # step halvings per arclength advance
 
 
 @dataclass
@@ -65,7 +67,7 @@ def seed_points(seed_map, box, **find_options):
 
 
 def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD,
-                      y_guess=None, projection_tol=1e-12, jacobian=False):
+                      y_guess=None, jacobian=False):
     """Shoot one period from (x0, lam).
 
     Returns x(T) - x(0) and the :class:`SolutionPair` built from the
@@ -78,10 +80,9 @@ def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_
         raise NumericError("shooting needs a forcing period")
     x0 = np.array(x0, dtype=float)  # the pair keeps it; callers may mutate theirs
     field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
-    y0 = implicit_solve_y(dae.constraint, x0, y_guess=y_guess, tol=projection_tol)
+    y0 = implicit_solve_y(dae.constraint, x0, y_guess=y_guess)
     xi0 = np.concatenate([x0, y0])
-    res = flow_map(field, xi0, 0.0, dae.period, lam, n_steps=steps_per_period,
-                   projection_tol=projection_tol, sensitivity=jacobian)
+    res = flow_map(field, xi0, 0.0, dae.period, lam, n_steps=steps_per_period, sensitivity=jacobian)
     mean = res.states.mean(axis=0)
     amplitude = float(np.max(np.linalg.norm(res.states - mean, axis=1)))
     residual = float(np.linalg.norm(res.final_state - xi0))
@@ -93,9 +94,9 @@ def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_
     return r, pair, res.sensitivity - np.eye(dae.k, dae.k + 1)
 
 
-def correct(dae, x0, lam, *, arclength=None, tol=1e-8, max_iter=10,
+def correct(dae, x0, lam, *, arclength=None, max_iter=10,
             steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD, y_guess=None):
-    """Newton-correct a predicted solution pair.
+    """Newton-correct a predicted solution pair, to a residual norm of ``CORRECTOR_TOL``.
 
     With ``arclength=None`` the forcing amplitude is held fixed and
     only x0 is adjusted.  Otherwise ``arclength`` is a tuple
@@ -130,7 +131,7 @@ def correct(dae, x0, lam, *, arclength=None, tol=1e-8, max_iter=10,
         r, pair, jac = shoot(z, jacobian=True)  # pair: the shot at the current z
         refreshed = False
         for _ in range(max_iter):
-            if np.linalg.norm(r) <= tol:
+            if np.linalg.norm(r) <= CORRECTOR_TOL:
                 return pair
             if jac is None:
                 r, pair, jac = shoot(z, jacobian=True)
@@ -147,13 +148,13 @@ def correct(dae, x0, lam, *, arclength=None, tol=1e-8, max_iter=10,
                 jac = None  # frozen sensitivities went stale; rebuild once
                 refreshed = True
             r = r_new
-        if np.linalg.norm(r) <= tol:
+        if np.linalg.norm(r) <= CORRECTOR_TOL:
             return pair
     except NumericError as exc:
         raise CorrectorError(f"corrector aborted: {exc}") from exc
     raise CorrectorError(
         f"corrector stalled at residual {np.linalg.norm(r):.3e} "
-        f"(tolerance {tol:.1e})"
+        f"(tolerance {CORRECTOR_TOL:.1e})"
     )
 
 
@@ -170,8 +171,7 @@ def _escaped_domain(exc):
 
 
 def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
-                 domain_box=None, steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD,
-                 tol=1e-8, max_halvings=5):
+                 domain_box=None, steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD):
     """Follow a branch of solution pairs from a seed zero at lam = 0.
 
     Parameters
@@ -182,7 +182,7 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
         A zero of a seed map; its first k coordinates start the branch.
     ds : float
         Pseudo-arclength step in (x0, lam).  Halved on corrector
-        failure, up to ``max_halvings`` times per advance; restored to
+        failure, up to ``ARCLENGTH_HALVINGS`` times per advance; restored to
         the full length after every accepted point.
     lambda_max, max_steps :
         Stop once the amplitude parameter reaches lambda_max or the
@@ -239,14 +239,11 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
         corrected = None
         failure = None
         step = float(ds)
-        for _ in range(max_halvings + 1):
+        for _ in range(ARCLENGTH_HALVINGS + 1):
             pred = z_last + step * tangent
             try:
-                corrected = correct(
-                    dae, pred[:k], pred[k],
-                    arclength=(z_last, tangent, step), tol=tol,
-                    steps_per_period=steps_per_period, y_guess=last.y0,
-                )
+                corrected = correct(dae, pred[:k], pred[k], arclength=(z_last, tangent, step),
+                                    steps_per_period=steps_per_period, y_guess=last.y0)
                 break
             except CorrectorError as exc:
                 failure = exc

@@ -41,6 +41,13 @@ __all__ = [
 # Newton starts per axis, by dimension; beyond 4 axes the grid is kept coarse.
 _DEFAULT_GRID = {1: 16, 2: 16, 3: 8, 4: 6}
 _DEFAULT_FACE = {1: 2, 2: 64, 3: 16, 4: 8}
+NEWTON_MAX_ITER = 60  # iterations per Newton start
+DEGENERATE_TOL = 1e-10  # |det| below which a zero is degenerate
+ADMISSIBILITY_TOL = 1e-8  # sampled boundary |F| at or below which the sign-sum refuses
+_WINDING_SAMPLES = 256  # first boundary samples of the winding computation
+_WINDING_ZERO_TOL = 1e-10  # boundary |F| at or below which the winding is undefined
+_WINDING_MAX_PASSES = 48  # caps on the winding's refinement passes
+_WINDING_MAX_POINTS = 200000  # and on its boundary samples
 
 
 def _default_density(dim):
@@ -310,8 +317,7 @@ def _check_search_tolerances(newton_tol=1e-10, dedup_radius=None):
             f"dedup_radius must be non-negative and finite, got {dedup_radius!r}")
 
 
-def find_zeros(field, box, grid_density=None, newton_tol=1e-10,
-               dedup_radius=None, max_newton_iter=60, degenerate_tol=1e-10):
+def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=None):
     """Locate the zeros of ``field`` inside ``box``.
 
     Parameters
@@ -323,21 +329,18 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10,
         start is abandoned once an iterate leaves the box widened by
         one box width on each side.
     grid_density : int, optional
-        Newton starts per axis, all run in lock-step.  Defaults depend
-        on the dimension (16 for one or two axes, 8 for three, 6 for
-        four).
+        Newton starts per axis, all run in lock-step for at most
+        ``NEWTON_MAX_ITER`` iterations.  Defaults depend on the dimension
+        (16 for one or two axes, 8 for three, 6 for four).
     newton_tol : float
         Residual norm below which a start counts as converged.
     dedup_radius : float, optional
         Merge radius for coincident roots; defaults to 1e-6 times the
         box diameter.
-    max_newton_iter, degenerate_tol :
-        Iteration cap per start and the |det| threshold below which a
-        zero is flagged degenerate.
 
     Returns
     -------
-    list of ZeroRecord, sorted by location.
+    list of ZeroRecord, sorted by location; degenerate where |det| < ``DEGENERATE_TOL``.
     """
     if field.dim != box.dim:
         raise ValueError(f"field dimension {field.dim} != box dimension {box.dim}")
@@ -352,7 +355,7 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10,
 
     with np.errstate(over="ignore", invalid="ignore"):
         x, fx, converged = _lockstep_newton(field, box.grid(density), newton_tol,
-                                            max_newton_iter, fence)
+                                            NEWTON_MAX_ITER, fence)
         x = _polish(field, x[converged], fx[converged])
     # dedup in grid order: the first point is kept, with every later one
     # within the radius of it dropped, and so on with the rest
@@ -366,16 +369,16 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10,
     residuals, dets = _norms(_sample(field, zeros)), np.linalg.det(_sample(field, zeros, True))
     records = []
     for x, residual, det in zip(zeros, residuals.tolist(), dets.tolist()):
-        degenerate = abs(det) < degenerate_tol
+        degenerate = abs(det) < DEGENERATE_TOL
         index = 0 if degenerate else (1 if det > 0 else -1)
         records.append(ZeroRecord(x, residual, det, index, degenerate))
     return records
 
 
-def local_index(field, zero, degenerate_tol=1e-10):
+def local_index(field, zero):
     """Sign of the Jacobian determinant at a nondegenerate zero."""
     det = float(np.linalg.det(field.jacobian(zero)))
-    if abs(det) < degenerate_tol:
+    if abs(det) < DEGENERATE_TOL:
         raise DegenerateZeroError(
             f"Jacobian determinant {det:.3e} at {np.asarray(zero)} is (numerically) "
             "singular; the local index is undefined there"
@@ -398,25 +401,24 @@ def _sample(field, points, jacobian=False):
 
 
 def degree_sign_sum(field, box, *, grid_density=None, newton_tol=1e-10,
-                    dedup_radius=None, boundary_samples=None,
-                    admissibility_tol=1e-8, max_newton_iter=60):
+                    dedup_radius=None, boundary_samples=None):
     """Brouwer degree of ``field`` on ``box`` by summing local indices.
 
     Raises
     ------
     AdmissibilityError
-        If the sampled boundary magnitude drops to ``admissibility_tol``.
+        If the sampled boundary magnitude drops to ``ADMISSIBILITY_TOL``.
     DegenerateZeroError
         If any located zero has a singular Jacobian.
     """
     bmin = boundary_min(field, box, boundary_samples)
-    if bmin <= admissibility_tol:
+    if bmin <= ADMISSIBILITY_TOL:
         raise AdmissibilityError(
             f"field magnitude {bmin:.3e} on the sampled boundary of {box.bounds}; "
             "the degree is not defined for fields vanishing on the boundary"
         )
     zeros = find_zeros(field, box, grid_density=grid_density, newton_tol=newton_tol,
-                       dedup_radius=dedup_radius, max_newton_iter=max_newton_iter)
+                       dedup_radius=dedup_radius)
     for z in zeros:
         if z.degenerate:
             raise DegenerateZeroError(
@@ -453,8 +455,7 @@ def _boundary_path(box, ts):
     return pts
 
 
-def degree_winding_2d(field, box, boundary_samples=256, *, zero_tol=1e-10,
-                      max_passes=48, max_points=200000):
+def degree_winding_2d(field, box):
     """Degree of a planar field as the winding number of its boundary image.
 
     Angle increments between consecutive samples are accumulated along
@@ -465,12 +466,12 @@ def degree_winding_2d(field, box, boundary_samples=256, *, zero_tol=1e-10,
     """
     if field.dim != 2:
         raise ValueError("the winding computation applies to planar fields only")
-    ts = np.linspace(0.0, 4.0, max(8, int(boundary_samples)), endpoint=False)
-    for _ in range(max_passes):
+    ts = np.linspace(0.0, 4.0, _WINDING_SAMPLES, endpoint=False)
+    for _ in range(_WINDING_MAX_PASSES):
         pts = _boundary_path(box, ts)
         vals = _sample(field, pts)
         norms = np.hypot(vals[:, 0], vals[:, 1])
-        if norms.min() <= zero_tol:
+        if norms.min() <= _WINDING_ZERO_TOL:
             raise AdmissibilityError(
                 f"field magnitude {norms.min():.3e} on the box boundary; "
                 "winding is undefined"
@@ -492,7 +493,7 @@ def degree_winding_2d(field, box, boundary_samples=256, *, zero_tol=1e-10,
         nxt[-1] += 4.0
         mids = (ts[too_big] + nxt[too_big]) / 2.0
         ts = np.sort(np.concatenate([ts, mids]))
-        if ts.size > max_points:
+        if ts.size > _WINDING_MAX_POINTS:
             break
     raise NumericError(
         "boundary angle increments stay above pi/2 after refinement; "

@@ -20,18 +20,19 @@ from . import expr
 from .errors import DomainEvalError, ProblemFormatError
 
 TIME_NAME = "t"
+_FD_STEP = 1e-6  # relative step of the central-difference Jacobians
 
 # what evaluating a map at a point outside its domain may raise
 EVAL_ERRORS = (DomainEvalError, OverflowError, ZeroDivisionError, FloatingPointError)
 
 
-def finite_difference_jacobian(func, point, h=1e-6):
+def finite_difference_jacobian(func, point):
     """Central-difference Jacobian of ``func`` at ``point``."""
     point = np.asarray(point, dtype=float)
     f0 = np.asarray(func(point), dtype=float)
     cols = []
     for j in range(point.size):
-        step = h * (1.0 + abs(point[j]))
+        step = _FD_STEP * (1.0 + abs(point[j]))
         hi = point.copy()
         lo = point.copy()
         hi[j] += step

@@ -38,6 +38,7 @@ __all__ = ["FlowResult", "projected_step", "flow_map", "period_map",
 
 DEFAULT_STEPS_PER_PERIOD = 4096
 _MAX_HALVINGS = 20
+ON_MANIFOLD_TOL = 1e-8  # |g| the initial state of a flow may have
 
 
 @dataclass
@@ -53,8 +54,7 @@ class FlowResult:
     sensitivity: np.ndarray | None = None  # d x(t1) / d (x(t0), lam), k x (k + 1)
 
 
-def projected_step(field, state, t, dt, lam=0.0, projection_tol=1e-12,
-                   sensitivity=None):
+def projected_step(field, state, t, dt, lam=0.0, sensitivity=None):
     """One RK4 step of ``field.velocity(t, ., lam)`` plus y-projection.
 
     Given ``sensitivity``, the k x (k + 1) matrix W = dx/d(x0, lam) at
@@ -63,22 +63,22 @@ def projected_step(field, state, t, dt, lam=0.0, projection_tol=1e-12,
     from ``field.linearize``) and returns ``(state, W)``.  The state is
     bit-identical to the plain step's: W never feeds back into it.
     """
-    stepped, w, _ = _step(field, _floats(state), t, dt, float(lam), projection_tol, sensitivity)
+    stepped, w, _ = _step(field, _floats(state), t, dt, float(lam), sensitivity)
     return np.array(stepped) if sensitivity is None else (np.array(stepped), w)
 
 
-def _step(field, state, t, dt, lam, projection_tol, w):
+def _step(field, state, t, dt, lam, w):
     # projected_step on the float list state: (state, W, |g| at the new state)
     raw, w = field._code["rk4" if w is None else "rk4w"](t, dt, lam, w, *state)
     k = field.constraint.k
-    y, drift = _solve_y(field.constraint, raw[:k], raw[k:], projection_tol)
+    y, drift = _solve_y(field.constraint, raw[:k], raw[k:])
     return raw[:k] + y, w, drift
 
 
-def _advance(field, state, w, t, dt, lam, projection_tol, depth=0):
+def _advance(field, state, w, t, dt, lam, depth=0):
     # (state, W, drift) one step of dt later; W stays None when not integrated
     try:
-        return _step(field, state, t, dt, lam, projection_tol, w)
+        return _step(field, state, t, dt, lam, w)
     except RootFindingError as exc:
         if depth >= _MAX_HALVINGS:
             reason = ("the trajectory left the domain box"
@@ -89,12 +89,11 @@ def _advance(field, state, w, t, dt, lam, projection_tol, depth=0):
                 f"time step underflow near t = {t:.6g}; {reason}"
             ) from exc
         half = dt / 2.0
-        mid, w, _ = _advance(field, state, w, t, half, lam, projection_tol, depth + 1)
-        return _advance(field, mid, w, t + half, half, lam, projection_tol, depth + 1)
+        mid, w, _ = _advance(field, state, w, t, half, lam, depth + 1)
+        return _advance(field, mid, w, t + half, half, lam, depth + 1)
 
 
-def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
-             projection_tol=1e-12, on_manifold_tol=1e-8, sensitivity=False):
+def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None, sensitivity=False):
     """Flow ``xi0`` from ``t0`` to ``t1`` along a tangent field.
 
     Parameters
@@ -102,7 +101,7 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
     field : ForcedField
         The tangent field; its ``constraint`` defines the level set.
     xi0 : array
-        Initial state; must satisfy the constraint to ``on_manifold_tol``.
+        Initial state; must satisfy the constraint to ``ON_MANIFOLD_TOL``.
     n_steps, dt_max :
         Either a fixed step count (at least 1) or a positive step-size
         cap from which the count is derived (``ceil`` of span / dt_max).
@@ -120,10 +119,10 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
     c = field.constraint
     xi0 = np.asarray(xi0, dtype=float)
     drift0 = c.residual(xi0)
-    if drift0 > on_manifold_tol:
+    if drift0 > ON_MANIFOLD_TOL:
         raise ValueError(
             f"initial state violates the constraint (|g| = {drift0:.3e} "
-            f"> {on_manifold_tol:.1e})"
+            f"> {ON_MANIFOLD_TOL:.1e})"
         )
     w = np.eye(c.k, c.k + 1) if sensitivity else None
     span = float(t1 - t0)
@@ -141,8 +140,7 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None,
     state = xi0.tolist()
     times, states, drifts = [t0], [state], [drift0]
     for i in range(n_steps):
-        state, w, drift = _advance(field, state, w, t0 + i * dt, dt, lam,
-                                   projection_tol)
+        state, w, drift = _advance(field, state, w, t0 + i * dt, dt, lam)
         times.append(t0 + (i + 1) * dt)
         states.append(state)
         drifts.append(drift)

@@ -38,6 +38,10 @@ __all__ = [
     "implicit_solve_y", "schur_determinant_split", "complete_velocity",
 ]
 
+SINGULAR_TOL = 1e-10  # |det d_y g| below which partial2_sign calls a sample singular
+NEAR_SINGULAR_TOL = 1e-6  # and below which it warns
+Y_SOLVE_TOL = 1e-12  # |g| every y-solve converges to, the flow's projections included
+
 
 class ImplicitConstraint:
     """The equation g(x, y) = 0 with x in R^k and y in R^s."""
@@ -96,14 +100,12 @@ class ImplicitConstraint:
         return box.bounds[self.k:]
 
 
-def partial2_sign(constraint, sample_density=None, box=None, *,
-                  singular_tol=1e-10, warn_tol=1e-6):
+def partial2_sign(constraint, sample_density=None, box=None):
     """Constant sign of det d_y g over a box, verified by grid sampling.
 
-    Raises :class:`RegularityError` when |det| drops below
-    ``singular_tol`` at a sample or when two samples disagree in sign;
-    emits a RuntimeWarning when the margin is thinner than
-    ``warn_tol``.
+    Raises :class:`RegularityError` when |det| drops below ``SINGULAR_TOL``
+    at a sample or when two samples disagree in sign; emits a
+    RuntimeWarning when the margin is thinner than ``NEAR_SINGULAR_TOL``.
     """
     box = box or constraint.domain
     if sample_density is None:
@@ -116,12 +118,12 @@ def partial2_sign(constraint, sample_density=None, box=None, *,
     d2 = jac[:, :, constraint.k:]
     dets = d2[:, 0, 0] if constraint.s == 1 else np.linalg.det(d2)
     worst = float(np.min(np.abs(dets)))
-    if worst < singular_tol:
+    if worst < SINGULAR_TOL:
         raise RegularityError(
             f"det d_y g reaches {worst:.3e} on the sampled box {box.bounds}; "
             "the constraint is not regular there"
         )
-    if worst < warn_tol:
+    if worst < NEAR_SINGULAR_TOL:
         _warnings.warn(
             f"det d_y g is nearly singular (min |det| = {worst:.3e})",
             RuntimeWarning, stacklevel=2,
@@ -354,8 +356,8 @@ def reduced_map(phi1, constraint):
     return FieldHandle(constraint.dim, vector)
 
 
-def implicit_solve_y(constraint, x, y_guess=None, tol=1e-12, max_iter=50):
-    """Solve g(x, y) = 0 for y at fixed x by damped Newton.
+def implicit_solve_y(constraint, x, y_guess=None, max_iter=50):
+    """Solve g(x, y) = 0 for y at fixed x by damped Newton, to |g| <= ``Y_SOLVE_TOL``.
 
     The guess defaults to the midpoint of the y-slice of the
     constraint's domain box.  The converged point must lie inside the
@@ -364,23 +366,23 @@ def implicit_solve_y(constraint, x, y_guess=None, tol=1e-12, max_iter=50):
     """
     if y_guess is None:
         y_guess = [(a + b) / 2.0 for a, b in constraint.y_slice()]
-    y, _ = _solve_y(constraint, _floats(x), _floats(y_guess), tol, max_iter)
+    y, _ = _solve_y(constraint, _floats(x), _floats(y_guess), max_iter)
     return np.array(y)
 
 
-def _solve_y(constraint, x, y, tol, max_iter=50):
+def _solve_y(constraint, x, y, max_iter=50):
     # implicit_solve_y on float lists; returns (y, |g| at the solution).
     # A scalar y is solved on floats, s > 1 by numpy solves.
     g, step = constraint._code["residual"], constraint._code["newton_y"]
     if constraint.s == 1:
         y, gval = damped_newton(lambda yv: g(*x, yv), lambda yv, gv: step(*x, yv, gv),
-                                y[0], tol, max_iter, norm=abs)
+                                y[0], Y_SOLVE_TOL, max_iter, norm=abs)
         y, drift = [y], abs(gval)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             y, gval = damped_newton(lambda yv: np.array(g(*x, *yv.tolist())),
                                     lambda yv, gv: step(*x, *yv.tolist(), gv),
-                                    np.array(y), tol, max_iter)
+                                    np.array(y), Y_SOLVE_TOL, max_iter)
             drift = float(np.linalg.norm(gval))
         y = y.tolist()
     if not constraint.domain.contains(x + y, margin=constraint.escape_margin):
