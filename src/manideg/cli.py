@@ -73,7 +73,7 @@ def _json(value, indent=0):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
+        return f"{float(value):.17g}" if math.isfinite(value) else "null"
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
@@ -91,8 +91,12 @@ def _print_json(record, out=None):
 def load_problem(source):
     """Problem from a file path or the bundled registry."""
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            return parse_problem(fh.read())
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ProblemFormatError(f"cannot read problem file {source!r}: {exc}") from None
+        return parse_problem(text)
     if source in REGISTRY:
         return REGISTRY[source]
     known = ", ".join(sorted(REGISTRY))
@@ -137,12 +141,12 @@ def _cmd_degree(args):
            if args.box else problem.domain())
     options = problem.solver_options()
     if args.method == "winding":
-        sign = partial2_sign(constraint, box=box,
-                             sample_density=options.get("sample_density"))
         if constraint.dim != 2:
             raise ProblemFormatError(
                 "--method winding applies to planar problems only"
             )
+        sign = partial2_sign(constraint, box=box,
+                             sample_density=options.get("sample_density"))
         field = reduced_map(phi1, constraint)
         degree = degree_winding_2d(field, box)
         result = ManifoldDegreeResult(

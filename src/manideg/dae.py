@@ -52,6 +52,8 @@ class SemiExplicitDae:
                 )
         if gamma is not None and gamma.time_dependent:
             raise ProblemFormatError("gamma must not depend on time")
+        if period is not None and not np.isfinite(period):
+            raise ProblemFormatError(f"the period must be finite, got {period!r}")
         if sigma is not None:
             if period is None or not period > 0.0:
                 raise ProblemFormatError("a forcing term needs a positive period")

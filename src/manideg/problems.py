@@ -18,7 +18,8 @@ per line, in order::
 
 ``g`` needs s lines over the declared variables; ``gamma`` (autonomous
 drift, k lines, time-free) and ``sigma`` (forcing, k lines, may use
-``t``) are optional; ``box`` lists one ``lo hi`` pair per variable.
+``t``) are optional; ``box`` lists one finite ``lo hi`` pair per
+variable, and the period must be finite.
 Remaining keys are numeric solver overrides (grid_density, newton_tol,
 dedup_radius, boundary_samples, sample_density, quadrature_nodes,
 steps_per_period); the integer ones must be at least 1, newton_tol
@@ -29,6 +30,7 @@ degrees are known in closed form; ``manideg verify-paper`` recomputes
 them.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .dae import DEFAULT_QUADRATURE_NODES, SemiExplicitDae, average_wind
@@ -83,6 +85,10 @@ class Problem:
             raise ProblemFormatError(
                 f"{len(self.box)} box ranges for {self.k + self.s} variables"
             )
+        if not all(math.isfinite(v) for pair in self.box for v in pair):
+            raise ProblemFormatError(f"box bounds must be finite, got {self.box}")
+        if self.period is not None and not math.isfinite(self.period):
+            raise ProblemFormatError(f"the period must be finite, got {self.period!r}")
         if self.sigma is not None and (self.period is None or not self.period > 0):
             raise ProblemFormatError("a forcing term needs a positive period")
 
@@ -225,6 +231,8 @@ def _parse_box(text):
             lo, hi = float(pieces[0]), float(pieces[1])
         except ValueError:
             raise ProblemFormatError(f"bad box bound in {part.strip()!r}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ProblemFormatError(f"box bound in {part.strip()!r} is not finite")
         if not lo < hi:
             raise ProblemFormatError(f"empty box range {part.strip()!r}")
         ranges.append((lo, hi))

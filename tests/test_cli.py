@@ -6,14 +6,17 @@ failure.
 """
 
 import csv
+import dataclasses
 import io
 import json
+import math
 import pathlib
+import re
 import shlex
 
 import pytest
 
-from manideg import REGISTRY, format_problem, parse_problem
+from manideg import REGISTRY, Problem, cli, format_problem, parse_problem
 from manideg.cli import load_problem, main, verify_reference_problems
 from manideg.errors import ProblemError, ProblemFormatError
 from manideg.problems import REFERENCE_DEGREES, ReferenceDegrees
@@ -93,11 +96,24 @@ def test_registry_problems_round_trip():
     lambda t: t + "newton_tol = nan\n",
     lambda t: t + "dedup_radius = inf\n",
     lambda t: t + "dedup_radius = -1\n",
+    lambda t: t.replace("box = -2 2, -2 2, -2 2", "box = -inf 2, -2 2, -2 2"),
+    lambda t: t.replace("box = -2 2, -2 2, -2 2", "box = -2 2, -2 inf, -2 2"),
+    lambda t: t.replace("period = 6.283185307179586", "period = inf"),
 ])
 def test_malformed_problem_text_rejected(mutation):
     # expression-level failures surface as their own ProblemError subclass
     with pytest.raises(ProblemError):
         parse_problem(mutation(SPRING_TEXT))
+
+
+@pytest.mark.parametrize("changes", [
+    {"box": ((-math.inf, 2.0), (-2.0, 2.0), (-2.0, 2.0))},
+    {"box": ((-2.0, 2.0), (-2.0, math.nan), (-2.0, 2.0))},
+    {"period": math.inf},
+], ids=["box-inf", "box-nan", "period-inf"])
+def test_problem_bounds_and_period_must_be_finite(changes):
+    with pytest.raises(ProblemFormatError, match="finite"):
+        dataclasses.replace(REGISTRY["example-5-5"], **changes)
 
 
 def test_problem_comments_and_blank_lines_ignored():
@@ -159,6 +175,16 @@ def test_degree_winding_rejects_higher_dimensions(capsys):
     assert "planar" in err
 
 
+def test_degree_winding_checks_planarity_first(capsys, tmp_path):
+    # det d_y g = 2y changes sign in this 3-D box; the winding method must
+    # refuse the dimension before it samples the constraint
+    path = tmp_path / "flip.problem"
+    path.write_text("name = flip\nk = 2\ns = 1\nvars = x1, x2, y\ng = y^2 - x1\n"
+                    "gamma = x1\ngamma = x2\nbox = -1 1, -1 1, -1 1\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "degree", str(path), "--method", "winding")
+    assert code == 2 and "planar" in err
+
+
 def test_degree_box_override_excludes_zero(capsys):
     code, out, _ = run_cli(capsys, "degree", "example-4-1",
                            "--box", "0.5:2,0.5:2")
@@ -201,10 +227,12 @@ def test_degree_from_problem_file(capsys, tmp_path):
     (("trace", "example-5-5", "--max-steps", "0"), "--max-steps"),
     (("trace", "example-5-5", "--quadrature-nodes", "0"), "--quadrature-nodes"),
     (("degree", "example-5-7", "--quadrature-nodes", "0"), "--quadrature-nodes"),
+    (("degree", "example-4-1", "--box=-inf:1,-1:1"), "finite"),
 ], ids=["unknown-problem", "box-bound", "box-reversed", "box-arity", "seed-index",
         "steps-negative", "steps-zero", "ds-zero", "ds-negative", "ds-nan",
         "lambda-max-nan", "lambda-max-negative", "seed-index-negative",
-        "max-steps-zero", "quadrature-nodes-zero", "degree-quadrature-nodes-zero"])
+        "max-steps-zero", "quadrature-nodes-zero", "degree-quadrature-nodes-zero",
+        "box-infinite"])
 def test_exit_2_for_bad_input(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and needle in err
@@ -213,7 +241,9 @@ def test_exit_2_for_bad_input(capsys, argv, needle):
 @pytest.mark.parametrize("old,new,needle", [
     ("gamma = x2", "gamma = 1e999*x2", "1e999"),
     ("steps_per_period = 128", "newton_tol = -1", "newton_tol"),
-], ids=["overflowing-literal", "newton-tol-negative"])
+    ("box = -2 2, -2 2, -2 2", "box = -inf 2, -2 2, -2 2", "finite"),
+    ("period = 6.283185307179586", "period = inf", "finite"),
+], ids=["overflowing-literal", "newton-tol-negative", "box-infinite", "period-infinite"])
 def test_exit_2_for_bad_problem_file(capsys, tmp_path, old, new, needle):
     path = tmp_path / "osc.problem"
     path.write_text(SPRING_TEXT.replace(old, new), encoding="utf-8")
@@ -221,11 +251,31 @@ def test_exit_2_for_bad_problem_file(capsys, tmp_path, old, new, needle):
     assert code == 2 and needle in err
 
 
+def _raise_permission_error(*args, **kwargs):
+    raise PermissionError("permission denied")
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8", "unreadable"])
+def test_exit_2_for_unreadable_problem_path(capsys, tmp_path, monkeypatch, case):
+    path = tmp_path / "osc.problem"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"\xff\xfe")
+    else:
+        path.write_text(SPRING_TEXT, encoding="utf-8")
+        monkeypatch.setattr(cli, "open", _raise_permission_error, raising=False)
+    code, _, err = run_cli(capsys, "degree", str(path))
+    assert code == 2 and "cannot read" in err
+
+
 def test_readme_command_lines_run(capsys, tmp_path):
     # every `manideg ...` line of README's command-line block, on a bundled
-    # problem instead of the placeholder file and writing into tmp_path
+    # problem instead of the placeholder file and writing into tmp_path; then
+    # the library quick start, whose commented values must hold
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1]
     block = block.split("```sh", 1)[1].split("```", 1)[0]
     lines = [shlex.split(ln, comments=True) for ln in block.splitlines()
              if ln.startswith("manideg ")]
@@ -237,6 +287,15 @@ def test_readme_command_lines_run(capsys, tmp_path):
             argv[at] = str(tmp_path / argv[at])
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (words, err)
+
+    quick = text.split("## Library quick start", 1)[1]
+    quick = quick.split("```python", 1)[1].split("```", 1)[0]
+    commented = {m[1]: int(m[2]) for m in re.finditer(r"^(\S[^#\n]*?)\s+# (-?\d+)\b", quick, re.M)}
+    assert commented == {"res.degree": 1, "res.constraint_sign": -1, "res.ambient.degree": -1}
+    namespace = {}
+    exec(quick, namespace)
+    for expression, value in commented.items():
+        assert eval(expression, namespace) == value, expression
 
 
 def test_exit_3_for_sign_flipping_constraint(capsys, tmp_path):
@@ -325,6 +384,17 @@ def test_verify_paper_json(capsys):
     record = json.loads(out)
     assert record["passed"] == 6 and record["total"] == 6
     assert all(r["ok"] for r in record["results"])
+
+
+def test_verify_json_writes_non_finite_as_null(capsys, monkeypatch):
+    # two seed-map zeros: the zero error is NaN and the check fails
+    two_zeros = Problem(name="example-4-1", k=1, s=1, variables=("x", "y"), g=("y",),
+                        gamma=("x^2 - 1",), box=((-2.0, 2.0), (-2.0, 2.0)))
+    monkeypatch.setattr(cli, "REGISTRY", {"example-4-1": two_zeros})
+    code, out, _ = run_cli(capsys, "verify-paper", "--json")
+    assert code == 1
+    record = json.loads(out)
+    assert record["passed"] == 0 and record["results"][0]["zero_error"] is None
 
 
 def test_verify_flags_wrong_expectations():

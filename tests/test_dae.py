@@ -67,6 +67,11 @@ def test_forcing_needs_period():
         SemiExplicitDae(cubic_constraint(), sigma=sigma)
     with pytest.raises(ProblemFormatError):
         SemiExplicitDae(cubic_constraint(), sigma=sigma, period=-1.0)
+    # a period must be finite, also where no forcing uses it
+    gamma = AmbientMap.from_expressions(("x",), ("x", "y"))
+    for parts in ({"sigma": sigma}, {"gamma": gamma}):
+        with pytest.raises(ProblemFormatError, match="finite"):
+            SemiExplicitDae(cubic_constraint(), period=np.inf, **parts)
 
 
 def test_rejects_wrong_period():
