@@ -11,11 +11,11 @@ zeros.
 
 The Newton starts run in lock-step: per iteration one batched residual
 (``AmbientMap.batch``), one batched Jacobian and one stacked linear
-solve serve every live start, and masks give each start the rule of
-:func:`damped_newton` (its own halvings, fence, stall and convergence).
-Boundary and winding samples are batched too.  ``damped_newton`` itself
-stays the scalar loop of the flow's y-solve, where a batch of one would
-only add numpy overhead.
+solve serve every live start, and masks give each start its own
+halvings, fence, stall and convergence (see :func:`_lockstep_newton`).
+Boundary and winding samples are batched too.  The flow's y-projection
+runs the same damped rule on one point, as generated code (see
+:mod:`manideg.manifold`).
 """
 
 import math
@@ -23,14 +23,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import (
-    AdmissibilityError,
-    DegenerateZeroError,
-    DomainEvalError,
-    NumericError,
-    RootFindingError,
-)
-from .fields import EVAL_ERRORS, FieldHandle
+from .errors import AdmissibilityError, DegenerateZeroError, DomainEvalError, NumericError
+from .fields import FieldHandle
 
 __all__ = [
     "DomainBox", "ZeroRecord", "DegreeResult", "FieldHandle",
@@ -97,9 +91,7 @@ class DomainBox:
         return math.sqrt(sum((b - a) ** 2 for a, b in self.bounds))
 
     def contains(self, point, margin=0.0):
-        # plain floats: this runs once per y-solve of the flow
-        values = point.tolist() if isinstance(point, np.ndarray) else map(float, point)
-        for v, a, b in zip(values, self.lower, self.upper):
+        for v, a, b in zip(np.asarray(point, dtype=float).tolist(), self.lower, self.upper):
             if not a - margin <= v <= b + margin:
                 return False
         return True
@@ -153,51 +145,6 @@ class DegreeResult:
     warnings: list = dataclass_field(default_factory=list)
 
 
-def damped_newton(residual, newton_step, x, tol, max_iter, norm=np.linalg.norm):
-    """Residual-halving Newton iteration from ``x``.
-
-    ``residual(x)`` is the vector driven to zero and ``newton_step(x, fx)``
-    the full Newton step at ``x``, which is always the point of the latest
-    ``residual`` call; ``norm`` measures the residual (``abs`` for a
-    scalar unknown).  A step is halved, up to 20 times,
-    until the residual norm decreases; an evaluation error while halving
-    counts as an infinite residual, and so does a norm that overflows.
-    Returns ``(x, residual(x))`` once the norm is at most ``tol``, checked
-    before each of the ``max_iter`` steps and after the last.  Callers
-    iterating on numpy arrays run it with over/invalid warnings off.
-
-    Raises :class:`RootFindingError` on a step no halving improves or a
-    residual still above ``tol`` at the cap; errors from ``newton_step``
-    propagate.
-    """
-    fx = residual(x)
-    r = norm(fx)
-    for _ in range(max_iter):
-        if r <= tol:
-            return x, fx
-        step = newton_step(x, fx)
-        scale = 1.0
-        for _ in range(20):
-            xn = x + scale * step
-            try:
-                fn = residual(xn)
-                rn = norm(fn)
-            except EVAL_ERRORS:
-                rn = np.inf
-            if rn < r:
-                break
-            scale *= 0.5
-        else:
-            raise RootFindingError(f"Newton stalled at residual {r:.3e}")
-        x, fx, r = xn, fn, rn
-    if r <= tol:
-        return x, fx
-    raise RootFindingError(
-        f"Newton did not reach tolerance {tol:.1e} "
-        f"(residual {r:.3e} after {max_iter} iterations)"
-    )
-
-
 def _norms(a):
     # Euclidean norm of each row, bit for bit np.linalg.norm of the row
     with np.errstate(over="ignore", invalid="ignore"):
@@ -237,14 +184,16 @@ def _newton_steps(field, x, fx):
 def _lockstep_newton(field, x, tol, max_iter, fence):
     """Damped Newton from every row of ``x`` at once, in lock-step.
 
-    Each row follows the rule of :func:`damped_newton`: a step is halved,
-    up to 20 times, until the residual norm decreases; the tolerance is
-    checked before each of the ``max_iter`` steps and after the last.  A
-    row is abandoned when its start does not evaluate, when an iterate
-    about to step lies outside ``fence`` (so no Jacobian is evaluated
-    there), when its step is not finite and when no halving improves it.
-    Returns the final points and residuals, and the mask of the rows
-    that converged inside ``fence``.
+    Each row takes full Newton steps, each halved, up to 20 times, until
+    the residual norm strictly decreases; a residual that does not
+    evaluate or whose norm is not finite counts as infinite.  The
+    tolerance is checked before each of the ``max_iter`` steps and
+    after the last.  A row is abandoned (stalls) when no halving
+    improves it, and also when its start does not evaluate, when an
+    iterate about to step lies outside ``fence`` (so no Jacobian is
+    evaluated there) and when its step is not finite.  Returns the final
+    points and residuals, and the mask of the rows that converged inside
+    ``fence``.
     """
     fx, valid = field.batch(x)
     r = _residual_norms(fx, valid)

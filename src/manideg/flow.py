@@ -16,12 +16,13 @@ W = dx/d(x0, lam) of the x-components, by the variational equation of
 the x-dynamics with y slaved to x; a shot that asks for them visits
 exactly the states of a plain shot.
 
-A step runs the field's generated straight-line code on Python floats
-(see :class:`~manideg.manifold.ForcedField`): one call for the four
-stages, the shifted points and the stage sum, then the y-projection on
-the constraint's generated g.  W stays in numpy: A @ W goes through
-BLAS, whose fused multiply-adds round differently from left-to-right
-Python floats.
+A projected step is one call of the field's generated straight-line
+code on Python floats (see :class:`~manideg.manifold.ForcedField`): the
+four stages, the shifted points, the stage sum, then the damped y-Newton
+and the domain-box test of :func:`~manideg.manifold.implicit_solve_y`,
+inlined.  It returns the state, W and |g|.  W stays in numpy: A @ W goes
+through BLAS, whose fused multiply-adds round differently from
+left-to-right Python floats.
 """
 
 import math
@@ -31,7 +32,6 @@ import numpy as np
 
 from .errors import DomainEscapeError, IntegrationError, RootFindingError
 from .fields import _floats
-from .manifold import _solve_y
 
 __all__ = ["FlowResult", "projected_step", "flow_map", "period_map",
            "write_trajectory_csv", "DEFAULT_STEPS_PER_PERIOD"]
@@ -63,22 +63,15 @@ def projected_step(field, state, t, dt, lam=0.0, sensitivity=None):
     from ``field.linearize``) and returns ``(state, W)``.  The state is
     bit-identical to the plain step's: W never feeds back into it.
     """
-    stepped, w, _ = _step(field, _floats(state), t, dt, float(lam), sensitivity)
+    step = field._code["rk4" if sensitivity is None else "rk4w"]
+    stepped, w, _ = step(t, dt, float(lam), sensitivity, *_floats(state))
     return np.array(stepped) if sensitivity is None else (np.array(stepped), w)
 
 
-def _step(field, state, t, dt, lam, w):
-    # projected_step on the float list state: (state, W, |g| at the new state)
-    raw, w = field._code["rk4" if w is None else "rk4w"](t, dt, lam, w, *state)
-    k = field.constraint.k
-    y, drift = _solve_y(field.constraint, raw[:k], raw[k:])
-    return raw[:k] + y, w, drift
-
-
-def _advance(field, state, w, t, dt, lam, depth=0):
-    # (state, W, drift) one step of dt later; W stays None when not integrated
+def _advance(step, state, w, t, dt, lam, depth=0):
+    # (state, W, drift) one projected ``step`` of dt later; W stays None when not integrated
     try:
-        return _step(field, state, t, dt, lam, w)
+        return step(t, dt, lam, w, *state)
     except RootFindingError as exc:
         if depth >= _MAX_HALVINGS:
             reason = ("the trajectory left the domain box"
@@ -89,8 +82,8 @@ def _advance(field, state, w, t, dt, lam, depth=0):
                 f"time step underflow near t = {t:.6g}; {reason}"
             ) from exc
         half = dt / 2.0
-        mid, w, _ = _advance(field, state, w, t, half, lam, depth + 1)
-        return _advance(field, mid, w, t + half, half, lam, depth + 1)
+        mid, w, _ = _advance(step, state, w, t, half, lam, depth + 1)
+        return _advance(step, mid, w, t + half, half, lam, depth + 1)
 
 
 def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None, sensitivity=False):
@@ -137,10 +130,10 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None, sensitiv
 
     # numpy scalars would turn every float of the steps into one
     t0, lam = float(t0), float(lam)
-    state = xi0.tolist()
+    state, step = xi0.tolist(), field._code["rk4w" if sensitivity else "rk4"]
     times, states, drifts = [t0], [state], [drift0]
     for i in range(n_steps):
-        state, w, drift = _advance(field, state, w, t0 + i * dt, dt, lam)
+        state, w, drift = _advance(step, state, w, t0 + i * dt, dt, lam)
         times.append(t0 + (i + 1) * dt)
         states.append(state)
         drifts.append(drift)

@@ -21,15 +21,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .degree import (
-    DegreeResult, _default_density, damped_newton, degree_sign_sum, find_zeros,
-)
+from .degree import DegreeResult, _default_density, degree_sign_sum, find_zeros
 from .errors import (
     AdmissibilityError, DomainEscapeError, DomainEvalError, RegularityError,
     RootFindingError,
 )
 from . import expr
-from .fields import TIME_NAME, AmbientMap, FieldHandle, _floats
+from .fields import EVAL_ERRORS, TIME_NAME, AmbientMap, FieldHandle, _floats
 
 __all__ = [
     "ImplicitConstraint", "ForcedField", "ManifoldDegreeResult",
@@ -41,6 +39,7 @@ __all__ = [
 SINGULAR_TOL = 1e-10  # |det d_y g| below which partial2_sign calls a sample singular
 NEAR_SINGULAR_TOL = 1e-6  # and below which it warns
 Y_SOLVE_TOL = 1e-12  # |g| every y-solve converges to, the flow's projections included
+_PROJECTION_ITER = 50  # Newton steps each projection of a flow step may take
 
 
 class ImplicitConstraint:
@@ -91,7 +90,7 @@ class ImplicitConstraint:
         return float(d2[0, 0]) if self.s == 1 else float(np.linalg.det(d2))
 
     def residual(self, point):
-        """|g| at ``point``, by the generated code every y-solve's drift comes from."""
+        """|g| at ``point``, by the generated operations of every y-solve's drift."""
         g = self._code["residual"](*_floats(point))
         return abs(g) if self.s == 1 else float(np.linalg.norm(g))
 
@@ -204,6 +203,9 @@ def _generated(constraint, *field):
                            for name, source in _source(constraint.k, constraint.s, *parts)}
     ns = dict(globals(), **expr._SCALAR_NS)  # numpy as np, the errors, math
     ns.update(zip(("g", "gamma", "sigma"), (p and p.flat for p in parts)))
+    margin = constraint.escape_margin  # the projection's box lo0 <= a0 <= hi0, ...
+    ns.update({f"lo{i}": lo - margin for i, lo in enumerate(constraint.domain.lower)})
+    ns.update({f"hi{i}": hi + margin for i, hi in enumerate(constraint.domain.upper)})
     for code in _STEP_CODE[key].values():
         exec(code, ns)
     return {name: ns[name] for name in _STEP_CODE[key]}
@@ -216,9 +218,10 @@ def _tuple(names):
 def _source(k, s, g, *field):
     # (name, source) of straight-line functions of the float coordinates a0, ...,
     # a[n-1] that do their formulas' float operations in order.  For the constraint
-    # alone: residual, newton_y (the y-Newton step) and tangent (completing f0, ...).
-    # For a field: first, velocity, linearize of (a0, ..., t, lam) and rk4(w) of (t,
-    # dt, lam, W, a0, ...) -> (state, W).  Callable parts are called as g, gamma, sigma.
+    # alone: residual, solve_y of (max_iter, a0, ...) -> (y, |g|) (see _projection)
+    # and tangent (completing f0, ...).  For a field: first, velocity, linearize of
+    # (a0, ..., t, lam) and rk4(w) of (t, dt, lam, W, a0, ...) -> (state, W, |g|), a
+    # projected step.  Callable parts are called as g, gamma, sigma.
     n = k + s
     a = [f"a{i}" for i in range(n)]
     point, em, out = ", ".join(a), expr._Emitter((), (), "scalar"), []
@@ -231,13 +234,8 @@ def _source(k, s, g, *field):
     if not field:
         values = [r[0] for r in _emit_part(em, g, "g", n, ())]
         define("residual", point, values[0] if s == 1 else _tuple(values))
-        dy = [d for r in _emit_part(em, g, "g", n, range(k, n)) for d in r[1:]]
-        fail = ("raise RootFindingError(f'singular d_y g during y-solve at x = "
-                f"{{[{', '.join(a[:k])}]}}')")
-        em.lines += [f"if {dy[0]} == 0.0:\n    {fail}"] if s == 1 else [
-            f"try:\n    step = np.linalg.solve(np.array({_tuple(dy)}).reshape({s}, {s}), -gval)",
-            f"except np.linalg.LinAlgError:\n    {fail} from None"]
-        define("newton_y", f"{point}, gval", f"-gval / {dy[0]}" if s == 1 else "step")
+        em.lines = _projection(em, k, s, g, "max_iter")
+        define("solve_y", f"max_iter, {point}", f"[{', '.join(a[k:])}], r")
         f, gjet = [f"f{i}" for i in range(k)], _emit_part(em, g, "g", n, range(n))
         define("tangent", ", ".join(a + f), _completion(em, k, s, gjet, f, point))
         return out
@@ -270,10 +268,64 @@ def _source(k, s, g, *field):
                              f"{_tuple(ks)} = velocity({shifted}, {ts}, lam)"]
         raw = ", ".join(f"{x} + sixth * (k0_{j} + 2.0 * k1_{j} + 2.0 * k2_{j} + k3_{j})"
                         for j, x in enumerate(a))
-        em.lines.append("sixth = dt / 6.0")
+        em.lines += ["sixth = dt / 6.0", f"{_tuple(a)} = ({raw},)",
+                     *_projection(em, k, s, g, _PROJECTION_ITER)]
         define(name, f"t, dt, lam, w, {point}",
-               f"[{raw}], w" + (" + sixth * (m0 + 2.0 * m1 + 2.0 * m2 + m3)" if lin else ""))
+               f"[{point}], w" + (" + sixth * (m0 + 2.0 * m1 + 2.0 * m2 + m3)" if lin else "")
+               + ", r")
     return out
+
+
+def _indented(lines):
+    return [f"    {ln}" for ln in "\n".join(lines).splitlines()]
+
+
+def _projection(em, k, s, g, max_iter):
+    # lines projecting the point (a0, ..., a[n-1]) onto g = 0: damped Newton in
+    # y = a[k:] with x = a[:k] frozen, to |g| <= Y_SOLVE_TOL checked before each of
+    # the max_iter steps and after the last.  A step is halved, up to 20 times, until
+    # |g| strictly decreases; an evaluation error counts as an infinite |g|.  The
+    # solved point must lie in the box lo0 <= a0 <= hi0, ... that _generated binds.
+    # Leaves y in a[k:] and |g| in r.  For s > 1 the step is numpy's LAPACK solve and
+    # |g| numpy's norm, with overflow and invalid-value warnings off.
+    n = k + s
+    a, steps = [f"a{i}" for i in range(n)], [f"step{j}" for j in range(s)]
+    lines, em.lines = em.lines, []
+    values = [r[0] for r in _emit_part(em, g, "g", n, ())]
+    res, em.lines = em.lines, []
+    dy = [d for r in _emit_part(em, g, "g", n, range(k, n)) for d in r[1:]]
+    jet, em.lines = em.lines, lines
+    x = f"{{[{', '.join(a[:k])}]}}"
+    fail = f"raise RootFindingError(f'singular d_y g during y-solve at x = {x}')"
+    if s == 1:
+        value, norm = values[0], "abs"
+        solve = [f"if {dy[0]} == 0.0:", f"    {fail}", f"step0 = -gv / {dy[0]}"]
+    else:
+        value, norm = f"np.array({_tuple(values)})", "np.linalg.norm"
+        solve = ["try:", f"    {_tuple(steps)} = np.linalg.solve(np.array({_tuple(dy)})"
+                 f".reshape({s}, {s}), -gv).tolist()",
+                 "except np.linalg.LinAlgError:", f"    {fail} from None"]
+    halving = [*(f"{v} = base{j} + scale * step{j}" for j, v in enumerate(a[k:])),
+               "try:", *_indented([*res, f"fn = {value}", f"rn = {norm}(fn)"]),
+               "except EVAL_ERRORS:", "    rn = math.inf",
+               "if rn < r:", "    break", "scale *= 0.5"]
+    newton = ["if r <= Y_SOLVE_TOL:", "    break", *jet, *solve,
+              *(f"base{j} = {v}" for j, v in enumerate(a[k:])), "scale = 1.0",
+              "for _ in range(20):", *_indented(halving),
+              "else:", "    raise RootFindingError(f'Newton stalled at residual {r:.3e}')",
+              "gv, r = fn, rn"]
+    lines = [*res, f"gv = {value}", f"r = {norm}(gv)",
+             f"for _ in range({max_iter}):", *_indented(newton),
+             "else:", "    if not r <= Y_SOLVE_TOL:",
+             "        raise RootFindingError(f'Newton did not reach tolerance "
+             f"{{Y_SOLVE_TOL:.1e}} (residual {{r:.3e}} after {{{max_iter}}} iterations)')"]
+    if s > 1:
+        lines = ["with np.errstate(over='ignore', invalid='ignore'):", *_indented(lines),
+                 "r = float(r)"]
+    inside = " and ".join(f"lo{i} <= {v} <= hi{i}" for i, v in enumerate(a))
+    return [*lines, f"if not ({inside}):",
+            f"    raise DomainEscapeError(f'y-solve at x = {x} converged to "
+            f"{{[{', '.join(a[k:])}]}}, outside the domain box')"]
 
 
 def _emit_part(em, part, name, n, seeds, t="0.0"):
@@ -360,36 +412,23 @@ def implicit_solve_y(constraint, x, y_guess=None, max_iter=50):
     """Solve g(x, y) = 0 for y at fixed x by damped Newton, to |g| <= ``Y_SOLVE_TOL``.
 
     The guess defaults to the midpoint of the y-slice of the
-    constraint's domain box.  The converged point must lie inside the
-    domain box, otherwise :class:`DomainEscapeError` is raised; a solve
-    that does not converge raises :class:`RootFindingError`.
+    constraint's domain box; ``max_iter`` (an integer of at least 1)
+    caps the Newton steps.  The iteration is the one that projects each
+    flow step (generated code, see :func:`_projection`).  The converged
+    point must lie inside the domain box, otherwise
+    :class:`DomainEscapeError` is raised; a solve that does not
+    converge raises :class:`RootFindingError`.
     """
     if y_guess is None:
         y_guess = [(a + b) / 2.0 for a, b in constraint.y_slice()]
-    y, _ = _solve_y(constraint, _floats(x), _floats(y_guess), max_iter)
+    x, y_guess = np.asarray(x, dtype=float), np.asarray(y_guess, dtype=float)
+    for name, v, size in (("x", x, constraint.k), ("y_guess", y_guess, constraint.s)):
+        if v.shape != (size,):
+            raise ValueError(f"{name} must hold {size} coordinates, got shape {v.shape}")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+    y, _ = constraint._code["solve_y"](int(max_iter), *x.tolist(), *y_guess.tolist())
     return np.array(y)
-
-
-def _solve_y(constraint, x, y, max_iter=50):
-    # implicit_solve_y on float lists; returns (y, |g| at the solution).
-    # A scalar y is solved on floats, s > 1 by numpy solves.
-    g, step = constraint._code["residual"], constraint._code["newton_y"]
-    if constraint.s == 1:
-        y, gval = damped_newton(lambda yv: g(*x, yv), lambda yv, gv: step(*x, yv, gv),
-                                y[0], Y_SOLVE_TOL, max_iter, norm=abs)
-        y, drift = [y], abs(gval)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            y, gval = damped_newton(lambda yv: np.array(g(*x, *yv.tolist())),
-                                    lambda yv, gv: step(*x, *yv.tolist(), gv),
-                                    np.array(y), Y_SOLVE_TOL, max_iter)
-            drift = float(np.linalg.norm(gval))
-        y = y.tolist()
-    if not constraint.domain.contains(x + y, margin=constraint.escape_margin):
-        raise DomainEscapeError(
-            f"y-solve at x = {x} converged to {y}, outside the domain box"
-        )
-    return y, drift
 
 
 def schur_determinant_split(phi1, constraint, point):

@@ -18,8 +18,8 @@ per line, in order::
 
 ``g`` needs s lines over the declared variables; ``gamma`` (autonomous
 drift, k lines, time-free) and ``sigma`` (forcing, k lines, may use
-``t``) are optional; ``box`` lists one finite ``lo hi`` pair per
-variable, and the period must be finite.
+``t``) are optional; ``box`` lists one finite ``lo hi`` pair (lo < hi)
+per variable, and the period must be finite.
 Remaining keys are numeric solver overrides (grid_density, newton_tol,
 dedup_radius, boundary_samples, sample_density, quadrature_nodes,
 steps_per_period); the integer ones must be at least 1, newton_tol
@@ -87,6 +87,8 @@ class Problem:
             )
         if not all(math.isfinite(v) for pair in self.box for v in pair):
             raise ProblemFormatError(f"box bounds must be finite, got {self.box}")
+        if not all(lo < hi for lo, hi in self.box):
+            raise ProblemFormatError(f"each box range needs lower < upper, got {self.box}")
         if self.period is not None and not math.isfinite(self.period):
             raise ProblemFormatError(f"the period must be finite, got {self.period!r}")
         if self.sigma is not None and (self.period is None or not self.period > 0):

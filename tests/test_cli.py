@@ -116,6 +116,13 @@ def test_problem_bounds_and_period_must_be_finite(changes):
         dataclasses.replace(REGISTRY["example-5-5"], **changes)
 
 
+@pytest.mark.parametrize("box", [((2.0, -2.0), (-2.0, 2.0)), ((-2.0, 2.0), (1.0, 1.0))],
+                         ids=["reversed", "empty"])
+def test_problem_box_ranges_must_be_ordered(box):
+    with pytest.raises(ProblemFormatError, match="lower < upper"):
+        dataclasses.replace(REGISTRY["example-4-1"], box=box)
+
+
 def test_problem_comments_and_blank_lines_ignored():
     prob = parse_problem("\n\n" + SPRING_TEXT.replace("k = 2", "k = 2   # two"))
     assert prob.k == 2

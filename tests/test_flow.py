@@ -5,6 +5,7 @@ completed flow x' = x, whose exact solution e^t anchors the accuracy
 and order checks.
 """
 
+import ast
 import csv
 import io
 import math
@@ -33,7 +34,7 @@ from manideg import (
     shooting_residual,
     write_trajectory_csv,
 )
-from manideg import manifold
+from manideg import flow, manifold
 
 
 def exponential_flow():
@@ -287,6 +288,25 @@ def test_shooting_compiles_the_step_code_once(monkeypatch):
     assert np.array_equal(first[0], second[0])
 
 
+@pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable"])
+def test_generated_step_code_parses_as_python_3_10(name):
+    # the package supports Python 3.10, whose grammar a newer interpreter's
+    # compile of the generated code would not enforce
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass", feature_version=(3, 10))
+    if name == "callable":
+        field = callable_spring_field()
+    else:
+        dae = REGISTRY[name].build_dae()
+        field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    c = field.constraint
+    sources = [*manifold._source(c.k, c.s, c.gmap),
+               *manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma)]
+    assert {"residual", "solve_y", "tangent", "rk4", "rk4w"} <= {n for n, _ in sources}
+    for _, source in sources:
+        ast.parse(source, feature_version=(3, 10))
+
+
 # --- drift control -------------------------------------------------------------
 
 def test_drift_stays_at_projection_tolerance():
@@ -307,6 +327,22 @@ def test_integration_error_when_leaving_solvable_region():
     field = build_autonomous_tangent(SemiExplicitDae(con, gamma=gamma))
     with pytest.raises(IntegrationError):
         flow_map(field, np.array([1.0, 1.0]), 0.0, 2.0, n_steps=64)
+
+
+def test_halving_shot_of_the_spring_trace_is_pinned(monkeypatch):
+    # One of the 11 shots of `manideg trace example-5-5` that raise IntegrationError,
+    # the only place where that trace halves steps: its message and its step calls
+    # (one per _advance), as computed before the projection was generated code.
+    dae = REGISTRY["example-5-5"].build_dae()
+    calls = []
+    advance = flow._advance
+    monkeypatch.setattr(flow, "_advance", lambda *args: calls.append(args) or advance(*args))
+    with pytest.raises(IntegrationError) as info:
+        shooting_residual(dae, [0.48724475429288766, 1.4017599545388935], 0.8081745842247542,
+                          y_guess=[0.41974473405714263], jacobian=True)
+    assert str(info.value) == ("time step underflow near t = 1.10754; "
+                               "the trajectory left the domain box")
+    assert len(calls) == 71
 
 
 # --- period map ------------------------------------------------------------------

@@ -8,6 +8,10 @@ same indices.  A per-point call is a batch of one, so both searches
 evaluate the maps on the same vector backend; a location may still move
 in the last bits where a stacked linear solve or row norm rounds unlike
 its per-point form.
+
+``oracle_solve_y`` is the y-projection built on the same ``damped_newton``,
+as it ran before the projection became generated code; the generated
+y-solve and projected step must match it bit for bit.
 """
 
 import contextlib
@@ -21,17 +25,63 @@ import numpy as np
 import pytest
 
 from manideg import AmbientMap, DomainBox, FieldHandle, find_zeros
-from manideg import cli, dae as dae_module, degree
-from manideg.degree import _default_density, damped_newton
-from manideg.errors import DomainEvalError, RootFindingError
-from manideg.manifold import ImplicitConstraint, reduced_map
+from manideg import cli, dae as dae_module, degree, expr
+from manideg.degree import _default_density
+from manideg.errors import DomainEscapeError, DomainEvalError, RootFindingError
+from manideg.manifold import Y_SOLVE_TOL, ForcedField, ImplicitConstraint, reduced_map
 from manideg.problems import REGISTRY
+from test_flow import callable_spring_field
 
 EVAL_ERRORS = (DomainEvalError, OverflowError, ZeroDivisionError, FloatingPointError)
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_degree_records.json")
 
 
 # --- the per-start oracle ------------------------------------------------------
+
+def damped_newton(residual, newton_step, x, tol, max_iter, norm=np.linalg.norm):
+    """Residual-halving Newton iteration from ``x``.
+
+    ``residual(x)`` is the vector driven to zero and ``newton_step(x, fx)``
+    the full Newton step at ``x``, which is always the point of the latest
+    ``residual`` call; ``norm`` measures the residual (``abs`` for a
+    scalar unknown).  A step is halved, up to 20 times,
+    until the residual norm decreases; an evaluation error while halving
+    counts as an infinite residual, and so does a norm that overflows.
+    Returns ``(x, residual(x))`` once the norm is at most ``tol``, checked
+    before each of the ``max_iter`` steps and after the last.  Callers
+    iterating on numpy arrays run it with over/invalid warnings off.
+
+    Raises :class:`RootFindingError` on a step no halving improves or a
+    residual still above ``tol`` at the cap; errors from ``newton_step``
+    propagate.
+    """
+    fx = residual(x)
+    r = norm(fx)
+    for _ in range(max_iter):
+        if r <= tol:
+            return x, fx
+        step = newton_step(x, fx)
+        scale = 1.0
+        for _ in range(20):
+            xn = x + scale * step
+            try:
+                fn = residual(xn)
+                rn = norm(fn)
+            except EVAL_ERRORS:
+                rn = np.inf
+            if rn < r:
+                break
+            scale *= 0.5
+        else:
+            raise RootFindingError(f"Newton stalled at residual {r:.3e}")
+        x, fx, r = xn, fn, rn
+    if r <= tol:
+        return x, fx
+    raise RootFindingError(
+        f"Newton did not reach tolerance {tol:.1e} "
+        f"(residual {r:.3e} after {max_iter} iterations)"
+    )
+
 
 def _oracle_polish(field, x, fx, max_extra=60):
     for _ in range(max_extra):
@@ -238,6 +288,169 @@ def test_blocked_and_unblocked_averages_agree_bit_for_bit(monkeypatch):
         for label in ("default", "small"):
             got, _ = maps[label].batch(points, jacobian)
             assert np.array_equal(got, want[jacobian]), label
+
+
+# --- the y-projection against the same loop -------------------------------------------
+
+def _oracle_g(constraint):
+    # g and its y-partials d g_i / d y_j (row by row) at a point, as the y-Newton
+    # step took them: the scalar expression backend on g's trees, or a callable's flat
+    gm, k, n, s = constraint.gmap, constraint.k, constraint.dim, constraint.s
+    if gm.asts is None:
+        def d_y(p):
+            jet = gm.flat(p, 0.0, True)
+            return [jet[i * (n + 1) + 1 + j] for i in range(s) for j in range(k, n)]
+        return gm.flat, d_y
+    value = expr.compile_value(gm.asts, gm.variables)
+    jet = expr.compile_gradient(gm.asts, gm.variables, gm.variables[k:])
+    return (lambda p: value(*p),
+            lambda p: [d for i, d in enumerate(jet(*p)) if i % (s + 1)])
+
+
+def oracle_solve_y(constraint, x, y, max_iter=50):
+    """(y, |g|) of the y-solve at the float lists ``x`` and ``y``: ``damped_newton``,
+    then the domain box with the escape margin."""
+    value, d_y = _oracle_g(constraint)
+    s = constraint.s
+    singular = f"singular d_y g during y-solve at x = {x}"
+    if s == 1:
+        def newton_step(yv, gv):
+            d = d_y(x + [yv])[0]
+            if d == 0.0:
+                raise RootFindingError(singular)
+            return -gv / d
+
+        yv, gv = damped_newton(lambda yv: value(x + [yv])[0], newton_step, y[0],
+                               Y_SOLVE_TOL, max_iter, norm=abs)
+        y, drift = [yv], abs(gv)
+    else:
+        def newton_step(yv, gv):
+            try:
+                return np.linalg.solve(np.array(d_y(x + yv.tolist())).reshape(s, s), -gv)
+            except np.linalg.LinAlgError:
+                raise RootFindingError(singular) from None
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            yv, gv = damped_newton(lambda yv: np.array(value(x + yv.tolist())), newton_step,
+                                   np.array(y), Y_SOLVE_TOL, max_iter)
+            drift = float(np.linalg.norm(gv))
+        y = yv.tolist()
+    if not constraint.domain.contains(x + y, margin=constraint.escape_margin):
+        raise DomainEscapeError(f"y-solve at x = {x} converged to {y}, outside the domain box")
+    return y, drift
+
+
+def _outcome(solve, *args):
+    # the result, or the class and message of the error raised
+    try:
+        return solve(*args)
+    except (RootFindingError, *EVAL_ERRORS) as exc:
+        return type(exc), str(exc)
+
+
+def _random_points(box, count, seed, widen=1.0):
+    # uniform in ``box`` scaled by ``widen`` about its centre, as float lists
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(box.lower), np.array(box.upper)
+    mid, half = (lo + hi) / 2.0, widen * (hi - lo) / 2.0
+    return rng.uniform(mid - half, mid + half, size=(count, box.dim)).tolist()
+
+
+def assert_solve_y_matches_oracle(constraint, count, seed, max_iter):
+    k = constraint.k
+    solve = constraint._code["solve_y"]
+    kinds = set()
+    for p in _random_points(constraint.domain, count, seed, widen=1.5):
+        x, y = p[:k], p[k:]
+        want = _outcome(oracle_solve_y, constraint, x, y, max_iter)
+        assert _outcome(solve, max_iter, *x, *y) == want, (x, y)
+        kinds.add(want[0] if isinstance(want[0], type) else "solved")
+    return kinds
+
+
+@pytest.mark.parametrize("max_iter", [50, 1, 2])
+def test_spring_solve_y_matches_the_oracle(max_iter):
+    constraint = REGISTRY["example-5-5"].build_constraint()
+    kinds = assert_solve_y_matches_oracle(constraint, 2000, 11, max_iter)
+    # a cap of one or two steps cuts every iteration from these guesses
+    assert ({"solved", DomainEscapeError} if max_iter == 50 else {RootFindingError}) <= kinds
+
+
+@pytest.mark.parametrize("g", ["y^2 - x", "exp(4*y) - x", "log(y) - x"])
+def test_failing_solve_y_matches_the_oracle(g):
+    # no root for x < 0 (a stall or a zero d_y g), overflow and log of y <= 0 while
+    # halving (an infinite |g|), and a start where g does not evaluate
+    constraint = ImplicitConstraint.from_expressions(
+        1, 1, (g,), ("x", "y"), DomainBox.cube(-2.0, 2.0, 2))
+    kinds = set()
+    for max_iter in (50, 1, 2):
+        kinds |= assert_solve_y_matches_oracle(constraint, 500, 15, max_iter)
+    assert {"solved", RootFindingError} <= kinds
+
+
+def test_callable_solve_y_matches_the_oracle():
+    constraint = callable_spring_field().constraint
+    assert constraint.gmap.asts is None
+    for max_iter in (50, 1, 2):
+        assert_solve_y_matches_oracle(constraint, 300, 12, max_iter)
+
+
+@pytest.mark.parametrize("name", ["example-5-7", "example-5-2"])
+def test_two_equation_solve_y_matches_the_oracle(name):
+    constraint = REGISTRY[name].build_constraint()
+    kinds = set()
+    for max_iter in (50, 1, 2):
+        kinds |= assert_solve_y_matches_oracle(constraint, 500, 13, max_iter)
+    assert {"solved", DomainEscapeError, RootFindingError} <= kinds
+
+
+def test_solve_y_escape_margin_matches_the_oracle():
+    # y = x solves g exactly; a point within the escape margin outside the box is kept
+    constraint = ImplicitConstraint.from_expressions(
+        1, 1, ("y - x",), ("x", "y"), DomainBox.cube(-1.0, 1.0, 2))
+    margin, solve = constraint.escape_margin, constraint._code["solve_y"]
+    kinds = []
+    for x in (1.0 + margin / 2, -1.0 - margin / 2, 1.0 + 2 * margin, -1.0 - 2 * margin):
+        want = _outcome(oracle_solve_y, constraint, [x], [0.0])
+        assert _outcome(solve, 50, x, 0.0) == want
+        kinds.append(want[0] if isinstance(want[0], type) else "solved")
+    assert kinds == ["solved", "solved", DomainEscapeError, DomainEscapeError]
+
+
+def _oracle_rk4_step(field, state, t, dt, lam):
+    # the unprojected RK4 step on floats, in the generated step's operation order,
+    # then the oracle's projection: (state, |g|)
+    h, sixth, k = dt / 2.0, dt / 6.0, field.constraint.k
+    stages = [field._code["velocity"](*state, t, lam)]
+    for c, tc in ((h, t + h), (h, t + h), (dt, t + dt)):
+        stages.append(field._code["velocity"](*(a + c * v for a, v in zip(state, stages[-1])),
+                                              tc, lam))
+    raw = [a + sixth * (k0 + 2.0 * k1 + 2.0 * k2 + k3)
+           for a, k0, k1, k2, k3 in zip(state, *stages)]
+    y, drift = oracle_solve_y(field.constraint, raw[:k], raw[k:])
+    return raw[:k] + y, drift
+
+
+@pytest.mark.parametrize("name", ["example-5-5", "example-5-7", "callable"])
+def test_projected_step_matches_the_oracle(name):
+    if name == "callable":
+        field = callable_spring_field()
+    else:
+        dae = REGISTRY[name].build_dae()
+        field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    constraint, kinds = field.constraint, set()
+    for i, p in enumerate(_random_points(constraint.domain, 300, 14)):
+        try:
+            y = constraint._code["solve_y"](50, *p)[0]
+        except RootFindingError:
+            continue
+        state, dt = p[:constraint.k] + y, (0.05, 0.4, 1.5)[i % 3]
+        want = _outcome(_oracle_rk4_step, field, state, 0.3, dt, 0.7)
+        for code, w in (("rk4", None), ("rk4w", np.eye(constraint.k, constraint.k + 1))):
+            got = _outcome(field._code[code], 0.3, dt, 0.7, w, *state)
+            assert (got if isinstance(got[0], type) else (got[0], got[2])) == want
+        kinds.add(want[0] if isinstance(want[0], type) else "stepped")
+    assert "stepped" in kinds and len(kinds) > 1, kinds
 
 
 # --- golden degree records -----------------------------------------------------------

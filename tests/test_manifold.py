@@ -235,6 +235,21 @@ def test_implicit_solve_y_iteration_cap():
         implicit_solve_y(con, np.array([1.0]), y_guess=(-2.0,), max_iter=2)
 
 
+@pytest.mark.parametrize("x, options, needle", [
+    ([1.0, 2.0], {}, "x must hold 1 coordinates"),
+    ([], {}, "x must hold 1 coordinates"),
+    ([1.0], {"y_guess": (0.5, 0.5)}, "y_guess must hold 1 coordinates"),
+    ([1.0], {"y_guess": ()}, "y_guess must hold 1 coordinates"),
+    ([1.0], {"max_iter": 0}, "max_iter must be an integer of at least 1"),
+    ([1.0], {"max_iter": -3}, "max_iter must be an integer of at least 1"),
+    ([1.0], {"max_iter": 2.5}, "max_iter must be an integer of at least 1"),
+], ids=["long-x", "empty-x", "long-guess", "empty-guess", "zero-iter", "negative-iter",
+        "fractional-iter"])
+def test_implicit_solve_y_checks_its_input(x, options, needle):
+    with pytest.raises(ValueError, match=needle):
+        implicit_solve_y(cubic_graph(), np.array(x), **options)
+
+
 # --- determinant split -------------------------------------------------------
 
 def test_schur_split_hand_value_at_origin():
