@@ -20,12 +20,12 @@ A projected step is one call of the field's generated straight-line
 code on Python floats (see :class:`~manideg.manifold.ForcedField`): the
 four stages, the shifted points, the stage sum, then the damped y-Newton
 and the domain-box test of :func:`~manideg.manifold.implicit_solve_y`,
-inlined.  It returns the state, W and |g|.  W stays in numpy: A @ W goes
-through BLAS, whose fused multiply-adds round differently from
-left-to-right Python floats.
+inlined.  It returns the state, W (k row tuples of floats, each entry
+of a stage's A W summed left to right) and |g|.
 """
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,14 +58,19 @@ def projected_step(field, state, t, dt, lam=0.0, sensitivity=None):
     """One RK4 step of ``field.velocity(t, ., lam)`` plus y-projection.
 
     Given ``sensitivity``, the k x (k + 1) matrix W = dx/d(x0, lam) at
-    ``state``, the step also advances W by the variational equation
-    W' = A W + [0 | sigma] through the same four stages (A and sigma
-    from ``field.linearize``) and returns ``(state, W)``.  The state is
-    bit-identical to the plain step's: W never feeds back into it.
+    ``state`` (any other shape raises ValueError), the step also advances
+    W by the variational equation W' = A W + [0 | sigma] through the same
+    four stages (A and sigma from ``field.linearize``, the products on
+    floats, summed left to right) and returns ``(state, W)``.  The state
+    is bit-identical to the plain step's: W never feeds back into it.
     """
-    step = field._code["rk4" if sensitivity is None else "rk4w"]
-    stepped, w, _ = step(t, dt, float(lam), sensitivity, *_floats(state))
-    return np.array(stepped) if sensitivity is None else (np.array(stepped), w)
+    if sensitivity is None:
+        return np.array(field._code["rk4"](t, dt, float(lam), None, *_floats(state))[0])
+    w, k = np.asarray(sensitivity, dtype=float), field.constraint.k
+    if w.shape != (k, k + 1):
+        raise ValueError(f"sensitivity must have shape ({k}, {k + 1}), got {w.shape}")
+    stepped, w, _ = field._code["rk4w"](t, dt, float(lam), w.tolist(), *_floats(state))
+    return np.array(stepped), np.array(w)
 
 
 def _advance(step, state, w, t, dt, lam, depth=0):
@@ -117,11 +122,11 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None, sensitiv
             f"initial state violates the constraint (|g| = {drift0:.3e} "
             f"> {ON_MANIFOLD_TOL:.1e})"
         )
-    w = np.eye(c.k, c.k + 1) if sensitivity else None
+    w = tuple(map(tuple, np.eye(c.k, c.k + 1).tolist())) if sensitivity else None
     span = float(t1 - t0)
     if span == 0.0:
         return FlowResult(xi0.copy(), drift0, 0, np.array([t0]),
-                          xi0[None, :].copy(), np.array([drift0]), w)
+                          xi0[None, :].copy(), np.array([drift0]), w and np.array(w))
     if n_steps is None:
         n_steps = DEFAULT_STEPS_PER_PERIOD if dt_max is None else max(
             1, int(np.ceil(abs(span) / dt_max)))
@@ -138,7 +143,7 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None, sensitiv
         states.append(state)
         drifts.append(drift)
     return FlowResult(np.array(state), max(drifts), n_steps, np.array(times),
-                      np.array(states), np.array(drifts), w)
+                      np.array(states), np.array(drifts), w and np.array(w))
 
 
 def period_map(field, xi0, lam, period, **options):
@@ -151,15 +156,9 @@ def write_trajectory_csv(result, var_names, out):
 
     ``out`` is a path or a writable text file object.
     """
-    close = False
-    if isinstance(out, str):
-        out = open(out, "w", encoding="utf-8")
-        close = True
-    try:
-        out.write(",".join(["t", *var_names, "g_norm"]) + "\n")
+    opened = open(out, "w", encoding="utf-8") if isinstance(out, str) else nullcontext(out)
+    with opened as fh:
+        fh.write(",".join(["t", *var_names, "g_norm"]) + "\n")
         for t, row, drift in zip(result.times, result.states, result.drifts):
             cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in row] + [f"{drift:.17g}"]
-            out.write(",".join(cells) + "\n")
-    finally:
-        if close:
-            out.close()
+            fh.write(",".join(cells) + "\n")

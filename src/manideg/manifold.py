@@ -15,6 +15,7 @@ which is verified by grid sampling.  Several disjoint boxes, each with
 its own constant sign, can be combined additively.
 """
 
+import re
 import warnings as _warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -95,8 +96,7 @@ class ImplicitConstraint:
         return abs(g) if self.s == 1 else float(np.linalg.norm(g))
 
     def y_slice(self, box=None):
-        box = box or self.domain
-        return box.bounds[self.k:]
+        return (box or self.domain).bounds[self.k:]
 
 
 def partial2_sign(constraint, sample_density=None, box=None):
@@ -182,7 +182,7 @@ class ForcedField:
         (zero without a forcing part).  Only first derivatives are used.
         """
         velocity, a, dp_dlam = self._code["linearize"](*_floats(point), t, lam)
-        return np.array(velocity), a, np.array(dp_dlam)
+        return np.array(velocity), np.array(a), np.array(dp_dlam)
 
     def eval(self, t, point):
         return self.velocity(t, point, 1.0)
@@ -190,25 +190,31 @@ class ForcedField:
 
 # --- generated step code ------------------------------------------------------
 
-_STEP_CODE = {}  # (parts' ASTs and variables, k, s) -> {name: code of its def}
+_STEP_CODE = {}  # (parts' ASTs and variables, k, s) -> ({name: code}, {binding: functions})
 
 
 def _generated(constraint, *field):
-    # _source's functions, with the callable parts' flat as their globals g, gamma, sigma
+    # _source's functions, compiled once per parts and bound once per binding: callable
+    # parts' flat as g, gamma, sigma, the projection's box lo0 <= a0 <= hi0, ... with margin
     parts = (constraint.gmap, *field)
     key = (tuple(p if p is None else (p.asts, p.variables) if p.asts else "flat"
                  for p in parts), constraint.k, constraint.s)
     if key not in _STEP_CODE:  # one by one: compiling all at once peaks at 0.5 MB
-        _STEP_CODE[key] = {name: compile(source, "<manideg step>", "exec")
-                           for name, source in _source(constraint.k, constraint.s, *parts)}
-    ns = dict(globals(), **expr._SCALAR_NS)  # numpy as np, the errors, math
-    ns.update(zip(("g", "gamma", "sigma"), (p and p.flat for p in parts)))
-    margin = constraint.escape_margin  # the projection's box lo0 <= a0 <= hi0, ...
-    ns.update({f"lo{i}": lo - margin for i, lo in enumerate(constraint.domain.lower)})
-    ns.update({f"hi{i}": hi + margin for i, hi in enumerate(constraint.domain.upper)})
-    for code in _STEP_CODE[key].values():
-        exec(code, ns)
-    return {name: ns[name] for name in _STEP_CODE[key]}
+        _STEP_CODE[key] = ({name: compile(source, "<manideg step>", "exec")
+                            for name, source in _source(constraint.k, constraint.s, *parts)}, {})
+    codes, bound = _STEP_CODE[key]
+    box, margin = constraint.domain, constraint.escape_margin
+    binding = {**{name: p.flat if p is not None and p.asts is None else None
+                  for name, p in zip(("g", "gamma", "sigma"), parts)},
+               **{f"lo{i}": lo - margin for i, lo in enumerate(box.lower)},
+               **{f"hi{i}": hi + margin for i, hi in enumerate(box.upper)}}
+    values = tuple(binding.values())
+    if values not in bound:
+        ns = dict(globals(), **expr._SCALAR_NS, **binding)  # numpy as np, the errors, math
+        for code in codes.values():
+            exec(code, ns)
+        bound[values] = {name: ns[name] for name in codes}
+    return bound[values]
 
 
 def _tuple(names):
@@ -250,29 +256,40 @@ def _source(k, s, g, *field):
             slave = [em.new(f"{d} / {pivot}") for d in gjet[0][1:k + 1]]
             rows = [_tuple(em.new(f"{r[1 + j]} + {r[1 + k]} * {sj}")
                            for j, sj in enumerate(slave)) for r in p]
-            ret += f", np.array({_tuple(rows)})"
+            ret += f", {_tuple(rows)}"
         elif seeds:  # by numpy, with jac = d_(x, y) g from the completion
             em.lines.append(f"dp = np.array({_tuple(sum(p, []))}).reshape({k}, {n + 1})[:, 1:]")
-            ret += f", dp[:, :{k}] + dp[:, {k}:] @ np.linalg.solve(jac[:, {k}:], -jac[:, :{k}])"
+            ret += (f", (dp[:, :{k}] + dp[:, {k}:] @ "
+                    f"np.linalg.solve(jac[:, {k}:], -jac[:, :{k}])).tolist()")
         if seeds:  # dp/dlam
             ret += ", " + _tuple([r[0] for r in forcing] if forcing else ["0.0"] * k)
         define(name, args, ret)
+
+    def by_row(entry, width=k + 1):  # k row tuples of entry(r, j), W's by default
+        return _tuple(_tuple(entry(r, j) for j in range(width)) for r in range(k))
+
+    rk = [(r, j) for r in range(k) for j in range(k + 1)]
+    a_d = f"{by_row(lambda r, q: f'A{r}_{q}', k)}, {_tuple(f'd{r}' for r in range(k))}"
     for name, lin in (("rk4", False), ("rk4w", True)):
-        em.lines, ks = ["h = dt / 2.0"], a
+        em.lines, ks = [f"{by_row(lambda r, j: f'w{r}_{j}')} = w"] * lin + ["h = dt / 2.0"], a
         for i, (c, ts) in enumerate(zip(("", "h", "h", "dt"), ("t", "t + h", "t + h", "t + dt"))):
             shifted = ", ".join(f"{x} + {c} * {v}" if i else x for x, v in zip(a, ks))
             ks = [f"k{i}_{j}" for j in range(n)]
-            em.lines += [f"{_tuple(ks)}, A, d = linearize({shifted}, {ts}, lam)",
-                         f"m{i} = A.dot({f'w + {c} * m{i - 1}' if i else 'w'})",  # W' = AW + [0|d]
-                         *(f"m{i}[{r}, -1] += d[{r}]" for r in range(k))] if lin else [
-                             f"{_tuple(ks)} = velocity({shifted}, {ts}, lam)"]
+            em.lines.append(f"{_tuple(ks)}, {a_d} = linearize({shifted}, {ts}, lam)" if lin
+                            else f"{_tuple(ks)} = velocity({shifted}, {ts}, lam)")
+            if lin:  # W' = A W + [0 | d] by M = A Z + [0 | d], Z = W + c * M of the stage
+                z = "z" if i else "w"  # before, each entry of A Z summed left to right
+                em.lines += [f"z{r}_{j} = w{r}_{j} + {c} * m{i - 1}_{r}_{j}" for r, j in rk if i]
+                em.lines += [" + ".join([f"m{i}_{r}_{j} = A{r}_0 * {z}0_{j}",
+                                         *(f"A{r}_{q} * {z}{q}_{j}" for q in range(1, k)),
+                                         *[f"d{r}"] * (j == k)]) for r, j in rk]
         raw = ", ".join(f"{x} + sixth * (k0_{j} + 2.0 * k1_{j} + 2.0 * k2_{j} + k3_{j})"
                         for j, x in enumerate(a))
         em.lines += ["sixth = dt / 6.0", f"{_tuple(a)} = ({raw},)",
                      *_projection(em, k, s, g, _PROJECTION_ITER)]
-        define(name, f"t, dt, lam, w, {point}",
-               f"[{point}], w" + (" + sixth * (m0 + 2.0 * m1 + 2.0 * m2 + m3)" if lin else "")
-               + ", r")
+        stepped = by_row(lambda r, j: f"w{r}_{j} + sixth * (m0_{r}_{j} + 2.0 * m1_{r}_{j}"
+                                      f" + 2.0 * m2_{r}_{j} + m3_{r}_{j})")
+        define(name, f"t, dt, lam, w, {point}", f"[{point}], {stepped if lin else 'w'}, r")
     return out
 
 
@@ -294,7 +311,15 @@ def _projection(em, k, s, g, max_iter):
     values = [r[0] for r in _emit_part(em, g, "g", n, ())]
     res, em.lines = em.lines, []
     dy = [d for r in _emit_part(em, g, "g", n, range(k, n)) for d in r[1:]]
-    jet, em.lines = em.lines, lines
+    # only the jet lines d_y g reads: the jet runs where the residual lines just evaluated
+    # g, so its copy of g's value ops cannot raise (a velocity stage, at a new point, can)
+    jet, read = [], set(re.findall(r"\w+", " ".join(dy)))
+    for line in reversed(em.lines):
+        name, _, value = line.partition(" = ")
+        if name in read:
+            jet.insert(0, line)
+            read.update(re.findall(r"\w+", value))
+    em.lines = lines
     x = f"{{[{', '.join(a[:k])}]}}"
     fail = f"raise RootFindingError(f'singular d_y g during y-solve at x = {x}')"
     if s == 1:
@@ -440,17 +465,9 @@ def schur_determinant_split(phi1, constraint, point):
     taken against the y-block of g.
     """
     point = np.asarray(point, dtype=float)
-    k = constraint.k
-    jp = phi1.jacobian(point)
-    jg = constraint.jacobian(point)
-    full = np.vstack([jp, jg])
-    det_full = float(np.linalg.det(full))
-    d2g = jg[:, k:]
-    det_d2g = float(np.linalg.det(d2g))
-    solved = np.linalg.solve(d2g, jg[:, :k])
-    schur = jp[:, :k] - jp[:, k:] @ solved
-    det_schur = float(np.linalg.det(schur))
-    return det_full, det_d2g, det_schur
+    k, jp, jg = constraint.k, phi1.jacobian(point), constraint.jacobian(point)
+    schur = jp[:, :k] - jp[:, k:] @ np.linalg.solve(jg[:, k:], jg[:, :k])
+    return tuple(float(np.linalg.det(m)) for m in (np.vstack([jp, jg]), jg[:, k:], schur))
 
 
 @dataclass

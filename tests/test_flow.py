@@ -64,6 +64,17 @@ def test_projected_step_accuracy_and_drift():
     assert abs(state[1] - state[0]) <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (2, 4), (3, 3), (6,)])
+def test_projected_step_rejects_a_misshapen_sensitivity(shape):
+    # a 2 x 2 W would pass its last x-column off as the lam column, a 2 x 4 W an extra one
+    field, state = spring_field(), np.array(PINNED_START)
+    with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+        projected_step(field, state, 0.0, 0.01, 0.3, sensitivity=np.eye(*shape))
+    stepped, w = projected_step(field, state, 0.0, 0.01, 0.3, sensitivity=np.eye(2, 3).tolist())
+    assert isinstance(w, np.ndarray) and w.shape == (2, 3)
+    assert stepped.tolist() == projected_step(field, state, 0.0, 0.01, 0.3).tolist()
+
+
 def test_rk4_order_from_step_halving():
     field = exponential_flow()
     start = np.array([1.0, 1.0])
@@ -305,6 +316,29 @@ def test_generated_step_code_parses_as_python_3_10(name):
     assert {"residual", "solve_y", "tangent", "rk4", "rk4w"} <= {n for n, _ in sources}
     for _, source in sources:
         ast.parse(source, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable"])
+def test_newton_jet_assigns_nothing_it_does_not_read(name):
+    # the d_y g evaluation of each y-Newton step keeps only the lines d_y g needs: the
+    # value of g there was just computed by the residual lines
+    if name == "callable":
+        field = callable_spring_field()
+    else:
+        dae = REGISTRY[name].build_dae()
+        field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    c = field.constraint
+    sources = dict([*manifold._source(c.k, c.s, c.gmap),
+                    *manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma)])
+    for fn_name in ("solve_y", "rk4", "rk4w"):
+        fn = ast.parse(sources[fn_name]).body[0]
+        newton = next(node for node in ast.walk(fn) if isinstance(node, ast.For))
+        jet = [st.targets[0].id for st in newton.body
+               if isinstance(st, ast.Assign) and isinstance(st.targets[0], ast.Name)
+               and st.targets[0].id.startswith("v")]
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert jet and set(jet) <= read, (fn_name, sorted(set(jet) - read))
 
 
 # --- drift control -------------------------------------------------------------

@@ -453,6 +453,70 @@ def test_projected_step_matches_the_oracle(name):
     assert "stepped" in kinds and len(kinds) > 1, kinds
 
 
+# --- the sensitivities of a step against float and numpy arithmetic --------------------
+
+def duffing_field():
+    # a Duffing oscillator on the cubic graph y = x1 + x1^3
+    names = ("x1", "x2", "y")
+    con = ImplicitConstraint.from_expressions(
+        2, 1, ("y - x1 - x1^3",), names, DomainBox.from_bounds([(-2, 2), (-3, 3), (-12, 12)]))
+    return ForcedField(con, AmbientMap.from_expressions(("x2", "-0.5*y - 0.1*x2"), names),
+                       AmbientMap.from_expressions(("0", "cos(t)"), names))
+
+
+def oracle_w_step(field, state, t, dt, lam, w, matmul=None):
+    """W after one RK4 step from ``state``: A and dp/dlam from the public ``linearize`` at
+    each stage point, W' = A W + [0 | dp/dlam] with each entry of A Z summed left to right
+    on floats, or by ``matmul`` (numpy's A @ Z, as W was stepped before)."""
+    h, sixth, k = dt / 2.0, dt / 6.0, len(w)
+    ms, point, z = [], state, w
+    for i, (c, tc) in enumerate(((0.0, t), (h, t + h), (h, t + h), (dt, t + dt))):
+        if i:
+            point = [x + c * v for x, v in zip(state, velocity)]
+            z = [[wj + c * mj for wj, mj in zip(wr, mr)] for wr, mr in zip(w, ms[-1])]
+        velocity, a, d = (v.tolist() for v in field.linearize(tc, np.array(point), lam))
+        if matmul:
+            m = matmul(np.array(a), np.array(z))
+            m[:, -1] += d
+            ms.append(m.tolist())
+            continue
+        m = [[a[r][0] * z[0][j] for j in range(k + 1)] for r in range(k)]
+        for r, j in ((r, j) for r in range(k) for j in range(k + 1)):
+            for q in range(1, k):
+                m[r][j] += a[r][q] * z[q][j]
+            if j == k:
+                m[r][j] += d[r]
+        ms.append(m)
+    return [[wj + sixth * (m0 + 2.0 * m1 + 2.0 * m2 + m3) for wj, m0, m1, m2, m3 in zip(*rows)]
+            for rows in zip(w, *ms)]
+
+
+@pytest.mark.parametrize("name", ["example-5-5", "example-5-7", "callable", "duffing"])
+def test_stepped_sensitivities_match_float_and_numpy_arithmetic(name):
+    if name in ("callable", "duffing"):
+        field = callable_spring_field() if name == "callable" else duffing_field()
+    else:
+        dae = REGISTRY[name].build_dae()
+        field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    constraint, k = field.constraint, field.constraint.k
+    rng, steps = np.random.default_rng(16), 0
+    for i, p in enumerate(_random_points(constraint.domain, 200, 16)):
+        w, dt = rng.normal(size=(k, k + 1)).tolist(), (0.05, 0.4)[i % 2]
+        try:
+            state = p[:k] + constraint._code["solve_y"](50, *p)[0]
+            got = field._code["rk4w"](0.3, dt, 0.7, tuple(map(tuple, w)), *state)[1]
+        except (RootFindingError, *EVAL_ERRORS):
+            continue
+        assert [list(row) for row in got] == oracle_w_step(field, state, 0.3, dt, 0.7, w)
+        # numpy may fuse multiply-adds: 2 ulp of the entry or, where the step cancels
+        # most of it, of the entry before the step
+        blas = np.array(oracle_w_step(field, state, 0.3, dt, 0.7, w, np.matmul))
+        ulp = np.spacing(np.maximum(np.abs(blas), np.abs(w)))
+        assert np.all(np.abs(np.array(got) - blas) <= 2 * ulp)
+        steps += 1
+    assert steps >= 50, steps
+
+
 # --- golden degree records -----------------------------------------------------------
 
 EXACT_KEYS = {"degree", "manifold_degree", "partial2_sign", "index", "method",
