@@ -467,7 +467,7 @@ def duffing_field():
 def oracle_w_step(field, state, t, dt, lam, w, matmul=None):
     """W after one RK4 step from ``state``: A and dp/dlam from the public ``linearize`` at
     each stage point, W' = A W + [0 | dp/dlam] with each entry of A Z summed left to right
-    on floats, or by ``matmul`` (numpy's A @ Z, as W was stepped before)."""
+    on floats, or by ``matmul`` (numpy's A.dot(Z), as W was stepped before)."""
     h, sixth, k = dt / 2.0, dt / 6.0, len(w)
     ms, point, z = [], state, w
     for i, (c, tc) in enumerate(((0.0, t), (h, t + h), (h, t + h), (dt, t + dt))):
@@ -510,7 +510,7 @@ def test_stepped_sensitivities_match_float_and_numpy_arithmetic(name):
         assert [list(row) for row in got] == oracle_w_step(field, state, 0.3, dt, 0.7, w)
         # numpy may fuse multiply-adds: 2 ulp of the entry or, where the step cancels
         # most of it, of the entry before the step
-        blas = np.array(oracle_w_step(field, state, 0.3, dt, 0.7, w, np.matmul))
+        blas = np.array(oracle_w_step(field, state, 0.3, dt, 0.7, w, np.dot))
         ulp = np.spacing(np.maximum(np.abs(blas), np.abs(w)))
         assert np.all(np.abs(np.array(got) - blas) <= 2 * ulp)
         steps += 1
