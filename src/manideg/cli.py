@@ -21,6 +21,7 @@ regularity failure, 4 inadmissible boundary, 5 numeric failure.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -289,6 +290,7 @@ def _cmd_verify(args):
 
 # --- entry points -------------------------------------------------------------
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="manideg",

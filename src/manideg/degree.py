@@ -9,10 +9,11 @@ dimensions an independent winding-number computation is available as a
 cross-check; it needs no Jacobians and tolerates degenerate interior
 zeros.
 
-The Newton starts run in lock-step: per iteration one batched residual
-(``AmbientMap.batch``), one batched Jacobian and one stacked linear
-solve serve every live start, and masks give each start its own
-halvings, fence, stall and convergence (see :func:`_lockstep_newton`).
+The Newton starts run in lock-step: per iteration one batched Jacobian
+(``AmbientMap.batch``), one stacked linear solve and at most three
+batched residuals (the full steps, then two chunks of halvings) serve
+every live start, and masks give each start its own halvings, fence,
+stall and convergence (see :func:`_lockstep_newton`).
 Boundary and winding samples are batched too.  The flow's y-projection
 runs the same damped rule on one point, as generated code (see
 :mod:`manideg.manifold`).
@@ -42,6 +43,10 @@ _WINDING_SAMPLES = 256  # first boundary samples of the winding computation
 _WINDING_ZERO_TOL = 1e-10  # boundary |F| at or below which the winding is undefined
 _WINDING_MAX_PASSES = 48  # caps on the winding's refinement passes
 _WINDING_MAX_POINTS = 200000  # and on its boundary samples
+# step scales 2**-j a lock-step Newton iteration tries, one batch per chunk:
+# the full step, then halvings 1-3, then 4-19 for the rows still not improved
+_HALVING_CHUNKS = tuple(np.array([0.5 ** j for j in levels])
+                        for levels in ((0,), (1, 2, 3), range(4, 20)))
 
 
 def _default_density(dim):
@@ -184,9 +189,10 @@ def _newton_steps(field, x, fx):
 def _lockstep_newton(field, x, tol, max_iter, fence):
     """Damped Newton from every row of ``x`` at once, in lock-step.
 
-    Each row takes full Newton steps, each halved, up to 20 times, until
-    the residual norm strictly decreases; a residual that does not
-    evaluate or whose norm is not finite counts as infinite.  The
+    Each row takes full Newton steps, each halved, up to 19 times, until
+    the residual norm strictly decreases: a row takes the first of the
+    steps 2**-j (j = 0, ..., 19) that decreases it.  A residual that does
+    not evaluate or whose norm is not finite counts as infinite.  The
     tolerance is checked before each of the ``max_iter`` steps and
     after the last.  A row is abandoned (stalls) when no halving
     improves it, and also when its start does not evaluate, when an
@@ -194,6 +200,14 @@ def _lockstep_newton(field, x, tol, max_iter, fence):
     evaluated there) and when its step is not finite.  Returns the final
     points and residuals, and the mask of the rows that converged inside
     ``fence``.
+
+    The halving levels are tried a chunk at a time (``_HALVING_CHUNKS``):
+    one batch holds every level of a chunk for every row still waiting,
+    and a row's residual bound does not change while it waits, so the
+    row takes the level it would take trying one level per batch.  The
+    field is therefore also evaluated at the unused levels of a chunk,
+    points between the row's iterate and a rejected step; a
+    callable-backed field sees those calls.
     """
     fx, valid = field.batch(x)
     r = _residual_norms(fx, valid)
@@ -210,18 +224,19 @@ def _lockstep_newton(field, x, tol, max_iter, fence):
         finite = np.isfinite(steps).all(axis=1)
         live[rows[~finite]] = False
         rows, steps = rows[finite], steps[finite]
-        scale = 1.0
-        for _ in range(20):
+        for scales in _HALVING_CHUNKS:
             if not rows.size:
                 break
-            xn = x[rows] + scale * steps
+            # row i, level j of the chunk at flat index i * len(scales) + j
+            xn = (x[rows][:, None] + scales[:, None] * steps[:, None]).reshape(-1, x.shape[1])
             fn, valid = field.batch(xn)
             rn = _residual_norms(fn, valid)
-            better = rn < r[rows]
-            took = rows[better]
-            x[took], fx[took], r[took] = xn[better], fn[better], rn[better]
-            rows, steps = rows[~better], steps[~better]
-            scale *= 0.5
+            better = rn.reshape(len(rows), -1) < r[rows, None]
+            moved = better.any(axis=1)
+            took = rows[moved]
+            pick = np.flatnonzero(moved) * len(scales) + better[moved].argmax(axis=1)
+            x[took], fx[took], r[took] = xn[pick], fn[pick], rn[pick]
+            rows, steps = rows[~moved], steps[~moved]
         live[rows] = False  # stalled: no halving decreased the residual
     else:
         converged |= live & (r <= tol)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainEscapeError, IntegrationError, RootFindingError
+from .errors import DomainEscapeError, DomainEvalError, IntegrationError, RootFindingError
 from .fields import _floats
 
 __all__ = ["FlowResult", "projected_step", "flow_map", "period_map",
@@ -77,6 +77,11 @@ def _advance(step, state, w, t, dt, lam, depth=0):
     # (state, W, drift) one projected ``step`` of dt later; W stays None when not integrated
     try:
         return step(t, dt, lam, w, *state)
+    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+        # a stage that overflows is outside the field's domain, as a stage's _div or
+        # _log error is; like that error, it is not halved
+        raise DomainEvalError(
+            f"the field does not evaluate to finite numbers near t = {t:.6g}: {exc}") from exc
     except RootFindingError as exc:
         if depth >= _MAX_HALVINGS:
             reason = ("the trajectory left the domain box"

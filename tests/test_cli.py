@@ -145,6 +145,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_parser_is_built_once(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # a reused parser keeps no state from the previous command line
+    assert run_cli(capsys, "degree", "example-4-1", "--method", "winding")[0] == 0
+    code, out, _ = run_cli(capsys, "degree", "example-4-1")
+    assert code == 0 and json.loads(out)["method"] == "sign-sum"
+
+
 def test_degree_record(capsys):
     code, out, err = run_cli(capsys, "degree", "example-4-1")
     assert code == 0 and err == ""
@@ -336,7 +344,7 @@ def test_trace_writes_branch_csv(capsys, tmp_path):
                            "--steps-per-period", "128", "--out", str(path))
     assert code == 0
     assert "solution pairs (lambda_max)" in out
-    rows = list(csv.reader(path.open()))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["index", "lambda", "x1", "x2", "y",
                        "amplitude", "residual", "drift"]
     assert len(rows) >= 3
@@ -356,6 +364,23 @@ def test_trace_to_stdout(capsys):
     assert len(lines) == 2
 
 
+def test_trace_ends_cleanly_when_a_stage_overflows(capsys, tmp_path):
+    # exp(800*x1) overflows math.exp once the branch carries x1 past 0.89: the
+    # shot fails as a domain error, so the branch ends at a corrector failure
+    # instead of escaping as a bare OverflowError
+    text = SPRING_TEXT.replace("g = y^3 + y - x1^5 - x1", "g = y - x1").replace(
+        "gamma = -y - 0.5*x2", "gamma = -4*x1 - 0.1*x2 + 1e-300*exp(800*x1)")
+    problem = tmp_path / "overflow.txt"
+    problem.write_text(text.replace("steps_per_period = 128\n", ""))
+    path = tmp_path / "branch.csv"
+    code, out, err = run_cli(capsys, "trace", str(problem), "--lambda-max", "5",
+                             "--ds", "0.2", "--max-steps", "60", "--out", str(path))
+    assert code == 0 and err == ""
+    assert "solution pairs (corrector_failure)" in out
+    rows = list(csv.reader(path.read_text().splitlines()))
+    assert 2 < len(rows) < 62 and float(rows[-1][2]) > 0.8
+
+
 GOLDEN_TRACE = pathlib.Path(__file__).with_name("golden_trace_example_5_5.csv")
 
 
@@ -367,8 +392,8 @@ def test_trace_matches_golden_branch(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "trace", "example-5-5", "--lambda-max", "0.4",
                          "--out", str(path))
     assert code == 0
-    got = list(csv.reader(path.open()))
-    want = list(csv.reader(GOLDEN_TRACE.open()))
+    got = list(csv.reader(path.read_text().splitlines()))
+    want = list(csv.reader(GOLDEN_TRACE.read_text().splitlines()))
     assert got[0] == want[0] and len(got) == len(want)
     for row, golden in zip(got[1:], want[1:]):
         assert row[0] == golden[0]

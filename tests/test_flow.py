@@ -273,6 +273,23 @@ def test_forcing_is_not_evaluated_at_zero_lambda():
         flow_map(field, start, 0.0, 1.0, 0.3, n_steps=4)
 
 
+@pytest.mark.parametrize("sensitivity", [False, True])
+def test_overflowing_stage_is_a_domain_error_and_not_halved(monkeypatch, sensitivity):
+    # math.exp(800 * x1) overflows at x1 = 1 in every stage, whatever the step size
+    names = ("x1", "x2", "y")
+    con = ImplicitConstraint.from_expressions(
+        2, 1, ("y - x1",), names, DomainBox.cube(-2.0, 2.0, 3))
+    gamma = AmbientMap.from_expressions(("x2", "-4*x1 + 1e-300*exp(800*x1)"), names)
+    field = ForcedField(con, gamma, AmbientMap.from_expressions(("0", "cos(t)"), names))
+    calls = []
+    advance = flow._advance
+    monkeypatch.setattr(flow, "_advance", lambda *args: calls.append(args) or advance(*args))
+    with pytest.raises(DomainEvalError, match="near t = 0.*math range error"):
+        flow_map(field, np.array([1.0, 0.0, 1.0]), 0.0, 1.0, 0.3, n_steps=4,
+                 sensitivity=sensitivity)
+    assert len(calls) == 1
+
+
 def test_zero_pivot_raises_regularity_error():
     # g = y^2 - x has d_y g = 2y = 0 at the origin
     con = ImplicitConstraint.from_expressions(
@@ -288,6 +305,8 @@ def test_zero_pivot_raises_regularity_error():
 
 def test_shooting_compiles_the_step_code_once(monkeypatch):
     dae = REGISTRY["example-5-5"].build_dae()
+    # the shared constraint's own code is bound here, so only the field's is counted
+    dae.constraint._code
     compiled = []
     source = manifold._source
     monkeypatch.setattr(manifold, "_STEP_CODE", {})

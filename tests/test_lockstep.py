@@ -9,6 +9,10 @@ evaluate the maps on the same vector backend; a location may still move
 in the last bits where a stacked linear solve or row norm rounds unlike
 its per-point form.
 
+``oracle_lockstep_newton`` is the lock-step search as it was with one
+batch per step-halving level; ``degree._lockstep_newton``, which tries the
+levels a chunk per batch, must end every start bit for bit where it does.
+
 ``oracle_solve_y`` is the y-projection built on the same ``damped_newton``,
 as it ran before the projection became generated code; the generated
 y-solve and projected step must match it bit for bit.
@@ -288,6 +292,109 @@ def test_blocked_and_unblocked_averages_agree_bit_for_bit(monkeypatch):
         for label in ("default", "small"):
             got, _ = maps[label].batch(points, jacobian)
             assert np.array_equal(got, want[jacobian]), label
+
+
+# --- halvings a chunk of levels per batch against one level per batch --------------------
+
+def oracle_lockstep_newton(field, x, tol, max_iter, fence, levels=None):
+    """``degree._lockstep_newton`` as it was with one batch per halving
+    level; ``levels`` collects each improving level taken, and -1 per stall."""
+    fx, valid = field.batch(x)
+    r = degree._residual_norms(fx, valid)
+    live = np.isfinite(r)
+    converged = np.zeros(len(x), dtype=bool)
+    for _ in range(max_iter):
+        done = live & (r <= tol)
+        converged |= done
+        live &= ~done & degree._inside(fence, x)
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            break
+        steps = degree._newton_steps(field, x[rows], fx[rows])
+        finite = np.isfinite(steps).all(axis=1)
+        live[rows[~finite]] = False
+        rows, steps = rows[finite], steps[finite]
+        scale = 1.0
+        for level in range(20):
+            if not rows.size:
+                break
+            xn = x[rows] + scale * steps
+            fn, valid = field.batch(xn)
+            rn = degree._residual_norms(fn, valid)
+            better = rn < r[rows]
+            took = rows[better]
+            x[took], fx[took], r[took] = xn[better], fn[better], rn[better]
+            rows, steps = rows[~better], steps[~better]
+            scale *= 0.5
+            if levels is not None:
+                levels.extend([level] * len(took))
+        live[rows] = False
+        if levels is not None:
+            levels.extend([-1] * len(rows))
+    else:
+        converged |= live & (r <= tol)
+    return x, fx, converged & degree._inside(fence, x)
+
+
+def _mirror_field(m):
+    # F = x^2 + 1 with a Jacobian 2^(m-1) times too small: from x = 1 the step
+    # is -2^m, so halving level m - 1 lands on -1, where |F| ties with 2
+    def jac(p):
+        x = float(p[0])
+        return np.array([[(x * x + 1.0) / (2.0 ** m * x)]])
+    return FieldHandle.from_callable(1, lambda p: np.array([p[0] ** 2 + 1.0]), jac=jac)
+
+
+def _lockstep_cases():
+    # (name, field, starts, fence), the starts and fence as find_zeros sets them
+    # up, apart from the fields without zeros, which start at x = 1
+    cases = []
+    for name in ("example-4-1", "example-5-2", "example-5-7"):
+        problem = REGISTRY[name]
+        cases.append((name, reduced_map(problem.build_phi1(), problem.build_constraint()),
+                      problem.domain()))
+    cases.append(("sin(9x), sin(9y)",
+                  FieldHandle.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y")),
+                  DomainBox.cube(-2.0, 2.0, 2)))
+    # a cubic whose starts far out need many halvings, evaluated point by point
+    cases.append(("callable", FieldHandle.from_callable(
+        2, lambda p: np.array([p[0] ** 3 - 2 * p[0] + 2 + p[1], p[1] ** 3 - p[0]])),
+        DomainBox.cube(-3.0, 3.0, 2)))
+    for name, field, box in cases:
+        width = np.subtract(box.upper, box.lower)
+        fence = DomainBox.from_bounds(zip(box.lower - width, box.upper + width))
+        yield name, field, box.grid(_default_density(box.dim)), fence
+    for m in (1, 2, 6):  # ties at the full step, in the first chunk and in the second
+        yield f"mirror {m}", _mirror_field(m), np.array([[1.0], [3.0]]), DomainBox.cube(-4, 4, 1)
+
+
+def test_chunked_halvings_match_one_level_per_batch_bit_for_bit():
+    levels = []
+    for name, field, starts, fence in _lockstep_cases():
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = oracle_lockstep_newton(field, starts.copy(), 1e-10, degree.NEWTON_MAX_ITER,
+                                          fence, levels)
+            got = degree._lockstep_newton(field, starts.copy(), 1e-10, degree.NEWTON_MAX_ITER,
+                                          fence)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+    # every chunk is exercised: levels taken in each of them, and stalls
+    levels = np.array(levels)
+    assert all(np.any((levels >= lo) & (levels <= hi))
+               for lo, hi in ((0, 0), (1, 3), (4, 19), (-1, -1)))
+
+
+def test_chunked_halvings_cut_the_batch_calls(monkeypatch):
+    # example-4-1's starts take many halvings: one batch per level made 424 calls
+    problem = REGISTRY["example-4-1"]
+    field = reduced_map(problem.build_phi1(), problem.build_constraint())
+    calls = []
+    batch = type(field).batch
+    monkeypatch.setattr(type(field), "batch",
+                        lambda self, *args, **kw: calls.append(args) or batch(self, *args, **kw))
+    assert len(find_zeros(field, problem.domain())) == 1
+    assert len(calls) <= 150
 
 
 # --- the y-projection against the same loop -------------------------------------------
