@@ -189,25 +189,24 @@ def _newton_steps(field, x, fx):
 def _lockstep_newton(field, x, tol, max_iter, fence):
     """Damped Newton from every row of ``x`` at once, in lock-step.
 
-    Each row takes full Newton steps, each halved, up to 19 times, until
-    the residual norm strictly decreases: a row takes the first of the
-    steps 2**-j (j = 0, ..., 19) that decreases it.  A residual that does
-    not evaluate or whose norm is not finite counts as infinite.  The
-    tolerance is checked before each of the ``max_iter`` steps and
-    after the last.  A row is abandoned (stalls) when no halving
-    improves it, and also when its start does not evaluate, when an
-    iterate about to step lies outside ``fence`` (so no Jacobian is
-    evaluated there) and when its step is not finite.  Returns the final
-    points and residuals, and the mask of the rows that converged inside
-    ``fence``.
+    Each iteration moves a row by the first of its Newton step's scales
+    2**-j (j = 0, ..., 19) that strictly decreases its residual norm; a
+    residual that does not evaluate or whose norm is not finite counts
+    as infinite.  The tolerance is checked before each of the
+    ``max_iter`` steps and after the last.  A row is abandoned (stalls)
+    when no scale improves it, and also when its start does not
+    evaluate, when an iterate about to step lies outside ``fence`` (so
+    no Jacobian is evaluated there) and when its step is not finite.
+    Returns the final points and residuals, and the mask of the rows
+    that converged inside ``fence``.
 
     The halving levels are tried a chunk at a time (``_HALVING_CHUNKS``):
     one batch holds every level of a chunk for every row still waiting,
     and a row's residual bound does not change while it waits, so the
     row takes the level it would take trying one level per batch.  The
-    field is therefore also evaluated at the unused levels of a chunk,
-    points between the row's iterate and a rejected step; a
-    callable-backed field sees those calls.
+    field is also evaluated at the levels of a chunk past the one a row
+    takes, points between the row's iterate and its rejected full step;
+    a callable-backed field sees these as extra calls.
     """
     fx, valid = field.batch(x)
     r = _residual_norms(fx, valid)
