@@ -16,12 +16,16 @@ W = dx/d(x0, lam) of the x-components, by the variational equation of
 the x-dynamics with y slaved to x; a shot that asks for them visits
 exactly the states of a plain shot.
 
-A projected step is one call of the field's generated straight-line
-code on Python floats (see :class:`~manideg.manifold.ForcedField`): the
-four stages, the shifted points, the stage sum, then the damped y-Newton
-and the domain-box test of :func:`~manideg.manifold.implicit_solve_y`,
-inlined.  It returns the state, W (k row tuples of floats, each entry
-of a stage's A W summed left to right) and |g|.
+A shot is one call of the field's generated straight-line code on
+Python floats (see :class:`~manideg.manifold.ForcedField`): a loop over
+the steps whose body inlines the four stages, the shifted points, the
+stage sum, then the damped y-Newton and the domain-box test of
+:func:`~manideg.manifold.implicit_solve_y`.  It appends every state and
+|g| to the shot's lists and carries W as k row tuples of floats, each
+entry of a stage's A W summed left to right.  A step whose projection
+fails ends that call; halving it is the Python fallback of
+:func:`_advance`, which runs each half step as a shot of one step, and
+the loop then resumes after it.
 """
 
 import math
@@ -64,36 +68,45 @@ def projected_step(field, state, t, dt, lam=0.0, sensitivity=None):
     floats, summed left to right) and returns ``(state, W)``.  The state
     is bit-identical to the plain step's: W never feeds back into it.
     """
-    if sensitivity is None:
-        return np.array(field._code["rk4"](t, dt, float(lam), None, *_floats(state))[0])
-    w, k = np.asarray(sensitivity, dtype=float), field.constraint.k
-    if w.shape != (k, k + 1):
-        raise ValueError(f"sensitivity must have shape ({k}, {k + 1}), got {w.shape}")
-    stepped, w, _ = field._code["rk4w"](t, dt, float(lam), w.tolist(), *_floats(state))
-    return np.array(stepped), np.array(w)
+    w = sensitivity
+    if w is not None:
+        w, k = np.asarray(w, dtype=float), field.constraint.k
+        if w.shape != (k, k + 1):
+            raise ValueError(f"sensitivity must have shape ({k}, {k + 1}), got {w.shape}")
+        w = w.tolist()
+    shot = field._code["rk4" if w is None else "rk4w"]
+    _, stepped, w, failure = shot(0, 1, t, dt, float(lam), w, [], [], *_floats(state))
+    if failure is not None:
+        raise failure
+    return np.array(stepped) if w is None else (np.array(stepped), np.array(w))
 
 
-def _advance(step, state, w, t, dt, lam, depth=0):
-    # (state, W, drift) one projected ``step`` of dt later; W stays None when not integrated
-    try:
-        return step(t, dt, lam, w, *state)
-    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+def _advance(shot, state, w, t, dt, lam, failure, depth=0):
+    # (state, W, drift) one projected step of dt after ``state`` at time t, whose try in
+    # ``shot`` returned ``failure``: the step again as two half steps, each a shot of one
+    # step (at t + 0 * dt, which is t) and halved in turn if it fails; W stays None when
+    # not integrated
+    if not isinstance(failure, RootFindingError):
         # a stage that overflows is outside the field's domain, as a stage's _div or
         # _log error is; like that error, it is not halved
         raise DomainEvalError(
-            f"the field does not evaluate to finite numbers near t = {t:.6g}: {exc}") from exc
-    except RootFindingError as exc:
-        if depth >= _MAX_HALVINGS:
-            reason = ("the trajectory left the domain box"
-                      if isinstance(exc, DomainEscapeError)
-                      else "the flow leaves the region where the constraint "
-                           "is solvable")
-            raise IntegrationError(
-                f"time step underflow near t = {t:.6g}; {reason}"
-            ) from exc
-        half = dt / 2.0
-        mid, w, _ = _advance(step, state, w, t, half, lam, depth + 1)
-        return _advance(step, mid, w, t + half, half, lam, depth + 1)
+            f"the field does not evaluate to finite numbers near t = {t:.6g}: {failure}"
+        ) from failure
+    if depth >= _MAX_HALVINGS:
+        reason = ("the trajectory left the domain box"
+                  if isinstance(failure, DomainEscapeError)
+                  else "the flow leaves the region where the constraint "
+                       "is solvable")
+        raise IntegrationError(
+            f"time step underflow near t = {t:.6g}; {reason}"
+        ) from failure
+    half = dt / 2.0
+    for start in (t, t + half):
+        drifts = []
+        _, stepped, stepped_w, failure = shot(0, 1, start, half, lam, w, [], drifts, *state)
+        state, w, drift = ((stepped, stepped_w, drifts[0]) if failure is None else
+                           _advance(shot, state, w, start, half, lam, failure, depth + 1))
+    return state, w, drift
 
 
 def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None, sensitivity=False):
@@ -140,13 +153,16 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None, sensitiv
 
     # numpy scalars would turn every float of the steps into one
     t0, lam = float(t0), float(lam)
-    state, step = xi0.tolist(), field._code["rk4w" if sensitivity else "rk4"]
-    times, states, drifts = [t0], [state], [drift0]
-    for i in range(n_steps):
-        state, w, drift = _advance(step, state, w, t0 + i * dt, dt, lam)
-        times.append(t0 + (i + 1) * dt)
-        states.append(state)
-        drifts.append(drift)
+    state, shot = xi0.tolist(), field._code["rk4w" if sensitivity else "rk4"]
+    states, drifts, i = [state], [drift0], 0
+    while i < n_steps:
+        i, state, w, failure = shot(i, n_steps, t0, dt, lam, w, states, drifts, *state)
+        if failure is not None:  # step i, halved
+            state, w, drift = _advance(shot, state, w, t0 + i * dt, dt, lam, failure)
+            states.append(state)
+            drifts.append(drift)
+            i += 1
+    times = [t0] + [t0 + i * dt for i in range(1, n_steps + 1)]
     return FlowResult(np.array(state), max(drifts), n_steps, np.array(times),
                       np.array(states), np.array(drifts), w and np.array(w))
 

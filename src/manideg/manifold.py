@@ -41,6 +41,7 @@ SINGULAR_TOL = 1e-10  # |det d_y g| below which partial2_sign calls a sample sin
 NEAR_SINGULAR_TOL = 1e-6  # and below which it warns
 Y_SOLVE_TOL = 1e-12  # |g| every y-solve converges to, the flow's projections included
 _PROJECTION_ITER = 50  # Newton steps each projection of a flow step may take
+_CANNOT_RAISE = re.compile(r"(?!.*\*\*)[\w. +*-]+")  # float +, -, * of names and literals
 
 
 class ImplicitConstraint:
@@ -226,8 +227,14 @@ def _source(k, s, g, *field):
     # a[n-1] that do their formulas' float operations in order.  For the constraint
     # alone: residual, solve_y of (max_iter, a0, ...) -> (y, |g|) (see _projection)
     # and tangent (completing f0, ...).  For a field: first, velocity, linearize of
-    # (a0, ..., t, lam) and rk4(w) of (t, dt, lam, W, a0, ...) -> (state, W, |g|), a
-    # projected step.  Callable parts are called as g, gamma, sigma.
+    # (a0, ..., t, lam), and rk4 and rk4w, each a whole shot of projected steps in one
+    # call: (i, n, t0, dt, lam, W, states, drifts, u0, ...) runs the steps i, ..., n-1
+    # of dt from the state u0, ... at step i, step j at time t0 + j * dt, and appends
+    # each new state and |g| to the lists states and drifts.  It returns (n, state, W,
+    # None), or at the first step that raises RootFindingError, OverflowError,
+    # ZeroDivisionError or FloatingPointError (index, start state, start W, error):
+    # halving that step is the caller's.  rk4w also advances W (k row tuples; rk4
+    # passes W through).  Callable parts are called as g, gamma, sigma.
     n = k + s
     a = [f"a{i}" for i in range(n)]
     point, em, out = ", ".join(a), expr._Emitter((), (), "scalar"), []
@@ -243,54 +250,101 @@ def _source(k, s, g, *field):
         em.lines = _projection(em, k, s, g, "max_iter")
         define("solve_y", f"max_iter, {point}", f"[{', '.join(a[k:])}], r")
         f, gjet = [f"f{i}" for i in range(k)], _emit_part(em, g, "g", n, range(n))
-        define("tangent", ", ".join(a + f), _completion(em, k, s, gjet, f, point))
+        define("tangent", ", ".join(a + f), _tuple(_completion(em, k, s, gjet, f, point)))
         return out
     args = f"{point}, a{n}, lam"
     define("first", args, _tuple(r[0] for r in _emit_p(em, *field, n, ())[0]))
-    for name, seeds in (("velocity", ()), ("linearize", range(n))):
-        p, forcing = _emit_p(em, *field, n, seeds)
-        gjet = _emit_part(em, g, "g", n, range(n))
-        ret = _completion(em, k, s, gjet, [r[0] for r in p], point)
-        if seeds and s == 1:  # A = d_x p + d_y p * slave, slave = d_x g / (-d_y g)
-            pivot = em.new(f"-{gjet[0][k + 1]}")
-            slave = [em.new(f"{d} / {pivot}") for d in gjet[0][1:k + 1]]
-            rows = [_tuple(em.new(f"{r[1 + j]} + {r[1 + k]} * {sj}")
-                           for j, sj in enumerate(slave)) for r in p]
-            ret += f", {_tuple(rows)}"
-        elif seeds:  # by numpy, with jac = d_(x, y) g from the completion
-            em.lines.append(f"dp = np.array({_tuple(sum(p, []))}).reshape({k}, {n + 1})[:, 1:]")
-            ret += (f", (dp[:, :{k}] + dp[:, {k}:] @ "
-                    f"np.linalg.solve(jac[:, {k}:], -jac[:, :{k}])).tolist()")
-        if seeds:  # dp/dlam
-            ret += ", " + _tuple([r[0] for r in forcing] if forcing else ["0.0"] * k)
-        define(name, args, ret)
 
     def by_row(entry, width=k + 1):  # k row tuples of entry(r, j), W's by default
         return _tuple(_tuple(entry(r, j) for j in range(width)) for r in range(k))
 
-    rk = [(r, j) for r in range(k) for j in range(k + 1)]
-    a_d = f"{by_row(lambda r, q: f'A{r}_{q}', k)}, {_tuple(f'd{r}' for r in range(k))}"
+    # a stage, velocity's or linearize's body, binds the velocity at the point a0, ...
+    # and time a[n] to k0, ..., and linearize's A and dp/dlam to A0_0, ... and d0, ...
+    names = [f"k{j}" for j in range(n)]
+    results = {"velocity": _tuple(names),
+               "linearize": (f"{_tuple(names)}, {by_row(lambda r, q: f'A{r}_{q}', k)}, "
+                             f"{_tuple(f'd{r}' for r in range(k))}")}
+    names += [f"A{r}_{q}" for r in range(k) for q in range(k)] + [f"d{r}" for r in range(k)]
+    stages = {}
+    for name, seeds in (("velocity", ()), ("linearize", range(n))):
+        p, forcing = _emit_p(em, *field, n, seeds)
+        gjet = _emit_part(em, g, "g", n, range(n))
+        values = _completion(em, k, s, gjet, [r[0] for r in p], point)
+        if seeds and s == 1:  # A = d_x p + d_y p * slave, slave = d_x g / (-d_y g)
+            pivot = em.new(f"-{gjet[0][k + 1]}")
+            slave = [em.new(f"{d} / {pivot}") for d in gjet[0][1:k + 1]]
+            values += [em.new(f"{r[1 + j]} + {r[1 + k]} * {sj}")
+                       for r in p for j, sj in enumerate(slave)]
+        elif seeds:  # by numpy, with jac = d_(x, y) g from the completion
+            em.lines += [f"dp = np.array({_tuple(sum(p, []))}).reshape({k}, {n + 1})[:, 1:]",
+                         f"slaved = (dp[:, :{k}] + dp[:, {k}:] @ "
+                         f"np.linalg.solve(jac[:, {k}:], -jac[:, :{k}])).tolist()"]
+            values += [f"slaved[{r}][{q}]" for r in range(k) for q in range(k)]
+        if seeds:  # dp/dlam
+            values += [r[0] for r in forcing] if forcing else ["0.0"] * k
+        em.lines += [f"{t} = {v}" for t, v in zip(names, values)]
+        stages[name] = em.lines
+        define(name, args, results[name])
+
+    # the shots: each step of the loop inlines the four stages, each after its point
+    # a0, ... = u0 + c * k0, ... (u0, ...: the step's start state) and time a[n], then
+    # the stage sum and the projection.  The sums k0 + 2.0 * k1 + 2.0 * k2 + k3 are
+    # accumulated stage by stage in sk0, ..., left to right as written.  W advances by
+    # W' = A W + [0 | d] through M = A Z + [0 | d], Z = W + c * M of the stage before,
+    # each entry of A Z summed left to right, and the M summed like the k in sm0_0, ...
+    u, rk = [f"u{j}" for j in range(n)], [(r, j) for r in range(k) for j in range(k + 1)]
+    w = by_row(lambda r, j: f"w{r}_{j}")
     for name, lin in (("rk4", False), ("rk4w", True)):
-        em.lines, ks = [f"{by_row(lambda r, j: f'w{r}_{j}')} = w"] * lin + ["h = dt / 2.0"], a
-        for i, (c, ts) in enumerate(zip(("", "h", "h", "dt"), ("t", "t + h", "t + h", "t + dt"))):
-            shifted = ", ".join(f"{x} + {c} * {v}" if i else x for x, v in zip(a, ks))
-            ks = [f"k{i}_{j}" for j in range(n)]
-            em.lines.append(f"{_tuple(ks)}, {a_d} = linearize({shifted}, {ts}, lam)" if lin
-                            else f"{_tuple(ks)} = velocity({shifted}, {ts}, lam)")
-            if lin:  # W' = A W + [0 | d] by M = A Z + [0 | d], Z = W + c * M of the stage
-                z = "z" if i else "w"  # before, each entry of A Z summed left to right
-                em.lines += [f"z{r}_{j} = w{r}_{j} + {c} * m{i - 1}_{r}_{j}" for r, j in rk if i]
-                em.lines += [" + ".join([f"m{i}_{r}_{j} = A{r}_0 * {z}0_{j}",
-                                         *(f"A{r}_{q} * {z}{q}_{j}" for q in range(1, k)),
-                                         *[f"d{r}"] * (j == k)]) for r, j in rk]
-        raw = ", ".join(f"{x} + sixth * (k0_{j} + 2.0 * k1_{j} + 2.0 * k2_{j} + k3_{j})"
-                        for j, x in enumerate(a))
-        em.lines += ["sixth = dt / 6.0", f"{_tuple(a)} = ({raw},)",
-                     *_projection(em, k, s, g, _PROJECTION_ITER)]
-        stepped = by_row(lambda r, j: f"w{r}_{j} + sixth * (m0_{r}_{j} + 2.0 * m1_{r}_{j}"
-                                      f" + 2.0 * m2_{r}_{j} + m3_{r}_{j})")
-        define(name, f"t, dt, lam, w, {point}", f"[{point}], {stepped if lin else 'w'}, r")
+        steps = ["t = t0 + i * dt"]
+        for i, (c, ts, term) in enumerate(zip(("", "h", "h", "dt"),
+                                              ("t", "t + h", "t + h", "t + dt"),
+                                              ("{}", "s{0} + 2.0 * {0}", "s{0} + 2.0 * {0}",
+                                               "s{0} + {0}"))):
+            steps += [f"a{j} = {x} + {c} * k{j}" if i else f"a{j} = {x}" for j, x in enumerate(u)]
+            steps += [f"a{n} = {ts}", *stages["linearize" if lin else "velocity"]]
+            steps += [f"sk{j} = " + term.format(f"k{j}") for j in range(n)]
+            if lin:
+                z = "z" if i else "w"
+                steps += [f"z{r}_{j} = w{r}_{j} + {c} * m{r}_{j}" for r, j in rk if i]
+                steps += [" + ".join([f"m{r}_{j} = A{r}_0 * {z}0_{j}",
+                                      *(f"A{r}_{q} * {z}{q}_{j}" for q in range(1, k)),
+                                      *[f"d{r}"] * (j == k)]) for r, j in rk]
+                steps += [f"sm{r}_{j} = " + term.format(f"m{r}_{j}") for r, j in rk]
+        steps += [f"a{j} = {x} + sixth * sk{j}" for j, x in enumerate(u)]
+        done = [*_projection(em, k, s, g, _PROJECTION_ITER),
+                *(f"{x} = a{j}" for j, x in enumerate(u)),
+                *(f"w{r}_{j} = w{r}_{j} + sixth * sm{r}_{j}" for r, j in rk if lin),
+                f"states.append([{point}])", "drifts.append(r)"]
+        state, w_out = f"[{', '.join(u)}]", w if lin else "w"
+        em.lines = [*[f"{w} = w"] * lin, "h = dt / 2.0", "sixth = dt / 6.0", "try:",
+                    "    for i in range(i, n):",
+                    *_indented(_indented([*_pruned(steps, done), *done])),
+                    "except (RootFindingError, OverflowError, ZeroDivisionError, "
+                    "FloatingPointError) as exc:",
+                    # a returned error's traceback, or its context's, would keep the shot's
+                    # frame, and through it the caller's that holds the error, in a cycle
+                    "    exc.__traceback__ = exc.__context__ = None",
+                    f"    return i, {state}, {w_out}, exc"]
+        define(name, f"i, n, t0, dt, lam, w, states, drifts, {', '.join(u)}",
+               f"n, {state}, {w_out}, None")
     return out
+
+
+def _pruned(lines, after):
+    # ``lines``, straight-line code with branches, without the assignments whose name no
+    # later line reads, nor a line of ``after``, and whose value cannot raise: float +, -,
+    # * and negation of names and literals.  Every **, call and / stays.
+    live = set(re.findall(r"\b[A-Za-z_]\w*", "\n".join(after)))
+    kept = []
+    for line in reversed("\n".join(lines).splitlines()):
+        name, eq, value = line.strip().partition(" = ")
+        if not (eq and name.isidentifier()):
+            value = line
+        elif name not in live and _CANNOT_RAISE.fullmatch(value):
+            continue
+        live.update(re.findall(r"\b[A-Za-z_]\w*", value))
+        kept.append(line)
+    return kept[::-1]
 
 
 def _indented(lines):
@@ -383,20 +437,21 @@ def _emit_p(em, gamma, sigma, n, seeds):
 
 
 def _completion(em, k, s, gjet, first, point):
-    # the velocity completing ``first`` by d_y g * psi_2 = -d_x g * psi_1; for s = 1 on
-    # floats, d_x g . psi_1 left to right (a BLAS dot's fused multiply-adds round otherwise)
+    # the components of the velocity completing ``first`` by d_y g * psi_2 = -d_x g * psi_1;
+    # for s = 1 on floats, d_x g . psi_1 left to right (a BLAS dot's fused multiply-adds
+    # round otherwise)
     fail = f"raise RegularityError(f'd_y g is singular at {{np.asarray([{point}])}}')"
     if s > 1:
         em.lines += [f"jac = np.array({_tuple(sum(gjet, []))}).reshape({s}, {k + s + 1})[:, 1:]",
                      f"try:\n    psi2 = np.linalg.solve(jac[:, {k}:], "
-                     f"-(jac[:, :{k}] @ np.array({_tuple(first)})))",
+                     f"-(jac[:, :{k}] @ np.array({_tuple(first)}))).tolist()",
                      f"except np.linalg.LinAlgError:\n    {fail} from None"]
-        return f"[{', '.join(first)}, *psi2.tolist()]"
+        return [*first, *(f"psi2[{i}]" for i in range(s))]
     d = gjet[0]
     em.lines += [f"if {d[k + 1]} == 0.0:\n    {fail}"]
     rhs = em.new(f"{d[1]} * {first[0]}")
     em.lines += [f"{rhs} += {u} * {v}" for u, v in zip(d[2:k + 1], first[1:])]
-    return _tuple([*first, f"-{rhs} / {d[k + 1]}"])
+    return [*first, f"-{rhs} / {d[k + 1]}"]
 
 
 def tangent_completion(psi1, constraint):

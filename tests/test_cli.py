@@ -381,24 +381,31 @@ def test_trace_ends_cleanly_when_a_stage_overflows(capsys, tmp_path):
     assert 2 < len(rows) < 62 and float(rows[-1][2]) > 0.8
 
 
-GOLDEN_TRACE = pathlib.Path(__file__).with_name("golden_trace_example_5_5.csv")
+def assert_trace_matches_golden(capsys, tmp_path, golden, *argv):
+    # the CSV of `trace *argv` as committed in ``golden``: the header and the index
+    # column exactly, the floats to a relative 1e-12 (values at roundoff level,
+    # residuals and drifts, to 1e-14 absolutely)
+    path = tmp_path / "branch.csv"
+    code, _, _ = run_cli(capsys, "trace", *argv, "--out", str(path))
+    assert code == 0
+    got = list(csv.reader(path.read_text().splitlines()))
+    want = list(csv.reader(pathlib.Path(__file__).with_name(golden).read_text().splitlines()))
+    assert got[0] == want[0] and len(got) == len(want)
+    for row, golden_row in zip(got[1:], want[1:]):
+        assert row[0] == golden_row[0]
+        assert [float(v) for v in row[1:]] == pytest.approx(
+            [float(v) for v in golden_row[1:]], rel=1e-12, abs=1e-14)
 
 
 def test_trace_matches_golden_branch(capsys, tmp_path):
-    # the CSV of `trace example-5-5 --lambda-max 0.4` as committed: the header
-    # and the index column exactly, the floats to a relative 1e-12 (values at
-    # roundoff level, residuals and drifts, to 1e-14 absolutely)
-    path = tmp_path / "branch.csv"
-    code, _, _ = run_cli(capsys, "trace", "example-5-5", "--lambda-max", "0.4",
-                         "--out", str(path))
-    assert code == 0
-    got = list(csv.reader(path.read_text().splitlines()))
-    want = list(csv.reader(GOLDEN_TRACE.read_text().splitlines()))
-    assert got[0] == want[0] and len(got) == len(want)
-    for row, golden in zip(got[1:], want[1:]):
-        assert row[0] == golden[0]
-        assert [float(v) for v in row[1:]] == pytest.approx(
-            [float(v) for v in golden[1:]], rel=1e-12, abs=1e-14)
+    assert_trace_matches_golden(capsys, tmp_path, "golden_trace_example_5_5.csv",
+                                "example-5-5", "--lambda-max", "0.4")
+
+
+def test_two_constraint_trace_matches_golden_branch(capsys, tmp_path):
+    # s = 2: the steps' completion and y-Newton go through numpy's LAPACK solves
+    assert_trace_matches_golden(capsys, tmp_path, "golden_trace_example_5_7.csv",
+                                "example-5-7", "--lambda-max", "0.1")
 
 
 # --- verify-paper -------------------------------------------------------------------

@@ -9,6 +9,8 @@ import ast
 import csv
 import io
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from manideg import (
     shooting_residual,
     write_trajectory_csv,
 )
-from manideg import flow, manifold
+from manideg import manifold
 
 
 def exponential_flow():
@@ -236,6 +238,15 @@ def callable_spring_field():
                                                 time_dependent=True))
 
 
+def duffing_field():
+    # a Duffing oscillator on the cubic graph y = x1 + x1^3
+    names = ("x1", "x2", "y")
+    con = ImplicitConstraint.from_expressions(
+        2, 1, ("y - x1 - x1^3",), names, DomainBox.from_bounds([(-2, 2), (-3, 3), (-12, 12)]))
+    return ForcedField(con, AmbientMap.from_expressions(("x2", "-0.5*y - 0.1*x2"), names),
+                       AmbientMap.from_expressions(("0", "cos(t)"), names))
+
+
 def test_callable_backed_field_flows_like_expression_field():
     period = REGISTRY["example-5-5"].period
     start = np.array(PINNED_START)
@@ -273,6 +284,19 @@ def test_forcing_is_not_evaluated_at_zero_lambda():
         flow_map(field, start, 0.0, 1.0, 0.3, n_steps=4)
 
 
+def count_step_attempts(monkeypatch, field):
+    # the steps the field's generated shots try, each failed one included: a shot of
+    # steps i, ..., n - 1 that stops at step j tried j - i + 1 of them
+    attempts = []
+    for mode in ("rk4", "rk4w"):
+        def counted(i, n, *args, shot=field._code[mode]):
+            end = shot(i, n, *args)
+            attempts.append(end[0] - i + (end[3] is not None))
+            return end
+        monkeypatch.setitem(field._code, mode, counted)
+    return attempts
+
+
 @pytest.mark.parametrize("sensitivity", [False, True])
 def test_overflowing_stage_is_a_domain_error_and_not_halved(monkeypatch, sensitivity):
     # math.exp(800 * x1) overflows at x1 = 1 in every stage, whatever the step size
@@ -281,13 +305,11 @@ def test_overflowing_stage_is_a_domain_error_and_not_halved(monkeypatch, sensiti
         2, 1, ("y - x1",), names, DomainBox.cube(-2.0, 2.0, 3))
     gamma = AmbientMap.from_expressions(("x2", "-4*x1 + 1e-300*exp(800*x1)"), names)
     field = ForcedField(con, gamma, AmbientMap.from_expressions(("0", "cos(t)"), names))
-    calls = []
-    advance = flow._advance
-    monkeypatch.setattr(flow, "_advance", lambda *args: calls.append(args) or advance(*args))
+    attempts = count_step_attempts(monkeypatch, field)
     with pytest.raises(DomainEvalError, match="near t = 0.*math range error"):
         flow_map(field, np.array([1.0, 0.0, 1.0]), 0.0, 1.0, 0.3, n_steps=4,
                  sensitivity=sensitivity)
-    assert len(calls) == 1
+    assert attempts == [1]
 
 
 def test_zero_pivot_raises_regularity_error():
@@ -351,13 +373,46 @@ def test_newton_jet_assigns_nothing_it_does_not_read(name):
                     *manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma)])
     for fn_name in ("solve_y", "rk4", "rk4w"):
         fn = ast.parse(sources[fn_name]).body[0]
-        newton = next(node for node in ast.walk(fn) if isinstance(node, ast.For))
+        newton = next(node for node in ast.walk(fn)  # not the loop over a shot's steps
+                      if isinstance(node, ast.For) and node.target.id == "_")
         jet = [st.targets[0].id for st in newton.body
                if isinstance(st, ast.Assign) and isinstance(st.targets[0], ast.Name)
                and st.targets[0].id.startswith("v")]
         read = {node.id for node in ast.walk(fn)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         assert jet and set(jet) <= read, (fn_name, sorted(set(jet) - read))
+
+
+MAY_RAISE = re.compile(r"\*\*|/|\w\(")  # a power, a division (_div too) or a call
+
+
+@pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing"])
+def test_inlined_stages_keep_every_line_that_may_raise(name):
+    # a shot's steps inline four copies of the body of velocity (rk4) or linearize
+    # (rk4w), pruned of the lines nothing reads that cannot raise: every power, division
+    # and call stays, so a stage raises where the standalone function raises, and no
+    # line that cannot raise is left unread
+    if name in ("callable", "duffing"):
+        field = callable_spring_field() if name == "callable" else duffing_field()
+    else:
+        dae = REGISTRY[name].build_dae()
+        field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    c = field.constraint
+    sources = dict(manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma))
+    for shot, stage in (("rk4", "velocity"), ("rk4w", "linearize")):
+        body = [ln.strip() for ln in sources[stage].splitlines()[1:-1]]  # no def, return
+        inlined = Counter(ln.strip() for ln in sources[shot].splitlines()
+                          if ln.strip() in body and MAY_RAISE.search(ln))
+        raising = Counter(ln for ln in body if MAY_RAISE.search(ln))
+        assert raising and inlined == {ln: 4 * count for ln, count in raising.items()}, shot
+        fn = ast.parse(sources[shot]).body[0]
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        dead = [ast.unparse(st) for st in ast.walk(fn)
+                if isinstance(st, ast.Assign) and len(st.targets) == 1
+                and isinstance(st.targets[0], ast.Name) and st.targets[0].id not in read
+                and not MAY_RAISE.search(ast.unparse(st.value))]
+        assert not dead, (shot, dead)
 
 
 # --- drift control -------------------------------------------------------------
@@ -384,18 +439,17 @@ def test_integration_error_when_leaving_solvable_region():
 
 def test_halving_shot_of_the_spring_trace_is_pinned(monkeypatch):
     # One of the 11 shots of `manideg trace example-5-5` that raise IntegrationError,
-    # the only place where that trace halves steps: its message and its step calls
-    # (one per _advance), as computed before the projection was generated code.
+    # the only place where that trace halves steps: its message and its step attempts,
+    # as computed before the projection was generated code (then one per _advance call).
     dae = REGISTRY["example-5-5"].build_dae()
-    calls = []
-    advance = flow._advance
-    monkeypatch.setattr(flow, "_advance", lambda *args: calls.append(args) or advance(*args))
+    attempts = count_step_attempts(monkeypatch, ForcedField(dae.constraint, dae.gamma,
+                                                            dae.sigma))
     with pytest.raises(IntegrationError) as info:
         shooting_residual(dae, [0.48724475429288766, 1.4017599545388935], 0.8081745842247542,
                           y_guess=[0.41974473405714263], jacobian=True)
     assert str(info.value) == ("time step underflow near t = 1.10754; "
                                "the trajectory left the domain box")
-    assert len(calls) == 71
+    assert sum(attempts) == 71
 
 
 # --- period map ------------------------------------------------------------------

@@ -16,6 +16,10 @@ levels a chunk per batch, must end every start bit for bit where it does.
 ``oracle_solve_y`` is the y-projection built on the same ``damped_newton``,
 as it ran before the projection became generated code; the generated
 y-solve and projected step must match it bit for bit.
+
+``oracle_shot`` is ``flow_map`` as it was with one call per projected step
+(``oracle_step``) and the halving recursion around each; a shot, which runs
+its steps in one generated call, must match it bit for bit.
 """
 
 import contextlib
@@ -28,13 +32,16 @@ import warnings
 import numpy as np
 import pytest
 
-from manideg import AmbientMap, DomainBox, FieldHandle, find_zeros
-from manideg import cli, dae as dae_module, degree, expr
+from manideg import AmbientMap, DomainBox, FieldHandle, find_zeros, flow_map, implicit_solve_y
+from manideg import cli, dae as dae_module, degree, expr, flow
 from manideg.degree import _default_density
-from manideg.errors import DomainEscapeError, DomainEvalError, RootFindingError
+from manideg.continuation import DEFAULT_TRACE_STEPS_PER_PERIOD
+from manideg.errors import (
+    DomainEscapeError, DomainEvalError, IntegrationError, NumericError, RootFindingError,
+)
 from manideg.manifold import Y_SOLVE_TOL, ForcedField, ImplicitConstraint, reduced_map
 from manideg.problems import REGISTRY
-from test_flow import callable_spring_field
+from test_flow import callable_spring_field, duffing_field
 
 EVAL_ERRORS = (DomainEvalError, OverflowError, ZeroDivisionError, FloatingPointError)
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_degree_records.json")
@@ -524,18 +531,55 @@ def test_solve_y_escape_margin_matches_the_oracle():
     assert kinds == ["solved", "solved", DomainEscapeError, DomainEscapeError]
 
 
-def _oracle_rk4_step(field, state, t, dt, lam):
-    # the unprojected RK4 step on floats, in the generated step's operation order,
-    # then the oracle's projection: (state, |g|)
+def oracle_step(field, t, dt, lam, w, *state):
+    """(state, W, |g|) after one projected step from the float list ``state``: the
+    unprojected RK4 step on floats, in the generated step's operation order, by the
+    generated ``velocity`` at each stage point, then ``oracle_solve_y``.  Given W
+    (k rows of k + 1 floats), the stages are ``linearize``'s instead, and W steps by
+    W' = A W + [0 | dp/dlam], each entry of A Z summed left to right on floats."""
     h, sixth, k = dt / 2.0, dt / 6.0, field.constraint.k
-    stages = [field._code["velocity"](*state, t, lam)]
-    for c, tc in ((h, t + h), (h, t + h), (dt, t + dt)):
-        stages.append(field._code["velocity"](*(a + c * v for a, v in zip(state, stages[-1])),
-                                              tc, lam))
+    stage = field._code["velocity" if w is None else "linearize"]
+    stages, ms = [], []
+    for i, (c, tc) in enumerate(((0.0, t), (h, t + h), (h, t + h), (dt, t + dt))):
+        point = [a + c * v for a, v in zip(state, stages[-1])] if i else list(state)
+        if w is None:
+            stages.append(stage(*point, tc, lam))
+            continue
+        velocity, a, d = stage(*point, tc, lam)
+        stages.append(velocity)
+        z = [[wj + c * mj for wj, mj in zip(wr, mr)] for wr, mr in zip(w, ms[-1])] if i else w
+        m = [[a[r][0] * z[0][j] for j in range(k + 1)] for r in range(k)]
+        for r, j in ((r, j) for r in range(k) for j in range(k + 1)):
+            for q in range(1, k):
+                m[r][j] += a[r][q] * z[q][j]
+            if j == k:
+                m[r][j] += d[r]
+        ms.append(m)
     raw = [a + sixth * (k0 + 2.0 * k1 + 2.0 * k2 + k3)
            for a, k0, k1, k2, k3 in zip(state, *stages)]
     y, drift = oracle_solve_y(field.constraint, raw[:k], raw[k:])
-    return raw[:k] + y, drift
+    if w is not None:
+        w = [[wj + sixth * (m0 + 2.0 * m1 + 2.0 * m2 + m3)
+              for wj, m0, m1, m2, m3 in zip(*rows)] for rows in zip(w, *ms)]
+    return raw[:k] + y, w, drift
+
+
+def _oracle_rk4_step(field, state, t, dt, lam):
+    # the plain oracle step: (state, |g|)
+    state, _, drift = oracle_step(field, t, dt, lam, None, *state)
+    return state, drift
+
+
+def _one_step(shot):
+    # a generated shot run for one step, as (t, dt, lam, W, *state) -> (state, W, |g|),
+    # the signature the single-step code had: a failed step raises its error
+    def step(t, dt, lam, w, *state):
+        drifts = []
+        _, state, w, failure = shot(0, 1, t, dt, lam, w, [], drifts, *state)
+        if failure is not None:
+            raise failure
+        return state, w, drifts[0]
+    return step
 
 
 @pytest.mark.parametrize("name", ["example-5-5", "example-5-7", "callable"])
@@ -554,22 +598,13 @@ def test_projected_step_matches_the_oracle(name):
         state, dt = p[:constraint.k] + y, (0.05, 0.4, 1.5)[i % 3]
         want = _outcome(_oracle_rk4_step, field, state, 0.3, dt, 0.7)
         for code, w in (("rk4", None), ("rk4w", np.eye(constraint.k, constraint.k + 1))):
-            got = _outcome(field._code[code], 0.3, dt, 0.7, w, *state)
+            got = _outcome(_one_step(field._code[code]), 0.3, dt, 0.7, w, *state)
             assert (got if isinstance(got[0], type) else (got[0], got[2])) == want
         kinds.add(want[0] if isinstance(want[0], type) else "stepped")
     assert "stepped" in kinds and len(kinds) > 1, kinds
 
 
 # --- the sensitivities of a step against float and numpy arithmetic --------------------
-
-def duffing_field():
-    # a Duffing oscillator on the cubic graph y = x1 + x1^3
-    names = ("x1", "x2", "y")
-    con = ImplicitConstraint.from_expressions(
-        2, 1, ("y - x1 - x1^3",), names, DomainBox.from_bounds([(-2, 2), (-3, 3), (-12, 12)]))
-    return ForcedField(con, AmbientMap.from_expressions(("x2", "-0.5*y - 0.1*x2"), names),
-                       AmbientMap.from_expressions(("0", "cos(t)"), names))
-
 
 def oracle_w_step(field, state, t, dt, lam, w, matmul=None):
     """W after one RK4 step from ``state``: A and dp/dlam from the public ``linearize`` at
@@ -611,7 +646,7 @@ def test_stepped_sensitivities_match_float_and_numpy_arithmetic(name):
         w, dt = rng.normal(size=(k, k + 1)).tolist(), (0.05, 0.4)[i % 2]
         try:
             state = p[:k] + constraint._code["solve_y"](50, *p)[0]
-            got = field._code["rk4w"](0.3, dt, 0.7, tuple(map(tuple, w)), *state)[1]
+            got = _one_step(field._code["rk4w"])(0.3, dt, 0.7, tuple(map(tuple, w)), *state)[1]
         except (RootFindingError, *EVAL_ERRORS):
             continue
         assert [list(row) for row in got] == oracle_w_step(field, state, 0.3, dt, 0.7, w)
@@ -622,6 +657,112 @@ def test_stepped_sensitivities_match_float_and_numpy_arithmetic(name):
         assert np.all(np.abs(np.array(got) - blas) <= 2 * ulp)
         steps += 1
     assert steps >= 50, steps
+
+
+# --- a shot against one step per call -------------------------------------------------
+
+def oracle_shot(field, xi0, t0, t1, lam, n_steps, sensitivity):
+    """(states, drifts, W) of ``flow_map`` as it ran one ``oracle_step`` per call: a
+    step whose projection fails is tried again as two half steps, each halved in
+    turn, down to 20 levels; an overflow in a stage is a domain error."""
+    def advance(state, w, t, dt, depth=0):
+        try:
+            return oracle_step(field, t, dt, lam, w, *state)
+        except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+            raise DomainEvalError(
+                f"the field does not evaluate to finite numbers near t = {t:.6g}: {exc}") from exc
+        except RootFindingError as exc:
+            if depth >= 20:
+                reason = ("the trajectory left the domain box"
+                          if isinstance(exc, DomainEscapeError)
+                          else "the flow leaves the region where the constraint is solvable")
+                raise IntegrationError(f"time step underflow near t = {t:.6g}; {reason}") from exc
+            half = dt / 2.0
+            mid, w, _ = advance(state, w, t, half, depth + 1)
+            return advance(mid, w, t + half, half, depth + 1)
+
+    k, dt = field.constraint.k, float(t1 - t0) / n_steps
+    state, w = list(xi0), np.eye(k, k + 1).tolist() if sensitivity else None
+    states, drifts = [state], [field.constraint.residual(np.array(state))]
+    for i in range(n_steps):
+        state, w, drift = advance(state, w, t0 + i * dt, dt)
+        states.append(state)
+        drifts.append(drift)
+    return states, drifts, w
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_shot_matches_oracle(field, xi0, period, lam, n_steps):
+    # both kinds of shot: states, drifts and W bit for bit, or the same error
+    outcomes = []
+    for sensitivity in (False, True):
+        try:
+            res = flow_map(field, np.array(xi0), 0.0, period, lam, n_steps=n_steps,
+                           sensitivity=sensitivity)
+        except NumericError as exc:
+            with pytest.raises(type(exc)) as want:
+                oracle_shot(field, xi0, 0.0, period, lam, n_steps, sensitivity)
+            assert str(want.value) == str(exc)
+            outcomes.append(type(exc))
+            continue
+        states, drifts, w = oracle_shot(field, xi0, 0.0, period, lam, n_steps, sensitivity)
+        assert res.states.shape == (n_steps + 1, len(xi0))
+        assert _bits(res.states) == _bits(states)
+        assert _bits(res.drifts) == _bits(drifts)
+        assert (res.sensitivity is None) == (w is None)
+        assert w is None or _bits(res.sensitivity) == _bits(w)
+        outcomes.append("done")
+    assert outcomes[0] == outcomes[1], outcomes
+    return outcomes[0]
+
+
+def _shot_field(name):
+    if name in ("callable", "duffing"):
+        return callable_spring_field() if name == "callable" else duffing_field()
+    dae = REGISTRY[name].build_dae()
+    return ForcedField(dae.constraint, dae.gamma, dae.sigma)
+
+
+SHOT_STARTS = {  # a start on the level set, the period and the steps of a shot
+    "example-5-5": ([0.5, -0.25, 0.44382504501286757], REGISTRY["example-5-5"].period, 64),
+    "example-5-7": ([1.0, 0.5, 1.1180339887498942, 0.4636476090008056],
+                    REGISTRY["example-5-7"].period, 64),
+    "callable": ([0.5, -0.25, 0.44382504501286757], REGISTRY["example-5-5"].period, 64),
+    "duffing": ([0.5, -0.25, 0.625], 2 * math.pi, 64),
+}
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("name", sorted(SHOT_STARTS))
+def test_shot_matches_one_step_per_call(name, lam):
+    xi0, period, n_steps = SHOT_STARTS[name]
+    assert assert_shot_matches_oracle(_shot_field(name), xi0, period, lam, n_steps) == "done"
+
+
+@pytest.mark.parametrize("x1, x2, halved", [(0.9, 1.5, [1]), (0.5, 2.0, [0, 2])])
+def test_shot_that_halves_mid_period_matches_one_step_per_call(monkeypatch, x1, x2, halved):
+    # four steps of the Duffing field over a period: the projection of each step in
+    # ``halved`` leaves the domain box, the halves do not, and the shot finishes
+    field, calls = duffing_field(), []
+    advance = flow._advance
+    monkeypatch.setattr(flow, "_advance", lambda *args: calls.append(args) or advance(*args))
+    xi0, period = [x1, x2, x1 + x1 ** 3], 2 * math.pi
+    assert assert_shot_matches_oracle(field, xi0, period, 0.5, 4) == "done"
+    assert [args[3] for args in calls] == [i * period / 4 for i in halved] * 2
+    assert all(isinstance(args[6], DomainEscapeError) for args in calls)
+
+
+def test_escaping_shot_matches_one_step_per_call():
+    # the shot of `test_halving_shot_of_the_spring_trace_is_pinned`
+    dae = REGISTRY["example-5-5"].build_dae()
+    x0 = [0.48724475429288766, 1.4017599545388935]
+    xi0 = x0 + implicit_solve_y(dae.constraint, np.array(x0), [0.41974473405714263]).tolist()
+    assert assert_shot_matches_oracle(_shot_field("example-5-5"), xi0, dae.period,
+                                      0.8081745842247542,
+                                      DEFAULT_TRACE_STEPS_PER_PERIOD) == IntegrationError
 
 
 # --- golden degree records -----------------------------------------------------------
