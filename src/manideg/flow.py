@@ -16,10 +16,10 @@ W = dx/d(x0, lam) of the x-components, by the variational equation of
 the x-dynamics with y slaved to x; a shot that asks for them visits
 exactly the states of a plain shot.
 
-A shot is one call of the field's generated straight-line code on
-Python floats (see :class:`~manideg.manifold.ForcedField`): a loop over
-the steps whose body inlines the four stages, the shifted points, the
-stage sum, then the damped y-Newton and the domain-box test of
+A shot is one call of the field's generated code on Python floats (see
+:class:`~manideg.manifold.ForcedField`): a loop over the steps whose
+body is straight-line code, the four stages inlined, the shifted points,
+the stage sum, then the damped y-Newton and the domain-box test of
 :func:`~manideg.manifold.implicit_solve_y`.  It appends every state and
 |g| to the shot's lists and carries W as k row tuples of floats, each
 entry of a stage's A W summed left to right.  A step whose projection
