@@ -237,8 +237,8 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
                 tangent = secant / norm
 
         corrected = None
-        failure = None
-        step = float(ds)
+        escaped = False  # whether the last failure ran off the box; the error itself
+        step = float(ds)  # would keep this frame, and every pair, in a reference cycle
         for _ in range(ARCLENGTH_HALVINGS + 1):
             pred = z_last + step * tangent
             try:
@@ -246,7 +246,7 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
                                     steps_per_period=steps_per_period, y_guess=last.y0)
                 break
             except CorrectorError as exc:
-                failure = exc
+                escaped = _escaped_domain(exc)
                 step /= 2.0
         if corrected is None:
             if len(points) == 1:
@@ -254,8 +254,7 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
                     "corrector failed on the very first continuation step; "
                     "the seed does not start a traceable branch"
                 )
-            termination = ("left_domain" if _escaped_domain(failure)
-                           else "corrector_failure")
+            termination = "left_domain" if escaped else "corrector_failure"
             break
         points.append(corrected)
 

@@ -18,7 +18,9 @@ value together with one derivative component per requested variable.
 For speed the propagation is unrolled into generated Python source and
 compiled once per (tree, variable order) pair, or into one function for
 a tuple of trees; partials that are structurally zero are never
-materialised.  Results are bit-identical across repeated evaluations.
+materialised, and x * 1.0, 1.0 * x and + - * of two literals are folded
+when the code is generated, which is exact (a /, a ** or a call never
+is).  Results are bit-identical across repeated evaluations.
 
 The default ``scalar`` backend works on Python floats and raises
 :class:`DomainEvalError` outside an operation's domain.  The ``vector``
@@ -364,6 +366,41 @@ _FUNC_NAMES = {
 
 # --- code generation ------------------------------------------------------
 
+def _literal(text):
+    """The float an operand of generated code denotes when it is a number, else None."""
+    try:
+        return float(text.removeprefix("(").removesuffix(")"))
+    except ValueError:
+        return None
+
+
+def _number(value):
+    """``value`` as an operand of generated code: its repr, parenthesised when negative."""
+    return repr(value) if math.copysign(1.0, value) > 0.0 else f"({value!r})"
+
+
+def _folded(left, op, right):
+    """The text of ``left op right`` for two operands and ``op`` one of + - *, folded
+    where that is bit-exact: two literals become one (when the result is finite), and
+    x * 1.0 and 1.0 * x become x.  A /, a ** or a call is never folded."""
+    a, b = _literal(left), _literal(right)
+    if a is not None and b is not None:
+        value = a + b if op == "+" else a - b if op == "-" else a * b
+        if math.isfinite(value):
+            return _number(value)
+    if op == "*" and b == 1.0:
+        return left
+    if op == "*" and a == 1.0:
+        return right
+    return f"{left} {op} {right}"
+
+
+def _negated(operand):
+    """The text of ``-operand``, a literal when the operand is one (negation is exact)."""
+    value = _literal(operand)
+    return f"-{operand}" if value is None else _number(-value)
+
+
 class _Emitter:
     """Unrolls dual-number propagation into straight-line Python source."""
 
@@ -382,11 +419,15 @@ class _Emitter:
         self.lines.append(f"{t} = {expr}")
         return t
 
+    def operand(self, text):
+        """A name or literal holding ``text``: itself when it is one, else a new line's."""
+        return text if text.isidentifier() or _literal(text) is not None else self.new(text)
+
     def emit(self, node):
         """Returns (value expression, {seed slot: derivative expression})."""
         match node:
             case Num(v):
-                return repr(v), {}
+                return _number(v), {}
             case Var(name):
                 d = {}
                 if name in self.seed_index:
@@ -394,7 +435,8 @@ class _Emitter:
                 return f"a{self.arg_index[name]}", d
             case Neg(arg):
                 v, d = self.emit(arg)
-                return self.new(f"-{v}"), {j: self.new(f"-{dj}") for j, dj in d.items()}
+                return self.operand(_negated(v)), {j: self.operand(_negated(dj))
+                                                  for j, dj in d.items()}
             case Bin(op, left, right):
                 return self._bin(op, left, right)
             case Pow(base, exponent):
@@ -409,21 +451,17 @@ class _Emitter:
         if op == "/":
             v = self.new(f"_div({vl}, {vr})")
         else:
-            v = self.new(f"{vl} {op} {vr}")
+            v = self.operand(_folded(vl, op, vr))
         d = {}
         for j in sorted(dl.keys() | dr.keys()):
             a, b = dl.get(j), dr.get(j)
             if op == "+":
-                d[j] = self.new(f"{a} + {b}") if a and b else (a or b)
+                d[j] = self.operand(_folded(a, "+", b)) if a and b else (a or b)
             elif op == "-":
-                d[j] = self.new(f"{a} - {b}" if a and b else f"-{b}") if b else a
+                d[j] = self.operand(_folded(a, "-", b) if a and b else _negated(b)) if b else a
             elif op == "*":
-                terms = []
-                if a:
-                    terms.append(f"{a} * {vr}")
-                if b:
-                    terms.append(f"{vl} * {b}")
-                d[j] = self.new(" + ".join(terms))
+                terms = [_folded(x, "*", y) for x, y in ((a, vr), (vl, b)) if x and y]
+                d[j] = self.operand(_folded(terms[0], "+", terms[1]) if a and b else terms[0])
             else:  # '/': derivative of l/r is (dl - v*dr) / r, with r != 0 ensured
                 if a and b:
                     d[j] = self.new(f"({a} - {v} * {b}) / {vr}")
@@ -449,7 +487,7 @@ class _Emitter:
             else:
                 power = self.new(f"{vb} ** {n - 1}")
             factor = self.new(f"{float(n)!r} * {power}")
-            d = {j: self.new(f"{factor} * {dj}") for j, dj in db.items()}
+            d = {j: self.operand(_folded(factor, "*", dj)) for j, dj in db.items()}
         return v, d
 
     def _call(self, func, arg):
@@ -459,15 +497,15 @@ class _Emitter:
             v = self.new(f"{fn['sin']}({vu})")
             if du:
                 c = self.new(f"{fn['cos']}({vu})")
-                du = {j: self.new(f"{c} * {dj}") for j, dj in du.items()}
+                du = {j: self.operand(_folded(c, "*", dj)) for j, dj in du.items()}
         elif func == "cos":
             v = self.new(f"{fn['cos']}({vu})")
             if du:
                 s = self.new(f"-{fn['sin']}({vu})")
-                du = {j: self.new(f"{s} * {dj}") for j, dj in du.items()}
+                du = {j: self.operand(_folded(s, "*", dj)) for j, dj in du.items()}
         elif func == "exp":
             v = self.new(f"{fn['exp']}({vu})")
-            du = {j: self.new(f"{v} * {dj}") for j, dj in du.items()}
+            du = {j: self.operand(_folded(v, "*", dj)) for j, dj in du.items()}
         elif func == "log":
             v = self.new(f"_log({vu})")
             du = {j: self.new(f"{dj} / {vu}") for j, dj in du.items()}

@@ -26,6 +26,17 @@ entry of a stage's A W summed left to right.  A step whose projection
 fails ends that call; halving it is the Python fallback of
 :func:`_advance`, which runs each half step as a shot of one step, and
 the loop then resumes after it.
+
+The step code is folded as it is generated (see
+:func:`~manideg.manifold._source`): x * 1.0, 1.0 * x and arithmetic on two
+literals, which is bit-exact, and every term with a structural zero, a
+partial that no expression has or a literal 0.0 (lam * 0.0, 0.0 * x,
+0.0 / d_y g, ...).  Dropping such a term can change a result in two ways
+only: a zero may change sign, and an inf or nan operand no longer meets
+the dropped 0.0.  A non-finite ``lam`` is therefore rejected up front; the
+one dropped division divides by d_y g, which the generated regularity
+check has found non-zero.  No division, power or call is folded, so a
+step raises where the unfolded code raised.
 """
 
 import math
@@ -68,6 +79,7 @@ def projected_step(field, state, t, dt, lam=0.0, sensitivity=None):
     floats, summed left to right) and returns ``(state, W)``.  The state
     is bit-identical to the plain step's: W never feeds back into it.
     """
+    _check_lam(lam)
     w = sensitivity
     if w is not None:
         w, k = np.asarray(w, dtype=float), field.constraint.k
@@ -79,6 +91,11 @@ def projected_step(field, state, t, dt, lam=0.0, sensitivity=None):
     if failure is not None:
         raise failure
     return np.array(stepped) if w is None else (np.array(stepped), np.array(w))
+
+
+def _check_lam(lam):
+    if not math.isfinite(lam):
+        raise IntegrationError(f"lam must be finite, got {lam!r}")
 
 
 def _advance(shot, state, w, t, dt, lam, failure, depth=0):
@@ -132,6 +149,7 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None, sensitiv
         raise IntegrationError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
     if dt_max is not None and not (dt_max > 0.0 and math.isfinite(dt_max)):
         raise IntegrationError(f"dt_max must be positive and finite, got {dt_max!r}")
+    _check_lam(lam)
     c = field.constraint
     xi0 = np.asarray(xi0, dtype=float)
     drift0 = c.residual(xi0)

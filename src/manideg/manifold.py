@@ -41,7 +41,8 @@ SINGULAR_TOL = 1e-10  # |det d_y g| below which partial2_sign calls a sample sin
 NEAR_SINGULAR_TOL = 1e-6  # and below which it warns
 Y_SOLVE_TOL = 1e-12  # |g| every y-solve converges to, the flow's projections included
 _PROJECTION_ITER = 50  # Newton steps each projection of a flow step may take
-_CANNOT_RAISE = re.compile(r"(?!.*\*\*)[\w. +*-]+")  # float +, -, * of names and literals
+# float +, -, * of names and literals, a negative literal parenthesised
+_CANNOT_RAISE = re.compile(r"(?!.*\*\*)(?:[\w. +*-]|\(-[\w.+-]+\))+")
 
 
 class ImplicitConstraint:
@@ -235,6 +236,19 @@ def _source(k, s, g, *field):
     # ZeroDivisionError or FloatingPointError (index, start state, start W, error):
     # halving that step is the caller's.  rk4w also advances W (k row tuples; rk4
     # passes W through).  Callable parts are called as g, gamma, sigma.
+    #
+    # The code is folded as it is generated.  A partial that no expression has is a
+    # structural zero (None, as is a literal 0.0, the value of a part "0"): the sums
+    # and products of the stages and of the shots' M = A Z + [0 | d] leave it out
+    # (_sum), and an operand known when the code is generated (a literal 0.0 or 1.0 of
+    # A, say) is written in place of its name.  expr._folded folds x * 1.0, 1.0 * x
+    # and + - * of two literals, which is bit-exact.  Dropping a structural zero
+    # changes a result in two ways only: a zero result may change sign, and an inf or
+    # nan operand no longer meets the dropped 0.0 (a flow's lam is never one: flow_map
+    # and projected_step reject it).  The one division of a structural zero that is
+    # dropped, d_x g / -d_y g in the slave row, divides by d_y g, which the generated
+    # RegularityError check has already found non-zero.  No /, ** or call is folded,
+    # so every line that may raise stays.
     n = k + s
     a = [f"a{i}" for i in range(n)]
     point, em, out = ", ".join(a), expr._Emitter((), (), "scalar"), []
@@ -253,17 +267,15 @@ def _source(k, s, g, *field):
         define("tangent", ", ".join(a + f), _tuple(_completion(em, k, s, gjet, f, point)))
         return out
     args = f"{point}, a{n}, lam"
-    define("first", args, _tuple(r[0] for r in _emit_p(em, *field, n, ())[0]))
+    define("first", args, _tuple(_out(r[0]) for r in _emit_p(em, *field, n, ())[0]))
 
     def by_row(entry, width=k + 1):  # k row tuples of entry(r, j), W's by default
         return _tuple(_tuple(entry(r, j) for j in range(width)) for r in range(k))
 
-    # a stage, velocity's or linearize's body, binds the velocity at the point a0, ...
-    # and time a[n] to k0, ..., and linearize's A and dp/dlam to A0_0, ... and d0, ...
+    # a stage, velocity's or linearize's body, leaves the velocity at the point a0, ...
+    # and time a[n] in k0, ..., and linearize's A and dp/dlam in A0_0, ... and d0, ...:
+    # each an operand that the shots may read in its place (see _held)
     names = [f"k{j}" for j in range(n)]
-    results = {"velocity": _tuple(names),
-               "linearize": (f"{_tuple(names)}, {by_row(lambda r, q: f'A{r}_{q}', k)}, "
-                             f"{_tuple(f'd{r}' for r in range(k))}")}
     names += [f"A{r}_{q}" for r in range(k) for q in range(k)] + [f"d{r}" for r in range(k)]
     stages = {}
     for name, seeds in (("velocity", ()), ("linearize", range(n))):
@@ -271,20 +283,24 @@ def _source(k, s, g, *field):
         gjet = _emit_part(em, g, "g", n, range(n))
         values = _completion(em, k, s, gjet, [r[0] for r in p], point)
         if seeds and s == 1:  # A = d_x p + d_y p * slave, slave = d_x g / (-d_y g)
-            pivot = em.new(f"-{gjet[0][k + 1]}")
-            slave = [em.new(f"{d} / {pivot}") for d in gjet[0][1:k + 1]]
-            values += [em.new(f"{r[1 + j]} + {r[1 + k]} * {sj}")
+            pivot = em.operand(expr._negated(_out(gjet[0][k + 1])))
+            slave = [None if _zero(d) else em.new(f"{d} / {pivot}") for d in gjet[0][1:k + 1]]
+            values += [_value(em, r[1 + j], (r[1 + k], sj))
                        for r in p for j, sj in enumerate(slave)]
         elif seeds:  # by numpy, with jac = d_(x, y) g from the completion
-            em.lines += [f"dp = np.array({_tuple(sum(p, []))}).reshape({k}, {n + 1})[:, 1:]",
+            em.lines += [f"dp = np.array({_tuple(map(_out, sum(p, [])))})"
+                         f".reshape({k}, {n + 1})[:, 1:]",
                          f"slaved = (dp[:, :{k}] + dp[:, {k}:] @ "
                          f"np.linalg.solve(jac[:, {k}:], -jac[:, :{k}])).tolist()"]
             values += [f"slaved[{r}][{q}]" for r in range(k) for q in range(k)]
         if seeds:  # dp/dlam
-            values += [r[0] for r in forcing] if forcing else ["0.0"] * k
-        em.lines += [f"{t} = {v}" for t, v in zip(names, values)]
-        stages[name] = em.lines
-        define(name, args, results[name])
+            values += [r[0] for r in forcing] if forcing else [None] * k
+        values = [v if _held(v, j, n) else em.new(v) for j, v in enumerate(values)]
+        stages[name] = em.lines, dict(zip(names, values))
+        read = [_out(v) for v in values]
+        define(name, args, _tuple(read[:n]) if not seeds else
+               f"{_tuple(read[:n])}, {by_row(lambda r, q: read[n + r * k + q], k)}, "
+               f"{_tuple(read[n + k * k:])}")
 
     # the shots: each step of the loop inlines the four stages, each after its point
     # a0, ... = u0 + c * k0, ... (u0, ...: the step's start state) and time a[n], then
@@ -292,28 +308,56 @@ def _source(k, s, g, *field):
     # accumulated stage by stage in sk0, ..., left to right as written.  W advances by
     # W' = A W + [0 | d] through M = A Z + [0 | d], Z = W + c * M of the stage before,
     # each entry of A Z summed left to right, and the M summed like the k in sm0_0, ...
+    # A line whose value is a constant (a literal or a structural zero) is not written:
+    # the lines after it read the constant
     u, rk = [f"u{j}" for j in range(n)], [(r, j) for r in range(k) for j in range(k + 1)]
     w = by_row(lambda r, j: f"w{r}_{j}")
     for name, lin in (("rk4", False), ("rk4w", True)):
-        steps = ["t = t0 + i * dt"]
-        for i, (c, ts, term) in enumerate(zip(("", "h", "h", "dt"),
-                                              ("t", "t + h", "t + h", "t + dt"),
-                                              ("{}", "s{0} + 2.0 * {0}", "s{0} + 2.0 * {0}",
-                                               "s{0} + {0}"))):
-            steps += [f"a{j} = {x} + {c} * k{j}" if i else f"a{j} = {x}" for j, x in enumerate(u)]
-            steps += [f"a{n} = {ts}", *stages["linearize" if lin else "velocity"]]
-            steps += [f"sk{j} = " + term.format(f"k{j}") for j in range(n)]
+        body, outputs = stages["linearize" if lin else "velocity"]
+        known, steps = {}, ["t = t0 + i * dt"]
+
+        def let(target, *terms, row=None):  # target = the sum of terms (names or products)
+            value = _sum(*(tuple(map(val, t)) if isinstance(t, tuple) else val(t)
+                           for t in terms))
+            # M's row ``row`` may be read as an entry of W, or of Z in a row q >= row: the
+            # next stage's Z lines read it before they assign Z's row q
+            entry = row is not None and re.fullmatch(r"([wz])(\d+)_\d+", value or "")
+            if (value is None or expr._literal(value) is not None
+                    or entry and (entry[1] == "w" or int(entry[2]) >= row)):
+                known[target] = value
+                return
+            known.pop(target, None)
+            if value != target:
+                steps.append(f"{target} = {value}")
+
+        def val(name):
+            return known.get(name, name)
+
+        for i, (c, ts) in enumerate(zip(("", "h", "h", "dt"),
+                                        ("t", "t + h", "t + h", "t + dt"))):
+            for j, x in enumerate(u):
+                let(f"a{j}", x, *[(c, f"k{j}")] * (i > 0))
+            steps += [f"a{n} = {ts}", *body]
+            known.update(outputs)
+            sums = [(f"sk{j}", f"k{j}") for j in range(n)]
             if lin:
+                if i:
+                    for r, j in rk:
+                        let(f"z{r}_{j}", f"w{r}_{j}", (c, f"m{r}_{j}"))
                 z = "z" if i else "w"
-                steps += [f"z{r}_{j} = w{r}_{j} + {c} * m{r}_{j}" for r, j in rk if i]
-                steps += [" + ".join([f"m{r}_{j} = A{r}_0 * {z}0_{j}",
-                                      *(f"A{r}_{q} * {z}{q}_{j}" for q in range(1, k)),
-                                      *[f"d{r}"] * (j == k)]) for r, j in rk]
-                steps += [f"sm{r}_{j} = " + term.format(f"m{r}_{j}") for r, j in rk]
-        steps += [f"a{j} = {x} + sixth * sk{j}" for j, x in enumerate(u)]
+                for r, j in rk:
+                    let(f"m{r}_{j}", *((f"A{r}_{q}", f"{z}{q}_{j}") for q in range(k)),
+                        *[f"d{r}"] * (j == k), row=r)
+                sums += [(f"sm{r}_{j}", f"m{r}_{j}") for r, j in rk]
+            for total, term in sums:
+                let(total, *[total] * (i > 0), ("2.0", term) if 0 < i < 3 else term)
+        for j, x in enumerate(u):
+            let(f"a{j}", x, ("sixth", f"sk{j}"))
+        stepped = [(f"w{r}_{j}", _sum(f"w{r}_{j}", ("sixth", val(f"sm{r}_{j}"))))
+                   for r, j in rk if lin]
         done = [*_projection(em, k, s, g, _PROJECTION_ITER),
                 *(f"{x} = a{j}" for j, x in enumerate(u)),
-                *(f"w{r}_{j} = w{r}_{j} + sixth * sm{r}_{j}" for r, j in rk if lin),
+                *(f"{x} = {value}" for x, value in stepped if value != x),
                 f"states.append([{point}])", "drifts.append(r)"]
         state, w_out = f"[{', '.join(u)}]", w if lin else "w"
         em.lines = [*[f"{w} = w"] * lin, "h = dt / 2.0", "sixth = dt / 6.0", "try:",
@@ -328,6 +372,46 @@ def _source(k, s, g, *field):
         define(name, f"i, n, t0, dt, lam, w, states, drifts, {', '.join(u)}",
                f"n, {state}, {w_out}, None")
     return out
+
+
+def _zero(operand):  # a structural zero: an absent partial (None) or a literal 0.0
+    return operand is None or expr._literal(operand) == 0.0
+
+
+def _held(operand, j, n):
+    # whether a shot may read the stage's output j (k0, ..., A0_0, ..., d0, ...) as
+    # ``operand`` until it is done with it: a constant, lam, a name of the stage's body
+    # (assigned again by the next stage's body only) or a coordinate a_q that the next
+    # stage's point lines a0, a1, ... assign after they read k_j, if j is a k at all
+    if operand is None or operand == "lam" or expr._literal(operand) is not None:
+        return True
+    name = re.fullmatch(r"([av])(\d+)", operand)
+    return bool(name) and (name[1] == "v" or j >= n or int(name[2]) >= j)
+
+
+def _out(operand):  # an operand as generated code reads it: a structural zero as 0.0
+    return "0.0" if operand is None else operand
+
+
+def _sum(*terms):
+    # the text of the sum of ``terms`` left to right, each an operand or an (a, b) for
+    # a * b, without the terms that are structural zeros (None when all are), folded as
+    # expr._folded folds
+    text = None
+    for term in terms:
+        if isinstance(term, tuple):
+            if _zero(term[0]) or _zero(term[1]):
+                continue
+            term = expr._folded(term[0], "*", term[1])
+        elif _zero(term):
+            continue
+        text = term if text is None else expr._folded(text, "+", term)
+    return text
+
+
+def _value(em, *terms):  # _sum's operand: a name (of a new line when needed), literal or None
+    text = _sum(*terms)
+    return text if text is None else em.operand(text)
 
 
 def _pruned(lines, after):
@@ -364,7 +448,7 @@ def _projection(em, k, s, g, max_iter):
     lines, em.lines = em.lines, []
     values = [r[0] for r in _emit_part(em, g, "g", n, ())]
     res, em.lines = em.lines, []
-    dy = [d for r in _emit_part(em, g, "g", n, range(k, n)) for d in r[1:]]
+    dy = [_out(d) for r in _emit_part(em, g, "g", n, range(k, n)) for d in r[1:]]
     # only the jet lines d_y g reads: the jet runs where the residual lines just evaluated
     # g, so its copy of g's value ops cannot raise (a velocity stage, at a new point, can)
     jet, read = [], set(re.findall(r"\w+", " ".join(dy)))
@@ -416,7 +500,7 @@ def _emit_part(em, part, name, n, seeds, t="0.0"):
                  for j in (0, *(1 + j for j in seeds))] for i in range(part.n_out)]
     em.bind(part.variables + (TIME_NAME,), [part.variables[j] for j in seeds])
     emitted = [em.emit(tree) for tree in part.asts]  # (value, {seed slot: partial})
-    return [[v, *(d.get(j, "0.0") for j in range(len(seeds)))] for v, d in emitted]
+    return [[v, *(d.get(j) for j in range(len(seeds)))] for v, d in emitted]
 
 
 def _emit_p(em, gamma, sigma, n, seeds):
@@ -425,14 +509,18 @@ def _emit_p(em, gamma, sigma, n, seeds):
     t = f"a{n}"
     forcing = sigma and (seeds or gamma is None) and _emit_part(em, sigma, "sigma", n, seeds, t)
     if gamma is None:
-        return [[em.new(f"lam * {b}") for b in row] for row in forcing], forcing
+        return [[_value(em, ("lam", b)) for b in row] for row in forcing], forcing
     own, mark = _emit_part(em, gamma, "gamma", n, seeds, t), len(em.lines)
     if sigma is None:
         return own, None
     forcing = forcing or _emit_part(em, sigma, "sigma", n, seeds, t)
-    p = [[em.new(f"{u} + lam * {v}") for u, v in zip(*pair)] for pair in zip(own, forcing)]
-    em.lines[mark:] = ["if lam != 0.0:", *(f"    {ln}" for ln in em.lines[mark:]), "else:",
-                       *(f"    {q} = {u}" for rq, ru in zip(p, own) for q, u in zip(rq, ru))]
+    summed = len(em.lines)
+    p = [[_value(em, u, ("lam", v)) for u, v in zip(*pair)] for pair in zip(own, forcing)]
+    made = {ln.partition(" = ")[0] for ln in em.lines[summed:]}
+    rest = [f"    {q} = {_out(u)}" for rq, ru in zip(p, own) for q, u in zip(rq, ru) if q in made]
+    if len(em.lines) > mark:
+        em.lines[mark:] = ["if lam != 0.0:", *(f"    {ln}" for ln in em.lines[mark:]),
+                           *(["else:", *rest] if rest else [])]
     return p, forcing
 
 
@@ -442,16 +530,16 @@ def _completion(em, k, s, gjet, first, point):
     # round otherwise)
     fail = f"raise RegularityError(f'd_y g is singular at {{np.asarray([{point}])}}')"
     if s > 1:
-        em.lines += [f"jac = np.array({_tuple(sum(gjet, []))}).reshape({s}, {k + s + 1})[:, 1:]",
+        em.lines += [f"jac = np.array({_tuple(map(_out, sum(gjet, [])))})"
+                     f".reshape({s}, {k + s + 1})[:, 1:]",
                      f"try:\n    psi2 = np.linalg.solve(jac[:, {k}:], "
-                     f"-(jac[:, :{k}] @ np.array({_tuple(first)}))).tolist()",
+                     f"-(jac[:, :{k}] @ np.array({_tuple(map(_out, first))}))).tolist()",
                      f"except np.linalg.LinAlgError:\n    {fail} from None"]
         return [*first, *(f"psi2[{i}]" for i in range(s))]
     d = gjet[0]
-    em.lines += [f"if {d[k + 1]} == 0.0:\n    {fail}"]
-    rhs = em.new(f"{d[1]} * {first[0]}")
-    em.lines += [f"{rhs} += {u} * {v}" for u, v in zip(d[2:k + 1], first[1:])]
-    return [*first, f"-{rhs} / {d[k + 1]}"]
+    em.lines += [f"if {_out(d[k + 1])} == 0.0:\n    {fail}"]
+    rhs = _value(em, *zip(d[1:k + 1], first))
+    return [*first, rhs and em.new(f"-{rhs} / {_out(d[k + 1])}")]
 
 
 def tangent_completion(psi1, constraint):

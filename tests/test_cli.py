@@ -386,7 +386,7 @@ def assert_trace_matches_golden(capsys, tmp_path, golden, *argv):
     # column exactly, the floats to a relative 1e-12 (values at roundoff level,
     # residuals and drifts, to 1e-14 absolutely)
     path = tmp_path / "branch.csv"
-    code, _, _ = run_cli(capsys, "trace", *argv, "--out", str(path))
+    code, out, _ = run_cli(capsys, "trace", *argv, "--out", str(path))
     assert code == 0
     got = list(csv.reader(path.read_text().splitlines()))
     want = list(csv.reader(pathlib.Path(__file__).with_name(golden).read_text().splitlines()))
@@ -395,11 +395,19 @@ def assert_trace_matches_golden(capsys, tmp_path, golden, *argv):
         assert row[0] == golden_row[0]
         assert [float(v) for v in row[1:]] == pytest.approx(
             [float(v) for v in golden_row[1:]], rel=1e-12, abs=1e-14)
+    return out
 
 
 def test_trace_matches_golden_branch(capsys, tmp_path):
     assert_trace_matches_golden(capsys, tmp_path, "golden_trace_example_5_5.csv",
                                 "example-5-5", "--lambda-max", "0.4")
+
+
+def test_default_trace_matches_golden_branch_to_its_end(capsys, tmp_path):
+    # the whole default branch: its left_domain end and the shots that halve steps
+    out = assert_trace_matches_golden(capsys, tmp_path, "golden_trace_example_5_5_full.csv",
+                                      "example-5-5")
+    assert "96 solution pairs (left_domain)" in out
 
 
 def test_two_constraint_trace_matches_golden_branch(capsys, tmp_path):

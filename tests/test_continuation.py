@@ -13,6 +13,8 @@ the 2 pi-periodic forced response at t = 0.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -303,6 +305,29 @@ def test_trace_reports_domain_exit():
     tiny = DomainBox.cube(-0.005, 0.005, 3)
     branch = trace_branch(dae, seed, ds=0.05, lambda_max=5.0, domain_box=tiny)
     assert branch.termination == "left_domain"
+
+
+def test_branch_ended_by_a_failure_is_freed_without_the_cycle_collector(monkeypatch):
+    # the corrector of every advance after the first gets no Newton step and fails; the
+    # branch must not keep that error, whose traceback holds trace_branch's frame and
+    # with it every pair, in a reference cycle
+    real, calls = continuation.correct, []
+
+    def starved(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs, max_iter=10 if len(calls) == 1 else 0)
+
+    monkeypatch.setattr(continuation, "correct", starved)
+    dae, seed = spring_seed()
+    gc.disable()
+    try:
+        branch = trace_branch(dae, seed, ds=0.05, lambda_max=1.0, steps_per_period=64)
+        assert branch.termination == "corrector_failure" and len(branch.points) == 2
+        last = weakref.ref(branch.points[-1])
+        del branch
+        assert last() is None
+    finally:
+        gc.enable()
 
 
 def test_trace_rejects_nonperiodic_seed():

@@ -20,7 +20,17 @@ y-solve and projected step must match it bit for bit.
 ``oracle_shot`` is ``flow_map`` as it was with one call per projected step
 (``oracle_step``) and the halving recursion around each; a shot, which runs
 its steps in one generated call, must match it bit for bit.
+
+``oracle_stage`` is a field's velocity and linearisation by the arithmetic of
+the step code as it was generated before literal and structural-zero
+arithmetic was folded out of it: every partial a tree has, however constant,
+is computed (1.0 * x, 0.5 * 1.0, ...), and an absent one is the literal 0.0
+that the sums and products then meet (u + lam * 0.0, 0.0 / pivot, ...).  The
+folded stages and steps must equal it as floats, bit for bit wherever a value
+is not zero, and raise the same errors.
 """
+
+import ast
 
 import contextlib
 import io
@@ -33,11 +43,12 @@ import numpy as np
 import pytest
 
 from manideg import AmbientMap, DomainBox, FieldHandle, find_zeros, flow_map, implicit_solve_y
-from manideg import cli, dae as dae_module, degree, expr, flow
+from manideg import cli, dae as dae_module, degree, expr, flow, manifold
 from manideg.degree import _default_density
 from manideg.continuation import DEFAULT_TRACE_STEPS_PER_PERIOD
 from manideg.errors import (
-    DomainEscapeError, DomainEvalError, IntegrationError, NumericError, RootFindingError,
+    DomainEscapeError, DomainEvalError, IntegrationError, ManidegError, NumericError,
+    RegularityError, RootFindingError,
 )
 from manideg.manifold import Y_SOLVE_TOL, ForcedField, ImplicitConstraint, reduced_map
 from manideg.problems import REGISTRY
@@ -531,14 +542,16 @@ def test_solve_y_escape_margin_matches_the_oracle():
     assert kinds == ["solved", "solved", DomainEscapeError, DomainEscapeError]
 
 
-def oracle_step(field, t, dt, lam, w, *state):
+def oracle_step(field, t, dt, lam, w, *state, unfolded=False):
     """(state, W, |g|) after one projected step from the float list ``state``: the
     unprojected RK4 step on floats, in the generated step's operation order, by the
     generated ``velocity`` at each stage point, then ``oracle_solve_y``.  Given W
     (k rows of k + 1 floats), the stages are ``linearize``'s instead, and W steps by
-    W' = A W + [0 | dp/dlam], each entry of A Z summed left to right on floats."""
+    W' = A W + [0 | dp/dlam], each entry of A Z summed left to right on floats.  With
+    ``unfolded`` the stages are ``oracle_stage``'s."""
     h, sixth, k = dt / 2.0, dt / 6.0, field.constraint.k
-    stage = field._code["velocity" if w is None else "linearize"]
+    stage = (lambda *args: oracle_stage(field, list(args[:-2]), *args[-2:], w is not None)
+             ) if unfolded else field._code["velocity" if w is None else "linearize"]
     stages, ms = [], []
     for i, (c, tc) in enumerate(((0.0, t), (h, t + h), (h, t + h), (dt, t + dt))):
         point = [a + c * v for a, v in zip(state, stages[-1])] if i else list(state)
@@ -763,6 +776,242 @@ def test_escaping_shot_matches_one_step_per_call():
     assert assert_shot_matches_oracle(_shot_field("example-5-5"), xi0, dae.period,
                                       0.8081745842247542,
                                       DEFAULT_TRACE_STEPS_PER_PERIOD) == IntegrationError
+
+
+# --- the folded stages against the unfolded arithmetic --------------------------------
+
+def _oracle_dual(node, env, seeds):
+    """(value, {seed slot: partial}) of the tree ``node`` at the floats ``env`` (by name),
+    differentiated by the names ``seeds`` maps to slots: the operations the unfolded
+    code did, in its order, with every partial that is present computed."""
+    match node:
+        case expr.Num(v):
+            return v, {}
+        case expr.Var(name):
+            return env[name], ({seeds[name]: 1.0} if name in seeds else {})
+        case expr.Neg(arg):
+            v, d = _oracle_dual(arg, env, seeds)
+            return -v, {j: -dj for j, dj in d.items()}
+        case expr.Pow(base, n):
+            vb, db = _oracle_dual(base, env, seeds)
+            if n in (0, 1):
+                return (1.0, {}) if n == 0 else (vb, db)
+            v = expr._ipow(vb, n) if n < 0 else vb ** n
+            if not db:
+                return v, {}
+            factor = float(n) * (vb if n == 2 else expr._ipow(vb, n - 1) if n < 0
+                                 else vb ** (n - 1))
+            return v, {j: factor * dj for j, dj in db.items()}
+        case expr.Bin(op, left, right):
+            (vl, dl), (vr, dr) = _oracle_dual(left, env, seeds), _oracle_dual(right, env, seeds)
+            v = (expr._div(vl, vr) if op == "/" else vl + vr if op == "+"
+                 else vl - vr if op == "-" else vl * vr)
+            d = {}
+            for j in sorted(dl.keys() | dr.keys()):
+                a, b = dl.get(j), dr.get(j)
+                if op == "+":
+                    d[j] = b if a is None else a if b is None else a + b
+                elif op == "-":
+                    d[j] = a if b is None else -b if a is None else a - b
+                elif op == "*":
+                    d[j] = vl * b if a is None else a * vr if b is None else a * vr + vl * b
+                else:
+                    d[j] = ((-v) * b / vr if a is None else a / vr if b is None
+                            else (a - v * b) / vr)
+            return v, d
+        case expr.Call(func, arg):
+            vu, du = _oracle_dual(arg, env, seeds)
+            v = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": expr._log,
+                 "sqrt": expr._sqrt, "abs": abs}[func](vu)
+            if not du:
+                return v, {}
+            if func in ("sin", "cos"):
+                c = math.cos(vu) if func == "sin" else -math.sin(vu)
+                return v, {j: c * dj for j, dj in du.items()}
+            twice = 2.0 * v
+            rule = {"exp": lambda dj: v * dj, "log": lambda dj: dj / vu,
+                    "sqrt": lambda dj: expr._div(dj, twice),
+                    "abs": lambda dj: expr._dabs(vu, dj)}[func]
+            return v, {j: rule(dj) for j, dj in du.items()}
+
+
+def _oracle_rows(part, point, t, seeds):
+    # per component of ``part`` at the float list ``point`` and time t: its value and
+    # partials by the coordinates ``seeds``, an absent partial 0.0; a callable's flat
+    n = len(point)
+    if part.asts is None:
+        jet = part.flat(point, t, bool(seeds))
+        return [[jet[i * (n + 1) + j if seeds else i] for j in (0, *(1 + q for q in seeds))]
+                for i in range(part.n_out)]
+    env = dict(zip(part.variables + ("t",), [*point, t]))
+    slots = {part.variables[q]: j for j, q in enumerate(seeds)}
+    rows = [_oracle_dual(tree, env, slots) for tree in part.asts]
+    return [[v, *(d.get(j, 0.0) for j in range(len(seeds)))] for v, d in rows]
+
+
+def oracle_stage(field, point, t, lam, linearize=False):
+    """The velocity at the float list ``point`` and time t, or with ``linearize`` the
+    (velocity, A, dp/dlam) of ``ForcedField.linearize``, by the unfolded arithmetic:
+    p = gamma + lam * sigma (sigma only where lam != 0.0 unless its partials are asked
+    for), the completion by d_x g . psi_1 left to right, A = d_x p + d_y p * slave."""
+    c, gamma, sigma = field.constraint, field.gamma, field.sigma
+    k, s, n = c.k, c.s, c.k + c.s
+    seeds = range(n) if linearize else ()
+    forcing = sigma and (linearize or gamma is None) and _oracle_rows(sigma, point, t, seeds)
+    if gamma is None:
+        p = [[lam * b for b in row] for row in forcing]
+    else:
+        p = _oracle_rows(gamma, point, t, seeds)
+        if sigma is not None and lam != 0.0:
+            forcing = forcing or _oracle_rows(sigma, point, t, seeds)
+            p = [[u + lam * v for u, v in zip(*rows)] for rows in zip(p, forcing)]
+    gjet, first = _oracle_rows(c.gmap, point, 0.0, range(n)), [r[0] for r in p]
+    singular = f"d_y g is singular at {np.asarray(point)}"
+    if s == 1:
+        d = gjet[0]
+        if d[k + 1] == 0.0:
+            raise RegularityError(singular)
+        rhs = d[1] * first[0]
+        for u, v in zip(d[2:k + 1], first[1:]):
+            rhs += u * v
+        velocity = [*first, -rhs / d[k + 1]]
+    else:
+        jac = np.array(sum(gjet, [])).reshape(s, n + 1)[:, 1:]
+        try:
+            psi2 = np.linalg.solve(jac[:, k:], -(jac[:, :k] @ np.array(first))).tolist()
+        except np.linalg.LinAlgError:
+            raise RegularityError(singular) from None
+        velocity = [*first, *psi2]
+    if not linearize:
+        return velocity
+    if s == 1:
+        pivot = -gjet[0][k + 1]
+        slave = [d / pivot for d in gjet[0][1:k + 1]]
+        a = [[r[1 + j] + r[1 + k] * sj for j, sj in enumerate(slave)] for r in p]
+    else:
+        dp = np.array(sum(p, [])).reshape(k, n + 1)[:, 1:]
+        a = (dp[:, :k] + dp[:, k:] @ np.linalg.solve(jac[:, k:], -jac[:, :k])).tolist()
+    return velocity, a, [r[0] for r in forcing] if forcing else [0.0] * k
+
+
+def _flat(value):
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in _flat(v)]
+    return [] if value is None else [value]
+
+
+def _result(fn, *args, **kwargs):
+    # the result, or the class and message of the error raised
+    try:
+        return fn(*args, **kwargs)
+    except (ManidegError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_unfolded(got, want):
+    # the same error, or floats equal and bit for bit where not zero: dropping a
+    # structural zero may flip the sign of a zero result
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return want[0]
+    got, want = (np.array(_flat(v), dtype=float) for v in (got, want))
+    assert got.shape == want.shape
+    nan = np.isnan(got) & np.isnan(want)
+    assert np.all((got == want) | nan), (got, want)
+    assert np.all((got == 0.0) | nan | (got.view(np.int64) == want.view(np.int64))), (got, want)
+    return "value"
+
+
+def swapped_field():
+    # x1' = x2 + lam * cos(t), x2' = x1 on the cubic graph y = x1 + x1^3: the velocity's
+    # k1 is the coordinate a0 itself and the second row of A is (1, 0), so a shot must
+    # not read them after the next stage point assigns a0, or the next Z its first row
+    names = ("x1", "x2", "y")
+    con = ImplicitConstraint.from_expressions(
+        2, 1, ("y - x1 - x1^3",), names, DomainBox.from_bounds([(-2, 2), (-3, 3), (-12, 12)]))
+    return ForcedField(con, AmbientMap.from_expressions(("x2", "x1"), names),
+                       AmbientMap.from_expressions(("cos(t)", "0"), names))
+
+
+def _unfolded_field(name):
+    return swapped_field() if name == "swapped" else _shot_field(name)
+
+
+UNFOLDED_FIELDS = [*sorted(REGISTRY), "callable", "duffing", "swapped"]
+
+
+@pytest.mark.parametrize("name", UNFOLDED_FIELDS)
+def test_folded_stages_and_steps_match_the_unfolded_arithmetic(name):
+    field = _unfolded_field(name)
+    c, k = field.constraint, field.constraint.k
+    rng, kinds = np.random.default_rng(17), set()
+    for i, p in enumerate(_random_points(c.domain, 40, 17, widen=1.2)):
+        t, dt = 0.3 + 0.5 * i, (0.05, 0.4, 1.5)[i % 3]
+        w = rng.normal(size=(k, k + 1)).tolist()
+        try:  # a start on the level set where the y-solve finds one
+            state = p[:k] + c._code["solve_y"](50, *p)[0]
+        except RootFindingError:
+            state = p
+        for lam in (0.0, 0.3, -0.7):
+            for linearize in (False, True):
+                code = field._code["linearize" if linearize else "velocity"]
+                kinds.add(assert_matches_unfolded(_result(code, *p, t, lam),
+                                                  _result(oracle_stage, field, p, t, lam,
+                                                          linearize)))
+            for shot, sensitivity in (("rk4", None), ("rk4w", w)):
+                got = _result(_one_step(field._code[shot]), t, dt, lam,
+                              sensitivity and tuple(map(tuple, sensitivity)), *state)
+                want = _result(oracle_step, field, t, dt, lam, sensitivity, *state,
+                               unfolded=True)
+                kinds.add(assert_matches_unfolded(got, want))
+    assert "value" in kinds, kinds
+
+
+def _literal(node):
+    # the float a literal operand of generated code denotes, a negated one too, else None
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = _literal(node.operand)
+        return None if value is None else -value
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, float) else None
+
+
+@pytest.mark.parametrize("name", UNFOLDED_FIELDS)
+def test_generated_code_does_no_arithmetic_with_unit_or_zero_literals(name):
+    # no product with a literal 1.0 or 0.0 and no sum with a literal 0.0 is left
+    field = _unfolded_field(name)
+    c = field.constraint
+    for fn, source in [*manifold._source(c.k, c.s, c.gmap),
+                       *manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma)]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.BinOp):
+                operands, op = {_literal(node.left), _literal(node.right)}, node.op
+            elif isinstance(node, ast.AugAssign):
+                operands, op = {_literal(node.value)}, node.op
+            else:
+                continue
+            assert not (isinstance(op, ast.Mult) and operands & {0.0, 1.0}
+                        or isinstance(op, ast.Add) and 0.0 in operands), (fn, ast.unparse(node))
+
+
+@pytest.mark.parametrize("source", [
+    "x + 0", "0 + x", "x - 0", "0 - x", "x * 0", "0 * x", "-0 * x", "x * 1", "1 * x",
+    "-(-1) * x", "2 * 3 + x", "0.1 + 0.2 - x", "1e300 * 1e300 * x", "x / 1", "x + 1 / 0",
+    "(-2)^2 * x", "x^0 + x^1", "0.5 * y * x", "sin(0) * x", "-(x * y) * 1"])
+def test_folded_expression_code_keeps_every_bit(source):
+    # the emitter folds only x * 1.0, 1.0 * x and literal arithmetic, which is exact: the
+    # values and partials keep their bits at signed zeros, infinities and nan, and a
+    # division is never folded, so 1 / 0 still raises
+    tree, slots = expr.parse(source, ("x", "y")), {"x": 0, "y": 1}
+    code = expr.compile_gradient(tree, ("x", "y"))
+    for x in (-0.0, 0.0, 1.5, -2.5, math.inf, -math.inf, math.nan):
+        def unfolded():
+            v, d = _oracle_dual(tree, {"x": x, "y": 0.75}, slots)
+            return v, d.get(0, 0.0), d.get(1, 0.0)
+        got, want = _result(code, x, 0.75), _result(unfolded)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert _bits(got) == _bits(want), (x, got, want)
 
 
 # --- golden degree records -----------------------------------------------------------
