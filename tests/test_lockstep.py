@@ -31,7 +31,6 @@ is not zero, and raise the same errors.
 """
 
 import ast
-
 import contextlib
 import io
 import json
