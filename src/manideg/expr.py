@@ -366,17 +366,21 @@ _FUNC_NAMES = {
 
 # --- code generation ------------------------------------------------------
 
-def _literal(text):
+class _Literal(str):
+    """A number as an operand of generated code: its repr, parenthesised when negative,
+    with the float it denotes as ``value``.  Every literal the emitter writes is one, so
+    whether an operand is a number is known without parsing its text."""
+
+    def __new__(cls, value):
+        text = repr(value) if math.copysign(1.0, value) > 0.0 else f"({value!r})"
+        self = super().__new__(cls, text)
+        self.value = value
+        return self
+
+
+def _literal(operand):
     """The float an operand of generated code denotes when it is a number, else None."""
-    try:
-        return float(text.removeprefix("(").removesuffix(")"))
-    except ValueError:
-        return None
-
-
-def _number(value):
-    """``value`` as an operand of generated code: its repr, parenthesised when negative."""
-    return repr(value) if math.copysign(1.0, value) > 0.0 else f"({value!r})"
+    return operand.value if isinstance(operand, _Literal) else None
 
 
 def _folded(left, op, right):
@@ -387,7 +391,7 @@ def _folded(left, op, right):
     if a is not None and b is not None:
         value = a + b if op == "+" else a - b if op == "-" else a * b
         if math.isfinite(value):
-            return _number(value)
+            return _Literal(value)
     if op == "*" and b == 1.0:
         return left
     if op == "*" and a == 1.0:
@@ -398,7 +402,7 @@ def _folded(left, op, right):
 def _negated(operand):
     """The text of ``-operand``, a literal when the operand is one (negation is exact)."""
     value = _literal(operand)
-    return f"-{operand}" if value is None else _number(-value)
+    return f"-{operand}" if value is None else _Literal(-value)
 
 
 class _Emitter:
@@ -427,11 +431,11 @@ class _Emitter:
         """Returns (value expression, {seed slot: derivative expression})."""
         match node:
             case Num(v):
-                return _number(v), {}
+                return _Literal(v), {}
             case Var(name):
                 d = {}
                 if name in self.seed_index:
-                    d[self.seed_index[name]] = "1.0"
+                    d[self.seed_index[name]] = _Literal(1.0)
                 return f"a{self.arg_index[name]}", d
             case Neg(arg):
                 v, d = self.emit(arg)
@@ -474,7 +478,7 @@ class _Emitter:
     def _pow(self, base, n):
         vb, db = self.emit(base)
         if n == 0:
-            return "1.0", {}
+            return _Literal(1.0), {}
         if n == 1:
             return vb, db
         v = self.new(f"_ipow({vb}, {n})" if n < 0 else f"{vb} ** {n}")

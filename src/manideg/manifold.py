@@ -264,7 +264,8 @@ def _source(k, s, g, *field):
         em.lines = _projection(em, k, s, g, "max_iter")
         define("solve_y", f"max_iter, {point}", f"[{', '.join(a[k:])}], r")
         f, gjet = [f"f{i}" for i in range(k)], _emit_part(em, g, "g", n, range(n))
-        define("tangent", ", ".join(a + f), _tuple(_completion(em, k, s, gjet, f, point)))
+        define("tangent", ", ".join(a + f),
+               _tuple(map(_out, _completion(em, k, s, gjet, f, point))))
         return out
     args = f"{point}, a{n}, lam"
     define("first", args, _tuple(_out(r[0]) for r in _emit_p(em, *field, n, ())[0]))
@@ -272,9 +273,10 @@ def _source(k, s, g, *field):
     def by_row(entry, width=k + 1):  # k row tuples of entry(r, j), W's by default
         return _tuple(_tuple(entry(r, j) for j in range(width)) for r in range(k))
 
-    # a stage, velocity's or linearize's body, leaves the velocity at the point a0, ...
-    # and time a[n] in k0, ..., and linearize's A and dp/dlam in A0_0, ... and d0, ...:
-    # each an operand that the shots may read in its place (see _held)
+    # a stage, velocity's or linearize's body, binds the velocity at the point a0, ...
+    # and time a[n] to k0, ..., and linearize's A and dp/dlam to A0_0, ... and d0, ...;
+    # an output that is a constant (a literal, lam or a structural zero) is bound to
+    # none of them: the lines that read it read the constant
     names = [f"k{j}" for j in range(n)]
     names += [f"A{r}_{q}" for r in range(k) for q in range(k)] + [f"d{r}" for r in range(k)]
     stages = {}
@@ -295,9 +297,10 @@ def _source(k, s, g, *field):
             values += [f"slaved[{r}][{q}]" for r in range(k) for q in range(k)]
         if seeds:  # dp/dlam
             values += [r[0] for r in forcing] if forcing else [None] * k
-        values = [v if _held(v, j, n) else em.new(v) for j, v in enumerate(values)]
-        stages[name] = em.lines, dict(zip(names, values))
-        read = [_out(v) for v in values]
+        held = {t: v for t, v in zip(names, values) if _constant(v)}
+        em.lines += [f"{t} = {v}" for t, v in zip(names, values) if t not in held]
+        stages[name] = em.lines, held
+        read = [_out(held.get(t, t)) for t, _ in zip(names, values)]
         define(name, args, _tuple(read[:n]) if not seeds else
                f"{_tuple(read[:n])}, {by_row(lambda r, q: read[n + r * k + q], k)}, "
                f"{_tuple(read[n + k * k:])}")
@@ -308,22 +311,18 @@ def _source(k, s, g, *field):
     # accumulated stage by stage in sk0, ..., left to right as written.  W advances by
     # W' = A W + [0 | d] through M = A Z + [0 | d], Z = W + c * M of the stage before,
     # each entry of A Z summed left to right, and the M summed like the k in sm0_0, ...
-    # A line whose value is a constant (a literal or a structural zero) is not written:
-    # the lines after it read the constant
+    # A line whose value is a constant (a literal, lam or a structural zero) is not
+    # written: the lines after it read the constant
     u, rk = [f"u{j}" for j in range(n)], [(r, j) for r in range(k) for j in range(k + 1)]
-    w = by_row(lambda r, j: f"w{r}_{j}")
+    w, two = by_row(lambda r, j: f"w{r}_{j}"), expr._Literal(2.0)
     for name, lin in (("rk4", False), ("rk4w", True)):
         body, outputs = stages["linearize" if lin else "velocity"]
         known, steps = {}, ["t = t0 + i * dt"]
 
-        def let(target, *terms, row=None):  # target = the sum of terms (names or products)
+        def let(target, *terms):  # target = the sum of terms (names or products)
             value = _sum(*(tuple(map(val, t)) if isinstance(t, tuple) else val(t)
                            for t in terms))
-            # M's row ``row`` may be read as an entry of W, or of Z in a row q >= row: the
-            # next stage's Z lines read it before they assign Z's row q
-            entry = row is not None and re.fullmatch(r"([wz])(\d+)_\d+", value or "")
-            if (value is None or expr._literal(value) is not None
-                    or entry and (entry[1] == "w" or int(entry[2]) >= row)):
+            if _constant(value):
                 known[target] = value
                 return
             known.pop(target, None)
@@ -347,10 +346,10 @@ def _source(k, s, g, *field):
                 z = "z" if i else "w"
                 for r, j in rk:
                     let(f"m{r}_{j}", *((f"A{r}_{q}", f"{z}{q}_{j}") for q in range(k)),
-                        *[f"d{r}"] * (j == k), row=r)
+                        *[f"d{r}"] * (j == k))
                 sums += [(f"sm{r}_{j}", f"m{r}_{j}") for r, j in rk]
             for total, term in sums:
-                let(total, *[total] * (i > 0), ("2.0", term) if 0 < i < 3 else term)
+                let(total, *[total] * (i > 0), (two, term) if 0 < i < 3 else term)
         for j, x in enumerate(u):
             let(f"a{j}", x, ("sixth", f"sk{j}"))
         stepped = [(f"w{r}_{j}", _sum(f"w{r}_{j}", ("sixth", val(f"sm{r}_{j}"))))
@@ -378,19 +377,12 @@ def _zero(operand):  # a structural zero: an absent partial (None) or a literal 
     return operand is None or expr._literal(operand) == 0.0
 
 
-def _held(operand, j, n):
-    # whether a shot may read the stage's output j (k0, ..., A0_0, ..., d0, ...) as
-    # ``operand`` until it is done with it: a constant, lam, a name of the stage's body
-    # (assigned again by the next stage's body only) or a coordinate a_q that the next
-    # stage's point lines a0, a1, ... assign after they read k_j, if j is a k at all
-    if operand is None or operand == "lam" or expr._literal(operand) is not None:
-        return True
-    name = re.fullmatch(r"([av])(\d+)", operand)
-    return bool(name) and (name[1] == "v" or j >= n or int(name[2]) >= j)
+def _constant(operand):  # a structural zero, a literal or lam: the same all through a shot
+    return operand is None or operand == "lam" or expr._literal(operand) is not None
 
 
 def _out(operand):  # an operand as generated code reads it: a structural zero as 0.0
-    return "0.0" if operand is None else operand
+    return expr._Literal(0.0) if operand is None else operand
 
 
 def _sum(*terms):

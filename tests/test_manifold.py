@@ -25,6 +25,7 @@ from manideg import (
     RegularityError,
     RootFindingError,
     complete_velocity,
+    flow_map,
     implicit_solve_y,
     manifold_degree,
     multi_region_degree,
@@ -146,6 +147,18 @@ def test_completion_matches_hand_formula_on_cubic_graph():
         v = complete_velocity(con, np.array([x, y]), np.array([s]))
         assert v[0] == pytest.approx(s)
         assert v[1] == pytest.approx(2.0 * x * s / (3.0 * y * y + 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("g", ["y^3 + y - 1", "y - 0*x"])
+def test_constraint_independent_of_x(g):
+    # d_x g is a structural zero, so the completion's y component is one too (0.0)
+    con = ImplicitConstraint.from_expressions(1, 1, (g,), ("x", "y"), BOX2)
+    point = np.array([0.5, *implicit_solve_y(con, np.array([0.5]))])
+    assert con.residual(point) <= 1e-12
+    assert complete_velocity(con, point, np.array([2.0])).tolist() == [2.0, 0.0]
+    field = tangent_completion(AmbientMap.from_expressions(("1",), ("x", "y")), con)
+    assert flow_map(field, point, 0.0, 1.0, n_steps=4).final_state.tolist() == [
+        1.5, point[1]]
 
 
 def test_completion_output_is_tangent():
