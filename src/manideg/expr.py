@@ -32,6 +32,7 @@ others.  Maps (:mod:`manideg.fields`) evaluate on the ``vector`` one only.
 import itertools
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,54 +360,112 @@ _VECTOR_NS = {
     "_ipow": _ipow_v, "_dabs": _dabs_v,
 }
 _FUNC_NAMES = {
-    "scalar": {"sin": "math.sin", "cos": "math.cos", "exp": "math.exp", "abs": "abs"},
-    "vector": {"sin": "np.sin", "cos": "np.cos", "exp": "np.exp", "abs": "abs"},
+    "scalar": {"sin": "math.sin", "cos": "math.cos", "exp": "math.exp", "abs": "abs",
+               "log": "_log", "sqrt": "_sqrt"},
+    "vector": {"sin": "np.sin", "cos": "np.cos", "exp": "np.exp", "abs": "abs",
+               "log": "_log", "sqrt": "_sqrt"},
 }
 
 
 # --- code generation ------------------------------------------------------
+#
+# Generated code is built as records, never read back as text.  An operand is a local
+# name (a str), a float literal (a float) or a Term over operands, and a line is an Op.
+# So liveness and pruning are walks over records (manifold._pruned), and _printed turns
+# records into source.  The fold rules, _folded, _negated, _divided and _sum, apply as
+# the records are built.
 
-class _Literal(str):
-    """A number as an operand of generated code: its repr, parenthesised when negative,
-    with the float it denotes as ``value``.  Every literal the emitter writes is one, so
-    whether an operand is a number is known without parsing its text."""
+class Term:
+    """``fmt`` with its {} filled by the operands ``args``, which name every local it
+    reads.  It may raise when it says so (a call, a power, a division, an item of a
+    sequence, a raise statement) or when an operand may."""
 
-    def __new__(cls, value):
-        text = repr(value) if math.copysign(1.0, value) > 0.0 else f"({value!r})"
-        self = super().__new__(cls, text)
-        self.value = value
-        return self
+    def __init__(self, fmt, *args, raises=False):
+        self.fmt, self.args = fmt, args
+        self.raises = raises or any(isinstance(x, Term) and x.raises for x in args)
 
 
-def _literal(operand):
-    """The float an operand of generated code denotes when it is a number, else None."""
-    return operand.value if isinstance(operand, _Literal) else None
+# a line of generated code, ``indent`` blocks in: ``target = value``, or the statement
+# ``value`` (a Term) when ``target`` is None, as for a line that assigns several names
+Op = namedtuple("Op", "target value indent", defaults=(0,))
+
+
+def _reads(*operands):  # the local names the operands read
+    names = set()
+    for x in operands:
+        if isinstance(x, Term):
+            names |= _reads(*x.args)
+        elif isinstance(x, str):
+            names.add(x)
+    return names
+
+
+def _text(operand):  # an operand as source: a literal by its repr, parenthesised when negative
+    if isinstance(operand, Term):
+        return operand.fmt.format(*map(_text, operand.args))
+    if isinstance(operand, float):
+        return repr(operand) if math.copysign(1.0, operand) > 0.0 else f"({operand!r})"
+    return operand
+
+
+def _printed(name, params, ops, result):
+    """The source of ``def name(params):`` with the lines ``ops`` and ``return result``."""
+    return "\n".join([f"def {name}({params}):", *(
+        "    " * (1 + op.indent)
+        + (_text(op.value) if op.target is None else f"{op.target} = {_text(op.value)}")
+        for op in [*ops, Op(None, Term("return {}", result))])])
+
+
+def _tuple(operands, fmt="({},)"):  # (a, b, ...,), or fmt's {} filled with a, b, ...
+    operands = tuple(operands)
+    return Term(fmt, Term(", ".join(["{}"] * len(operands)), *operands))
+
+
+def _zero(operand):  # a structural zero: an absent partial (None) or a literal 0.0
+    return operand is None or operand == 0.0
 
 
 def _folded(left, op, right):
-    """The text of ``left op right`` for two operands and ``op`` one of + - *, folded
-    where that is bit-exact: two literals become one (when the result is finite), and
-    x * 1.0 and 1.0 * x become x.  A /, a ** or a call is never folded."""
-    a, b = _literal(left), _literal(right)
-    if a is not None and b is not None:
-        value = a + b if op == "+" else a - b if op == "-" else a * b
+    """``left op right`` for two operands and ``op`` one of + - *, folded where that is
+    bit-exact: two literals become one (when the result is finite), and x * 1.0 and
+    1.0 * x become x.  A /, a ** or a call is never folded."""
+    if isinstance(left, float) and isinstance(right, float):
+        value = left + right if op == "+" else left - right if op == "-" else left * right
         if math.isfinite(value):
-            return _Literal(value)
-    if op == "*" and b == 1.0:
+            return value
+    if op == "*" and right == 1.0:
         return left
-    if op == "*" and a == 1.0:
+    if op == "*" and left == 1.0:
         return right
-    return f"{left} {op} {right}"
+    return Term(f"{{}} {op} {{}}", left, right)
 
 
-def _negated(operand):
-    """The text of ``-operand``, a literal when the operand is one (negation is exact)."""
-    value = _literal(operand)
-    return f"-{operand}" if value is None else _Literal(-value)
+def _negated(operand):  # -operand, a literal when the operand is one (negation is exact)
+    return -operand if isinstance(operand, float) else Term("-{}", operand)
+
+
+def _divided(numerator, divisor):  # numerator / divisor
+    return Term("{} / {}", numerator, divisor, raises=True)
+
+
+def _sum(*terms):
+    """The sum of ``terms`` left to right, each an operand or an (a, b) for a * b,
+    without the terms that are structural zeros (None when all are), folded as
+    _folded folds."""
+    total = None
+    for term in terms:
+        if isinstance(term, tuple):
+            if _zero(term[0]) or _zero(term[1]):
+                continue
+            term = _folded(term[0], "*", term[1])
+        elif _zero(term):
+            continue
+        total = term if total is None else _folded(total, "+", term)
+    return total
 
 
 class _Emitter:
-    """Unrolls dual-number propagation into straight-line Python source."""
+    """Unrolls dual-number propagation into straight-line code, as Op records."""
 
     def __init__(self, variables, seeds, backend):
         self.lines = []
@@ -418,24 +477,28 @@ class _Emitter:
         self.arg_index = {name: i for i, name in enumerate(variables)}
         self.seed_index = {name: j for j, name in enumerate(seeds)}
 
-    def new(self, expr):
+    def new(self, value):
         t = f"v{next(self.counter)}"
-        self.lines.append(f"{t} = {expr}")
+        self.lines.append(Op(t, value))
         return t
 
-    def operand(self, text):
-        """A name or literal holding ``text``: itself when it is one, else a new line's."""
-        return text if text.isidentifier() or _literal(text) is not None else self.new(text)
+    def operand(self, value):
+        """A name or literal holding ``value``: itself when it is one, else a new line's."""
+        return value if isinstance(value, (str, float)) else self.new(value)
+
+    def sum(self, *terms):  # _sum's operand: a name (of a new line when needed), literal or None
+        total = _sum(*terms)
+        return total if total is None else self.operand(total)
 
     def emit(self, node):
-        """Returns (value expression, {seed slot: derivative expression})."""
+        """Returns (value operand, {seed slot: derivative operand})."""
         match node:
             case Num(v):
-                return _Literal(v), {}
+                return v, {}
             case Var(name):
                 d = {}
                 if name in self.seed_index:
-                    d[self.seed_index[name]] = _Literal(1.0)
+                    d[self.seed_index[name]] = 1.0
                 return f"a{self.arg_index[name]}", d
             case Neg(arg):
                 v, d = self.emit(arg)
@@ -453,77 +516,65 @@ class _Emitter:
         vl, dl = self.emit(left)
         vr, dr = self.emit(right)
         if op == "/":
-            v = self.new(f"_div({vl}, {vr})")
+            v = self.new(Term("_div({}, {})", vl, vr, raises=True))
         else:
             v = self.operand(_folded(vl, op, vr))
         d = {}
         for j in sorted(dl.keys() | dr.keys()):
             a, b = dl.get(j), dr.get(j)
             if op == "+":
-                d[j] = self.operand(_folded(a, "+", b)) if a and b else (a or b)
+                d[j] = a if b is None else b if a is None else self.operand(_folded(a, "+", b))
             elif op == "-":
-                d[j] = self.operand(_folded(a, "-", b) if a and b else _negated(b)) if b else a
+                d[j] = a if b is None else self.operand(
+                    _negated(b) if a is None else _folded(a, "-", b))
             elif op == "*":
-                terms = [_folded(x, "*", y) for x, y in ((a, vr), (vl, b)) if x and y]
-                d[j] = self.operand(_folded(terms[0], "+", terms[1]) if a and b else terms[0])
+                terms = [_folded(x, "*", y) for x, y in ((a, vr), (vl, b))
+                         if x is not None and y is not None]
+                d[j] = self.operand(_folded(terms[0], "+", terms[1]) if len(terms) == 2
+                                    else terms[0])
             else:  # '/': derivative of l/r is (dl - v*dr) / r, with r != 0 ensured
-                if a and b:
-                    d[j] = self.new(f"({a} - {v} * {b}) / {vr}")
-                elif a:
-                    d[j] = self.new(f"{a} / {vr}")
-                else:
-                    d[j] = self.new(f"(-{v}) * {b} / {vr}")
+                top = (a if b is None else Term("(-{}) * {}", v, b) if a is None
+                       else Term("({} - {} * {})", a, v, b))
+                d[j] = self.new(_divided(top, vr))
         return v, d
 
     def _pow(self, base, n):
         vb, db = self.emit(base)
         if n == 0:
-            return _Literal(1.0), {}
+            return 1.0, {}
         if n == 1:
             return vb, db
-        v = self.new(f"_ipow({vb}, {n})" if n < 0 else f"{vb} ** {n}")
+
+        def power(m):
+            return Term(f"_ipow({{}}, {m})" if m < 0 else f"{{}} ** {m}", vb, raises=True)
+
+        v = self.new(power(n))
         d = {}
         if db:
-            if n - 1 == 1:
-                power = vb
-            elif n - 1 < 0:
-                power = self.new(f"_ipow({vb}, {n - 1})")
-            else:
-                power = self.new(f"{vb} ** {n - 1}")
-            factor = self.new(f"{float(n)!r} * {power}")
+            factor = self.new(Term(f"{float(n)!r} * {{}}", vb if n == 2 else self.new(power(n - 1))))
             d = {j: self.operand(_folded(factor, "*", dj)) for j, dj in db.items()}
         return v, d
 
     def _call(self, func, arg):
         vu, du = self.emit(arg)
-        fn = self.fn
-        if func == "sin":
-            v = self.new(f"{fn['sin']}({vu})")
-            if du:
-                c = self.new(f"{fn['cos']}({vu})")
-                du = {j: self.operand(_folded(c, "*", dj)) for j, dj in du.items()}
-        elif func == "cos":
-            v = self.new(f"{fn['cos']}({vu})")
-            if du:
-                s = self.new(f"-{fn['sin']}({vu})")
-                du = {j: self.operand(_folded(s, "*", dj)) for j, dj in du.items()}
-        elif func == "exp":
-            v = self.new(f"{fn['exp']}({vu})")
-            du = {j: self.operand(_folded(v, "*", dj)) for j, dj in du.items()}
-        elif func == "log":
-            v = self.new(f"_log({vu})")
-            du = {j: self.new(f"{dj} / {vu}") for j, dj in du.items()}
-        elif func == "sqrt":
-            v = self.new(f"_sqrt({vu})")
-            if du:
-                twice = self.new(f"2.0 * {v}")
-                du = {j: self.new(f"_div({dj}, {twice})") for j, dj in du.items()}
-        elif func == "abs":
-            v = self.new(f"{fn['abs']}({vu})")
-            du = {j: self.new(f"_dabs({vu}, {dj})") for j, dj in du.items()}
-        else:
+        if func not in FUNCTIONS:
             raise TypeError(f"unknown function {func!r}")
-        return v, du
+        v = self.new(Term(f"{self.fn[func]}({{}})", vu, raises=True))
+        if not du:
+            return v, du
+        if func == "log":
+            return v, {j: self.new(_divided(dj, vu)) for j, dj in du.items()}
+        if func == "abs":
+            return v, {j: self.new(Term("_dabs({}, {})", vu, dj, raises=True))
+                       for j, dj in du.items()}
+        if func == "sqrt":
+            twice = self.new(Term("2.0 * {}", v))
+            return v, {j: self.new(Term("_div({}, {})", dj, twice, raises=True))
+                       for j, dj in du.items()}
+        slope = v if func == "exp" else self.new(Term(  # the derivative of sin or cos
+            f"{self.fn['cos']}({{}})" if func == "sin" else f"-{self.fn['sin']}({{}})",
+            vu, raises=True))
+        return v, {j: self.operand(_folded(slope, "*", dj)) for j, dj in du.items()}
 
 
 _COMPILED = {}
@@ -543,15 +594,12 @@ def _compile(ast, variables, seeds, backend):
     for tree in trees:
         value, deriv = em.emit(tree)
         parts.append(value)
-        parts.extend(deriv.get(j, "0.0") for j in range(len(seeds)))
-    if seeds or isinstance(ast, tuple):
-        em.lines.append(f"return ({', '.join(parts)},)")
-    else:
-        em.lines.append(f"return {parts[0]}")
+        parts.extend(deriv.get(j, 0.0) for j in range(len(seeds)))
     args = ", ".join(f"a{i}" for i in range(len(variables)))
-    source = f"def _f({args}):\n" + "".join(f"    {ln}\n" for ln in em.lines)
+    source = _printed("_f", args, em.lines,
+                      _tuple(parts) if seeds or isinstance(ast, tuple) else parts[0])
     ns = dict(_SCALAR_NS if backend == "scalar" else _VECTOR_NS)
-    exec(compile(source, "<manideg expression>", "exec"), ns)
+    exec(compile(source + "\n", "<manideg expression>", "exec"), ns)
     fn = ns["_f"]
     _COMPILED[key] = fn
     return fn

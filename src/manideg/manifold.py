@@ -15,7 +15,6 @@ which is verified by grid sampling.  Several disjoint boxes, each with
 its own constant sign, can be combined additively.
 """
 
-import re
 import warnings as _warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,6 +27,7 @@ from .errors import (
     RootFindingError,
 )
 from . import expr
+from .expr import Op, Term
 from .fields import EVAL_ERRORS, TIME_NAME, AmbientMap, FieldHandle, _floats
 
 __all__ = [
@@ -41,8 +41,6 @@ SINGULAR_TOL = 1e-10  # |det d_y g| below which partial2_sign calls a sample sin
 NEAR_SINGULAR_TOL = 1e-6  # and below which it warns
 Y_SOLVE_TOL = 1e-12  # |g| every y-solve converges to, the flow's projections included
 _PROJECTION_ITER = 50  # Newton steps each projection of a flow step may take
-# float +, -, * of names and literals, a negative literal parenthesised
-_CANNOT_RAISE = re.compile(r"(?!.*\*\*)(?:[\w. +*-]|\(-[\w.+-]+\))+")
 
 
 class ImplicitConstraint:
@@ -219,10 +217,6 @@ def _generated(constraint, *field):
     return bound[values]
 
 
-def _tuple(names):
-    return f"({', '.join(names)},)"
-
-
 def _source(k, s, g, *field):
     # (name, source) of straight-line functions of the float coordinates a0, ...,
     # a[n-1] that do their formulas' float operations in order.  For the constraint
@@ -237,41 +231,41 @@ def _source(k, s, g, *field):
     # halving that step is the caller's.  rk4w also advances W (k row tuples; rk4
     # passes W through).  Callable parts are called as g, gamma, sigma.
     #
-    # The code is folded as it is generated.  A partial that no expression has is a
-    # structural zero (None, as is a literal 0.0, the value of a part "0"): the sums
-    # and products of the stages and of the shots' M = A Z + [0 | d] leave it out
-    # (_sum), and an operand known when the code is generated (a literal 0.0 or 1.0 of
-    # A, say) is written in place of its name.  expr._folded folds x * 1.0, 1.0 * x
-    # and + - * of two literals, which is bit-exact.  Dropping a structural zero
-    # changes a result in two ways only: a zero result may change sign, and an inf or
-    # nan operand no longer meets the dropped 0.0 (a flow's lam is never one: flow_map
-    # and projected_step reject it).  The one division of a structural zero that is
-    # dropped, d_x g / -d_y g in the slave row, divides by d_y g, which the generated
-    # RegularityError check has already found non-zero.  No /, ** or call is folded,
-    # so every line that may raise stays.
+    # Each line is an expr.Op record, printed once by expr._printed.  The code is
+    # folded as it is built.  A partial that no expression has is a structural zero
+    # (None, as is a literal 0.0, the value of a part "0"): the sums and products of the
+    # stages and of the shots' M = A Z + [0 | d] leave it out (expr._sum), and an operand
+    # known when the code is generated (a literal 0.0 or 1.0 of A, say) is written in
+    # place of its name.  expr._folded folds x * 1.0, 1.0 * x and + - * of two
+    # literals, which is bit-exact.  Dropping a structural zero changes a result in two
+    # ways only: a zero result may change sign, and an inf or nan operand no longer
+    # meets the dropped 0.0 (a flow's lam is never one: flow_map and projected_step
+    # reject it).  The one division of a structural zero that is dropped, d_x g / -d_y g
+    # in the slave row, divides by d_y g, which the generated RegularityError check has
+    # already found non-zero.  No /, ** or call is folded, so every line that may raise
+    # stays.
     n = k + s
     a = [f"a{i}" for i in range(n)]
     point, em, out = ", ".join(a), expr._Emitter((), (), "scalar"), []
 
     def define(name, params, result):
-        body = "\n".join([*em.lines, f"return {result}"]).splitlines()
-        out.append((name, "\n".join([f"def {name}({params}):", *(f"    {ln}" for ln in body)])))
+        out.append((name, expr._printed(name, params, em.lines, result)))
         em.lines = []
 
     if not field:
         values = [r[0] for r in _emit_part(em, g, "g", n, ())]
-        define("residual", point, values[0] if s == 1 else _tuple(values))
+        define("residual", point, values[0] if s == 1 else expr._tuple(values))
         em.lines = _projection(em, k, s, g, "max_iter")
-        define("solve_y", f"max_iter, {point}", f"[{', '.join(a[k:])}], r")
+        define("solve_y", f"max_iter, {point}", Term("{}, {}", expr._tuple(a[k:], "[{}]"), "r"))
         f, gjet = [f"f{i}" for i in range(k)], _emit_part(em, g, "g", n, range(n))
         define("tangent", ", ".join(a + f),
-               _tuple(map(_out, _completion(em, k, s, gjet, f, point))))
+               expr._tuple(map(_out, _completion(em, k, s, gjet, f, a))))
         return out
     args = f"{point}, a{n}, lam"
-    define("first", args, _tuple(_out(r[0]) for r in _emit_p(em, *field, n, ())[0]))
+    define("first", args, expr._tuple(_out(r[0]) for r in _emit_p(em, *field, n, ())[0]))
 
     def by_row(entry, width=k + 1):  # k row tuples of entry(r, j), W's by default
-        return _tuple(_tuple(entry(r, j) for j in range(width)) for r in range(k))
+        return expr._tuple(expr._tuple(entry(r, j) for j in range(width)) for r in range(k))
 
     # a stage, velocity's or linearize's body, binds the velocity at the point a0, ...
     # and time a[n] to k0, ..., and linearize's A and dp/dlam to A0_0, ... and d0, ...;
@@ -283,27 +277,29 @@ def _source(k, s, g, *field):
     for name, seeds in (("velocity", ()), ("linearize", range(n))):
         p, forcing = _emit_p(em, *field, n, seeds)
         gjet = _emit_part(em, g, "g", n, range(n))
-        values = _completion(em, k, s, gjet, [r[0] for r in p], point)
+        values = _completion(em, k, s, gjet, [r[0] for r in p], a)
         if seeds and s == 1:  # A = d_x p + d_y p * slave, slave = d_x g / (-d_y g)
             pivot = em.operand(expr._negated(_out(gjet[0][k + 1])))
-            slave = [None if _zero(d) else em.new(f"{d} / {pivot}") for d in gjet[0][1:k + 1]]
-            values += [_value(em, r[1 + j], (r[1 + k], sj))
-                       for r in p for j, sj in enumerate(slave)]
+            slave = [None if expr._zero(d) else em.new(expr._divided(d, pivot))
+                     for d in gjet[0][1:k + 1]]
+            values += [em.sum(r[1 + j], (r[1 + k], sj)) for r in p for j, sj in enumerate(slave)]
         elif seeds:  # by numpy, with jac = d_(x, y) g from the completion
-            em.lines += [f"dp = np.array({_tuple(map(_out, sum(p, [])))})"
-                         f".reshape({k}, {n + 1})[:, 1:]",
-                         f"slaved = (dp[:, :{k}] + dp[:, {k}:] @ "
-                         f"np.linalg.solve(jac[:, {k}:], -jac[:, :{k}])).tolist()"]
-            values += [f"slaved[{r}][{q}]" for r in range(k) for q in range(k)]
+            em.lines += [Op("dp", Term(f"np.array({{}}).reshape({k}, {n + 1})[:, 1:]",
+                                       expr._tuple(map(_out, sum(p, []))), raises=True)),
+                         Op("slaved", Term(f"({{0}}[:, :{k}] + {{0}}[:, {k}:] @ np.linalg.solve("
+                                           f"{{1}}[:, {k}:], -{{1}}[:, :{k}])).tolist()",
+                                           "dp", "jac", raises=True))]
+            values += [Term(f"{{}}[{r}][{q}]", "slaved", raises=True)
+                       for r in range(k) for q in range(k)]
         if seeds:  # dp/dlam
             values += [r[0] for r in forcing] if forcing else [None] * k
         held = {t: v for t, v in zip(names, values) if _constant(v)}
-        em.lines += [f"{t} = {v}" for t, v in zip(names, values) if t not in held]
+        em.lines += [Op(t, v) for t, v in zip(names, values) if t not in held]
         stages[name] = em.lines, held
         read = [_out(held.get(t, t)) for t, _ in zip(names, values)]
-        define(name, args, _tuple(read[:n]) if not seeds else
-               f"{_tuple(read[:n])}, {by_row(lambda r, q: read[n + r * k + q], k)}, "
-               f"{_tuple(read[n + k * k:])}")
+        define(name, args, expr._tuple(read[:n]) if not seeds else
+               Term("{}, {}, {}", expr._tuple(read[:n]),
+                    by_row(lambda r, q: read[n + r * k + q], k), expr._tuple(read[n + k * k:])))
 
     # the shots: each step of the loop inlines the four stages, each after its point
     # a0, ... = u0 + c * k0, ... (u0, ...: the step's start state) and time a[n], then
@@ -314,29 +310,28 @@ def _source(k, s, g, *field):
     # A line whose value is a constant (a literal, lam or a structural zero) is not
     # written: the lines after it read the constant
     u, rk = [f"u{j}" for j in range(n)], [(r, j) for r in range(k) for j in range(k + 1)]
-    w, two = by_row(lambda r, j: f"w{r}_{j}"), expr._Literal(2.0)
+    w = by_row(lambda r, j: f"w{r}_{j}")
     for name, lin in (("rk4", False), ("rk4w", True)):
         body, outputs = stages["linearize" if lin else "velocity"]
-        known, steps = {}, ["t = t0 + i * dt"]
+        known, steps = {}, [Op("t", Term("{} + {} * {}", "t0", "i", "dt"))]
 
         def let(target, *terms):  # target = the sum of terms (names or products)
-            value = _sum(*(tuple(map(val, t)) if isinstance(t, tuple) else val(t)
-                           for t in terms))
+            value = expr._sum(*(tuple(map(val, t)) if isinstance(t, tuple) else val(t)
+                                for t in terms))
             if _constant(value):
                 known[target] = value
                 return
             known.pop(target, None)
             if value != target:
-                steps.append(f"{target} = {value}")
+                steps.append(Op(target, value))
 
         def val(name):
             return known.get(name, name)
 
-        for i, (c, ts) in enumerate(zip(("", "h", "h", "dt"),
-                                        ("t", "t + h", "t + h", "t + dt"))):
+        for i, c in enumerate(("", "h", "h", "dt")):  # stage i at time t + c
             for j, x in enumerate(u):
                 let(f"a{j}", x, *[(c, f"k{j}")] * (i > 0))
-            steps += [f"a{n} = {ts}", *body]
+            steps += [Op(f"a{n}", Term("{} + {}", "t", c) if i else "t"), *body]
             known.update(outputs)
             sums = [(f"sk{j}", f"k{j}") for j in range(n)]
             if lin:
@@ -349,82 +344,64 @@ def _source(k, s, g, *field):
                         *[f"d{r}"] * (j == k))
                 sums += [(f"sm{r}_{j}", f"m{r}_{j}") for r, j in rk]
             for total, term in sums:
-                let(total, *[total] * (i > 0), (two, term) if 0 < i < 3 else term)
+                let(total, *[total] * (i > 0), (2.0, term) if 0 < i < 3 else term)
         for j, x in enumerate(u):
             let(f"a{j}", x, ("sixth", f"sk{j}"))
-        stepped = [(f"w{r}_{j}", _sum(f"w{r}_{j}", ("sixth", val(f"sm{r}_{j}"))))
+        stepped = [(f"w{r}_{j}", expr._sum(f"w{r}_{j}", ("sixth", val(f"sm{r}_{j}"))))
                    for r, j in rk if lin]
         done = [*_projection(em, k, s, g, _PROJECTION_ITER),
-                *(f"{x} = a{j}" for j, x in enumerate(u)),
-                *(f"{x} = {value}" for x, value in stepped if value != x),
-                f"states.append([{point}])", "drifts.append(r)"]
-        state, w_out = f"[{', '.join(u)}]", w if lin else "w"
-        em.lines = [*[f"{w} = w"] * lin, "h = dt / 2.0", "sixth = dt / 6.0", "try:",
-                    "    for i in range(i, n):",
-                    *_indented(_indented([*_pruned(steps, done), *done])),
-                    "except (RootFindingError, OverflowError, ZeroDivisionError, "
-                    "FloatingPointError) as exc:",
-                    # a returned error's traceback, or its context's, would keep the shot's
-                    # frame, and through it the caller's that holds the error, in a cycle
-                    "    exc.__traceback__ = exc.__context__ = None",
-                    f"    return i, {state}, {w_out}, exc"]
+                *(Op(x, f"a{j}") for j, x in enumerate(u)),
+                *(Op(x, value) for x, value in stepped if value != x),
+                Op(None, Term("{}.append({})", "states", expr._tuple(a, "[{}]"))),
+                Op(None, Term("{}.append({})", "drifts", "r"))]
+        state, w_out = expr._tuple(u, "[{}]"), w if lin else "w"
+        em.lines = _block(
+            *[Term(f"{expr._text(w)} = {{}}", "w")] * lin,
+            Op("h", expr._divided("dt", 2.0)), Op("sixth", expr._divided("dt", 6.0)),
+            "try:", [Term("for {0} in range({0}, {1}):", "i", "n"),
+                     [*_pruned(steps, expr._reads(*(op.value for op in done))), *done]],
+            "except (RootFindingError, OverflowError, ZeroDivisionError, FloatingPointError) as exc:",
+            # a returned error's traceback, or its context's, would keep the shot's frame,
+            # and through it the caller's that holds the error, in a cycle
+            [Term("{0}.__traceback__ = {0}.__context__ = None", "exc"),
+             Term("return {}, {}, {}, {}", "i", state, w_out, "exc")])
         define(name, f"i, n, t0, dt, lam, w, states, drifts, {', '.join(u)}",
-               f"n, {state}, {w_out}, None")
+               Term("{}, {}, {}, None", "n", state, w_out))
     return out
 
 
-def _zero(operand):  # a structural zero: an absent partial (None) or a literal 0.0
-    return operand is None or expr._literal(operand) == 0.0
-
-
 def _constant(operand):  # a structural zero, a literal or lam: the same all through a shot
-    return operand is None or operand == "lam" or expr._literal(operand) is not None
+    return operand is None or operand == "lam" or isinstance(operand, float)
 
 
 def _out(operand):  # an operand as generated code reads it: a structural zero as 0.0
-    return expr._Literal(0.0) if operand is None else operand
+    return 0.0 if operand is None else operand
 
 
-def _sum(*terms):
-    # the text of the sum of ``terms`` left to right, each an operand or an (a, b) for
-    # a * b, without the terms that are structural zeros (None when all are), folded as
-    # expr._folded folds
-    text = None
-    for term in terms:
-        if isinstance(term, tuple):
-            if _zero(term[0]) or _zero(term[1]):
-                continue
-            term = expr._folded(term[0], "*", term[1])
-        elif _zero(term):
-            continue
-        text = term if text is None else expr._folded(text, "+", term)
-    return text
+def _block(*items, indent=0):
+    # Op records of ``items``, each an Op, a Term (a statement), the text of a statement
+    # that reads no local, or a list of items: a block one in
+    ops = []
+    for item in items:
+        if isinstance(item, list):
+            ops += _block(*item, indent=indent + 1)
+        elif isinstance(item, Op):
+            ops.append(Op(item.target, item.value, item.indent + indent))
+        else:
+            ops.append(Op(None, item if isinstance(item, Term) else Term(item), indent))
+    return ops
 
 
-def _value(em, *terms):  # _sum's operand: a name (of a new line when needed), literal or None
-    text = _sum(*terms)
-    return text if text is None else em.operand(text)
-
-
-def _pruned(lines, after):
-    # ``lines``, straight-line code with branches, without the assignments whose name no
-    # later line reads, nor a line of ``after``, and whose value cannot raise: float +, -,
-    # * and negation of names and literals.  Every **, call and / stays.
-    live = set(re.findall(r"\b[A-Za-z_]\w*", "\n".join(after)))
-    kept = []
-    for line in reversed("\n".join(lines).splitlines()):
-        name, eq, value = line.strip().partition(" = ")
-        if not (eq and name.isidentifier()):
-            value = line
-        elif name not in live and _CANNOT_RAISE.fullmatch(value):
-            continue
-        live.update(re.findall(r"\b[A-Za-z_]\w*", value))
-        kept.append(line)
+def _pruned(ops, live, may_raise=False):
+    # ``ops`` without the lines that assign a name no later line reads, nor ``live``,
+    # and that cannot raise (or may, when ``may_raise``): one backward walk
+    live, kept = set(live), []
+    for op in reversed(ops):
+        raises = isinstance(op.value, Term) and op.value.raises
+        if op.target is None or op.target in live or raises and not may_raise:
+            live |= expr._reads(op.value)
+            kept.append(op)
     return kept[::-1]
-
-
-def _indented(lines):
-    return [f"    {ln}" for ln in "\n".join(lines).splitlines()]
 
 
 def _projection(em, k, s, g, max_iter):
@@ -443,52 +420,54 @@ def _projection(em, k, s, g, max_iter):
     dy = [_out(d) for r in _emit_part(em, g, "g", n, range(k, n)) for d in r[1:]]
     # only the jet lines d_y g reads: the jet runs where the residual lines just evaluated
     # g, so its copy of g's value ops cannot raise (a velocity stage, at a new point, can)
-    jet, read = [], set(re.findall(r"\w+", " ".join(dy)))
-    for line in reversed(em.lines):
-        name, _, value = line.partition(" = ")
-        if name in read:
-            jet.insert(0, line)
-            read.update(re.findall(r"\w+", value))
+    jet = _pruned(em.lines, expr._reads(*dy), may_raise=True)
     em.lines = lines
-    x = f"{{[{', '.join(a[:k])}]}}"
-    fail = f"raise RootFindingError(f'singular d_y g during y-solve at x = {x}')"
+    x, norm = expr._tuple(a[:k], "{{[{}]}}"), "abs" if s == 1 else "np.linalg.norm"
+    fail = Term("raise RootFindingError(f'singular d_y g during y-solve at x = {}')", x,
+                raises=True)
     if s == 1:
-        value, norm = values[0], "abs"
-        solve = [f"if {dy[0]} == 0.0:", f"    {fail}", f"step0 = -gv / {dy[0]}"]
+        value = values[0]
+        solve = [Term("if {} == 0.0:", dy[0]), [fail],
+                 Op("step0", expr._divided(expr._negated("gv"), dy[0]))]
     else:
-        value, norm = f"np.array({_tuple(values)})", "np.linalg.norm"
-        solve = ["try:", f"    {_tuple(steps)} = np.linalg.solve(np.array({_tuple(dy)})"
-                 f".reshape({s}, {s}), -gv).tolist()",
-                 "except np.linalg.LinAlgError:", f"    {fail} from None"]
-    halving = [*(f"{v} = base{j} + scale * step{j}" for j, v in enumerate(a[k:])),
-               "try:", *_indented([*res, f"fn = {value}", f"rn = {norm}(fn)"]),
-               "except EVAL_ERRORS:", "    rn = math.inf",
-               "if rn < r:", "    break", "scale *= 0.5"]
-    newton = ["if r <= Y_SOLVE_TOL:", "    break", *jet, *solve,
-              *(f"base{j} = {v}" for j, v in enumerate(a[k:])), "scale = 1.0",
-              "for _ in range(20):", *_indented(halving),
-              "else:", "    raise RootFindingError(f'Newton stalled at residual {r:.3e}')",
-              "gv, r = fn, rn"]
-    lines = [*res, f"gv = {value}", f"r = {norm}(gv)",
-             f"for _ in range({max_iter}):", *_indented(newton),
-             "else:", "    if not r <= Y_SOLVE_TOL:",
-             "        raise RootFindingError(f'Newton did not reach tolerance "
-             f"{{Y_SOLVE_TOL:.1e}} (residual {{r:.3e}} after {{{max_iter}}} iterations)')"]
+        value, steps = Term("np.array({})", expr._tuple(values), raises=True), expr._tuple(steps)
+        solve = ["try:", [Term(f"{expr._text(steps)} = np.linalg.solve(np.array({{}})"
+                               f".reshape({s}, {s}), -{{}}).tolist()", expr._tuple(dy), "gv",
+                               raises=True)],
+                 "except np.linalg.LinAlgError:", [Term("{} from None", fail)]]
+    halving = [*(Op(v, Term("{} + {} * {}", f"base{j}", "scale", f"step{j}"))
+                 for j, v in enumerate(a[k:])),
+               "try:", [*res, Op("fn", value), Op("rn", Term(f"{norm}({{}})", "fn", raises=True))],
+               "except EVAL_ERRORS:", [Op("rn", Term("math.inf"))],
+               Term("if {} < {}:", "rn", "r"), ["break"], Term("{} *= 0.5", "scale")]
+    newton = [Term("if {} <= Y_SOLVE_TOL:", "r"), ["break"], *jet, *solve,
+              *(Op(f"base{j}", v) for j, v in enumerate(a[k:])), Op("scale", 1.0),
+              "for _ in range(20):", halving, "else:",
+              [Term("raise RootFindingError(f'Newton stalled at residual {{{}:.3e}}')", "r",
+                    raises=True)],
+              Term("gv, r = {}, {}", "fn", "rn")]
+    lines = [*res, Op("gv", value), Op("r", Term(f"{norm}({{}})", "gv", raises=True)),
+             Term("for _ in range({}):", max_iter), newton,
+             "else:", [Term("if not {} <= Y_SOLVE_TOL:", "r"),
+                       [Term("raise RootFindingError(f'Newton did not reach tolerance {{Y_SOLVE"
+                             "_TOL:.1e}} (residual {{{}:.3e}} after {{{}}} iterations)')", "r",
+                             max_iter, raises=True)]]]
     if s > 1:
-        lines = ["with np.errstate(over='ignore', invalid='ignore'):", *_indented(lines),
-                 "r = float(r)"]
-    inside = " and ".join(f"lo{i} <= {v} <= hi{i}" for i, v in enumerate(a))
-    return [*lines, f"if not ({inside}):",
-            f"    raise DomainEscapeError(f'y-solve at x = {x} converged to "
-            f"{{[{', '.join(a[k:])}]}}, outside the domain box')"]
+        lines = ["with np.errstate(over='ignore', invalid='ignore'):", lines,
+                 Op("r", Term("float({})", "r", raises=True))]
+    inside = Term(" and ".join(f"lo{i} <= {{}} <= hi{i}" for i in range(n)), *a)
+    return _block(*lines, Term("if not ({}):", inside), [Term(
+        "raise DomainEscapeError(f'y-solve at x = {} converged to {}, outside the domain box')",
+        x, expr._tuple(a[k:], "{{[{}]}}"), raises=True)])
 
 
-def _emit_part(em, part, name, n, seeds, t="0.0"):
+def _emit_part(em, part, name, n, seeds, t=0.0):
     # per component of ``part`` (``name`` in the source) at (a0, ...) and time t: the
-    # names of its value and partials by ``seeds``; a callable part calls its flat
+    # operands of its value and partials by ``seeds``; a callable part calls its flat
     if part.asts is None:
-        jet = em.new(f"{name}([{', '.join(f'a{i}' for i in range(n))}], {t}, {bool(seeds)})")
-        return [[f"{jet}[{i * (n + 1) + j if seeds else i}]"
+        jet = em.new(Term(f"{name}({{}}, {{}}, {bool(seeds)})",
+                          expr._tuple((f"a{i}" for i in range(n)), "[{}]"), t, raises=True))
+        return [[Term(f"{{}}[{i * (n + 1) + j if seeds else i}]", jet, raises=True)
                  for j in (0, *(1 + j for j in seeds))] for i in range(part.n_out)]
     em.bind(part.variables + (TIME_NAME,), [part.variables[j] for j in seeds])
     emitted = [em.emit(tree) for tree in part.asts]  # (value, {seed slot: partial})
@@ -501,46 +480,51 @@ def _emit_p(em, gamma, sigma, n, seeds):
     t = f"a{n}"
     forcing = sigma and (seeds or gamma is None) and _emit_part(em, sigma, "sigma", n, seeds, t)
     if gamma is None:
-        return [[_value(em, ("lam", b)) for b in row] for row in forcing], forcing
+        return [[em.sum(("lam", b)) for b in row] for row in forcing], forcing
     own, mark = _emit_part(em, gamma, "gamma", n, seeds, t), len(em.lines)
     if sigma is None:
         return own, None
     forcing = forcing or _emit_part(em, sigma, "sigma", n, seeds, t)
-    summed = len(em.lines)
-    p = [[_value(em, u, ("lam", v)) for u, v in zip(*pair)] for pair in zip(own, forcing)]
-    made = {ln.partition(" = ")[0] for ln in em.lines[summed:]}
-    rest = [f"    {q} = {_out(u)}" for rq, ru in zip(p, own) for q, u in zip(rq, ru) if q in made]
+    p = [[em.sum(u, ("lam", v)) for u, v in zip(*pair)] for pair in zip(own, forcing)]
+    made = {op.target for op in em.lines[mark:]}
+    rest = [Op(q, _out(u)) for rq, ru in zip(p, own) for q, u in zip(rq, ru) if q in made]
     if len(em.lines) > mark:
-        em.lines[mark:] = ["if lam != 0.0:", *(f"    {ln}" for ln in em.lines[mark:]),
-                           *(["else:", *rest] if rest else [])]
+        em.lines[mark:] = _block(Term("if {} != 0.0:", "lam"), em.lines[mark:],
+                                 *(["else:", rest] if rest else []))
     return p, forcing
 
 
-def _completion(em, k, s, gjet, first, point):
-    # the components of the velocity completing ``first`` by d_y g * psi_2 = -d_x g * psi_1;
-    # for s = 1 on floats, d_x g . psi_1 left to right (a BLAS dot's fused multiply-adds
-    # round otherwise)
-    fail = f"raise RegularityError(f'd_y g is singular at {{np.asarray([{point}])}}')"
+def _completion(em, k, s, gjet, first, a):
+    # the components of the velocity completing ``first`` by d_y g * psi_2 = -d_x g * psi_1
+    # at the point ``a``; for s = 1 on floats, d_x g . psi_1 left to right (a BLAS dot's
+    # fused multiply-adds round otherwise)
+    fail = Term("raise RegularityError(f'd_y g is singular at {{np.asarray({})}}')",
+                expr._tuple(a, "[{}]"), raises=True)
     if s > 1:
-        em.lines += [f"jac = np.array({_tuple(map(_out, sum(gjet, [])))})"
-                     f".reshape({s}, {k + s + 1})[:, 1:]",
-                     f"try:\n    psi2 = np.linalg.solve(jac[:, {k}:], "
-                     f"-(jac[:, :{k}] @ np.array({_tuple(map(_out, first))}))).tolist()",
-                     f"except np.linalg.LinAlgError:\n    {fail} from None"]
-        return [*first, *(f"psi2[{i}]" for i in range(s))]
+        em.lines += _block(
+            Op("jac", Term(f"np.array({{}}).reshape({s}, {k + s + 1})[:, 1:]",
+                           expr._tuple(map(_out, sum(gjet, []))), raises=True)),
+            "try:", [Op("psi2", Term(f"np.linalg.solve({{0}}[:, {k}:], -({{0}}[:, :{k}] @ "
+                                     f"np.array({{1}}))).tolist()",
+                                     "jac", expr._tuple(map(_out, first)), raises=True))],
+            "except np.linalg.LinAlgError:", [Term("{} from None", fail)])
+        return [*first, *(Term(f"{{}}[{i}]", "psi2", raises=True) for i in range(s))]
     d = gjet[0]
-    em.lines += [f"if {_out(d[k + 1])} == 0.0:\n    {fail}"]
-    rhs = _value(em, *zip(d[1:k + 1], first))
-    return [*first, rhs and em.new(f"-{rhs} / {_out(d[k + 1])}")]
+    em.lines += _block(Term("if {} == 0.0:", _out(d[k + 1])), [fail])
+    rhs = em.sum(*zip(d[1:k + 1], first))
+    return [*first, None if rhs is None else em.new(expr._divided(Term("-{}", rhs),
+                                                                  _out(d[k + 1])))]
+
+
+def _check_first(phi1, constraint):  # a first component map fits the constraint
+    if phi1.n_out != constraint.k or phi1.n_in != constraint.dim:
+        raise ValueError(f"first component map is {phi1.n_in}->{phi1.n_out}, "
+                         f"expected {constraint.dim}->{constraint.k}")
 
 
 def tangent_completion(psi1, constraint):
     """Tangent field on M with prescribed first k components."""
-    if psi1.n_out != constraint.k or psi1.n_in != constraint.dim:
-        raise ValueError(
-            f"first component map is {psi1.n_in}->{psi1.n_out}, "
-            f"expected {constraint.dim}->{constraint.k}"
-        )
+    _check_first(psi1, constraint)
     return ForcedField(constraint, gamma=psi1)
 
 
@@ -556,11 +540,7 @@ def reduced_map(phi1, constraint):
     carries the manifold degree up to the sign of det d_y g."""
     if phi1.time_dependent:
         raise ValueError("the reduced map needs a time-independent first component")
-    if phi1.n_out != constraint.k or phi1.n_in != constraint.dim:
-        raise ValueError(
-            f"first component map is {phi1.n_in}->{phi1.n_out}, "
-            f"expected {constraint.dim}->{constraint.k}"
-        )
+    _check_first(phi1, constraint)
 
     def vector(cols, t=0.0, jacobian=False):
         return (*phi1.vector(cols, t, jacobian), *constraint.gmap.vector(cols, t, jacobian))
