@@ -15,12 +15,13 @@ The recognised functions are sin, cos, exp, log, sqrt and abs.
 
 Derivatives are forward-mode dual numbers: every AST node propagates a
 value together with one derivative component per requested variable.
-For speed the propagation is unrolled into generated Python source and
-compiled once per (tree, variable order) pair, or into one function for
-a tuple of trees; partials that are structurally zero are never
-materialised, and x * 1.0, 1.0 * x and + - * of two literals are folded
-when the code is generated, which is exact (a /, a ** or a call never
-is).  Results are bit-identical across repeated evaluations.
+For speed the propagation is unrolled into straight-line Python, built as
+operation records that one printer turns into source, and compiled once
+per (tree, variable order) pair, or into one function for a tuple of
+trees; partials that are structurally zero are never materialised, and
+x * 1.0, 1.0 * x, x / 1.0, x / -1.0 and + - * of two literals are folded
+as the records are built, which is exact up to the sign of a nan (a **
+or a call never is).  Results are bit-identical across repeated evaluations.
 
 The default ``scalar`` backend works on Python floats and raises
 :class:`DomainEvalError` outside an operation's domain.  The ``vector``
@@ -440,12 +441,20 @@ def _folded(left, op, right):
     return Term(f"{{}} {op} {{}}", left, right)
 
 
-def _negated(operand):  # -operand, a literal when the operand is one (negation is exact)
+def _negated(operand):  # -operand: a literal for a literal, x for -x (negation is exact)
+    if isinstance(operand, Term) and operand.fmt == "-{}":
+        return operand.args[0]
     return -operand if isinstance(operand, float) else Term("-{}", operand)
 
 
-def _divided(numerator, divisor):  # numerator / divisor
-    return Term("{} / {}", numerator, divisor, raises=True)
+def _divided(numerator, divisor):
+    """``numerator / divisor``: the numerator for a divisor 1.0 and its negation for -1.0,
+    both exact up to the sign of a nan.  A division by another non-zero literal cannot
+    raise."""
+    if divisor in (1.0, -1.0):
+        return numerator if divisor == 1.0 else _negated(numerator)
+    return Term("{} / {}", numerator, divisor,
+                raises=not (isinstance(divisor, float) and divisor != 0.0))
 
 
 def _sum(*terms):
@@ -515,8 +524,9 @@ class _Emitter:
     def _bin(self, op, left, right):
         vl, dl = self.emit(left)
         vr, dr = self.emit(right)
-        if op == "/":
-            v = self.new(Term("_div({}, {})", vl, vr, raises=True))
+        if op == "/":  # _div raises DomainEvalError for a zero divisor; by 1.0 or -1.0 it folds
+            v = self.operand(_divided(vl, vr) if vr in (1.0, -1.0) else
+                             Term("_div({}, {})", vl, vr, raises=True))
         else:
             v = self.operand(_folded(vl, op, vr))
         d = {}
@@ -535,7 +545,7 @@ class _Emitter:
             else:  # '/': derivative of l/r is (dl - v*dr) / r, with r != 0 ensured
                 top = (a if b is None else Term("(-{}) * {}", v, b) if a is None
                        else Term("({} - {} * {})", a, v, b))
-                d[j] = self.new(_divided(top, vr))
+                d[j] = self.operand(_divided(top, vr))
         return v, d
 
     def _pow(self, base, n):
@@ -545,13 +555,14 @@ class _Emitter:
         if n == 1:
             return vb, db
 
-        def power(m):
+        def powered(m):
             return Term(f"_ipow({{}}, {m})" if m < 0 else f"{{}} ** {m}", vb, raises=True)
 
-        v = self.new(power(n))
+        v = self.new(powered(n))
         d = {}
         if db:
-            factor = self.new(Term(f"{float(n)!r} * {{}}", vb if n == 2 else self.new(power(n - 1))))
+            power = vb if n == 2 else self.new(powered(n - 1))
+            factor = self.new(Term(f"{float(n)!r} * {{}}", power))
             d = {j: self.operand(_folded(factor, "*", dj)) for j, dj in db.items()}
         return v, d
 
@@ -563,7 +574,7 @@ class _Emitter:
         if not du:
             return v, du
         if func == "log":
-            return v, {j: self.new(_divided(dj, vu)) for j, dj in du.items()}
+            return v, {j: self.operand(_divided(dj, vu)) for j, dj in du.items()}
         if func == "abs":
             return v, {j: self.new(Term("_dabs({}, {})", vu, dj, raises=True))
                        for j, dj in du.items()}

@@ -28,15 +28,16 @@ fails ends that call; halving it is the Python fallback of
 the loop then resumes after it.
 
 The step code is folded as it is generated (see
-:func:`~manideg.manifold._source`): x * 1.0, 1.0 * x and arithmetic on two
-literals, which is bit-exact, and every term with a structural zero, a
-partial that no expression has or a literal 0.0 (lam * 0.0, 0.0 * x,
-0.0 / d_y g, ...).  Dropping such a term can change a result in two ways
-only: a zero may change sign, and an inf or nan operand no longer meets
-the dropped 0.0.  A non-finite ``lam`` is therefore rejected up front; the
-one dropped division divides by d_y g, which the generated regularity
-check has found non-zero.  No division, power or call is folded, so a
-step raises where the unfolded code raised.
+:func:`~manideg.manifold._source`): x * 1.0, 1.0 * x, x / 1.0, x / -1.0
+and arithmetic on two literals, which is bit-exact up to the sign of a
+nan, and every term with a structural zero, a partial that no expression
+has or a literal 0.0 (lam * 0.0, 0.0 * x, 0.0 / d_y g, ...).  Dropping
+such a term can change a result in two ways only: a zero may change sign,
+and an inf or nan operand no longer meets the dropped 0.0.  A non-finite
+``lam`` is therefore rejected up front; the one dropped division divides
+by d_y g, which the generated regularity check has found non-zero.  No
+power, call or other division is folded, so a step raises where the
+unfolded code raised.
 """
 
 import math

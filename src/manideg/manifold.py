@@ -231,19 +231,22 @@ def _source(k, s, g, *field):
     # halving that step is the caller's.  rk4w also advances W (k row tuples; rk4
     # passes W through).  Callable parts are called as g, gamma, sigma.
     #
-    # Each line is an expr.Op record, printed once by expr._printed.  The code is
-    # folded as it is built.  A partial that no expression has is a structural zero
-    # (None, as is a literal 0.0, the value of a part "0"): the sums and products of the
-    # stages and of the shots' M = A Z + [0 | d] leave it out (expr._sum), and an operand
-    # known when the code is generated (a literal 0.0 or 1.0 of A, say) is written in
-    # place of its name.  expr._folded folds x * 1.0, 1.0 * x and + - * of two
-    # literals, which is bit-exact.  Dropping a structural zero changes a result in two
-    # ways only: a zero result may change sign, and an inf or nan operand no longer
-    # meets the dropped 0.0 (a flow's lam is never one: flow_map and projected_step
-    # reject it).  The one division of a structural zero that is dropped, d_x g / -d_y g
-    # in the slave row, divides by d_y g, which the generated RegularityError check has
-    # already found non-zero.  No /, ** or call is folded, so every line that may raise
-    # stays.
+    # Each line is an expr.Op record that knows what it reads and whether it may raise;
+    # expr._printed prints them.  The code is folded as the records are built.  A
+    # partial that no expression has is a structural zero (None, as is a literal 0.0, the
+    # value of a part "0"): the sums and products of the stages and of the shots'
+    # M = A Z + [0 | d] leave it out (expr._sum), and an operand known when the code is
+    # generated (a literal 0.0 or 1.0 of A, say) is written in place of its name.
+    # expr._folded folds x * 1.0, 1.0 * x and + - * of two literals, and expr._divided
+    # x / 1.0 and x / -1.0, which is bit-exact up to the sign of a nan; a d_y g that is a
+    # non-zero literal gets no check that it is zero.  Dropping a structural zero changes
+    # a result in two ways only: a zero result may change sign, and an inf or nan operand
+    # no longer meets the dropped 0.0 (a flow's lam is never one: flow_map and
+    # projected_step reject it).  The one division of a structural zero that is dropped,
+    # d_x g / -d_y g in the slave row, divides by d_y g, which the generated
+    # RegularityError check has already found non-zero.  No ** or call is folded, and a
+    # / only by 1.0 or -1.0, so every line that may raise stays; a division by a non-zero
+    # literal cannot raise, so _pruned drops it where nothing reads it.
     n = k + s
     a = [f"a{i}" for i in range(n)]
     point, em, out = ", ".join(a), expr._Emitter((), (), "scalar"), []
@@ -280,7 +283,7 @@ def _source(k, s, g, *field):
         values = _completion(em, k, s, gjet, [r[0] for r in p], a)
         if seeds and s == 1:  # A = d_x p + d_y p * slave, slave = d_x g / (-d_y g)
             pivot = em.operand(expr._negated(_out(gjet[0][k + 1])))
-            slave = [None if expr._zero(d) else em.new(expr._divided(d, pivot))
+            slave = [None if expr._zero(d) else em.operand(expr._divided(d, pivot))
                      for d in gjet[0][1:k + 1]]
             values += [em.sum(r[1 + j], (r[1 + k], sj)) for r in p for j, sj in enumerate(slave)]
         elif seeds:  # by numpy, with jac = d_(x, y) g from the completion
@@ -360,7 +363,8 @@ def _source(k, s, g, *field):
             Op("h", expr._divided("dt", 2.0)), Op("sixth", expr._divided("dt", 6.0)),
             "try:", [Term("for {0} in range({0}, {1}):", "i", "n"),
                      [*_pruned(steps, expr._reads(*(op.value for op in done))), *done]],
-            "except (RootFindingError, OverflowError, ZeroDivisionError, FloatingPointError) as exc:",
+            "except (RootFindingError, OverflowError, ZeroDivisionError, "
+            "FloatingPointError) as exc:",
             # a returned error's traceback, or its context's, would keep the shot's frame,
             # and through it the caller's that holds the error, in a cycle
             [Term("{0}.__traceback__ = {0}.__context__ = None", "exc"),
@@ -427,7 +431,7 @@ def _projection(em, k, s, g, max_iter):
                 raises=True)
     if s == 1:
         value = values[0]
-        solve = [Term("if {} == 0.0:", dy[0]), [fail],
+        solve = [*_unless_zero(dy[0], fail),
                  Op("step0", expr._divided(expr._negated("gv"), dy[0]))]
     else:
         value, steps = Term("np.array({})", expr._tuple(values), raises=True), expr._tuple(steps)
@@ -510,10 +514,14 @@ def _completion(em, k, s, gjet, first, a):
             "except np.linalg.LinAlgError:", [Term("{} from None", fail)])
         return [*first, *(Term(f"{{}}[{i}]", "psi2", raises=True) for i in range(s))]
     d = gjet[0]
-    em.lines += _block(Term("if {} == 0.0:", _out(d[k + 1])), [fail])
+    em.lines += _unless_zero(_out(d[k + 1]), fail)
     rhs = em.sum(*zip(d[1:k + 1], first))
-    return [*first, None if rhs is None else em.new(expr._divided(Term("-{}", rhs),
-                                                                  _out(d[k + 1])))]
+    return [*first, None if rhs is None else em.operand(expr._divided(Term("-{}", rhs),
+                                                                      _out(d[k + 1])))]
+
+
+def _unless_zero(d, fail):  # lines raising ``fail`` where d is 0.0, none for a non-zero literal
+    return [] if isinstance(d, float) and d != 0.0 else _block(Term("if {} == 0.0:", d), [fail])
 
 
 def _check_first(phi1, constraint):  # a first component map fits the constraint

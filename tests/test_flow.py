@@ -261,6 +261,27 @@ def duffing_field():
                        AmbientMap.from_expressions(("0", "cos(t)"), names))
 
 
+def swapped_field():
+    # x1' = x2 + lam * cos(t), x2' = x1 on the cubic graph y = x1 + x1^3: the velocity's
+    # k1 is the coordinate a0 itself and the second row of A is (1, 0), so a shot must
+    # not read them after the next stage point assigns a0, or the next Z its first row
+    names = ("x1", "x2", "y")
+    con = ImplicitConstraint.from_expressions(
+        2, 1, ("y - x1 - x1^3",), names, DomainBox.from_bounds([(-2, 2), (-3, 3), (-12, 12)]))
+    return ForcedField(con, AmbientMap.from_expressions(("x2", "x1"), names),
+                       AmbientMap.from_expressions(("cos(t)", "0"), names))
+
+
+def named_field(name):
+    # a bundled problem's field, or one of the test fields above by its short name
+    tests = {"callable": callable_spring_field, "duffing": duffing_field,
+             "swapped": swapped_field}
+    if name in tests:
+        return tests[name]()
+    dae = REGISTRY[name].build_dae()
+    return ForcedField(dae.constraint, dae.gamma, dae.sigma)
+
+
 def test_callable_backed_field_flows_like_expression_field():
     period = REGISTRY["example-5-5"].period
     start = np.array(PINNED_START)
@@ -356,17 +377,13 @@ def test_shooting_compiles_the_step_code_once(monkeypatch):
     assert np.array_equal(first[0], second[0])
 
 
-@pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable"])
+@pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing", "swapped"])
 def test_generated_step_code_parses_as_python_3_10(name):
     # the package supports Python 3.10, whose grammar a newer interpreter's
     # compile of the generated code would not enforce
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass", feature_version=(3, 10))
-    if name == "callable":
-        field = callable_spring_field()
-    else:
-        dae = REGISTRY[name].build_dae()
-        field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    field = named_field(name)
     c = field.constraint
     sources = [*manifold._source(c.k, c.s, c.gmap),
                *manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma)]
@@ -375,15 +392,11 @@ def test_generated_step_code_parses_as_python_3_10(name):
         ast.parse(source, feature_version=(3, 10))
 
 
-@pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable"])
+@pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing", "swapped"])
 def test_newton_jet_assigns_nothing_it_does_not_read(name):
     # the d_y g evaluation of each y-Newton step keeps only the lines d_y g needs: the
     # value of g there was just computed by the residual lines
-    if name == "callable":
-        field = callable_spring_field()
-    else:
-        dae = REGISTRY[name].build_dae()
-        field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    field = named_field(name)
     c = field.constraint
     sources = dict([*manifold._source(c.k, c.s, c.gmap),
                     *manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma)])
@@ -396,8 +409,8 @@ def test_newton_jet_assigns_nothing_it_does_not_read(name):
                and st.targets[0].id.startswith("v")]
         read = {node.id for node in ast.walk(fn)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        # example-4-2's d_y g is the literal -1.0, which needs no line at all
-        assert (jet or name == "example-4-2") and set(jet) <= read, (
+        # a literal d_y g needs no line at all: example-4-2's is -1.0, the cubic graphs' 1.0
+        assert (jet or name in ("example-4-2", "duffing", "swapped")) and set(jet) <= read, (
             fn_name, sorted(set(jet) - read))
 
 
@@ -410,11 +423,7 @@ def test_inlined_stages_keep_every_line_that_may_raise(name):
     # (rk4w), pruned of the lines nothing reads that cannot raise: every power, division
     # and call stays, so a stage raises where the standalone function raises, and no
     # line that cannot raise is left unread
-    if name in ("callable", "duffing"):
-        field = callable_spring_field() if name == "callable" else duffing_field()
-    else:
-        dae = REGISTRY[name].build_dae()
-        field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    field = named_field(name)
     c = field.constraint
     sources = dict(manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma))
     for shot, stage in (("rk4", "velocity"), ("rk4w", "linearize")):

@@ -51,7 +51,7 @@ from manideg.errors import (
 )
 from manideg.manifold import Y_SOLVE_TOL, ForcedField, ImplicitConstraint, reduced_map
 from manideg.problems import REGISTRY
-from test_flow import callable_spring_field, duffing_field
+from test_flow import callable_spring_field, duffing_field, named_field
 
 EVAL_ERRORS = (DomainEvalError, OverflowError, ZeroDivisionError, FloatingPointError)
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_degree_records.json")
@@ -731,13 +731,6 @@ def assert_shot_matches_oracle(field, xi0, period, lam, n_steps):
     return outcomes[0]
 
 
-def _shot_field(name):
-    if name in ("callable", "duffing"):
-        return callable_spring_field() if name == "callable" else duffing_field()
-    dae = REGISTRY[name].build_dae()
-    return ForcedField(dae.constraint, dae.gamma, dae.sigma)
-
-
 SHOT_STARTS = {  # a start on the level set, the period and the steps of a shot
     "example-5-5": ([0.5, -0.25, 0.44382504501286757], REGISTRY["example-5-5"].period, 64),
     "example-5-7": ([1.0, 0.5, 1.1180339887498942, 0.4636476090008056],
@@ -751,7 +744,7 @@ SHOT_STARTS = {  # a start on the level set, the period and the steps of a shot
 @pytest.mark.parametrize("name", sorted(SHOT_STARTS))
 def test_shot_matches_one_step_per_call(name, lam):
     xi0, period, n_steps = SHOT_STARTS[name]
-    assert assert_shot_matches_oracle(_shot_field(name), xi0, period, lam, n_steps) == "done"
+    assert assert_shot_matches_oracle(named_field(name), xi0, period, lam, n_steps) == "done"
 
 
 @pytest.mark.parametrize("x1, x2, halved", [(0.9, 1.5, [1]), (0.5, 2.0, [0, 2])])
@@ -772,7 +765,7 @@ def test_escaping_shot_matches_one_step_per_call():
     dae = REGISTRY["example-5-5"].build_dae()
     x0 = [0.48724475429288766, 1.4017599545388935]
     xi0 = x0 + implicit_solve_y(dae.constraint, np.array(x0), [0.41974473405714263]).tolist()
-    assert assert_shot_matches_oracle(_shot_field("example-5-5"), xi0, dae.period,
+    assert assert_shot_matches_oracle(named_field("example-5-5"), xi0, dae.period,
                                       0.8081745842247542,
                                       DEFAULT_TRACE_STEPS_PER_PERIOD) == IntegrationError
 
@@ -921,27 +914,12 @@ def assert_matches_unfolded(got, want):
     return "value"
 
 
-def swapped_field():
-    # x1' = x2 + lam * cos(t), x2' = x1 on the cubic graph y = x1 + x1^3: the velocity's
-    # k1 is the coordinate a0 itself and the second row of A is (1, 0), so a shot must
-    # not read them after the next stage point assigns a0, or the next Z its first row
-    names = ("x1", "x2", "y")
-    con = ImplicitConstraint.from_expressions(
-        2, 1, ("y - x1 - x1^3",), names, DomainBox.from_bounds([(-2, 2), (-3, 3), (-12, 12)]))
-    return ForcedField(con, AmbientMap.from_expressions(("x2", "x1"), names),
-                       AmbientMap.from_expressions(("cos(t)", "0"), names))
-
-
-def _unfolded_field(name):
-    return swapped_field() if name == "swapped" else _shot_field(name)
-
-
 UNFOLDED_FIELDS = [*sorted(REGISTRY), "callable", "duffing", "swapped"]
 
 
 @pytest.mark.parametrize("name", UNFOLDED_FIELDS)
 def test_folded_stages_and_steps_match_the_unfolded_arithmetic(name):
-    field = _unfolded_field(name)
+    field = named_field(name)
     c, k = field.constraint, field.constraint.k
     rng, kinds = np.random.default_rng(17), set()
     for i, p in enumerate(_random_points(c.domain, 40, 17, widen=1.2)):
@@ -976,14 +954,20 @@ def _literal(node):
 
 @pytest.mark.parametrize("name", UNFOLDED_FIELDS)
 def test_generated_code_does_no_arithmetic_with_unit_or_zero_literals(name):
-    # no product with a literal 1.0 or 0.0 and no sum with a literal 0.0 is left
-    field = _unfolded_field(name)
+    # no product with a literal 1.0 or 0.0, no sum with a literal 0.0, no division by a
+    # literal 1.0 or -1.0, and no check whether a non-zero literal is 0.0 is left
+    field = named_field(name)
     c = field.constraint
     for fn, source in [*manifold._source(c.k, c.s, c.gmap),
                        *manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma)]:
         for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Compare):
+                sides = {_literal(node.test.left), *map(_literal, node.test.comparators)}
+                assert not (0.0 in sides and sides - {0.0, None}), (fn, ast.unparse(node.test))
             if isinstance(node, ast.BinOp):
                 operands, op = {_literal(node.left), _literal(node.right)}, node.op
+                assert not (isinstance(op, ast.Div) and _literal(node.right) in (1.0, -1.0)), (
+                    fn, ast.unparse(node))
             elif isinstance(node, ast.AugAssign):
                 operands, op = {_literal(node.value)}, node.op
             else:
