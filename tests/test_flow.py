@@ -145,17 +145,24 @@ def test_shooting_rejects_zero_steps_per_period():
         shooting_residual(dae, np.zeros(2), 0.0, steps_per_period=0)
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
-def test_non_finite_lambda_is_rejected_up_front(lam):
-    # not 20 step halvings ending in a time step underflow
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_lambda_is_rejected_up_front(value):
+    # not 20 step halvings ending in a time step underflow, nor a math domain error or a
+    # stalled Newton from the generated step: a non-finite lam, time or step is named
     dae = REGISTRY["example-5-5"].build_dae()
     field, start = spring_field(), on_spring_manifold(0.1, 0.0)
-    for shoot in (lambda: flow_map(field, start, 0.0, 1.0, lam, n_steps=4),
-                  lambda: flow_map(field, start, 0.0, 1.0, lam, sensitivity=True),
-                  lambda: projected_step(field, start, 0.0, 0.1, lam),
-                  lambda: shooting_residual(dae, start[:2], lam),
-                  lambda: shooting_residual(dae, start[:2], lam, jacobian=True)):
-        with pytest.raises(IntegrationError, match=f"lam must be finite, got {lam!r}"):
+    for name, shoot in (
+            ("lam", lambda: flow_map(field, start, 0.0, 1.0, value, n_steps=4)),
+            ("lam", lambda: flow_map(field, start, 0.0, 1.0, value, sensitivity=True)),
+            ("lam", lambda: projected_step(field, start, 0.0, 0.1, value)),
+            ("lam", lambda: shooting_residual(dae, start[:2], value)),
+            ("lam", lambda: shooting_residual(dae, start[:2], value, jacobian=True)),
+            ("t0", lambda: flow_map(field, start, value, 1.0, 0.3, n_steps=4)),
+            ("t1", lambda: flow_map(field, start, 0.0, value, 0.3, n_steps=4)),
+            ("t1", lambda: flow_map(field, start, 0.0, value, 0.3, dt_max=0.1)),
+            ("t", lambda: projected_step(field, start, value, 0.1, 0.3)),
+            ("dt", lambda: projected_step(field, start, 0.0, value, 0.3, np.eye(1, 2)))):
+        with pytest.raises(IntegrationError, match=f"{name} must be finite, got {value!r}"):
             shoot()
 
 
