@@ -370,11 +370,9 @@ _FUNC_NAMES = {
 
 # --- code generation ------------------------------------------------------
 #
-# Generated code is built as records, never read back as text.  An operand is a local
-# name (a str), a float literal (a float) or a Term over operands, and a line is an Op.
-# So liveness and pruning are walks over records (manifold._pruned), and _printed turns
-# records into source.  The fold rules, _folded, _negated, _divided and _sum, apply as
-# the records are built.
+# Code is built as records, never read back as text: an operand is a local name (a str),
+# a float literal (a float) or a Term over operands, and a line is an Op.  The fold
+# rules, _folded, _negated, _divided and _sum, apply as the records are built.
 
 class Term:
     """``fmt`` with its {} filled by the operands ``args``, which name every local it
@@ -382,7 +380,7 @@ class Term:
     sequence, a raise statement) or when an operand may."""
 
     def __init__(self, fmt, *args, raises=False):
-        self.fmt, self.args = fmt, args
+        self.fmt, self.args, self.text = fmt, args, None  # text: _text's, once computed
         self.raises = raises or any(isinstance(x, Term) and x.raises for x in args)
 
 
@@ -402,8 +400,10 @@ def _reads(*operands):  # the local names the operands read
 
 
 def _text(operand):  # an operand as source: a literal by its repr, parenthesised when negative
-    if isinstance(operand, Term):
-        return operand.fmt.format(*map(_text, operand.args))
+    if isinstance(operand, Term):  # a shot prints each stage line four times
+        if operand.text is None:
+            operand.text = operand.fmt.format(*map(_text, operand.args))
+        return operand.text
     if isinstance(operand, float):
         return repr(operand) if math.copysign(1.0, operand) > 0.0 else f"({operand!r})"
     return operand
@@ -448,9 +448,8 @@ def _negated(operand):  # -operand: a literal for a literal, x for -x (negation 
 
 
 def _divided(numerator, divisor):
-    """``numerator / divisor``: the numerator for a divisor 1.0 and its negation for -1.0,
-    both exact up to the sign of a nan.  A division by another non-zero literal cannot
-    raise."""
+    """``numerator / divisor``, folded for a divisor 1.0 or -1.0, which is exact up to the
+    sign of a nan; a division by another non-zero literal cannot raise."""
     if divisor in (1.0, -1.0):
         return numerator if divisor == 1.0 else _negated(numerator)
     return Term("{} / {}", numerator, divisor,

@@ -231,22 +231,19 @@ def _source(k, s, g, *field):
     # halving that step is the caller's.  rk4w also advances W (k row tuples; rk4
     # passes W through).  Callable parts are called as g, gamma, sigma.
     #
-    # Each line is an expr.Op record that knows what it reads and whether it may raise;
-    # expr._printed prints them.  The code is folded as the records are built.  A
-    # partial that no expression has is a structural zero (None, as is a literal 0.0, the
-    # value of a part "0"): the sums and products of the stages and of the shots'
-    # M = A Z + [0 | d] leave it out (expr._sum), and an operand known when the code is
-    # generated (a literal 0.0 or 1.0 of A, say) is written in place of its name.
-    # expr._folded folds x * 1.0, 1.0 * x and + - * of two literals, and expr._divided
-    # x / 1.0 and x / -1.0, which is bit-exact up to the sign of a nan; a d_y g that is a
-    # non-zero literal gets no check that it is zero.  Dropping a structural zero changes
-    # a result in two ways only: a zero result may change sign, and an inf or nan operand
-    # no longer meets the dropped 0.0 (a flow's lam is never one: flow_map and
+    # Each line is an expr.Op record; expr._printed prints them.  The code is folded as
+    # the records are built, by expr's rules (exact up to the sign of a nan), and a d_y g
+    # that is a non-zero literal gets no check that it is zero.  A partial that no
+    # expression has is a structural zero (None, as is a literal 0.0, the value of a part
+    # "0"): the sums and products of the stages and of the shots' M = A Z + [0 | d] leave
+    # it out (expr._sum), and an operand known when the code is generated (a literal 0.0
+    # or 1.0 of A, say) is written in place of its name.  Dropping a structural zero
+    # changes a result in two ways only: a zero result may change sign, and an inf or nan
+    # operand no longer meets the dropped 0.0 (a flow's lam is never one: flow_map and
     # projected_step reject it).  The one division of a structural zero that is dropped,
     # d_x g / -d_y g in the slave row, divides by d_y g, which the generated
-    # RegularityError check has already found non-zero.  No ** or call is folded, and a
-    # / only by 1.0 or -1.0, so every line that may raise stays; a division by a non-zero
-    # literal cannot raise, so _pruned drops it where nothing reads it.
+    # RegularityError check has already found non-zero.  Every line that may raise stays
+    # (a division by a non-zero literal cannot; _pruned drops it where nothing reads it).
     n = k + s
     a = [f"a{i}" for i in range(n)]
     point, em, out = ", ".join(a), expr._Emitter((), (), "scalar"), []
@@ -524,15 +521,13 @@ def _unless_zero(d, fail):  # lines raising ``fail`` where d is 0.0, none for a 
     return [] if isinstance(d, float) and d != 0.0 else _block(Term("if {} == 0.0:", d), [fail])
 
 
-def _check_first(phi1, constraint):  # a first component map fits the constraint
-    if phi1.n_out != constraint.k or phi1.n_in != constraint.dim:
-        raise ValueError(f"first component map is {phi1.n_in}->{phi1.n_out}, "
-                         f"expected {constraint.dim}->{constraint.k}")
-
-
 def tangent_completion(psi1, constraint):
     """Tangent field on M with prescribed first k components."""
-    _check_first(psi1, constraint)
+    if psi1.n_out != constraint.k or psi1.n_in != constraint.dim:
+        raise ValueError(
+            f"first component map is {psi1.n_in}->{psi1.n_out}, "
+            f"expected {constraint.dim}->{constraint.k}"
+        )
     return ForcedField(constraint, gamma=psi1)
 
 
@@ -548,7 +543,11 @@ def reduced_map(phi1, constraint):
     carries the manifold degree up to the sign of det d_y g."""
     if phi1.time_dependent:
         raise ValueError("the reduced map needs a time-independent first component")
-    _check_first(phi1, constraint)
+    if phi1.n_out != constraint.k or phi1.n_in != constraint.dim:
+        raise ValueError(
+            f"first component map is {phi1.n_in}->{phi1.n_out}, "
+            f"expected {constraint.dim}->{constraint.k}"
+        )
 
     def vector(cols, t=0.0, jacobian=False):
         return (*phi1.vector(cols, t, jacobian), *constraint.gmap.vector(cols, t, jacobian))

@@ -25,6 +25,7 @@ from manideg import (
     ManidegError,
     REGISTRY,
     RegularityError,
+    RootFindingError,
     SemiExplicitDae,
     build_autonomous_tangent,
     build_forcing_tangent,
@@ -279,10 +280,20 @@ def swapped_field():
                        AmbientMap.from_expressions(("cos(t)", "0"), names))
 
 
+def unslaved_field():
+    # x1' = x2, x2' = -x1 + lam * cos(t) on y^3 + y = x1: p does not depend on y, so the
+    # slave row d_x g / -d_y g of each stage is dead in a shot, a division by a non-literal
+    names = ("x1", "x2", "y")
+    con = ImplicitConstraint.from_expressions(
+        2, 1, ("y^3 + y - x1",), names, DomainBox.from_bounds([(-2, 2), (-3, 3), (-2, 2)]))
+    return ForcedField(con, AmbientMap.from_expressions(("x2", "-x1"), names),
+                       AmbientMap.from_expressions(("0", "cos(t)"), names))
+
+
 def named_field(name):
     # a bundled problem's field, or one of the test fields above by its short name
     tests = {"callable": callable_spring_field, "duffing": duffing_field,
-             "swapped": swapped_field}
+             "swapped": swapped_field, "unslaved": unslaved_field}
     if name in tests:
         return tests[name]()
     dae = REGISTRY[name].build_dae()
@@ -357,16 +368,20 @@ def test_overflowing_stage_is_a_domain_error_and_not_halved(monkeypatch, sensiti
 
 
 def test_zero_pivot_raises_regularity_error():
-    # g = y^2 - x has d_y g = 2y = 0 at the origin
-    con = ImplicitConstraint.from_expressions(
-        1, 1, ("y^2 - x",), ("x", "y"), DomainBox.cube(-2.0, 2.0, 2))
-    field = build_autonomous_tangent(SemiExplicitDae(
-        con, gamma=AmbientMap.from_expressions(("1",), ("x", "y"))))
-    for evaluate in (field.velocity, field.linearize):
+    # g = y^2 - x has d_y g = 2y = 0 at the origin; g = 0*y - x has the literal d_y g 0.0,
+    # whose zero checks stay where those of a non-zero literal are left out
+    for g in ("y^2 - x", "0*y - x"):
+        con = ImplicitConstraint.from_expressions(
+            1, 1, (g,), ("x", "y"), DomainBox.cube(-2.0, 2.0, 2))
+        field = build_autonomous_tangent(SemiExplicitDae(
+            con, gamma=AmbientMap.from_expressions(("1",), ("x", "y"))))
+        for evaluate in (field.velocity, field.linearize):
+            with pytest.raises(RegularityError, match="singular"):
+                evaluate(0.0, np.zeros(2))
         with pytest.raises(RegularityError, match="singular"):
-            evaluate(0.0, np.zeros(2))
-    with pytest.raises(RegularityError, match="singular"):
-        complete_velocity(con, np.zeros(2), np.ones(1))
+            complete_velocity(con, np.zeros(2), np.ones(1))
+    with pytest.raises(RootFindingError, match="singular d_y g"):
+        implicit_solve_y(con, [0.5])
 
 
 def test_shooting_compiles_the_step_code_once(monkeypatch):
@@ -424,7 +439,7 @@ def test_newton_jet_assigns_nothing_it_does_not_read(name):
 MAY_RAISE = re.compile(r"\*\*|/|\w\(")  # a power, a division (_div too) or a call
 
 
-@pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing"])
+@pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing", "unslaved"])
 def test_inlined_stages_keep_every_line_that_may_raise(name):
     # a shot's steps inline four copies of the body of velocity (rk4) or linearize
     # (rk4w), pruned of the lines nothing reads that cannot raise: every power, division
