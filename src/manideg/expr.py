@@ -447,13 +447,14 @@ def _negated(operand):  # -operand: a literal for a literal, x for -x (negation 
     return -operand if isinstance(operand, float) else Term("-{}", operand)
 
 
-def _divided(numerator, divisor):
-    """``numerator / divisor``, folded for a divisor 1.0 or -1.0, which is exact up to the
-    sign of a nan; a division by another non-zero literal cannot raise."""
+def _divided(numerator, divisor, fmt="{} / {}"):
+    """``numerator / divisor`` as ``fmt`` writes it, folded for a divisor 1.0 or -1.0,
+    which is exact up to the sign of a nan; a division by another non-zero literal
+    cannot raise."""
     if divisor in (1.0, -1.0):
         return numerator if divisor == 1.0 else _negated(numerator)
-    return Term("{} / {}", numerator, divisor,
-                raises=not (isinstance(divisor, float) and divisor != 0.0))
+    literal = isinstance(divisor, float) and divisor != 0.0
+    return Term(fmt, numerator, divisor, raises=not literal)
 
 
 def _sum(*terms):
@@ -523,9 +524,8 @@ class _Emitter:
     def _bin(self, op, left, right):
         vl, dl = self.emit(left)
         vr, dr = self.emit(right)
-        if op == "/":  # _div raises DomainEvalError for a zero divisor; by 1.0 or -1.0 it folds
-            v = self.operand(_divided(vl, vr) if vr in (1.0, -1.0) else
-                             Term("_div({}, {})", vl, vr, raises=True))
+        if op == "/":  # _div raises DomainEvalError for a zero divisor
+            v = self.operand(_divided(vl, vr, "_div({}, {})"))
         else:
             v = self.operand(_folded(vl, op, vr))
         d = {}
