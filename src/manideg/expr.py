@@ -376,8 +376,8 @@ _FUNC_NAMES = {
 
 class Term:
     """``fmt`` with its {} filled by the operands ``args``, which name every local it
-    reads.  It may raise when it says so (a call, a power, a division, an item of a
-    sequence, a raise statement) or when an operand may."""
+    reads.  It may raise when it says so (a call, a power, a division by anything but a
+    non-zero literal, an item of a sequence, a raise statement) or when an operand may."""
 
     def __init__(self, fmt, *args, raises=False):
         self.fmt, self.args, self.text = fmt, args, None  # text: _text's, once computed
@@ -385,7 +385,7 @@ class Term:
 
 
 # a line of generated code, ``indent`` blocks in: ``target = value``, or the statement
-# ``value`` (a Term) when ``target`` is None, as for a line that assigns several names
+# ``value`` (a Term) when ``target`` is None, as for a line that assigns several names or none
 Op = namedtuple("Op", "target value indent", defaults=(0,))
 
 

@@ -395,7 +395,7 @@ def _block(*items, indent=0):
 
 def _pruned(ops, live, may_raise=False):
     # ``ops`` without the lines that assign a name no later line reads, nor ``live``,
-    # and that cannot raise (or may, when ``may_raise``): one backward walk
+    # and that cannot raise (or that may, too, when ``may_raise``): one backward walk
     live, kept = set(live), []
     for op in reversed(ops):
         raises = isinstance(op.value, Term) and op.value.raises
