@@ -410,10 +410,14 @@ def test_default_trace_matches_golden_branch_to_its_end(capsys, tmp_path):
     assert "96 solution pairs (left_domain)" in out
 
 
-def test_two_constraint_trace_matches_golden_branch(capsys, tmp_path):
-    # s = 2: the steps' completion and y-Newton go through numpy's LAPACK solves
-    assert_trace_matches_golden(capsys, tmp_path, "golden_trace_example_5_7.csv",
-                                "example-5-7", "--lambda-max", "0.1")
+@pytest.mark.parametrize("golden, lambda_max", [
+    ("golden_trace_example_5_7.csv", "0.1"), ("golden_trace_example_5_7_to_0_3.csv", "0.3")])
+def test_two_constraint_trace_matches_golden_branch(capsys, tmp_path, golden, lambda_max):
+    # s = 2: each step's completion, slave matrix and y-Newton solve 2 x 2 systems; the
+    # longer branch has 17 pairs and ends at its lambda_max
+    out = assert_trace_matches_golden(capsys, tmp_path, golden, "example-5-7",
+                                      "--lambda-max", lambda_max)
+    assert "(lambda_max)" in out
 
 
 # --- verify-paper -------------------------------------------------------------------
