@@ -150,8 +150,8 @@ class AmbientMap:
         return out, valid
 
     def _row(self, point, t, jacobian):
-        # a batch of one at time t, as a list of floats that must all be finite
-        row = self._rows([np.array([v]) for v in _floats(point)], t, jacobian)[0].tolist()
+        # a batch of one at time t (an array of one per coordinate), as floats that must be finite
+        row = self._rows(np.array(_floats(point, self.n_in))[:, None], t, jacobian)[0].tolist()
         if not all(map(math.isfinite, row)):
             raise DomainEvalError(f"the map does not evaluate to finite numbers at {point}")
         return row
@@ -166,11 +166,11 @@ class AmbientMap:
         return out
 
 
-def _floats(point):
-    # math-module calls are fastest on plain Python floats
-    if isinstance(point, np.ndarray):
-        return point.tolist()
-    return [float(v) for v in point]
+def _floats(vector, size, name="point"):  # ``size`` plain floats, the fastest for math calls
+    vector = np.asarray(vector, dtype=float)
+    if vector.shape != (size,):
+        raise ValueError(f"{name} must hold {size} coordinates, got shape {vector.shape}")
+    return vector.tolist()
 
 
 class FieldHandle(AmbientMap):

@@ -31,13 +31,13 @@ The step code is folded as it is generated (see
 :func:`~manideg.manifold._source`): x * 1.0, 1.0 * x, x / 1.0, x / -1.0
 and arithmetic on two literals, which is bit-exact up to the sign of a
 nan, and every term with a structural zero, a partial that no expression
-has or a literal 0.0 (lam * 0.0, 0.0 * x, 0.0 / d_y g, ...).  Dropping
+has or a literal 0.0 (lam * 0.0, 0.0 * x, 0.0 / pivot, ...).  Dropping
 such a term can change a result in two ways only: a zero may change sign,
 and an inf or nan operand no longer meets the dropped 0.0.  A non-finite
 ``lam`` is therefore rejected up front, as are a non-finite time and step;
-the one dropped division divides by d_y g, which the generated regularity
-check has found non-zero.  No power, call or other division is folded, so
-a step raises where the unfolded code raised.
+a dropped division divides by a pivot its generated zero test passed.  No
+power, call or other division is folded, so a step raises where the
+unfolded code raised.
 """
 
 import math
@@ -88,7 +88,8 @@ def projected_step(field, state, t, dt, lam=0.0, sensitivity=None):
             raise ValueError(f"sensitivity must have shape ({k}, {k + 1}), got {w.shape}")
         w = w.tolist()
     shot = field._code["rk4" if w is None else "rk4w"]
-    _, stepped, w, failure = shot(0, 1, t, dt, float(lam), w, [], [], *_floats(state))
+    state = _floats(state, field.constraint.dim, "state")
+    _, stepped, w, failure = shot(0, 1, t, dt, float(lam), w, [], [], *state)
     if failure is not None:
         raise failure
     return np.array(stepped) if w is None else (np.array(stepped), np.array(w))

@@ -87,13 +87,11 @@ class ImplicitConstraint:
         return self.gmap.jacobian(point)[:, self.k:]
 
     def det_partial2(self, point):
-        d2 = self.partial2(point)
-        return float(d2[0, 0]) if self.s == 1 else float(np.linalg.det(d2))
+        return float(np.linalg.det(self.partial2(point)))
 
     def residual(self, point):
         """|g| at ``point``, by the generated operations of every y-solve's drift."""
-        g = self._code["residual"](*_floats(point))
-        return abs(g) if self.s == 1 else float(np.linalg.norm(g))
+        return self._code["residual"](*_floats(point, self.dim))
 
     def y_slice(self, box=None):
         return (box or self.domain).bounds[self.k:]
@@ -139,10 +137,11 @@ def partial2_sign(constraint, sample_density=None, box=None):
 def complete_velocity(constraint, point, psi1_value):
     """Extend first components to the unique vector tangent to the level set.
 
-    Solves d_y g * psi_2 = -d_x g * psi_1 by a linear solve (never an
+    Solves d_y g * psi_2 = -d_x g * psi_1 by Gaussian elimination (never an
     explicit inverse), so the result satisfies g'(point) * psi = 0.
     """
-    return np.array(constraint._code["tangent"](*_floats(point), *_floats(psi1_value)))
+    point, psi1 = _floats(point, constraint.dim), _floats(psi1_value, constraint.k, "psi1_value")
+    return np.array(constraint._code["tangent"](*point, *psi1))
 
 
 class ForcedField:
@@ -166,10 +165,10 @@ class ForcedField:
     _code = cached_property(lambda self: _generated(self.constraint, self.gamma, self.sigma))
 
     def first(self, t, point, lam=0.0):
-        return np.array(self._code["first"](*_floats(point), t, lam))
+        return np.array(self._code["first"](*_floats(point, self.constraint.dim), t, lam))
 
     def velocity(self, t, point, lam=0.0):
-        return np.array(self._code["velocity"](*_floats(point), t, lam))
+        return np.array(self._code["velocity"](*_floats(point, self.constraint.dim), t, lam))
 
     def linearize(self, t, point, lam=0.0):
         """Velocity and the first-order data of the x-equations at ``point``.
@@ -181,7 +180,7 @@ class ForcedField:
         k x k matrix of the variational equation and dp_dlam = sigma
         (zero without a forcing part).  Only first derivatives are used.
         """
-        velocity, a, dp_dlam = self._code["linearize"](*_floats(point), t, lam)
+        velocity, a, dp_dlam = self._code["linearize"](*_floats(point, self.constraint.dim), t, lam)
         return np.array(velocity), np.array(a), np.array(dp_dlam)
 
     def eval(self, t, point):
@@ -218,48 +217,46 @@ def _generated(constraint, *field):
 
 
 def _source(k, s, g, *field):
-    # (name, source) of straight-line functions of the float coordinates a0, ...,
-    # a[n-1] that do their formulas' float operations in order.  For the constraint
-    # alone: residual, solve_y of (max_iter, a0, ...) -> (y, |g|) (see _projection)
-    # and tangent (completing f0, ...).  For a field: first, velocity, linearize of
-    # (a0, ..., t, lam), and rk4 and rk4w, each a whole shot of projected steps in one
-    # call: (i, n, t0, dt, lam, W, states, drifts, u0, ...) runs the steps i, ..., n-1
-    # of dt from the state u0, ... at step i, step j at time t0 + j * dt, and appends
-    # each new state and |g| to the lists states and drifts.  It returns (n, state, W,
-    # None), or at the first step that raises RootFindingError, OverflowError,
-    # ZeroDivisionError or FloatingPointError (index, start state, start W, error):
-    # halving that step is the caller's.  rk4w also advances W (k row tuples; rk4
-    # passes W through).  Callable parts are called as g, gamma, sigma.
+    # (name, source) of straight-line functions of the float coordinates a0, ..., a[n-1] that do
+    # their formulas' float operations in order.  For the constraint alone: residual, solve_y of
+    # (max_iter, a0, ...) -> (y, |g|) (see _projection) and tangent (completing f0, ...).  For a
+    # field: first, velocity, linearize of (a0, ..., t, lam), and rk4 and rk4w, each a whole
+    # shot of projected steps in one call: (i, n, t0, dt, lam, W, states, drifts, u0, ...) runs
+    # the steps i, ..., n-1 of dt from the state u0, ... at step i, step j at time t0 + j * dt,
+    # and appends each new state and |g| to the lists states and drifts.  It returns (n, state,
+    # W, None), or at the first step that raises RootFindingError, OverflowError,
+    # ZeroDivisionError or FloatingPointError (index, start state, start W, error): halving that
+    # step is the caller's.  rk4w also advances W (k row tuples; rk4 passes W through).
+    # Callable parts are called as g, gamma, sigma.
     #
-    # Each line is an expr.Op record; expr._printed prints them.  The code is folded as
-    # the records are built, by expr's rules (exact up to the sign of a nan), and a d_y g
-    # that is a non-zero literal gets no check that it is zero.  A partial that no
-    # expression has is a structural zero (None, as is a literal 0.0, the value of a part
-    # "0"): the sums and products of the stages and of the shots' M = A Z + [0 | d] leave
-    # it out (expr._sum), and an operand known when the code is generated (a literal 0.0
-    # or 1.0 of A, say) is written in place of its name.  Dropping a structural zero
+    # Each line is an expr.Op record; expr._printed prints them.  The code is folded as the
+    # records are built, by expr's rules (exact up to the sign of a nan), and a pivot that is a
+    # non-zero literal gets no zero test.  A partial that no expression has is a structural zero
+    # (None, as is a literal 0.0, the value of a part "0"): the sums, products and eliminations
+    # leave it out (expr._sum, _solved), and an operand known when the code is generated (a
+    # literal 0.0 or 1.0 of A, say) is written in place of its name.  Dropping a structural zero
     # changes a result in two ways only: a zero result may change sign, and an inf or nan
     # operand no longer meets the dropped 0.0 (a flow's lam is never one: flow_map and
-    # projected_step reject it).  The one division of a structural zero that is dropped,
-    # d_x g / -d_y g in the slave row, divides by d_y g, which the generated
-    # RegularityError check has already found non-zero.  Every line that may raise stays
-    # (a division by a non-zero literal cannot; _pruned drops it where nothing reads it).
+    # projected_step reject it; a dropped 0.0 / pivot follows the pivot's zero test).  _pruned
+    # drops the lines nothing reads that cannot raise (a division by a non-zero literal cannot)
+    # from each function that does not loop and from the stages a shot inlines.
     n = k + s
     a = [f"a{i}" for i in range(n)]
     point, em, out = ", ".join(a), expr._Emitter((), (), "scalar"), []
 
-    def define(name, params, result):
-        out.append((name, expr._printed(name, params, em.lines, result)))
+    def define(name, params, result, loops=False):
+        lines = em.lines if loops else _pruned(em.lines, expr._reads(result))
+        out.append((name, expr._printed(name, params, lines, result)))
         em.lines = []
 
     if not field:
-        values = [r[0] for r in _emit_part(em, g, "g", n, ())]
-        define("residual", point, values[0] if s == 1 else expr._tuple(values))
+        define("residual", point, _norm([r[0] for r in _emit_part(em, g, "g", n, ())]))
         em.lines = _projection(em, k, s, g, "max_iter")
-        define("solve_y", f"max_iter, {point}", Term("{}, {}", expr._tuple(a[k:], "[{}]"), "r"))
+        define("solve_y", f"max_iter, {point}", Term("{}, {}", expr._tuple(a[k:], "[{}]"), "r"),
+               loops=True)
         f, gjet = [f"f{i}" for i in range(k)], _emit_part(em, g, "g", n, range(n))
         define("tangent", ", ".join(a + f),
-               expr._tuple(map(_out, _completion(em, k, s, gjet, f, a))))
+               expr._tuple(map(_out, _completion(em, k, gjet, f, a)[0])))
         return out
     args = f"{point}, a{n}, lam"
     define("first", args, expr._tuple(_out(r[0]) for r in _emit_p(em, *field, n, ())[0]))
@@ -277,21 +274,10 @@ def _source(k, s, g, *field):
     for name, seeds in (("velocity", ()), ("linearize", range(n))):
         p, forcing = _emit_p(em, *field, n, seeds)
         gjet = _emit_part(em, g, "g", n, range(n))
-        values = _completion(em, k, s, gjet, [r[0] for r in p], a)
-        if seeds and s == 1:  # A = d_x p + d_y p * slave, slave = d_x g / (-d_y g)
-            pivot = em.operand(expr._negated(_out(gjet[0][k + 1])))
-            slave = [None if expr._zero(d) else em.operand(expr._divided(d, pivot))
-                     for d in gjet[0][1:k + 1]]
-            values += [em.sum(r[1 + j], (r[1 + k], sj)) for r in p for j, sj in enumerate(slave)]
-        elif seeds:  # by numpy, with jac = d_(x, y) g from the completion
-            em.lines += [Op("dp", Term(f"np.array({{}}).reshape({k}, {n + 1})[:, 1:]",
-                                       expr._tuple(map(_out, sum(p, []))), raises=True)),
-                         Op("slaved", Term(f"({{0}}[:, :{k}] + {{0}}[:, {k}:] @ np.linalg.solve("
-                                           f"{{1}}[:, {k}:], -{{1}}[:, :{k}])).tolist()",
-                                           "dp", "jac", raises=True))]
-            values += [Term(f"{{}}[{r}][{q}]", "slaved", raises=True)
-                       for r in range(k) for q in range(k)]
-        if seeds:  # dp/dlam
+        values, slave = _completion(em, k, gjet, [r[0] for r in p], a, slaved=bool(seeds))
+        if seeds:  # A = d_x p + d_y p S, each entry left to right, then dp/dlam
+            values += [em.sum(r[1 + q], *zip(r[1 + k:], column))
+                       for r in p for q, column in enumerate(slave)]
             values += [r[0] for r in forcing] if forcing else [None] * k
         held = {t: v for t, v in zip(names, values) if _constant(v)}
         em.lines += [Op(t, v) for t, v in zip(names, values) if t not in held]
@@ -367,7 +353,7 @@ def _source(k, s, g, *field):
             [Term("{0}.__traceback__ = {0}.__context__ = None", "exc"),
              Term("return {}, {}, {}, {}", "i", state, w_out, "exc")])
         define(name, f"i, n, t0, dt, lam, w, states, drifts, {', '.join(u)}",
-               Term("{}, {}, {}, None", "n", state, w_out))
+               Term("{}, {}, {}, None", "n", state, w_out), loops=True)
     return out
 
 
@@ -406,39 +392,28 @@ def _pruned(ops, live, may_raise=False):
 
 
 def _projection(em, k, s, g, max_iter):
-    # lines projecting the point (a0, ..., a[n-1]) onto g = 0: damped Newton in
-    # y = a[k:] with x = a[:k] frozen, to |g| <= Y_SOLVE_TOL checked before each of
-    # the max_iter steps and after the last.  A step is halved, up to 20 times, until
-    # |g| strictly decreases; an evaluation error counts as an infinite |g|.  The
-    # solved point must lie in the box lo0 <= a0 <= hi0, ... that _generated binds.
-    # Leaves y in a[k:] and |g| in r.  For s > 1 the step is numpy's LAPACK solve and
-    # |g| numpy's norm, with overflow and invalid-value warnings off.
+    # lines projecting the point (a0, ..., a[n-1]) onto g = 0: damped Newton in y = a[k:]
+    # with x = a[:k] frozen, to |g| <= Y_SOLVE_TOL checked before each of the max_iter
+    # steps and after the last.  A step is halved, up to 20 times, until |g| strictly
+    # decreases; an evaluation error counts as an infinite |g|.  The solved point must
+    # lie in the box lo0 <= a0 <= hi0, ... that _generated binds.  Leaves y in a[k:] and
+    # |g| in r.  The step solves d_y g step = -g, g read from the names of its value
+    # lines, which hold it at the point last accepted.  Needs em.lines empty, leaves it so.
     n = k + s
-    a, steps = [f"a{i}" for i in range(n)], [f"step{j}" for j in range(s)]
-    lines, em.lines = em.lines, []
+    a = [f"a{i}" for i in range(n)]
     values = [r[0] for r in _emit_part(em, g, "g", n, ())]
     res, em.lines = em.lines, []
-    dy = [_out(d) for r in _emit_part(em, g, "g", n, range(k, n)) for d in r[1:]]
+    dy = [r[1:] for r in _emit_part(em, g, "g", n, range(k, n))]
     # only the jet lines d_y g reads: the jet runs where the residual lines just evaluated
     # g, so its copy of g's value ops cannot raise (a velocity stage, at a new point, can)
-    jet = _pruned(em.lines, expr._reads(*dy), may_raise=True)
-    em.lines = lines
-    x, norm = expr._tuple(a[:k], "{{[{}]}}"), "abs" if s == 1 else "np.linalg.norm"
+    jet, em.lines = _pruned(em.lines, expr._reads(*sum(dy, [])), may_raise=True), []
+    x = expr._tuple(a[:k], "{{[{}]}}")
     fail = Term("raise RootFindingError(f'singular d_y g during y-solve at x = {}')", x,
                 raises=True)
-    if s == 1:
-        value = values[0]
-        solve = [*_unless_zero(dy[0], fail),
-                 Op("step0", expr._divided(expr._negated("gv"), dy[0]))]
-    else:
-        value, steps = Term("np.array({})", expr._tuple(values), raises=True), expr._tuple(steps)
-        solve = ["try:", [Term(f"{expr._text(steps)} = np.linalg.solve(np.array({{}})"
-                               f".reshape({s}, {s}), -{{}}).tolist()", expr._tuple(dy), "gv",
-                               raises=True)],
-                 "except np.linalg.LinAlgError:", [Term("{} from None", fail)]]
-    halving = [*(Op(v, Term("{} + {} * {}", f"base{j}", "scale", f"step{j}"))
+    (step,), solve, em.lines = _solved(em, dy, [values], fail), em.lines, []
+    halving = [*(Op(v, Term("{} + {} * {}", f"base{j}", "scale", _out(step[j])))
                  for j, v in enumerate(a[k:])),
-               "try:", [*res, Op("fn", value), Op("rn", Term(f"{norm}({{}})", "fn", raises=True))],
+               "try:", [*res, Op("rn", _norm(values))],
                "except EVAL_ERRORS:", [Op("rn", Term("math.inf"))],
                Term("if {} < {}:", "rn", "r"), ["break"], Term("{} *= 0.5", "scale")]
     newton = [Term("if {} <= Y_SOLVE_TOL:", "r"), ["break"], *jet, *solve,
@@ -446,20 +421,21 @@ def _projection(em, k, s, g, max_iter):
               "for _ in range(20):", halving, "else:",
               [Term("raise RootFindingError(f'Newton stalled at residual {{{}:.3e}}')", "r",
                     raises=True)],
-              Term("gv, r = {}, {}", "fn", "rn")]
-    lines = [*res, Op("gv", value), Op("r", Term(f"{norm}({{}})", "gv", raises=True)),
-             Term("for _ in range({}):", max_iter), newton,
-             "else:", [Term("if not {} <= Y_SOLVE_TOL:", "r"),
-                       [Term("raise RootFindingError(f'Newton did not reach tolerance {{Y_SOLVE"
-                             "_TOL:.1e}} (residual {{{}:.3e}} after {{{}}} iterations)')", "r",
-                             max_iter, raises=True)]]]
-    if s > 1:
-        lines = ["with np.errstate(over='ignore', invalid='ignore'):", lines,
-                 Op("r", Term("float({})", "r", raises=True))]
+              Op("r", "rn")]
     inside = Term(" and ".join(f"lo{i} <= {{}} <= hi{i}" for i in range(n)), *a)
-    return _block(*lines, Term("if not ({}):", inside), [Term(
-        "raise DomainEscapeError(f'y-solve at x = {} converged to {}, outside the domain box')",
-        x, expr._tuple(a[k:], "{{[{}]}}"), raises=True)])
+    return _block(*res, Op("r", _norm(values)),
+                  Term("for _ in range({}):", max_iter), newton,
+                  "else:", [Term("if not {} <= Y_SOLVE_TOL:", "r"),
+                            [Term("raise RootFindingError(f'Newton did not reach tolerance "
+                                  "{{Y_SOLVE_TOL:.1e}} (residual {{{}:.3e}} after {{{}}} "
+                                  "iterations)')", "r", max_iter, raises=True)]],
+                  Term("if not ({}):", inside), [Term(
+                      "raise DomainEscapeError(f'y-solve at x = {} converged to {}, outside the "
+                      "domain box')", x, expr._tuple(a[k:], "{{[{}]}}"), raises=True)])
+
+
+def _norm(values):  # |values|: math.hypot, or for one value abs, its equal and a cheaper call
+    return Term(f"{'abs' if len(values) == 1 else 'math.hypot'}({{}})", expr._tuple(values, "{}"))
 
 
 def _emit_part(em, part, name, n, seeds, t=0.0):
@@ -495,30 +471,56 @@ def _emit_p(em, gamma, sigma, n, seeds):
     return p, forcing
 
 
-def _completion(em, k, s, gjet, first, a):
-    # the components of the velocity completing ``first`` by d_y g * psi_2 = -d_x g * psi_1
-    # at the point ``a``; for s = 1 on floats, d_x g . psi_1 left to right (a BLAS dot's
-    # fused multiply-adds round otherwise)
+def _completion(em, k, gjet, first, a, slaved=False):
+    # (psi, S): psi completes ``first`` by d_y g psi_2 = -d_x g psi_1 at the point ``a``,
+    # each d_x g . psi_1 left to right (a BLAS dot's fused multiply-adds round otherwise);
+    # S = -(d_y g)^-1 d_x g by columns, from the same elimination, when ``slaved`` (else [])
     fail = Term("raise RegularityError(f'd_y g is singular at {{np.asarray({})}}')",
                 expr._tuple(a, "[{}]"), raises=True)
-    if s > 1:
-        em.lines += _block(
-            Op("jac", Term(f"np.array({{}}).reshape({s}, {k + s + 1})[:, 1:]",
-                           expr._tuple(map(_out, sum(gjet, []))), raises=True)),
-            "try:", [Op("psi2", Term(f"np.linalg.solve({{0}}[:, {k}:], -({{0}}[:, :{k}] @ "
-                                     f"np.array({{1}}))).tolist()",
-                                     "jac", expr._tuple(map(_out, first)), raises=True))],
-            "except np.linalg.LinAlgError:", [Term("{} from None", fail)])
-        return [*first, *(Term(f"{{}}[{i}]", "psi2", raises=True) for i in range(s))]
-    d = gjet[0]
-    em.lines += _unless_zero(_out(d[k + 1]), fail)
-    rhs = em.sum(*zip(d[1:k + 1], first))
-    return [*first, None if rhs is None else em.operand(expr._divided(Term("-{}", rhs),
-                                                                      _out(d[k + 1])))]
+    columns = [[em.sum(*zip(row[1:k + 1], first)) for row in gjet]]
+    columns += [[row[1 + q] for row in gjet] for q in range(k * slaved)]
+    psi2, *slave = _solved(em, [row[k + 1:] for row in gjet], columns, fail)
+    return [*first, *psi2], slave
 
 
-def _unless_zero(d, fail):  # lines raising ``fail`` where d is 0.0, none for a non-zero literal
-    return [] if isinstance(d, float) and d != 0.0 else _block(Term("if {} == 0.0:", d), [fail])
+def _solved(em, m, columns, fail):
+    # the solutions x of m x = -c, one per column c of ``columns``, for the s x s operands
+    # m (by rows; None is a structural zero): Gaussian elimination with partial pivoting
+    # (Golub & Van Loan 3.4) on floats.  The pivot of column j is its first entry of
+    # largest magnitude on or below the diagonal, swapped up row by row: at run time by
+    # an if/else that assigns both rows' entries from column j on to new names, unless
+    # literals decide it now.  A zero pivot raises ``fail``; each row below adds
+    # (-entry / pivot) times the pivot row, then x_i = -(c_i + u_i,i+1 x_i+1 + ...) / u_ii
+    # left to right.  For s = 1: x = -c / m, after the zero test.
+    s = len(m)
+    rows = [[*row, *(c[i] for c in columns)] for i, row in enumerate(m)]
+    for j in range(s):
+        for i in range(j + 1, s):  # swapped where |rows[i][j]| > |rows[j][j]|
+            top, low = rows[j], rows[i]
+            a, b = _out(low[j]), _out(top[j])
+            if isinstance(a, float) and (a == 0.0 or isinstance(b, float)):
+                rows[j], rows[i] = (low, top) if a != 0.0 and abs(a) > abs(b) else (top, low)
+                continue
+            width = len(top) - j
+            names = [f"v{next(em.counter)}" for _ in range(2 * width)]
+            swapped, kept = (Term(f"{', '.join(names)} = {{}}", expr._tuple(map(_out, order), "{}"))
+                             for order in (low[j:] + top[j:], top[j:] + low[j:]))
+            em.lines += _block(Term("if abs({}) > abs({}):", a, b), [swapped], "else:", [kept])
+            rows[j], rows[i] = top[:j] + names[:width], low[:j] + names[width:]
+        pivot = _out(rows[j][j])
+        if not (isinstance(pivot, float) and pivot != 0.0):  # a non-zero literal needs no test
+            em.lines += _block(Term("if {} == 0.0:", pivot), [fail])
+        for row in rows[j + 1:]:
+            if not expr._zero(row[j]):
+                factor = em.operand(expr._divided(expr._negated(row[j]), pivot))
+                row[j + 1:] = [em.sum(v, (factor, u)) for v, u in zip(row[j + 1:], rows[j][j + 1:])]
+    solutions = [[None] * s for _ in columns]
+    for q, x in enumerate(solutions, start=s):
+        for i in reversed(range(s)):
+            total = em.sum(rows[i][q], *zip(rows[i][i + 1:s], x[i + 1:]))
+            x[i] = None if total is None else em.operand(
+                expr._divided(expr._negated(total), _out(rows[i][i])))
+    return solutions
 
 
 def tangent_completion(psi1, constraint):
@@ -568,13 +570,10 @@ def implicit_solve_y(constraint, x, y_guess=None, max_iter=50):
     """
     if y_guess is None:
         y_guess = [(a + b) / 2.0 for a, b in constraint.y_slice()]
-    x, y_guess = np.asarray(x, dtype=float), np.asarray(y_guess, dtype=float)
-    for name, v, size in (("x", x, constraint.k), ("y_guess", y_guess, constraint.s)):
-        if v.shape != (size,):
-            raise ValueError(f"{name} must hold {size} coordinates, got shape {v.shape}")
+    x, y_guess = _floats(x, constraint.k, "x"), _floats(y_guess, constraint.s, "y_guess")
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
-    y, _ = constraint._code["solve_y"](int(max_iter), *x.tolist(), *y_guess.tolist())
+    y, _ = constraint._code["solve_y"](int(max_iter), *x, *y_guess)
     return np.array(y)
 
 

@@ -209,11 +209,16 @@ def test_spring_period_is_pinned_bit_for_bit():
 
 # The same for one 64-step period of example-5-7 from (1, 0.5, y) at lam = 0.3:
 # two constraint equations, so the completion, the slaved matrix and the
-# y-Newton steps go through numpy's LAPACK solves.
+# y-Newton steps solve 2 x 2 systems by the generated elimination.
 PINNED_START_5_7 = [1.0, 0.5, 1.1180339887498942, 0.4636476090008056]
 PINNED_FINAL_5_7 = [2.125075474974513, 2.106205078768267, 2.9919969264969835,
                     0.7809384564926339]
 PINNED_SENSITIVITY_5_7 = [
+    [1.2486159809521142, 1.2645989689855777, 5.400958754692195],
+    [3.0137961271534333, 4.346617060717545, 13.655097104828078],
+]
+# W as it was when numpy's LAPACK solved those systems
+LAPACK_SENSITIVITY_5_7 = [
     [1.2486159809521142, 1.2645989689855779, 5.400958754692195],
     [3.0137961271534333, 4.346617060717545, 13.655097104828078],
 ]
@@ -228,6 +233,8 @@ def test_two_constraint_period_is_pinned_bit_for_bit():
     assert plain.final_state.tolist() == PINNED_FINAL_5_7
     assert sens.final_state.tolist() == PINNED_FINAL_5_7
     assert sens.sensitivity.tolist() == PINNED_SENSITIVITY_5_7
+    lapack = np.array(LAPACK_SENSITIVITY_5_7)
+    assert np.all(np.abs(sens.sensitivity - lapack) <= 2 * np.spacing(np.abs(lapack)))
 
 
 def callable_spring_field():
@@ -382,6 +389,58 @@ def test_zero_pivot_raises_regularity_error():
             complete_velocity(con, np.zeros(2), np.ones(1))
     with pytest.raises(RootFindingError, match="singular d_y g"):
         implicit_solve_y(con, [0.5])
+    # s = 2: g = (y1^2 - x, y2 - x) has d_y g = [[2 y1, 0], [0, 1]], singular at y1 = 0,
+    # where no row below can be swapped up
+    con = ImplicitConstraint.from_expressions(
+        1, 2, ("y1^2 - x", "y2 - x"), ("x", "y1", "y2"), DomainBox.cube(-2.0, 2.0, 3))
+    field = build_autonomous_tangent(SemiExplicitDae(
+        con, gamma=AmbientMap.from_expressions(("1",), ("x", "y1", "y2"))))
+    message = re.escape(f"d_y g is singular at {np.zeros(3)}")
+    for evaluate in (field.velocity, field.linearize):
+        with pytest.raises(RegularityError, match=message):
+            evaluate(0.0, np.zeros(3))
+    with pytest.raises(RegularityError, match=message):
+        complete_velocity(con, np.zeros(3), np.ones(1))
+    with pytest.raises(RootFindingError, match="singular d_y g"):
+        implicit_solve_y(con, [0.5])
+
+
+def test_two_equation_solves_with_a_row_swap_match_the_closed_form():
+    # g = (y2 - x, y1 - x * y2), whose d_y g = [[0, 1], [1, -x]] needs its rows swapped:
+    # y = (x^2, x), psi_y2 = psi_1, psi_y1 = (x + y2) psi_1 and the slave matrix
+    # S = -(d_y g)^-1 d_x g = (x + y2, 1), which A = d_y1 p S of p = y1 reads.  The
+    # points are dyadic, so every closed form is exact in floats
+    names = ("x", "y1", "y2")
+    con = ImplicitConstraint.from_expressions(
+        1, 2, ("y2 - x", "y1 - x*y2"), names, DomainBox.cube(-2.0, 2.0, 3))
+    field = ForcedField(con, AmbientMap.from_expressions(("y1",), names))
+    for x, y1, y2, psi1 in ((0.5, 0.25, 0.5, 2.0), (0.5, 0.375, -0.75, 2.0),
+                            (-1.25, 1.5, 0.25, -0.5)):
+        assert complete_velocity(con, [x, y1, y2], [psi1]).tolist() == [
+            psi1, (x + y2) * psi1, psi1]
+        velocity, a, d = field.linearize(0.0, [x, y1, y2])
+        assert velocity.tolist() == [y1, (x + y2) * y1, y1]
+        assert a.tolist() == [[x + y2]] and d.tolist() == [0.0]
+    for x in (0.5, -0.75, 1.25):
+        assert implicit_solve_y(con, [x]).tolist() == [x * x, x]
+
+
+def test_misshapen_points_are_rejected_by_name():
+    # complete_velocity read a fifth coordinate of the point as psi_1, and a point of the
+    # wrong size reached the other generated functions as a TypeError about their
+    # parameters
+    dae = REGISTRY["example-5-7"].build_dae()
+    field, con, point = named_field("example-5-7"), dae.constraint, PINNED_START_5_7
+    with pytest.raises(ValueError, match=r"point must hold 4 coordinates, got shape \(5,\)"):
+        complete_velocity(con, point + [1.0], [2.0])
+    with pytest.raises(ValueError, match=r"psi1_value must hold 2 coordinates, got shape \(1,\)"):
+        complete_velocity(con, point, [2.0])
+    for evaluate in (con.residual, *(lambda p, f=f: f(0.0, p) for f in (
+            field.first, field.velocity, field.linearize))):
+        for bad in (point[:3], point + [1.0], [point]):
+            with pytest.raises(ValueError, match=r"point must hold 4 coordinates, got shape"):
+                evaluate(bad)
+        evaluate(point)  # and the right size passes
 
 
 def test_shooting_compiles_the_step_code_once(monkeypatch):
@@ -412,6 +471,8 @@ def test_generated_step_code_parses_as_python_3_10(name):
     assert {"residual", "solve_y", "tangent", "rk4", "rk4w"} <= {n for n, _ in sources}
     for _, source in sources:
         ast.parse(source, feature_version=(3, 10))
+        # one float path for every s: numpy formats the RegularityError message only
+        assert not any(call in source for call in ("np.linalg", "np.array(", "errstate"))
 
 
 @pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing", "swapped"])
@@ -437,6 +498,25 @@ def test_newton_jet_assigns_nothing_it_does_not_read(name):
 
 
 MAY_RAISE = re.compile(r"\*\*|/|\w\(")  # a power, a division (_div too) or a call
+
+
+@pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing", "swapped", "unslaved"])
+def test_generated_functions_assign_nothing_they_do_not_read(name):
+    # in every generated function, the standalone stages and the tuple assignments of the
+    # eliminations' row swaps included, a name nothing reads is assigned only by a line
+    # that may raise
+    field = named_field(name)
+    c = field.constraint
+    for fn_name, source in [*manifold._source(c.k, c.s, c.gmap),
+                            *manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma)]:
+        fn = ast.parse(source).body[0]
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        dead = [ast.unparse(st) for st in ast.walk(fn) if isinstance(st, ast.Assign)
+                and any(isinstance(node, ast.Name) and node.id not in read
+                        for target in st.targets for node in ast.walk(target))
+                and not MAY_RAISE.search(ast.unparse(st.value))]
+        assert not dead, (fn_name, dead)
 
 
 @pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing", "unslaved"])

@@ -15,7 +15,11 @@ levels a chunk per batch, must end every start bit for bit where it does.
 
 ``oracle_solve_y`` is the y-projection built on the same ``damped_newton``,
 as it ran before the projection became generated code; the generated
-y-solve and projected step must match it bit for bit.
+y-solve and projected step must match it bit for bit.  With several
+constraint equations its Newton steps solve by ``oracle_elimination``,
+Gaussian elimination with partial pivoting in plain loops; numpy's LAPACK
+solves, which the step code called before, remain a second reference that
+the generated code must stay near.
 
 ``oracle_shot`` is ``flow_map`` as it was with one call per projected step
 (``oracle_step``) and the halving recursion around each; a shot, which runs
@@ -25,9 +29,10 @@ its steps in one generated call, must match it bit for bit.
 the step code as it was generated before literal and structural-zero
 arithmetic was folded out of it: every partial a tree has, however constant,
 is computed (1.0 * x, 0.5 * 1.0, ...), and an absent one is the literal 0.0
-that the sums and products then meet (u + lam * 0.0, 0.0 / pivot, ...).  The
-folded stages and steps must equal it as floats, bit for bit wherever a value
-is not zero, and raise the same errors.
+that the sums and products then meet (u + lam * 0.0, 0.0 / pivot, ...), and
+with several constraint equations the completion and slave matrix solve by
+``oracle_elimination``.  The folded stages and steps must equal it as floats,
+bit for bit wherever a value is not zero, and raise the same errors.
 """
 
 import ast
@@ -431,9 +436,37 @@ def _oracle_g(constraint):
             lambda p: [d for i, d in enumerate(jet(*p)) if i % (s + 1)])
 
 
-def oracle_solve_y(constraint, x, y, max_iter=50):
+def oracle_elimination(m, b, error):
+    """x with m x = b for the float lists m (by rows) and b: Gaussian elimination with
+    partial pivoting in plain loops.  Each row below the diagonal is swapped with the
+    pivot row where its entry in the pivot column is larger in magnitude, and a zero
+    pivot raises ``error``."""
+    s = len(m)
+    rows = [[*row, v] for row, v in zip(m, b)]
+    for j in range(s):
+        for i in range(j + 1, s):
+            if abs(rows[i][j]) > abs(rows[j][j]):
+                rows[i], rows[j] = rows[j], rows[i]
+        if rows[j][j] == 0.0:
+            raise error
+        for i in range(j + 1, s):
+            factor = rows[i][j] / rows[j][j]
+            for c in range(j + 1, s + 1):
+                rows[i][c] -= factor * rows[j][c]
+    x = [0.0] * s
+    for i in reversed(range(s)):
+        total = rows[i][s]
+        for c in range(i + 1, s):
+            total -= rows[i][c] * x[c]
+        x[i] = total / rows[i][i]
+    return x
+
+
+def oracle_solve_y(constraint, x, y, max_iter=50, lapack=False):
     """(y, |g|) of the y-solve at the float lists ``x`` and ``y``: ``damped_newton``,
-    then the domain box with the escape margin."""
+    then the domain box with the escape margin.  For s > 1 the steps solve by
+    ``oracle_elimination`` and |g| is ``math.hypot``'s, or with ``lapack`` numpy's
+    solve and norm, as the generated code computed them before."""
     value, d_y = _oracle_g(constraint)
     s = constraint.s
     singular = f"singular d_y g during y-solve at x = {x}"
@@ -447,7 +480,7 @@ def oracle_solve_y(constraint, x, y, max_iter=50):
         yv, gv = damped_newton(lambda yv: value(x + [yv])[0], newton_step, y[0],
                                Y_SOLVE_TOL, max_iter, norm=abs)
         y, drift = [yv], abs(gv)
-    else:
+    elif lapack:
         def newton_step(yv, gv):
             try:
                 return np.linalg.solve(np.array(d_y(x + yv.tolist())).reshape(s, s), -gv)
@@ -459,6 +492,15 @@ def oracle_solve_y(constraint, x, y, max_iter=50):
                                    np.array(y), Y_SOLVE_TOL, max_iter)
             drift = float(np.linalg.norm(gv))
         y = yv.tolist()
+    else:
+        def newton_step(yv, gv):
+            m = np.array(d_y(x + yv.tolist())).reshape(s, s).tolist()
+            return np.array(oracle_elimination(m, [-v for v in gv], RootFindingError(singular)))
+
+        with np.errstate(over="ignore", invalid="ignore"):  # the arrays' y + scale * step
+            yv, gv = damped_newton(lambda yv: value(x + yv.tolist()), newton_step, np.array(y),
+                                   Y_SOLVE_TOL, max_iter, norm=lambda g: math.hypot(*g))
+        y, drift = yv.tolist(), math.hypot(*gv)
     if not constraint.domain.contains(x + y, margin=constraint.escape_margin):
         raise DomainEscapeError(f"y-solve at x = {x} converged to {y}, outside the domain box")
     return y, drift
@@ -526,6 +568,46 @@ def test_two_equation_solve_y_matches_the_oracle(name):
     for max_iter in (50, 1, 2):
         kinds |= assert_solve_y_matches_oracle(constraint, 500, 13, max_iter)
     assert {"solved", DomainEscapeError, RootFindingError} <= kinds
+
+
+def _near(got, want, ulps):
+    # the floats ``got`` within ``ulps`` of the largest magnitude in ``want``
+    got, want = np.array(got, dtype=float).ravel(), np.array(want, dtype=float).ravel()
+    return np.max(np.abs(got - want), initial=0.0) <= ulps * np.spacing(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", ["example-5-7", "example-5-2"])
+def test_two_equation_solves_stay_near_lapack(name):
+    # numpy's LAPACK solves and norm, which the s > 1 step code called before, as a second
+    # reference: the same error class, and the values near, by bounds about twice those
+    # measured on these points: y 9 ulp of its largest entry on example-5-2 (0 on
+    # example-5-7), |g| 6.2e-16 apart (2.8 ulp of 1.0), the velocity 2 and A 11 ulp of
+    # their largest entries
+    field = named_field(name)
+    c, k, kinds = field.constraint, field.constraint.k, set()
+    for max_iter in (50, 1, 2):
+        for p in _random_points(c.domain, 500, 13, widen=1.5):
+            got = _outcome(c._code["solve_y"], max_iter, *p)
+            want = _outcome(lambda *args: oracle_solve_y(*args, lapack=True),
+                            c, p[:k], p[k:], max_iter)
+            kinds.add(want[0] if isinstance(want[0], type) else "solved")
+            if isinstance(want[0], type) or isinstance(got[0], type):
+                assert got[0] is want[0]
+                continue
+            assert _near(got[0], want[0], 16) and abs(got[1] - want[1]) <= 4 * np.spacing(1.0)
+    assert {"solved", DomainEscapeError, RootFindingError} <= kinds
+    for i, p in enumerate(_random_points(c.domain, 40, 17, widen=1.2)):
+        for lam in (0.0, 0.3, -0.7):
+            for linearize, ulps in ((False, [4]), (True, [4, 16, 0])):
+                args = (p, 0.3 + 0.5 * i, lam, linearize)
+                got = _result(field._code["linearize" if linearize else "velocity"],
+                              *p, *args[1:3])
+                want = _result(oracle_stage, field, *args, lapack=True)
+                if isinstance(want[0], type) or isinstance(got[0], type):
+                    assert got[0] is want[0]
+                    continue
+                parts = zip(got, want) if linearize else [(got, want)]
+                assert all(_near(g, w, u) for (g, w), u in zip(parts, ulps)), (p, lam)
 
 
 def test_solve_y_escape_margin_matches_the_oracle():
@@ -841,11 +923,13 @@ def _oracle_rows(part, point, t, seeds):
     return [[v, *(d.get(j, 0.0) for j in range(len(seeds)))] for v, d in rows]
 
 
-def oracle_stage(field, point, t, lam, linearize=False):
+def oracle_stage(field, point, t, lam, linearize=False, lapack=False):
     """The velocity at the float list ``point`` and time t, or with ``linearize`` the
     (velocity, A, dp/dlam) of ``ForcedField.linearize``, by the unfolded arithmetic:
     p = gamma + lam * sigma (sigma only where lam != 0.0 unless its partials are asked
-    for), the completion by d_x g . psi_1 left to right, A = d_x p + d_y p * slave."""
+    for), the completion by d_x g . psi_1 left to right, A = d_x p + d_y p * slave.  For
+    s > 1 the completion and slave solve by ``oracle_elimination``, or with ``lapack`` by
+    numpy's solve and matrix products, as the generated code computed them before."""
     c, gamma, sigma = field.constraint, field.gamma, field.sigma
     k, s, n = c.k, c.s, c.k + c.s
     seeds = range(n) if linearize else ()
@@ -867,22 +951,38 @@ def oracle_stage(field, point, t, lam, linearize=False):
         for u, v in zip(d[2:k + 1], first[1:]):
             rhs += u * v
         velocity = [*first, -rhs / d[k + 1]]
-    else:
+    elif lapack:
         jac = np.array(sum(gjet, [])).reshape(s, n + 1)[:, 1:]
         try:
             psi2 = np.linalg.solve(jac[:, k:], -(jac[:, :k] @ np.array(first))).tolist()
         except np.linalg.LinAlgError:
             raise RegularityError(singular) from None
         velocity = [*first, *psi2]
+    else:
+        d_y, rhs = [row[k + 1:] for row in gjet], []
+        for row in gjet:
+            rhs.append(row[1] * first[0])
+            for u, v in zip(row[2:k + 1], first[1:]):
+                rhs[-1] += u * v
+        velocity = [*first, *oracle_elimination(d_y, [-v for v in rhs],
+                                                RegularityError(singular))]
     if not linearize:
         return velocity
     if s == 1:
         pivot = -gjet[0][k + 1]
         slave = [d / pivot for d in gjet[0][1:k + 1]]
         a = [[r[1 + j] + r[1 + k] * sj for j, sj in enumerate(slave)] for r in p]
-    else:
+    elif lapack:
         dp = np.array(sum(p, [])).reshape(k, n + 1)[:, 1:]
         a = (dp[:, :k] + dp[:, k:] @ np.linalg.solve(jac[:, k:], -jac[:, :k])).tolist()
+    else:  # the columns of S = -(d_y g)^-1 d_x g, and A = d_x p + d_y p S left to right
+        slave = [oracle_elimination(d_y, [-row[1 + q] for row in gjet], RegularityError(singular))
+                 for q in range(k)]
+        a = [[r[1 + q] for q in range(k)] for r in p]
+        for r, row in zip(p, a):
+            for q, column in enumerate(slave):
+                for u, v in zip(r[1 + k:], column):
+                    row[q] += u * v
     return velocity, a, [r[0] for r in forcing] if forcing else [0.0] * k
 
 
