@@ -570,6 +570,15 @@ def test_two_equation_solve_y_matches_the_oracle(name):
     assert {"solved", DomainEscapeError, RootFindingError} <= kinds
 
 
+def test_tied_pivot_entries_keep_the_upper_row():
+    # |d g1 / d y1| = |d g2 / d y1| = |x| at every point: partial pivoting swaps a row up
+    # only where its entry is strictly larger, and the two row orders round differently
+    constraint = ImplicitConstraint.from_expressions(
+        1, 2, ("x*y1 + 2*y2 - 1", "y2 - x*y1 - 0.5"), ("x", "y1", "y2"),
+        DomainBox.cube(-2.0, 2.0, 3))
+    assert "solved" in assert_solve_y_matches_oracle(constraint, 300, 18, 50)
+
+
 def _near(got, want, ulps):
     # the floats ``got`` within ``ulps`` of the largest magnitude in ``want``
     got, want = np.array(got, dtype=float).ravel(), np.array(want, dtype=float).ravel()
