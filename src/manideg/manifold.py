@@ -87,7 +87,8 @@ class ImplicitConstraint:
         return self.gmap.jacobian(point)[:, self.k:]
 
     def det_partial2(self, point):
-        return float(np.linalg.det(self.partial2(point)))
+        d2 = self.partial2(point)
+        return float(d2[0, 0]) if self.s == 1 else float(np.linalg.det(d2))
 
     def residual(self, point):
         """|g| at ``point``, by the generated operations of every y-solve's drift."""
@@ -224,10 +225,9 @@ def _source(k, s, g, *field):
     # shot of projected steps in one call: (i, n, t0, dt, lam, W, states, drifts, u0, ...) runs
     # the steps i, ..., n-1 of dt from the state u0, ... at step i, step j at time t0 + j * dt,
     # and appends each new state and |g| to the lists states and drifts.  It returns (n, state,
-    # W, None), or at the first step that raises RootFindingError, OverflowError,
-    # ZeroDivisionError or FloatingPointError (index, start state, start W, error): halving that
-    # step is the caller's.  rk4w also advances W (k row tuples; rk4 passes W through).
-    # Callable parts are called as g, gamma, sigma.
+    # W, None), or at the first step that raises an error its except clause names (index, start
+    # state, start W, error): halving that step is the caller's.  rk4w also advances W (k row
+    # tuples; rk4 passes W through).  Callable parts are called as g, gamma, sigma.
     #
     # Each line is an expr.Op record; expr._printed prints them.  The code is folded as the
     # records are built, by expr's rules (exact up to the sign of a nan), and a pivot that is a

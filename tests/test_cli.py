@@ -411,7 +411,8 @@ def test_default_trace_matches_golden_branch_to_its_end(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("golden, lambda_max", [
-    ("golden_trace_example_5_7.csv", "0.1"), ("golden_trace_example_5_7_to_0_3.csv", "0.3")])
+    ("golden_trace_example_5_7.csv", "0.1"), ("golden_trace_example_5_7_to_0_3.csv", "0.3")],
+    ids=["lambda-0.1", "lambda-0.3"])
 def test_two_constraint_trace_matches_golden_branch(capsys, tmp_path, golden, lambda_max):
     # s = 2: each step's completion, slave matrix and y-Newton solve 2 x 2 systems; the
     # longer branch has 17 pairs and ends at its lambda_max

@@ -426,9 +426,9 @@ def test_two_equation_solves_with_a_row_swap_match_the_closed_form():
 
 
 def test_misshapen_points_are_rejected_by_name():
-    # complete_velocity read a fifth coordinate of the point as psi_1, and a point of the
-    # wrong size reached the other generated functions as a TypeError about their
-    # parameters
+    # a point of the wrong size is refused by name: complete_velocity must not read a fifth
+    # coordinate as psi_1, nor the other functions pass it to the generated code, whose
+    # TypeError would name that code's parameters
     dae = REGISTRY["example-5-7"].build_dae()
     field, con, point = named_field("example-5-7"), dae.constraint, PINNED_START_5_7
     with pytest.raises(ValueError, match=r"point must hold 4 coordinates, got shape \(5,\)"):
