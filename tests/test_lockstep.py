@@ -579,6 +579,28 @@ def test_tied_pivot_entries_keep_the_upper_row():
     assert "solved" in assert_solve_y_matches_oracle(constraint, 300, 18, 50)
 
 
+def test_three_equation_solves_match_the_oracle():
+    # s = 3, where a pivot is found by comparing the pivot row with two rows in turn: the
+    # y-solve, and the velocity and linearisation of a field, bit for bit
+    names = ("x", "y1", "y2", "y3")
+    constraint = ImplicitConstraint.from_expressions(
+        1, 3, ("0.2*y1 + y2*y3 - x", "sin(y1) + y2 - y3 - x", "y1*y2 + y3^2 - 1"), names,
+        DomainBox.cube(-2.0, 2.0, 4))
+    kinds = set()
+    for max_iter in (50, 2):
+        kinds |= assert_solve_y_matches_oracle(constraint, 300, 19, max_iter)
+    assert {"solved", RootFindingError} <= kinds
+    field, kinds = ForcedField(constraint, AmbientMap.from_expressions(("y1 - y3*x",), names),
+                               AmbientMap.from_expressions(("cos(t)",), names)), set()
+    for i, p in enumerate(_random_points(constraint.domain, 60, 19)):
+        for linearize in (False, True):
+            code = field._code["linearize" if linearize else "velocity"]
+            kinds.add(assert_matches_unfolded(_result(code, *p, 0.3 * i, 0.7),
+                                              _result(oracle_stage, field, p, 0.3 * i, 0.7,
+                                                      linearize)))
+    assert "value" in kinds, kinds
+
+
 def _near(got, want, ulps):
     # the floats ``got`` within ``ulps`` of the largest magnitude in ``want``
     got, want = np.array(got, dtype=float).ravel(), np.array(want, dtype=float).ravel()
