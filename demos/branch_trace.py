@@ -11,11 +11,11 @@ shooting with pseudo-arclength steps.
 
 import numpy as np
 
-from manideg import REGISTRY, seed_map_F, seed_points, trace_branch
+from manideg import REGISTRY, find_zeros, seed_map_F, trace_branch
 
 dae = REGISTRY["example-5-5"].build_dae()
 
-seeds = seed_points(seed_map_F(dae), dae.constraint.domain)
+seeds = find_zeros(seed_map_F(dae), dae.constraint.domain)
 print("seed zeros:", [tuple(float(v) for v in np.round(z.location, 10))
                       for z in seeds])
 

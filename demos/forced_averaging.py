@@ -10,8 +10,8 @@ the averaged wind is what the seed maps and the degree argument use.
 import numpy as np
 
 from manideg import (
-    REGISTRY, ForcedField, average_wind, implicit_solve_y,
-    seed_map_F, seed_map_Phi, seed_points, tangency_residual,
+    REGISTRY, ForcedField, average_wind, find_zeros, implicit_solve_y,
+    seed_map_F, seed_map_Phi, tangency_residual,
 )
 
 # a forced cubic: x' = x + y + sin t on the curve y^3 + y = x^2
@@ -36,7 +36,7 @@ for p in ([0.0, 0.0], [1.0, -0.5], [-0.7, 0.2]):
 # seed maps stack a wind over the constraint; their zeros at lam = 0
 # are where branches of periodic responses start
 phi = seed_map_Phi(dae)
-zeros = seed_points(phi, dae.constraint.domain)
+zeros = find_zeros(phi, dae.constraint.domain)
 for z in zeros:
     print("seed zero:", np.round(z.location, 10), " index", z.index)
 

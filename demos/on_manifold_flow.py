@@ -15,15 +15,14 @@ import tempfile
 import numpy as np
 
 from manideg import (
-    REGISTRY, AmbientMap, DomainBox, ImplicitConstraint, SemiExplicitDae,
-    build_autonomous_tangent, flow_map, implicit_solve_y, period_map,
-    write_trajectory_csv,
+    REGISTRY, AmbientMap, DomainBox, ForcedField, ImplicitConstraint,
+    flow_map, implicit_solve_y, write_trajectory_csv,
 )
 
 con = ImplicitConstraint.from_expressions(
     1, 1, ("y - x",), ("x", "y"), DomainBox.cube(-4.0, 4.0, 2))
 gamma = AmbientMap.from_expressions(("y",), ("x", "y"))
-field = build_autonomous_tangent(SemiExplicitDae(con, gamma=gamma))
+field = ForcedField(con, gamma=gamma)
 
 start = np.array([1.0, 1.0])
 res = flow_map(field, start, 0.0, 1.0)
@@ -42,11 +41,11 @@ print("ratios:", [round(float(a / b), 2) for a, b in zip(errs, errs[1:])])
 
 # the damped oscillator's period map contracts toward its equilibrium
 spring = REGISTRY["example-5-5"].build_dae()
-spring_field = build_autonomous_tangent(spring)
+spring_field = ForcedField(spring.constraint, gamma=spring.gamma)
 x = np.array([0.4, 0.0])
 xi = np.concatenate([x, implicit_solve_y(spring.constraint, x)])
 for _ in range(3):
-    xi = period_map(spring_field, xi, 0.0, spring.period)
+    xi = flow_map(spring_field, xi, 0.0, spring.period).final_state
     print("after one period:", np.round(xi, 8))
 
 # recorded trajectories export as CSV rows (t, x..., y..., |g|)

@@ -11,15 +11,12 @@ from .continuation import (
     Branch,
     SolutionPair,
     correct,
-    seed_points,
     shooting_residual,
     trace_branch,
 )
 from .dae import (
     SemiExplicitDae,
     average_wind,
-    build_autonomous_tangent,
-    build_forcing_tangent,
     seed_map_F,
     seed_map_Phi,
 )
@@ -31,7 +28,6 @@ from .degree import (
     degree_sign_sum,
     degree_winding_2d,
     find_zeros,
-    local_index,
 )
 from .errors import (
     AdmissibilityError,
@@ -51,7 +47,7 @@ from .errors import (
 )
 from .expr import Environment, evaluate, gradient, parse, to_source
 from .fields import AmbientMap, FieldHandle
-from .flow import FlowResult, flow_map, period_map, projected_step, write_trajectory_csv
+from .flow import FlowResult, flow_map, projected_step, write_trajectory_csv
 from .manifold import (
     ForcedField,
     ImplicitConstraint,
@@ -64,7 +60,6 @@ from .manifold import (
     reduced_map,
     schur_determinant_split,
     tangency_residual,
-    tangent_completion,
 )
 from .problems import REGISTRY, Problem, format_problem, parse_problem
 
@@ -80,13 +75,13 @@ __all__ = [
     "ProblemFormatError", "REGISTRY", "RegularityError", "RootFindingError",
     "SemiExplicitDae", "SolutionPair",
     "UndeclaredVariableError", "ZeroRecord",
-    "average_wind", "boundary_min", "build_autonomous_tangent",
-    "build_forcing_tangent", "complete_velocity", "correct", "degree_sign_sum",
+    "average_wind", "boundary_min",
+    "complete_velocity", "correct", "degree_sign_sum",
     "degree_winding_2d", "evaluate", "find_zeros", "flow_map",
-    "format_problem", "gradient", "implicit_solve_y", "local_index",
+    "format_problem", "gradient", "implicit_solve_y",
     "manifold_degree", "multi_region_degree", "parse", "parse_problem",
-    "partial2_sign", "period_map", "projected_step", "reduced_map",
-    "schur_determinant_split", "seed_map_F", "seed_map_Phi", "seed_points",
-    "shooting_residual", "tangency_residual", "tangent_completion",
+    "partial2_sign", "projected_step", "reduced_map",
+    "schur_determinant_split", "seed_map_F", "seed_map_Phi",
+    "shooting_residual", "tangency_residual",
     "to_source", "trace_branch", "write_trajectory_csv",
 ]

@@ -28,8 +28,8 @@ import sys
 
 import numpy as np
 
-from .continuation import DEFAULT_TRACE_STEPS_PER_PERIOD, seed_points, trace_branch
-from .degree import DegreeResult, DomainBox, boundary_min, degree_winding_2d
+from .continuation import DEFAULT_TRACE_STEPS_PER_PERIOD, trace_branch
+from .degree import DegreeResult, DomainBox, boundary_min, degree_winding_2d, find_zeros
 from .errors import (
     AdmissibilityError,
     NumericError,
@@ -152,7 +152,8 @@ def _cmd_degree(args):
         degree = degree_winding_2d(field, box)
         result = ManifoldDegreeResult(
             sign * degree,
-            DegreeResult(degree, [], "winding", boundary_min(field, box)),
+            DegreeResult(degree, [], "winding",
+                         boundary_min(field, box, options.get("boundary_samples"))),
             sign,
         )
     else:
@@ -188,8 +189,8 @@ def _cmd_trace(args):
     problem = load_problem(args.problem)
     dae = problem.build_dae()
     seed_map = problem.build_seed_map(args.quadrature_nodes)
-    seeds = [z for z in seed_points(seed_map, problem.domain(),
-                                    **problem.solver_options(ZERO_SEARCH_OPTIONS))
+    seeds = [z for z in find_zeros(seed_map, problem.domain(),
+                                   **problem.solver_options(ZERO_SEARCH_OPTIONS))
              if not z.degenerate]
     if not seeds:
         raise NumericError("no nondegenerate seed-map zero inside the box")

@@ -26,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import find_zeros
 from .errors import CorrectorError, DomainEscapeError, NumericError
 from .flow import flow_map
 from .manifold import ForcedField, implicit_solve_y
 
 __all__ = [
-    "SolutionPair", "Branch", "seed_points", "shooting_residual",
+    "SolutionPair", "Branch", "shooting_residual",
     "correct", "trace_branch", "DEFAULT_TRACE_STEPS_PER_PERIOD",
 ]
 
@@ -59,11 +58,6 @@ class Branch:
     points: list
     seed: object
     termination: str  # 'lambda_max' | 'max_steps' | 'corrector_failure' | 'left_domain'
-
-
-def seed_points(seed_map, box, **find_options):
-    """Zeros of a seed map inside the box; each is a candidate branch root."""
-    return find_zeros(seed_map, box, **find_options)
 
 
 def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD,
@@ -171,7 +165,7 @@ def _escaped_domain(exc):
 
 
 def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
-                 domain_box=None, steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD):
+                 steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD):
     """Follow a branch of solution pairs from a seed zero at lam = 0.
 
     Parameters
@@ -187,9 +181,6 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
     lambda_max, max_steps :
         Stop once the amplitude parameter reaches lambda_max or the
         branch holds max_steps points.
-    domain_box : DomainBox, optional
-        Region the pairs must stay inside (defaults to the
-        constraint's domain).
 
     Returns
     -------
@@ -198,7 +189,7 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
     if dae.period is None:
         raise NumericError("branch tracing needs a forcing period")
     k = dae.k
-    box = domain_box or dae.constraint.domain
+    box = dae.constraint.domain
     x_seed = np.asarray(seed.location[:k], dtype=float)
     y_hint = np.asarray(seed.location[k:], dtype=float)
 

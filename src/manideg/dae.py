@@ -29,7 +29,6 @@ from .manifold import ForcedField, reduced_map
 
 __all__ = [
     "SemiExplicitDae", "ForcedField",
-    "build_autonomous_tangent", "build_forcing_tangent",
     "average_wind", "seed_map_F", "seed_map_Phi",
 ]
 
@@ -90,20 +89,6 @@ def _check_periodic(sigma, period, domain, tol=1e-8):
                     f"sigma is not {period}-periodic: value changes by "
                     f"{np.max(np.abs(a - b)):.3e} across one period at t = {t0}"
                 )
-
-
-def build_autonomous_tangent(dae):
-    """Tangent field f with first components gamma."""
-    if dae.gamma is None:
-        raise ProblemFormatError("the system has no autonomous part gamma")
-    return ForcedField(dae.constraint, gamma=dae.gamma)
-
-
-def build_forcing_tangent(dae):
-    """Tangent field h with first components lam * sigma."""
-    if dae.sigma is None:
-        raise ProblemFormatError("the system has no forcing part sigma")
-    return ForcedField(dae.constraint, sigma=dae.sigma)
 
 
 # the averaged map sums sigma over its nodes for about this many

@@ -29,7 +29,7 @@ from .fields import FieldHandle
 
 __all__ = [
     "DomainBox", "ZeroRecord", "DegreeResult", "FieldHandle",
-    "find_zeros", "local_index", "boundary_min",
+    "find_zeros", "boundary_min",
     "degree_sign_sum", "degree_winding_2d",
 ]
 
@@ -336,17 +336,6 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=Non
         index = 0 if degenerate else (1 if det > 0 else -1)
         records.append(ZeroRecord(x, residual, det, index, degenerate))
     return records
-
-
-def local_index(field, zero):
-    """Sign of the Jacobian determinant at a nondegenerate zero."""
-    det = float(np.linalg.det(field.jacobian(zero)))
-    if abs(det) < DEGENERATE_TOL:
-        raise DegenerateZeroError(
-            f"Jacobian determinant {det:.3e} at {np.asarray(zero)} is (numerically) "
-            "singular; the local index is undefined there"
-        )
-    return 1 if det > 0 else -1
 
 
 def boundary_min(field, box, samples_per_face=None):

@@ -80,7 +80,6 @@ class Call:
 
 
 Node = Num | Var | Neg | Bin | Pow | Call
-ExpressionAst = Node
 
 
 def variables_in(node):

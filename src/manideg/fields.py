@@ -57,14 +57,13 @@ class AmbientMap:
     """
 
     def __init__(self, n_in, n_out, vector, *, time_dependent=False,
-                 asts=None, variables=None, sources=None):
+                 asts=None, variables=None):
         self.n_in = int(n_in)
         self.n_out = int(n_out)
         self.vector = vector
         self.time_dependent = bool(time_dependent)
         self.asts = asts
         self.variables = variables
-        self.sources = sources
 
     @classmethod
     def from_expressions(cls, sources, variables, *, allow_time=True):
@@ -95,7 +94,7 @@ class AmbientMap:
             return fn(*cols, t)
 
         return cls(len(variables), len(sources), vector, time_dependent=time_dependent,
-                   asts=asts, variables=variables, sources=sources)
+                   asts=asts, variables=variables)
 
     @classmethod
     def from_callable(cls, n_in, n_out, func, jac=None, *, time_dependent=False):
@@ -192,7 +191,7 @@ class FieldHandle(AmbientMap):
                 "a degree field must be square"
             )
         return cls(base.n_in, base.vector,
-                   asts=base.asts, variables=base.variables, sources=base.sources)
+                   asts=base.asts, variables=base.variables)
 
     @classmethod
     def from_callable(cls, dim, func, jac=None):

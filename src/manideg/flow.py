@@ -49,8 +49,8 @@ import numpy as np
 from .errors import DomainEscapeError, DomainEvalError, IntegrationError, RootFindingError
 from .fields import _floats
 
-__all__ = ["FlowResult", "projected_step", "flow_map", "period_map",
-           "write_trajectory_csv", "DEFAULT_STEPS_PER_PERIOD"]
+__all__ = ["FlowResult", "projected_step", "flow_map", "write_trajectory_csv",
+           "DEFAULT_STEPS_PER_PERIOD"]
 
 DEFAULT_STEPS_PER_PERIOD = 4096
 _MAX_HALVINGS = 20
@@ -129,7 +129,7 @@ def _advance(shot, state, w, t, dt, lam, failure, depth=0):
     return state, w, drift
 
 
-def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None, sensitivity=False):
+def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, sensitivity=False):
     """Flow ``xi0`` from ``t0`` to ``t1`` along a tangent field.
 
     Parameters
@@ -138,10 +138,9 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None, sensitiv
         The tangent field; its ``constraint`` defines the level set.
     xi0 : array
         Initial state; must satisfy the constraint to ``ON_MANIFOLD_TOL``.
-    n_steps, dt_max :
-        Either a fixed step count (at least 1) or a positive step-size
-        cap from which the count is derived (``ceil`` of span / dt_max).
-        Defaults to 4096 steps over the span.
+    n_steps : int, optional
+        Step count over the span, at least 1; defaults to
+        ``DEFAULT_STEPS_PER_PERIOD`` (4096).
     sensitivity : bool
         Also integrate W = dx(t1)/d(x(t0), lam) along the same steps;
         the states are the same as without it.
@@ -150,8 +149,6 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None, sensitiv
     """
     if n_steps is not None and not (n_steps >= 1 and float(n_steps).is_integer()):
         raise IntegrationError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
-    if dt_max is not None and not (dt_max > 0.0 and math.isfinite(dt_max)):
-        raise IntegrationError(f"dt_max must be positive and finite, got {dt_max!r}")
     _check_finite(lam=lam, t0=t0, t1=t1)
     c = field.constraint
     xi0 = np.asarray(xi0, dtype=float)
@@ -166,10 +163,7 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None, sensitiv
     if span == 0.0:
         return FlowResult(xi0.copy(), drift0, 0, np.array([t0]),
                           xi0[None, :].copy(), np.array([drift0]), w and np.array(w))
-    if n_steps is None:
-        n_steps = DEFAULT_STEPS_PER_PERIOD if dt_max is None else max(
-            1, int(np.ceil(abs(span) / dt_max)))
-    n_steps = int(n_steps)
+    n_steps = DEFAULT_STEPS_PER_PERIOD if n_steps is None else int(n_steps)
     dt = span / n_steps
 
     # numpy scalars would turn every float of the steps into one
@@ -186,11 +180,6 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, dt_max=None, sensitiv
     times = [t0] + [t0 + i * dt for i in range(1, n_steps + 1)]
     return FlowResult(np.array(state), max(drifts), n_steps, np.array(times),
                       np.array(states), np.array(drifts), w and np.array(w))
-
-
-def period_map(field, xi0, lam, period, **options):
-    """State after one period, starting at time zero."""
-    return flow_map(field, xi0, 0.0, period, lam, **options).final_state
 
 
 def write_trajectory_csv(result, var_names, out):

@@ -32,7 +32,7 @@ from .fields import EVAL_ERRORS, TIME_NAME, AmbientMap, FieldHandle, _floats
 
 __all__ = [
     "ImplicitConstraint", "ForcedField", "ManifoldDegreeResult",
-    "partial2_sign", "tangent_completion", "tangency_residual",
+    "partial2_sign", "tangency_residual",
     "reduced_map", "manifold_degree", "multi_region_degree",
     "implicit_solve_y", "schur_determinant_split", "complete_velocity",
 ]
@@ -74,28 +74,12 @@ class ImplicitConstraint:
     def dim(self):
         return self.k + self.s
 
-    def g(self, point):
-        return self.gmap(point)
-
     def jacobian(self, point):
         return self.gmap.jacobian(point)
-
-    def partial1(self, point):
-        return self.gmap.jacobian(point)[:, : self.k]
-
-    def partial2(self, point):
-        return self.gmap.jacobian(point)[:, self.k:]
-
-    def det_partial2(self, point):
-        d2 = self.partial2(point)
-        return float(d2[0, 0]) if self.s == 1 else float(np.linalg.det(d2))
 
     def residual(self, point):
         """|g| at ``point``, by the generated operations of every y-solve's drift."""
         return self._code["residual"](*_floats(point, self.dim))
-
-    def y_slice(self, box=None):
-        return (box or self.domain).bounds[self.k:]
 
 
 def partial2_sign(constraint, sample_density=None, box=None):
@@ -151,12 +135,16 @@ class ForcedField:
     Either part may be absent: without sigma the field ignores ``lam``,
     without gamma it is ``lam`` times the completed forcing.  Its arithmetic,
     and the RK4 steps :mod:`manideg.flow` runs, are straight-line code
-    generated once per combination of parts (see :func:`_source`).
+    generated once per combination of parts (see :func:`_source`).  Each part
+    maps the constraint's dim coordinates (and time) to k components.
     """
 
     def __init__(self, constraint, gamma=None, sigma=None):
         if gamma is None and sigma is None:
             raise ValueError("a field needs gamma, sigma or both")
+        for part in (gamma, sigma):
+            if part is not None:
+                _check_first(part, constraint)
         self.constraint = constraint
         self.gamma = gamma
         self.sigma = sigma
@@ -183,9 +171,6 @@ class ForcedField:
         """
         velocity, a, dp_dlam = self._code["linearize"](*_floats(point, self.constraint.dim), t, lam)
         return np.array(velocity), np.array(a), np.array(dp_dlam)
-
-    def eval(self, t, point):
-        return self.velocity(t, point, 1.0)
 
 
 # --- generated step code ------------------------------------------------------
@@ -523,19 +508,17 @@ def _solved(em, m, columns, fail):
     return solutions
 
 
-def tangent_completion(psi1, constraint):
-    """Tangent field on M with prescribed first k components."""
-    if psi1.n_out != constraint.k or psi1.n_in != constraint.dim:
+def _check_first(phi1, constraint):
+    if phi1.n_out != constraint.k or phi1.n_in != constraint.dim:
         raise ValueError(
-            f"first component map is {psi1.n_in}->{psi1.n_out}, "
+            f"first component map is {phi1.n_in}->{phi1.n_out}, "
             f"expected {constraint.dim}->{constraint.k}"
         )
-    return ForcedField(constraint, gamma=psi1)
 
 
 def tangency_residual(field, point, t=0.0):
-    """|g'(point) . field(t, point)|, zero up to roundoff for tangent fields."""
-    v = field.eval(t, point) if hasattr(field, "eval") else field(point, t)
+    """|g'(point) . v| for the velocity v of ``field`` at lam = 1, zero up to roundoff."""
+    v = field.velocity(t, point, 1.0)
     return float(np.linalg.norm(field.constraint.jacobian(point) @ v))
 
 
@@ -545,11 +528,7 @@ def reduced_map(phi1, constraint):
     carries the manifold degree up to the sign of det d_y g."""
     if phi1.time_dependent:
         raise ValueError("the reduced map needs a time-independent first component")
-    if phi1.n_out != constraint.k or phi1.n_in != constraint.dim:
-        raise ValueError(
-            f"first component map is {phi1.n_in}->{phi1.n_out}, "
-            f"expected {constraint.dim}->{constraint.k}"
-        )
+    _check_first(phi1, constraint)
 
     def vector(cols, t=0.0, jacobian=False):
         return (*phi1.vector(cols, t, jacobian), *constraint.gmap.vector(cols, t, jacobian))
@@ -569,7 +548,7 @@ def implicit_solve_y(constraint, x, y_guess=None, max_iter=50):
     converge raises :class:`RootFindingError`.
     """
     if y_guess is None:
-        y_guess = [(a + b) / 2.0 for a, b in constraint.y_slice()]
+        y_guess = [(a + b) / 2.0 for a, b in constraint.domain.bounds[constraint.k:]]
     x, y_guess = _floats(x, constraint.k, "x"), _floats(y_guess, constraint.s, "y_guess")
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")

@@ -34,7 +34,6 @@ from manideg import (
     reduced_map,
     schur_determinant_split,
     seed_map_F,
-    seed_points,
     trace_branch,
 )
 from manideg.cli import main as cli_main, verify_reference_problems
@@ -307,9 +306,7 @@ def test_rk4_order_window():
         con = ImplicitConstraint.from_expressions(
             1, 1, ("y - x",), ("x", "y"), DomainBox.cube(-4.0, 4.0, 2))
         gamma = AmbientMap.from_expressions(("y",), ("x", "y"))
-        from manideg import SemiExplicitDae, build_autonomous_tangent
-
-        field = build_autonomous_tangent(SemiExplicitDae(con, gamma=gamma))
+        field = ForcedField(con, gamma=gamma)
         errs = []
         for n in (32, 64):
             res = flow_map(field, np.array([1.0, 1.0]), 0.0, 1.0, n_steps=n)
@@ -322,7 +319,7 @@ def test_rk4_order_window():
 def test_forced_branch_of_solution_pairs():
     with check("forced oscillator branch to full amplitude", 60.0):
         dae = REGISTRY["example-5-5"].build_dae()
-        seeds = seed_points(seed_map_F(dae), dae.constraint.domain)
+        seeds = find_zeros(seed_map_F(dae), dae.constraint.domain)
         assert len(seeds) == 1
         branch = trace_branch(dae, seeds[0], ds=0.02, lambda_max=1.0)
         # the orbit's y-range reaches the chart box edge near lam 0.8,

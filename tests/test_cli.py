@@ -184,6 +184,18 @@ def test_degree_winding_method_agrees(capsys):
     assert record["manifold_degree"] == 1
 
 
+def test_degree_methods_sample_the_same_boundary(capsys, tmp_path):
+    # the problem's boundary_samples sets the boundary sampling of either method
+    path = tmp_path / "parabola.problem"
+    path.write_text("name = parabola\nk = 1\ns = 1\nvars = x, y\ng = y - x^2\n"
+                    "gamma = x - 0.3\nbox = -2 2, -1 5\nboundary_samples = 3\n",
+                    encoding="utf-8")
+    sign_sum, winding = (json.loads(run_cli(capsys, "degree", str(path), "--method", m)[1])
+                         for m in ("sign-sum", "winding"))
+    assert sign_sum["boundary_min"] == winding["boundary_min"] == 1.0440306508910551
+    assert sign_sum["degree"] == winding["degree"]
+
+
 def test_degree_winding_rejects_higher_dimensions(capsys):
     code, _, err = run_cli(capsys, "degree", "example-4-2", "--method", "winding")
     assert code == 2

@@ -18,8 +18,6 @@ from manideg import (
     REGISTRY,
     SemiExplicitDae,
     average_wind,
-    build_autonomous_tangent,
-    build_forcing_tangent,
     complete_velocity,
     implicit_solve_y,
     seed_map_F,
@@ -94,20 +92,20 @@ def test_k_and_s_shortcuts():
 # --- tangent fields ----------------------------------------------------------
 
 def test_missing_parts_raise():
-    dae = forced_cubic()
-    with pytest.raises(ProblemFormatError):
-        build_autonomous_tangent(dae)
+    dae = forced_cubic()  # sigma only
+    with pytest.raises(ValueError, match="needs gamma, sigma or both"):
+        ForcedField(dae.constraint, gamma=dae.gamma)
     gamma = AmbientMap.from_expressions(("x",), ("x", "y"))
     autonomous = SemiExplicitDae(cubic_constraint(), gamma=gamma)
-    with pytest.raises(ProblemFormatError):
-        build_forcing_tangent(autonomous)
+    with pytest.raises(ValueError, match="needs gamma, sigma or both"):
+        ForcedField(autonomous.constraint, sigma=autonomous.sigma)
     with pytest.raises(ProblemFormatError):
         average_wind(autonomous)
 
 
 def test_forcing_tangent_is_tangent_along_level_set():
     dae = forced_cubic()
-    h = build_forcing_tangent(dae)
+    h = ForcedField(dae.constraint, sigma=dae.sigma)
     p = np.array([1.0, 0.6823278038280193])  # on the level set
     for t in (0.0, 1.3, 5.1):
         assert tangency_residual(h, p, t) <= 1e-12
@@ -172,11 +170,11 @@ def test_averaging_commutes_with_completion():
     # completing the averaged forcing equals averaging the completed field
     dae = forced_cubic()
     sigma_bar, w = average_wind(dae)
-    h = build_forcing_tangent(dae)
+    h = ForcedField(dae.constraint, sigma=dae.sigma)
     p = np.array([1.0, 0.6823278038280193])
     ts = TWO_PI * np.arange(64) / 64
-    mean_completed = np.mean([h.eval(t, p) for t in ts], axis=0)
-    assert np.allclose(w.eval(0.0, p), mean_completed, atol=1e-12)
+    mean_completed = np.mean([h.velocity(t, p, 1.0) for t in ts], axis=0)
+    assert np.allclose(w.velocity(0.0, p), mean_completed, atol=1e-12)
 
 
 # --- seed maps ---------------------------------------------------------------
@@ -186,7 +184,7 @@ def test_seed_map_F_concatenates_gamma_and_g():
     dae = prob.build_dae()
     F = seed_map_F(dae)
     p = np.array([0.5, -0.25, 0.125])
-    assert np.allclose(F(p), np.concatenate([dae.gamma(p), dae.constraint.g(p)]))
+    assert np.allclose(F(p), np.concatenate([dae.gamma(p), dae.constraint.gmap(p)]))
     assert F(np.zeros(3)) == pytest.approx(np.zeros(3))
 
 
@@ -225,7 +223,7 @@ def test_forced_field_without_gamma_scales_sigma():
     p = np.array([0.4, 0.1])
     assert np.allclose(field.first(1.0, p, 0.5), 0.5 * dae.sigma(p, 1.0))
     assert np.allclose(field.first(1.0, p, 0.0), [0.0])
-    assert np.allclose(field.eval(1.0, p)[: 1], field.first(1.0, p, 1.0))
+    assert np.allclose(field.velocity(1.0, p, 1.0)[: 1], field.first(1.0, p, 1.0))
 
 
 @pytest.mark.parametrize("name, x", [("example-5-5", (0.4, -0.7)),

@@ -20,7 +20,6 @@ from manideg import (
     degree_sign_sum,
     degree_winding_2d,
     find_zeros,
-    local_index,
 )
 
 SQUARE = DomainBox.cube(-1.5, 1.5, 2)
@@ -128,14 +127,17 @@ def test_zero_record_index_matches_determinant_sign():
 def test_local_index():
     ident = handle(("x", "y"), ("x", "y"))
     flip = handle(("-x", "y"), ("x", "y"))
-    assert local_index(ident, (0.0, 0.0)) == 1
-    assert local_index(flip, (0.0, 0.0)) == -1
+    assert [z.index for z in find_zeros(ident, SQUARE)] == [1]
+    assert [z.index for z in find_zeros(flip, SQUARE)] == [-1]
 
 
 def test_local_index_rejects_singular_jacobian():
+    # a zero whose |det| is below DEGENERATE_TOL has no index: marked, and refused by the sign-sum
     squared = handle(("x^2",), ("x",))
+    [zero] = find_zeros(squared, DomainBox.cube(-1.0, 1.0, 1))
+    assert zero.degenerate and zero.index == 0
     with pytest.raises(DegenerateZeroError):
-        local_index(squared, (0.0,))
+        degree_sign_sum(squared, DomainBox.cube(-1.0, 1.0, 1))
 
 
 def test_boundary_min_identity():

@@ -26,13 +26,9 @@ from manideg import (
     REGISTRY,
     RegularityError,
     RootFindingError,
-    SemiExplicitDae,
-    build_autonomous_tangent,
-    build_forcing_tangent,
     complete_velocity,
     flow_map,
     implicit_solve_y,
-    period_map,
     projected_step,
     shooting_residual,
     write_trajectory_csv,
@@ -44,7 +40,7 @@ def exponential_flow():
     con = ImplicitConstraint.from_expressions(
         1, 1, ("y - x",), ("x", "y"), DomainBox.cube(-4.0, 4.0, 2))
     gamma = AmbientMap.from_expressions(("y",), ("x", "y"))
-    return build_autonomous_tangent(SemiExplicitDae(con, gamma=gamma))
+    return ForcedField(con, gamma=gamma)
 
 
 def spring_field():
@@ -122,18 +118,11 @@ def test_flow_recording_shapes():
     assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(1.0)
 
 
-def test_flow_step_count_from_dt_cap():
-    field = exponential_flow()
-    res = flow_map(field, np.array([1.0, 1.0]), 0.0, 1.0, dt_max=0.3)
-    assert res.steps == 4
-
-
 @pytest.mark.parametrize("options, needle", [
     ({"n_steps": 0}, "n_steps"),
     ({"n_steps": -3}, "n_steps"),
-    ({"dt_max": 0.0}, "dt_max"),
     ({"n_steps": 2.5}, "n_steps"),
-], ids=["zero-steps", "negative-steps", "zero-dt-max", "fractional-steps"])
+], ids=["zero-steps", "negative-steps", "fractional-steps"])
 def test_flow_rejects_bad_step_counts(options, needle):
     field = exponential_flow()
     with pytest.raises(IntegrationError, match=needle):
@@ -160,7 +149,6 @@ def test_non_finite_lambda_is_rejected_up_front(value):
             ("lam", lambda: shooting_residual(dae, start[:2], value, jacobian=True)),
             ("t0", lambda: flow_map(field, start, value, 1.0, 0.3, n_steps=4)),
             ("t1", lambda: flow_map(field, start, 0.0, value, 0.3, n_steps=4)),
-            ("t1", lambda: flow_map(field, start, 0.0, value, 0.3, dt_max=0.1)),
             ("t", lambda: projected_step(field, start, value, 0.1, 0.3)),
             ("dt", lambda: projected_step(field, start, 0.0, value, 0.3, np.eye(1, 2)))):
         with pytest.raises(IntegrationError, match=f"{name} must be finite, got {value!r}"):
@@ -322,7 +310,8 @@ def test_forcing_only_field_keeps_signed_zeros_at_zero_lambda():
     # lam * cos(t) at lam = 0 is +0.0; the first component (lam times the literal 0) and
     # the completion (-d_x g . psi_1 / d_y g, whose terms are lam * 0 or have the
     # structural zero d_x2 g) are structural zeros, written as +0.0
-    field = build_forcing_tangent(REGISTRY["example-5-5"].build_dae())
+    dae = REGISTRY["example-5-5"].build_dae()
+    field = ForcedField(dae.constraint, sigma=dae.sigma)
     v = field.velocity(0.0, np.array(PINNED_START), 0.0)
     assert v.tolist() == [0.0, 0.0, 0.0]
     assert np.signbit(v).tolist() == [False, False, False]
@@ -380,8 +369,7 @@ def test_zero_pivot_raises_regularity_error():
     for g in ("y^2 - x", "0*y - x"):
         con = ImplicitConstraint.from_expressions(
             1, 1, (g,), ("x", "y"), DomainBox.cube(-2.0, 2.0, 2))
-        field = build_autonomous_tangent(SemiExplicitDae(
-            con, gamma=AmbientMap.from_expressions(("1",), ("x", "y"))))
+        field = ForcedField(con, gamma=AmbientMap.from_expressions(("1",), ("x", "y")))
         for evaluate in (field.velocity, field.linearize):
             with pytest.raises(RegularityError, match="singular"):
                 evaluate(0.0, np.zeros(2))
@@ -393,8 +381,7 @@ def test_zero_pivot_raises_regularity_error():
     # where no row below can be swapped up
     con = ImplicitConstraint.from_expressions(
         1, 2, ("y1^2 - x", "y2 - x"), ("x", "y1", "y2"), DomainBox.cube(-2.0, 2.0, 3))
-    field = build_autonomous_tangent(SemiExplicitDae(
-        con, gamma=AmbientMap.from_expressions(("1",), ("x", "y1", "y2"))))
+    field = ForcedField(con, gamma=AmbientMap.from_expressions(("1",), ("x", "y1", "y2")))
     message = re.escape(f"d_y g is singular at {np.zeros(3)}")
     for evaluate in (field.velocity, field.linearize):
         with pytest.raises(RegularityError, match=message):
@@ -561,7 +548,7 @@ def test_integration_error_when_leaving_solvable_region():
     con = ImplicitConstraint.from_expressions(
         1, 1, ("y^2 - x",), ("x", "y"), DomainBox.cube(-2.0, 2.0, 2))
     gamma = AmbientMap.from_expressions(("0 - 1",), ("x", "y"))
-    field = build_autonomous_tangent(SemiExplicitDae(con, gamma=gamma))
+    field = ForcedField(con, gamma=gamma)
     with pytest.raises(IntegrationError):
         flow_map(field, np.array([1.0, 1.0]), 0.0, 2.0, n_steps=64)
 
@@ -586,7 +573,7 @@ def test_halving_shot_of_the_spring_trace_is_pinned(monkeypatch):
 def test_period_map_fixes_equilibrium():
     field = spring_field()
     period = REGISTRY["example-5-5"].period
-    out = period_map(field, np.zeros(3), 0.0, period, n_steps=256)
+    out = flow_map(field, np.zeros(3), 0.0, period, n_steps=256).final_state
     assert np.linalg.norm(out) <= 1e-14
 
 
@@ -595,7 +582,7 @@ def test_period_map_contracts_at_zero_forcing():
     field = spring_field()
     period = REGISTRY["example-5-5"].period
     start = on_spring_manifold(0.4, 0.0)
-    out = period_map(field, start, 0.0, period, n_steps=1024)
+    out = flow_map(field, start, 0.0, period, n_steps=1024).final_state
     assert np.linalg.norm(out[:2]) < np.linalg.norm(start[:2])
 
 

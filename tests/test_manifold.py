@@ -21,6 +21,7 @@ from manideg import (
     AmbientMap,
     DomainBox,
     DomainEscapeError,
+    ForcedField,
     ImplicitConstraint,
     RegularityError,
     RootFindingError,
@@ -32,7 +33,6 @@ from manideg import (
     partial2_sign,
     reduced_map,
     schur_determinant_split,
-    tangent_completion,
     tangency_residual,
 )
 from manideg.fields import finite_difference_jacobian
@@ -92,12 +92,9 @@ def test_constraint_blocks_and_slices():
     con = cubic_graph()
     p = np.array([1.0, 2.0])
     assert con.dim == 2
-    assert con.g(p)[0] == pytest.approx(9.0)
-    assert con.partial1(p)[0, 0] == pytest.approx(-2.0)
-    assert con.partial2(p)[0, 0] == pytest.approx(13.0)
-    assert con.det_partial2(p) == pytest.approx(13.0)
+    assert con.gmap(p)[0] == pytest.approx(9.0)
+    assert con.jacobian(p).tolist() == [[-2.0, 13.0]]  # d_x g, then d_y g
     assert con.residual(p) == pytest.approx(9.0)
-    assert con.y_slice() == ((-2.0, 2.0),)
 
 
 # --- regularity sign ---------------------------------------------------------
@@ -156,15 +153,14 @@ def test_constraint_independent_of_x(g):
     point = np.array([0.5, *implicit_solve_y(con, np.array([0.5]))])
     assert con.residual(point) <= 1e-12
     assert complete_velocity(con, point, np.array([2.0])).tolist() == [2.0, 0.0]
-    field = tangent_completion(AmbientMap.from_expressions(("1",), ("x", "y")), con)
+    field = ForcedField(con, gamma=AmbientMap.from_expressions(("1",), ("x", "y")))
     assert flow_map(field, point, 0.0, 1.0, n_steps=4).final_state.tolist() == [
         1.5, point[1]]
 
 
 def test_completion_output_is_tangent():
     con = helix_like()
-    field = tangent_completion(
-        AmbientMap.from_expressions(("y2",), ("x", "y1", "y2")), con)
+    field = ForcedField(con, gamma=AmbientMap.from_expressions(("y2",), ("x", "y1", "y2")))
     p = np.array([1.0, 0.0, 0.0])  # a point of g^-1(0)
     assert con.residual(p) <= 1e-12
     assert tangency_residual(field, p) <= 1e-14
@@ -177,17 +173,25 @@ def test_completion_rejects_singular_pivot():
 
 
 def test_tangent_field_shape_validation():
-    con = cubic_graph()
-    wide = AmbientMap.from_expressions(("x", "y"), ("x", "y"))
-    with pytest.raises(ValueError):
-        tangent_completion(wide, con)
+    # every part maps the 2 coordinates to k = 1 component: a wide part would give a
+    # silent wrong velocity, a narrow one an IndexError, were they not refused
+    con = ImplicitConstraint.from_expressions(1, 1, ("y - x^2",), ("x", "y"), BOX2)
+    good = AmbientMap.from_expressions(("1",), ("x", "y"))
+    wide = AmbientMap.from_expressions(("1", "x"), ("x", "y"))
+    narrow = AmbientMap.from_expressions(("1",), ("x",))
+    assert ForcedField(con, gamma=good).velocity(0.0, [1.0, 1.0]).tolist() == [1.0, 2.0]
+    for bad in (wide, narrow):
+        for parts in ({"gamma": bad}, {"sigma": bad}, {"gamma": good, "sigma": bad},
+                      {"gamma": bad, "sigma": good}):
+            with pytest.raises(ValueError, match="first component map is"):
+                ForcedField(con, **parts)
 
 
 def test_tangent_field_velocity_ignores_lambda():
     con = cubic_graph()
-    field = tangent_completion(AmbientMap.from_expressions(("x",), ("x", "y")), con)
+    field = ForcedField(con, gamma=AmbientMap.from_expressions(("x",), ("x", "y")))
     p = np.array([0.5, 0.4])
-    assert np.array_equal(field.velocity(0.0, p, lam=0.7), field.eval(0.0, p))
+    assert np.array_equal(field.velocity(0.0, p, lam=0.7), field.velocity(0.0, p, 1.0))
 
 
 # --- reduced map -------------------------------------------------------------
