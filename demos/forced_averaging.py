@@ -3,28 +3,32 @@ Forced systems on a constraint surface and their averages
 =========================================================
 
 A semi-explicit system pairs x' = gamma + lam*sigma with g(x, y) = 0.
-Periodic forcing is summarised by its time average over one period;
-the averaged wind is what the seed maps and the degree argument use.
+It is the tangent field on the surface whose first components are
+gamma + lam*sigma, with the forcing's period:
+ForcedField(constraint, gamma, sigma, period), which is what a
+problem's build_dae returns.  Periodic forcing is summarised by its
+time average over one period; the averaged wind is what the seed maps
+and the degree argument use.
 """
 
 import numpy as np
 
 from manideg import (
-    REGISTRY, ForcedField, average_wind, find_zeros, implicit_solve_y,
+    REGISTRY, average_wind, find_zeros, implicit_solve_y,
     seed_map_F, seed_map_Phi, tangency_residual,
 )
 
 # a forced cubic: x' = x + y + sin t on the curve y^3 + y = x^2
 dae = REGISTRY["example-5-3"].build_dae()
-print("differential vars:", dae.k, " algebraic vars:", dae.s,
+con = dae.constraint
+print("differential vars:", con.k, " algebraic vars:", con.s,
       " period:", round(dae.period, 6))
 
-# the completed field is tangent to the curve at every time
-field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+# the system's field is tangent to the curve at every time
 x = np.array([1.0])
-point = np.concatenate([x, implicit_solve_y(dae.constraint, x)])
+point = np.concatenate([x, implicit_solve_y(con, x)])
 for t in (0.0, 1.3, 5.1):
-    r = tangency_residual(field, point, t)
+    r = tangency_residual(dae, point, t)
     print(f"tangency residual at t={t}: {r:.2e}")
 
 # averaging the forcing over one period kills the sin t term,

@@ -15,7 +15,6 @@ from .continuation import (
     trace_branch,
 )
 from .dae import (
-    SemiExplicitDae,
     average_wind,
     seed_map_F,
     seed_map_Phi,
@@ -73,7 +72,7 @@ __all__ = [
     "ForcedField", "ImplicitConstraint", "IntegrationError", "ManidegError",
     "ManifoldDegreeResult", "NumericError", "Problem", "ProblemError",
     "ProblemFormatError", "REGISTRY", "RegularityError", "RootFindingError",
-    "SemiExplicitDae", "SolutionPair",
+    "SolutionPair",
     "UndeclaredVariableError", "ZeroRecord",
     "average_wind", "boundary_min",
     "complete_velocity", "correct", "degree_sign_sum",

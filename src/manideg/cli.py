@@ -208,13 +208,13 @@ def _cmd_trace(args):
                           max_steps=args.max_steps, steps_per_period=steps)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _write_branch_csv(branch, problem.variables, dae.k, fh)
+            _write_branch_csv(branch, problem.variables, problem.k, fh)
         sys.stdout.write(
             f"{len(branch.points)} solution pairs ({branch.termination}) "
             f"-> {args.out}\n"
         )
     else:
-        _write_branch_csv(branch, problem.variables, dae.k, sys.stdout)
+        _write_branch_csv(branch, problem.variables, problem.k, sys.stdout)
     return 0
 
 

@@ -3,13 +3,15 @@
 A zero of a seed map (a trivial solution pair at lam = 0) is continued
 in the forcing amplitude lam by shooting: a solution pair is a fixed
 point of the period map in the x-coordinates, y being slaved to x
-through the constraint.  The tracer takes pseudo-arclength steps in
-(x0, lam) with a secant predictor and a Newton corrector.  The
-corrector's sensitivities W = dx(T)/d(x0, lam) are exact up to the
-integration error: the shot at the prediction integrates the
-variational equation W' = A W + [0 | sigma] alongside its trajectory,
-with A = d_x p + d_y p * S, p = gamma + lam * sigma and
-S = -(d_y g)^-1 d_x g the slope of y slaved to x, so only first
+through the constraint.  The system is a
+:class:`~manideg.manifold.ForcedField` with a period; every shot
+integrates that field itself, so a trace binds its generated code once.
+The tracer takes pseudo-arclength steps in (x0, lam) with a secant
+predictor and a Newton corrector.  The corrector's sensitivities
+W = dx(T)/d(x0, lam) are exact up to the integration error: the shot at
+the prediction integrates the variational equation W' = A W + [0 | sigma]
+alongside its trajectory, with A = d_x p + d_y p * S, p = gamma + lam *
+sigma and S = -(d_y g)^-1 d_x g the slope of y slaved to x, so only first
 derivatives are needed (Allgower & Georg, "Introduction to Numerical
 Continuation Methods"; Seydel, "Practical Bifurcation and Stability
 Analysis").  Every shot integrates one period once, and the same
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import CorrectorError, DomainEscapeError, NumericError
 from .flow import flow_map
-from .manifold import ForcedField, implicit_solve_y
+from .manifold import implicit_solve_y
 
 __all__ = [
     "SolutionPair", "Branch", "shooting_residual",
@@ -73,19 +75,19 @@ def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_
     if dae.period is None:
         raise NumericError("shooting needs a forcing period")
     x0 = np.array(x0, dtype=float)  # the pair keeps it; callers may mutate theirs
-    field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
     y0 = implicit_solve_y(dae.constraint, x0, y_guess=y_guess)
     xi0 = np.concatenate([x0, y0])
-    res = flow_map(field, xi0, 0.0, dae.period, lam, n_steps=steps_per_period, sensitivity=jacobian)
+    res = flow_map(dae, xi0, 0.0, dae.period, lam, n_steps=steps_per_period, sensitivity=jacobian)
     mean = res.states.mean(axis=0)
     amplitude = float(np.max(np.linalg.norm(res.states - mean, axis=1)))
     residual = float(np.linalg.norm(res.final_state - xi0))
     pair = SolutionPair(float(lam), x0, y0, dae.period, residual, amplitude,
                         res.max_drift)
-    r = res.final_state[: dae.k] - x0
+    k = dae.constraint.k
+    r = res.final_state[:k] - x0
     if not jacobian:
         return r, pair
-    return r, pair, res.sensitivity - np.eye(dae.k, dae.k + 1)
+    return r, pair, res.sensitivity - np.eye(k, k + 1)
 
 
 def correct(dae, x0, lam, *, arclength=None, max_iter=10,
@@ -105,7 +107,7 @@ def correct(dae, x0, lam, *, arclength=None, max_iter=10,
     stalls, the next iteration re-shoots the current z with
     sensitivities once to refresh it.
     """
-    k = dae.k
+    k = dae.constraint.k
     z = np.concatenate([np.asarray(x0, dtype=float), [float(lam)]])
 
     def shoot(zv, jacobian=False):
@@ -170,7 +172,7 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
 
     Parameters
     ----------
-    dae : SemiExplicitDae
+    dae : ForcedField
         Forced system (sigma and period required).
     seed : ZeroRecord
         A zero of a seed map; its first k coordinates start the branch.
@@ -186,9 +188,7 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
     -------
     Branch with the ordered points and a termination reason.
     """
-    if dae.period is None:
-        raise NumericError("branch tracing needs a forcing period")
-    k = dae.k
+    k = dae.constraint.k
     box = dae.constraint.domain
     x_seed = np.asarray(seed.location[:k], dtype=float)
     y_hint = np.asarray(seed.location[k:], dtype=float)

@@ -6,9 +6,11 @@ A system
 
 with nonsingular d_y g is equivalent to an ODE on the level set M:
 the right-hand side of the x-equations, completed to a tangent vector,
-drives the full state.  Two square "seed maps" summarise the zero
-structure relevant to forced periodic solutions: (gamma, g) for the
-autonomous part and (Sigma, g) for the time average
+drives the full state.  Such a system, with the period T of its
+forcing, is the tangent field ``ForcedField(constraint, gamma, sigma,
+period)``.  Two square "seed maps" summarise the zero structure
+relevant to forced periodic solutions: (gamma, g) for the autonomous
+part and (Sigma, g) for the time average
 
     Sigma(x, y) = (1/T) * integral of sigma(t, x, y) over one period.
 
@@ -23,72 +25,16 @@ averaging sigma first and completing once.
 
 import numpy as np
 
-from .errors import DomainEvalError, ProblemFormatError
+from .errors import ProblemFormatError
 from .fields import AmbientMap
 from .manifold import ForcedField, reduced_map
 
 __all__ = [
-    "SemiExplicitDae", "ForcedField",
+    "ForcedField",
     "average_wind", "seed_map_F", "seed_map_Phi",
 ]
 
 DEFAULT_QUADRATURE_NODES = 64
-
-
-class SemiExplicitDae:
-    """Problem data for x' = gamma + lam * sigma on g(x, y) = 0."""
-
-    def __init__(self, constraint, gamma=None, sigma=None, period=None):
-        if gamma is None and sigma is None:
-            raise ProblemFormatError("a system needs gamma, sigma or both")
-        k, dim = constraint.k, constraint.dim
-        for name, part in (("gamma", gamma), ("sigma", sigma)):
-            if part is None:
-                continue
-            if part.n_out != k or part.n_in != dim:
-                raise ProblemFormatError(
-                    f"{name} is {part.n_in}->{part.n_out}, expected {dim}->{k}"
-                )
-        if gamma is not None and gamma.time_dependent:
-            raise ProblemFormatError("gamma must not depend on time")
-        if period is not None and not np.isfinite(period):
-            raise ProblemFormatError(f"the period must be finite, got {period!r}")
-        if sigma is not None:
-            if period is None or not period > 0.0:
-                raise ProblemFormatError("a forcing term needs a positive period")
-            _check_periodic(sigma, period, constraint.domain)
-        self.constraint = constraint
-        self.gamma = gamma
-        self.sigma = sigma
-        self.period = float(period) if period is not None else None
-
-    @property
-    def k(self):
-        return self.constraint.k
-
-    @property
-    def s(self):
-        return self.constraint.s
-
-
-def _check_periodic(sigma, period, domain, tol=1e-8):
-    if not sigma.time_dependent:
-        return
-    center = domain.center
-    half = (np.array(domain.upper) - np.array(domain.lower)) / 2.0
-    probes = [center, center + 0.31 * half, center - 0.17 * half]
-    for t0 in (0.37 * period, 0.81 * period):
-        for p in probes:
-            try:
-                a = sigma(p, t0)
-                b = sigma(p, t0 + period)
-            except DomainEvalError:
-                continue
-            if np.max(np.abs(a - b)) > tol * (1.0 + np.max(np.abs(a))):
-                raise ProblemFormatError(
-                    f"sigma is not {period}-periodic: value changes by "
-                    f"{np.max(np.abs(a - b)):.3e} across one period at t = {t0}"
-                )
 
 
 # the averaged map sums sigma over its nodes for about this many
@@ -124,16 +70,21 @@ def _averaged_map(sigma, period, nodes):
     return AmbientMap(sigma.n_in, sigma.n_out, vector)
 
 
-def average_wind(dae, quadrature_nodes=DEFAULT_QUADRATURE_NODES):
+def average_wind(field, quadrature_nodes=DEFAULT_QUADRATURE_NODES):
     """Average forcing Sigma and the tangent field it generates.
 
-    Returns ``(Sigma, w)`` where Sigma is the time average of sigma
-    and w its tangent completion on M.
+    Returns ``(Sigma, w)`` where Sigma is the time average of the
+    forced field's sigma over ``quadrature_nodes`` uniform nodes (at
+    least 1) of its period and w its tangent completion on M.
     """
-    if dae.sigma is None:
+    if field.sigma is None:
         raise ProblemFormatError("the system has no forcing part sigma")
-    sigma_bar = _averaged_map(dae.sigma, dae.period, int(quadrature_nodes))
-    return sigma_bar, ForcedField(dae.constraint, gamma=sigma_bar)
+    if field.period is None:
+        raise ProblemFormatError("averaging the forcing needs its period")
+    if not quadrature_nodes >= 1:
+        raise ProblemFormatError(f"quadrature_nodes must be at least 1, got {quadrature_nodes!r}")
+    sigma_bar = _averaged_map(field.sigma, field.period, int(quadrature_nodes))
+    return sigma_bar, ForcedField(field.constraint, gamma=sigma_bar)
 
 
 def seed_map_F(dae):

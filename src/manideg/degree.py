@@ -95,9 +95,9 @@ class DomainBox:
     def diameter(self):
         return math.sqrt(sum((b - a) ** 2 for a, b in self.bounds))
 
-    def contains(self, point, margin=0.0):
+    def contains(self, point):
         for v, a, b in zip(np.asarray(point, dtype=float).tolist(), self.lower, self.upper):
-            if not a - margin <= v <= b + margin:
+            if not a <= v <= b:
                 return False
         return True
 

@@ -427,16 +427,17 @@ def _zero(operand):  # a structural zero: an absent partial (None) or a literal 
 
 def _folded(left, op, right):
     """``left op right`` for two operands and ``op`` one of + - *, folded where that is
-    bit-exact: two literals become one (when the result is finite), and x * 1.0 and
-    1.0 * x become x.  A /, a ** or a call is never folded."""
+    bit-exact up to the sign of a nan: two literals become one (when the result is
+    finite), x * 1.0 and 1.0 * x become x, and x * -1.0 and -1.0 * x become -x.
+    A /, a ** or a call is never folded."""
     if isinstance(left, float) and isinstance(right, float):
         value = left + right if op == "+" else left - right if op == "-" else left * right
         if math.isfinite(value):
             return value
-    if op == "*" and right == 1.0:
-        return left
-    if op == "*" and left == 1.0:
-        return right
+    if op == "*" and right in (1.0, -1.0):
+        return left if right == 1.0 else _negated(left)
+    if op == "*" and left in (1.0, -1.0):
+        return right if left == 1.0 else _negated(right)
     return Term(f"{{}} {op} {{}}", left, right)
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .degree import DegreeResult, _default_density, degree_sign_sum, find_zeros
 from .errors import (
-    AdmissibilityError, DomainEscapeError, DomainEvalError, RegularityError,
-    RootFindingError,
+    AdmissibilityError, DomainEscapeError, DomainEvalError, ProblemFormatError,
+    RegularityError, RootFindingError,
 )
 from . import expr
 from .expr import Op, Term
@@ -132,29 +132,34 @@ def complete_velocity(constraint, point, psi1_value):
 class ForcedField:
     """Tangent field on the level set with first components gamma + lam * sigma.
 
-    Either part may be absent: without sigma the field ignores ``lam``,
-    without gamma it is ``lam`` times the completed forcing.  Its arithmetic,
-    and the RK4 steps :mod:`manideg.flow` runs, are straight-line code
-    generated once per combination of parts (see :func:`_source`).  Each part
-    maps the constraint's dim coordinates (and time) to k components.
+    It is the semi-explicit DAE x' = gamma + lam * sigma, g(x, y) = 0 as a flow
+    on the level set; ``period``, the period of sigma, is what shooting and
+    averaging need.  Either part may be absent: without sigma the field ignores
+    ``lam``, without gamma it is ``lam`` times the completed forcing.  Its
+    arithmetic, and the RK4 steps :mod:`manideg.flow` runs, are straight-line
+    code generated once per combination of parts (see :func:`_source`).  Each
+    part maps the constraint's dim coordinates (and time) to k components.  A
+    given period must be finite; with a sigma it must be positive and a period.
     """
 
-    def __init__(self, constraint, gamma=None, sigma=None):
+    def __init__(self, constraint, gamma=None, sigma=None, period=None):
         if gamma is None and sigma is None:
             raise ValueError("a field needs gamma, sigma or both")
         for part in (gamma, sigma):
             if part is not None:
                 _check_first(part, constraint)
+        if period is not None and not np.isfinite(period):
+            raise ValueError(f"the period must be finite, got {period!r}")
+        if sigma is not None and period is not None:
+            if not period > 0.0:
+                raise ValueError(f"a forcing period must be positive, got {period!r}")
+            _check_periodic(sigma, period, constraint.domain)
         self.constraint = constraint
         self.gamma = gamma
         self.sigma = sigma
-        self.time_dependent = any(part is not None and part.time_dependent
-                                  for part in (gamma, sigma))
+        self.period = None if period is None else float(period)
 
     _code = cached_property(lambda self: _generated(self.constraint, self.gamma, self.sigma))
-
-    def first(self, t, point, lam=0.0):
-        return np.array(self._code["first"](*_floats(point, self.constraint.dim), t, lam))
 
     def velocity(self, t, point, lam=0.0):
         return np.array(self._code["velocity"](*_floats(point, self.constraint.dim), t, lam))
@@ -206,7 +211,7 @@ def _source(k, s, g, *field):
     # (name, source) of straight-line functions of the float coordinates a0, ..., a[n-1] that do
     # their formulas' float operations in order.  For the constraint alone: residual, solve_y of
     # (max_iter, a0, ...) -> (y, |g|) (see _projection) and tangent (completing f0, ...).  For a
-    # field: first, velocity, linearize of (a0, ..., t, lam), and rk4 and rk4w, each a whole
+    # field: velocity, linearize of (a0, ..., t, lam), and rk4 and rk4w, each a whole
     # shot of projected steps in one call: (i, n, t0, dt, lam, W, states, drifts, u0, ...) runs
     # the steps i, ..., n-1 of dt from the state u0, ... at step i, step j at time t0 + j * dt,
     # and appends each new state and |g| to the lists states and drifts.  It returns (n, state,
@@ -244,7 +249,6 @@ def _source(k, s, g, *field):
                expr._tuple(map(_out, _completion(em, k, gjet, f, a)[0])))
         return out
     args = f"{point}, a{n}, lam"
-    define("first", args, expr._tuple(_out(r[0]) for r in _emit_p(em, *field, n, ())[0]))
 
     def by_row(entry, width=k + 1):  # k row tuples of entry(r, j), W's by default
         return expr._tuple(expr._tuple(entry(r, j) for j in range(width)) for r in range(k))
@@ -514,6 +518,26 @@ def _check_first(phi1, constraint):
             f"first component map is {phi1.n_in}->{phi1.n_out}, "
             f"expected {constraint.dim}->{constraint.k}"
         )
+
+
+def _check_periodic(sigma, period, domain, tol=1e-8):
+    if not sigma.time_dependent:
+        return
+    center = domain.center
+    half = (np.array(domain.upper) - np.array(domain.lower)) / 2.0
+    probes = [center, center + 0.31 * half, center - 0.17 * half]
+    for t0 in (0.37 * period, 0.81 * period):
+        for p in probes:
+            try:
+                a = sigma(p, t0)
+                b = sigma(p, t0 + period)
+            except DomainEvalError:
+                continue
+            if np.max(np.abs(a - b)) > tol * (1.0 + np.max(np.abs(a))):
+                raise ProblemFormatError(
+                    f"sigma is not {period}-periodic: value changes by "
+                    f"{np.max(np.abs(a - b)):.3e} across one period at t = {t0}"
+                )
 
 
 def tangency_residual(field, point, t=0.0):

@@ -33,11 +33,11 @@ them.
 import math
 from dataclasses import dataclass, field
 
-from .dae import DEFAULT_QUADRATURE_NODES, SemiExplicitDae, average_wind
+from .dae import DEFAULT_QUADRATURE_NODES, average_wind
 from .degree import DomainBox, _check_search_tolerances
 from .errors import ProblemFormatError
 from .fields import AmbientMap
-from .manifold import ImplicitConstraint, reduced_map
+from .manifold import ForcedField, ImplicitConstraint, reduced_map
 
 __all__ = [
     "Problem", "parse_problem", "format_problem",
@@ -107,8 +107,11 @@ class Problem:
         return self._constraint
 
     def build_dae(self):
-        """The problem's DAE, built on the first call and kept on the instance."""
+        """The problem's DAE, a :class:`ForcedField` with the problem's period,
+        built on the first call and kept on the instance."""
         if self._dae is None:
+            if self.gamma is None and self.sigma is None:
+                raise ProblemFormatError("a system needs gamma, sigma or both")
             constraint = self.build_constraint()
             gamma = sigma = None
             if self.gamma is not None:
@@ -117,7 +120,7 @@ class Problem:
             if self.sigma is not None:
                 sigma = AmbientMap.from_expressions(self.sigma, self.variables)
             object.__setattr__(
-                self, "_dae", SemiExplicitDae(constraint, gamma, sigma, self.period))
+                self, "_dae", ForcedField(constraint, gamma, sigma, self.period))
         return self._dae
 
     def build_phi1(self, quadrature_nodes=None):
@@ -127,15 +130,12 @@ class Problem:
         forcing.  ``quadrature_nodes`` overrides the problem's node
         count for the average and must be at least 1.
         """
-        if quadrature_nodes is not None and not quadrature_nodes >= 1:
-            raise ProblemFormatError(
-                f"quadrature_nodes must be at least 1, got {quadrature_nodes!r}")
         dae = self.build_dae()
         if dae.gamma is not None:
             return dae.gamma
         if quadrature_nodes is None:
             quadrature_nodes = self.option("quadrature_nodes", DEFAULT_QUADRATURE_NODES)
-        return average_wind(dae, int(quadrature_nodes))[0]
+        return average_wind(dae, quadrature_nodes)[0]
 
     def build_seed_map(self, quadrature_nodes=None):
         return reduced_map(self.build_phi1(quadrature_nodes), self.build_dae().constraint)

@@ -286,9 +286,8 @@ def test_flow_quality_on_reference_problems():
     with check("flow drift and tangency on every bundled problem"):
         for name, (x0, y_guess, lam) in sorted(FLOW_STARTS.items()):
             prob = REGISTRY[name]
-            dae = prob.build_dae()
-            con = dae.constraint
-            field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+            field = prob.build_dae()
+            con = field.constraint
             y0 = implicit_solve_y(con, np.array(x0), y_guess=y_guess)
             xi0 = np.concatenate([np.array(x0, dtype=float), y0])
             span = prob.period if prob.period is not None else 1.0

@@ -278,6 +278,24 @@ def test_exit_2_for_bad_problem_file(capsys, tmp_path, old, new, needle):
     assert code == 2 and needle in err
 
 
+NO_PARTS_TEXT = "".join(line for line in SPRING_TEXT.splitlines(keepends=True)
+                        if not line.startswith(("gamma", "sigma")))
+WRONG_PERIOD_TEXT = SPRING_TEXT.replace("cos(t)", "sin(t)").replace(
+    "period = 6.283185307179586", "period = 1")
+
+
+@pytest.mark.parametrize("command", ["degree", "trace"])
+@pytest.mark.parametrize("text,needle", [
+    (NO_PARTS_TEXT, "needs gamma, sigma or both"),
+    (WRONG_PERIOD_TEXT, "not 1.0-periodic"),
+], ids=["no-gamma-or-sigma", "sigma-not-periodic"])
+def test_exit_2_for_a_system_the_field_rejects(capsys, tmp_path, command, text, needle):
+    path = tmp_path / "osc.problem"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 2 and needle in err
+
+
 def _raise_permission_error(*args, **kwargs):
     raise PermissionError("permission denied")
 
@@ -296,12 +314,13 @@ def test_exit_2_for_unreadable_problem_path(capsys, tmp_path, monkeypatch, case)
     assert code == 2 and "cannot read" in err
 
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_command_lines_run(capsys, tmp_path):
     # every `manideg ...` line of README's command-line block, on a bundled
-    # problem instead of the placeholder file and writing into tmp_path; then
-    # the library quick start, whose commented values must hold
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    text = readme.read_text(encoding="utf-8")
+    # problem instead of the placeholder file and writing into tmp_path
+    text = README.read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1]
     block = block.split("```sh", 1)[1].split("```", 1)[0]
     lines = [shlex.split(ln, comments=True) for ln in block.splitlines()
@@ -315,6 +334,10 @@ def test_readme_command_lines_run(capsys, tmp_path):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (words, err)
 
+
+def test_readme_quick_start_values_hold():
+    # README's library quick start runs, and the values its comments state hold
+    text = README.read_text(encoding="utf-8")
     quick = text.split("## Library quick start", 1)[1]
     quick = quick.split("```python", 1)[1].split("```", 1)[0]
     commented = {m[1]: int(m[2]) for m in re.finditer(r"^(\S[^#\n]*?)\s+# (-?\d+)\b", quick, re.M)}

@@ -28,7 +28,6 @@ from manideg import (
     ImplicitConstraint,
     NumericError,
     REGISTRY,
-    SemiExplicitDae,
     ZeroRecord,
     correct,
     find_zeros,
@@ -46,7 +45,7 @@ def linear_forced():
     con = ImplicitConstraint.from_expressions(
         1, 1, ("y - x",), ("x", "y"), DomainBox.cube(-4.0, 4.0, 2))
     sigma = AmbientMap.from_expressions(("sin(t)",), ("x", "y"))
-    return SemiExplicitDae(con, sigma=sigma, period=TWO_PI)
+    return ForcedField(con, sigma=sigma, period=TWO_PI)
 
 
 def linear_graph(a=-0.1, b=0.7):
@@ -55,7 +54,7 @@ def linear_graph(a=-0.1, b=0.7):
     gamma = AmbientMap.from_expressions(
         (f"{a}*x1 + {b}*x2", f"{-b}*x1 + {a}*x2"), ("x1", "x2", "y"), allow_time=False)
     sigma = AmbientMap.from_expressions(("0", "cos(t)"), ("x1", "x2", "y"))
-    return SemiExplicitDae(con, gamma, sigma, period=TWO_PI)
+    return ForcedField(con, gamma, sigma, period=TWO_PI)
 
 
 def spring():
@@ -93,8 +92,8 @@ def test_shooting_residual_detects_nonperiodic_start():
 
 
 def test_shooting_needs_period():
-    dae = spring()
-    autonomous = SemiExplicitDae(dae.constraint, gamma=dae.gamma)
+    forced = spring()
+    autonomous = ForcedField(forced.constraint, gamma=forced.gamma)
     with pytest.raises(NumericError):
         shooting_residual(autonomous, np.zeros(2), 0.0)
 
@@ -169,10 +168,9 @@ def test_sensitivity_shot_matches_plain_shot_bit_for_bit():
             assert np.array_equal(mine, theirs), f.name
         else:
             assert mine == theirs, f.name
-    field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
     xi0 = np.concatenate([pair.x0, pair.y0])
-    plain = flow_map(field, xi0, 0.0, dae.period, lam, n_steps=64)
-    sens = flow_map(field, xi0, 0.0, dae.period, lam, n_steps=64, sensitivity=True)
+    plain = flow_map(dae, xi0, 0.0, dae.period, lam, n_steps=64)
+    sens = flow_map(dae, xi0, 0.0, dae.period, lam, n_steps=64, sensitivity=True)
     assert plain.sensitivity is None and sens.sensitivity.shape == (2, 3)
     for name in ("final_state", "times", "states", "drifts"):
         assert np.array_equal(getattr(plain, name), getattr(sens, name)), name
@@ -344,7 +342,7 @@ def test_trace_rejects_nonperiodic_seed():
 
 
 def test_trace_needs_period():
-    dae, seed = spring_seed()
-    autonomous = SemiExplicitDae(dae.constraint, gamma=dae.gamma)
+    forced, seed = spring_seed()
+    autonomous = ForcedField(forced.constraint, gamma=forced.gamma)
     with pytest.raises(NumericError):
         trace_branch(autonomous, seed)

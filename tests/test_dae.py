@@ -1,4 +1,4 @@
-"""Semi-explicit systems, averaged forcing, and the two seed maps.
+"""Semi-explicit systems as forced fields, averaged forcing, and the two seed maps.
 
 Averaging oracles are closed-form: the uniform-node mean over a period
 annihilates sin and cos exactly and halves cos^2, so sigma = x + y +
@@ -14,14 +14,15 @@ from manideg import (
     DomainBox,
     ForcedField,
     ImplicitConstraint,
+    NumericError,
     ProblemFormatError,
     REGISTRY,
-    SemiExplicitDae,
     average_wind,
     complete_velocity,
     implicit_solve_y,
     seed_map_F,
     seed_map_Phi,
+    shooting_residual,
     tangency_residual,
 )
 
@@ -37,66 +38,68 @@ def cubic_constraint():
 
 def forced_cubic():
     sigma = AmbientMap.from_expressions(("x + y + sin(t)",), ("x", "y"))
-    return SemiExplicitDae(cubic_constraint(), sigma=sigma, period=TWO_PI)
+    return ForcedField(cubic_constraint(), sigma=sigma, period=TWO_PI)
 
 
 # --- construction ------------------------------------------------------------
 
 def test_needs_gamma_or_sigma():
-    with pytest.raises(ProblemFormatError):
-        SemiExplicitDae(cubic_constraint())
+    with pytest.raises(ValueError, match="needs gamma, sigma or both"):
+        ForcedField(cubic_constraint())
 
 
 def test_rejects_misshapen_gamma():
     gamma = AmbientMap.from_expressions(("x", "y"), ("x", "y"))  # 2 outputs, k = 1
-    with pytest.raises(ProblemFormatError):
-        SemiExplicitDae(cubic_constraint(), gamma=gamma)
+    with pytest.raises(ValueError, match="first component map"):
+        ForcedField(cubic_constraint(), gamma=gamma)
 
 
 def test_rejects_time_dependent_gamma():
+    # a flow may follow a time-dependent gamma, but it seeds no branch
     gamma = AmbientMap.from_expressions(("x + sin(t)",), ("x", "y"))
-    with pytest.raises(ProblemFormatError):
-        SemiExplicitDae(cubic_constraint(), gamma=gamma)
+    field = ForcedField(cubic_constraint(), gamma=gamma)
+    with pytest.raises(ValueError, match="time-independent"):
+        seed_map_F(field)
 
 
 def test_forcing_needs_period():
     sigma = AmbientMap.from_expressions(("sin(t)",), ("x", "y"))
-    with pytest.raises(ProblemFormatError):
-        SemiExplicitDae(cubic_constraint(), sigma=sigma)
-    with pytest.raises(ProblemFormatError):
-        SemiExplicitDae(cubic_constraint(), sigma=sigma, period=-1.0)
+    unperiodic = ForcedField(cubic_constraint(), sigma=sigma)  # a flow needs no period
+    assert unperiodic.period is None
+    with pytest.raises(ProblemFormatError, match="period"):
+        average_wind(unperiodic)
+    with pytest.raises(NumericError, match="period"):
+        shooting_residual(unperiodic, [0.5], 0.1, steps_per_period=4)
+    for period in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="positive"):
+            ForcedField(cubic_constraint(), sigma=sigma, period=period)
     # a period must be finite, also where no forcing uses it
     gamma = AmbientMap.from_expressions(("x",), ("x", "y"))
     for parts in ({"sigma": sigma}, {"gamma": gamma}):
-        with pytest.raises(ProblemFormatError, match="finite"):
-            SemiExplicitDae(cubic_constraint(), period=np.inf, **parts)
+        with pytest.raises(ValueError, match="finite"):
+            ForcedField(cubic_constraint(), period=np.inf, **parts)
 
 
 def test_rejects_wrong_period():
     sigma = AmbientMap.from_expressions(("sin(t)",), ("x", "y"))
-    with pytest.raises(ProblemFormatError):
-        SemiExplicitDae(cubic_constraint(), sigma=sigma, period=1.0)
+    with pytest.raises(ProblemFormatError, match="periodic"):
+        ForcedField(cubic_constraint(), sigma=sigma, period=1.0)
 
 
 def test_accepts_true_period_and_multiples():
     sigma = AmbientMap.from_expressions(("sin(t)",), ("x", "y"))
-    SemiExplicitDae(cubic_constraint(), sigma=sigma, period=TWO_PI)
-    SemiExplicitDae(cubic_constraint(), sigma=sigma, period=2 * TWO_PI)
-
-
-def test_k_and_s_shortcuts():
-    dae = forced_cubic()
-    assert dae.k == 1 and dae.s == 1
+    for period in (TWO_PI, 2 * TWO_PI):
+        assert ForcedField(cubic_constraint(), sigma=sigma, period=period).period == period
 
 
 # --- tangent fields ----------------------------------------------------------
 
 def test_missing_parts_raise():
-    dae = forced_cubic()  # sigma only
+    forced = forced_cubic()  # sigma only
     with pytest.raises(ValueError, match="needs gamma, sigma or both"):
-        ForcedField(dae.constraint, gamma=dae.gamma)
+        ForcedField(forced.constraint, gamma=forced.gamma)
     gamma = AmbientMap.from_expressions(("x",), ("x", "y"))
-    autonomous = SemiExplicitDae(cubic_constraint(), gamma=gamma)
+    autonomous = ForcedField(cubic_constraint(), gamma=gamma)
     with pytest.raises(ValueError, match="needs gamma, sigma or both"):
         ForcedField(autonomous.constraint, sigma=autonomous.sigma)
     with pytest.raises(ProblemFormatError):
@@ -104,8 +107,7 @@ def test_missing_parts_raise():
 
 
 def test_forcing_tangent_is_tangent_along_level_set():
-    dae = forced_cubic()
-    h = ForcedField(dae.constraint, sigma=dae.sigma)
+    h = forced_cubic()
     p = np.array([1.0, 0.6823278038280193])  # on the level set
     for t in (0.0, 1.3, 5.1):
         assert tangency_residual(h, p, t) <= 1e-12
@@ -143,12 +145,22 @@ def test_quadrature_exactness_threshold():
     # x*cos(t)^2 has trig degree two: four nodes integrate it exactly,
     # two nodes alias cos(2t) to one
     sigma = AmbientMap.from_expressions(("x*cos(t)^2",), ("x", "y"))
-    dae = SemiExplicitDae(cubic_constraint(), sigma=sigma, period=TWO_PI)
+    dae = ForcedField(cubic_constraint(), sigma=sigma, period=TWO_PI)
     exact, _ = average_wind(dae, quadrature_nodes=4)
     coarse, _ = average_wind(dae, quadrature_nodes=2)
     p = np.array([1.2, 0.4])
     assert exact(p)[0] == pytest.approx(0.6, abs=1e-14)
     assert coarse(p)[0] == pytest.approx(1.2, abs=1e-14)
+
+
+@pytest.mark.parametrize("nodes", [0, -2])
+def test_average_wind_rejects_quadrature_nodes_below_one(nodes):
+    # a division by the node count, or an empty node axis, must not surface
+    dae = forced_cubic()
+    with pytest.raises(ProblemFormatError, match="quadrature_nodes"):
+        average_wind(dae, nodes)
+    with pytest.raises(ProblemFormatError, match="quadrature_nodes"):
+        seed_map_Phi(dae, nodes)
 
 
 def test_averaging_callable_backend_matches_expression_backend():
@@ -159,8 +171,8 @@ def test_averaging_callable_backend_matches_expression_backend():
         return np.array([point[0] + point[1] + np.sin(t)])
 
     sigma_call = AmbientMap.from_callable(2, 1, raw, time_dependent=True)
-    bar_expr, _ = average_wind(SemiExplicitDae(con, sigma=sigma_expr, period=TWO_PI))
-    bar_call, _ = average_wind(SemiExplicitDae(con, sigma=sigma_call, period=TWO_PI))
+    bar_expr, _ = average_wind(ForcedField(con, sigma=sigma_expr, period=TWO_PI))
+    bar_call, _ = average_wind(ForcedField(con, sigma=sigma_call, period=TWO_PI))
     for p in (np.array([0.0, 0.0]), np.array([1.1, -0.7])):
         assert bar_call(p)[0] == pytest.approx(bar_expr(p)[0], abs=1e-12)
         assert np.allclose(bar_call.jacobian(p), bar_expr.jacobian(p), atol=1e-6)
@@ -168,9 +180,8 @@ def test_averaging_callable_backend_matches_expression_backend():
 
 def test_averaging_commutes_with_completion():
     # completing the averaged forcing equals averaging the completed field
-    dae = forced_cubic()
-    sigma_bar, w = average_wind(dae)
-    h = ForcedField(dae.constraint, sigma=dae.sigma)
+    h = forced_cubic()
+    sigma_bar, w = average_wind(h)
     p = np.array([1.0, 0.6823278038280193])
     ts = TWO_PI * np.arange(64) / 64
     mean_completed = np.mean([h.velocity(t, p, 1.0) for t in ts], axis=0)
@@ -205,37 +216,33 @@ def test_seed_map_F_requires_gamma():
 
 def test_forced_field_combines_parts():
     prob = REGISTRY["example-5-5"]
-    dae = prob.build_dae()
-    field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    field = prob.build_dae()
     p = np.array([0.3, -0.1, 0.05])
     t, lam = 0.9, 0.35
-    expected = dae.gamma(p) + lam * dae.sigma(p, t)
-    assert np.allclose(field.first(t, p, lam), expected)
-    assert np.allclose(field.first(t, p, 0.0), dae.gamma(p))
+    expected = field.gamma(p) + lam * field.sigma(p, t)
     v = field.velocity(t, p, lam)
-    assert np.allclose(v[: dae.k], expected)
-    assert np.linalg.norm(dae.constraint.jacobian(p) @ v) <= 1e-12
+    assert np.allclose(v[:2], expected)
+    assert np.allclose(field.velocity(t, p, 0.0)[:2], field.gamma(p))
+    assert np.linalg.norm(field.constraint.jacobian(p) @ v) <= 1e-12
 
 
 def test_forced_field_without_gamma_scales_sigma():
-    dae = forced_cubic()
-    field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    field = forced_cubic()
     p = np.array([0.4, 0.1])
-    assert np.allclose(field.first(1.0, p, 0.5), 0.5 * dae.sigma(p, 1.0))
-    assert np.allclose(field.first(1.0, p, 0.0), [0.0])
-    assert np.allclose(field.velocity(1.0, p, 1.0)[: 1], field.first(1.0, p, 1.0))
+    assert np.allclose(field.velocity(1.0, p, 0.5)[:1], 0.5 * field.sigma(p, 1.0))
+    assert np.allclose(field.velocity(1.0, p, 0.0), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("name, x", [("example-5-5", (0.4, -0.7)),
                                      ("example-5-7", (1.0, 0.3))])
 def test_velocity_is_the_completion_of_the_first_components(name, x):
-    dae = REGISTRY[name].build_dae()
-    field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
-    c = dae.constraint
+    field = REGISTRY[name].build_dae()
+    c = field.constraint
     point = np.concatenate([x, implicit_solve_y(c, np.array(x))])
     for t, lam in ((0.0, 0.0), (1.3, 0.25), (4.0, -0.6)):
-        expected = complete_velocity(c, point, field.first(t, point, lam))
-        assert np.array_equal(field.velocity(t, point, lam), expected)
+        v = field.velocity(t, point, lam)
+        expected = complete_velocity(c, point, v[:c.k])
+        assert np.array_equal(v, expected)
         assert np.array_equal(field.linearize(t, point, lam)[0], expected)
 
 
@@ -246,7 +253,7 @@ def test_linearize_is_the_slaved_x_dynamics(name, parts):
     # A and dp/dlam are the derivatives of (x, lam) -> p(t, x, y(x), lam),
     # y slaved to x through the constraint; the velocity is velocity()'s
     dae = REGISTRY[name].build_dae()
-    con, k = dae.constraint, dae.k
+    con, k = dae.constraint, dae.constraint.k
     field = ForcedField(con, None if parts == "sigma" else dae.gamma,
                         None if parts == "gamma" else dae.sigma)
     x = np.array([1.1, 0.4]) if name == "example-5-7" else np.array([0.3, -0.2])
@@ -256,7 +263,7 @@ def test_linearize_is_the_slaved_x_dynamics(name, parts):
     assert np.array_equal(v, field.velocity(t, np.concatenate([x, y]), lam))
 
     def slaved(xv, lv):
-        return field.first(t, np.concatenate([xv, implicit_solve_y(con, xv, y)]), lv)
+        return field.velocity(t, np.concatenate([xv, implicit_solve_y(con, xv, y)]), lv)[:k]
 
     h = 1e-6
     cols = [(slaved(x + h * e, lam) - slaved(x - h * e, lam)) / (2.0 * h)

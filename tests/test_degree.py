@@ -80,7 +80,6 @@ def test_box_geometry():
     assert box.diameter == pytest.approx(math.sqrt(17.0))
     assert box.contains([2.0, 1.0])
     assert not box.contains([2.1, 0.5])
-    assert box.contains([2.05, 0.5], margin=0.1)
 
 
 def test_box_overlap():

@@ -27,10 +27,15 @@ from manideg import (
     RegularityError,
     RootFindingError,
     complete_velocity,
+    find_zeros,
     flow_map,
+    format_problem,
     implicit_solve_y,
+    parse_problem,
     projected_step,
+    seed_map_F,
     shooting_residual,
+    trace_branch,
     write_trajectory_csv,
 )
 from manideg import manifold
@@ -44,8 +49,7 @@ def exponential_flow():
 
 
 def spring_field():
-    dae = REGISTRY["example-5-5"].build_dae()
-    return ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    return REGISTRY["example-5-5"].build_dae()
 
 
 def on_spring_manifold(x1, x2):
@@ -213,11 +217,10 @@ LAPACK_SENSITIVITY_5_7 = [
 
 
 def test_two_constraint_period_is_pinned_bit_for_bit():
-    dae = REGISTRY["example-5-7"].build_dae()
-    field = ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    field = REGISTRY["example-5-7"].build_dae()
     start = np.array(PINNED_START_5_7)
-    plain = flow_map(field, start, 0.0, dae.period, 0.3, n_steps=64)
-    sens = flow_map(field, start, 0.0, dae.period, 0.3, n_steps=64, sensitivity=True)
+    plain = flow_map(field, start, 0.0, field.period, 0.3, n_steps=64)
+    sens = flow_map(field, start, 0.0, field.period, 0.3, n_steps=64, sensitivity=True)
     assert plain.final_state.tolist() == PINNED_FINAL_5_7
     assert sens.final_state.tolist() == PINNED_FINAL_5_7
     assert sens.sensitivity.tolist() == PINNED_SENSITIVITY_5_7
@@ -291,8 +294,7 @@ def named_field(name):
              "swapped": swapped_field, "unslaved": unslaved_field}
     if name in tests:
         return tests[name]()
-    dae = REGISTRY[name].build_dae()
-    return ForcedField(dae.constraint, dae.gamma, dae.sigma)
+    return REGISTRY[name].build_dae()
 
 
 def test_callable_backed_field_flows_like_expression_field():
@@ -310,8 +312,8 @@ def test_forcing_only_field_keeps_signed_zeros_at_zero_lambda():
     # lam * cos(t) at lam = 0 is +0.0; the first component (lam times the literal 0) and
     # the completion (-d_x g . psi_1 / d_y g, whose terms are lam * 0 or have the
     # structural zero d_x2 g) are structural zeros, written as +0.0
-    dae = REGISTRY["example-5-5"].build_dae()
-    field = ForcedField(dae.constraint, sigma=dae.sigma)
+    spring = spring_field()
+    field = ForcedField(spring.constraint, sigma=spring.sigma)
     v = field.velocity(0.0, np.array(PINNED_START), 0.0)
     assert v.tolist() == [0.0, 0.0, 0.0]
     assert np.signbit(v).tolist() == [False, False, False]
@@ -322,9 +324,9 @@ def test_forcing_only_field_keeps_signed_zeros_at_zero_lambda():
 
 
 def test_forcing_is_not_evaluated_at_zero_lambda():
-    dae = REGISTRY["example-5-5"].build_dae()
+    spring = spring_field()
     sigma = AmbientMap.from_expressions(("0", "log(x1 - 5)"), ("x1", "x2", "y"))
-    field = ForcedField(dae.constraint, dae.gamma, sigma)
+    field = ForcedField(spring.constraint, spring.gamma, sigma)
     start = np.array(PINNED_START)
     assert np.array_equal(field.velocity(0.0, start, 0.0),
                           spring_field().velocity(0.0, start, 0.0))
@@ -423,7 +425,7 @@ def test_misshapen_points_are_rejected_by_name():
     with pytest.raises(ValueError, match=r"psi1_value must hold 2 coordinates, got shape \(1,\)"):
         complete_velocity(con, point, [2.0])
     for evaluate in (con.residual, *(lambda p, f=f: f(0.0, p) for f in (
-            field.first, field.velocity, field.linearize))):
+            field.velocity, field.linearize))):
         for bad in (point[:3], point + [1.0], [point]):
             with pytest.raises(ValueError, match=r"point must hold 4 coordinates, got shape"):
                 evaluate(bad)
@@ -431,18 +433,17 @@ def test_misshapen_points_are_rejected_by_name():
 
 
 def test_shooting_compiles_the_step_code_once(monkeypatch):
-    dae = REGISTRY["example-5-5"].build_dae()
-    # the shared constraint's own code is bound here, so only the field's is counted
-    dae.constraint._code
-    compiled = []
-    source = manifold._source
-    monkeypatch.setattr(manifold, "_STEP_CODE", {})
-    monkeypatch.setattr(manifold, "_source",
-                        lambda *parts: compiled.append(parts) or source(*parts))
-    first = shooting_residual(dae, np.array([0.1, 0.0]), 0.2, steps_per_period=8)
-    second = shooting_residual(dae, np.array([0.1, 0.0]), 0.2, steps_per_period=8)
-    assert len(compiled) == 1
-    assert np.array_equal(first[0], second[0])
+    # a trace shoots the field it is given: that field's step code is bound once for the
+    # whole trace, not once per shot (the constraint's own code is bound on its own)
+    dae = parse_problem(format_problem(REGISTRY["example-5-5"])).build_dae()
+    seed = find_zeros(seed_map_F(dae), dae.constraint.domain)[0]
+    fields, generated = [], manifold._generated
+    monkeypatch.setattr(manifold, "_generated",
+                        lambda constraint, *field: fields.append(field) or
+                        generated(constraint, *field))
+    branch = trace_branch(dae, seed, lambda_max=0.1, steps_per_period=16)
+    assert len(branch.points) > 2
+    assert [field for field in fields if field] == [(dae.gamma, dae.sigma)]
 
 
 @pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing", "swapped"])
@@ -558,8 +559,7 @@ def test_halving_shot_of_the_spring_trace_is_pinned(monkeypatch):
     # the only place where that trace halves steps: its message and its step attempts,
     # as computed before the projection was generated code (then one per _advance call).
     dae = REGISTRY["example-5-5"].build_dae()
-    attempts = count_step_attempts(monkeypatch, ForcedField(dae.constraint, dae.gamma,
-                                                            dae.sigma))
+    attempts = count_step_attempts(monkeypatch, dae)
     with pytest.raises(IntegrationError) as info:
         shooting_residual(dae, [0.48724475429288766, 1.4017599545388935], 0.8081745842247542,
                           y_guess=[0.41974473405714263], jacobian=True)
