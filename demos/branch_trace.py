@@ -11,11 +11,13 @@ shooting with pseudo-arclength steps.
 
 import numpy as np
 
-from manideg import REGISTRY, find_zeros, seed_map_F, trace_branch
+from manideg import REGISTRY, find_zeros, trace_branch
 
-dae = REGISTRY["example-5-5"].build_dae()
+problem = REGISTRY["example-5-5"]
+dae = problem.build_dae()
 
-seeds = find_zeros(seed_map_F(dae), dae.constraint.domain)
+# the seed map stacks the autonomous drift over the constraint
+seeds = find_zeros(problem.build_seed_map(), dae.constraint.domain)
 print("seed zeros:", [tuple(float(v) for v in np.round(z.location, 10))
                       for z in seeds])
 

@@ -9,28 +9,32 @@ compares the automatic gradient with a finite difference.
 
 import numpy as np
 
-from manideg import Environment, FieldHandle, evaluate, gradient, parse, to_source
+from manideg import FieldHandle, parse, to_source
+from manideg.expr import compile_gradient, compile_value
 
-# parse once, reuse the syntax tree
-ast = parse("x*(y^2 + 1) - sin(x*y)", ("x", "y"))
+# parse once, reuse the syntax tree; compile once per variable order
+names = ("x", "y")
+ast = parse("x*(y^2 + 1) - sin(x*y)", names)
 print("parsed:", to_source(ast))
 
-env = Environment.of({"x": 0.7, "y": -1.2})
-print("value at (0.7, -1.2):", evaluate(ast, env))
+value = compile_value(ast, names)
+point = (0.7, -1.2)
+print("value at (0.7, -1.2):", value(*point))
 
-# gradient comes from dual-number evaluation, not symbolic algebra
-g = gradient(ast, env)
+# gradient comes from dual-number evaluation, not symbolic algebra:
+# the compiled function returns the value, then one partial per variable
+g = np.array(compile_gradient(ast, names)(*point)[1:])
 print("gradient:", g)
 
 # check against a central difference
 h = 1e-6
 fd = []
 for i in range(2):
-    vals = list(env.values)
+    vals = list(point)
     vals[i] += h
-    up = evaluate(ast, Environment(env.names, tuple(vals)))
+    up = value(*vals)
     vals[i] -= 2 * h
-    dn = evaluate(ast, Environment(env.names, tuple(vals)))
+    dn = value(*vals)
     fd.append((up - dn) / (2 * h))
 print("finite difference:", fd)
 print("max deviation:", max(abs(a - b) for a, b in zip(g, fd)))
@@ -44,6 +48,6 @@ print("field Jacobian:\n", field.jacobian(p))
 # domain violations raise instead of returning NaN
 bad = parse("log(x)", ("x",))
 try:
-    evaluate(bad, Environment.of({"x": -1.0}))
+    compile_value(bad, ("x",))(-1.0)
 except Exception as exc:
     print("\nlog of a negative number:", exc)

@@ -25,7 +25,7 @@ print("sign of det d_y g:", partial2_sign(con))
 point = np.array([1.0, implicit_solve_y(con, np.array([1.0]))[0]])
 v = complete_velocity(con, point, np.array([1.0]))
 print("completed velocity:", v)
-print("tangency residual:", abs(con.jacobian(point) @ v))
+print("tangency residual:", abs(con.gmap.jacobian(point) @ v))
 
 # reduce a tangent field and take its degree
 phi1 = AmbientMap.from_expressions(("x*(y^2 + 1)",), ("x", "y"))

@@ -14,11 +14,7 @@ from .continuation import (
     shooting_residual,
     trace_branch,
 )
-from .dae import (
-    average_wind,
-    seed_map_F,
-    seed_map_Phi,
-)
+from .dae import average_wind
 from .degree import (
     DegreeResult,
     DomainBox,
@@ -44,7 +40,7 @@ from .errors import (
     RootFindingError,
     UndeclaredVariableError,
 )
-from .expr import Environment, evaluate, gradient, parse, to_source
+from .expr import parse, to_source
 from .fields import AmbientMap, FieldHandle
 from .flow import FlowResult, flow_map, projected_step, write_trajectory_csv
 from .manifold import (
@@ -68,7 +64,7 @@ __all__ = [
     "AdmissibilityError", "AmbientMap", "Branch", "CorrectorError",
     "DegenerateZeroError", "DegreeResult", "DomainBox", "DomainEscapeError",
     "DomainEvalError",
-    "Environment", "ExpressionSyntaxError", "FieldHandle", "FlowResult",
+    "ExpressionSyntaxError", "FieldHandle", "FlowResult",
     "ForcedField", "ImplicitConstraint", "IntegrationError", "ManidegError",
     "ManifoldDegreeResult", "NumericError", "Problem", "ProblemError",
     "ProblemFormatError", "REGISTRY", "RegularityError", "RootFindingError",
@@ -76,11 +72,11 @@ __all__ = [
     "UndeclaredVariableError", "ZeroRecord",
     "average_wind", "boundary_min",
     "complete_velocity", "correct", "degree_sign_sum",
-    "degree_winding_2d", "evaluate", "find_zeros", "flow_map",
-    "format_problem", "gradient", "implicit_solve_y",
+    "degree_winding_2d", "find_zeros", "flow_map",
+    "format_problem", "implicit_solve_y",
     "manifold_degree", "multi_region_degree", "parse", "parse_problem",
     "partial2_sign", "projected_step", "reduced_map",
-    "schur_determinant_split", "seed_map_F", "seed_map_Phi",
+    "schur_determinant_split",
     "shooting_residual", "tangency_residual",
     "to_source", "trace_branch", "write_trajectory_csv",
 ]

@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from .continuation import DEFAULT_TRACE_STEPS_PER_PERIOD, trace_branch
-from .degree import DegreeResult, DomainBox, boundary_min, degree_winding_2d, find_zeros
+from .degree import DegreeResult, boundary_min, degree_winding_2d, find_zeros
 from .errors import (
     AdmissibilityError,
     NumericError,
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .manifold import ManifoldDegreeResult, manifold_degree, partial2_sign, reduced_map
 from .problems import (
-    REFERENCE_DEGREES, REGISTRY, ZERO_SEARCH_OPTIONS, _parse_box, parse_problem,
+    REFERENCE_DEGREES, REGISTRY, ZERO_SEARCH_OPTIONS, _domain, _parse_box, parse_problem,
 )
 
 __all__ = ["main", "run", "load_problem", "verify_reference_problems"]
@@ -110,7 +110,7 @@ def _parse_box_option(text, dim):
     ranges = _parse_box(text.replace(":", " "))
     if len(ranges) != dim:
         raise ProblemFormatError(f"--box has {len(ranges)} ranges, problem needs {dim}")
-    return DomainBox.from_bounds(ranges)
+    return _domain(ranges)
 
 
 def _check_count(flag, value):

@@ -8,9 +8,9 @@ with nonsingular d_y g is equivalent to an ODE on the level set M:
 the right-hand side of the x-equations, completed to a tangent vector,
 drives the full state.  Such a system, with the period T of its
 forcing, is the tangent field ``ForcedField(constraint, gamma, sigma,
-period)``.  Two square "seed maps" summarise the zero structure
-relevant to forced periodic solutions: (gamma, g) for the autonomous
-part and (Sigma, g) for the time average
+period)``.  The square "seed map" ``reduced_map(phi1, g)`` summarises
+the zero structure relevant to forced periodic solutions, phi1 being
+gamma or, without one (``Problem.build_seed_map`` picks), the average
 
     Sigma(x, y) = (1/T) * integral of sigma(t, x, y) over one period.
 
@@ -19,20 +19,17 @@ forced periodic solution pairs, which :mod:`manideg.continuation`
 follows numerically.
 
 Averaging commutes with tangent completion (the completion is linear
-in the first components), so the average wind field is computed by
-averaging sigma first and completing once.
+in the first components), so the average wind field
+``ForcedField(constraint, gamma=Sigma)`` completes the averaged sigma once.
 """
 
 import numpy as np
 
 from .errors import ProblemFormatError
 from .fields import AmbientMap
-from .manifold import ForcedField, reduced_map
+from .manifold import ForcedField
 
-__all__ = [
-    "ForcedField",
-    "average_wind", "seed_map_F", "seed_map_Phi",
-]
+__all__ = ["ForcedField", "average_wind"]
 
 DEFAULT_QUADRATURE_NODES = 64
 
@@ -71,30 +68,14 @@ def _averaged_map(sigma, period, nodes):
 
 
 def average_wind(field, quadrature_nodes=DEFAULT_QUADRATURE_NODES):
-    """Average forcing Sigma and the tangent field it generates.
-
-    Returns ``(Sigma, w)`` where Sigma is the time average of the
-    forced field's sigma over ``quadrature_nodes`` uniform nodes (at
-    least 1) of its period and w its tangent completion on M.
-    """
+    """Average forcing Sigma: the time average of the forced field's sigma
+    over ``quadrature_nodes`` uniform nodes (an integer of at least 1) of
+    its period, as a time-free map."""
     if field.sigma is None:
         raise ProblemFormatError("the system has no forcing part sigma")
     if field.period is None:
         raise ProblemFormatError("averaging the forcing needs its period")
-    if not quadrature_nodes >= 1:
-        raise ProblemFormatError(f"quadrature_nodes must be at least 1, got {quadrature_nodes!r}")
-    sigma_bar = _averaged_map(field.sigma, field.period, int(quadrature_nodes))
-    return sigma_bar, ForcedField(field.constraint, gamma=sigma_bar)
-
-
-def seed_map_F(dae):
-    """Square map (gamma, g); its zeros seed branches of the forced system."""
-    if dae.gamma is None:
-        raise ProblemFormatError("the system has no autonomous part gamma")
-    return reduced_map(dae.gamma, dae.constraint)
-
-
-def seed_map_Phi(dae, quadrature_nodes=DEFAULT_QUADRATURE_NODES):
-    """Square map (Sigma, g) built from the averaged forcing."""
-    sigma_bar, _ = average_wind(dae, quadrature_nodes)
-    return reduced_map(sigma_bar, dae.constraint)
+    if not (isinstance(quadrature_nodes, (int, np.integer)) and quadrature_nodes >= 1):
+        raise ProblemFormatError(
+            f"quadrature_nodes must be an integer of at least 1, got {quadrature_nodes!r}")
+    return _averaged_map(field.sigma, field.period, int(quadrature_nodes))

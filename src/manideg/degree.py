@@ -20,6 +20,7 @@ runs the same damped rule on one point, as generated code (see
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -49,13 +50,17 @@ _HALVING_CHUNKS = tuple(np.array([0.5 ** j for j in levels])
                         for levels in ((0,), (1, 2, 3), range(4, 20)))
 
 
+# a lock-step Newton start's region, unchecked: three box widths across, its diameter may overflow
+_Fence = namedtuple("_Fence", "lower upper")
+
+
 def _default_density(dim):
     return _DEFAULT_GRID.get(dim, 5)
 
 
 @dataclass(frozen=True)
 class DomainBox:
-    """Axis-aligned box, the region degrees are computed over."""
+    """Axis-aligned box (finite bounds, lower < upper, finite diameter), a degree's region."""
 
     lower: tuple
     upper: tuple
@@ -67,8 +72,12 @@ class DomainBox:
         object.__setattr__(self, "upper", hi)
         if len(lo) != len(hi) or not lo:
             raise ValueError("box needs matching, non-empty bound tuples")
+        if not all(map(math.isfinite, lo + hi)):
+            raise ValueError(f"box bounds must be finite, got lower {lo}, upper {hi}")
         if any(a >= b for a, b in zip(lo, hi)):
-            raise ValueError(f"degenerate box: lower {lo} not strictly below upper {hi}")
+            raise ValueError(f"each box range needs lower < upper, got lower {lo}, upper {hi}")
+        if not math.isfinite(self.diameter):
+            raise ValueError(f"the diameter of the box with lower {lo}, upper {hi} overflows")
 
     @classmethod
     def from_bounds(cls, bounds):
@@ -93,7 +102,8 @@ class DomainBox:
 
     @property
     def diameter(self):
-        return math.sqrt(sum((b - a) ** 2 for a, b in self.bounds))
+        # a product, unlike ** 2, overflows to inf instead of raising
+        return math.sqrt(sum((b - a) * (b - a) for a, b in self.bounds))
 
     def contains(self, point):
         for v, a, b in zip(np.asarray(point, dtype=float).tolist(), self.lower, self.upper):
@@ -314,7 +324,7 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=Non
     # starts that run this far off (one box width past every face) are
     # abandoned instead of being followed towards overflow
     width = np.subtract(box.upper, box.lower)
-    fence = DomainBox.from_bounds(zip(box.lower - width, box.upper + width))
+    fence = _Fence(box.lower - width, box.upper + width)
 
     with np.errstate(over="ignore", invalid="ignore"):
         x, fx, converged = _lockstep_newton(field, box.grid(density), newton_tol,

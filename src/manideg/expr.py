@@ -595,6 +595,9 @@ def _compile(ast, variables, seeds, backend):
     fn = _COMPILED.get(key)
     if fn is not None:
         return fn
+    _check_declared(variables)
+    if len(set(seeds)) != len(seeds) or not set(seeds) <= set(variables):
+        raise ExpressionSyntaxError(f"seeds {seeds} are not distinct variables of {variables}")
     trees = ast if isinstance(ast, tuple) else (ast,)
     missing = set().union(*map(variables_in, trees)) - set(variables)
     if missing:
@@ -634,35 +637,3 @@ def compile_gradient(ast, variables, seeds=None, backend="scalar"):
     variables = tuple(variables)
     seeds = variables if seeds is None else tuple(seeds)
     return _compile(ast, variables, seeds, backend)
-
-
-# --- evaluation API --------------------------------------------------------
-
-@dataclass(frozen=True)
-class Environment:
-    """Ordered variable bindings used by :func:`evaluate` and :func:`gradient`."""
-
-    names: tuple
-    values: tuple
-
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate names in environment")
-        if len(self.names) != len(self.values):
-            raise ValueError("environment names and values differ in length")
-
-    @classmethod
-    def of(cls, mapping):
-        names = tuple(mapping)
-        return cls(names, tuple(float(mapping[n]) for n in names))
-
-
-def evaluate(ast, env):
-    """Value of ``ast`` at ``env``; domain violations raise, never return NaN."""
-    return compile_value(ast, env.names)(*env.values)
-
-
-def gradient(ast, env):
-    """Derivatives of ``ast`` with respect to every ``env`` name, in order."""
-    out = compile_gradient(ast, env.names)(*env.values)
-    return np.array(out[1:], dtype=float)

@@ -50,7 +50,7 @@ class AmbientMap:
     or with ``jacobian`` per component the value followed by its n
     partials; NaN where a point is outside the map's domain.  ``batch`` is
     its row-wise form.  ``__call__``, ``jacobian`` and the plain-float
-    ``flat(args, t=0.0, jacobian=False)`` (the same flat sequence as a
+    ``flat(point, t=0.0, jacobian=False)`` (the same flat sequence as a
     list of floats, which generated step code calls for callable-backed
     maps) are a batch of one, and raise :class:`DomainEvalError` where an
     output is not finite.
@@ -124,15 +124,11 @@ class AmbientMap:
         return cls(n_in, n_out, vector, time_dependent=time_dependent)
 
     def __call__(self, point, t=0.0):
-        return np.array(self._row(point, t, False))
+        return np.array(self.flat(point, t, False))
 
     def jacobian(self, point, t=0.0):
         """Jacobian with respect to the space variables only."""
-        return np.array(self._row(point, t, True)).reshape(self.n_out, self.n_in + 1)[:, 1:]
-
-    def flat(self, args, t=0.0, jacobian=False):
-        """The plain-float interface (see the class docstring)."""
-        return self._row(args, t, jacobian)
+        return np.array(self.flat(point, t, True)).reshape(self.n_out, self.n_in + 1)[:, 1:]
 
     def batch(self, points, jacobian=False):
         """Evaluate the time-free map at the N rows of ``points``.
@@ -148,8 +144,9 @@ class AmbientMap:
             out = out.reshape(len(points), self.n_out, self.n_in + 1)[:, :, 1:]
         return out, valid
 
-    def _row(self, point, t, jacobian):
-        # a batch of one at time t (an array of one per coordinate), as floats that must be finite
+    def flat(self, point, t=0.0, jacobian=False):
+        """The plain-float interface (see the class docstring): a batch of one at time t
+        (an array of one per coordinate), as floats that must be finite."""
         row = self._rows(np.array(_floats(point, self.n_in))[:, None], t, jacobian)[0].tolist()
         if not all(map(math.isfinite, row)):
             raise DomainEvalError(f"the map does not evaluate to finite numbers at {point}")

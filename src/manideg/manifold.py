@@ -74,9 +74,6 @@ class ImplicitConstraint:
     def dim(self):
         return self.k + self.s
 
-    def jacobian(self, point):
-        return self.gmap.jacobian(point)
-
     def residual(self, point):
         """|g| at ``point``, by the generated operations of every y-solve's drift."""
         return self._code["residual"](*_floats(point, self.dim))
@@ -180,31 +177,28 @@ class ForcedField:
 
 # --- generated step code ------------------------------------------------------
 
-_STEP_CODE = {}  # (parts' ASTs and variables, k, s) -> ({name: code}, {binding: functions})
+_STEP_CODE = {}  # (parts' ASTs and variables, k, s) -> {name: code}
 
 
 def _generated(constraint, *field):
-    # _source's functions, compiled once per parts and bound once per binding: callable
-    # parts' flat as g, gamma, sigma, the projection's box lo0 <= a0 <= hi0, ... with margin
+    # _source's functions, compiled once per parts and bound per call (no map outlives its
+    # field): callable parts' flat as g, gamma, sigma, the box lo0 <= a0 <= hi0, ... with margin
     parts = (constraint.gmap, *field)
     key = (tuple(p if p is None else (p.asts, p.variables) if p.asts else "flat"
                  for p in parts), constraint.k, constraint.s)
     if key not in _STEP_CODE:  # one by one: compiling all at once peaks at 0.5 MB
-        _STEP_CODE[key] = ({name: compile(source, "<manideg step>", "exec")
-                            for name, source in _source(constraint.k, constraint.s, *parts)}, {})
-    codes, bound = _STEP_CODE[key]
+        _STEP_CODE[key] = {name: compile(source, "<manideg step>", "exec")
+                           for name, source in _source(constraint.k, constraint.s, *parts)}
+    codes = _STEP_CODE[key]
     box, margin = constraint.domain, constraint.escape_margin
-    binding = {**{name: p.flat if p is not None and p.asts is None else None
-                  for name, p in zip(("g", "gamma", "sigma"), parts)},
-               **{f"lo{i}": lo - margin for i, lo in enumerate(box.lower)},
-               **{f"hi{i}": hi + margin for i, hi in enumerate(box.upper)}}
-    values = tuple(binding.values())
-    if values not in bound:
-        ns = dict(globals(), **expr._SCALAR_NS, **binding)  # numpy as np, the errors, math
-        for code in codes.values():
-            exec(code, ns)
-        bound[values] = {name: ns[name] for name in codes}
-    return bound[values]
+    ns = dict(globals(), **expr._SCALAR_NS,  # numpy as np, the errors, math
+              **{name: p.flat if p is not None and p.asts is None else None
+                 for name, p in zip(("g", "gamma", "sigma"), parts)},
+              **{f"lo{i}": lo - margin for i, lo in enumerate(box.lower)},
+              **{f"hi{i}": hi + margin for i, hi in enumerate(box.upper)})
+    for code in codes.values():
+        exec(code, ns)
+    return {name: ns[name] for name in codes}
 
 
 def _source(k, s, g, *field):
@@ -543,7 +537,7 @@ def _check_periodic(sigma, period, domain, tol=1e-8):
 def tangency_residual(field, point, t=0.0):
     """|g'(point) . v| for the velocity v of ``field`` at lam = 1, zero up to roundoff."""
     v = field.velocity(t, point, 1.0)
-    return float(np.linalg.norm(field.constraint.jacobian(point) @ v))
+    return float(np.linalg.norm(field.constraint.gmap.jacobian(point) @ v))
 
 
 def reduced_map(phi1, constraint):
@@ -589,7 +583,7 @@ def schur_determinant_split(phi1, constraint, point):
     taken against the y-block of g.
     """
     point = np.asarray(point, dtype=float)
-    k, jp, jg = constraint.k, phi1.jacobian(point), constraint.jacobian(point)
+    k, jp, jg = constraint.k, phi1.jacobian(point), constraint.gmap.jacobian(point)
     schur = jp[:, :k] - jp[:, k:] @ np.linalg.solve(jg[:, k:], jg[:, :k])
     return tuple(float(np.linalg.det(m)) for m in (np.vstack([jp, jg]), jg[:, k:], schur))
 

@@ -19,7 +19,7 @@ per line, in order::
 ``g`` needs s lines over the declared variables; ``gamma`` (autonomous
 drift, k lines, time-free) and ``sigma`` (forcing, k lines, may use
 ``t``) are optional; ``box`` lists one finite ``lo hi`` pair (lo < hi)
-per variable, and the period must be finite.
+per variable, of finite diameter, and the period must be finite.
 Remaining keys are numeric solver overrides (grid_density, newton_tol,
 dedup_radius, boundary_samples, sample_density, quadrature_nodes,
 steps_per_period); the integer ones must be at least 1, newton_tol
@@ -85,10 +85,7 @@ class Problem:
             raise ProblemFormatError(
                 f"{len(self.box)} box ranges for {self.k + self.s} variables"
             )
-        if not all(math.isfinite(v) for pair in self.box for v in pair):
-            raise ProblemFormatError(f"box bounds must be finite, got {self.box}")
-        if not all(lo < hi for lo, hi in self.box):
-            raise ProblemFormatError(f"each box range needs lower < upper, got {self.box}")
+        self.domain()
         if self.period is not None and not math.isfinite(self.period):
             raise ProblemFormatError(f"the period must be finite, got {self.period!r}")
         if self.sigma is not None and (self.period is None or not self.period > 0):
@@ -97,7 +94,7 @@ class Problem:
     # --- builders --------------------------------------------------------
 
     def domain(self):
-        return DomainBox.from_bounds(self.box)
+        return _domain(self.box)
 
     def build_constraint(self):
         """The problem's constraint, built on the first call and kept on the instance."""
@@ -135,7 +132,7 @@ class Problem:
             return dae.gamma
         if quadrature_nodes is None:
             quadrature_nodes = self.option("quadrature_nodes", DEFAULT_QUADRATURE_NODES)
-        return average_wind(dae, quadrature_nodes)[0]
+        return average_wind(dae, quadrature_nodes)
 
     def build_seed_map(self, quadrature_nodes=None):
         return reduced_map(self.build_phi1(quadrature_nodes), self.build_dae().constraint)
@@ -233,12 +230,16 @@ def _parse_box(text):
             lo, hi = float(pieces[0]), float(pieces[1])
         except ValueError:
             raise ProblemFormatError(f"bad box bound in {part.strip()!r}") from None
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ProblemFormatError(f"box bound in {part.strip()!r} is not finite")
-        if not lo < hi:
-            raise ProblemFormatError(f"empty box range {part.strip()!r}")
         ranges.append((lo, hi))
     return tuple(ranges)
+
+
+def _domain(ranges):
+    # the DomainBox of ((lo, hi), ...), whose rules make a bad box a ProblemFormatError
+    try:
+        return DomainBox.from_bounds(ranges)
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc)) from None
 
 
 def format_problem(problem):

@@ -240,7 +240,7 @@ def test_degree_from_problem_file(capsys, tmp_path):
 @pytest.mark.parametrize("argv,needle", [
     (("degree", "missing"), "bundled"),
     (("degree", "example-4-1", "--box", "a:1,-1:1"), "bound"),     # non-numeric
-    (("degree", "example-4-1", "--box", "1:-1,-1:1"), "empty"),    # reversed
+    (("degree", "example-4-1", "--box", "1:-1,-1:1"), "lower < upper"),  # reversed
     (("degree", "example-4-1", "--box", "0:1"), "ranges"),         # too few ranges
     (("trace", "example-5-5", "--seed-index", "3"), "seed-index"),
     (("trace", "example-5-5", "--steps-per-period", "-4"), "--steps-per-period"),
@@ -255,11 +255,14 @@ def test_degree_from_problem_file(capsys, tmp_path):
     (("trace", "example-5-5", "--quadrature-nodes", "0"), "--quadrature-nodes"),
     (("degree", "example-5-7", "--quadrature-nodes", "0"), "--quadrature-nodes"),
     (("degree", "example-4-1", "--box=-inf:1,-1:1"), "finite"),
+    # a square of the diameter overflows; an upper - lower overflows
+    (("degree", "example-4-1", "--box=-1e200:1e200,-1:1"), "diameter"),
+    (("degree", "example-4-1", "--box=-1e308:1e308,-1:1"), "diameter"),
 ], ids=["unknown-problem", "box-bound", "box-reversed", "box-arity", "seed-index",
         "steps-negative", "steps-zero", "ds-zero", "ds-negative", "ds-nan",
         "lambda-max-nan", "lambda-max-negative", "seed-index-negative",
         "max-steps-zero", "quadrature-nodes-zero", "degree-quadrature-nodes-zero",
-        "box-infinite"])
+        "box-infinite", "box-square-overflow", "box-width-overflow"])
 def test_exit_2_for_bad_input(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and needle in err
@@ -269,13 +272,22 @@ def test_exit_2_for_bad_input(capsys, argv, needle):
     ("gamma = x2", "gamma = 1e999*x2", "1e999"),
     ("steps_per_period = 128", "newton_tol = -1", "newton_tol"),
     ("box = -2 2, -2 2, -2 2", "box = -inf 2, -2 2, -2 2", "finite"),
+    ("box = -2 2, -2 2, -2 2", "box = -1e200 1e200, -2 2, -2 2", "diameter"),
     ("period = 6.283185307179586", "period = inf", "finite"),
-], ids=["overflowing-literal", "newton-tol-negative", "box-infinite", "period-infinite"])
+], ids=["overflowing-literal", "newton-tol-negative", "box-infinite", "box-square-overflow",
+        "period-infinite"])
 def test_exit_2_for_bad_problem_file(capsys, tmp_path, old, new, needle):
     path = tmp_path / "osc.problem"
     path.write_text(SPRING_TEXT.replace(old, new), encoding="utf-8")
     code, _, err = run_cli(capsys, "degree", str(path))
     assert code == 2 and needle in err
+
+
+def test_degree_runs_on_a_box_whose_newton_fence_would_overflow(capsys):
+    # find_zeros abandons starts past a fence three box widths across, whose
+    # diameter may overflow where the box's does not
+    code, out, _ = run_cli(capsys, "degree", "example-4-1", "--box=-3e153:3e153,-1:1")
+    assert code == 0 and json.loads(out)["problem"] == "example-4-1"
 
 
 NO_PARTS_TEXT = "".join(line for line in SPRING_TEXT.splitlines(keepends=True)

@@ -33,7 +33,7 @@ from manideg import (
     find_zeros,
     flow_map,
     implicit_solve_y,
-    seed_map_F,
+    reduced_map,
     shooting_residual,
     trace_branch,
 )
@@ -63,7 +63,7 @@ def spring():
 
 def spring_seed(dae=None):
     dae = dae or spring()
-    zeros = find_zeros(seed_map_F(dae), dae.constraint.domain)
+    zeros = find_zeros(reduced_map(dae.gamma, dae.constraint), dae.constraint.domain)
     assert len(zeros) == 1
     return dae, zeros[0]
 

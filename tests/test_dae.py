@@ -20,8 +20,7 @@ from manideg import (
     average_wind,
     complete_velocity,
     implicit_solve_y,
-    seed_map_F,
-    seed_map_Phi,
+    reduced_map,
     shooting_residual,
     tangency_residual,
 )
@@ -59,7 +58,7 @@ def test_rejects_time_dependent_gamma():
     gamma = AmbientMap.from_expressions(("x + sin(t)",), ("x", "y"))
     field = ForcedField(cubic_constraint(), gamma=gamma)
     with pytest.raises(ValueError, match="time-independent"):
-        seed_map_F(field)
+        reduced_map(field.gamma, field.constraint)
 
 
 def test_forcing_needs_period():
@@ -117,19 +116,18 @@ def test_forcing_tangent_is_tangent_along_level_set():
 
 def test_average_wind_cubic_forcing():
     dae = forced_cubic()
-    sigma_bar, w = average_wind(dae)
+    sigma_bar = average_wind(dae)
     rng = np.random.default_rng(515)
     for _ in range(20):
         p = rng.uniform(-1.9, 1.9, size=2)
         assert sigma_bar(p)[0] == pytest.approx(p[0] + p[1], abs=1e-12)
     assert np.allclose(sigma_bar.jacobian(np.array([0.3, -0.4])), [[1.0, 1.0]], atol=1e-12)
     assert not sigma_bar.time_dependent
-    assert w.constraint is dae.constraint
 
 
 def test_average_wind_polar_forcing():
     dae = REGISTRY["example-5-7"].build_dae()
-    sigma_bar, _ = average_wind(dae)
+    sigma_bar = average_wind(dae)
     rng = np.random.default_rng(99)
     for _ in range(20):
         p = np.concatenate([
@@ -146,21 +144,19 @@ def test_quadrature_exactness_threshold():
     # two nodes alias cos(2t) to one
     sigma = AmbientMap.from_expressions(("x*cos(t)^2",), ("x", "y"))
     dae = ForcedField(cubic_constraint(), sigma=sigma, period=TWO_PI)
-    exact, _ = average_wind(dae, quadrature_nodes=4)
-    coarse, _ = average_wind(dae, quadrature_nodes=2)
+    exact = average_wind(dae, quadrature_nodes=4)
+    coarse = average_wind(dae, quadrature_nodes=2)
     p = np.array([1.2, 0.4])
     assert exact(p)[0] == pytest.approx(0.6, abs=1e-14)
     assert coarse(p)[0] == pytest.approx(1.2, abs=1e-14)
 
 
-@pytest.mark.parametrize("nodes", [0, -2])
+@pytest.mark.parametrize("nodes", [0, -2, 2.5])
 def test_average_wind_rejects_quadrature_nodes_below_one(nodes):
-    # a division by the node count, or an empty node axis, must not surface
-    dae = forced_cubic()
+    # a division by the node count, or an empty node axis, must not surface, and
+    # neither may a count that is not an integer, which would average over fewer
     with pytest.raises(ProblemFormatError, match="quadrature_nodes"):
-        average_wind(dae, nodes)
-    with pytest.raises(ProblemFormatError, match="quadrature_nodes"):
-        seed_map_Phi(dae, nodes)
+        average_wind(forced_cubic(), nodes)
 
 
 def test_averaging_callable_backend_matches_expression_backend():
@@ -171,8 +167,8 @@ def test_averaging_callable_backend_matches_expression_backend():
         return np.array([point[0] + point[1] + np.sin(t)])
 
     sigma_call = AmbientMap.from_callable(2, 1, raw, time_dependent=True)
-    bar_expr, _ = average_wind(ForcedField(con, sigma=sigma_expr, period=TWO_PI))
-    bar_call, _ = average_wind(ForcedField(con, sigma=sigma_call, period=TWO_PI))
+    bar_expr = average_wind(ForcedField(con, sigma=sigma_expr, period=TWO_PI))
+    bar_call = average_wind(ForcedField(con, sigma=sigma_call, period=TWO_PI))
     for p in (np.array([0.0, 0.0]), np.array([1.1, -0.7])):
         assert bar_call(p)[0] == pytest.approx(bar_expr(p)[0], abs=1e-12)
         assert np.allclose(bar_call.jacobian(p), bar_expr.jacobian(p), atol=1e-6)
@@ -181,7 +177,7 @@ def test_averaging_callable_backend_matches_expression_backend():
 def test_averaging_commutes_with_completion():
     # completing the averaged forcing equals averaging the completed field
     h = forced_cubic()
-    sigma_bar, w = average_wind(h)
+    w = ForcedField(h.constraint, gamma=average_wind(h))
     p = np.array([1.0, 0.6823278038280193])
     ts = TWO_PI * np.arange(64) / 64
     mean_completed = np.mean([h.velocity(t, p, 1.0) for t in ts], axis=0)
@@ -191,25 +187,25 @@ def test_averaging_commutes_with_completion():
 # --- seed maps ---------------------------------------------------------------
 
 def test_seed_map_F_concatenates_gamma_and_g():
+    # the seed map F = (gamma, g), which build_seed_map picks when there is a gamma
     prob = REGISTRY["example-5-5"]
     dae = prob.build_dae()
-    F = seed_map_F(dae)
+    F = prob.build_seed_map()
     p = np.array([0.5, -0.25, 0.125])
     assert np.allclose(F(p), np.concatenate([dae.gamma(p), dae.constraint.gmap(p)]))
     assert F(np.zeros(3)) == pytest.approx(np.zeros(3))
+    assert np.array_equal(F(p), reduced_map(dae.gamma, dae.constraint)(p))
 
 
 def test_seed_map_Phi_uses_averaged_forcing():
+    # the seed map Phi = (Sigma, g), which build_seed_map picks without a gamma:
+    # example-5-3 is forced_cubic's system
     dae = forced_cubic()
-    Phi = seed_map_Phi(dae)
     p = np.array([0.7, -0.2])
     expected = np.array([0.7 - 0.2, (-0.2) ** 3 - 0.2 - 0.49])
-    assert np.allclose(Phi(p), expected, atol=1e-12)
-
-
-def test_seed_map_F_requires_gamma():
-    with pytest.raises(ProblemFormatError):
-        seed_map_F(forced_cubic())
+    for phi in (reduced_map(average_wind(dae), dae.constraint),
+                REGISTRY["example-5-3"].build_seed_map()):
+        assert np.allclose(phi(p), expected, atol=1e-12)
 
 
 # --- the forced field ----------------------------------------------------------
@@ -223,7 +219,7 @@ def test_forced_field_combines_parts():
     v = field.velocity(t, p, lam)
     assert np.allclose(v[:2], expected)
     assert np.allclose(field.velocity(t, p, 0.0)[:2], field.gamma(p))
-    assert np.linalg.norm(field.constraint.jacobian(p) @ v) <= 1e-12
+    assert np.linalg.norm(field.constraint.gmap.jacobian(p) @ v) <= 1e-12
 
 
 def test_forced_field_without_gamma_scales_sigma():

@@ -70,6 +70,12 @@ def test_box_validation():
         DomainBox((1.0, 0.0), (0.0, 1.0))
     with pytest.raises(ValueError):
         DomainBox((), ())
+    for lower, upper in (((math.nan, 0.0), (1.0, 1.0)), ((0.0, 0.0), (math.inf, 1.0))):
+        with pytest.raises(ValueError, match="finite"):
+            DomainBox(lower, upper)
+    for lower, upper in (((-1e200, 0.0), (1e200, 1.0)), ((-1e308, 0.0), (1e308, 1.0))):
+        with pytest.raises(ValueError, match="diameter"):
+            DomainBox(lower, upper)
 
 
 def test_box_geometry():

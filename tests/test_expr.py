@@ -22,8 +22,14 @@ XYZ = ("x", "y", "z")
 
 
 def ev(source, **values):
-    ast = expr.parse(source, tuple(values))
-    return expr.evaluate(ast, expr.Environment.of(values))
+    names = tuple(values)
+    return expr.compile_value(expr.parse(source, names), names)(*map(float, values.values()))
+
+
+def grad(source, **values):
+    names = tuple(values)
+    return expr.compile_gradient(expr.parse(source, names), names)(
+        *map(float, values.values()))[1:]
 
 
 # --- parsing structure ----------------------------------------------------
@@ -203,16 +209,14 @@ def test_domain_violations_raise():
 
 
 def test_abs_gradient_undefined_at_zero():
-    ast = expr.parse("abs(x)", ("x",))
     with pytest.raises(DomainEvalError):
-        expr.gradient(ast, expr.Environment(("x",), (0.0,)))
+        grad("abs(x)", x=0.0)
 
 
 def test_evaluation_is_deterministic():
     ast = expr.parse("sin(x)*exp(y) - x/z^3", XYZ)
-    env = expr.Environment(XYZ, (0.7, -0.3, 1.9))
-    a = expr.evaluate(ast, env)
-    b = expr.evaluate(ast, env)
+    a = expr.compile_value(ast, XYZ)(0.7, -0.3, 1.9)
+    b = expr.compile_value(ast, XYZ)(0.7, -0.3, 1.9)
     assert a == b and repr(a) == repr(b)
 
 
@@ -246,18 +250,16 @@ def test_gradient_matches_central_differences(source):
     ast = expr.parse(source, XYZ)
     for _ in range(20):
         point = rng.uniform(0.3, 1.7, size=3)
-        env = expr.Environment(XYZ, tuple(point))
-        grad = expr.gradient(ast, env)
+        jet = expr.compile_gradient(ast, XYZ)(*point)[1:]
         ref = central_difference(ast, XYZ, point)
-        assert np.allclose(grad, ref, atol=1e-6 * (1.0 + np.abs(ref).max()))
+        assert np.allclose(jet, ref, atol=1e-6 * (1.0 + np.abs(ref).max()))
 
 
 def test_hand_checked_derivatives():
-    assert expr.gradient(expr.parse("abs(x)", ("x",)), expr.Environment(("x",), (-2.0,)))[0] == -1.0
-    assert expr.gradient(expr.parse("log(x)", ("x",)), expr.Environment(("x",), (2.0,)))[0] == 0.5
-    assert expr.gradient(expr.parse("sqrt(x)", ("x",)), expr.Environment(("x",), (4.0,)))[0] == 0.25
-    g = expr.gradient(expr.parse("x/y", ("x", "y")), expr.Environment(("x", "y"), (3.0, 2.0)))
-    assert g[0] == 0.5 and g[1] == -0.75
+    assert grad("abs(x)", x=-2.0) == (-1.0,)
+    assert grad("log(x)", x=2.0) == (0.5,)
+    assert grad("sqrt(x)", x=4.0) == (0.25,)
+    assert grad("x/y", x=3.0, y=2.0) == (0.5, -0.75)
 
 
 def test_seeded_gradient_skips_other_partials():
@@ -265,6 +267,19 @@ def test_seeded_gradient_skips_other_partials():
     f = expr.compile_gradient(ast, XYZ, seeds=("y",))
     value, dy = f(2.0, 3.0, 4.0)
     assert value == 22.0 and dy == 2.0
+
+
+def test_compile_rejects_repeated_variables_and_stray_seeds():
+    # unchecked, a repeated variable read its last value (x + 10*y at x, y, x = 1, 2, 3
+    # was 23.0) and a repeated seed left its first slot zero ((21.0, 0.0, 1.0) for x, x)
+    ast = expr.parse("x + 10*y", ("x", "y"))
+    for compiled in (expr.compile_value, expr.compile_gradient):
+        with pytest.raises(ExpressionSyntaxError, match="duplicate variable"):
+            compiled(ast, ("x", "y", "x"))
+    for seeds in (("x", "x"), ("x", "z")):
+        with pytest.raises(ExpressionSyntaxError, match="not distinct variables"):
+            expr.compile_gradient(ast, ("x", "y"), seeds=seeds)
+    assert expr.compile_gradient(ast, ("x", "y"), seeds=("y", "x"))(1.0, 2.0) == (21.0, 10.0, 1.0)
 
 
 def test_tuple_of_trees_compiles_to_one_function():

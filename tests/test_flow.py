@@ -7,9 +7,12 @@ and order checks.
 
 import ast
 import csv
+import gc
 import io
 import math
+import pathlib
 import re
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -33,7 +36,7 @@ from manideg import (
     implicit_solve_y,
     parse_problem,
     projected_step,
-    seed_map_F,
+    reduced_map,
     shooting_residual,
     trace_branch,
     write_trajectory_csv,
@@ -436,7 +439,7 @@ def test_shooting_compiles_the_step_code_once(monkeypatch):
     # a trace shoots the field it is given: that field's step code is bound once for the
     # whole trace, not once per shot (the constraint's own code is bound on its own)
     dae = parse_problem(format_problem(REGISTRY["example-5-5"])).build_dae()
-    seed = find_zeros(seed_map_F(dae), dae.constraint.domain)[0]
+    seed = find_zeros(reduced_map(dae.gamma, dae.constraint), dae.constraint.domain)[0]
     fields, generated = [], manifold._generated
     monkeypatch.setattr(manifold, "_generated",
                         lambda constraint, *field: fields.append(field) or
@@ -444,6 +447,19 @@ def test_shooting_compiles_the_step_code_once(monkeypatch):
     branch = trace_branch(dae, seed, lambda_max=0.1, steps_per_period=16)
     assert len(branch.points) > 2
     assert [field for field in fields if field] == [(dae.gamma, dae.sigma)]
+
+
+def test_step_code_cache_keeps_no_field_alive():
+    # the cache holds compiled code only: the callable parts a field's functions are
+    # bound to (as g, gamma and sigma) go with the field
+    field = callable_spring_field()
+    flow_map(field, np.array(PINNED_START), 0.0, 1.0, 0.3, n_steps=4)
+    field.constraint.residual(PINNED_START)
+    refs = [weakref.ref(obj) for obj in (field, field.constraint, field.constraint.gmap,
+                                         field.gamma, field.sigma)]
+    del field
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 @pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing", "swapped"])
@@ -461,6 +477,16 @@ def test_generated_step_code_parses_as_python_3_10(name):
         ast.parse(source, feature_version=(3, 10))
         # one float path for every s: numpy formats the RegularityError message only
         assert not any(call in source for call in ("np.linalg", "np.array(", "errstate"))
+
+
+def test_source_files_parse_as_python_3_10():
+    # the same grammar check for the package, its tests, demos and benchmark
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = [path for folder in ("src/manideg", "tests", "demos", "bench")
+             for path in sorted((root / folder).glob("*.py"))]
+    assert len(paths) >= 30
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing", "swapped"])

@@ -306,7 +306,7 @@ def test_blocked_and_unblocked_averages_agree_bit_for_bit(monkeypatch):
     for label, block in (("default", dae_module._AVERAGE_BLOCK_VALUES),
                          ("unblocked", 10 ** 9), ("small", 7 * 64)):
         monkeypatch.setattr(dae_module, "_AVERAGE_BLOCK_VALUES", block)
-        maps[label] = dae_module.average_wind(dae, 64)[0]
+        maps[label] = dae_module.average_wind(dae, 64)
     want = {}
     for jacobian in (False, True):
         want[jacobian], valid = maps["unblocked"].batch(points, jacobian)

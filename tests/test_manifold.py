@@ -93,7 +93,7 @@ def test_constraint_blocks_and_slices():
     p = np.array([1.0, 2.0])
     assert con.dim == 2
     assert con.gmap(p)[0] == pytest.approx(9.0)
-    assert con.jacobian(p).tolist() == [[-2.0, 13.0]]  # d_x g, then d_y g
+    assert con.gmap.jacobian(p).tolist() == [[-2.0, 13.0]]  # d_x g, then d_y g
     assert con.residual(p) == pytest.approx(9.0)
 
 
