@@ -17,6 +17,7 @@ its own constant sign, can be combined additively.
 
 import warnings as _warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -270,19 +271,27 @@ def _source(k, s, g, *field):
                Term("{}, {}, {}", expr._tuple(read[:n]),
                     by_row(lambda r, q: read[n + r * k + q], k), expr._tuple(read[n + k * k:])))
 
-    # the shots: each step of the loop inlines the four stages, each after its point
-    # a0, ... = u0 + c * k0, ... (u0, ...: the step's start state) and time a[n], then
-    # the stage sum and the projection.  The sums k0 + 2.0 * k1 + 2.0 * k2 + k3 are
-    # accumulated stage by stage in sk0, ..., left to right as written.  W advances by
-    # W' = A W + [0 | d] through M = A Z + [0 | d], Z = W + c * M of the stage before,
-    # each entry of A Z summed left to right, and the M summed like the k in sm0_0, ...
-    # A line whose value is a constant (a literal, lam or a structural zero) is not
-    # written: the lines after it read the constant
+    # the shots: each step of the loop inlines the tableau's stages, stage s after its
+    # point a0, ... = u0 + (dt * a_s,s-1) * k0, ... (u0, ...: the step's start state) and
+    # time a[n] = t + dt * c_s, then the stage sum and the projection.  The sums of the
+    # k weighted by b / b_0 are accumulated stage by stage in sk0, ..., left to right,
+    # and the step is u0 + (dt * b_0) * sk0, ...  W advances by W' = A W + [0 | d] through
+    # M = A Z + [0 | d], Z = W + (dt * a_s,s-1) * M of the stage before, each entry of A Z
+    # summed left to right, and the M summed like the k in sm0_0, ...  Each product of dt
+    # and a tableau entry is bound once per shot.  A line whose value is a constant (a
+    # literal, lam or a structural zero) is not written: the lines after it read the constant
     u, rk = [f"u{j}" for j in range(n)], [(r, j) for r in range(k) for j in range(k + 1)]
     w = by_row(lambda r, j: f"w{r}_{j}")
+    times, rows, weights = _RK4
     for name, lin in (("rk4", False), ("rk4w", True)):
         body, outputs = stages["linearize" if lin else "velocity"]
         known, steps = {}, [Op("t", Term("{} + {} * {}", "t0", "i", "dt"))]
+        products = {}  # tableau entry -> the name of its product with dt
+
+        def product(q):  # dt * q as the shot reads it: None for 0, dt for 1, else a name
+            if q in (0, 1):
+                return None if q == 0 else "dt"
+            return products.setdefault(q, _PRODUCT_NAMES[q])
 
         def let(target, *terms):  # target = the sum of terms (names or products)
             value = expr._sum(*(tuple(map(val, t)) if isinstance(t, tuple) else val(t)
@@ -297,26 +306,28 @@ def _source(k, s, g, *field):
         def val(name):
             return known.get(name, name)
 
-        for i, c in enumerate(("", "h", "h", "dt")):  # stage i at time t + c
+        for i, (c, row) in enumerate(zip(times, rows)):  # stage i at time t + dt * c
+            assert not any(row[:-1])  # each stage reads only the one before
             for j, x in enumerate(u):
-                let(f"a{j}", x, *[(c, f"k{j}")] * (i > 0))
-            steps += [Op(f"a{n}", Term("{} + {}", "t", c) if i else "t"), *body]
+                let(f"a{j}", x, *((product(q), f"k{j}") for q in row[-1:]))
+            steps += [Op(f"a{n}", Term("{} + {}", "t", product(c)) if c else "t"), *body]
             known.update(outputs)
             sums = [(f"sk{j}", f"k{j}") for j in range(n)]
             if lin:
-                if i:
-                    for r, j in rk:
-                        let(f"z{r}_{j}", f"w{r}_{j}", (c, f"m{r}_{j}"))
-                z = "z" if i else "w"
+                for r, j in rk:
+                    for q in row[-1:]:
+                        let(f"z{r}_{j}", f"w{r}_{j}", (product(q), f"m{r}_{j}"))
+                z = "z" if row else "w"
                 for r, j in rk:
                     let(f"m{r}_{j}", *((f"A{r}_{q}", f"{z}{q}_{j}") for q in range(k)),
                         *[f"d{r}"] * (j == k))
                 sums += [(f"sm{r}_{j}", f"m{r}_{j}") for r, j in rk]
             for total, term in sums:
-                let(total, *[total] * (i > 0), (2.0, term) if 0 < i < 3 else term)
+                let(total, *[total] * (i > 0), (float(weights[i] / weights[0]), term))
         for j, x in enumerate(u):
-            let(f"a{j}", x, ("sixth", f"sk{j}"))
-        stepped = [(f"w{r}_{j}", expr._sum(f"w{r}_{j}", ("sixth", val(f"sm{r}_{j}"))))
+            let(f"a{j}", x, (product(weights[0]), f"sk{j}"))
+        stepped = [(f"w{r}_{j}", expr._sum(f"w{r}_{j}", (product(weights[0]),
+                                                          val(f"sm{r}_{j}"))))
                    for r, j in rk if lin]
         done = [*_projection(em, k, s, g, _PROJECTION_ITER),
                 *(Op(x, f"a{j}") for j, x in enumerate(u)),
@@ -324,11 +335,12 @@ def _source(k, s, g, *field):
                 Op(None, Term("{}.append({})", "states", expr._tuple(a, "[{}]"))),
                 Op(None, Term("{}.append({})", "drifts", "r"))]
         state, w_out = expr._tuple(u, "[{}]"), w if lin else "w"
+        loop = [*_pruned(steps, expr._reads(*(op.value for op in done))), *done]
+        read = expr._reads(*(op.value for op in loop))
         em.lines = _block(
             *[Term(f"{expr._text(w)} = {{}}", "w")] * lin,
-            Op("h", expr._divided("dt", 2.0)), Op("sixth", expr._divided("dt", 6.0)),
-            "try:", [Term("for {0} in range({0}, {1}):", "i", "n"),
-                     [*_pruned(steps, expr._reads(*(op.value for op in done))), *done]],
+            *(Op(p, _scaled(q)) for q, p in products.items() if p in read),
+            "try:", [Term("for {0} in range({0}, {1}):", "i", "n"), loop],
             "except (RootFindingError, OverflowError, ZeroDivisionError, "
             "FloatingPointError) as exc:",
             # a returned error's traceback, or its context's, would keep the shot's frame,
@@ -338,6 +350,23 @@ def _source(k, s, g, *field):
         define(name, f"i, n, t0, dt, lam, w, states, drifts, {', '.join(u)}",
                Term("{}, {}, {}, None", "n", state, w_out), loops=True)
     return out
+
+
+_Q = Fraction
+# the classical 4-stage Runge-Kutta method: stage times c, the rows of A and the weights b
+_RK4 = ((_Q(0), _Q(1, 2), _Q(1, 2), _Q(1)),
+        ((), (_Q(1, 2),), (_Q(0), _Q(1, 2)), (_Q(0), _Q(0), _Q(1))),
+        (_Q(1, 6), _Q(1, 3), _Q(1, 3), _Q(1, 6)))
+_PRODUCT_NAMES = {_Q(1, 2): "h", _Q(1, 6): "sixth"}
+
+
+def _scaled(q):
+    # dt * q for a tableau entry q as a shot computes it once: dt divided by the integer
+    # 1 / q, which rounds once, or else dt times the float nearest q
+    inverse = 1 / q
+    if inverse.denominator == 1:
+        return expr._divided("dt", float(inverse))
+    return expr._folded("dt", "*", float(q))
 
 
 def _constant(operand):  # a structural zero, a literal or lam: the same all through a shot
