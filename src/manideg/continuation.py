@@ -37,7 +37,7 @@ __all__ = [
     "correct", "trace_branch", "DEFAULT_TRACE_STEPS_PER_PERIOD",
 ]
 
-DEFAULT_TRACE_STEPS_PER_PERIOD = 256
+DEFAULT_TRACE_STEPS_PER_PERIOD = 64
 CORRECTOR_TOL = 1e-8  # residual norm at which the corrector stops
 ARCLENGTH_HALVINGS = 5  # step halvings per arclength advance
 

@@ -399,7 +399,7 @@ def _reads(*operands):  # the local names the operands read
 
 
 def _text(operand):  # an operand as source: a literal by its repr, parenthesised when negative
-    if isinstance(operand, Term):  # a shot prints each stage line four times
+    if isinstance(operand, Term):  # a shot prints each stage line once per stage
         if operand.text is None:
             operand.text = operand.fmt.format(*map(_text, operand.args))
         return operand.text

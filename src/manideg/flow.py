@@ -1,15 +1,19 @@
 """Time integration of tangent fields with constraint projection.
 
-Each step is a classical 4-stage Runge-Kutta update in ambient
-coordinates followed by a projection of the y-components back onto the
+Each step is a 6-stage Dormand-Prince update of 5th order (the 5th-order
+solution of their 5(4) pair: Dormand & Prince, J. Comput. Appl. Math. 6,
+1980; Hairer, Norsett & Wanner, "Solving ODEs I", II.5) in ambient
+coordinates, followed by a projection of the y-components back onto the
 level set (Newton on g with x frozen), the standard projection method
-(Hairer, Lubich & Wanner, "Geometric Numerical Integration", IV.4).  An
-RK4 step leaves the level set only at the local error order, so the
-projection preserves the fourth-order accuracy while keeping the
+(Hairer, Lubich & Wanner, "Geometric Numerical Integration", IV.4).  A
+step leaves the level set only at the local error order, so the
+projection preserves the fifth-order accuracy while keeping the
 constraint drift at the projection tolerance instead of letting it
-accumulate.  Steps whose projection fails are retried at half the step
-size; the step size underflowing signals that the flow leaves the
-region where the constraint can be solved.
+accumulate.  The step size is fixed: there is no embedded error
+estimate, and the states are those at the step ends.  Steps whose
+projection fails are retried at half the step size; the step size
+underflowing signals that the flow leaves the region where the
+constraint can be solved.
 
 On request the same steps also carry the sensitivities
 W = dx/d(x0, lam) of the x-components, by the variational equation of
@@ -18,7 +22,7 @@ exactly the states of a plain shot.
 
 A shot is one call of the field's generated code on Python floats (see
 :class:`~manideg.manifold.ForcedField`): a loop over the steps whose
-body is straight-line code, the four stages inlined, the shifted points,
+body is straight-line code, the six stages inlined, the shifted points,
 the stage sum, then the damped y-Newton and the domain-box test of
 :func:`~manideg.manifold.implicit_solve_y`.  It appends every state and
 |g| to the shot's lists and carries W as k row tuples of floats, each
@@ -52,7 +56,7 @@ from .fields import _floats
 __all__ = ["FlowResult", "projected_step", "flow_map", "write_trajectory_csv",
            "DEFAULT_STEPS_PER_PERIOD"]
 
-DEFAULT_STEPS_PER_PERIOD = 4096
+DEFAULT_STEPS_PER_PERIOD = 1024
 _MAX_HALVINGS = 20
 ON_MANIFOLD_TOL = 1e-8  # |g| the initial state of a flow may have
 
@@ -71,12 +75,12 @@ class FlowResult:
 
 
 def projected_step(field, state, t, dt, lam=0.0, sensitivity=None):
-    """One RK4 step of ``field.velocity(t, ., lam)`` plus y-projection.
+    """One Dormand-Prince step of ``field.velocity(t, ., lam)`` plus y-projection.
 
     Given ``sensitivity``, the k x (k + 1) matrix W = dx/d(x0, lam) at
     ``state`` (any other shape raises ValueError), the step also advances
     W by the variational equation W' = A W + [0 | sigma] through the same
-    four stages (A and sigma from ``field.linearize``, the products on
+    six stages (A and sigma from ``field.linearize``, the products on
     floats, summed left to right) and returns ``(state, W)``.  The state
     is bit-identical to the plain step's: W never feeds back into it.
     """
@@ -87,7 +91,7 @@ def projected_step(field, state, t, dt, lam=0.0, sensitivity=None):
         if w.shape != (k, k + 1):
             raise ValueError(f"sensitivity must have shape ({k}, {k + 1}), got {w.shape}")
         w = w.tolist()
-    shot = field._code["rk4" if w is None else "rk4w"]
+    shot = field._code["dp5" if w is None else "dp5w"]
     state = _floats(state, field.constraint.dim, "state")
     _, stepped, w, failure = shot(0, 1, t, dt, float(lam), w, [], [], *state)
     if failure is not None:
@@ -140,7 +144,7 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, sensitivity=False):
         Initial state; must satisfy the constraint to ``ON_MANIFOLD_TOL``.
     n_steps : int, optional
         Step count over the span, at least 1; defaults to
-        ``DEFAULT_STEPS_PER_PERIOD`` (4096).
+        ``DEFAULT_STEPS_PER_PERIOD`` (1024).
     sensitivity : bool
         Also integrate W = dx(t1)/d(x(t0), lam) along the same steps;
         the states are the same as without it.
@@ -168,7 +172,7 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, sensitivity=False):
 
     # numpy scalars would turn every float of the steps into one
     t0, lam = float(t0), float(lam)
-    state, shot = xi0.tolist(), field._code["rk4w" if sensitivity else "rk4"]
+    state, shot = xi0.tolist(), field._code["dp5w" if sensitivity else "dp5"]
     states, drifts, i = [state], [drift0], 0
     while i < n_steps:
         i, state, w, failure = shot(i, n_steps, t0, dt, lam, w, states, drifts, *state)

@@ -134,7 +134,7 @@ class ForcedField:
     on the level set; ``period``, the period of sigma, is what shooting and
     averaging need.  Either part may be absent: without sigma the field ignores
     ``lam``, without gamma it is ``lam`` times the completed forcing.  Its
-    arithmetic, and the RK4 steps :mod:`manideg.flow` runs, are straight-line
+    arithmetic, and the Dormand-Prince steps :mod:`manideg.flow` runs, are straight-line
     code generated once per combination of parts (see :func:`_source`).  Each
     part maps the constraint's dim coordinates (and time) to k components.  A
     given period must be finite; with a sigma it must be positive and a period.
@@ -206,13 +206,14 @@ def _source(k, s, g, *field):
     # (name, source) of straight-line functions of the float coordinates a0, ..., a[n-1] that do
     # their formulas' float operations in order.  For the constraint alone: residual, solve_y of
     # (max_iter, a0, ...) -> (y, |g|) (see _projection) and tangent (completing f0, ...).  For a
-    # field: velocity, linearize of (a0, ..., t, lam), and rk4 and rk4w, each a whole
-    # shot of projected steps in one call: (i, n, t0, dt, lam, W, states, drifts, u0, ...) runs
-    # the steps i, ..., n-1 of dt from the state u0, ... at step i, step j at time t0 + j * dt,
-    # and appends each new state and |g| to the lists states and drifts.  It returns (n, state,
-    # W, None), or at the first step that raises an error its except clause names (index, start
-    # state, start W, error): halving that step is the caller's.  rk4w also advances W (k row
-    # tuples; rk4 passes W through).  Callable parts are called as g, gamma, sigma.
+    # field: velocity, linearize of (a0, ..., t, lam), and dp5 and dp5w, each a whole shot of
+    # projected steps of the tableau (_C, _A, _B) in one call: (i, n, t0, dt, lam, W, states,
+    # drifts, u0, ...) runs the steps i, ..., n-1 of dt from the state u0, ... at step i, step j
+    # at time t0 + j * dt, and appends each new state and |g| to the lists states and drifts.
+    # It returns (n, state, W, None), or at the first step that raises an error its except
+    # clause names (index, start state, start W, error): halving that step is the caller's.
+    # dp5w also advances W (k row tuples; dp5 passes W through).  Callable parts are called as
+    # g, gamma, sigma.
     #
     # Each line is an expr.Op record; expr._printed prints them.  The code is folded as the
     # records are built, by expr's rules (exact up to the sign of a nan), and a pivot that is a
@@ -263,35 +264,34 @@ def _source(k, s, g, *field):
             values += [em.sum(r[1 + q], *zip(r[1 + k:], column))
                        for r in p for q, column in enumerate(slave)]
             values += [r[0] for r in forcing] if forcing else [None] * k
+        stages[name] = list(em.lines), values
         held = {t: v for t, v in zip(names, values) if _constant(v)}
         em.lines += [Op(t, v) for t, v in zip(names, values) if t not in held]
-        stages[name] = em.lines, held
         read = [_out(held.get(t, t)) for t, _ in zip(names, values)]
         define(name, args, expr._tuple(read[:n]) if not seeds else
                Term("{}, {}, {}", expr._tuple(read[:n]),
                     by_row(lambda r, q: read[n + r * k + q], k), expr._tuple(read[n + k * k:])))
 
-    # the shots: each step of the loop inlines the tableau's stages, stage s after its
-    # point a0, ... = u0 + (dt * a_s,s-1) * k0, ... (u0, ...: the step's start state) and
-    # time a[n] = t + dt * c_s, then the stage sum and the projection.  The sums of the
-    # k weighted by b / b_0 are accumulated stage by stage in sk0, ..., left to right,
-    # and the step is u0 + (dt * b_0) * sk0, ...  W advances by W' = A W + [0 | d] through
-    # M = A Z + [0 | d], Z = W + (dt * a_s,s-1) * M of the stage before, each entry of A Z
-    # summed left to right, and the M summed like the k in sm0_0, ...  Each product of dt
-    # and a tableau entry is bound once per shot.  A line whose value is a constant (a
-    # literal, lam or a structural zero) is not written: the lines after it read the constant
+    # the shots: each step of the loop inlines the stages of the tableau, stage s after its
+    # point a0, ... = u0 + (dt * a_s0) * k0_0 + ... (u0, ...: the step's start state) and
+    # time a[n] = t + dt * c_s, its velocity bound to ks_0, ...; then the step u0 +
+    # (dt * b_0) * k0_0 + ... and the projection.  W advances by W' = A W + [0 | d]
+    # through the stage values Ms = A Z + [0 | d] at Z = W + (dt * a_s0) * M0 + ..., each
+    # entry of A Z summed left to right, to W + (dt * b_0) * M0 + ...  Each product of dt
+    # and a tableau entry is bound once per shot, and a zero entry's term is left out.  A
+    # line whose value is a constant (a literal, lam or a structural zero) is not written:
+    # the lines after it read the constant
     u, rk = [f"u{j}" for j in range(n)], [(r, j) for r in range(k) for j in range(k + 1)]
     w = by_row(lambda r, j: f"w{r}_{j}")
-    times, rows, weights = _RK4
-    for name, lin in (("rk4", False), ("rk4w", True)):
-        body, outputs = stages["linearize" if lin else "velocity"]
+    for name, lin in (("dp5", False), ("dp5w", True)):
+        body, values = stages["linearize" if lin else "velocity"]
         known, steps = {}, [Op("t", Term("{} + {} * {}", "t0", "i", "dt"))]
         products = {}  # tableau entry -> the name of its product with dt
 
         def product(q):  # dt * q as the shot reads it: None for 0, dt for 1, else a name
             if q in (0, 1):
                 return None if q == 0 else "dt"
-            return products.setdefault(q, _PRODUCT_NAMES[q])
+            return products.setdefault(q, f"dt{q.numerator}_{q.denominator}".replace("-", "m"))
 
         def let(target, *terms):  # target = the sum of terms (names or products)
             value = expr._sum(*(tuple(map(val, t)) if isinstance(t, tuple) else val(t)
@@ -306,28 +306,25 @@ def _source(k, s, g, *field):
         def val(name):
             return known.get(name, name)
 
-        for i, (c, row) in enumerate(zip(times, rows)):  # stage i at time t + dt * c
-            assert not any(row[:-1])  # each stage reads only the one before
+        for i, (c, row) in enumerate(zip(_C, _A)):  # stage i at time t + dt * c
             for j, x in enumerate(u):
-                let(f"a{j}", x, *((product(q), f"k{j}") for q in row[-1:]))
+                let(f"a{j}", x, *((product(q), f"k{l}_{j}") for l, q in enumerate(row)))
             steps += [Op(f"a{n}", Term("{} + {}", "t", product(c)) if c else "t"), *body]
-            known.update(outputs)
-            sums = [(f"sk{j}", f"k{j}") for j in range(n)]
+            for j in range(n):
+                let(f"k{i}_{j}", values[j])
             if lin:
-                for r, j in rk:
-                    for q in row[-1:]:
-                        let(f"z{r}_{j}", f"w{r}_{j}", (product(q), f"m{r}_{j}"))
+                for r, j in rk * bool(row):
+                    let(f"z{r}_{j}", f"w{r}_{j}",
+                        *((product(q), f"m{l}_{r}_{j}") for l, q in enumerate(row)))
                 z = "z" if row else "w"
                 for r, j in rk:
-                    let(f"m{r}_{j}", *((f"A{r}_{q}", f"{z}{q}_{j}") for q in range(k)),
-                        *[f"d{r}"] * (j == k))
-                sums += [(f"sm{r}_{j}", f"m{r}_{j}") for r, j in rk]
-            for total, term in sums:
-                let(total, *[total] * (i > 0), (float(weights[i] / weights[0]), term))
+                    let(f"m{i}_{r}_{j}",
+                        *((values[n + r * k + q], f"{z}{q}_{j}") for q in range(k)),
+                        *[values[n + k * k + r]] * (j == k))
         for j, x in enumerate(u):
-            let(f"a{j}", x, (product(weights[0]), f"sk{j}"))
-        stepped = [(f"w{r}_{j}", expr._sum(f"w{r}_{j}", (product(weights[0]),
-                                                          val(f"sm{r}_{j}"))))
+            let(f"a{j}", x, *((product(b), f"k{i}_{j}") for i, b in enumerate(_B)))
+        stepped = [(f"w{r}_{j}", expr._sum(f"w{r}_{j}", *((product(b), val(f"m{i}_{r}_{j}"))
+                                                           for i, b in enumerate(_B))))
                    for r, j in rk if lin]
         done = [*_projection(em, k, s, g, _PROJECTION_ITER),
                 *(Op(x, f"a{j}") for j, x in enumerate(u)),
@@ -352,12 +349,14 @@ def _source(k, s, g, *field):
     return out
 
 
-_Q = Fraction
-# the classical 4-stage Runge-Kutta method: stage times c, the rows of A and the weights b
-_RK4 = ((_Q(0), _Q(1, 2), _Q(1, 2), _Q(1)),
-        ((), (_Q(1, 2),), (_Q(0), _Q(1, 2)), (_Q(0), _Q(0), _Q(1))),
-        (_Q(1, 6), _Q(1, 3), _Q(1, 3), _Q(1, 6)))
-_PRODUCT_NAMES = {_Q(1, 2): "h", _Q(1, 6): "sixth"}
+# Dormand & Prince (1980), the 5th-order solution of their 5(4) pair: stage s at time
+# t + c_s dt and point u + dt (a_s0 k0 + a_s1 k1 + ...), the step u + dt (b_0 k0 + ...)
+_C = tuple(map(Fraction, "0 1/5 3/10 4/5 8/9 1".split()))
+_A = tuple(tuple(map(Fraction, row.split())) for row in (
+    "", "1/5", "3/40 9/40", "44/45 -56/15 32/9",
+    "19372/6561 -25360/2187 64448/6561 -212/729",
+    "9017/3168 -355/33 46732/5247 49/176 -5103/18656"))
+_B = tuple(map(Fraction, "35/384 0 500/1113 125/192 -2187/6784 11/84".split()))
 
 
 def _scaled(q):

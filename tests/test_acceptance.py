@@ -299,7 +299,8 @@ def test_flow_quality_on_reference_problems():
                 assert np.linalg.norm(con.gmap.jacobian(p) @ v) <= 1e-8, name
 
 
-def test_rk4_order_window():
+def test_dp5_order_window():
+    # 5th order: the error ratio at 32/64 steps measures 31.0, about 2^5
     with check("integrator order on the linear graph flow"):
         con = ImplicitConstraint.from_expressions(
             1, 1, ("y - x",), ("x", "y"), DomainBox.cube(-4.0, 4.0, 2))
@@ -309,7 +310,7 @@ def test_rk4_order_window():
         for n in (32, 64):
             res = flow_map(field, np.array([1.0, 1.0]), 0.0, 1.0, n_steps=n)
             errs.append(abs(res.final_state[0] - math.e))
-        assert 12.0 <= errs[0] / errs[1] <= 20.0
+        assert 25.0 <= errs[0] / errs[1] <= 38.0
 
 
 # 12 ---------------------------------------------------------------------------

@@ -428,6 +428,17 @@ def test_trace_ends_cleanly_when_a_stage_overflows(capsys, tmp_path):
     assert 2 < len(rows) < 62 and float(rows[-1][2]) > 0.8
 
 
+# Each golden branch is the CSV of one command, run from the repository root:
+#   PYTHONPATH=src python -m manideg.cli trace example-5-5 --lambda-max 0.4 \
+#       --out tests/golden_trace_example_5_5.csv
+#   PYTHONPATH=src python -m manideg.cli trace example-5-5 \
+#       --out tests/golden_trace_example_5_5_full.csv
+#   PYTHONPATH=src python -m manideg.cli trace example-5-7 --lambda-max 0.1 \
+#       --out tests/golden_trace_example_5_7.csv
+#   PYTHONPATH=src python -m manideg.cli trace example-5-7 --lambda-max 0.3 \
+#       --out tests/golden_trace_example_5_7_to_0_3.csv
+
+
 def assert_trace_matches_golden(capsys, tmp_path, golden, *argv):
     # the CSV of `trace *argv` as committed in ``golden``: the header and the index
     # column exactly, the floats to a relative 1e-12 (values at roundoff level,
@@ -454,7 +465,7 @@ def test_default_trace_matches_golden_branch_to_its_end(capsys, tmp_path):
     # the whole default branch: its left_domain end and the shots that halve steps
     out = assert_trace_matches_golden(capsys, tmp_path, "golden_trace_example_5_5_full.csv",
                                       "example-5-5")
-    assert "96 solution pairs (left_domain)" in out
+    assert "98 solution pairs (left_domain)" in out
 
 
 @pytest.mark.parametrize("golden, lambda_max", [

@@ -12,8 +12,10 @@ lam-column is (I - exp(A T)) q, where q = Re[(i I - A)^-1 (0, 1)] is
 the 2 pi-periodic forced response at t = 0.
 """
 
+import csv
 import dataclasses
 import gc
+import pathlib
 import weakref
 
 import numpy as np
@@ -109,6 +111,19 @@ def test_shooting_pair_comes_from_the_same_trajectory():
 
 
 # --- shooting sensitivities -------------------------------------------------------
+
+def test_default_shot_meets_the_period_map_to_1e_8():
+    # pair 94 of the default example-5-5 branch (lam 0.7995), the last whose orbit stays
+    # inside the box when shot at 2,048 steps: a default-step shot's x(T) lies within
+    # 1e-8 of that fine shot's (measured 3.0e-9; 256 RK4 steps were 4.8e-8 off)
+    path = pathlib.Path(__file__).with_name("golden_trace_example_5_5_full.csv")
+    row = list(csv.reader(path.read_text().splitlines()))[1 + 94]
+    dae = REGISTRY["example-5-5"].build_dae()
+    lam, x0, y0 = float(row[1]), [float(row[2]), float(row[3])], [float(row[4])]
+    coarse, _ = shooting_residual(dae, x0, lam, y_guess=y0)
+    fine, _ = shooting_residual(dae, x0, lam, steps_per_period=2048, y_guess=y0)
+    assert np.max(np.abs(coarse - fine)) <= 1e-8
+
 
 def test_sensitivities_match_closed_form_on_linear_graph_flow():
     a, b = -0.1, 0.7

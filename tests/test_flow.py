@@ -14,6 +14,7 @@ import pathlib
 import re
 import weakref
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,7 +82,9 @@ def test_projected_step_rejects_a_misshapen_sensitivity(shape):
     assert stepped.tolist() == projected_step(field, state, 0.0, 0.01, 0.3).tolist()
 
 
-def test_rk4_order_from_step_halving():
+def test_dp5_order_from_step_halving():
+    # a 5th-order scheme divides the error by about 2^5 = 32 per halving: measured 31.0
+    # (2.13e-11 at 32 steps, 6.87e-13 at 64); a 4th-order one would give about 16
     field = exponential_flow()
     start = np.array([1.0, 1.0])
     errs = []
@@ -89,7 +92,18 @@ def test_rk4_order_from_step_halving():
         res = flow_map(field, start, 0.0, 1.0, n_steps=n)
         errs.append(abs(res.final_state[0] - math.e))
     ratio = errs[0] / errs[1]
-    assert 12.0 <= ratio <= 20.0
+    assert 25.0 <= ratio <= 38.0
+
+
+def test_tableau_is_dormand_prince_5():
+    # each row of A sums to its stage time, the weights integrate t^q exactly for q <= 4,
+    # and b A c = 1/6; b_1 = 0 is the entry a shot leaves out
+    c, a, b = manifold._C, manifold._A, manifold._B
+    assert len(c) == len(a) == len(b) == 6 and b[1] == 0
+    assert [sum(row) for row in a] == list(c)
+    assert [sum(bi * ci ** q for bi, ci in zip(b, c)) for q in range(5)] == [
+        Fraction(1, q + 1) for q in range(5)]
+    assert sum(bi * sum(q * cj for q, cj in zip(row, c)) for bi, row in zip(b, a)) == Fraction(1, 6)
 
 
 def test_fine_flow_reaches_reference_accuracy():
@@ -180,22 +194,22 @@ def test_flow_semigroup_property():
     assert np.allclose(second.final_state, direct.final_state, atol=1e-12)
 
 
-# Final state and sensitivities of one 256-step period of example-5-5 from
+# Final state and sensitivities of one 64-step period of example-5-5 from
 # (0.5, -0.25, y) at lam = 0.3, as computed when the step code was last
 # changed; the arithmetic of a step is meant to stay bit for bit the same.
 PINNED_START = [0.5, -0.25, 0.44382504501286757]
-PINNED_FINAL = [0.08336899981830324, 0.46659926433950133, 0.08280525554905306]
+PINNED_FINAL = [0.08336900074719149, 0.46659926225797976, 0.0828052564594389]
 PINNED_SENSITIVITY = [
-    [0.10793777280531942, -0.13666377757594392, -0.2193657864412753],
-    [0.12862807858860775, 0.23749906685622965, 1.6270079303180616],
+    [0.10793776939645221, -0.13666377734530633, -0.21936577792662001],
+    [0.12862807834185475, 0.23749906279858363, 1.6270079192966727],
 ]
 
 
 def test_spring_period_is_pinned_bit_for_bit():
     field = spring_field()
     period = REGISTRY["example-5-5"].period
-    plain = flow_map(field, np.array(PINNED_START), 0.0, period, 0.3, n_steps=256)
-    sens = flow_map(field, np.array(PINNED_START), 0.0, period, 0.3, n_steps=256,
+    plain = flow_map(field, np.array(PINNED_START), 0.0, period, 0.3, n_steps=64)
+    sens = flow_map(field, np.array(PINNED_START), 0.0, period, 0.3, n_steps=64,
                     sensitivity=True)
     assert plain.final_state.tolist() == PINNED_FINAL
     assert sens.final_state.tolist() == PINNED_FINAL
@@ -206,16 +220,18 @@ def test_spring_period_is_pinned_bit_for_bit():
 # two constraint equations, so the completion, the slaved matrix and the
 # y-Newton steps solve 2 x 2 systems by the generated elimination.
 PINNED_START_5_7 = [1.0, 0.5, 1.1180339887498942, 0.4636476090008056]
-PINNED_FINAL_5_7 = [2.125075474974513, 2.106205078768267, 2.9919969264969835,
-                    0.7809384564926339]
+PINNED_FINAL_5_7 = [2.125075473224258, 2.1062051518646485, 2.9919969767097845,
+                    0.780938474256364]
 PINNED_SENSITIVITY_5_7 = [
-    [1.2486159809521142, 1.2645989689855777, 5.400958754692195],
-    [3.0137961271534333, 4.346617060717545, 13.655097104828078],
+    [1.2486160786454599, 1.2645989576352241, 5.400958145053206],
+    [3.013796608891579, 4.346617259478133, 13.655094973880717],
 ]
-# W as it was when numpy's LAPACK solved those systems
+# W of the same steps with numpy's LAPACK solving those systems, as the step code did
+# before it generated its eliminations (the oracle stages and y-solves of
+# test_lockstep.py with lapack=True)
 LAPACK_SENSITIVITY_5_7 = [
-    [1.2486159809521142, 1.2645989689855779, 5.400958754692195],
-    [3.0137961271534333, 4.346617060717545, 13.655097104828078],
+    [1.24861607864546, 1.2645989576352237, 5.400958145053205],
+    [3.0137966088915795, 4.346617259478133, 13.655094973880718],
 ]
 
 
@@ -340,11 +356,22 @@ def test_forcing_is_not_evaluated_at_zero_lambda():
         flow_map(field, start, 0.0, 1.0, 0.3, n_steps=4)
 
 
+def generated_shots(field):
+    # {name: whether it integrates W} of the shots _source generates for ``field``: the
+    # functions of the steps i, ..., n - 1, a W shot's first line unpacking W; one of each
+    c = field.constraint
+    shots = {name: source.splitlines()[1].endswith(" = w")
+             for name, source in manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma)
+             if source.startswith(f"def {name}(i, n, ")}
+    assert sorted(shots.values()) == [False, True], shots
+    return shots
+
+
 def count_step_attempts(monkeypatch, field):
     # the steps the field's generated shots try, each failed one included: a shot of
     # steps i, ..., n - 1 that stops at step j tried j - i + 1 of them
     attempts = []
-    for mode in ("rk4", "rk4w"):
+    for mode in generated_shots(field):
         def counted(i, n, *args, shot=field._code[mode]):
             end = shot(i, n, *args)
             attempts.append(end[0] - i + (end[3] is not None))
@@ -472,7 +499,9 @@ def test_generated_step_code_parses_as_python_3_10(name):
     c = field.constraint
     sources = [*manifold._source(c.k, c.s, c.gmap),
                *manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma)]
-    assert {"residual", "solve_y", "tangent", "rk4", "rk4w"} <= {n for n, _ in sources}
+    names = {n for n, _ in sources}
+    assert {"residual", "solve_y", "tangent", "velocity", "linearize", *generated_shots(field)
+            } == names
     for _, source in sources:
         ast.parse(source, feature_version=(3, 10))
         # one float path for every s: numpy formats the RegularityError message only
@@ -497,7 +526,7 @@ def test_newton_jet_assigns_nothing_it_does_not_read(name):
     c = field.constraint
     sources = dict([*manifold._source(c.k, c.s, c.gmap),
                     *manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma)])
-    for fn_name in ("solve_y", "rk4", "rk4w"):
+    for fn_name in ("solve_y", *generated_shots(field)):
         fn = ast.parse(sources[fn_name]).body[0]
         newton = next(node for node in ast.walk(fn)  # not the loop over a shot's steps
                       if isinstance(node, ast.For) and node.target.id == "_")
@@ -535,19 +564,19 @@ def test_generated_functions_assign_nothing_they_do_not_read(name):
 
 @pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing", "unslaved"])
 def test_inlined_stages_keep_every_line_that_may_raise(name):
-    # a shot's steps inline four copies of the body of velocity (rk4) or linearize
-    # (rk4w), pruned of the lines nothing reads that cannot raise: every power, division
-    # and call stays, so a stage raises where the standalone function raises, and no
-    # line that cannot raise is left unread
+    # a shot's steps inline one copy per stage of the tableau of the body of velocity
+    # (the plain shot) or linearize (the W shot), pruned of the lines nothing reads that
+    # cannot raise: every power, division and call stays, so a stage raises where the
+    # standalone function raises, and no line that cannot raise is left unread
     field = named_field(name)
-    c = field.constraint
+    c, stages = field.constraint, len(manifold._C)
     sources = dict(manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma))
-    for shot, stage in (("rk4", "velocity"), ("rk4w", "linearize")):
-        body = [ln.strip() for ln in sources[stage].splitlines()[1:-1]]  # no def, return
+    for shot, lin in generated_shots(field).items():
+        body = [ln.strip() for ln in sources["linearize" if lin else "velocity"].splitlines()[1:-1]]
         inlined = Counter(ln.strip() for ln in sources[shot].splitlines()
                           if ln.strip() in body and MAY_RAISE.search(ln))
         raising = Counter(ln for ln in body if MAY_RAISE.search(ln))
-        assert raising and inlined == {ln: 4 * count for ln, count in raising.items()}, shot
+        assert raising and inlined == {ln: stages * count for ln, count in raising.items()}, shot
         fn = ast.parse(sources[shot]).body[0]
         read = {node.id for node in ast.walk(fn)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -581,17 +610,16 @@ def test_integration_error_when_leaving_solvable_region():
 
 
 def test_halving_shot_of_the_spring_trace_is_pinned(monkeypatch):
-    # One of the 11 shots of `manideg trace example-5-5` that raise IntegrationError,
-    # the only place where that trace halves steps: its message and its step attempts,
-    # as computed before the projection was generated code (then one per _advance call).
+    # One of the 18 shots of `manideg trace example-5-5` that raise IntegrationError,
+    # the only place where that trace halves steps: its message and its step attempts.
     dae = REGISTRY["example-5-5"].build_dae()
     attempts = count_step_attempts(monkeypatch, dae)
     with pytest.raises(IntegrationError) as info:
-        shooting_residual(dae, [0.48724475429288766, 1.4017599545388935], 0.8081745842247542,
-                          y_guess=[0.41974473405714263], jacobian=True)
+        shooting_residual(dae, [0.48724479855823655, 1.4017599051030145], 0.8081745901327939,
+                          y_guess=[0.41974476918373504], jacobian=True)
     assert str(info.value) == ("time step underflow near t = 1.10754; "
                                "the trajectory left the domain box")
-    assert sum(attempts) == 71
+    assert sum(attempts) == 37
 
 
 # --- period map ------------------------------------------------------------------

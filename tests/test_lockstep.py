@@ -56,7 +56,7 @@ from manideg.errors import (
 )
 from manideg.manifold import Y_SOLVE_TOL, ForcedField, ImplicitConstraint, reduced_map
 from manideg.problems import REGISTRY
-from test_flow import callable_spring_field, duffing_field, named_field
+from test_flow import callable_spring_field, duffing_field, generated_shots, named_field
 
 EVAL_ERRORS = (DomainEvalError, OverflowError, ZeroDivisionError, FloatingPointError)
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_degree_records.json")
@@ -655,42 +655,77 @@ def test_solve_y_escape_margin_matches_the_oracle():
     assert kinds == ["solved", "solved", DomainEscapeError, DomainEscapeError]
 
 
+def _product(q):
+    """The product dt * q for an entry q of ``manifold``'s tableau, as a function of dt
+    that computes it as a shot binds it: dt divided by the integer 1 / q, or dt times
+    the float nearest q; None for a zero entry, whose terms a shot leaves out."""
+    if q == 0:
+        return None
+    if (1 / q).denominator == 1:
+        return lambda dt, divisor=float(1 / q): dt / divisor
+    return lambda dt, factor=float(q): dt * factor
+
+
+# the tableau (c, A, b) of the shots as products with dt
+TIMES = [_product(c) for c in manifold._C]
+ROWS = [[_product(q) for q in row] for row in manifold._A]
+WEIGHTS = [_product(b) for b in manifold._B]
+
+
+def tableau_sum(start, products, values, dt):
+    # start + (dt * q0) * values[0] + (dt * q1) * values[1] + ... left to right, for the
+    # ``products`` of a row of the tableau, the term of a zero entry left out
+    for product, v in zip(products, values):
+        if product is not None:
+            start = start + product(dt) * v
+    return start
+
+
+def _stage_m(a, z, d):
+    # M = A Z + [0 | d], each entry of A Z summed left to right on floats
+    k = len(z)
+    m = [[a[r][0] * z[0][j] for j in range(k + 1)] for r in range(k)]
+    for r, j in ((r, j) for r in range(k) for j in range(k + 1)):
+        for q in range(1, k):
+            m[r][j] += a[r][q] * z[q][j]
+        if j == k:
+            m[r][j] += d[r]
+    return m
+
+
 def oracle_step(field, t, dt, lam, w, *state, unfolded=False):
     """(state, W, |g|) after one projected step from the float list ``state``: the
-    unprojected RK4 step on floats, in the generated step's operation order, by the
-    generated ``velocity`` at each stage point, then ``oracle_solve_y``.  Given W
-    (k rows of k + 1 floats), the stages are ``linearize``'s instead, and W steps by
-    W' = A W + [0 | dp/dlam], each entry of A Z summed left to right on floats.  With
-    ``unfolded`` the stages are ``oracle_stage``'s."""
-    h, sixth, k = dt / 2.0, dt / 6.0, field.constraint.k
+    unprojected step of ``manifold``'s tableau (c, A, b) on floats, in the generated
+    step's operation order, by the generated ``velocity`` at each stage point, then
+    ``oracle_solve_y``.  Stage s is at time t + dt * c_s and the point state +
+    (dt * a_s0) * k_0 + ..., the step is state + (dt * b_0) * k_0 + ...  Given W (k rows
+    of k + 1 floats), the stages are ``linearize``'s instead, and W steps by
+    W' = A W + [0 | dp/dlam] through M_s = A Z + [0 | dp/dlam] at Z = W +
+    (dt * a_s0) * M_0 + ...  With ``unfolded`` the stages are ``oracle_stage``'s."""
+    k = field.constraint.k
     stage = (lambda *args: oracle_stage(field, list(args[:-2]), *args[-2:], w is not None)
              ) if unfolded else field._code["velocity" if w is None else "linearize"]
-    stages, ms = [], []
-    for i, (c, tc) in enumerate(((0.0, t), (h, t + h), (h, t + h), (dt, t + dt))):
-        point = [a + c * v for a, v in zip(state, stages[-1])] if i else list(state)
+    ks, ms = [], []
+    for c, row in zip(TIMES, ROWS):
+        point = [tableau_sum(x, row, [v[j] for v in ks], dt) for j, x in enumerate(state)]
+        tc = t if c is None else t + c(dt)
         if w is None:
-            stages.append(stage(*point, tc, lam))
+            ks.append(stage(*point, tc, lam))
             continue
         velocity, a, d = stage(*point, tc, lam)
-        stages.append(velocity)
-        z = [[wj + c * mj for wj, mj in zip(wr, mr)] for wr, mr in zip(w, ms[-1])] if i else w
-        m = [[a[r][0] * z[0][j] for j in range(k + 1)] for r in range(k)]
-        for r, j in ((r, j) for r in range(k) for j in range(k + 1)):
-            for q in range(1, k):
-                m[r][j] += a[r][q] * z[q][j]
-            if j == k:
-                m[r][j] += d[r]
-        ms.append(m)
-    raw = [a + sixth * (k0 + 2.0 * k1 + 2.0 * k2 + k3)
-           for a, k0, k1, k2, k3 in zip(state, *stages)]
+        ks.append(velocity)
+        z = [[tableau_sum(wj, row, [m[r][j] for m in ms], dt) for j, wj in enumerate(wr)]
+             for r, wr in enumerate(w)]
+        ms.append(_stage_m(a, z, d))
+    raw = [tableau_sum(x, WEIGHTS, [v[j] for v in ks], dt) for j, x in enumerate(state)]
     y, drift = oracle_solve_y(field.constraint, raw[:k], raw[k:])
     if w is not None:
-        w = [[wj + sixth * (m0 + 2.0 * m1 + 2.0 * m2 + m3)
-              for wj, m0, m1, m2, m3 in zip(*rows)] for rows in zip(w, *ms)]
+        w = [[tableau_sum(wj, WEIGHTS, [m[r][j] for m in ms], dt) for j, wj in enumerate(wr)]
+             for r, wr in enumerate(w)]
     return raw[:k] + y, w, drift
 
 
-def _oracle_rk4_step(field, state, t, dt, lam):
+def _oracle_plain_step(field, state, t, dt, lam):
     # the plain oracle step: (state, |g|)
     state, _, drift = oracle_step(field, t, dt, lam, None, *state)
     return state, drift
@@ -714,15 +749,16 @@ def test_projected_step_matches_the_oracle(name):
         field = callable_spring_field()
     else:
         field = REGISTRY[name].build_dae()
-    constraint, kinds = field.constraint, set()
+    constraint, kinds, shots = field.constraint, set(), generated_shots(field)
     for i, p in enumerate(_random_points(constraint.domain, 300, 14)):
         try:
             y = constraint._code["solve_y"](50, *p)[0]
         except RootFindingError:
             continue
         state, dt = p[:constraint.k] + y, (0.05, 0.4, 1.5)[i % 3]
-        want = _outcome(_oracle_rk4_step, field, state, 0.3, dt, 0.7)
-        for code, w in (("rk4", None), ("rk4w", np.eye(constraint.k, constraint.k + 1))):
+        want = _outcome(_oracle_plain_step, field, state, 0.3, dt, 0.7)
+        for code, lin in shots.items():
+            w = np.eye(constraint.k, constraint.k + 1) if lin else None
             got = _outcome(_one_step(field._code[code]), 0.3, dt, 0.7, w, *state)
             assert (got if isinstance(got[0], type) else (got[0], got[2])) == want
         kinds.add(want[0] if isinstance(want[0], type) else "stepped")
@@ -732,30 +768,26 @@ def test_projected_step_matches_the_oracle(name):
 # --- the sensitivities of a step against float and numpy arithmetic --------------------
 
 def oracle_w_step(field, state, t, dt, lam, w, matmul=None):
-    """W after one RK4 step from ``state``: A and dp/dlam from the public ``linearize`` at
-    each stage point, W' = A W + [0 | dp/dlam] with each entry of A Z summed left to right
-    on floats, or by ``matmul`` (numpy's A.dot(Z), as W was stepped before)."""
-    h, sixth, k = dt / 2.0, dt / 6.0, len(w)
-    ms, point, z = [], state, w
-    for i, (c, tc) in enumerate(((0.0, t), (h, t + h), (h, t + h), (dt, t + dt))):
-        if i:
-            point = [x + c * v for x, v in zip(state, velocity)]
-            z = [[wj + c * mj for wj, mj in zip(wr, mr)] for wr, mr in zip(w, ms[-1])]
+    """W after one step of the tableau from ``state``: A and dp/dlam from the public
+    ``linearize`` at each stage point, W' = A W + [0 | dp/dlam] with each entry of A Z
+    summed left to right on floats, or by ``matmul`` (numpy's A.dot(Z), as W was
+    stepped before)."""
+    ks, ms = [], []
+    for c, row in zip(TIMES, ROWS):
+        point = [tableau_sum(x, row, [v[j] for v in ks], dt) for j, x in enumerate(state)]
+        z = [[tableau_sum(wj, row, [m[r][j] for m in ms], dt) for j, wj in enumerate(wr)]
+             for r, wr in enumerate(w)]
+        tc = t if c is None else t + c(dt)
         velocity, a, d = (v.tolist() for v in field.linearize(tc, np.array(point), lam))
+        ks.append(velocity)
         if matmul:
             m = matmul(np.array(a), np.array(z))
             m[:, -1] += d
             ms.append(m.tolist())
-            continue
-        m = [[a[r][0] * z[0][j] for j in range(k + 1)] for r in range(k)]
-        for r, j in ((r, j) for r in range(k) for j in range(k + 1)):
-            for q in range(1, k):
-                m[r][j] += a[r][q] * z[q][j]
-            if j == k:
-                m[r][j] += d[r]
-        ms.append(m)
-    return [[wj + sixth * (m0 + 2.0 * m1 + 2.0 * m2 + m3) for wj, m0, m1, m2, m3 in zip(*rows)]
-            for rows in zip(w, *ms)]
+        else:
+            ms.append(_stage_m(a, z, d))
+    return [[tableau_sum(wj, WEIGHTS, [m[r][j] for m in ms], dt) for j, wj in enumerate(wr)]
+            for r, wr in enumerate(w)]
 
 
 @pytest.mark.parametrize("name", ["example-5-5", "example-5-7", "callable", "duffing"])
@@ -766,19 +798,21 @@ def test_stepped_sensitivities_match_float_and_numpy_arithmetic(name):
         field = REGISTRY[name].build_dae()
     constraint, k = field.constraint, field.constraint.k
     rng, steps = np.random.default_rng(16), 0
+    shot = next(name for name, lin in generated_shots(field).items() if lin)
     for i, p in enumerate(_random_points(constraint.domain, 200, 16)):
         w, dt = rng.normal(size=(k, k + 1)).tolist(), (0.05, 0.4)[i % 2]
         try:
             state = p[:k] + constraint._code["solve_y"](50, *p)[0]
-            got = _one_step(field._code["rk4w"])(0.3, dt, 0.7, tuple(map(tuple, w)), *state)[1]
+            got = _one_step(field._code[shot])(0.3, dt, 0.7, tuple(map(tuple, w)), *state)[1]
         except (RootFindingError, *EVAL_ERRORS):
             continue
         assert [list(row) for row in got] == oracle_w_step(field, state, 0.3, dt, 0.7, w)
-        # numpy may fuse multiply-adds: 2 ulp of the entry or, where the step cancels
-        # most of it, of the entry before the step
+        # numpy may fuse multiply-adds: 4 ulp of the entry or, where the step cancels
+        # most of it, of the entry before the step (measured: 4 on duffing, whose stage
+        # sums meet tableau entries up to 11.6 in size, 1 on example-5-7)
         blas = np.array(oracle_w_step(field, state, 0.3, dt, 0.7, w, np.dot))
         ulp = np.spacing(np.maximum(np.abs(blas), np.abs(w)))
-        assert np.all(np.abs(np.array(got) - blas) <= 2 * ulp)
+        assert np.all(np.abs(np.array(got) - blas) <= 4 * ulp)
         steps += 1
     assert steps >= 50, steps
 
@@ -859,7 +893,7 @@ def test_shot_matches_one_step_per_call(name, lam):
     assert assert_shot_matches_oracle(named_field(name), xi0, period, lam, n_steps) == "done"
 
 
-@pytest.mark.parametrize("x1, x2, halved", [(0.9, 1.5, [1]), (0.5, 2.0, [0, 2])])
+@pytest.mark.parametrize("x1, x2, halved", [(0.9, 1.5, [1, 2, 3]), (0.5, 2.0, [0, 1, 2, 3])])
 def test_shot_that_halves_mid_period_matches_one_step_per_call(monkeypatch, x1, x2, halved):
     # four steps of the Duffing field over a period: the projection of each step in
     # ``halved`` leaves the domain box, the halves do not, and the shot finishes
@@ -875,10 +909,10 @@ def test_shot_that_halves_mid_period_matches_one_step_per_call(monkeypatch, x1, 
 def test_escaping_shot_matches_one_step_per_call():
     # the shot of `test_halving_shot_of_the_spring_trace_is_pinned`
     dae = REGISTRY["example-5-5"].build_dae()
-    x0 = [0.48724475429288766, 1.4017599545388935]
-    xi0 = x0 + implicit_solve_y(dae.constraint, np.array(x0), [0.41974473405714263]).tolist()
+    x0 = [0.48724479855823655, 1.4017599051030145]
+    xi0 = x0 + implicit_solve_y(dae.constraint, np.array(x0), [0.41974476918373504]).tolist()
     assert assert_shot_matches_oracle(named_field("example-5-5"), xi0, dae.period,
-                                      0.8081745842247542,
+                                      0.8081745901327939,
                                       DEFAULT_TRACE_STEPS_PER_PERIOD) == IntegrationError
 
 
@@ -1051,7 +1085,7 @@ UNFOLDED_FIELDS = [*sorted(REGISTRY), "callable", "duffing", "swapped"]
 def test_folded_stages_and_steps_match_the_unfolded_arithmetic(name):
     field = named_field(name)
     c, k = field.constraint, field.constraint.k
-    rng, kinds = np.random.default_rng(17), set()
+    rng, kinds, shots = np.random.default_rng(17), set(), generated_shots(field)
     for i, p in enumerate(_random_points(c.domain, 40, 17, widen=1.2)):
         t, dt = 0.3 + 0.5 * i, (0.05, 0.4, 1.5)[i % 3]
         w = rng.normal(size=(k, k + 1)).tolist()
@@ -1065,7 +1099,8 @@ def test_folded_stages_and_steps_match_the_unfolded_arithmetic(name):
                 kinds.add(assert_matches_unfolded(_result(code, *p, t, lam),
                                                   _result(oracle_stage, field, p, t, lam,
                                                           linearize)))
-            for shot, sensitivity in (("rk4", None), ("rk4w", w)):
+            for shot, lin in shots.items():
+                sensitivity = w if lin else None
                 got = _result(_one_step(field._code[shot]), t, dt, lam,
                               sensitivity and tuple(map(tuple, sensitivity)), *state)
                 want = _result(oracle_step, field, t, dt, lam, sensitivity, *state,

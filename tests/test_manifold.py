@@ -37,6 +37,7 @@ from manideg import (
 )
 from manideg.fields import finite_difference_jacobian
 from manideg.problems import REFERENCE_DEGREES
+from test_lockstep import WEIGHTS, tableau_sum
 
 BOX2 = DomainBox.cube(-2.0, 2.0, 2)
 
@@ -154,8 +155,11 @@ def test_constraint_independent_of_x(g):
     assert con.residual(point) <= 1e-12
     assert complete_velocity(con, point, np.array([2.0])).tolist() == [2.0, 0.0]
     field = ForcedField(con, gamma=AmbientMap.from_expressions(("1",), ("x", "y")))
-    assert flow_map(field, point, 0.0, 1.0, n_steps=4).final_state.tolist() == [
-        1.5, point[1]]
+    x = 0.5  # x' = 1: each step adds dt * b_0 + dt * b_1 + ... to x, left to right
+    for _ in range(4):
+        x = tableau_sum(x, WEIGHTS, [1.0] * len(WEIGHTS), 0.25)
+    assert x == pytest.approx(1.5, rel=1e-15)
+    assert flow_map(field, point, 0.0, 1.0, n_steps=4).final_state.tolist() == [x, point[1]]
 
 
 def test_completion_output_is_tangent():
