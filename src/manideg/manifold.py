@@ -249,12 +249,9 @@ def _source(k, s, g, *field):
     def by_row(entry, width=k + 1):  # k row tuples of entry(r, j), W's by default
         return expr._tuple(expr._tuple(entry(r, j) for j in range(width)) for r in range(k))
 
-    # a stage, velocity's or linearize's body, binds the velocity at the point a0, ...
-    # and time a[n] to k0, ..., and linearize's A and dp/dlam to A0_0, ... and d0, ...;
-    # an output that is a constant (a literal, lam or a structural zero) is bound to
-    # none of them: the lines that read it read the constant
-    names = [f"k{j}" for j in range(n)]
-    names += [f"A{r}_{q}" for r in range(k) for q in range(k)] + [f"d{r}" for r in range(k)]
+    # a stage, velocity's or linearize's body, computes the velocity at the point a0, ...
+    # and time a[n], and linearize's A and dp/dlam, as operands: names its lines assign
+    # or read, or constants (a literal, lam or a structural zero)
     stages = {}
     for name, seeds in (("velocity", ()), ("linearize", range(n))):
         p, forcing = _emit_p(em, *field, n, seeds)
@@ -264,10 +261,8 @@ def _source(k, s, g, *field):
             values += [em.sum(r[1 + q], *zip(r[1 + k:], column))
                        for r in p for q, column in enumerate(slave)]
             values += [r[0] for r in forcing] if forcing else [None] * k
-        stages[name] = list(em.lines), values
-        held = {t: v for t, v in zip(names, values) if _constant(v)}
-        em.lines += [Op(t, v) for t, v in zip(names, values) if t not in held]
-        read = [_out(held.get(t, t)) for t, _ in zip(names, values)]
+        stages[name] = em.lines, values
+        read = list(map(_out, values))
         define(name, args, expr._tuple(read[:n]) if not seeds else
                Term("{}, {}, {}", expr._tuple(read[:n]),
                     by_row(lambda r, q: read[n + r * k + q], k), expr._tuple(read[n + k * k:])))
@@ -280,7 +275,7 @@ def _source(k, s, g, *field):
     # entry of A Z summed left to right, to W + (dt * b_0) * M0 + ...  Each product of dt
     # and a tableau entry is bound once per shot, and a zero entry's term is left out.  A
     # line whose value is a constant (a literal, lam or a structural zero) is not written:
-    # the lines after it read the constant
+    # the lines after it read the constant, and a stage's copies are read in place (_in_place)
     u, rk = [f"u{j}" for j in range(n)], [(r, j) for r in range(k) for j in range(k + 1)]
     w = by_row(lambda r, j: f"w{r}_{j}")
     for name, lin in (("dp5", False), ("dp5w", True)):
@@ -307,6 +302,7 @@ def _source(k, s, g, *field):
             return known.get(name, name)
 
         for i, (c, row) in enumerate(zip(_C, _A)):  # stage i at time t + dt * c
+            mark = len(steps)
             for j, x in enumerate(u):
                 let(f"a{j}", x, *((product(q), f"k{l}_{j}") for l, q in enumerate(row)))
             steps += [Op(f"a{n}", Term("{} + {}", "t", product(c)) if c else "t"), *body]
@@ -321,6 +317,8 @@ def _source(k, s, g, *field):
                     let(f"m{i}_{r}_{j}",
                         *((values[n + r * k + q], f"{z}{q}_{j}") for q in range(k)),
                         *[values[n + k * k + r]] * (j == k))
+            outputs = {f"k{i}_{j}" for j in range(n)} | {f"m{i}_{r}_{j}" for r, j in rk}
+            steps[mark:] = _in_place(steps[mark:], outputs)
         for j, x in enumerate(u):
             let(f"a{j}", x, *((product(b), f"k{i}_{j}") for i, b in enumerate(_B)))
         stepped = [(f"w{r}_{j}", expr._sum(f"w{r}_{j}", *((product(b), val(f"m{i}_{r}_{j}"))
@@ -366,6 +364,44 @@ def _scaled(q):
     if inverse.denominator == 1:
         return expr._divided("dt", float(inverse))
     return expr._folded("dt", "*", float(q))
+
+
+def _in_place(ops, outputs):
+    # the lines ``ops`` of a shot's stage with their copies read in place: a top-level line
+    # o = v, v a name, goes and the other lines call both by one name, where that keeps
+    # every value.  v is renamed o when o is an output (in ``outputs``, read after the
+    # stage) and v a name the stage assigns before the copy and not after it (the stage
+    # velocity's k0_0 = a1, a value's k0_1 = v4, M's m1_0_0 = z1_0); o is renamed v when
+    # o is not an output and the stage assigns o only there and v nowhere (the first
+    # stage's point a0 = u0 and time a3 = t).  No line after a stage reads a name it
+    # assigns but its outputs: the next stage assigns its point and time again
+    lines = {}  # name -> the indices of the lines that assign it
+    for i, op in enumerate(ops):
+        lines.setdefault(op.target, []).append(i)
+    names, copies = {}, set()
+    for i, (o, v, indent) in enumerate(ops):
+        if o is None or indent or not isinstance(v, str):
+            continue
+        at = lines.get(v, [])
+        if o in outputs and v not in outputs and v not in names and at and at[-1] < i:
+            names[v] = o
+        elif o not in outputs and lines[o] == [i] and not at:
+            names[o] = v
+        else:
+            continue
+        copies.add(i)
+    return [_renamed(op, names) for i, op in enumerate(ops) if i not in copies]
+
+
+def _renamed(op, names):  # the line ``op`` with the local names ``names`` maps renamed
+    def new(x):
+        if isinstance(x, Term):
+            args = [new(y) for y in x.args]
+            same = all(y is z for y, z in zip(args, x.args))
+            return x if same else Term(x.fmt, *args, raises=x.raises)
+        return names.get(x, x) if isinstance(x, str) else x
+
+    return Op(names.get(op.target, op.target), new(op.value), op.indent)
 
 
 def _constant(operand):  # a structural zero, a literal or lam: the same all through a shot

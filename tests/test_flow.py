@@ -541,6 +541,7 @@ def test_newton_jet_assigns_nothing_it_does_not_read(name):
 
 
 MAY_RAISE = re.compile(r"\*\*|/|\w\(")  # a power, a division (_div too) or a call
+STAGE_NAME = re.compile(r"\b(?:t|[akmuz]\d+(?:_\d+)*)\b")  # a point, time or stage value
 
 
 @pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing", "swapped", "unslaved"])
@@ -567,15 +568,24 @@ def test_inlined_stages_keep_every_line_that_may_raise(name):
     # a shot's steps inline one copy per stage of the tableau of the body of velocity
     # (the plain shot) or linearize (the W shot), pruned of the lines nothing reads that
     # cannot raise: every power, division and call stays, so a stage raises where the
-    # standalone function raises, and no line that cannot raise is left unread
+    # standalone function raises, and no line that cannot raise is left unread.  The
+    # lines are compared with the names of the stage's point, time and velocity erased:
+    # a stage reads its copies in place, so a line may assign a stage output
+    # (k0_2 = -v36 / v28 for v37 = -v36 / v28) or read the start state (u0 for a0)
     field = named_field(name)
     c, stages = field.constraint, len(manifold._C)
     sources = dict(manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma))
     for shot, lin in generated_shots(field).items():
-        body = [ln.strip() for ln in sources["linearize" if lin else "velocity"].splitlines()[1:-1]]
-        inlined = Counter(ln.strip() for ln in sources[shot].splitlines()
-                          if ln.strip() in body and MAY_RAISE.search(ln))
-        raising = Counter(ln for ln in body if MAY_RAISE.search(ln))
+        standalone = sources["linearize" if lin else "velocity"]
+        returned = ast.parse(standalone).body[0].body[-1].value
+        velocity = {node.id for node in ast.walk(returned.elts[0] if lin else returned)
+                    if isinstance(node, ast.Name)}
+        erased = re.compile("|".join([STAGE_NAME.pattern, *(rf"\b{v}\b" for v in velocity)]))
+        stage = [erased.sub("_", ln.strip()) for ln in standalone.splitlines()[1:-1]]
+        inlined = Counter(ln for ln in (STAGE_NAME.sub("_", ln.strip())
+                                        for ln in sources[shot].splitlines())
+                          if MAY_RAISE.search(ln) and ln in stage)
+        raising = Counter(ln for ln in stage if MAY_RAISE.search(ln))
         assert raising and inlined == {ln: stages * count for ln, count in raising.items()}, shot
         fn = ast.parse(sources[shot]).body[0]
         read = {node.id for node in ast.walk(fn)
