@@ -17,7 +17,6 @@ its own constant sign, can be combined additively.
 
 import warnings as _warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -284,9 +283,9 @@ def _source(k, s, g, *field):
         products = {}  # tableau entry -> the name of its product with dt
 
         def product(q):  # dt * q as the shot reads it: None for 0, dt for 1, else a name
-            if q in (0, 1):
-                return None if q == 0 else "dt"
-            return products.setdefault(q, f"dt{q.numerator}_{q.denominator}".replace("-", "m"))
+            if q[0] in (0, q[1]):
+                return None if q[0] == 0 else "dt"
+            return products.setdefault(q, "dt{}_{}".format(*q).replace("-", "m"))
 
         def let(target, *terms):  # target = the sum of terms (names or products)
             value = expr._sum(*(tuple(map(val, t)) if isinstance(t, tuple) else val(t)
@@ -305,7 +304,7 @@ def _source(k, s, g, *field):
             mark = len(steps)
             for j, x in enumerate(u):
                 let(f"a{j}", x, *((product(q), f"k{l}_{j}") for l, q in enumerate(row)))
-            steps += [Op(f"a{n}", Term("{} + {}", "t", product(c)) if c else "t"), *body]
+            steps += [Op(f"a{n}", Term("{} + {}", "t", product(c)) if c[0] else "t"), *body]
             for j in range(n):
                 let(f"k{i}_{j}", values[j])
             if lin:
@@ -347,23 +346,28 @@ def _source(k, s, g, *field):
     return out
 
 
-# Dormand & Prince (1980), the 5th-order solution of their 5(4) pair: stage s at time
-# t + c_s dt and point u + dt (a_s0 k0 + a_s1 k1 + ...), the step u + dt (b_0 k0 + ...)
-_C = tuple(map(Fraction, "0 1/5 3/10 4/5 8/9 1".split()))
-_A = tuple(tuple(map(Fraction, row.split())) for row in (
-    "", "1/5", "3/40 9/40", "44/45 -56/15 32/9",
-    "19372/6561 -25360/2187 64448/6561 -212/729",
-    "9017/3168 -355/33 46732/5247 49/176 -5103/18656"))
-_B = tuple(map(Fraction, "35/384 0 500/1113 125/192 -2187/6784 11/84".split()))
+def _fractions(text):  # "n/d ..." as the pairs (n, d) of integers, d = 1 for "n"
+    return tuple((int(n), int(d or 1)) for n, _, d in (q.partition("/") for q in text.split()))
+
+
+# Dormand & Prince (1980), the 5th-order solution of their 5(4) pair, as fractions in
+# lowest terms: stage s at time t + c_s dt and point u + dt (a_s0 k0 + a_s1 k1 + ...),
+# the step u + dt (b_0 k0 + ...)
+_C = _fractions("0 1/5 3/10 4/5 8/9 1")
+_A = tuple(map(_fractions, ("", "1/5", "3/40 9/40", "44/45 -56/15 32/9",
+                            "19372/6561 -25360/2187 64448/6561 -212/729",
+                            "9017/3168 -355/33 46732/5247 49/176 -5103/18656")))
+_B = _fractions("35/384 0 500/1113 125/192 -2187/6784 11/84")
 
 
 def _scaled(q):
-    # dt * q for a tableau entry q as a shot computes it once: dt divided by the integer
-    # 1 / q, which rounds once, or else dt times the float nearest q
-    inverse = 1 / q
-    if inverse.denominator == 1:
-        return expr._divided("dt", float(inverse))
-    return expr._folded("dt", "*", float(q))
+    # dt * n / d for a tableau entry q = (n, d) as a shot computes it once: dt divided by
+    # the integer d / n when n is 1 or -1, which rounds once, or else dt times the float
+    # nearest n / d
+    n, d = q
+    if abs(n) == 1:
+        return expr._divided("dt", float(n * d))
+    return expr._folded("dt", "*", n / d)
 
 
 def _in_place(ops, outputs):

@@ -97,10 +97,14 @@ def test_dp5_order_from_step_halving():
 
 def test_tableau_is_dormand_prince_5():
     # each row of A sums to its stage time, the weights integrate t^q exactly for q <= 4,
-    # and b A c = 1/6; b_1 = 0 is the entry a shot leaves out
-    c, a, b = manifold._C, manifold._A, manifold._B
+    # and b A c = 1/6; b_1 = 0 is the entry a shot leaves out.  Every entry is a pair
+    # (n, d) in lowest terms, as the names of the shots' products assume
+    for q in (*manifold._C, *sum(manifold._A, ()), *manifold._B):
+        assert q[1] > 0 and math.gcd(*q) == 1, q
+    c, b = ([Fraction(*q) for q in row] for row in (manifold._C, manifold._B))
+    a = [[Fraction(*q) for q in row] for row in manifold._A]
     assert len(c) == len(a) == len(b) == 6 and b[1] == 0
-    assert [sum(row) for row in a] == list(c)
+    assert [sum(row) for row in a] == c
     assert [sum(bi * ci ** q for bi, ci in zip(b, c)) for q in range(5)] == [
         Fraction(1, q + 1) for q in range(5)]
     assert sum(bi * sum(q * cj for q, cj in zip(row, c)) for bi, row in zip(b, a)) == Fraction(1, 6)
@@ -499,9 +503,8 @@ def test_generated_step_code_parses_as_python_3_10(name):
     c = field.constraint
     sources = [*manifold._source(c.k, c.s, c.gmap),
                *manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma)]
-    names = {n for n, _ in sources}
-    assert {"residual", "solve_y", "tangent", "velocity", "linearize", *generated_shots(field)
-            } == names
+    names = {"residual", "solve_y", "tangent", "velocity", "linearize", *generated_shots(field)}
+    assert {n for n, _ in sources} == names
     for _, source in sources:
         ast.parse(source, feature_version=(3, 10))
         # one float path for every s: numpy formats the RegularityError message only

@@ -656,14 +656,16 @@ def test_solve_y_escape_margin_matches_the_oracle():
 
 
 def _product(q):
-    """The product dt * q for an entry q of ``manifold``'s tableau, as a function of dt
-    that computes it as a shot binds it: dt divided by the integer 1 / q, or dt times
-    the float nearest q; None for a zero entry, whose terms a shot leaves out."""
-    if q == 0:
+    """The product dt * n / d for an entry q = (n, d) of ``manifold``'s tableau, as a
+    function of dt that computes it as a shot binds it: dt divided by the integer d / n
+    when n is 1 or -1, or dt times the float nearest n / d; None for a zero entry, whose
+    terms a shot leaves out."""
+    n, d = q
+    if n == 0:
         return None
-    if (1 / q).denominator == 1:
-        return lambda dt, divisor=float(1 / q): dt / divisor
-    return lambda dt, factor=float(q): dt * factor
+    if abs(n) == 1:
+        return lambda dt, divisor=float(n * d): dt / divisor
+    return lambda dt, factor=n / d: dt * factor
 
 
 # the tableau (c, A, b) of the shots as products with dt
