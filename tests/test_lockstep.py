@@ -800,7 +800,7 @@ def test_stepped_sensitivities_match_float_and_numpy_arithmetic(name):
         field = REGISTRY[name].build_dae()
     constraint, k = field.constraint, field.constraint.k
     rng, steps = np.random.default_rng(16), 0
-    shot = next(name for name, lin in generated_shots(field).items() if lin)
+    shot = next(shot for shot, lin in generated_shots(field).items() if lin)
     for i, p in enumerate(_random_points(constraint.domain, 200, 16)):
         w, dt = rng.normal(size=(k, k + 1)).tolist(), (0.05, 0.4)[i % 2]
         try:
