@@ -10,11 +10,11 @@ number of the field direction around the box boundary.
 import numpy as np
 
 from manideg import (
-    DegenerateZeroError, DomainBox, FieldHandle,
+    AmbientMap, DegenerateZeroError, DomainBox,
     boundary_min, degree_sign_sum, degree_winding_2d, find_zeros,
 )
 
-field = FieldHandle.from_expressions(("x^3 - x", "y"), ("x", "y"))
+field = AmbientMap.from_expressions(("x^3 - x", "y"), ("x", "y"))
 box = DomainBox.cube(-1.5, 1.5, 2)
 
 # every zero carries its Jacobian determinant sign (the local index)
@@ -36,12 +36,12 @@ print("per-box degrees:", parts, " sum:", sum(parts))
 margin = boundary_min(field, box)
 print("boundary minimum:", round(margin, 6))
 shift = 0.5 * margin / np.sqrt(2.0)
-bumped = FieldHandle.from_callable(
-    2, lambda p: field(p) - shift, jac=field.jacobian)
+bumped = AmbientMap.from_callable(
+    2, 2, lambda p: field(p) - shift, jac=field.jacobian)
 print("perturbed degree:", degree_sign_sum(bumped, box).degree)
 
 # the sign-sum refuses degenerate zeros; the winding oracle does not care
-squaring = FieldHandle.from_expressions(("x^2 - y^2", "2*x*y"), ("x", "y"))
+squaring = AmbientMap.from_expressions(("x^2 - y^2", "2*x*y"), ("x", "y"))
 try:
     degree_sign_sum(squaring, box)
 except DegenerateZeroError as exc:

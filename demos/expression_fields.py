@@ -9,7 +9,7 @@ compares the automatic gradient with a finite difference.
 
 import numpy as np
 
-from manideg import FieldHandle, parse, to_source
+from manideg import AmbientMap, parse, to_source
 from manideg.expr import compile_gradient, compile_value
 
 # parse once, reuse the syntax tree; compile once per variable order
@@ -40,7 +40,7 @@ print("finite difference:", fd)
 print("max deviation:", max(abs(a - b) for a, b in zip(g, fd)))
 
 # several expressions bundle into a vector field with a Jacobian
-field = FieldHandle.from_expressions(("x^3 - y", "x + y^3"), ("x", "y"))
+field = AmbientMap.from_expressions(("x^3 - y", "x + y^3"), ("x", "y"))
 p = np.array([0.5, -0.25])
 print("\nfield value:", field(p))
 print("field Jacobian:\n", field.jacobian(p))

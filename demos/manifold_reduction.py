@@ -13,7 +13,7 @@ import numpy as np
 from manideg import (
     AmbientMap, DomainBox, ImplicitConstraint,
     complete_velocity, implicit_solve_y, manifold_degree,
-    multi_region_degree, partial2_sign, schur_determinant_split,
+    partial2_sign, schur_determinant_split,
 )
 
 # the cubic-line curve y^3 + 3y = x^3 inside [-2,2]^2
@@ -38,7 +38,8 @@ full, d2g, schur = schur_determinant_split(phi1, con, point)
 print("det factorisation:", round(full, 12), "=",
       round(d2g, 12), "*", round(schur, 12))
 
-# when det d_y g changes sign across the surface, split the region:
+# when det d_y g changes sign across the surface, split the region
+# and add the per-box degrees:
 # y^2 = 1 + x^2 has two branches with opposite constraint signs
 two = ImplicitConstraint.from_expressions(
     1, 1, ("y^2 - 1 - x^2",), ("x", "y"),
@@ -46,5 +47,5 @@ two = ImplicitConstraint.from_expressions(
 chi = AmbientMap.from_expressions(("x",), ("x", "y"))
 upper = DomainBox.from_bounds([(-0.5, 0.5), (0.5, 1.8)])
 lower = DomainBox.from_bounds([(-0.5, 0.5), (-1.8, -0.5)])
-total = multi_region_degree(chi, two, [upper, lower])
+total = manifold_degree(chi, two, upper).degree + manifold_degree(chi, two, lower).degree
 print("two-branch total degree:", total)

@@ -9,14 +9,12 @@ which makes the error and the order of the method directly visible.
 """
 
 import math
-import os
-import tempfile
 
 import numpy as np
 
 from manideg import (
     REGISTRY, AmbientMap, DomainBox, ForcedField, ImplicitConstraint,
-    flow_map, implicit_solve_y, write_trajectory_csv,
+    flow_map, implicit_solve_y,
 )
 
 con = ImplicitConstraint.from_expressions(
@@ -47,12 +45,3 @@ xi = np.concatenate([x, implicit_solve_y(spring.constraint, x)])
 for _ in range(3):
     xi = flow_map(spring_field, xi, 0.0, spring.period).final_state
     print("after one period:", np.round(xi, 8))
-
-# recorded trajectories export as CSV rows (t, x..., y..., |g|)
-rec = flow_map(field, start, 0.0, 1.0, n_steps=10)
-with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "flow.csv")
-    write_trajectory_csv(rec, ("x", "y"), path)
-    with open(path) as fh:
-        for line in list(fh)[:4]:
-            print(line.rstrip())

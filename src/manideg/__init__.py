@@ -41,8 +41,8 @@ from .errors import (
     UndeclaredVariableError,
 )
 from .expr import parse, to_source
-from .fields import AmbientMap, FieldHandle
-from .flow import FlowResult, flow_map, projected_step, write_trajectory_csv
+from .fields import AmbientMap
+from .flow import FlowResult, flow_map, projected_step
 from .manifold import (
     ForcedField,
     ImplicitConstraint,
@@ -50,13 +50,11 @@ from .manifold import (
     complete_velocity,
     implicit_solve_y,
     manifold_degree,
-    multi_region_degree,
     partial2_sign,
     reduced_map,
     schur_determinant_split,
-    tangency_residual,
 )
-from .problems import REGISTRY, Problem, format_problem, parse_problem
+from .problems import REGISTRY, Problem, parse_problem
 
 __version__ = "0.1.0"
 
@@ -64,7 +62,7 @@ __all__ = [
     "AdmissibilityError", "AmbientMap", "Branch", "CorrectorError",
     "DegenerateZeroError", "DegreeResult", "DomainBox", "DomainEscapeError",
     "DomainEvalError",
-    "ExpressionSyntaxError", "FieldHandle", "FlowResult",
+    "ExpressionSyntaxError", "FlowResult",
     "ForcedField", "ImplicitConstraint", "IntegrationError", "ManidegError",
     "ManifoldDegreeResult", "NumericError", "Problem", "ProblemError",
     "ProblemFormatError", "REGISTRY", "RegularityError", "RootFindingError",
@@ -73,10 +71,10 @@ __all__ = [
     "average_wind", "boundary_min",
     "complete_velocity", "correct", "degree_sign_sum",
     "degree_winding_2d", "find_zeros", "flow_map",
-    "format_problem", "implicit_solve_y",
-    "manifold_degree", "multi_region_degree", "parse", "parse_problem",
+    "implicit_solve_y",
+    "manifold_degree", "parse", "parse_problem",
     "partial2_sign", "projected_step", "reduced_map",
     "schur_determinant_split",
-    "shooting_residual", "tangency_residual",
-    "to_source", "trace_branch", "write_trajectory_csv",
+    "shooting_residual",
+    "to_source", "trace_branch",
 ]

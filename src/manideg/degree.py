@@ -26,10 +26,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateZeroError, DomainEvalError, NumericError
-from .fields import FieldHandle
+from .fields import _floats
 
 __all__ = [
-    "DomainBox", "ZeroRecord", "DegreeResult", "FieldHandle",
+    "DomainBox", "ZeroRecord", "DegreeResult",
     "find_zeros", "boundary_min",
     "degree_sign_sum", "degree_winding_2d",
 ]
@@ -106,7 +106,7 @@ class DomainBox:
         return math.sqrt(sum((b - a) * (b - a) for a, b in self.bounds))
 
     def contains(self, point):
-        for v, a, b in zip(np.asarray(point, dtype=float).tolist(), self.lower, self.upper):
+        for v, a, b in zip(_floats(point, self.dim), self.lower, self.upper):
             if not a <= v <= b:
                 return False
         return True
@@ -134,10 +134,6 @@ class DomainBox:
                 pts[:, [i for i in range(m) if i != axis]] = flat
                 faces.append(pts)
         return np.vstack(faces)
-
-    def overlaps(self, other):
-        return all(a < d and c < b
-                   for (a, b), (c, d) in zip(self.bounds, other.bounds))
 
 
 @dataclass
@@ -281,6 +277,14 @@ def _polish(field, x, fx, max_extra=60):
     return x
 
 
+def _check_field(field, box):
+    # a degree field is a time-free map R^m -> R^m on an m-dimensional box
+    if field.time_dependent or not field.n_in == field.n_out == box.dim:
+        kind = "time-dependent " if field.time_dependent else ""
+        raise ValueError(f"a degree field must be a time-free map R^{box.dim} -> R^{box.dim} "
+                         f"on a {box.dim}-D box, got a {kind}{field.n_in}->{field.n_out} map")
+
+
 def _check_search_tolerances(newton_tol=1e-10, dedup_radius=None):
     # newton_tol positive and finite, dedup_radius (if given) non-negative and finite
     if not 0.0 < newton_tol < math.inf:
@@ -295,8 +299,8 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=Non
 
     Parameters
     ----------
-    field : FieldHandle
-        Square vector field with Jacobian access.
+    field : AmbientMap
+        Time-free map R^m -> R^m, m the box dimension, with Jacobian access.
     box : DomainBox
         Search region; converged points outside it are discarded, and a
         start is abandoned once an iterate leaves the box widened by
@@ -315,8 +319,7 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=Non
     -------
     list of ZeroRecord, sorted by location; degenerate where |det| < ``DEGENERATE_TOL``.
     """
-    if field.dim != box.dim:
-        raise ValueError(f"field dimension {field.dim} != box dimension {box.dim}")
+    _check_field(field, box)
     _check_search_tolerances(newton_tol, dedup_radius)
     density = grid_density if grid_density is not None else _default_density(box.dim)
     density = max(2, int(density))
@@ -350,6 +353,7 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=Non
 
 def boundary_min(field, box, samples_per_face=None):
     """Minimum field magnitude over a dense sampling of the box boundary."""
+    _check_field(field, box)
     n = samples_per_face if samples_per_face is not None else _DEFAULT_FACE.get(box.dim, 6)
     return float(_norms(_sample(field, box.boundary_grid(max(2, int(n))))).min())
 
@@ -426,7 +430,8 @@ def degree_winding_2d(field, box):
     half-turn.  The accumulated angle divided by 2*pi is returned,
     rounded to the nearest integer.
     """
-    if field.dim != 2:
+    _check_field(field, box)
+    if box.dim != 2:
         raise ValueError("the winding computation applies to planar fields only")
     ts = np.linspace(0.0, 4.0, _WINDING_SAMPLES, endpoint=False)
     for _ in range(_WINDING_MAX_PASSES):

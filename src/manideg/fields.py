@@ -9,7 +9,8 @@ callable maps call their functions point by point and fall back to
 central finite differences unless a Jacobian callable is supplied.
 ``batch`` (the degree routines' multi-start searches and samplings) is
 its row form and a single point is a batch of one, so every number a
-map gives about a point comes from the same code.
+map gives about a point comes from the same code.  A degree field is a
+square, time-free map; :mod:`manideg.degree` checks that shape.
 """
 
 import math
@@ -167,29 +168,3 @@ def _floats(vector, size, name="point"):  # ``size`` plain floats, the fastest f
     if vector.shape != (size,):
         raise ValueError(f"{name} must hold {size} coordinates, got shape {vector.shape}")
     return vector.tolist()
-
-
-class FieldHandle(AmbientMap):
-    """Square vector field R^m -> R^m, the object degree theory acts on."""
-
-    def __init__(self, dim, vector, **options):
-        super().__init__(dim, dim, vector, **options)
-
-    @property
-    def dim(self):
-        return self.n_in
-
-    @classmethod
-    def from_expressions(cls, sources, variables):
-        base = AmbientMap.from_expressions(sources, variables, allow_time=False)
-        if base.n_in != base.n_out:
-            raise ProblemFormatError(
-                f"field has {base.n_out} components over {base.n_in} variables; "
-                "a degree field must be square"
-            )
-        return cls(base.n_in, base.vector,
-                   asts=base.asts, variables=base.variables)
-
-    @classmethod
-    def from_callable(cls, dim, func, jac=None):
-        return cls(dim, AmbientMap.from_callable(dim, dim, func, jac).vector)

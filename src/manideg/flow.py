@@ -45,7 +45,6 @@ unfolded code raised.
 """
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +52,7 @@ import numpy as np
 from .errors import DomainEscapeError, DomainEvalError, IntegrationError, RootFindingError
 from .fields import _floats
 
-__all__ = ["FlowResult", "projected_step", "flow_map", "write_trajectory_csv",
-           "DEFAULT_STEPS_PER_PERIOD"]
+__all__ = ["FlowResult", "projected_step", "flow_map", "DEFAULT_STEPS_PER_PERIOD"]
 
 DEFAULT_STEPS_PER_PERIOD = 1024
 _MAX_HALVINGS = 20
@@ -184,16 +182,3 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, sensitivity=False):
     times = [t0] + [t0 + i * dt for i in range(1, n_steps + 1)]
     return FlowResult(np.array(state), max(drifts), n_steps, np.array(times),
                       np.array(states), np.array(drifts), w and np.array(w))
-
-
-def write_trajectory_csv(result, var_names, out):
-    """Rows (t, state..., |g|), one per step of the flow.
-
-    ``out`` is a path or a writable text file object.
-    """
-    opened = open(out, "w", encoding="utf-8") if isinstance(out, str) else nullcontext(out)
-    with opened as fh:
-        fh.write(",".join(["t", *var_names, "g_norm"]) + "\n")
-        for t, row, drift in zip(result.times, result.states, result.drifts):
-            cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in row] + [f"{drift:.17g}"]
-            fh.write(",".join(cells) + "\n")

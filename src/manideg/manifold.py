@@ -11,8 +11,7 @@ degree on M equals
 so everything reduces to a plain box degree of the square "reduced
 map" built from the first components and the constraint.  The sign is
 well defined as long as det d_y g keeps one sign over the region,
-which is verified by grid sampling.  Several disjoint boxes, each with
-its own constant sign, can be combined additively.
+which is verified by grid sampling.
 """
 
 import warnings as _warnings
@@ -21,19 +20,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .degree import DegreeResult, _default_density, degree_sign_sum, find_zeros
+from .degree import DegreeResult, _default_density, degree_sign_sum
 from .errors import (
-    AdmissibilityError, DomainEscapeError, DomainEvalError, ProblemFormatError,
-    RegularityError, RootFindingError,
+    DomainEscapeError, DomainEvalError, ProblemFormatError, RegularityError,
+    RootFindingError,
 )
 from . import expr
 from .expr import Op, Term
-from .fields import EVAL_ERRORS, TIME_NAME, AmbientMap, FieldHandle, _floats
+from .fields import EVAL_ERRORS, TIME_NAME, AmbientMap, _floats
 
 __all__ = [
     "ImplicitConstraint", "ForcedField", "ManifoldDegreeResult",
-    "partial2_sign", "tangency_residual",
-    "reduced_map", "manifold_degree", "multi_region_degree",
+    "partial2_sign",
+    "reduced_map", "manifold_degree",
     "implicit_solve_y", "schur_determinant_split", "complete_velocity",
 ]
 
@@ -602,12 +601,6 @@ def _check_periodic(sigma, period, domain, tol=1e-8):
                 )
 
 
-def tangency_residual(field, point, t=0.0):
-    """|g'(point) . v| for the velocity v of ``field`` at lam = 1, zero up to roundoff."""
-    v = field.velocity(t, point, 1.0)
-    return float(np.linalg.norm(field.constraint.gmap.jacobian(point) @ v))
-
-
 def reduced_map(phi1, constraint):
     """Square field (phi_1, g) on the ambient box; its zeros are the
     zeros of the tangent field determined by phi_1, and its box degree
@@ -619,7 +612,7 @@ def reduced_map(phi1, constraint):
     def vector(cols, t=0.0, jacobian=False):
         return (*phi1.vector(cols, t, jacobian), *constraint.gmap.vector(cols, t, jacobian))
 
-    return FieldHandle(constraint.dim, vector)
+    return AmbientMap(constraint.dim, constraint.dim, vector)
 
 
 def implicit_solve_y(constraint, x, y_guess=None, max_iter=50):
@@ -676,34 +669,3 @@ def manifold_degree(phi1, constraint, box=None, **degree_options):
                          sample_density=degree_options.pop("sample_density", None))
     ambient = degree_sign_sum(reduced_map(phi1, constraint), box, **degree_options)
     return ManifoldDegreeResult(sign * ambient.degree, ambient, sign)
-
-
-def multi_region_degree(phi1, constraint, boxes, **degree_options):
-    """Sum of per-box signed degrees over pairwise disjoint boxes.
-
-    Each box gets its own constant sign of det d_y g, so level sets
-    whose y-block flips orientation between components are handled.  A
-    zero of the reduced map found inside the constraint's domain but
-    outside every box makes the combination unreliable and raises
-    :class:`AdmissibilityError`.
-    """
-    boxes = list(boxes)
-    if not boxes:
-        raise ValueError("need at least one box")
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if boxes[i].overlaps(boxes[j]):
-                raise ValueError(f"boxes {i} and {j} overlap: "
-                                 f"{boxes[i].bounds} vs {boxes[j].bounds}")
-    stray = [
-        z for z in find_zeros(reduced_map(phi1, constraint), constraint.domain,
-                              grid_density=degree_options.get("grid_density"))
-        if not any(b.contains(z.location) for b in boxes)
-    ]
-    if stray:
-        raise AdmissibilityError(
-            f"zero of the reduced map at {stray[0].location} lies outside "
-            "every supplied box; enlarge or add boxes"
-        )
-    return sum(manifold_degree(phi1, constraint, box, **degree_options).degree
-               for box in boxes)

@@ -40,7 +40,7 @@ from .fields import AmbientMap
 from .manifold import ForcedField, ImplicitConstraint, reduced_map
 
 __all__ = [
-    "Problem", "parse_problem", "format_problem",
+    "Problem", "parse_problem",
     "REGISTRY", "REFERENCE_DEGREES", "ReferenceDegrees",
 ]
 
@@ -240,26 +240,6 @@ def _domain(ranges):
         return DomainBox.from_bounds(ranges)
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from None
-
-
-def format_problem(problem):
-    """Render a :class:`Problem` back to file text (parse round-trips)."""
-    lines = [
-        f"name = {problem.name}",
-        f"k = {problem.k}",
-        f"s = {problem.s}",
-        f"vars = {', '.join(problem.variables)}",
-    ]
-    lines.extend(f"g = {src}" for src in problem.g)
-    if problem.gamma is not None:
-        lines.extend(f"gamma = {src}" for src in problem.gamma)
-    if problem.sigma is not None:
-        lines.extend(f"sigma = {src}" for src in problem.sigma)
-    if problem.period is not None:
-        lines.append(f"period = {problem.period!r}")
-    lines.append("box = " + ", ".join(f"{lo!r} {hi!r}" for lo, hi in problem.box))
-    lines.extend(f"{key} = {value!r}" for key, value in problem.options)
-    return "\n".join(lines) + "\n"
 
 
 # --- bundled reference problems --------------------------------------------

@@ -19,7 +19,6 @@ import pytest
 from manideg import (
     AmbientMap,
     DomainBox,
-    FieldHandle,
     ForcedField,
     ImplicitConstraint,
     REGISTRY,
@@ -181,7 +180,7 @@ def test_winding_and_sign_sum_agree():
             field = prob.build_seed_map()
             box = prob.domain()
             assert degree_winding_2d(field, box) == degree_sign_sum(field, box).degree, name
-        squaring = FieldHandle.from_expressions(("x^2 - y^2", "2*x*y"), ("x", "y"))
+        squaring = AmbientMap.from_expressions(("x^2 - y^2", "2*x*y"), ("x", "y"))
         square = DomainBox.cube(-1.5, 1.5, 2)
         assert brute_winding(squaring, square) == 2
         assert degree_winding_2d(squaring, square) == 2
@@ -207,7 +206,7 @@ def test_determinant_factorisation():
 
 def test_degree_axioms():
     with check("degree axioms (additivity, excision, stability, parity)"):
-        field = FieldHandle.from_expressions(("x^3 - x", "y"), ("x", "y"))
+        field = AmbientMap.from_expressions(("x^3 - x", "y"), ("x", "y"))
         box = DomainBox.cube(-1.5, 1.5, 2)
         whole = degree_sign_sum(field, box).degree
 
@@ -224,13 +223,13 @@ def test_degree_axioms():
         bmin = boundary_min(field, box)
         shift = np.array([1.0, -1.0])
         shift *= 0.5 * bmin / np.linalg.norm(shift)
-        bumped = FieldHandle.from_callable(
-            2, lambda p: field(p) - shift, jac=field.jacobian)
+        bumped = AmbientMap.from_callable(
+            2, 2, lambda p: field(p) - shift, jac=field.jacobian)
         assert degree_sign_sum(bumped, box).degree == whole
 
         for m in range(1, 5):
             names = tuple(f"x{i}" for i in range(m))
-            antipode = FieldHandle.from_expressions(
+            antipode = AmbientMap.from_expressions(
                 tuple(f"-{n}" for n in names), names)
             assert degree_sign_sum(antipode, DomainBox.cube(-1.0, 1.0, m)).degree == (-1) ** m
 
@@ -244,7 +243,7 @@ def test_graph_chart_agreement():
             1, 1, ("y - x^2 + 1",), ("x", "y"),
             DomainBox.from_bounds([(-2.5, 2.5), (-2.0, 6.0)]))
         phi1 = AmbientMap.from_expressions(("y - x",), ("x", "y"))
-        direct = FieldHandle.from_expressions(("x^2 - 1 - x",), ("x",))
+        direct = AmbientMap.from_expressions(("x^2 - 1 - x",), ("x",))
         lhs = manifold_degree(phi1, con).degree
         rhs = degree_sign_sum(direct, DomainBox.cube(-2.5, 2.5, 1)).degree
         assert lhs == rhs == 0
@@ -252,7 +251,7 @@ def test_graph_chart_agreement():
         con2 = ImplicitConstraint.from_expressions(
             1, 1, ("y - x^3",), ("x", "y"), DomainBox.cube(-2.0, 2.0, 2))
         phi2 = AmbientMap.from_expressions(("x^3 - x",), ("x", "y"))
-        direct2 = FieldHandle.from_expressions(("x^3 - x",), ("x",))
+        direct2 = AmbientMap.from_expressions(("x^3 - x",), ("x",))
         assert (manifold_degree(phi2, con2).degree
                 == degree_sign_sum(direct2, DomainBox.cube(-2.0, 2.0, 1)).degree == 1)
 
@@ -262,7 +261,7 @@ def test_graph_chart_agreement():
             DomainBox.from_bounds([(-2.0, 2.0), (-2.0, 2.0), (-0.5, 8.5)]))
         phi3 = AmbientMap.from_expressions(
             ("x2 + 0.1*y", "-x1"), ("x1", "x2", "y"))
-        direct3 = FieldHandle.from_expressions(
+        direct3 = AmbientMap.from_expressions(
             ("x2 + 0.1*(x1^2 + x2^2)", "-x1"), ("x1", "x2"))
         assert (manifold_degree(phi3, con3).degree
                 == degree_sign_sum(direct3, DomainBox.cube(-2.0, 2.0, 2)).degree == 1)

@@ -16,7 +16,7 @@ import shlex
 
 import pytest
 
-from manideg import REGISTRY, Problem, cli, format_problem, parse_problem
+from manideg import REGISTRY, Problem, cli, parse_problem
 from manideg.cli import load_problem, main, verify_reference_problems
 from manideg.errors import ProblemError, ProblemFormatError
 from manideg.problems import REFERENCE_DEGREES, ReferenceDegrees
@@ -66,16 +66,6 @@ def test_build_phi1_rejects_quadrature_nodes_below_one(nodes):
         problem.build_phi1(nodes)
     with pytest.raises(ProblemFormatError, match="quadrature_nodes"):
         problem.build_seed_map(nodes)
-
-
-def test_format_parse_round_trip():
-    prob = parse_problem(SPRING_TEXT)
-    assert parse_problem(format_problem(prob)) == prob
-
-
-def test_registry_problems_round_trip():
-    for prob in REGISTRY.values():
-        assert parse_problem(format_problem(prob)) == prob
 
 
 @pytest.mark.parametrize("mutation", [

@@ -12,9 +12,9 @@ import pytest
 
 from manideg import (
     AdmissibilityError,
+    AmbientMap,
     DegenerateZeroError,
     DomainBox,
-    FieldHandle,
     NumericError,
     boundary_min,
     degree_sign_sum,
@@ -26,7 +26,7 @@ SQUARE = DomainBox.cube(-1.5, 1.5, 2)
 
 
 def handle(sources, variables):
-    return FieldHandle.from_expressions(sources, variables)
+    return AmbientMap.from_expressions(sources, variables)
 
 
 def brute_winding(field, box, n=20000):
@@ -86,14 +86,10 @@ def test_box_geometry():
     assert box.diameter == pytest.approx(math.sqrt(17.0))
     assert box.contains([2.0, 1.0])
     assert not box.contains([2.1, 0.5])
-
-
-def test_box_overlap():
-    a = DomainBox.cube(0.0, 1.0, 2)
-    b = DomainBox.from_bounds([(0.9, 2.0), (0.5, 2.0)])
-    c = DomainBox.from_bounds([(1.0, 2.0), (0.0, 1.0)])  # shares only a face
-    assert a.overlaps(b)
-    assert not a.overlaps(c)
+    # a point of the wrong size is refused, not read up to the shorter length
+    for point in ([0.5], [0.5, 0.5, 99.0]):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            DomainBox.cube(0.0, 1.0, 2).contains(point)
 
 
 def test_boundary_grid_covers_faces():
@@ -284,6 +280,18 @@ def test_winding_requires_plane_field():
     line = handle(("x",), ("x",))
     with pytest.raises(ValueError):
         degree_winding_2d(line, DomainBox.cube(-1.0, 1.0, 1))
+
+
+@pytest.mark.parametrize("entry", [find_zeros, boundary_min, degree_sign_sum, degree_winding_2d])
+@pytest.mark.parametrize("sources, box, message", [
+    (("x", "y"), DomainBox.cube(-1.0, 1.0, 3), "3-D box, got a 2->2 map"),
+    (("x", "y", "x*y"), SQUARE, "2-D box, got a 2->3 map"),
+    (("x", "y + t"), SQUARE, "2-D box, got a time-dependent 2->2 map"),
+], ids=["box-too-large", "not-square", "time-dependent"])
+def test_degree_routines_reject_misshapen_fields(entry, sources, box, message):
+    # each names the map's shape and the box's dimension instead of failing inside
+    with pytest.raises(ValueError, match=message):
+        entry(handle(sources, ("x", "y")), box)
 
 
 @pytest.mark.parametrize("newton_tol, dedup_radius", [

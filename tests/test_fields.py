@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from manideg import (
-    AmbientMap, DomainBox, DomainEvalError, FieldHandle, ImplicitConstraint, find_zeros,
+    AmbientMap, DomainBox, DomainEvalError, ImplicitConstraint, find_zeros,
 )
 from manideg.dae import _averaged_map
 from manideg.manifold import reduced_map
@@ -80,7 +80,7 @@ def _zero_search_cases():
         problem = REGISTRY[name]
         yield (reduced_map(problem.build_phi1(), problem.build_constraint()),
                problem.domain())
-    yield (FieldHandle.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y")),
+    yield (AmbientMap.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y")),
            DomainBox.cube(-2.0, 2.0, 2))
     # a generated sine/cubic problem on which scalar and vector code round differently
     box = DomainBox.cube(-2.0, 2.0, 2)
@@ -89,8 +89,8 @@ def _zero_search_cases():
     phi1 = AmbientMap.from_expressions(("sin(11.780972450961723*x - 0.09123432489966687)",),
                                        ("x", "y"))
     yield reduced_map(phi1, constraint), box
-    yield (FieldHandle.from_callable(
-        2, lambda p: np.array([np.sin(3 * p[0]) - p[1], p[0] ** 2 + p[1] ** 2 - 1])),
+    yield (AmbientMap.from_callable(
+        2, 2, lambda p: np.array([np.sin(3 * p[0]) - p[1], p[0] ** 2 + p[1] ** 2 - 1])),
         DomainBox.cube(-1.5, 1.5, 2))
 
 

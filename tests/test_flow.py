@@ -6,9 +6,8 @@ and order checks.
 """
 
 import ast
-import csv
+import dataclasses
 import gc
-import io
 import math
 import pathlib
 import re
@@ -33,14 +32,12 @@ from manideg import (
     complete_velocity,
     find_zeros,
     flow_map,
-    format_problem,
     implicit_solve_y,
     parse_problem,
     projected_step,
     reduced_map,
     shooting_residual,
     trace_branch,
-    write_trajectory_csv,
 )
 from manideg import manifold
 
@@ -469,7 +466,7 @@ def test_misshapen_points_are_rejected_by_name():
 def test_shooting_compiles_the_step_code_once(monkeypatch):
     # a trace shoots the field it is given: that field's step code is bound once for the
     # whole trace, not once per shot (the constraint's own code is bound on its own)
-    dae = parse_problem(format_problem(REGISTRY["example-5-5"])).build_dae()
+    dae = dataclasses.replace(REGISTRY["example-5-5"]).build_dae()
     seed = find_zeros(reduced_map(dae.gamma, dae.constraint), dae.constraint.domain)[0]
     fields, generated = [], manifold._generated
     monkeypatch.setattr(manifold, "_generated",
@@ -651,19 +648,3 @@ def test_period_map_contracts_at_zero_forcing():
     start = on_spring_manifold(0.4, 0.0)
     out = flow_map(field, start, 0.0, period, n_steps=1024).final_state
     assert np.linalg.norm(out[:2]) < np.linalg.norm(start[:2])
-
-
-# --- CSV export --------------------------------------------------------------------
-
-def test_trajectory_csv_round_trip():
-    field = exponential_flow()
-    res = flow_map(field, np.array([1.0, 1.0]), 0.0, 0.5, n_steps=8)
-    buf = io.StringIO()
-    write_trajectory_csv(res, ("x", "y"), buf)
-    rows = list(csv.reader(io.StringIO(buf.getvalue())))
-    assert rows[0] == ["t", "x", "y", "g_norm"]
-    assert len(rows) == 10
-    for i, row in enumerate(rows[1:]):
-        assert float(row[0]) == res.times[i]
-        assert float(row[1]) == res.states[i, 0]
-        assert float(row[3]) == res.drifts[i]

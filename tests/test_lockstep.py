@@ -46,7 +46,7 @@ import warnings
 import numpy as np
 import pytest
 
-from manideg import AmbientMap, DomainBox, FieldHandle, find_zeros, flow_map, implicit_solve_y
+from manideg import AmbientMap, DomainBox, find_zeros, flow_map, implicit_solve_y
 from manideg import cli, dae as dae_module, degree, expr, flow, manifold
 from manideg.degree import _default_density
 from manideg.continuation import DEFAULT_TRACE_STEPS_PER_PERIOD
@@ -209,7 +209,7 @@ def test_bundled_problems_match_the_per_start_search(name):
 
 def test_missed_zero_defect_is_unchanged():
     # 121 true zeros; the default 16 x 16 grid finds 109 of them either way
-    field = FieldHandle.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y"))
+    field = AmbientMap.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y"))
     assert len(assert_same_zeros(field, DomainBox.cube(-2.0, 2.0, 2))) == 109
 
 
@@ -231,9 +231,9 @@ def test_every_start_ends_where_its_per_start_run_ends():
     # stronger than equal zero sets: each start converges (or is abandoned)
     # exactly as its own per-start run does, at the same point
     cases = [
-        (FieldHandle.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y")),
+        (AmbientMap.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y")),
          DomainBox.cube(-2.0, 2.0, 2)),
-        (FieldHandle.from_expressions(("x^3 - 2*x + 2 + y", "y^3 - x"), ("x", "y")),
+        (AmbientMap.from_expressions(("x^3 - 2*x + 2 + y", "y^3 - x"), ("x", "y")),
          DomainBox.cube(-3.0, 3.0, 2)),
     ]
     for name in ("example-5-2", "example-5-7"):
@@ -258,7 +258,7 @@ def test_every_start_ends_where_its_per_start_run_ends():
 def test_starts_outside_the_domain_are_dropped_quietly():
     # log is undefined for x <= -1, sqrt for y < -1.5 and the division on
     # the grid line x = -2: part of the start grid cannot be evaluated
-    field = FieldHandle.from_expressions(
+    field = AmbientMap.from_expressions(
         ("log(x + 1) + y / (x + 2)", "sqrt(y + 1.5) - sqrt(1.5) + x"), ("x", "y"))
     box = DomainBox.cube(-2.0, 2.0, 2)
     values, valid = field.batch(box.grid(16))
@@ -274,7 +274,7 @@ def test_singular_jacobian_at_one_start_keeps_the_others():
     # J = [[2x, 2y], [1, -c]] is exactly singular at the grid node (0, 0)
     # only, which fails the stacked solve of that iteration
     c = 1.4142135623730951
-    field = FieldHandle.from_expressions(("x^2 + y^2 - 1", f"x - {c!r}*y"), ("x", "y"))
+    field = AmbientMap.from_expressions(("x^2 + y^2 - 1", f"x - {c!r}*y"), ("x", "y"))
     box = DomainBox.cube(-2.0, 2.0, 2)
     jac, valid = field.batch(box.grid(5), jacobian=True)
     assert valid.all() and np.sum(np.linalg.det(jac) == 0.0) == 1
@@ -285,9 +285,9 @@ def test_singular_jacobian_at_one_start_keeps_the_others():
 
 def test_callable_field_finds_the_zeros_of_its_expression_form():
     sources = ("sin(3*x) - y", "x^2 + y^2 - 1")
-    expression = FieldHandle.from_expressions(sources, ("x", "y"))
-    callable_ = FieldHandle.from_callable(
-        2, lambda p: np.array([np.sin(3 * p[0]) - p[1], p[0] ** 2 + p[1] ** 2 - 1]),
+    expression = AmbientMap.from_expressions(sources, ("x", "y"))
+    callable_ = AmbientMap.from_callable(
+        2, 2, lambda p: np.array([np.sin(3 * p[0]) - p[1], p[0] ** 2 + p[1] ** 2 - 1]),
         jac=lambda p: np.array([[3 * np.cos(3 * p[0]), -1.0], [2 * p[0], 2 * p[1]]]))
     box = DomainBox.cube(-1.5, 1.5, 2)
     want = find_zeros(expression, box)
@@ -364,7 +364,7 @@ def _mirror_field(m):
     def jac(p):
         x = float(p[0])
         return np.array([[(x * x + 1.0) / (2.0 ** m * x)]])
-    return FieldHandle.from_callable(1, lambda p: np.array([p[0] ** 2 + 1.0]), jac=jac)
+    return AmbientMap.from_callable(1, 1, lambda p: np.array([p[0] ** 2 + 1.0]), jac=jac)
 
 
 def _lockstep_cases():
@@ -376,11 +376,11 @@ def _lockstep_cases():
         cases.append((name, reduced_map(problem.build_phi1(), problem.build_constraint()),
                       problem.domain()))
     cases.append(("sin(9x), sin(9y)",
-                  FieldHandle.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y")),
+                  AmbientMap.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y")),
                   DomainBox.cube(-2.0, 2.0, 2)))
     # a cubic whose starts far out need many halvings, evaluated point by point
-    cases.append(("callable", FieldHandle.from_callable(
-        2, lambda p: np.array([p[0] ** 3 - 2 * p[0] + 2 + p[1], p[1] ** 3 - p[0]])),
+    cases.append(("callable", AmbientMap.from_callable(
+        2, 2, lambda p: np.array([p[0] ** 3 - 2 * p[0] + 2 + p[1], p[1] ** 3 - p[0]])),
         DomainBox.cube(-3.0, 3.0, 2)))
     for name, field, box in cases:
         width = np.subtract(box.upper, box.lower)

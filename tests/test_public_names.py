@@ -28,6 +28,8 @@ def public_modules():
 
 
 def test_every_exported_name_resolves():
+    # 45 when this bound was set: a new public name must replace one
+    assert len(manideg.__all__) <= 45, manideg.__all__
     for mod in public_modules():
         names = getattr(mod, "__all__", ())
         assert len(names) == len(set(names)), mod.__name__
@@ -81,8 +83,8 @@ def keyword_parameters():
 
 
 def test_public_keyword_parameters_do_not_grow():
-    # 64 by keyword_parameters' rule when this test was written (correct, trace_branch,
+    # 62 by keyword_parameters' rule when this bound was last set (correct, trace_branch,
     # degree_sign_sum 4 each, ...): a new keyword must replace one
     counted = keyword_parameters()
     assert len(counted) > 50  # the rule still reaches the package's callables
-    assert sum(len(names) for _, names in counted) <= 64, counted
+    assert sum(len(names) for _, names in counted) <= 62, counted
