@@ -232,14 +232,16 @@ def _write_branch_csv(branch, variables, k, out):
         out.write(",".join(cells) + "\n")
 
 
-def verify_reference_problems(expected=None, json_mode=False, out=None):
-    """Recompute every bundled problem; returns the process exit code."""
-    out = out or sys.stdout
-    expected = expected if expected is not None else REFERENCE_DEGREES
+def verify_reference_problems(json_mode=False):
+    """Recompute every bundled problem against ``REFERENCE_DEGREES``.
+
+    Writes a table, or with ``json_mode`` one JSON record, to stdout and
+    returns the process exit code: 0 when every problem passes.
+    """
     rows = []
     for name in sorted(REGISTRY):
         problem = REGISTRY[name]
-        want = expected[name]
+        want = REFERENCE_DEGREES[name]
         constraint = problem.build_constraint()
         result = manifold_degree(problem.build_phi1(), constraint,
                                  **problem.solver_options())
@@ -268,20 +270,20 @@ def verify_reference_problems(expected=None, json_mode=False, out=None):
         })
     passed = sum(r["ok"] for r in rows)
     if json_mode:
-        _print_json({"results": rows, "passed": passed, "total": len(rows)}, out)
+        _print_json({"results": rows, "passed": passed, "total": len(rows)})
     else:
-        out.write(
+        sys.stdout.write(
             f"{'problem':<14}{'ambient':>8}{'sign':>6}{'manifold':>10}"
             f"{'expected':>10}{'zero-err':>12}  status\n"
         )
         for r in rows:
             status = "pass" if r["ok"] else "FAIL"
-            out.write(
+            sys.stdout.write(
                 f"{r['problem']:<14}{r['ambient_degree']:>8}{r['constraint_sign']:>6}"
                 f"{r['manifold_degree']:>10}{r['expected_manifold']:>10}"
                 f"{r['zero_error']:>12.2e}  {status}\n"
             )
-        out.write(f"{passed}/{len(rows)} reference problems verified\n")
+        sys.stdout.write(f"{passed}/{len(rows)} reference problems verified\n")
     return 0 if passed == len(rows) else 1
 
 

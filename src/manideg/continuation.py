@@ -24,6 +24,7 @@ Everything here is deterministic: rerunning a trace reproduces the
 branch point for point.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
 
 DEFAULT_TRACE_STEPS_PER_PERIOD = 64
 CORRECTOR_TOL = 1e-8  # residual norm at which the corrector stops
+CORRECTOR_MAX_ITER = 10  # Newton steps per correction
 ARCLENGTH_HALVINGS = 5  # step halvings per arclength advance
 
 
@@ -90,43 +92,38 @@ def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_
     return r, pair, res.sensitivity - np.eye(k, k + 1)
 
 
-def correct(dae, x0, lam, *, arclength=None, max_iter=10,
+def correct(dae, x0, lam, arclength, *,
             steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD, y_guess=None):
     """Newton-correct a predicted solution pair, to a residual norm of ``CORRECTOR_TOL``.
 
-    With ``arclength=None`` the forcing amplitude is held fixed and
-    only x0 is adjusted.  Otherwise ``arclength`` is a tuple
-    ``(z_prev, tangent, ds)`` over z = (x0, lam) and the corrector also
-    satisfies the arclength condition tangent . (z - z_prev) = ds.
+    ``arclength`` is a tuple ``(z_prev, tangent, ds)`` over z = (x0, lam):
+    the corrected pair also satisfies the arclength condition
+    tangent . (z - z_prev) = ds.  With the tangent e_lam and ds = 0 that
+    holds lam at the value of ``z_prev`` and corrects x0 alone.
 
-    The Newton matrix is ``[W - [I | 0]; tangent]`` (without the
-    tangent row and the lam column when lam is fixed), with W the
-    exact shooting sensitivities that the shot at the prediction
-    integrates alongside its trajectory.  It is kept frozen over the
-    Newton steps, each of which shoots one plain period; if a step
-    stalls, the next iteration re-shoots the current z with
-    sensitivities once to refresh it.
+    The Newton matrix is ``[W - [I | 0]; tangent]``, with W the exact
+    shooting sensitivities that the shot at the prediction integrates
+    alongside its trajectory.  It is kept frozen over the at most
+    ``CORRECTOR_MAX_ITER`` Newton steps, each of which shoots one plain
+    period; if a step stalls, the next iteration re-shoots the current z
+    with sensitivities once to refresh it.
     """
     k = dae.constraint.k
     z = np.concatenate([np.asarray(x0, dtype=float), [float(lam)]])
+    z_prev, tangent, ds = arclength
 
     def shoot(zv, jacobian=False):
         # (residual, pair of the shot, Newton matrix or None)
         r, pair, *jac = shooting_residual(dae, zv[:k], zv[k], y_guess=y_guess,
                                           steps_per_period=steps_per_period,
                                           jacobian=jacobian)
-        if arclength is None:
-            jac = [m[:, :k] for m in jac]
-        else:
-            z_prev, tangent, ds = arclength
-            r = np.append(r, tangent @ (zv - z_prev) - ds)
-            jac = [np.vstack([m, tangent]) for m in jac]
-        return r, pair, jac[0] if jac else None
+        r = np.append(r, tangent @ (zv - z_prev) - ds)
+        return r, pair, np.vstack([jac[0], tangent]) if jac else None
 
     try:
         r, pair, jac = shoot(z, jacobian=True)  # pair: the shot at the current z
         refreshed = False
-        for _ in range(max_iter):
+        for _ in range(CORRECTOR_MAX_ITER):
             if np.linalg.norm(r) <= CORRECTOR_TOL:
                 return pair
             if jac is None:
@@ -135,10 +132,7 @@ def correct(dae, x0, lam, *, arclength=None, max_iter=10,
                 delta = np.linalg.solve(jac, -r)
             except np.linalg.LinAlgError:
                 raise CorrectorError("singular shooting sensitivity matrix") from None
-            if arclength is None:
-                z[:k] += delta
-            else:
-                z += delta
+            z += delta
             r_new, pair, _ = shoot(z)
             if np.linalg.norm(r_new) > 0.9 * np.linalg.norm(r) and not refreshed:
                 jac = None  # frozen sensitivities went stale; rebuild once
@@ -177,17 +171,21 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
     seed : ZeroRecord
         A zero of a seed map; its first k coordinates start the branch.
     ds : float
-        Pseudo-arclength step in (x0, lam).  Halved on corrector
-        failure, up to ``ARCLENGTH_HALVINGS`` times per advance; restored to
-        the full length after every accepted point.
+        Pseudo-arclength step in (x0, lam), positive and finite.  Halved
+        on corrector failure, up to ``ARCLENGTH_HALVINGS`` times per
+        advance; restored to the full length after every accepted point.
     lambda_max, max_steps :
-        Stop once the amplitude parameter reaches lambda_max or the
-        branch holds max_steps points.
+        Stop once the amplitude parameter reaches lambda_max (not nan)
+        or the branch holds max_steps points.
 
     Returns
     -------
     Branch with the ordered points and a termination reason.
     """
+    if not (math.isfinite(ds) and ds > 0.0):
+        raise ValueError(f"ds must be a positive finite step, got {ds!r}")
+    if math.isnan(lambda_max):
+        raise ValueError("lambda_max must not be nan")
     k = dae.constraint.k
     box = dae.constraint.domain
     x_seed = np.asarray(seed.location[:k], dtype=float)

@@ -307,8 +307,9 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=Non
         one box width on each side.
     grid_density : int, optional
         Newton starts per axis, all run in lock-step for at most
-        ``NEWTON_MAX_ITER`` iterations.  Defaults depend on the dimension
-        (16 for one or two axes, 8 for three, 6 for four).
+        ``NEWTON_MAX_ITER`` iterations; a density below 2 counts as 2.
+        Defaults depend on the dimension (16 for one or two axes, 8 for
+        three, 6 for four).
     newton_tol : float
         Residual norm below which a start counts as converged.
     dedup_radius : float, optional
@@ -352,7 +353,11 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=Non
 
 
 def boundary_min(field, box, samples_per_face=None):
-    """Minimum field magnitude over a dense sampling of the box boundary."""
+    """Minimum field magnitude over a dense sampling of the box boundary.
+
+    ``samples_per_face`` is the samples per axis of each face; a count
+    below 2 counts as 2.
+    """
     _check_field(field, box)
     n = samples_per_face if samples_per_face is not None else _DEFAULT_FACE.get(box.dim, 6)
     return float(_norms(_sample(field, box.boundary_grid(max(2, int(n))))).min())

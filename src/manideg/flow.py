@@ -72,29 +72,19 @@ class FlowResult:
     sensitivity: np.ndarray | None = None  # d x(t1) / d (x(t0), lam), k x (k + 1)
 
 
-def projected_step(field, state, t, dt, lam=0.0, sensitivity=None):
+def projected_step(field, state, t, dt, lam=0.0):
     """One Dormand-Prince step of ``field.velocity(t, ., lam)`` plus y-projection.
 
-    Given ``sensitivity``, the k x (k + 1) matrix W = dx/d(x0, lam) at
-    ``state`` (any other shape raises ValueError), the step also advances
-    W by the variational equation W' = A W + [0 | sigma] through the same
-    six stages (A and sigma from ``field.linearize``, the products on
-    floats, summed left to right) and returns ``(state, W)``.  The state
-    is bit-identical to the plain step's: W never feeds back into it.
+    It runs the generated step code of :func:`flow_map`; a step whose
+    projection fails raises that error instead of being halved.  The
+    sensitivities W are stepped by ``flow_map(..., sensitivity=True)``.
     """
     _check_finite(lam=lam, t=t, dt=dt)
-    w = sensitivity
-    if w is not None:
-        w, k = np.asarray(w, dtype=float), field.constraint.k
-        if w.shape != (k, k + 1):
-            raise ValueError(f"sensitivity must have shape ({k}, {k + 1}), got {w.shape}")
-        w = w.tolist()
-    shot = field._code["dp5" if w is None else "dp5w"]
     state = _floats(state, field.constraint.dim, "state")
-    _, stepped, w, failure = shot(0, 1, t, dt, float(lam), w, [], [], *state)
+    _, stepped, _, failure = field._code["dp5"](0, 1, t, dt, float(lam), None, [], [], *state)
     if failure is not None:
         raise failure
-    return np.array(stepped) if w is None else (np.array(stepped), np.array(w))
+    return np.array(stepped)
 
 
 def _check_finite(**values):

@@ -39,7 +39,7 @@ __all__ = [
 SINGULAR_TOL = 1e-10  # |det d_y g| below which partial2_sign calls a sample singular
 NEAR_SINGULAR_TOL = 1e-6  # and below which it warns
 Y_SOLVE_TOL = 1e-12  # |g| every y-solve converges to, the flow's projections included
-_PROJECTION_ITER = 50  # Newton steps each projection of a flow step may take
+_PROJECTION_ITER = 50  # Newton steps each y-solve may take, a flow step's projection too
 
 
 class ImplicitConstraint:
@@ -81,14 +81,16 @@ class ImplicitConstraint:
 def partial2_sign(constraint, sample_density=None, box=None):
     """Constant sign of det d_y g over a box, verified by grid sampling.
 
-    Raises :class:`RegularityError` when |det| drops below ``SINGULAR_TOL``
-    at a sample or when two samples disagree in sign; emits a
-    RuntimeWarning when the margin is thinner than ``NEAR_SINGULAR_TOL``.
+    ``sample_density`` is the samples per axis, by default the zero
+    search's grid density; a density below 2 counts as 2.  Raises
+    :class:`RegularityError` when |det| drops below ``SINGULAR_TOL`` at a
+    sample or when two samples disagree in sign; emits a RuntimeWarning
+    when the margin is thinner than ``NEAR_SINGULAR_TOL``.
     """
     box = box or constraint.domain
     if sample_density is None:
         sample_density = _default_density(box.dim)
-    points = box.grid(sample_density)
+    points = box.grid(max(2, int(sample_density)))
     jac, valid = constraint.gmap.batch(points, jacobian=True)
     if not valid.all():
         raise DomainEvalError(
@@ -615,13 +617,13 @@ def reduced_map(phi1, constraint):
     return AmbientMap(constraint.dim, constraint.dim, vector)
 
 
-def implicit_solve_y(constraint, x, y_guess=None, max_iter=50):
+def implicit_solve_y(constraint, x, y_guess=None):
     """Solve g(x, y) = 0 for y at fixed x by damped Newton, to |g| <= ``Y_SOLVE_TOL``.
 
     The guess defaults to the midpoint of the y-slice of the
-    constraint's domain box; ``max_iter`` (an integer of at least 1)
-    caps the Newton steps.  The iteration is the one that projects each
-    flow step (generated code, see :func:`_projection`).  The converged
+    constraint's domain box.  The iteration is the one that projects each
+    flow step (generated code, see :func:`_projection`), with the same
+    cap of ``_PROJECTION_ITER`` Newton steps.  The converged
     point must lie inside the domain box, otherwise
     :class:`DomainEscapeError` is raised; a solve that does not
     converge raises :class:`RootFindingError`.
@@ -629,9 +631,7 @@ def implicit_solve_y(constraint, x, y_guess=None, max_iter=50):
     if y_guess is None:
         y_guess = [(a + b) / 2.0 for a, b in constraint.domain.bounds[constraint.k:]]
     x, y_guess = _floats(x, constraint.k, "x"), _floats(y_guess, constraint.s, "y_guess")
-    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
-        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
-    y, _ = constraint._code["solve_y"](int(max_iter), *x, *y_guess)
+    y, _ = constraint._code["solve_y"](_PROJECTION_ITER, *x, *y_guess)
     return np.array(y)
 
 

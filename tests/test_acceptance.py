@@ -9,7 +9,6 @@ in the run summary either way (see conftest).
 """
 
 import contextlib
-import io
 import math
 import time
 
@@ -24,6 +23,7 @@ from manideg import (
     REGISTRY,
     average_wind,
     boundary_min,
+    cli,
     degree_sign_sum,
     degree_winding_2d,
     find_zeros,
@@ -337,12 +337,10 @@ def test_forced_branch_of_solution_pairs():
 
 # 13 ---------------------------------------------------------------------------
 
-def test_bundled_verification_subcommand():
+def test_bundled_verification_subcommand(capsys, monkeypatch):
     with check("bundled verification subcommand"):
-        buf = io.StringIO()
-        assert verify_reference_problems(out=buf) == 0
-        text = buf.getvalue()
-        assert "6/6 reference problems verified" in text
+        assert verify_reference_problems() == 0
+        assert "6/6 reference problems verified" in capsys.readouterr().out
         assert cli_main(["verify-paper"]) == 0
 
         flipped = dict(REFERENCE_DEGREES)
@@ -350,6 +348,6 @@ def test_bundled_verification_subcommand():
         flipped["example-4-1"] = ReferenceDegrees(
             -want.ambient_degree, want.constraint_sign,
             -want.manifold_degree, want.zero)
-        neg = io.StringIO()
-        assert verify_reference_problems(expected=flipped, out=neg) == 1
-        assert "FAIL" in neg.getvalue()
+        monkeypatch.setattr(cli, "REFERENCE_DEGREES", flipped)
+        assert verify_reference_problems() == 1
+        assert "FAIL" in capsys.readouterr().out

@@ -7,7 +7,6 @@ failure.
 
 import csv
 import dataclasses
-import io
 import json
 import math
 import pathlib
@@ -497,15 +496,15 @@ def test_verify_json_writes_non_finite_as_null(capsys, monkeypatch):
     assert record["passed"] == 0 and record["results"][0]["zero_error"] is None
 
 
-def test_verify_flags_wrong_expectations():
+def test_verify_flags_wrong_expectations(capsys, monkeypatch):
     # negative control: flip one expected value and demand a failure
     flipped = dict(REFERENCE_DEGREES)
     want = flipped["example-5-5"]
     flipped["example-5-5"] = ReferenceDegrees(
         -want.ambient_degree, want.constraint_sign,
         -want.manifold_degree, want.zero)
-    buf = io.StringIO()
-    code = verify_reference_problems(expected=flipped, out=buf)
+    monkeypatch.setattr(cli, "REFERENCE_DEGREES", flipped)
+    code = verify_reference_problems()
     assert code == 1
-    text = buf.getvalue()
+    text = capsys.readouterr().out
     assert "FAIL" in text and "5/6" in text

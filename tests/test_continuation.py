@@ -15,6 +15,7 @@ the 2 pi-periodic forced response at t = 0.
 import csv
 import dataclasses
 import gc
+import math
 import pathlib
 import weakref
 
@@ -194,9 +195,14 @@ def test_sensitivity_shot_matches_plain_shot_bit_for_bit():
 
 # --- corrector -------------------------------------------------------------------
 
+def held(x0, lam):
+    # the arclength condition that holds lam fixed: tangent e_lam, ds = 0
+    return np.array([*x0, lam]), np.eye(len(x0) + 1)[-1], 0.0
+
+
 def test_correct_accepts_exact_pair():
     dae = spring()
-    pair = correct(dae, np.zeros(2), 0.0)
+    pair = correct(dae, np.zeros(2), 0.0, arclength=held(np.zeros(2), 0.0))
     assert pair.lam == 0.0
     assert pair.residual <= 1e-8
     assert pair.amplitude <= 1e-8
@@ -205,7 +211,9 @@ def test_correct_accepts_exact_pair():
 
 def test_correct_pulls_back_to_periodic_pair():
     dae = spring()
-    pair = correct(dae, np.array([0.05, 0.02]), 0.0)
+    x0 = np.array([0.05, 0.02])
+    pair = correct(dae, x0, 0.0, arclength=held(x0, 0.0))
+    assert pair.lam == 0.0
     assert np.linalg.norm(pair.x0) <= 1e-6
     assert pair.residual <= 1e-8
 
@@ -213,8 +221,9 @@ def test_correct_pulls_back_to_periodic_pair():
 def test_correct_returns_the_pair_of_its_converged_shot():
     dae = spring()
     y_guess = np.zeros(1)
-    pair = correct(dae, np.zeros(2), 0.2, y_guess=y_guess)
+    pair = correct(dae, np.zeros(2), 0.2, arclength=held(np.zeros(2), 0.2), y_guess=y_guess)
     assert np.linalg.norm(pair.x0) > 1e-3  # Newton moved off the prediction
+    assert pair.lam == 0.2
     _, shot = shooting_residual(dae, pair.x0, pair.lam, y_guess=y_guess)
     for f in dataclasses.fields(pair):
         mine, theirs = getattr(pair, f.name), getattr(shot, f.name)
@@ -237,7 +246,8 @@ def test_correct_refreshes_a_stale_jacobian_once(monkeypatch):
         return out
 
     monkeypatch.setattr(continuation, "shooting_residual", skewed)
-    pair = correct(spring(), np.array([0.3, 0.2]), 0.0, steps_per_period=64)
+    x0 = np.array([0.3, 0.2])
+    pair = correct(spring(), x0, 0.0, arclength=held(x0, 0.0), steps_per_period=64)
     assert np.linalg.norm(pair.x0) <= 1e-6
     flags = [j for _, j in shots]
     assert flags[0] and flags.count(True) == 2
@@ -245,10 +255,12 @@ def test_correct_refreshes_a_stale_jacobian_once(monkeypatch):
     assert np.array_equal(shots[again][0], shots[again - 1][0])  # same z re-shot
 
 
-def test_correct_fails_when_starved():
-    dae = spring()
-    with pytest.raises(CorrectorError):
-        correct(dae, np.array([1.5, 1.5]), 0.0, max_iter=1)
+def test_correct_fails_when_starved(monkeypatch):
+    # from here ten Newton steps converge, one does not
+    monkeypatch.setattr(continuation, "CORRECTOR_MAX_ITER", 1)
+    x0 = np.array([0.3, 0.2])
+    with pytest.raises(CorrectorError, match="stalled"):
+        correct(spring(), x0, 0.0, arclength=held(x0, 0.0))
 
 
 # --- tracing ---------------------------------------------------------------------
@@ -306,6 +318,21 @@ def test_trace_is_deterministic():
         assert p.residual == q.residual
 
 
+@pytest.mark.parametrize("options, needle", [
+    ({"ds": 0.0}, "ds must be a positive finite step"),
+    ({"ds": -0.02}, "ds must be a positive finite step"),
+    ({"ds": math.nan}, "ds must be a positive finite step"),
+    ({"ds": math.inf}, "ds must be a positive finite step"),
+    ({"lambda_max": math.nan}, "lambda_max must not be nan"),
+], ids=["zero-ds", "negative-ds", "nan-ds", "inf-ds", "nan-lambda-max"])
+def test_trace_rejects_a_step_or_bound_that_cannot_trace(options, needle):
+    # ds = 0 would repeat the seed until max_steps, ds < 0 step to lam < 0 and end
+    # left_domain, and lam never reaches a nan lambda_max
+    dae, seed = spring_seed()
+    with pytest.raises(ValueError, match=needle):
+        trace_branch(dae, seed, **options)
+
+
 def test_trace_stops_at_max_steps():
     dae, seed = spring_seed()
     branch = trace_branch(dae, seed, ds=0.02, lambda_max=10.0, max_steps=3)
@@ -332,7 +359,8 @@ def test_branch_ended_by_a_failure_is_freed_without_the_cycle_collector(monkeypa
 
     def starved(*args, **kwargs):
         calls.append(args)
-        return real(*args, **kwargs, max_iter=10 if len(calls) == 1 else 0)
+        monkeypatch.setattr(continuation, "CORRECTOR_MAX_ITER", 10 if len(calls) == 1 else 0)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(continuation, "correct", starved)
     dae, seed = spring_seed()

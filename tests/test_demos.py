@@ -17,9 +17,12 @@ def test_demos_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path, monkeypatch, tmp_path):
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # demo scratch files
+    # a scratch file, in the temporary directory or relative to the working one, lands
+    # in tmp_path and must be gone when the demo ends
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(path), run_name="__main__")
     assert out.getvalue()
-    assert not any(tmp_path.iterdir())  # scratch files are cleaned up
+    assert not any(tmp_path.iterdir())

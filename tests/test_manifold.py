@@ -111,6 +111,14 @@ def test_partial2_sign_rejects_sign_change():
         partial2_sign(two_branch())
 
 
+@pytest.mark.parametrize("density", [0, 1])
+def test_partial2_sign_samples_at_least_two_nodes_per_axis(density):
+    # one node per axis is the box's lower corner alone, where det d_y g = -4 hides the
+    # sign change, and no node leaves no determinant to take the minimum of
+    with pytest.raises(RegularityError, match="changes sign"):
+        partial2_sign(two_branch(), sample_density=density)
+
+
 def test_partial2_sign_rejects_singular_sample():
     con = ImplicitConstraint.from_expressions(
         1, 1, ("y^3 - x",), ("x", "y"), DomainBox.cube(-1.0, 1.0, 2))
@@ -240,17 +248,22 @@ def test_implicit_solve_y_rejects_root_outside_domain():
 
 
 def test_implicit_solve_y_escape_on_last_iteration():
-    # the one Newton step lands on y = 3, outside the box, as the loop ends
+    # Newton on the triple root y = 3 from 3 + 5e4 falls short after 49 steps and
+    # converges on the 50th, the last the cap allows, to y = 3.00008, outside the box
     con = ImplicitConstraint.from_expressions(
-        1, 1, ("y - x",), ("x", "y"), DomainBox.cube(-1.0, 1.0, 2))
-    with pytest.raises(DomainEscapeError):
-        implicit_solve_y(con, np.array([3.0]), y_guess=[0.0], max_iter=1)
+        1, 1, ("(y - 3)^3 + 0*x",), ("x", "y"), DomainBox.cube(-1.0, 1.0, 2))
+    with pytest.raises(RootFindingError, match="after 49 iterations"):
+        con._code["solve_y"](49, 0.0, 3.0 + 5e4)
+    with pytest.raises(DomainEscapeError, match="converged to"):
+        implicit_solve_y(con, np.array([0.0]), y_guess=[3.0 + 5e4])
 
 
 def test_implicit_solve_y_iteration_cap():
-    con = cubic_graph()
-    with pytest.raises(RootFindingError):
-        implicit_solve_y(con, np.array([1.0]), y_guess=(-2.0,), max_iter=2)
+    # the cube root of 0 from 1e8 shrinks y by a third per step: 50 steps are not enough
+    con = ImplicitConstraint.from_expressions(
+        1, 1, ("y^3 - x",), ("x", "y"), DomainBox.cube(-1.0, 1.0, 2))
+    with pytest.raises(RootFindingError, match="did not reach tolerance .* after 50 iterations"):
+        implicit_solve_y(con, np.array([0.0]), y_guess=[1e8])
 
 
 @pytest.mark.parametrize("x, options, needle", [
@@ -258,11 +271,7 @@ def test_implicit_solve_y_iteration_cap():
     ([], {}, "x must hold 1 coordinates"),
     ([1.0], {"y_guess": (0.5, 0.5)}, "y_guess must hold 1 coordinates"),
     ([1.0], {"y_guess": ()}, "y_guess must hold 1 coordinates"),
-    ([1.0], {"max_iter": 0}, "max_iter must be an integer of at least 1"),
-    ([1.0], {"max_iter": -3}, "max_iter must be an integer of at least 1"),
-    ([1.0], {"max_iter": 2.5}, "max_iter must be an integer of at least 1"),
-], ids=["long-x", "empty-x", "long-guess", "empty-guess", "zero-iter", "negative-iter",
-        "fractional-iter"])
+], ids=["long-x", "empty-x", "long-guess", "empty-guess"])
 def test_implicit_solve_y_checks_its_input(x, options, needle):
     with pytest.raises(ValueError, match=needle):
         implicit_solve_y(cubic_graph(), np.array(x), **options)
