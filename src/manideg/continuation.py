@@ -25,6 +25,7 @@ branch point for point.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,7 +177,7 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
         advance; restored to the full length after every accepted point.
     lambda_max, max_steps :
         Stop once the amplitude parameter reaches lambda_max (not nan)
-        or the branch holds max_steps points.
+        or the branch holds max_steps points (an integer of at least 1).
 
     Returns
     -------
@@ -186,6 +187,8 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
         raise ValueError(f"ds must be a positive finite step, got {ds!r}")
     if math.isnan(lambda_max):
         raise ValueError("lambda_max must not be nan")
+    if not (isinstance(max_steps, numbers.Integral) and max_steps >= 1):
+        raise ValueError(f"max_steps must be an integer of at least 1, got {max_steps!r}")
     k = dae.constraint.k
     box = dae.constraint.domain
     x_seed = np.asarray(seed.location[:k], dtype=float)

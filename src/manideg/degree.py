@@ -12,8 +12,10 @@ zeros.
 The Newton starts run in lock-step: per iteration one batched Jacobian
 (``AmbientMap.batch``), one stacked linear solve and at most three
 batched residuals (the full steps, then two chunks of halvings) serve
-every live start, and masks give each start its own halvings, fence,
-stall and convergence (see :func:`_lockstep_newton`).
+every live start, each with its own halvings.  The live starts are held
+compact, and a start leaves them once, converged, fenced, with a
+non-finite step or stalled (see :func:`_lockstep_newton`), so an
+iteration costs what its live starts cost.
 Boundary and winding samples are batched too.  The flow's y-projection
 runs the same damped rule on one point, as generated code (see
 :mod:`manideg.manifold`).
@@ -44,10 +46,10 @@ _WINDING_SAMPLES = 256  # first boundary samples of the winding computation
 _WINDING_ZERO_TOL = 1e-10  # boundary |F| at or below which the winding is undefined
 _WINDING_MAX_PASSES = 48  # caps on the winding's refinement passes
 _WINDING_MAX_POINTS = 200000  # and on its boundary samples
-# step scales 2**-j a lock-step Newton iteration tries, one batch per chunk:
-# the full step, then halvings 1-3, then 4-19 for the rows still not improved
+# step scales 2**-j a lock-step Newton iteration tries after the full step, one
+# batch per chunk: halvings 1-3, then 4-19 for the starts still not improved
 _HALVING_CHUNKS = tuple(np.array([0.5 ** j for j in levels])
-                        for levels in ((0,), (1, 2, 3), range(4, 20)))
+                        for levels in ((1, 2, 3), range(4, 20)))
 
 
 # a lock-step Newton start's region, unchecked: three box widths across, its diameter may overflow
@@ -157,9 +159,9 @@ class DegreeResult:
 
 
 def _norms(a):
-    # Euclidean norm of each row, bit for bit np.linalg.norm of the row
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+    # Euclidean norm of each row, bit for bit np.linalg.norm of the row; rows
+    # that may overflow need np.errstate(over="ignore", invalid="ignore")
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
 
 
 def _residual_norms(values, valid):
@@ -170,14 +172,16 @@ def _residual_norms(values, valid):
 
 
 def _inside(box, points):
-    return np.all((np.array(box.lower) <= points) & (points <= np.array(box.upper)), axis=1)
+    return ((np.asarray(box.lower) <= points) & (points <= np.asarray(box.upper))).all(axis=1)
 
 
 def _newton_steps(field, x, fx):
     """Full Newton steps at the rows ``x`` (residuals ``fx``), one stacked
     solve; NaN where the Jacobian does not evaluate or is singular."""
     jac, valid = field.batch(x, jacobian=True)
-    jac[~valid] = np.eye(x.shape[1])
+    all_valid = valid.all()
+    if not all_valid:
+        jac[~valid] = np.eye(x.shape[1])
     try:
         steps = np.linalg.solve(jac, -fx[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -188,64 +192,103 @@ def _newton_steps(field, x, fx):
                 steps[i] = np.linalg.solve(jac[i], -fx[i])
             except np.linalg.LinAlgError:
                 pass
-    steps[~valid] = np.nan
+    if not all_valid:
+        steps[~valid] = np.nan
     return steps
+
+
+def _retire(x, fx, leaving, rows, xl, fl, *rest):
+    """Write the live starts flagged ``leaving`` back into ``x`` and ``fx``.
+
+    A Newton loop holds its live starts compact: ``rows`` are their rows
+    of ``x``, ``xl`` and ``fl`` their points and values, and ``rest``
+    more arrays with a row per live start.  Returns the same arrays for
+    the starts that stay live.
+    """
+    if not leaving.any():
+        return (rows, xl, fl, *rest)
+    gone = rows[leaving]
+    x[gone], fx[gone] = xl[leaving], fl[leaving]
+    keep = ~leaving
+    return tuple(a[keep] for a in (rows, xl, fl, *rest))
 
 
 def _lockstep_newton(field, x, tol, max_iter, fence):
     """Damped Newton from every row of ``x`` at once, in lock-step.
 
-    Each iteration moves a row by the first of its Newton step's scales
+    Each iteration moves a start by the first of its Newton step's scales
     2**-j (j = 0, ..., 19) that strictly decreases its residual norm; a
     residual that does not evaluate or whose norm is not finite counts
-    as infinite.  The tolerance is checked before each of the
-    ``max_iter`` steps and after the last.  A row is abandoned (stalls)
-    when no scale improves it, and also when its start does not
-    evaluate, when an iterate about to step lies outside ``fence`` (so
-    no Jacobian is evaluated there) and when its step is not finite.
-    Returns the final points and residuals, and the mask of the rows
-    that converged inside ``fence``.
+    as infinite.  Returns the final points and residuals, and the mask
+    of the starts that converged inside ``fence``.
 
-    The halving levels are tried a chunk at a time (``_HALVING_CHUNKS``):
-    one batch holds every level of a chunk for every row still waiting,
-    and a row's residual bound does not change while it waits, so the
-    row takes the level it would take trying one level per batch.  The
-    field is also evaluated at the levels of a chunk past the one a row
-    takes, points between the row's iterate and its rejected full step;
-    a callable-backed field sees these as extra calls.
+    Only the live starts are iterated, held compact (row of ``x``, point,
+    value, residual norm).  A start whose residual does not evaluate
+    never runs.  The others leave the live set at one place per outcome,
+    where their final point and value are written back into ``x`` and
+    ``fx``:
+
+    - converged: the residual norm is at most ``tol``, checked before
+      each of the ``max_iter`` steps and after the last; a start that
+      converges outside ``fence`` is dropped;
+    - fenced: an iterate about to step lies outside ``fence``, so no
+      Jacobian is evaluated there;
+    - non-finite step: the Jacobian does not evaluate or is singular;
+    - stalled: no scale decreases the residual norm;
+    - out of iterations after ``max_iter`` steps.
+
+    One batch holds the full steps of every live start.  The halving
+    levels are then tried a chunk at a time (``_HALVING_CHUNKS``): one
+    batch holds every level of a chunk for every start still waiting,
+    and a start's residual bound does not change while it waits, so it
+    takes the level it would take trying one level per batch.  The
+    field is also evaluated at the levels of a chunk past the one a start
+    takes, points between its iterate and its rejected full step; a
+    callable-backed field sees these as extra calls.
     """
     fx, valid = field.batch(x)
     r = _residual_norms(fx, valid)
-    live = np.isfinite(r)
     converged = np.zeros(len(x), dtype=bool)
+    rows = np.flatnonzero(np.isfinite(r))
+    xl, fl, rl = x[rows], fx[rows], r[rows]
     for _ in range(max_iter):
-        done = live & (r <= tol)
-        converged |= done
-        live &= ~done & _inside(fence, x)
-        rows = np.flatnonzero(live)
+        done, inside = rl <= tol, _inside(fence, xl)
+        converged[rows[done]] = inside[done]
+        rows, xl, fl, rl = _retire(x, fx, done | ~inside, rows, xl, fl, rl)  # converged, fenced
         if not rows.size:
             break
-        steps = _newton_steps(field, x[rows], fx[rows])
+        steps = _newton_steps(field, xl, fl)
         finite = np.isfinite(steps).all(axis=1)
-        live[rows[~finite]] = False
-        rows, steps = rows[finite], steps[finite]
+        rows, xl, fl, rl, steps = _retire(x, fx, ~finite, rows, xl, fl, rl, steps)  # non-finite
+        xn = xl + steps  # the full steps
+        fn, valid = field.batch(xn)
+        rn = _residual_norms(fn, valid)
+        moved = rn < rl
+        xl[moved], fl[moved], rl[moved] = xn[moved], fn[moved], rn[moved]
+        waiting = np.flatnonzero(~moved)  # the live starts no scale has improved yet
+        steps = steps[waiting]
         for scales in _HALVING_CHUNKS:
-            if not rows.size:
+            if not waiting.size:
                 break
-            # row i, level j of the chunk at flat index i * len(scales) + j
-            xn = (x[rows][:, None] + scales[:, None] * steps[:, None]).reshape(-1, x.shape[1])
+            # start i, level j of the chunk at flat index i * len(scales) + j
+            xn = (xl[waiting][:, None] + scales[:, None] * steps[:, None]).reshape(-1, x.shape[1])
             fn, valid = field.batch(xn)
             rn = _residual_norms(fn, valid)
-            better = rn.reshape(len(rows), -1) < r[rows, None]
+            better = rn.reshape(len(waiting), -1) < rl[waiting, None]
             moved = better.any(axis=1)
-            took = rows[moved]
+            took = waiting[moved]
             pick = np.flatnonzero(moved) * len(scales) + better[moved].argmax(axis=1)
-            x[took], fx[took], r[took] = xn[pick], fn[pick], rn[pick]
-            rows, steps = rows[~moved], steps[~moved]
-        live[rows] = False  # stalled: no halving decreased the residual
-    else:
-        converged |= live & (r <= tol)
-    return x, fx, converged & _inside(fence, x)
+            xl[took], fl[took], rl[took] = xn[pick], fn[pick], rn[pick]
+            waiting, steps = waiting[~moved], steps[~moved]
+        if waiting.size:  # stalled: no scale decreased the residual
+            stalled = np.zeros(len(rows), dtype=bool)
+            stalled[waiting] = True
+            rows, xl, fl, rl = _retire(x, fx, stalled, rows, xl, fl, rl)
+    else:  # out of iterations: the last step may have converged
+        done = rl <= tol
+        converged[rows[done]] = _inside(fence, xl[done])
+        x[rows], fx[rows] = xl, fl
+    return x, fx, converged
 
 
 def _polish(field, x, fx, max_extra=60):
@@ -254,26 +297,33 @@ def _polish(field, x, fx, max_extra=60):
     At a multiple zero the residual tolerance is met while the point is
     still O(sqrt(tol)) away and the Jacobian determinant looks merely
     small instead of singular.  Continuing until the Newton step itself
-    is negligible makes degeneracy detectable and sharpens dedup.  A row
-    stops at a Jacobian that does not evaluate or is singular, at a
-    non-finite or negligible step, and at a step whose residual does not
-    evaluate or bounces up; it keeps its last good iterate.
+    is negligible makes degeneracy detectable and sharpens dedup.
+
+    As in :func:`_lockstep_newton` only the live rows are iterated, held
+    compact, and each keeps its last good iterate, written back into
+    ``x`` where it leaves: at a Jacobian that does not evaluate or is
+    singular, at a non-finite or negligible step, at a step whose
+    residual does not evaluate or bounces up, and after ``max_extra``
+    steps.  No batch is evaluated once every row has left.
     """
-    rows = np.arange(len(x))
+    rows, xl, fl = np.arange(len(x)), x, fx
     for _ in range(max_extra):
         if not rows.size:
             break
-        steps = _newton_steps(field, x[rows], fx[rows])
+        steps = _newton_steps(field, xl, fl)
         moving = np.isfinite(steps).all(axis=1)
-        moving[moving] = ~(_norms(steps[moving])
-                           <= 1e-14 * (1.0 + _norms(x[rows[moving]])))
-        rows, steps = rows[moving], steps[moving]
-        xn = x[rows] + steps
+        moving[moving] = ~(_norms(steps[moving]) <= 1e-14 * (1.0 + _norms(xl[moving])))
+        rows, xl, fl, steps = _retire(x, fx, ~moving, rows, xl, fl, steps)  # stationary, or stuck
+        if not rows.size:
+            break
+        xn = xl + steps
         fn, valid = field.batch(xn)
         # roundoff bounce: keep the better iterate and stop
-        calm = ~(_residual_norms(fn, valid) > np.maximum(4.0 * _norms(fx[rows]), 1e-13))
-        rows = rows[calm]
-        x[rows], fx[rows] = xn[calm], fn[calm]
+        calm = ~(_residual_norms(fn, valid) > np.maximum(4.0 * _norms(fl), 1e-13))
+        rows, xl, fl, xn, fn = _retire(x, fx, ~calm, rows, xl, fl, xn, fn)
+        xl, fl = xn, fn
+    else:
+        x[rows], fx[rows] = xl, fl
     return x
 
 
@@ -360,7 +410,9 @@ def boundary_min(field, box, samples_per_face=None):
     """
     _check_field(field, box)
     n = samples_per_face if samples_per_face is not None else _DEFAULT_FACE.get(box.dim, 6)
-    return float(_norms(_sample(field, box.boundary_grid(max(2, int(n))))).min())
+    values = _sample(field, box.boundary_grid(max(2, int(n))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_norms(values).min())
 
 
 def _sample(field, points, jacobian=False):

@@ -9,9 +9,12 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -508,3 +511,28 @@ def test_verify_flags_wrong_expectations(capsys, monkeypatch):
     assert code == 1
     text = capsys.readouterr().out
     assert "FAIL" in text and "5/6" in text
+
+
+# --- the console-script target as a process -------------------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def run_process(cwd, *argv):
+    # ``python -m manideg.cli`` runs cli.run(), which exits with main()'s code
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "manideg.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_process_exits_0_after_verify_paper(tmp_path):
+    done = run_process(tmp_path, "verify-paper")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "6/6 reference problems verified"
+
+
+def test_process_exits_2_for_a_missing_problem_file(tmp_path):
+    done = run_process(tmp_path, "degree", str(tmp_path / "missing.problem"))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert any(line.startswith("error:") for line in done.stderr.splitlines()), done.stderr

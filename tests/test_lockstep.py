@@ -255,11 +255,25 @@ def test_every_start_ends_where_its_per_start_run_ends():
 
 # --- per-start isolation -----------------------------------------------------------
 
-def test_starts_outside_the_domain_are_dropped_quietly():
+def partly_undefined_field():
     # log is undefined for x <= -1, sqrt for y < -1.5 and the division on
-    # the grid line x = -2: part of the start grid cannot be evaluated
-    field = AmbientMap.from_expressions(
+    # the grid line x = -2: part of the 16 x 16 start grid on [-2, 2]^2
+    # cannot be evaluated
+    return AmbientMap.from_expressions(
         ("log(x + 1) + y / (x + 2)", "sqrt(y + 1.5) - sqrt(1.5) + x"), ("x", "y"))
+
+
+SINGULAR_C = 1.4142135623730951
+
+
+def singular_at_the_center_field():
+    # J = [[2x, 2y], [1, -c]] is exactly singular at the node (0, 0) of the
+    # 5 x 5 start grid on [-2, 2]^2 only, which fails the stacked solve
+    return AmbientMap.from_expressions(("x^2 + y^2 - 1", f"x - {SINGULAR_C!r}*y"), ("x", "y"))
+
+
+def test_starts_outside_the_domain_are_dropped_quietly():
+    field = partly_undefined_field()
     box = DomainBox.cube(-2.0, 2.0, 2)
     values, valid = field.batch(box.grid(16))
     assert 0 < valid.sum() < len(valid)
@@ -271,10 +285,8 @@ def test_starts_outside_the_domain_are_dropped_quietly():
 
 
 def test_singular_jacobian_at_one_start_keeps_the_others():
-    # J = [[2x, 2y], [1, -c]] is exactly singular at the grid node (0, 0)
-    # only, which fails the stacked solve of that iteration
-    c = 1.4142135623730951
-    field = AmbientMap.from_expressions(("x^2 + y^2 - 1", f"x - {c!r}*y"), ("x", "y"))
+    c = SINGULAR_C
+    field = singular_at_the_center_field()
     box = DomainBox.cube(-2.0, 2.0, 2)
     jac, valid = field.batch(box.grid(5), jacobian=True)
     assert valid.all() and np.sum(np.linalg.det(jac) == 0.0) == 1
@@ -374,18 +386,21 @@ def _lockstep_cases():
     for name in ("example-4-1", "example-5-2", "example-5-7"):
         problem = REGISTRY[name]
         cases.append((name, reduced_map(problem.build_phi1(), problem.build_constraint()),
-                      problem.domain()))
+                      problem.domain(), None))
+    square = DomainBox.cube(-2.0, 2.0, 2)
     cases.append(("sin(9x), sin(9y)",
-                  AmbientMap.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y")),
-                  DomainBox.cube(-2.0, 2.0, 2)))
+                  AmbientMap.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y")), square, None))
     # a cubic whose starts far out need many halvings, evaluated point by point
     cases.append(("callable", AmbientMap.from_callable(
         2, 2, lambda p: np.array([p[0] ** 3 - 2 * p[0] + 2 + p[1], p[1] ** 3 - p[0]])),
-        DomainBox.cube(-3.0, 3.0, 2)))
-    for name, field, box in cases:
+        DomainBox.cube(-3.0, 3.0, 2), None))
+    # starts that never evaluate, and a start whose step is not finite
+    cases.append(("partly undefined", partly_undefined_field(), square, 16))
+    cases.append(("singular at the center", singular_at_the_center_field(), square, 5))
+    for name, field, box, density in cases:
         width = np.subtract(box.upper, box.lower)
         fence = DomainBox.from_bounds(zip(box.lower - width, box.upper + width))
-        yield name, field, box.grid(_default_density(box.dim)), fence
+        yield name, field, box.grid(density or _default_density(box.dim)), fence
     for m in (1, 2, 6):  # ties at the full step, in the first chunk and in the second
         yield f"mirror {m}", _mirror_field(m), np.array([[1.0], [3.0]]), DomainBox.cube(-4, 4, 1)
 
@@ -416,7 +431,23 @@ def test_chunked_halvings_cut_the_batch_calls(monkeypatch):
     monkeypatch.setattr(type(field), "batch",
                         lambda self, *args, **kw: calls.append(args) or batch(self, *args, **kw))
     assert len(find_zeros(field, problem.domain())) == 1
-    assert len(calls) <= 150
+    assert len(calls) <= 110
+
+
+def test_zero_search_evaluates_no_empty_batch(monkeypatch):
+    # the polish stops before a batch of zero rows once every start has left it
+    cases = [(reduced_map(p.build_phi1(), p.build_constraint()), p.domain())
+             for p in REGISTRY.values()]
+    cases.append((AmbientMap.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y")),
+                  DomainBox.cube(-2.0, 2.0, 2)))
+    sizes = []
+    batch = AmbientMap.batch
+    monkeypatch.setattr(AmbientMap, "batch",
+                        lambda self, points, *args, **kw: sizes.append(len(points))
+                        or batch(self, points, *args, **kw))
+    for field, box in cases:
+        assert find_zeros(field, box)
+    assert len(sizes) > 300 and min(sizes) > 0
 
 
 # --- the y-projection against the same loop -------------------------------------------
