@@ -390,9 +390,11 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=Non
     while len(rest):
         accepted.append(rest[0])
         rest = rest[_norms(rest - rest[0]) > radius]
+    if not accepted:
+        return []
 
     # the residuals and determinants of all zeros come from one batch each
-    zeros = np.array(sorted(accepted, key=tuple)).reshape(-1, box.dim)
+    zeros = np.array(sorted(accepted, key=tuple))
     residuals, dets = _norms(_sample(field, zeros)), np.linalg.det(_sample(field, zeros, True))
     records = []
     for x, residual, det in zip(zeros, residuals.tolist(), dets.tolist()):

@@ -435,18 +435,20 @@ def test_chunked_halvings_cut_the_batch_calls(monkeypatch):
 
 
 def test_zero_search_evaluates_no_empty_batch(monkeypatch):
-    # the polish stops before a batch of zero rows once every start has left it
-    cases = [(reduced_map(p.build_phi1(), p.build_constraint()), p.domain())
+    # the polish stops before a batch of zero rows once every start has left it,
+    # and a search that finds no zero samples none
+    cases = [(reduced_map(p.build_phi1(), p.build_constraint()), p.domain(), 1)
              for p in REGISTRY.values()]
-    cases.append((AmbientMap.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y")),
-                  DomainBox.cube(-2.0, 2.0, 2)))
+    square = DomainBox.cube(-2.0, 2.0, 2)
+    cases.append((AmbientMap.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y")), square, 109))
+    cases.append((AmbientMap.from_expressions(("x^2 + 1", "y"), ("x", "y")), square, 0))
     sizes = []
     batch = AmbientMap.batch
     monkeypatch.setattr(AmbientMap, "batch",
                         lambda self, points, *args, **kw: sizes.append(len(points))
                         or batch(self, points, *args, **kw))
-    for field, box in cases:
-        assert find_zeros(field, box)
+    for field, box, count in cases:
+        assert len(find_zeros(field, box)) == count
     assert len(sizes) > 300 and min(sizes) > 0
 
 
