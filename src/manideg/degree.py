@@ -15,13 +15,15 @@ batched residuals (the full steps, then two chunks of halvings) serve
 every live start, each with its own halvings.  The live starts are held
 compact, and a start leaves them once, converged, fenced, with a
 non-finite step or stalled (see :func:`_lockstep_newton`), so an
-iteration costs what its live starts cost.
+iteration costs what its live starts cost.  Only the first converged
+start of each group of duplicates is polished (see :func:`find_zeros`).
 Boundary and winding samples are batched too.  The flow's y-projection
 runs the same damped rule on one point, as generated code (see
 :mod:`manideg.manifold`).
 """
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field as dataclass_field
 
@@ -58,6 +60,15 @@ _Fence = namedtuple("_Fence", "lower upper")
 
 def _default_density(dim):
     return _DEFAULT_GRID.get(dim, 5)
+
+
+def _count(name, value, default):
+    # a count per axis, ``default`` if None: an integer, and below 2 it counts as 2
+    if value is None:
+        return default
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return max(2, int(value))
 
 
 @dataclass(frozen=True)
@@ -292,19 +303,21 @@ def _lockstep_newton(field, x, tol, max_iter, fence):
 
 
 def _polish(field, x, fx, max_extra=60):
-    """Push residual-converged iterates (the rows of ``x``) to stationarity.
+    """Push residual-converged iterates (the rows of ``x``, values ``fx``)
+    to stationarity; returns the final points and their values.
 
     At a multiple zero the residual tolerance is met while the point is
     still O(sqrt(tol)) away and the Jacobian determinant looks merely
     small instead of singular.  Continuing until the Newton step itself
     is negligible makes degeneracy detectable and sharpens dedup.
+    :func:`find_zeros` polishes one start per group of converged starts.
 
     As in :func:`_lockstep_newton` only the live rows are iterated, held
-    compact, and each keeps its last good iterate, written back into
-    ``x`` where it leaves: at a Jacobian that does not evaluate or is
-    singular, at a non-finite or negligible step, at a step whose
-    residual does not evaluate or bounces up, and after ``max_extra``
-    steps.  No batch is evaluated once every row has left.
+    compact, and each keeps its last good iterate and its value, written
+    back into ``x`` and ``fx`` where it leaves: at a Jacobian that does
+    not evaluate or is singular, at a non-finite or negligible step, at a
+    step whose residual does not evaluate or bounces up, and after
+    ``max_extra`` steps.  No batch is evaluated once every row has left.
     """
     rows, xl, fl = np.arange(len(x)), x, fx
     for _ in range(max_extra):
@@ -324,7 +337,7 @@ def _polish(field, x, fx, max_extra=60):
         xl, fl = xn, fn
     else:
         x[rows], fx[rows] = xl, fl
-    return x
+    return x, fx
 
 
 def _check_field(field, box):
@@ -369,11 +382,23 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=Non
     Returns
     -------
     list of ZeroRecord, sorted by location; degenerate where |det| < ``DEGENERATE_TOL``.
+
+    Notes
+    -----
+    The converged starts are grouped by the dedup rule (:func:`_firsts`)
+    and only the first of each group is polished; the box filter and the
+    dedup then run over those, and a zero's residual is that of the value
+    its polish ends with.  Polishing every converged start first finds the
+    same: a converged start lies within about ``newton_tol/σ`` of its zero
+    (σ the Jacobian's smallest singular value), far inside the default
+    radius.  The two differ only where the polish moves two starts across
+    the radius (distinct zeros about one radius apart, or a near-degenerate
+    zero, which :func:`degree_sign_sum` refuses anyway), or where a zero
+    lies that close to a box face.
     """
     _check_field(field, box)
     _check_search_tolerances(newton_tol, dedup_radius)
-    density = grid_density if grid_density is not None else _default_density(box.dim)
-    density = max(2, int(density))
+    density = _count("grid_density", grid_density, _default_density(box.dim))
     radius = dedup_radius if dedup_radius is not None else 1e-6 * box.diameter
     # starts that run this far off (one box width past every face) are
     # abandoned instead of being followed towards overflow
@@ -383,19 +408,17 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=Non
     with np.errstate(over="ignore", invalid="ignore"):
         x, fx, converged = _lockstep_newton(field, box.grid(density), newton_tol,
                                             NEWTON_MAX_ITER, fence)
-        x = _polish(field, x[converged], fx[converged])
-    # dedup in grid order: the first point is kept, with every later one
-    # within the radius of it dropped, and so on with the rest
-    rest, accepted = x[_inside(box, x)], []
-    while len(rest):
-        accepted.append(rest[0])
-        rest = rest[_norms(rest - rest[0]) > radius]
-    if not accepted:
+        x, fx = x[converged], fx[converged]
+        firsts = _firsts(x, radius)
+        x, fx = _polish(field, x[firsts], fx[firsts])
+    inside = _inside(box, x)
+    x, fx = x[inside], fx[inside]
+    kept = sorted(_firsts(x, radius), key=lambda i: tuple(x[i]))
+    if not kept:
         return []
 
-    # the residuals and determinants of all zeros come from one batch each
-    zeros = np.array(sorted(accepted, key=tuple))
-    residuals, dets = _norms(_sample(field, zeros)), np.linalg.det(_sample(field, zeros, True))
+    zeros = x[kept]  # the determinants of all zeros come from one batch
+    residuals, dets = _norms(fx[kept]), np.linalg.det(_sample(field, zeros, True))
     records = []
     for x, residual, det in zip(zeros, residuals.tolist(), dets.tolist()):
         degenerate = abs(det) < DEGENERATE_TOL
@@ -404,15 +427,26 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=Non
     return records
 
 
+def _firsts(points, radius):
+    # the rows dedup keeps, in grid order: the first point, with every later
+    # one within the radius of it dropped, and so on with the rest
+    rows, kept = np.arange(len(points)), []
+    while rows.size:
+        kept.append(rows[0])
+        far = _norms(points - points[0]) > radius
+        rows, points = rows[far], points[far]
+    return kept
+
+
 def boundary_min(field, box, samples_per_face=None):
     """Minimum field magnitude over a dense sampling of the box boundary.
 
-    ``samples_per_face`` is the samples per axis of each face; a count
-    below 2 counts as 2.
+    ``samples_per_face`` is the samples per axis of each face, an
+    integer; a count below 2 counts as 2.
     """
     _check_field(field, box)
-    n = samples_per_face if samples_per_face is not None else _DEFAULT_FACE.get(box.dim, 6)
-    values = _sample(field, box.boundary_grid(max(2, int(n))))
+    n = _count("samples_per_face", samples_per_face, _DEFAULT_FACE.get(box.dim, 6))
+    values = _sample(field, box.boundary_grid(n))
     with np.errstate(over="ignore", invalid="ignore"):
         return float(_norms(values).min())
 
@@ -435,8 +469,13 @@ def degree_sign_sum(field, box, *, grid_density=None, newton_tol=1e-10,
         If the sampled boundary magnitude drops to ``ADMISSIBILITY_TOL``.
     DegenerateZeroError
         If any located zero has a singular Jacobian.
+    DomainEvalError
+        If the field is undefined at a boundary sample or at a zero.
+    ValueError
+        If the field is not a time-free map R^m -> R^m on the m-D box,
+        or a tolerance or count is out of range.
     """
-    bmin = boundary_min(field, box, boundary_samples)
+    bmin = boundary_min(field, box, _count("boundary_samples", boundary_samples, None))
     if bmin <= ADMISSIBILITY_TOL:
         raise AdmissibilityError(
             f"field magnitude {bmin:.3e} on the sampled boundary of {box.bounds}; "

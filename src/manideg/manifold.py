@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .degree import DegreeResult, _default_density, degree_sign_sum
+from .degree import DegreeResult, _count, _default_density, degree_sign_sum
 from .errors import (
     DomainEscapeError, DomainEvalError, ProblemFormatError, RegularityError,
     RootFindingError,
@@ -81,16 +81,14 @@ class ImplicitConstraint:
 def partial2_sign(constraint, sample_density=None, box=None):
     """Constant sign of det d_y g over a box, verified by grid sampling.
 
-    ``sample_density`` is the samples per axis, by default the zero
-    search's grid density; a density below 2 counts as 2.  Raises
+    ``sample_density`` is the samples per axis, an integer, by default
+    the zero search's grid density; a density below 2 counts as 2.  Raises
     :class:`RegularityError` when |det| drops below ``SINGULAR_TOL`` at a
     sample or when two samples disagree in sign; emits a RuntimeWarning
     when the margin is thinner than ``NEAR_SINGULAR_TOL``.
     """
     box = box or constraint.domain
-    if sample_density is None:
-        sample_density = _default_density(box.dim)
-    points = box.grid(max(2, int(sample_density)))
+    points = box.grid(_count("sample_density", sample_density, _default_density(box.dim)))
     jac, valid = constraint.gmap.batch(points, jacobian=True)
     if not valid.all():
         raise DomainEvalError(

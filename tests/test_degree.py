@@ -6,6 +6,7 @@ brute-force winding integral implemented independently below.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,3 +304,26 @@ def test_find_zeros_rejects_bad_tolerances(newton_tol, dedup_radius):
     field = handle(("x + 5", "y"), ("x", "y"))
     with pytest.raises(ValueError):
         find_zeros(field, SQUARE, newton_tol=newton_tol, dedup_radius=dedup_radius)
+
+
+COUNTS = [(find_zeros, "grid_density"), (boundary_min, "samples_per_face"),
+          (degree_sign_sum, "boundary_samples")]
+
+
+@pytest.mark.parametrize("entry, name", COUNTS, ids=[name for _, name in COUNTS])
+@pytest.mark.parametrize("value", [2.9, 8.0, "8", math.inf, math.nan],
+                         ids=["fraction", "float", "string", "inf", "nan"])
+def test_counts_must_be_integers(entry, name, value):
+    # a fractional count used to run truncated without a word, a string to pass,
+    # and inf and nan to fail without naming the count
+    field = handle(("x - 0.3", "y + 0.2"), ("x", "y"))
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        entry(field, SQUARE, **{name: value})
+
+
+@pytest.mark.parametrize("entry, name", COUNTS, ids=[name for _, name in COUNTS])
+def test_counts_below_two_count_as_two(entry, name):
+    field = handle(("x - 0.3", "y + 0.2"), ("x", "y"))
+    want = repr(entry(field, SQUARE, **{name: 2}))
+    for value in (np.int64(1), 0, -3):
+        assert repr(entry(field, SQUARE, **{name: value})) == want

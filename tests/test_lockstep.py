@@ -247,7 +247,7 @@ def test_every_start_ends_where_its_per_start_run_ends():
         want = [_oracle_newton(field, s, 1e-10, 60, fence) for s in starts]
         with np.errstate(over="ignore", invalid="ignore"):
             x, fx, converged = degree._lockstep_newton(field, starts.copy(), 1e-10, 60, fence)
-            polished = degree._polish(field, x[converged], fx[converged])
+            polished, _ = degree._polish(field, x[converged], fx[converged])
         assert converged.tolist() == [w is not None for w in want]
         for got, location in zip(polished, [w for w in want if w is not None]):
             assert_same_point(got, location)
@@ -450,6 +450,93 @@ def test_zero_search_evaluates_no_empty_batch(monkeypatch):
     for field, box in cases:
         find_zeros(field, box)
     assert len(sizes) > 300 and min(sizes) > 0
+
+
+# --- one polish per group of converged starts against a polish of every start ---------
+
+def reference_zeros(field, box):
+    """(location, residual, jacobian_det, index, degenerate) of each zero, as
+    ``find_zeros`` found them by polishing every converged start before the box
+    filter and dedup, and sampling the values and Jacobians at the zeros."""
+    width = np.subtract(box.upper, box.lower)
+    fence = degree._Fence(box.lower - width, box.upper + width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, fx, converged = degree._lockstep_newton(
+            field, box.grid(_default_density(box.dim)), 1e-10, degree.NEWTON_MAX_ITER, fence)
+        x, _ = degree._polish(field, x[converged], fx[converged])
+    rest, accepted = x[degree._inside(box, x)], []
+    while len(rest):
+        accepted.append(rest[0])
+        rest = rest[degree._norms(rest - rest[0]) > 1e-6 * box.diameter]
+    if not accepted:
+        return []
+    zeros = np.array(sorted(accepted, key=tuple))
+    values, _ = field.batch(zeros)
+    jac, _ = field.batch(zeros, jacobian=True)
+    records = []
+    for z, residual, det in zip(zeros, degree._norms(values).tolist(),
+                                np.linalg.det(jac).tolist()):
+        degenerate = abs(det) < degree.DEGENERATE_TOL
+        records.append((z.tolist(), residual, det,
+                        0 if degenerate else (1 if det > 0 else -1), degenerate))
+    return records
+
+
+def _pin_cases():
+    for name in sorted(REGISTRY):
+        problem = REGISTRY[name]
+        yield name, reduced_map(problem.build_phi1(), problem.build_constraint()), \
+            problem.domain()
+    yield ("sin(9x), sin(9y)", AmbientMap.from_expressions(("sin(9*x)", "sin(9*y)"), ("x", "y")),
+           DomainBox.cube(-2.0, 2.0, 2))
+    for count, b, c, e in ((5, 0.7, 1.3, 0.4), (13, 2.1, 0.6, 0.9), (17, 1.2, 1.9, 0.1)):
+        yield (f"scan-like {count}",
+               *scan_like(1, [(math.pi * count / 4, b)], f"y^3 + y - {c!r}*x + {e!r}*x^2"))
+    for counts in ((3, 3), (6, 7)):
+        sines = [(math.pi * counts[0] / 4, 0.9), (math.pi * counts[1] / 4, 2.3)]
+        yield (f"scan-like {counts}",
+               *scan_like(2, sines, "y^3 + y - 1.1*x1 - 0.7*x2 + 0.3*x1*x2"))
+    # a double zero, zeros a fraction of the radius apart and zeros a few radii apart
+    for sources in (("x^2", "y"), ("x^2 - 1e-14", "y"), ("x^2 - 1e-11", "y"),
+                    ("x^3 - 1e-12*x", "y"), ("x^2 - 4e-12", "y^2 - 4e-12")):
+        yield (", ".join(sources), AmbientMap.from_expressions(sources, ("x", "y")),
+               DomainBox.cube(-1.0, 1.0, 2))
+
+
+@pytest.mark.parametrize("name, field, box", list(_pin_cases()),
+                         ids=[name for name, _, _ in _pin_cases()])
+def test_one_polish_per_group_finds_what_polishing_every_start_finds(name, field, box):
+    got = [(z.location.tolist(), z.residual, z.jacobian_det, z.index, z.degenerate)
+           for z in find_zeros(field, box)]
+    assert got == reference_zeros(field, box)
+
+
+def test_polish_evaluates_one_start_per_group(monkeypatch):
+    # polishing every converged start took 3,805 Jacobian and 582 value rows over
+    # the six bundled searches, most of them at duplicates of one zero
+    rows, polishing = {False: 0, True: 0}, []
+    batch, polish = AmbientMap.batch, degree._polish
+
+    def counted_batch(self, points, jacobian=False):
+        if polishing:
+            rows[jacobian] += len(points)
+        return batch(self, points, jacobian)
+
+    def counted_polish(*args, **kw):
+        polishing.append(True)
+        try:
+            return polish(*args, **kw)
+        finally:
+            polishing.pop()
+
+    monkeypatch.setattr(AmbientMap, "batch", counted_batch)
+    monkeypatch.setattr(degree, "_polish", counted_polish)
+    zeros = 0
+    for problem in REGISTRY.values():
+        field = reduced_map(problem.build_phi1(), problem.build_constraint())
+        zeros += len(find_zeros(field, problem.domain()))
+    assert zeros == 6
+    assert 0 < rows[True] <= 4 * zeros and rows[False] <= 2 * zeros
 
 
 # --- the y-projection against the same loop -------------------------------------------

@@ -10,6 +10,7 @@ Hand-computed oracles:
     per-branch contributions (+1)*(+1) and (-1)*(-1), total degree 2.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -116,6 +117,14 @@ def test_partial2_sign_samples_at_least_two_nodes_per_axis(density):
     # one node per axis is the box's lower corner alone, where det d_y g = -4 hides the
     # sign change, and no node leaves no determinant to take the minimum of
     with pytest.raises(RegularityError, match="changes sign"):
+        partial2_sign(two_branch(), sample_density=density)
+
+
+@pytest.mark.parametrize("density", [2.9, 8.0, "8", math.inf, math.nan],
+                         ids=["fraction", "float", "string", "inf", "nan"])
+def test_partial2_sign_density_must_be_an_integer(density):
+    # 2.9 used to sample two nodes per axis without a word, and "8" to pass
+    with pytest.raises(ValueError, match="sample_density must be an integer"):
         partial2_sign(two_branch(), sample_density=density)
 
 
