@@ -385,16 +385,17 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=Non
 
     Notes
     -----
-    The converged starts are grouped by the dedup rule (:func:`_firsts`)
-    and only the first of each group is polished; the box filter and the
-    dedup then run over those, and a zero's residual is that of the value
-    its polish ends with.  Polishing every converged start first finds the
-    same: a converged start lies within about ``newton_tol/σ`` of its zero
-    (σ the Jacobian's smallest singular value), far inside the default
-    radius.  The two differ only where the polish moves two starts across
-    the radius (distinct zeros about one radius apart, or a near-degenerate
-    zero, which :func:`degree_sign_sum` refuses anyway), or where a zero
-    lies that close to a box face.
+    The converged starts inside the box are grouped by the dedup rule
+    (:func:`_firsts`) and only the first of each group is polished; the
+    box filter and the dedup then run again over those, and a zero's
+    residual is that of the value its polish ends with.  Polishing every
+    converged start first finds the same: a converged start lies within
+    about ``newton_tol/σ`` of its zero (σ the Jacobian's smallest singular
+    value), far inside the default radius.  The two differ only where the
+    polish moves two starts across the radius (distinct zeros about one
+    radius apart, or a near-degenerate zero, which :func:`degree_sign_sum`
+    refuses anyway) or a start across a box face (a zero that close to
+    the face).
     """
     _check_field(field, box)
     _check_search_tolerances(newton_tol, dedup_radius)
@@ -408,7 +409,8 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=Non
     with np.errstate(over="ignore", invalid="ignore"):
         x, fx, converged = _lockstep_newton(field, box.grid(density), newton_tol,
                                             NEWTON_MAX_ITER, fence)
-        x, fx = x[converged], fx[converged]
+        inside = converged & _inside(box, x)
+        x, fx = x[inside], fx[inside]
         firsts = _firsts(x, radius)
         x, fx = _polish(field, x[firsts], fx[firsts])
     inside = _inside(box, x)

@@ -501,6 +501,11 @@ def _pin_cases():
                     ("x^3 - 1e-12*x", "y"), ("x^2 - 4e-12", "y^2 - 4e-12")):
         yield (", ".join(sources), AmbientMap.from_expressions(sources, ("x", "y")),
                DomainBox.cube(-1.0, 1.0, 2))
+    # zeros on the box faces, which converged starts reach from either side
+    yield ("x^3 - x, y^2 - 1", AmbientMap.from_expressions(("x^3 - x", "y^2 - 1"), ("x", "y")),
+           DomainBox.cube(-1.0, 1.0, 2))
+    yield ("sin(3x), sin(3y)", AmbientMap.from_expressions(("sin(3*x)", "sin(3*y)"), ("x", "y")),
+           DomainBox.cube(-math.pi / 3, math.pi / 3, 2))
 
 
 @pytest.mark.parametrize("name, field, box", list(_pin_cases()),
