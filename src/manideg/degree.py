@@ -475,7 +475,7 @@ def degree_sign_sum(field, box, *, grid_density=None, newton_tol=1e-10,
         If the field is undefined at a boundary sample or at a zero.
     ValueError
         If the field is not a time-free map R^m -> R^m on the m-D box,
-        or a tolerance or count is out of range.
+        a tolerance is out of range or a count is not an integer.
     """
     bmin = boundary_min(field, box, _count("boundary_samples", boundary_samples, None))
     if bmin <= ADMISSIBILITY_TOL:

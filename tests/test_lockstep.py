@@ -13,6 +13,10 @@ its per-point form.
 batch per step-halving level; ``degree._lockstep_newton``, which tries the
 levels a chunk per batch, must end every start bit for bit where it does.
 
+``reference_zeros`` is ``find_zeros`` as it was when every converged start
+was polished before the box filter and dedup; ``find_zeros``, which polishes
+one start per group of duplicates, must give the same records exactly.
+
 ``oracle_solve_y`` is the y-projection built on the same ``damped_newton``,
 as it ran before the projection became generated code; the generated
 y-solve and projected step must match it bit for bit.  With several
