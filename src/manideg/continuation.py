@@ -25,12 +25,12 @@ branch point for point.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CorrectorError, DomainEscapeError, NumericError
+from .fields import _integer
 from .flow import flow_map
 from .manifold import implicit_solve_y
 
@@ -187,8 +187,7 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
         raise ValueError(f"ds must be a positive finite step, got {ds!r}")
     if math.isnan(lambda_max):
         raise ValueError("lambda_max must not be nan")
-    if not (isinstance(max_steps, numbers.Integral) and max_steps >= 1):
-        raise ValueError(f"max_steps must be an integer of at least 1, got {max_steps!r}")
+    _integer("max_steps", max_steps, 1)
     k = dae.constraint.k
     box = dae.constraint.domain
     x_seed = np.asarray(seed.location[:k], dtype=float)

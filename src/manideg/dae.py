@@ -26,7 +26,7 @@ in the first components), so the average wind field
 import numpy as np
 
 from .errors import ProblemFormatError
-from .fields import AmbientMap
+from .fields import AmbientMap, _integer
 from .manifold import ForcedField
 
 __all__ = ["ForcedField", "average_wind"]
@@ -69,13 +69,11 @@ def _averaged_map(sigma, period, nodes):
 
 def average_wind(field, quadrature_nodes=DEFAULT_QUADRATURE_NODES):
     """Average forcing Sigma: the time average of the forced field's sigma
-    over ``quadrature_nodes`` uniform nodes (an integer of at least 1) of
-    its period, as a time-free map."""
+    over ``quadrature_nodes`` uniform nodes (an integer of at least 1, else
+    ``ValueError``) of its period, as a time-free map."""
     if field.sigma is None:
         raise ProblemFormatError("the system has no forcing part sigma")
     if field.period is None:
         raise ProblemFormatError("averaging the forcing needs its period")
-    if not (isinstance(quadrature_nodes, (int, np.integer)) and quadrature_nodes >= 1):
-        raise ProblemFormatError(
-            f"quadrature_nodes must be an integer of at least 1, got {quadrature_nodes!r}")
-    return _averaged_map(field.sigma, field.period, int(quadrature_nodes))
+    nodes = _integer("quadrature_nodes", quadrature_nodes, 1)
+    return _averaged_map(field.sigma, field.period, nodes)

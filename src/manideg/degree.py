@@ -17,20 +17,20 @@ compact, and a start leaves them once, converged, fenced, with a
 non-finite step or stalled (see :func:`_lockstep_newton`), so an
 iteration costs what its live starts cost.  Only the first converged
 start of each group of duplicates is polished (see :func:`find_zeros`).
-Boundary and winding samples are batched too.  The flow's y-projection
-runs the same damped rule on one point, as generated code (see
-:mod:`manideg.manifold`).
+The boundary samples are batched too; the winding starts from the same
+256 points as :func:`boundary_min` and evaluates only the midpoints its
+refinement inserts.  The flow's y-projection runs the same damped rule
+on one point, as generated code (see :mod:`manideg.manifold`).
 """
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateZeroError, DomainEvalError, NumericError
-from .fields import _floats
+from .fields import _floats, _integer
 
 __all__ = [
     "DomainBox", "ZeroRecord", "DegreeResult",
@@ -44,7 +44,6 @@ _DEFAULT_FACE = {1: 2, 2: 64, 3: 16, 4: 8}
 NEWTON_MAX_ITER = 60  # iterations per Newton start
 DEGENERATE_TOL = 1e-10  # |det| below which a zero is degenerate
 ADMISSIBILITY_TOL = 1e-8  # sampled boundary |F| at or below which the sign-sum refuses
-_WINDING_SAMPLES = 256  # first boundary samples of the winding computation
 _WINDING_ZERO_TOL = 1e-10  # boundary |F| at or below which the winding is undefined
 _WINDING_MAX_PASSES = 48  # caps on the winding's refinement passes
 _WINDING_MAX_POINTS = 200000  # and on its boundary samples
@@ -64,11 +63,7 @@ def _default_density(dim):
 
 def _count(name, value, default):
     # a count per axis, ``default`` if None: an integer, and below 2 it counts as 2
-    if value is None:
-        return default
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return max(2, int(value))
+    return default if value is None else max(2, _integer(name, value))
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,14 @@ class DomainBox:
         return np.column_stack([m.ravel() for m in mesh])
 
     def boundary_grid(self, samples_per_axis):
-        """Sample points covering every face of the box."""
+        """Sample points covering every face of the box, ``samples_per_axis``
+        per axis of each face, ends included.
+
+        The faces come axis by axis, the lower before the upper, each a
+        grid over the other axes in the order of :meth:`grid`.  In 2-D
+        that is x = x0, x = x1 (y rising), then y = y0, y = y1 (x
+        rising), the order :func:`degree_winding_2d` walks them in.
+        """
         m = self.dim
         if m == 1:
             return np.array([[self.lower[0]], [self.upper[0]]])
@@ -503,40 +505,24 @@ def degree_sign_sum(field, box, *, grid_density=None, newton_tol=1e-10,
 
 # --- 2-D winding oracle -----------------------------------------------------
 
-def _boundary_path(box, ts):
-    """Counterclockwise boundary point for each parameter in [0, 4)."""
-    (x0, x1), (y0, y1) = box.bounds
-    ts = np.asarray(ts) % 4.0
-    pts = np.empty((ts.size, 2))
-    edge = np.floor(ts).astype(int)
-    frac = ts - edge
-    b = edge == 0
-    pts[b, 0], pts[b, 1] = x0 + frac[b] * (x1 - x0), y0
-    b = edge == 1
-    pts[b, 0], pts[b, 1] = x1, y0 + frac[b] * (y1 - y0)
-    b = edge == 2
-    pts[b, 0], pts[b, 1] = x1 - frac[b] * (x1 - x0), y1
-    b = edge == 3
-    pts[b, 0], pts[b, 1] = x0, y1 - frac[b] * (y1 - y0)
-    return pts
-
-
 def degree_winding_2d(field, box):
     """Degree of a planar field as the winding number of its boundary image.
 
-    Angle increments between consecutive samples are accumulated along
-    the counterclockwise boundary; whenever an increment exceeds pi/2
-    the segment is split, so no increment can silently jump by a full
-    half-turn.  The accumulated angle divided by 2*pi is returned,
-    rounded to the nearest integer.
+    The walk starts from ``boundary_min``'s default samples,
+    ``box.boundary_grid(64)``, taken counterclockwise (the four repeated
+    corners are segments of increment 0).  Angle increments between
+    consecutive samples are accumulated along it; whenever an increment
+    exceeds pi/2 the segment's midpoint is inserted and evaluated, so no
+    increment can silently jump by a full half-turn.  The accumulated
+    angle divided by 2*pi is returned, rounded to the nearest integer.
     """
     _check_field(field, box)
     if box.dim != 2:
         raise ValueError("the winding computation applies to planar fields only")
-    ts = np.linspace(0.0, 4.0, _WINDING_SAMPLES, endpoint=False)
-    for _ in range(_WINDING_MAX_PASSES):
-        pts = _boundary_path(box, ts)
-        vals = _sample(field, pts)
+    left, right, bottom, top = box.boundary_grid(_DEFAULT_FACE[2]).reshape(4, -1, 2)
+    pts = np.concatenate([bottom, right, top[::-1], left[::-1]])
+    vals = _sample(field, pts)
+    for passes in range(1, _WINDING_MAX_PASSES + 1):
         norms = np.hypot(vals[:, 0], vals[:, 1])
         if norms.min() <= _WINDING_ZERO_TOL:
             raise AdmissibilityError(
@@ -556,12 +542,13 @@ def degree_winding_2d(field, box):
                     f"winding total {winding:.6f} turns is not close to an integer"
                 )
             return degree
-        nxt = np.roll(ts, -1).copy()
-        nxt[-1] += 4.0
-        mids = (ts[too_big] + nxt[too_big]) / 2.0
-        ts = np.sort(np.concatenate([ts, mids]))
-        if ts.size > _WINDING_MAX_POINTS:
+        at = np.flatnonzero(too_big)
+        mids = (pts[at] + pts[(at + 1) % len(pts)]) / 2.0
+        # no pass would check the last pass's midpoints
+        if passes == _WINDING_MAX_PASSES or len(pts) + len(mids) > _WINDING_MAX_POINTS:
             break
+        pts = np.insert(pts, at + 1, mids, axis=0)
+        vals = np.insert(vals, at + 1, _sample(field, mids), axis=0)
     raise NumericError(
         "boundary angle increments stay above pi/2 after refinement; "
         "the field nearly vanishes on the boundary"

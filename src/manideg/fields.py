@@ -14,6 +14,7 @@ square, time-free map; :mod:`manideg.degree` checks that shape.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -168,3 +169,13 @@ def _floats(vector, size, name="point"):  # ``size`` plain floats, the fastest f
     if vector.shape != (size,):
         raise ValueError(f"{name} must hold {size} coordinates, got shape {vector.shape}")
     return vector.tolist()
+
+
+def _integer(name, value, least=None):
+    """The count ``value`` as an int: a ``numbers.Integral`` but not a bool, and at
+    least ``least`` if given; otherwise :class:`ValueError` naming ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least):
+        bound = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainEscapeError, DomainEvalError, IntegrationError, RootFindingError
-from .fields import _floats
+from .fields import _floats, _integer
 
 __all__ = ["FlowResult", "projected_step", "flow_map", "DEFAULT_STEPS_PER_PERIOD"]
 
@@ -131,16 +131,15 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, sensitivity=False):
     xi0 : array
         Initial state; must satisfy the constraint to ``ON_MANIFOLD_TOL``.
     n_steps : int, optional
-        Step count over the span, at least 1; defaults to
-        ``DEFAULT_STEPS_PER_PERIOD`` (1024).
+        Step count over the span, an integer of at least 1 (else
+        ``ValueError``); defaults to ``DEFAULT_STEPS_PER_PERIOD`` (1024).
     sensitivity : bool
         Also integrate W = dx(t1)/d(x(t0), lam) along the same steps;
         the states are the same as without it.
 
     The result keeps the state and drift at every step.
     """
-    if n_steps is not None and not (n_steps >= 1 and float(n_steps).is_integer()):
-        raise IntegrationError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
+    n_steps = DEFAULT_STEPS_PER_PERIOD if n_steps is None else _integer("n_steps", n_steps, 1)
     _check_finite(lam=lam, t0=t0, t1=t1)
     c = field.constraint
     xi0 = np.asarray(xi0, dtype=float)
@@ -155,7 +154,6 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, sensitivity=False):
     if span == 0.0:
         return FlowResult(xi0.copy(), drift0, 0, np.array([t0]),
                           xi0[None, :].copy(), np.array([drift0]), w and np.array(w))
-    n_steps = DEFAULT_STEPS_PER_PERIOD if n_steps is None else int(n_steps)
     dt = span / n_steps
 
     # numpy scalars would turn every float of the steps into one

@@ -64,9 +64,9 @@ def test_problem_builds_its_constraint_once():
 def test_build_phi1_rejects_quadrature_nodes_below_one(nodes):
     # example-5-7 has no gamma, so its phi1 is the averaged forcing
     problem = REGISTRY["example-5-7"]
-    with pytest.raises(ProblemFormatError, match="quadrature_nodes"):
+    with pytest.raises(ValueError, match="quadrature_nodes"):
         problem.build_phi1(nodes)
-    with pytest.raises(ProblemFormatError, match="quadrature_nodes"):
+    with pytest.raises(ValueError, match="quadrature_nodes"):
         problem.build_seed_map(nodes)
 
 

@@ -327,12 +327,13 @@ def test_trace_is_deterministic():
     ({"max_steps": 0}, "max_steps must be an integer of at least 1"),
     ({"max_steps": -1}, "max_steps must be an integer of at least 1"),
     ({"max_steps": 2.5}, "max_steps must be an integer of at least 1"),
+    ({"max_steps": True}, "max_steps must be an integer of at least 1"),
 ], ids=["zero-ds", "negative-ds", "nan-ds", "inf-ds", "nan-lambda-max",
-        "zero-max-steps", "negative-max-steps", "fractional-max-steps"])
+        "zero-max-steps", "negative-max-steps", "fractional-max-steps", "bool-max-steps"])
 def test_trace_rejects_a_step_or_bound_that_cannot_trace(options, needle):
     # ds = 0 would repeat the seed until max_steps, ds < 0 step to lam < 0 and end
-    # left_domain, and lam never reaches a nan lambda_max; max_steps 0 or -1 would
-    # still return the seed, and 2.5 would return 3 pairs
+    # left_domain, and lam never reaches a nan lambda_max; max_steps 0, -1 or True
+    # would still return the seed, and 2.5 would return 3 pairs
     dae, seed = spring_seed()
     with pytest.raises(ValueError, match=needle):
         trace_branch(dae, seed, **options)

@@ -154,7 +154,7 @@ def test_quadrature_exactness_threshold():
 def test_average_wind_rejects_quadrature_nodes_below_one(nodes):
     # a division by the node count, or an empty node axis, must not surface, and
     # neither may a count that is not an integer, which would average over fewer
-    with pytest.raises(ProblemFormatError, match="quadrature_nodes"):
+    with pytest.raises(ValueError, match="quadrature_nodes"):
         average_wind(forced_cubic(), nodes)
 
 

@@ -16,12 +16,15 @@ from manideg import (
     AmbientMap,
     DegenerateZeroError,
     DomainBox,
+    DomainEvalError,
     NumericError,
     boundary_min,
     degree_sign_sum,
     degree_winding_2d,
     find_zeros,
 )
+from manideg import degree
+from test_lockstep import _pin_cases
 
 SQUARE = DomainBox.cube(-1.5, 1.5, 2)
 
@@ -283,6 +286,111 @@ def test_winding_requires_plane_field():
         degree_winding_2d(line, DomainBox.cube(-1.0, 1.0, 1))
 
 
+def reference_winding(field, box):
+    """The winding's old walk, kept as its reference: 256 samples of a
+    counterclockwise path parametrised over [0, 4), each refinement pass
+    evaluating every sample again."""
+    (x0, x1), (y0, y1) = box.bounds
+
+    def path(ts):
+        pts = np.empty((ts.size, 2))
+        edge = np.floor(ts).astype(int)
+        frac = ts - edge
+        b = edge == 0
+        pts[b, 0], pts[b, 1] = x0 + frac[b] * (x1 - x0), y0
+        b = edge == 1
+        pts[b, 0], pts[b, 1] = x1, y0 + frac[b] * (y1 - y0)
+        b = edge == 2
+        pts[b, 0], pts[b, 1] = x1 - frac[b] * (x1 - x0), y1
+        b = edge == 3
+        pts[b, 0], pts[b, 1] = x0, y1 - frac[b] * (y1 - y0)
+        return pts
+
+    ts = np.linspace(0.0, 4.0, 256, endpoint=False)
+    for _ in range(degree._WINDING_MAX_PASSES):
+        vals, valid = field.batch(path(ts))
+        if not valid.all():
+            raise DomainEvalError("the field is undefined at a boundary sample")
+        if np.hypot(vals[:, 0], vals[:, 1]).min() <= degree._WINDING_ZERO_TOL:
+            raise AdmissibilityError("the field vanishes on the boundary")
+        angles = np.arctan2(vals[:, 1], vals[:, 0])
+        diffs = np.diff(angles, append=angles[0])
+        diffs -= 2.0 * np.pi * np.round(diffs / (2.0 * np.pi))
+        too_big = np.abs(diffs) > 0.5 * np.pi
+        if not too_big.any():
+            winding = float(diffs.sum()) / (2.0 * np.pi)
+            if abs(winding - round(winding)) > 0.25:
+                raise NumericError("the winding is not close to an integer")
+            return int(round(winding))
+        nxt = np.roll(ts, -1).copy()
+        nxt[-1] += 4.0
+        ts = np.sort(np.concatenate([ts, (ts[too_big] + nxt[too_big]) / 2.0]))
+        if ts.size > degree._WINDING_MAX_POINTS:
+            break
+    raise NumericError("the angle increments stay above pi/2")
+
+
+QUINTIC = ("x^5 - 10*x^3*y^2 + 5*x*y^4", "5*x^4*y - 10*x^2*y^3 + y^5")  # Re z^5, Im z^5
+# sin(20 x) crosses zero 25 times along y = -2 and along y = 2: the walk must refine
+REFINING = ("sin(20*x)*cos(3*y) + 0.1", "cos(20*y) - 0.2*x")
+
+
+def _winding_cases():
+    for sources in [("x", "y"), ("-y", "x"), ("x^3 - x", "y"), ("-x", "-y"),
+                    ("x^2 - y^2", "2*x*y"), ("x^2 - y^2 - 0.25", "2*x*y"), ("x - 5", "y"),
+                    ("x + 1.5", "y + 1.5")]:
+        yield ", ".join(sources), handle(sources, ("x", "y")), SQUARE
+    rng = np.random.default_rng(977)  # the fields of test_winding_agrees_with_brute_oracle
+    for _ in range(5):
+        a, b, c = (round(float(v), 3) for v in rng.uniform(-1.0, 1.0, size=3))
+        sources = (f"x^3 - x + ({a!r})*y", f"y + ({b!r})*x + ({c!r})")
+        yield ", ".join(sources), handle(sources, ("x", "y")), SQUARE
+    yield "Re z^5, Im z^5", handle(QUINTIC, ("x", "y")), DomainBox.cube(-1.0, 1.0, 2)
+    yield "refining", handle(REFINING, ("x", "y")), DomainBox.cube(-2.0, 2.0, 2)
+    # the seed maps of example-4-1 and 5-3, sin(9x), sin(9y) and the 2-D scan-like fields
+    for name, field, box in _pin_cases():
+        if box.dim == 2:
+            yield name, field, box
+
+
+@pytest.mark.parametrize("name, field, box", list(_winding_cases()),
+                         ids=[name for name, _, _ in _winding_cases()])
+def test_winding_matches_its_old_walk(name, field, box):
+    try:
+        want = reference_winding(field, box)
+    except (AdmissibilityError, NumericError, DomainEvalError) as exc:
+        with pytest.raises(type(exc)):
+            degree_winding_2d(field, box)
+    else:
+        assert degree_winding_2d(field, box) == want
+
+
+@pytest.mark.parametrize("sources, box, want", [
+    (QUINTIC, DomainBox.cube(-1.0, 1.0, 2), 5),
+    (("sin(9*x)", "sin(9*y)"), DomainBox.cube(-2.0, 2.0, 2), 1),
+    (REFINING, DomainBox.cube(-2.0, 2.0, 2), 0),
+], ids=["quintic", "sin(9x), sin(9y)", "refining"])
+def test_winding_closed_forms(sources, box, want):
+    assert degree_winding_2d(handle(sources, ("x", "y")), box) == want
+
+
+def test_winding_starts_from_the_margin_samples_and_evaluates_only_new_points(monkeypatch):
+    # the old walk sampled its own path and evaluated every sample again on each
+    # pass: 1,774 rows over 6 batches on the refining field
+    batches = []
+    batch = AmbientMap.batch
+    monkeypatch.setattr(AmbientMap, "batch",
+                        lambda self, points, *args, **kw: batches.append(np.array(points))
+                        or batch(self, points, *args, **kw))
+    field, box = handle(REFINING, ("x", "y")), DomainBox.cube(-2.0, 2.0, 2)
+    boundary_min(field, box)
+    [margin] = batches
+    batches.clear()
+    assert degree_winding_2d(field, box) == 0
+    assert sorted(map(tuple, batches[0])) == sorted(map(tuple, margin))
+    assert len(batches) > 1 and sum(map(len, batches)) < 1774
+
+
 @pytest.mark.parametrize("entry", [find_zeros, boundary_min, degree_sign_sum, degree_winding_2d])
 @pytest.mark.parametrize("sources, box, message", [
     (("x", "y"), DomainBox.cube(-1.0, 1.0, 3), "3-D box, got a 2->2 map"),
@@ -311,11 +419,11 @@ COUNTS = [(find_zeros, "grid_density"), (boundary_min, "samples_per_face"),
 
 
 @pytest.mark.parametrize("entry, name", COUNTS, ids=[name for _, name in COUNTS])
-@pytest.mark.parametrize("value", [2.9, 8.0, "8", math.inf, math.nan],
-                         ids=["fraction", "float", "string", "inf", "nan"])
+@pytest.mark.parametrize("value", [2.9, 8.0, "8", math.inf, math.nan, True],
+                         ids=["fraction", "float", "string", "inf", "nan", "bool"])
 def test_counts_must_be_integers(entry, name, value):
     # a fractional count used to run truncated without a word, a string to pass,
-    # and inf and nan to fail without naming the count
+    # inf and nan to fail without naming the count, and True to count as 2
     field = handle(("x - 0.3", "y + 0.2"), ("x", "y"))
     with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
         entry(field, SQUARE, **{name: value})

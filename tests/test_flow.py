@@ -25,10 +25,10 @@ from manideg import (
     ForcedField,
     ImplicitConstraint,
     IntegrationError,
-    ManidegError,
     REGISTRY,
     RegularityError,
     RootFindingError,
+    average_wind,
     complete_velocity,
     find_zeros,
     flow_map,
@@ -136,13 +136,29 @@ def test_flow_recording_shapes():
 ], ids=["zero-steps", "negative-steps", "fractional-steps"])
 def test_flow_rejects_bad_step_counts(options, needle):
     field = exponential_flow()
-    with pytest.raises(IntegrationError, match=needle):
+    with pytest.raises(ValueError, match=needle):
         flow_map(field, np.array([1.0, 1.0]), 0.0, 1.0, **options)
+
+
+@pytest.mark.parametrize("value", [True, "8", 8.0], ids=["bool", "string", "float"])
+def test_step_and_node_counts_must_be_integers(value):
+    # True used to run 1 step or average over 1 node, "8" to fail inside a comparison
+    # without naming the count, and 8.0 to run 8 steps
+    dae, problem = REGISTRY["example-5-5"].build_dae(), REGISTRY["example-5-7"]
+    field, start = spring_field(), on_spring_manifold(0.1, 0.0)
+    for name, call in (
+            ("n_steps", lambda: flow_map(field, start, 0.0, 1.0, n_steps=value)),
+            ("n_steps", lambda: shooting_residual(dae, start[:2], 0.0, steps_per_period=value)),
+            ("quadrature_nodes", lambda: average_wind(dae, value)),
+            ("quadrature_nodes", lambda: problem.build_seed_map(value))):
+        message = f"{name} must be an integer of at least 1, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_shooting_rejects_zero_steps_per_period():
     dae = REGISTRY["example-5-5"].build_dae()
-    with pytest.raises(ManidegError):
+    with pytest.raises(ValueError):
         shooting_residual(dae, np.zeros(2), 0.0, steps_per_period=0)
 
 

@@ -120,10 +120,10 @@ def test_partial2_sign_samples_at_least_two_nodes_per_axis(density):
         partial2_sign(two_branch(), sample_density=density)
 
 
-@pytest.mark.parametrize("density", [2.9, 8.0, "8", math.inf, math.nan],
-                         ids=["fraction", "float", "string", "inf", "nan"])
+@pytest.mark.parametrize("density", [2.9, 8.0, "8", math.inf, math.nan, True],
+                         ids=["fraction", "float", "string", "inf", "nan", "bool"])
 def test_partial2_sign_density_must_be_an_integer(density):
-    # 2.9 used to sample two nodes per axis without a word, and "8" to pass
+    # 2.9 and True used to sample two nodes per axis without a word, and "8" to pass
     with pytest.raises(ValueError, match="sample_density must be an integer"):
         partial2_sign(two_branch(), sample_density=density)
 
