@@ -6,8 +6,9 @@ point of the period map in the x-coordinates, y being slaved to x
 through the constraint.  The system is a
 :class:`~manideg.manifold.ForcedField` with a period; every shot
 integrates that field itself, so a trace binds its generated code once.
-The tracer takes pseudo-arclength steps in (x0, lam) with a secant
-predictor and a Newton corrector.  The corrector's sensitivities
+The tracer takes pseudo-arclength steps in (x0, lam), predicting each
+pair by Lagrange extrapolation in chord length through the last four
+pairs, and corrects by Newton.  The corrector's sensitivities
 W = dx(T)/d(x0, lam) are exact up to the integration error: the shot at
 the prediction integrates the variational equation W' = A W + [0 | sigma]
 alongside its trajectory, with A = d_x p + d_y p * S, p = gamma + lam *
@@ -24,6 +25,7 @@ Everything here is deterministic: rerunning a trace reproduces the
 branch point for point.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,6 +79,7 @@ def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_
     """
     if dae.period is None:
         raise NumericError("shooting needs a forcing period")
+    _integer("steps_per_period", steps_per_period, 1)
     x0 = np.array(x0, dtype=float)  # the pair keeps it; callers may mutate theirs
     y0 = implicit_solve_y(dae.constraint, x0, y_guess=y_guess)
     xi0 = np.concatenate([x0, y0])
@@ -161,9 +164,27 @@ def _escaped_domain(exc):
     return False
 
 
+def _predict(zs, tangent, step):
+    # Lagrange extrapolation through zs (oldest first) in cumulative chord length, step
+    # past the last; the secant along tangent for under three pairs or a chord <= 1e-14
+    chords = np.linalg.norm(np.diff(zs, axis=0), axis=1).tolist()  # floats beat numpy scalars
+    if len(zs) < 3 or min(chords) <= 1e-14:
+        return zs[-1] + step * tangent
+    nodes = list(itertools.accumulate(chords, initial=0.0))
+    at = nodes[-1] + step
+    return [math.prod([(at - si) / (sj - si) for si in nodes if si != sj]) for sj in nodes] @ zs
+
+
 def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
                  steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD):
     """Follow a branch of solution pairs from a seed zero at lam = 0.
+
+    Each advance predicts z = (x0, lam) by extrapolating the Lagrange
+    polynomial through the last (up to four) pairs in their cumulative
+    chord length, one step past the last pair; the first step moves along
+    e_lam and the second, or one with a chord of at most 1e-14, along the
+    secant.  The corrected pair lies on the hyperplane
+    tangent . (z - z_last) = step, tangent being the unit secant.
 
     Parameters
     ----------
@@ -230,8 +251,9 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
         corrected = None
         escaped = False  # whether the last failure ran off the box; the error itself
         step = float(ds)  # would keep this frame, and every pair, in a reference cycle
+        zs = np.array([[*p.x0, p.lam] for p in points[-4:]])
         for _ in range(ARCLENGTH_HALVINGS + 1):
-            pred = z_last + step * tangent
+            pred = _predict(zs, tangent, step)
             try:
                 corrected = correct(dae, pred[:k], pred[k], arclength=(z_last, tangent, step),
                                     steps_per_period=steps_per_period, y_guess=last.y0)

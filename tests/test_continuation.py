@@ -30,6 +30,7 @@ from manideg import (
     ForcedField,
     ImplicitConstraint,
     NumericError,
+    Problem,
     REGISTRY,
     ZeroRecord,
     correct,
@@ -40,6 +41,7 @@ from manideg import (
     shooting_residual,
     trace_branch,
 )
+from manideg.cli import main
 
 TWO_PI = 6.283185307179586
 
@@ -283,6 +285,63 @@ def test_trace_integrates_one_period_per_shot(monkeypatch):
     assert len(branch.points) >= 3
     assert counts["shooting_residual"] > len(branch.points)
     assert counts["flow_map"] == counts["shooting_residual"]
+
+
+@pytest.mark.parametrize("problem, w_shots, plain_shots", [
+    ("example-5-5", 115, 98), ("example-5-3", 75, 80)])
+def test_trace_shoots_once_per_correction(monkeypatch, capsys, tmp_path, problem, w_shots,
+                                         plain_shots):
+    # the chord-length predictor lands close enough that most corrections take their
+    # sensitivity shot and one plain shot; the secant predictor took 115 / 135 and
+    # 75 / 193 shots on these branches
+    shots = {True: 0, False: 0}
+    inner = continuation.shooting_residual
+
+    def counting(*args, **kwargs):
+        shots[kwargs.get("jacobian", False)] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "shooting_residual", counting)
+    assert main(["trace", problem, "--out", str(tmp_path / "branch.csv")]) == 0
+    assert (shots[True], shots[False]) == (w_shots, plain_shots)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_predictor_extends_a_line_through_unevenly_spaced_pairs(n):
+    # the tangent passed is not the line's: the polynomial makes the prediction
+    direction = np.array([3.0, -1.0, 2.0]) / math.sqrt(14.0)
+    origin = np.array([0.2, 0.1, 0.0])
+    spacing = np.array([0.0, 0.013, 0.05, 0.061])[-n:]
+    zs = origin + np.outer(spacing, direction)
+    pred = continuation._predict(zs, np.eye(3)[-1], 0.02)
+    assert pred == pytest.approx(origin + 0.081 * direction, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("repeated", [1, 2], ids=["middle", "last"])
+def test_predictor_falls_back_to_the_secant_on_a_repeated_pair(repeated):
+    zs = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.02], [0.03, 0.01, 0.03], [0.04, 0.01, 0.05]])
+    zs[repeated + 1] = zs[repeated]
+    tangent = np.array([0.6, 0.0, 0.8])
+    with np.errstate(all="raise"):
+        pred = continuation._predict(zs, tangent, 0.02)
+    assert np.array_equal(pred, zs[-1] + 0.02 * tangent)
+
+
+def test_trace_follows_a_branch_around_two_folds():
+    # a forced hardening Duffing oscillator on a graph manifold: from the trivial pair
+    # its branch turns back at lam 0.2315 and forward again at 0.1141 before lam = 2
+    duffing = Problem(name="duffing", k=2, s=1, variables=("x1", "x2", "y"),
+                      g=("y - x1 - x1^3",), gamma=("x2", "-0.5*y - 0.1*x2"),
+                      sigma=("0", "cos(t)"), period=TWO_PI,
+                      box=((-4.0, 4.0), (-6.0, 6.0), (-80.0, 80.0)))
+    (seed,) = find_zeros(duffing.build_seed_map(), duffing.domain())
+    branch = trace_branch(duffing.build_dae(), seed, lambda_max=2.0)
+    assert branch.termination == "lambda_max"
+    lams = np.array([p.lam for p in branch.points])
+    rises = np.diff(lams) > 0.0
+    folds = lams[1:-1][rises[1:] != rises[:-1]]
+    assert folds == pytest.approx([0.2315, 0.1141], abs=1e-3)
+    assert all(p.residual <= continuation.CORRECTOR_TOL for p in branch.points)
 
 
 def test_trace_trivial_when_lambda_max_is_zero():

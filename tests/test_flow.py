@@ -28,8 +28,10 @@ from manideg import (
     REGISTRY,
     RegularityError,
     RootFindingError,
+    ZeroRecord,
     average_wind,
     complete_velocity,
+    correct,
     find_zeros,
     flow_map,
     implicit_solve_y,
@@ -143,12 +145,19 @@ def test_flow_rejects_bad_step_counts(options, needle):
 @pytest.mark.parametrize("value", [True, "8", 8.0], ids=["bool", "string", "float"])
 def test_step_and_node_counts_must_be_integers(value):
     # True used to run 1 step or average over 1 node, "8" to fail inside a comparison
-    # without naming the count, and 8.0 to run 8 steps
+    # without naming the count, and 8.0 to run 8 steps; a shot's count is named as its
+    # caller passed it, not as the flow's n_steps
     dae, problem = REGISTRY["example-5-5"].build_dae(), REGISTRY["example-5-7"]
     field, start = spring_field(), on_spring_manifold(0.1, 0.0)
+    seed = ZeroRecord(np.zeros(3), 0.0, 1.0, 1)
+    held = (np.zeros(3), np.eye(3)[-1], 0.0)
     for name, call in (
             ("n_steps", lambda: flow_map(field, start, 0.0, 1.0, n_steps=value)),
-            ("n_steps", lambda: shooting_residual(dae, start[:2], 0.0, steps_per_period=value)),
+            ("steps_per_period",
+             lambda: shooting_residual(dae, start[:2], 0.0, steps_per_period=value)),
+            ("steps_per_period",
+             lambda: correct(dae, np.zeros(2), 0.0, held, steps_per_period=value)),
+            ("steps_per_period", lambda: trace_branch(dae, seed, steps_per_period=value)),
             ("quadrature_nodes", lambda: average_wind(dae, value)),
             ("quadrature_nodes", lambda: problem.build_seed_map(value))):
         message = f"{name} must be an integer of at least 1, got {value!r}"
