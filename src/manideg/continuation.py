@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_TRACE_STEPS_PER_PERIOD = 64
-CORRECTOR_TOL = 1e-8  # residual norm at which the corrector stops
+CORRECTOR_TOL = 1e-8  # norm of (x(T) - x(0), arclength row) at which the corrector stops
 CORRECTOR_MAX_ITER = 10  # Newton steps per correction
 ARCLENGTH_HALVINGS = 5  # step halvings per arclength advance
 
@@ -55,7 +55,9 @@ class SolutionPair:
     x0: np.ndarray
     y0: np.ndarray
     period: float
-    residual: float   # |state(T) - state(0)|
+    # the full-state |xi(T) - xi(0)|, y included, as the CSV prints it; the corrector
+    # bounds only the x-part with the arclength row, so this may exceed CORRECTOR_TOL
+    residual: float
     amplitude: float  # max deviation of the trajectory from its time mean
     drift: float      # max |g| along the trajectory
 
@@ -104,6 +106,11 @@ def correct(dae, x0, lam, arclength, *,
     the corrected pair also satisfies the arclength condition
     tangent . (z - z_prev) = ds.  With the tangent e_lam and ds = 0 that
     holds lam at the value of ``z_prev`` and corrects x0 alone.
+
+    ``CORRECTOR_TOL`` bounds the norm of the x-part x(T) - x(0) of the
+    shooting residual stacked with the arclength row.  The returned
+    pair's ``residual``, which the trace CSV prints, is the full-state
+    |xi(T) - xi(0)| with y included, and may exceed it.
 
     The Newton matrix is ``[W - [I | 0]; tangent]``, with W the exact
     shooting sensitivities that the shot at the prediction integrates

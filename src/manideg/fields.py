@@ -81,9 +81,15 @@ class AmbientMap:
             raise ProblemFormatError("a map needs at least one component expression")
         if TIME_NAME in variables:
             raise ProblemFormatError("'t' is reserved for time and cannot be a variable")
-        # the generated code always takes t, last; only allow_time lets it appear
-        declared = variables + (TIME_NAME,)
-        asts = tuple(expr.parse(src, declared if allow_time else variables) for src in sources)
+        declared = variables + (TIME_NAME,)  # only allow_time lets t appear
+        return cls._from_asts(
+            tuple(expr.parse(src, declared if allow_time else variables) for src in sources),
+            variables)
+
+    @classmethod
+    def _from_asts(cls, asts, variables):
+        # the map of the parsed component trees ``asts`` over ``variables`` and t
+        declared = variables + (TIME_NAME,)  # the generated code always takes t, last
         time_dependent = any(TIME_NAME in expr.variables_in(a) for a in asts)
         vector_fns = {}  # the vector backend's functions, compiled on first use
 
@@ -95,7 +101,7 @@ class AmbientMap:
                     if jacobian else expr.compile_value(asts, declared, backend="vector"))
             return fn(*cols, t)
 
-        return cls(len(variables), len(sources), vector, time_dependent=time_dependent,
+        return cls(len(variables), len(asts), vector, time_dependent=time_dependent,
                    asts=asts, variables=variables)
 
     @classmethod

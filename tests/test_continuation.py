@@ -344,6 +344,21 @@ def test_trace_follows_a_branch_around_two_folds():
     assert all(p.residual <= continuation.CORRECTOR_TOL for p in branch.points)
 
 
+def test_every_pair_of_the_default_5_7_branch_meets_the_tolerance_in_x():
+    # CORRECTOR_TOL bounds the x-part of the shooting residual (with the arclength
+    # row); a pair's residual, the CSV column, is the full-state |xi(T) - xi(0)|
+    problem = REGISTRY["example-5-7"]
+    dae = problem.build_dae()
+    seed = next(z for z in find_zeros(problem.build_seed_map(), problem.domain())
+                if not z.degenerate)
+    branch = trace_branch(dae, seed)  # the CLI's defaults
+    assert branch.termination == "left_domain" and len(branch.points) > 50
+    for pair in branch.points:
+        r, shot = shooting_residual(dae, pair.x0, pair.lam, y_guess=pair.y0)
+        assert np.linalg.norm(r) <= continuation.CORRECTOR_TOL
+        assert shot.residual == pair.residual >= np.linalg.norm(r)
+
+
 def test_trace_trivial_when_lambda_max_is_zero():
     dae, seed = spring_seed()
     branch = trace_branch(dae, seed, lambda_max=0.0)

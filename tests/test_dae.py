@@ -23,6 +23,8 @@ from manideg import (
     reduced_map,
     shooting_residual,
 )
+from manideg.dae import _averaged_map, _sampled_map
+from manideg.expr import Var
 
 TWO_PI = 6.283185307179586
 
@@ -181,6 +183,90 @@ def test_averaging_commutes_with_completion():
     ts = TWO_PI * np.arange(64) / 64
     mean_completed = np.mean([h.velocity(t, p, 1.0) for t in ts], axis=0)
     assert np.allclose(w.velocity(0.0, p), mean_completed, atol=1e-12)
+
+
+# --- the term-by-term average against the sampled one --------------------------
+#
+# The reference is _sampled_map: sigma sampled at every (point, node) pair and meaned
+# along the node axis.  The term-by-term average sums in another order, so it may differ
+# by rounding; a forcing it cannot separate must be sampled bit for bit.
+
+def _registry_forcing(name):
+    problem = REGISTRY[name]
+    return problem.build_dae().sigma, problem.period, 64, problem.domain().grid(6)
+
+
+SEPARABLE = {
+    "example-5-3": lambda: _registry_forcing("example-5-3"),
+    "example-5-7": lambda: _registry_forcing("example-5-7"),
+    # test_fields' averaged map; sqrt masks the rows with x < 0
+    "sqrt-and-products": lambda: (
+        AmbientMap.from_expressions(("sqrt(x) + y*cos(t)", "x*y + sin(t)^2"), ("x", "y")),
+        TWO_PI, 16, BOX2.grid(9)),
+    "cos-squared-2-nodes": lambda: (
+        AmbientMap.from_expressions(("x*cos(t)^2",), ("x", "y")), TWO_PI, 2, BOX2.grid(9)),
+    "cos-squared-4-nodes": lambda: (
+        AmbientMap.from_expressions(("x*cos(t)^2",), ("x", "y")), TWO_PI, 4, BOX2.grid(9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEPARABLE))
+def test_term_by_term_average_matches_the_sampled_one(name):
+    sigma, period, nodes, points = SEPARABLE[name]()
+    got_map = _averaged_map(sigma, period, nodes)
+    assert got_map.asts is not None and not got_map.time_dependent
+    for jacobian in (False, True):
+        got, got_valid = got_map.batch(points, jacobian)
+        want, want_valid = _sampled_map(sigma, period, nodes).batch(points, jacobian)
+        assert np.array_equal(got_valid, want_valid)
+        # a few ulps of the value, or of 1 where the terms cancel to about 0
+        ulp = np.spacing(np.maximum(np.abs(want), 1.0))
+        assert (np.abs(got - want) <= 4.0 * ulp)[want_valid].all()
+
+
+def test_term_by_term_average_is_built_from_node_means():
+    # example-5-7's (y2 + cos t, y1 - 2 cos^2 t): each time-only part is a literal
+    sigma_bar = average_wind(REGISTRY["example-5-7"].build_dae())
+    assert sigma_bar.variables == ("x1", "x2", "y1", "y2")
+    (first, mean_cos), (second, mean_cos2) = [(b.left, b.right) for b in sigma_bar.asts]
+    assert (first, second) == (Var("y2"), Var("y1"))
+    assert abs(mean_cos.value) <= 1e-16 and mean_cos2.value == pytest.approx(1.0, abs=1e-15)
+
+
+def _forcing_callable():
+    def raw(point, t=0.0):
+        return np.array([point[0] + point[1] + np.sin(t)])
+    return AmbientMap.from_callable(2, 1, raw, time_dependent=True)
+
+
+SAMPLED = {
+    "callable": _forcing_callable,
+    "t-and-state-in-a-call": lambda: AmbientMap.from_expressions(("sin(x + t)",), ("x", "y")),
+    "two-timed-factors": lambda: AmbientMap.from_expressions(("cos(t)*x*cos(t)",), ("x", "y")),
+    "timed-divisor": lambda: AmbientMap.from_expressions(("y + x/(2 + sin(t))",), ("x", "y")),
+    "t-and-state-in-a-power": lambda: AmbientMap.from_expressions(("(x + t)^2",), ("x", "y")),
+    # time-only parts that are not finite at a node: 1/sin(t) and log(1 + cos(t)) at the
+    # node 0 and pi, exp(800*cos(t)) overflowing at 0, so only the rows with x = 0 are NaN
+    "non-finite-node-part": lambda: AmbientMap.from_expressions(
+        ("x + 1/sin(t) + y*log(1 + cos(t))",), ("x", "y")),
+    "overflowing-node-part": lambda: AmbientMap.from_expressions(
+        ("x*exp(800*cos(t)) + y",), ("x", "y")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_a_forcing_that_does_not_separate_is_sampled(name):
+    sigma = SAMPLED[name]()
+    points = BOX2.grid(5)  # x = 0 on a fifth of the rows
+    got_map = _averaged_map(sigma, TWO_PI, 16)
+    assert got_map.asts is None
+    for jacobian in (False, True):
+        got, got_valid = got_map.batch(points, jacobian)
+        want, want_valid = _sampled_map(sigma, TWO_PI, 16).batch(points, jacobian)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got_valid, want_valid)
+    if name == "overflowing-node-part":
+        assert np.array_equal(~got_valid, points[:, 0] == 0.0)
 
 
 # --- seed maps ---------------------------------------------------------------

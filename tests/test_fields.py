@@ -39,8 +39,19 @@ def _reduced():
 
 
 def _averaged():
+    # averaged term by term: an expression map with the node means as literals
     sigma = AmbientMap.from_expressions(("sqrt(x) + y*cos(t)", "x*y + sin(t)^2"), ("x", "y"))
-    return _averaged_map(sigma, TWO_PI, 16)
+    averaged = _averaged_map(sigma, TWO_PI, 16)
+    assert averaged.asts is not None
+    return averaged
+
+
+def _averaged_sampled():
+    # t and y inside one cosine: the average cannot be taken term by term, so it is sampled
+    sigma = AmbientMap.from_expressions(("sqrt(x) + cos(t + y)", "x*y + sin(t)^2"), ("x", "y"))
+    averaged = _averaged_map(sigma, TWO_PI, 16)
+    assert averaged.asts is None
+    return averaged
 
 
 # each map is defined for x > 0 only
@@ -50,6 +61,7 @@ MAPS = {
     "callable-finite-difference": lambda: AmbientMap.from_callable(2, 2, _values),
     "reduced-map": _reduced,
     "averaged-map": _averaged,
+    "averaged-map-sampled": _averaged_sampled,
 }
 
 
