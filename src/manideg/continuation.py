@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CorrectorError, DomainEscapeError, NumericError
 from .fields import _integer
-from .flow import flow_map
+from .flow import _check_finite, _steps
 from .manifold import implicit_solve_y
 
 __all__ = [
@@ -78,24 +78,31 @@ def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_
     (k + 1) derivative of the residual with respect to (x0, lam),
     W - [I | 0], where W = dx(T)/d(x0, lam) is integrated by the
     variational equation alongside the same trajectory.
+
+    The shot runs the steps of :func:`~manideg.flow.flow_map`, with its
+    checks, and keeps of them only what the pair reads: the states for
+    the amplitude, the largest drift and the end state, with no
+    :class:`~manideg.flow.FlowResult`.
     """
     if dae.period is None:
         raise NumericError("shooting needs a forcing period")
-    _integer("steps_per_period", steps_per_period, 1)
+    n_steps = _integer("steps_per_period", steps_per_period, 1)
     x0 = np.array(x0, dtype=float)  # the pair keeps it; callers may mutate theirs
     y0 = implicit_solve_y(dae.constraint, x0, y_guess=y_guess)
     xi0 = np.concatenate([x0, y0])
-    res = flow_map(dae, xi0, 0.0, dae.period, lam, n_steps=steps_per_period, sensitivity=jacobian)
-    mean = res.states.mean(axis=0)
-    amplitude = float(np.max(np.linalg.norm(res.states - mean, axis=1)))
-    residual = float(np.linalg.norm(res.final_state - xi0))
-    pair = SolutionPair(float(lam), x0, y0, dae.period, residual, amplitude,
-                        res.max_drift)
+    _check_finite(lam=lam)
+    state, w, states, drifts = _steps(dae, xi0, 0.0, dae.period, n_steps, lam, jacobian)
+    states = np.array(states).reshape(n_steps + 1, xi0.size)
+    end = np.array(state)
+    mean = states.mean(axis=0)
+    amplitude = float(np.max(np.linalg.norm(states - mean, axis=1)))
+    residual = float(np.linalg.norm(end - xi0))
+    pair = SolutionPair(float(lam), x0, y0, dae.period, residual, amplitude, max(drifts))
     k = dae.constraint.k
-    r = res.final_state[:k] - x0
+    r = end[:k] - x0
     if not jacobian:
         return r, pair
-    return r, pair, res.sensitivity - np.eye(k, k + 1)
+    return r, pair, np.array(w) - np.eye(k, k + 1)
 
 
 def correct(dae, x0, lam, arclength, *,

@@ -30,9 +30,11 @@ NaN at a point outside the domain, so one bad point does not fail the
 others.  Maps (:mod:`manideg.fields`) evaluate on the ``vector`` one only.
 """
 
+import functools
 import itertools
 import math
 import re
+import struct
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -585,6 +587,45 @@ class _Emitter:
             f"{self.fn['cos']}({{}})" if func == "sin" else f"-{self.fn['sin']}({{}})",
             vu, raises=True))
         return v, {j: self.operand(_folded(slope, "*", dj)) for j, dj in du.items()}
+
+
+_POWER = re.compile(r"\{\} \*\* (\d+)")  # the format of u ** m, m >= 2, as _pow writes it
+
+
+def _overflow_test(term):
+    """For ``term`` a power u ** m (m >= 2), the statement that raises
+    where it raises, without its value: ``if not lo <= u <= hi: u ** m``,
+    with [lo, hi] the floats whose m-th power is finite (a nan or inf u
+    passes, as nan ** m and inf ** m do not raise); None for any other
+    Term."""
+    power = _POWER.fullmatch(term.fmt)
+    if power is None:
+        return None
+    (lo, hi), u = _finite_powers(int(power[1])), term.args[0]
+    return Term(f"if not {{}} <= {{}} <= {{}}: {{}} ** {power[1]}", lo, u, hi, u, raises=True)
+
+
+@functools.cache
+def _finite_powers(m):
+    # (lo, hi): the negative and the positive float of largest magnitude whose m-th power
+    # is finite, by bisection over each sign's floats (ordered as their bit patterns)
+    # with this platform's ** itself, so that u ** m raises OverflowError exactly for a
+    # finite u outside [lo, hi]
+    def last(sign):
+        def at(bits):
+            return sign * struct.unpack("<d", struct.pack("<q", bits))[0]
+
+        good, bad = 0, 0x7FF0000000000000  # the bits of 0.0 and of inf
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                at(mid) ** m
+                good = mid
+            except OverflowError:
+                bad = mid
+        return at(good)
+
+    return last(-1.0), last(1.0)
 
 
 _COMPILED = {}

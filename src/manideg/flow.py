@@ -24,12 +24,15 @@ A shot is one call of the field's generated code on Python floats (see
 :class:`~manideg.manifold.ForcedField`): a loop over the steps whose
 body is straight-line code, the six stages inlined, the shifted points,
 the stage sum, then the damped y-Newton and the domain-box test of
-:func:`~manideg.manifold.implicit_solve_y`.  It appends every state and
-|g| to the shot's lists and carries W as k row tuples of floats, each
-entry of a stage's A W summed left to right.  A step whose projection
-fails ends that call; halving it is the Python fallback of
-:func:`_advance`, which runs each half step as a shot of one step, and
-the loop then resumes after it.
+:func:`~manideg.manifold.implicit_solve_y`.  It appends each state's
+floats to one flat list, reshaped once after the shot, and |g| to a
+second list, and carries W as k row tuples of floats, each entry of a
+stage's A W summed left to right.  A step whose projection fails ends
+that call; halving it is the Python fallback of :func:`_advance`, which
+runs each half step as a shot of one step, and the loop then resumes
+after it.  :func:`flow_map` and the shooting of
+:mod:`manideg.continuation` share that loop (:func:`_steps`); the
+shooting builds no :class:`FlowResult`.
 
 The step code is folded as it is generated (see
 :func:`~manideg.manifold._source`): x * 1.0, 1.0 * x, x / 1.0, x / -1.0
@@ -40,8 +43,13 @@ such a term can change a result in two ways only: a zero may change sign,
 and an inf or nan operand no longer meets the dropped 0.0.  A non-finite
 ``lam`` is therefore rejected up front, as are a non-finite time and step;
 a dropped division divides by a pivot its generated zero test passed.  No
-power, call or other division is folded, so a step raises where the
-unfolded code raised.
+power, call or other division is folded.  A power u ** m (m >= 2) whose
+value nothing reads is not computed: it stays as its overflow test,
+``if not lo <= u <= hi: u ** m``, with [lo, hi] the floats whose m-th
+power is finite on this platform, which raises the power's
+OverflowError for exactly the u whose power raises (a nan or inf u
+passes, as nan ** m and inf ** m do not raise).  So a step raises where
+the unfolded code raised.
 """
 
 import math
@@ -141,8 +149,23 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, sensitivity=False):
     """
     n_steps = DEFAULT_STEPS_PER_PERIOD if n_steps is None else _integer("n_steps", n_steps, 1)
     _check_finite(lam=lam, t0=t0, t1=t1)
-    c = field.constraint
     xi0 = np.asarray(xi0, dtype=float)
+    state, w, states, drifts = _steps(field, xi0, t0, t1, n_steps, lam, sensitivity)
+    steps = len(drifts) - 1  # n_steps, or none from t1 == t0
+    dt = float(t1 - t0) / n_steps
+    times = [t0] + [float(t0) + i * dt for i in range(1, steps + 1)]
+    return FlowResult(np.array(state), max(drifts), steps, np.array(times),
+                      np.array(states).reshape(steps + 1, xi0.size), np.array(drifts),
+                      w and np.array(w))
+
+
+def _steps(field, xi0, t0, t1, n_steps, lam, sensitivity):
+    # the steps of flow_map, for a finite lam, t0 and t1 and an int n_steps >= 1: n_steps
+    # projected steps of (t1 - t0) / n_steps from the float array xi0 at t0, none when
+    # t1 == t0, each that fails halved by _advance.  Returns the end state (a list), W (k
+    # row tuples; None without sensitivity), the states from xi0 on as one flat list of
+    # floats and the drifts |g| at each.  xi0 must satisfy the constraint to ON_MANIFOLD_TOL
+    c = field.constraint
     drift0 = c.residual(xi0)
     if drift0 > ON_MANIFOLD_TOL:
         raise ValueError(
@@ -150,23 +173,20 @@ def flow_map(field, xi0, t0, t1, lam=0.0, *, n_steps=None, sensitivity=False):
             f"> {ON_MANIFOLD_TOL:.1e})"
         )
     w = tuple(map(tuple, np.eye(c.k, c.k + 1).tolist())) if sensitivity else None
+    state, states, drifts = xi0.tolist(), xi0.tolist(), [drift0]
     span = float(t1 - t0)
     if span == 0.0:
-        return FlowResult(xi0.copy(), drift0, 0, np.array([t0]),
-                          xi0[None, :].copy(), np.array([drift0]), w and np.array(w))
+        return state, w, states, drifts
     dt = span / n_steps
 
     # numpy scalars would turn every float of the steps into one
     t0, lam = float(t0), float(lam)
-    state, shot = xi0.tolist(), field._code["dp5w" if sensitivity else "dp5"]
-    states, drifts, i = [state], [drift0], 0
+    shot, i = field._code["dp5w" if sensitivity else "dp5"], 0
     while i < n_steps:
         i, state, w, failure = shot(i, n_steps, t0, dt, lam, w, states, drifts, *state)
         if failure is not None:  # step i, halved
             state, w, drift = _advance(shot, state, w, t0 + i * dt, dt, lam, failure)
-            states.append(state)
+            states += state
             drifts.append(drift)
             i += 1
-    times = [t0] + [t0 + i * dt for i in range(1, n_steps + 1)]
-    return FlowResult(np.array(state), max(drifts), n_steps, np.array(times),
-                      np.array(states), np.array(drifts), w and np.array(w))
+    return state, w, states, drifts

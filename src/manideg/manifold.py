@@ -207,11 +207,11 @@ def _source(k, s, g, *field):
     # field: velocity, linearize of (a0, ..., t, lam), and dp5 and dp5w, each a whole shot of
     # projected steps of the tableau (_C, _A, _B) in one call: (i, n, t0, dt, lam, W, states,
     # drifts, u0, ...) runs the steps i, ..., n-1 of dt from the state u0, ... at step i, step j
-    # at time t0 + j * dt, and appends each new state and |g| to the lists states and drifts.
-    # It returns (n, state, W, None), or at the first step that raises an error its except
-    # clause names (index, start state, start W, error): halving that step is the caller's.
-    # dp5w also advances W (k row tuples; dp5 passes W through).  Callable parts are called as
-    # g, gamma, sigma.
+    # at time t0 + j * dt, and appends each new state's floats to the flat list states and its
+    # |g| to the list drifts.  It returns (n, state, W, None), or at the first step that raises
+    # an error its except clause names (index, start state, start W, error): halving that step
+    # is the caller's.  dp5w also advances W (k row tuples; dp5 passes W through).  Callable
+    # parts are called as g, gamma, sigma.
     #
     # Each line is an expr.Op record; expr._printed prints them.  The code is folded as the
     # records are built, by expr's rules (exact up to the sign of a nan), and a pivot that is a
@@ -223,7 +223,8 @@ def _source(k, s, g, *field):
     # operand no longer meets the dropped 0.0 (a flow's lam is never one: flow_map and
     # projected_step reject it; a dropped 0.0 / pivot follows the pivot's zero test).  _pruned
     # drops the lines nothing reads that cannot raise (a division by a non-zero literal cannot)
-    # from each function that does not loop and from the stages a shot inlines.
+    # from each function that does not loop and from the stages a shot inlines; of an unread
+    # power u ** m it keeps only the overflow test, which raises where the power raised.
     n = k + s
     a = [f"a{i}" for i in range(n)]
     point, em, out = ", ".join(a), expr._Emitter((), (), "scalar"), []
@@ -325,7 +326,7 @@ def _source(k, s, g, *field):
         done = [*_projection(em, k, s, g, _PROJECTION_ITER),
                 *(Op(x, f"a{j}") for j, x in enumerate(u)),
                 *(Op(x, value) for x, value in stepped if value != x),
-                Op(None, Term("{}.append({})", "states", expr._tuple(a, "[{}]"))),
+                Op(None, Term("{} += {}", "states", expr._tuple(a))),
                 Op(None, Term("{}.append({})", "drifts", "r"))]
         state, w_out = expr._tuple(u, "[{}]"), w if lin else "w"
         loop = [*_pruned(steps, expr._reads(*(op.value for op in done))), *done]
@@ -431,13 +432,18 @@ def _block(*items, indent=0):
 
 def _pruned(ops, live, may_raise=False):
     # ``ops`` without the lines that assign a name no later line reads, nor ``live``,
-    # and that cannot raise (or that may, too, when ``may_raise``): one backward walk
+    # and that cannot raise (or that may, too, when ``may_raise``): one backward walk.
+    # Such a line that may raise stays, a power u ** m as its overflow test
     live, kept = set(live), []
     for op in reversed(ops):
-        raises = isinstance(op.value, Term) and op.value.raises
-        if op.target is None or op.target in live or raises and not may_raise:
-            live |= expr._reads(op.value)
-            kept.append(op)
+        if op.target is not None and op.target not in live:
+            if may_raise or not (isinstance(op.value, Term) and op.value.raises):
+                continue
+            test = expr._overflow_test(op.value)
+            if test is not None:
+                op = Op(None, test, op.indent)
+        live |= expr._reads(op.value)
+        kept.append(op)
     return kept[::-1]
 
 

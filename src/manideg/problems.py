@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from .dae import DEFAULT_QUADRATURE_NODES, average_wind
 from .degree import DomainBox, _check_search_tolerances
 from .errors import ProblemFormatError
-from .fields import AmbientMap
+from .fields import AmbientMap, _integer
 from .manifold import ForcedField, ImplicitConstraint, reduced_map
 
 __all__ = [
@@ -68,6 +68,7 @@ class Problem:
     options: tuple = ()  # sorted (key, value) pairs
     _constraint: object = field(default=None, init=False, repr=False, compare=False)
     _dae: object = field(default=None, init=False, repr=False, compare=False)
+    _averages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1 or self.s < 1:
@@ -125,14 +126,18 @@ class Problem:
 
         The autonomous drift when present, otherwise the averaged
         forcing.  ``quadrature_nodes`` overrides the problem's node
-        count for the average and must be at least 1.
+        count for the average and must be at least 1.  Each node count's
+        average is built on its first call and kept on the instance.
         """
         dae = self.build_dae()
         if dae.gamma is not None:
             return dae.gamma
         if quadrature_nodes is None:
             quadrature_nodes = self.option("quadrature_nodes", DEFAULT_QUADRATURE_NODES)
-        return average_wind(dae, quadrature_nodes)
+        nodes = _integer("quadrature_nodes", quadrature_nodes, 1)
+        if nodes not in self._averages:
+            self._averages[nodes] = average_wind(dae, nodes)
+        return self._averages[nodes]
 
     def build_seed_map(self, quadrature_nodes=None):
         return reduced_map(self.build_phi1(quadrature_nodes), self.build_dae().constraint)

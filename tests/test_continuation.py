@@ -23,15 +23,18 @@ import numpy as np
 import pytest
 
 import manideg.continuation as continuation
+import manideg.flow as flow
 from manideg import (
     AmbientMap,
     CorrectorError,
     DomainBox,
     ForcedField,
     ImplicitConstraint,
+    IntegrationError,
     NumericError,
     Problem,
     REGISTRY,
+    RootFindingError,
     ZeroRecord,
     correct,
     find_zeros,
@@ -42,6 +45,7 @@ from manideg import (
     trace_branch,
 )
 from manideg.cli import main
+from manideg.fields import _integer
 
 TWO_PI = 6.283185307179586
 
@@ -197,6 +201,93 @@ def test_sensitivity_shot_matches_plain_shot_bit_for_bit():
 
 # --- corrector -------------------------------------------------------------------
 
+# --- the shot against a FlowResult ---------------------------------------------------
+
+def reference_shooting_residual(dae, x0, lam, *, steps_per_period=64, y_guess=None,
+                                jacobian=False):
+    """``shooting_residual`` as it was built on the FlowResult of ``flow_map``."""
+    if dae.period is None:
+        raise NumericError("shooting needs a forcing period")
+    _integer("steps_per_period", steps_per_period, 1)
+    x0 = np.array(x0, dtype=float)
+    y0 = implicit_solve_y(dae.constraint, x0, y_guess=y_guess)
+    xi0 = np.concatenate([x0, y0])
+    res = flow_map(dae, xi0, 0.0, dae.period, lam, n_steps=steps_per_period,
+                   sensitivity=jacobian)
+    mean = res.states.mean(axis=0)
+    amplitude = float(np.max(np.linalg.norm(res.states - mean, axis=1)))
+    residual = float(np.linalg.norm(res.final_state - xi0))
+    pair = continuation.SolutionPair(float(lam), x0, y0, dae.period, residual, amplitude,
+                                     res.max_drift)
+    k = dae.constraint.k
+    r = res.final_state[:k] - x0
+    if not jacobian:
+        return r, pair
+    return r, pair, res.sensitivity - np.eye(k, k + 1)
+
+
+def assert_shot_matches_reference(dae, x0, lam, **options):
+    # r, every field of the pair and the Jacobian bit for bit, or the same error
+    outcomes = []
+    for shoot in (shooting_residual, reference_shooting_residual):
+        try:
+            outcomes.append(shoot(dae, x0, lam, **options))
+        except (NumericError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    got, want = outcomes
+    if isinstance(want[0], type):
+        assert got == want
+        return want[0]
+    assert len(got) == len(want)
+    for field in dataclasses.fields(continuation.SolutionPair):
+        a, b = getattr(got[1], field.name), getattr(want[1], field.name)
+        assert type(a) is type(b), field.name
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+    for a, b in zip((got[0], *got[2:]), (want[0], *want[2:])):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    return "done"
+
+
+@pytest.mark.parametrize("name, centre", [
+    ("example-5-3", [0.0]), ("example-5-5", [0.0, 0.0]), ("example-5-7", [1.0, 0.0])])
+def test_shot_matches_the_flow_map_shot_bit_for_bit(name, centre):
+    # starts around each problem's seed zero
+    dae, rng = REGISTRY[name].build_dae(), np.random.default_rng(29)
+    outcomes = []
+    for lam in (0.0, 0.3, *rng.uniform(0.0, 1.5, 3)):
+        x0 = centre + rng.uniform(-0.5, 0.5, len(centre))
+        for jacobian in (False, True):
+            outcomes.append(assert_shot_matches_reference(dae, x0, lam, jacobian=jacobian))
+    assert outcomes.count("done") >= 4, outcomes  # the others leave the domain box
+
+
+@pytest.mark.parametrize("name, x0, lam, steps", [
+    ("example-5-5", [1.1751332113354716, 0.2554888196727241], 0.9426193303636627, 4),
+    ("example-5-7", [0.18740540825118002, 0.49913077488087687], 0.6478243910083079, 8)])
+def test_shot_that_halves_a_step_matches_the_flow_map_shot(monkeypatch, name, x0, lam, steps):
+    halved, advance = [], flow._advance
+    monkeypatch.setattr(flow, "_advance", lambda *args: halved.append(1) or advance(*args))
+    dae = REGISTRY[name].build_dae()
+    for jacobian in (False, True):
+        assert assert_shot_matches_reference(dae, x0, lam, steps_per_period=steps,
+                                             jacobian=jacobian) == "done"
+    assert len(halved) == 4  # twice per kind of shot: once in each
+
+
+@pytest.mark.parametrize("options, error", [
+    # a shot of the default `trace example-5-5` whose halvings leave the domain box
+    ({"x0": [0.48724479855823655, 1.4017599051030145], "lam": 0.8081745901327939,
+      "y_guess": [0.41974476918373504], "jacobian": True}, IntegrationError),
+    ({"x0": [0.1, 0.2], "lam": math.nan}, IntegrationError),
+    ({"x0": [0.1, 0.2], "lam": math.inf, "jacobian": True}, IntegrationError),
+    ({"x0": [0.1, 0.2], "lam": 0.3, "steps_per_period": 0}, ValueError),
+    ({"x0": [9.0, 0.2], "lam": 0.3}, RootFindingError)])
+def test_shot_that_fails_raises_as_the_flow_map_shot(options, error):
+    options = dict(options)
+    x0, lam = options.pop("x0"), options.pop("lam")
+    assert assert_shot_matches_reference(spring(), x0, lam, **options) is error
+
+
 def held(x0, lam):
     # the arclength condition that holds lam fixed: tangent e_lam, ds = 0
     return np.array([*x0, lam]), np.eye(len(x0) + 1)[-1], 0.0
@@ -268,7 +359,8 @@ def test_correct_fails_when_starved(monkeypatch):
 # --- tracing ---------------------------------------------------------------------
 
 def test_trace_integrates_one_period_per_shot(monkeypatch):
-    counts = {"flow_map": 0, "shooting_residual": 0}
+    # _steps: the step loop of flow_map, which every shot runs once
+    counts = {"_steps": 0, "shooting_residual": 0}
 
     def counting(name):
         inner = getattr(continuation, name)
@@ -284,7 +376,7 @@ def test_trace_integrates_one_period_per_shot(monkeypatch):
     branch = trace_branch(dae, seed, ds=0.05, lambda_max=0.1, steps_per_period=64)
     assert len(branch.points) >= 3
     assert counts["shooting_residual"] > len(branch.points)
-    assert counts["flow_map"] == counts["shooting_residual"]
+    assert counts["_steps"] == counts["shooting_residual"]
 
 
 @pytest.mark.parametrize("problem, w_shots, plain_shots", [

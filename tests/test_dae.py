@@ -6,8 +6,12 @@ sin(t) averages to x + y and (y2 + cos t, y1 - 2 cos^2 t) averages to
 (y2, y1 - 1).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+import manideg.problems as problems
 
 from manideg import (
     AmbientMap,
@@ -231,6 +235,26 @@ def test_term_by_term_average_is_built_from_node_means():
     (first, mean_cos), (second, mean_cos2) = [(b.left, b.right) for b in sigma_bar.asts]
     assert (first, second) == (Var("y2"), Var("y1"))
     assert abs(mean_cos.value) <= 1e-16 and mean_cos2.value == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["example-5-3", "example-5-7"])
+def test_build_phi1_keeps_each_node_counts_average(monkeypatch, name):
+    problem = dataclasses.replace(REGISTRY[name])  # a fresh instance, with no average kept
+    dae, calls = problem.build_dae(), []
+    monkeypatch.setattr(problems, "average_wind",
+                        lambda *args: calls.append(args[1]) or average_wind(*args))
+    first = problem.build_phi1()
+    assert problem.build_phi1() is first and problem.build_phi1(64) is first
+    coarse = problem.build_phi1(3)
+    assert problem.build_phi1(3) is coarse and calls == [64, 3]
+    with pytest.raises(ValueError, match="quadrature_nodes"):
+        problem.build_phi1(0)
+    points = problem.domain().grid(4)
+    for kept, nodes in ((first, 64), (coarse, 3)):
+        for jacobian in (False, True):
+            got = kept.batch(points, jacobian)
+            want = average_wind(dae, nodes).batch(points, jacobian)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def _forcing_callable():

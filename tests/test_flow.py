@@ -41,7 +41,7 @@ from manideg import (
     shooting_residual,
     trace_branch,
 )
-from manideg import manifold
+from manideg import expr, manifold
 
 
 def exponential_flow():
@@ -609,6 +609,62 @@ def test_inlined_stages_keep_every_line_that_may_raise(name):
                 and isinstance(st.targets[0], ast.Name) and st.targets[0].id not in read
                 and not MAY_RAISE.search(ast.unparse(st.value))]
         assert not dead, (shot, dead)
+
+
+def _overflow(fn, *args):  # the message of the OverflowError fn(*args) raises, or None
+    try:
+        fn(*args)
+    except OverflowError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_overflow_test_of_an_unread_power_raises_where_the_power_raises(m):
+    # a power u ** m whose value nothing reads is kept as the statement
+    # if not lo <= u <= hi: u ** m, which raises exactly where the power raises
+    (test,) = manifold._pruned([expr.Op("v", expr.Term(f"{{}} ** {m}", "u", raises=True))], ())
+    assert test.target is None and f"u ** {m}" in expr._text(test.value)
+    ns = {}
+    exec(expr._printed("guarded", "u", [test], "u"), ns)
+    lo, hi = expr._finite_powers(m)
+    values = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+              -math.inf, math.inf, math.nan, 0.0, -0.0, 1.5, -1e300, 1e300]
+    raised = 0
+    for u in values:
+        want = _overflow(lambda u: u ** m, u)
+        assert _overflow(ns["guarded"], u) == want, u
+        raised += want is not None
+    assert raised == 4  # past either bound, and +-1e300
+
+
+@pytest.mark.parametrize("name", ["example-5-5", "example-5-3"])
+def test_shots_assign_no_power_that_nothing_reads(name):
+    # in dp5 and dp5w, every name a power assigns is read before it is assigned again;
+    # an unread power is left as its overflow test (example-5-5's u2 ** 3 and u0 ** 5
+    # in each of the six stages of a step, as the constraint's value needs them)
+    field = REGISTRY[name].build_dae()
+    c = field.constraint
+    sources = dict(manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma))
+    assignment = re.compile(r"\s*(\w+) = (.*)")
+    for shot in generated_shots(field):
+        lines = sources[shot].splitlines()
+        for i, line in enumerate(lines):
+            power = assignment.fullmatch(line)
+            if power is None or "**" not in power[2]:
+                continue
+            name_at = re.compile(rf"\b{power[1]}\b")
+            for later in lines[i + 1:]:
+                assigned = assignment.fullmatch(later)
+                if name_at.search(assigned[2] if assigned else later):
+                    break
+                assert not (assigned and assigned[1] == power[1]), (shot, line)
+            else:
+                raise AssertionError((shot, line))
+        tests = [ln.strip() for ln in lines if ln.strip().startswith("if not (-")]
+        if name == "example-5-5":
+            assert len(tests) == 12 and {t.rsplit(": ", 1)[1] for t in tests} == {
+                "u2 ** 3", "u0 ** 5", "a2 ** 3", "a0 ** 5"}, (shot, tests)
 
 
 # --- drift control -------------------------------------------------------------
