@@ -90,7 +90,13 @@ def _print_json(record, out=None):
 # --- problem loading --------------------------------------------------------
 
 def load_problem(source):
-    """Problem from a file path or the bundled registry."""
+    """Problem from a file path or the bundled registry.
+
+    A regular file comes before the bundled problem of its name; anything
+    else by such a name (a directory, say) does not shadow it.
+    """
+    if source in REGISTRY and not os.path.isfile(source):
+        return REGISTRY[source]
     if os.path.exists(source):
         try:
             with open(source, "r", encoding="utf-8") as fh:
@@ -98,8 +104,6 @@ def load_problem(source):
         except (OSError, UnicodeDecodeError) as exc:
             raise ProblemFormatError(f"cannot read problem file {source!r}: {exc}") from None
         return parse_problem(text)
-    if source in REGISTRY:
-        return REGISTRY[source]
     known = ", ".join(sorted(REGISTRY))
     raise ProblemFormatError(
         f"{source!r} is neither a readable file nor a bundled problem ({known})"

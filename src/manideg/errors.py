@@ -23,13 +23,8 @@ class ExpressionSyntaxError(ProblemError):
         self.offset = offset
 
 
-class UndeclaredVariableError(ProblemError):
+class UndeclaredVariableError(ExpressionSyntaxError):
     """An expression uses a name that was not declared."""
-
-    def __init__(self, message, offset=None):
-        suffix = f" (byte offset {offset})" if offset is not None else ""
-        super().__init__(message + suffix)
-        self.offset = offset
 
 
 class ProblemFormatError(ProblemError):

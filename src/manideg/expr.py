@@ -484,8 +484,11 @@ class _Emitter:
         self.bind(variables, seeds)
         self.fn = _FUNC_NAMES[backend]
 
-    def bind(self, variables, seeds):  # for the trees emitted next: a0, a1, ... and seeds
-        self.arg_index = {name: i for i, name in enumerate(variables)}
+    def bind(self, variables, seeds, point=None):
+        # for the trees emitted next: each variable's operand, point's (a0, a1, ... by
+        # default), and the seeds
+        point = [f"a{i}" for i in range(len(variables))] if point is None else point
+        self.point = dict(zip(variables, point))
         self.seed_index = {name: j for j, name in enumerate(seeds)}
 
     def new(self, value):
@@ -510,7 +513,7 @@ class _Emitter:
                 d = {}
                 if name in self.seed_index:
                     d[self.seed_index[name]] = 1.0
-                return f"a{self.arg_index[name]}", d
+                return self.point[name], d
             case Neg(arg):
                 v, d = self.emit(arg)
                 return self.operand(_negated(v)), {j: self.operand(_negated(dj))

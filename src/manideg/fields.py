@@ -58,14 +58,12 @@ class AmbientMap:
     output is not finite.
     """
 
-    def __init__(self, n_in, n_out, vector, *, time_dependent=False,
-                 asts=None, variables=None):
+    def __init__(self, n_in, n_out, vector, *, time_dependent=False):
         self.n_in = int(n_in)
         self.n_out = int(n_out)
         self.vector = vector
         self.time_dependent = bool(time_dependent)
-        self.asts = asts
-        self.variables = variables
+        self.asts = self.variables = None  # an expression map's, set by _from_asts
 
     @classmethod
     def from_expressions(cls, sources, variables, *, allow_time=True):
@@ -101,8 +99,9 @@ class AmbientMap:
                     if jacobian else expr.compile_value(asts, declared, backend="vector"))
             return fn(*cols, t)
 
-        return cls(len(variables), len(asts), vector, time_dependent=time_dependent,
-                   asts=asts, variables=variables)
+        built = cls(len(variables), len(asts), vector, time_dependent=time_dependent)
+        built.asts, built.variables = asts, variables
+        return built
 
     @classmethod
     def from_callable(cls, n_in, n_out, func, jac=None, *, time_dependent=False):

@@ -235,11 +235,11 @@ def _source(k, s, g, *field):
         em.lines = []
 
     if not field:
-        define("residual", point, _norm([r[0] for r in _emit_part(em, g, "g", n, ())]))
+        define("residual", point, _norm([r[0] for r in _emit_part(em, g, "g", a, ())]))
         em.lines = _projection(em, k, s, g, "max_iter")
         define("solve_y", f"max_iter, {point}", Term("{}, {}", expr._tuple(a[k:], "[{}]"), "r"),
                loops=True)
-        f, gjet = [f"f{i}" for i in range(k)], _emit_part(em, g, "g", n, range(n))
+        f, gjet = [f"f{i}" for i in range(k)], _emit_part(em, g, "g", a, range(n))
         define("tangent", ", ".join(a + f),
                expr._tuple(map(_out, _completion(em, k, gjet, f, a)[0])))
         return out
@@ -248,84 +248,78 @@ def _source(k, s, g, *field):
     def by_row(entry, width=k + 1):  # k row tuples of entry(r, j), W's by default
         return expr._tuple(expr._tuple(entry(r, j) for j in range(width)) for r in range(k))
 
-    # a stage, velocity's or linearize's body, computes the velocity at the point a0, ...
-    # and time a[n], and linearize's A and dp/dlam, as operands: names its lines assign
-    # or read, or constants (a literal, lam or a structural zero)
-    stages = {}
-    for name, seeds in (("velocity", ()), ("linearize", range(n))):
-        p, forcing = _emit_p(em, *field, n, seeds)
-        gjet = _emit_part(em, g, "g", n, range(n))
-        values, slave = _completion(em, k, gjet, [r[0] for r in p], a, slaved=bool(seeds))
-        if seeds:  # A = d_x p + d_y p S, each entry left to right, then dp/dlam
+    def stage(x, t, seeds):
+        # velocity's or linearize's body at the point x and time t (names), its lines left
+        # in em.lines: the velocity, and for seeds A = d_x p + d_y p S, each entry left to
+        # right, then dp/dlam, as operands (names its lines assign or read, or constants: a
+        # literal, lam or a structural zero)
+        p, forcing = _emit_p(em, *field, x, t, seeds)
+        gjet = _emit_part(em, g, "g", x, range(n))
+        values, slave = _completion(em, k, gjet, [r[0] for r in p], x, slaved=bool(seeds))
+        if seeds:
             values += [em.sum(r[1 + q], *zip(r[1 + k:], column))
                        for r in p for q, column in enumerate(slave)]
             values += [r[0] for r in forcing] if forcing else [None] * k
-        stages[name] = em.lines, values
-        read = list(map(_out, values))
+        return values
+
+    for name, seeds in (("velocity", ()), ("linearize", range(n))):
+        read = list(map(_out, stage(a, f"a{n}", seeds)))
         define(name, args, expr._tuple(read[:n]) if not seeds else
                Term("{}, {}, {}", expr._tuple(read[:n]),
                     by_row(lambda r, q: read[n + r * k + q], k), expr._tuple(read[n + k * k:])))
 
-    # the shots: each step of the loop inlines the stages of the tableau, stage s after its
-    # point a0, ... = u0 + (dt * a_s0) * k0_0 + ... (u0, ...: the step's start state) and
-    # time a[n] = t + dt * c_s, its velocity bound to ks_0, ...; then the step u0 +
-    # (dt * b_0) * k0_0 + ... and the projection.  W advances by W' = A W + [0 | d]
-    # through the stage values Ms = A Z + [0 | d] at Z = W + (dt * a_s0) * M0 + ..., each
-    # entry of A Z summed left to right, to W + (dt * b_0) * M0 + ...  Each product of dt
-    # and a tableau entry is bound once per shot, and a zero entry's term is left out.  A
-    # line whose value is a constant (a literal, lam or a structural zero) is not written:
-    # the lines after it read the constant, and a stage's copies are read in place (_in_place)
-    u, rk = [f"u{j}" for j in range(n)], [(r, j) for r in range(k) for j in range(k + 1)]
-    w = by_row(lambda r, j: f"w{r}_{j}")
-    for name, lin in (("dp5", False), ("dp5w", True)):
-        body, values = stages["linearize" if lin else "velocity"]
-        known, steps = {}, [Op("t", Term("{} + {} * {}", "t0", "i", "dt"))]
-        products = {}  # tableau entry -> the name of its product with dt
+    # the shots: each step of the loop emits the stages of the tableau afresh, stage i at
+    # its point ai_0, ... = u0 + (dt * a_i0) * k0_0 + ... (u0, ...: the step's start state)
+    # and time ai_n = t + dt * c_i; then the step a0 = u0 + (dt * b_0) * k0_0 + ..., the
+    # projection, W and the state.  W advances by W' = A W + [0 | d] through the stage
+    # values Mi = A Zi + [0 | d] at Zi = W + (dt * a_i0) * M0 + ..., each entry of A Zi
+    # summed left to right, to W + (dt * b_0) * M0 + ..., all of W in one assignment.  Each
+    # product of dt and a tableau entry is bound once per shot, and a zero entry's term is
+    # left out.  A sum that is a name or a constant (a literal, lam or a structural zero)
+    # gets no line: the later lines read it in place (stage 0's point is u0, ... and t, and
+    # a velocity may be a point coordinate or a line of the body).  Every name a stage
+    # assigns is its own, and W and the state, which the step assigns at its end, are read
+    # by nothing after that
+    u, w = [f"u{j}" for j in range(n)], by_row(lambda r, j: f"w{r}_{j}")
+    for name, seeds in (("dp5", ()), ("dp5w", range(n))):
+        lin, steps, products = bool(seeds), [Op("t", Term("{} + {} * {}", "t0", "i", "dt"))], {}
 
         def product(q):  # dt * q as the shot reads it: None for 0, dt for 1, else a name
             if q[0] in (0, q[1]):
                 return None if q[0] == 0 else "dt"
             return products.setdefault(q, "dt{}_{}".format(*q).replace("-", "m"))
 
-        def let(target, *terms):  # target = the sum of terms (names or products)
-            value = expr._sum(*(tuple(map(val, t)) if isinstance(t, tuple) else val(t)
-                                for t in terms))
-            if _constant(value):
-                known[target] = value
-                return
-            known.pop(target, None)
-            if value != target:
+        def let(target, *terms):  # the sum of terms as an operand: target, by a new line, if
+            value = expr._sum(*terms)  # it is neither a name nor a constant
+            if isinstance(value, Term):
                 steps.append(Op(target, value))
+                return target
+            return value
 
-        def val(name):
-            return known.get(name, name)
-
-        for i, (c, row) in enumerate(zip(_C, _A)):  # stage i at time t + dt * c
-            mark = len(steps)
-            for j, x in enumerate(u):
-                let(f"a{j}", x, *((product(q), f"k{l}_{j}") for l, q in enumerate(row)))
-            steps += [Op(f"a{n}", Term("{} + {}", "t", product(c)) if c[0] else "t"), *body]
-            for j in range(n):
-                let(f"k{i}_{j}", values[j])
+        ks, ms = [], []  # per stage: the velocity, and M by rows, as operands
+        for i, (c, row) in enumerate(zip(_C, _A)):
+            x = [let(f"a{i}_{j}", uj, *((product(q), kl[j]) for q, kl in zip(row, ks)))
+                 for j, uj in enumerate(u)]
+            values = stage(x, let(f"a{i}_{n}", "t", product(c)), seeds)
+            steps += em.lines
+            em.lines = []
+            # a velocity that is an item of a callable part's flat, v[i], is bound once
+            ks.append([let(f"k{i}_{j}", v) for j, v in enumerate(values[:n])])
             if lin:
-                for r, j in rk * bool(row):
-                    let(f"z{r}_{j}", f"w{r}_{j}",
-                        *((product(q), f"m{l}_{r}_{j}") for l, q in enumerate(row)))
-                z = "z" if row else "w"
-                for r, j in rk:
-                    let(f"m{i}_{r}_{j}",
-                        *((values[n + r * k + q], f"{z}{q}_{j}") for q in range(k)),
-                        *[values[n + k * k + r]] * (j == k))
-            outputs = {f"k{i}_{j}" for j in range(n)} | {f"m{i}_{r}_{j}" for r, j in rk}
-            steps[mark:] = _in_place(steps[mark:], outputs)
-        for j, x in enumerate(u):
-            let(f"a{j}", x, *((product(b), f"k{i}_{j}") for i, b in enumerate(_B)))
-        stepped = [(f"w{r}_{j}", expr._sum(f"w{r}_{j}", *((product(b), val(f"m{i}_{r}_{j}"))
-                                                           for i, b in enumerate(_B))))
-                   for r, j in rk if lin]
+                z = [[let(f"z{i}_{r}_{j}", f"w{r}_{j}",
+                          *((product(q), ml[r][j]) for q, ml in zip(row, ms)))
+                      for j in range(k + 1)] for r in range(k)]
+                ms.append([[let(f"m{i}_{r}_{j}",
+                                *((values[n + r * k + q], z[q][j]) for q in range(k)),
+                                *[values[n + k * k + r]] * (j == k))
+                            for j in range(k + 1)] for r in range(k)])
+        steps += [Op(f"a{j}", expr._sum(uj, *((product(b), kl[j]) for b, kl in zip(_B, ks))))
+                  for j, uj in enumerate(u)]
+        stepped = by_row(lambda r, j: expr._sum(
+            f"w{r}_{j}", *((product(b), ml[r][j]) for b, ml in zip(_B, ms))))
         done = [*_projection(em, k, s, g, _PROJECTION_ITER),
+                *[Op(None, Term("{} = {}", w, stepped))] * lin,
                 *(Op(x, f"a{j}") for j, x in enumerate(u)),
-                *(Op(x, value) for x, value in stepped if value != x),
                 Op(None, Term("{} += {}", "states", expr._tuple(a))),
                 Op(None, Term("{}.append({})", "drifts", "r"))]
         state, w_out = expr._tuple(u, "[{}]"), w if lin else "w"
@@ -368,48 +362,6 @@ def _scaled(q):
     if abs(n) == 1:
         return expr._divided("dt", float(n * d))
     return expr._folded("dt", "*", n / d)
-
-
-def _in_place(ops, outputs):
-    # the lines ``ops`` of a shot's stage with their copies read in place: a top-level line
-    # o = v, v a name, goes and the other lines call both by one name, where that keeps
-    # every value.  v is renamed o when o is an output (in ``outputs``, read after the
-    # stage) and v a name the stage assigns before the copy and not after it (the stage
-    # velocity's k0_0 = a1, a value's k0_1 = v4, M's m1_0_0 = z1_0); o is renamed v when
-    # o is not an output and the stage assigns o only there and v nowhere (the first
-    # stage's point a0 = u0 and time a3 = t).  No line after a stage reads a name it
-    # assigns but its outputs: the next stage assigns its point and time again
-    lines = {}  # name -> the indices of the lines that assign it
-    for i, op in enumerate(ops):
-        lines.setdefault(op.target, []).append(i)
-    names, copies = {}, set()
-    for i, (o, v, indent) in enumerate(ops):
-        if o is None or indent or not isinstance(v, str):
-            continue
-        at = lines.get(v, [])
-        if o in outputs and v not in outputs and v not in names and at and at[-1] < i:
-            names[v] = o
-        elif o not in outputs and lines[o] == [i] and not at:
-            names[o] = v
-        else:
-            continue
-        copies.add(i)
-    return [_renamed(op, names) for i, op in enumerate(ops) if i not in copies]
-
-
-def _renamed(op, names):  # the line ``op`` with the local names ``names`` maps renamed
-    def new(x):
-        if isinstance(x, Term):
-            args = [new(y) for y in x.args]
-            same = all(y is z for y, z in zip(args, x.args))
-            return x if same else Term(x.fmt, *args, raises=x.raises)
-        return names.get(x, x) if isinstance(x, str) else x
-
-    return Op(names.get(op.target, op.target), new(op.value), op.indent)
-
-
-def _constant(operand):  # a structural zero, a literal or lam: the same all through a shot
-    return operand is None or operand == "lam" or isinstance(operand, float)
 
 
 def _out(operand):  # an operand as generated code reads it: a structural zero as 0.0
@@ -457,9 +409,9 @@ def _projection(em, k, s, g, max_iter):
     # lines, which hold it at the point last accepted.  Needs em.lines empty, leaves it so.
     n = k + s
     a = [f"a{i}" for i in range(n)]
-    values = [r[0] for r in _emit_part(em, g, "g", n, ())]
+    values = [r[0] for r in _emit_part(em, g, "g", a, ())]
     res, em.lines = em.lines, []
-    dy = [r[1:] for r in _emit_part(em, g, "g", n, range(k, n))]
+    dy = [r[1:] for r in _emit_part(em, g, "g", a, range(k, n))]
     # only the jet lines d_y g reads: the jet runs where the residual lines just evaluated
     # g, so its copy of g's value ops cannot raise (a velocity stage, at a new point, can)
     jet, em.lines = _pruned(em.lines, expr._reads(*sum(dy, [])), may_raise=True), []
@@ -494,30 +446,31 @@ def _norm(values):  # |values|: math.hypot, or for one value abs, its equal and 
     return Term(f"{'abs' if len(values) == 1 else 'math.hypot'}({{}})", expr._tuple(values, "{}"))
 
 
-def _emit_part(em, part, name, n, seeds, t=0.0):
-    # per component of ``part`` (``name`` in the source) at (a0, ...) and time t: the
-    # operands of its value and partials by ``seeds``; a callable part calls its flat
+def _emit_part(em, part, name, point, seeds, t=0.0):
+    # per component of ``part`` (``name`` in the source) at the point (names) and time t:
+    # the operands of its value and partials by ``seeds``; a callable part calls its flat
     if part.asts is None:
-        jet = em.new(Term(f"{name}({{}}, {{}}, {bool(seeds)})",
-                          expr._tuple((f"a{i}" for i in range(n)), "[{}]"), t, raises=True))
+        n = len(point)
+        jet = em.new(Term(f"{name}({{}}, {{}}, {bool(seeds)})", expr._tuple(point, "[{}]"), t,
+                          raises=True))
         return [[Term(f"{{}}[{i * (n + 1) + j if seeds else i}]", jet, raises=True)
                  for j in (0, *(1 + j for j in seeds))] for i in range(part.n_out)]
-    em.bind(part.variables + (TIME_NAME,), [part.variables[j] for j in seeds])
+    em.bind(part.variables + (TIME_NAME,), [part.variables[j] for j in seeds], (*point, t))
     emitted = [em.emit(tree) for tree in part.asts]  # (value, {seed slot: partial})
     return [[v, *(d.get(j) for j in range(len(seeds)))] for v, d in emitted]
 
 
-def _emit_p(em, gamma, sigma, n, seeds):
-    # rows (as _emit_part's) of p = gamma + lam * sigma and of sigma; sigma is
-    # evaluated where lam != 0.0 only, unless partials are asked for (dp/dlam)
-    t = f"a{n}"
-    forcing = sigma and (seeds or gamma is None) and _emit_part(em, sigma, "sigma", n, seeds, t)
+def _emit_p(em, gamma, sigma, point, t, seeds):
+    # rows (as _emit_part's) of p = gamma + lam * sigma and of sigma at the point and time
+    # t; sigma is evaluated where lam != 0.0 only, unless partials are asked for (dp/dlam)
+    forcing = sigma and (seeds or gamma is None) and _emit_part(em, sigma, "sigma", point,
+                                                                seeds, t)
     if gamma is None:
         return [[em.sum(("lam", b)) for b in row] for row in forcing], forcing
-    own, mark = _emit_part(em, gamma, "gamma", n, seeds, t), len(em.lines)
+    own, mark = _emit_part(em, gamma, "gamma", point, seeds, t), len(em.lines)
     if sigma is None:
         return own, None
-    forcing = forcing or _emit_part(em, sigma, "sigma", n, seeds, t)
+    forcing = forcing or _emit_part(em, sigma, "sigma", point, seeds, t)
     p = [[em.sum(u, ("lam", v)) for u, v in zip(*pair)] for pair in zip(own, forcing)]
     made = {op.target for op in em.lines[mark:]}
     rest = [Op(q, _out(u)) for rq, ru in zip(p, own) for q, u in zip(rq, ru) if q in made]

@@ -227,6 +227,18 @@ def test_degree_from_problem_file(capsys, tmp_path):
     assert json.loads(out)["manifold_degree"] == 1
 
 
+def test_bundled_problem_is_not_shadowed_by_a_directory(capsys, tmp_path, monkeypatch):
+    # a directory named like a bundled problem leaves the bundled problem in place; a
+    # regular file of that name is read instead
+    want = run_cli(capsys, "degree", "example-4-1")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "example-4-1").mkdir()
+    assert run_cli(capsys, "degree", "example-4-1") == want
+    (tmp_path / "example-5-5").write_text(SPRING_TEXT, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "degree", "example-5-5")
+    assert code == 0 and json.loads(out)["problem"] == "osc"
+
+
 # --- exit codes ------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv,needle", [

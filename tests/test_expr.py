@@ -91,6 +91,8 @@ def test_undeclared_variable_offset():
     with pytest.raises(UndeclaredVariableError) as err:
         expr.parse("x + quux", XYZ)
     assert err.value.offset == 4
+    assert isinstance(err.value, ExpressionSyntaxError)
+    assert str(err.value) == "undeclared variable 'quux' (byte offset 4)"
 
 
 def test_unexpected_character_reports_byte_position():

@@ -12,7 +12,6 @@ import math
 import pathlib
 import re
 import weakref
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -555,7 +554,7 @@ def test_newton_jet_assigns_nothing_it_does_not_read(name):
 
 
 MAY_RAISE = re.compile(r"\*\*|/|\w\(")  # a power, a division (_div too) or a call
-STAGE_NAME = re.compile(r"\b(?:t|[akmuz]\d+(?:_\d+)*)\b")  # a point, time or stage value
+LOCAL = re.compile(r"\b(t|lam|[a-z]\d+(?:_\d+)*)\b")  # a parameter or a line's name
 
 
 @pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing", "swapped", "unslaved"])
@@ -577,30 +576,42 @@ def test_generated_functions_assign_nothing_they_do_not_read(name):
         assert not dead, (fn_name, dead)
 
 
+def renamed_alike(lines, others):
+    # whether ``others`` are ``lines`` with their locals renamed one to one, line by line
+    names = {}
+    for line, other in zip(lines, others, strict=True):
+        parts, renamed = LOCAL.split(line), LOCAL.split(other)
+        if len(parts) != len(renamed) or parts[::2] != renamed[::2]:
+            return False
+        for x, y in zip(parts[1::2], renamed[1::2]):
+            if names.setdefault(x, y) != y:
+                return False
+    return len(set(names.values())) == len(names)
+
+
 @pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing", "unslaved"])
 def test_inlined_stages_keep_every_line_that_may_raise(name):
-    # a shot's steps inline one copy per stage of the tableau of the body of velocity
-    # (the plain shot) or linearize (the W shot), pruned of the lines nothing reads that
-    # cannot raise: every power, division and call stays, so a stage raises where the
-    # standalone function raises, and no line that cannot raise is left unread.  The
-    # lines are compared with the names of the stage's point, time and velocity erased:
-    # a stage reads its copies in place, so a line may assign a stage output
-    # (k0_2 = -v36 / v28 for v37 = -v36 / v28) or read the start state (u0 for a0)
+    # a shot's steps emit one stage per row of the tableau from the body of velocity (the
+    # plain shot) or linearize (the W shot), pruned of the lines nothing reads that cannot
+    # raise: every power, division and call stays, in the order of the standalone function,
+    # so a stage raises where the standalone function raises, and no line that cannot raise
+    # is left unread.  A stage names its own locals (its point ai_0, ..., the start state
+    # u0, ... and t for the first) and reads its outputs in place, so each stage's lines
+    # are the standalone's under one renaming of locals
     field = named_field(name)
     c, stages = field.constraint, len(manifold._C)
     sources = dict(manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma))
     for shot, lin in generated_shots(field).items():
-        standalone = sources["linearize" if lin else "velocity"]
-        returned = ast.parse(standalone).body[0].body[-1].value
-        velocity = {node.id for node in ast.walk(returned.elts[0] if lin else returned)
-                    if isinstance(node, ast.Name)}
-        erased = re.compile("|".join([STAGE_NAME.pattern, *(rf"\b{v}\b" for v in velocity)]))
-        stage = [erased.sub("_", ln.strip()) for ln in standalone.splitlines()[1:-1]]
-        inlined = Counter(ln for ln in (STAGE_NAME.sub("_", ln.strip())
-                                        for ln in sources[shot].splitlines())
-                          if MAY_RAISE.search(ln) and ln in stage)
-        raising = Counter(ln for ln in stage if MAY_RAISE.search(ln))
-        assert raising and inlined == {ln: stages * count for ln, count in raising.items()}, shot
+        standalone = sources["linearize" if lin else "velocity"].splitlines()[1:-1]
+        raising = [ln.strip() for ln in standalone if MAY_RAISE.search(ln)]
+        lines = sources[shot].splitlines()
+        start = lines.index("        for i in range(i, n):") + 1
+        end = next(i for i, ln in enumerate(lines) if re.fullmatch(r"\s*a\d+ = .*", ln))
+        inlined = [ln.strip() for ln in lines[start:end] if MAY_RAISE.search(ln)]
+        assert raising and len(inlined) == stages * len(raising), shot
+        for i in range(stages):
+            stage = inlined[i * len(raising):(i + 1) * len(raising)]
+            assert renamed_alike(raising, stage), (shot, i, raising, stage)
         fn = ast.parse(sources[shot]).body[0]
         read = {node.id for node in ast.walk(fn)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -609,6 +620,35 @@ def test_inlined_stages_keep_every_line_that_may_raise(name):
                 and isinstance(st.targets[0], ast.Name) and st.targets[0].id not in read
                 and not MAY_RAISE.search(ast.unparse(st.value))]
         assert not dead, (shot, dead)
+
+
+def test_renamed_alike_needs_one_renaming_both_ways():
+    assert renamed_alike(["v1 = a0 ** 2", "v2 = v1 / a3"], ["v9 = u0 ** 2", "v8 = v9 / t"])
+    assert not renamed_alike(["v1 = a0 ** 2", "v2 = v1 / a3"], ["v9 = u0 ** 2", "v8 = u0 / t"])
+    assert not renamed_alike(["v1 = a0 ** 2", "v2 = a1 / a3"], ["v9 = u0 ** 2", "v8 = u0 / t"])
+    assert not renamed_alike(["v1 = a0 ** 2"], ["v9 = u0 ** 3"])
+    assert not renamed_alike(["v1 = math.sin(a0)"], ["v1 = math.cos(a0)"])
+
+
+@pytest.mark.parametrize("name", [*sorted(REGISTRY), "callable", "duffing", "swapped", "unslaved"])
+def test_shot_steps_copy_no_name_into_another(name):
+    # a stage output that is already a name (a point coordinate, a line of the body or
+    # the start state) is read in place by the later stages: a top-level line of a
+    # shot's step loop copies one bare name into another only to take the step's new
+    # state, u0 = a0, ..., or to copy a W entry
+    field = named_field(name)
+    c = field.constraint
+    sources = dict(manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma))
+    for shot in generated_shots(field):
+        loop = next(node for node in ast.walk(ast.parse(sources[shot]))
+                    if isinstance(node, ast.For) and node.target.id == "i")
+        copies = [(st.targets[0].id, st.value.id) for st in loop.body
+                  if isinstance(st, ast.Assign) and isinstance(st.targets[0], ast.Name)
+                  and isinstance(st.value, ast.Name)]
+        state = [(f"u{j}", f"a{j}") for j in range(c.dim)]
+        assert [copy for copy in copies if copy not in state
+                and not re.fullmatch(r"w\d+_\d+", copy[1])] == [], (shot, copies)
+        assert [copy for copy in copies if copy in state] == state, shot
 
 
 def _overflow(fn, *args):  # the message of the OverflowError fn(*args) raises, or None
@@ -641,8 +681,9 @@ def test_overflow_test_of_an_unread_power_raises_where_the_power_raises(m):
 @pytest.mark.parametrize("name", ["example-5-5", "example-5-3"])
 def test_shots_assign_no_power_that_nothing_reads(name):
     # in dp5 and dp5w, every name a power assigns is read before it is assigned again;
-    # an unread power is left as its overflow test (example-5-5's u2 ** 3 and u0 ** 5
-    # in each of the six stages of a step, as the constraint's value needs them)
+    # an unread power is left as its overflow test (example-5-5's y ** 3 and x1 ** 5 in
+    # each of the six stages of a step, at the stage's point, as the constraint's value
+    # needs them)
     field = REGISTRY[name].build_dae()
     c = field.constraint
     sources = dict(manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma))
@@ -662,9 +703,10 @@ def test_shots_assign_no_power_that_nothing_reads(name):
             else:
                 raise AssertionError((shot, line))
         tests = [ln.strip() for ln in lines if ln.strip().startswith("if not (-")]
-        if name == "example-5-5":
-            assert len(tests) == 12 and {t.rsplit(": ", 1)[1] for t in tests} == {
-                "u2 ** 3", "u0 ** 5", "a2 ** 3", "a0 ** 5"}, (shot, tests)
+        if name == "example-5-5":  # at the start state in stage 0, at ai_0, ... in stage i
+            assert len(tests) == 12 and sorted(t.rsplit(": ", 1)[1] for t in tests) == sorted(
+                f"{x}{j} ** {m}" for x in ("u", *(f"a{i}_" for i in range(1, 6)))
+                for j, m in ((2, 3), (0, 5))), (shot, tests)
 
 
 # --- drift control -------------------------------------------------------------
