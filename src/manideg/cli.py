@@ -22,6 +22,7 @@ regularity failure, 4 inadmissible boundary, 5 numeric failure.
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
@@ -76,10 +77,7 @@ def _json(value, indent=0):
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}" if math.isfinite(value) else "null"
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(value, np.ndarray):
-        return _json(list(value), indent)
+        return json.dumps(value, ensure_ascii=False)
     raise TypeError(f"cannot serialise {type(value)!r}")
 
 
@@ -212,25 +210,22 @@ def _cmd_trace(args):
                           max_steps=args.max_steps, steps_per_period=steps)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _write_branch_csv(branch, problem.variables, problem.k, fh)
+            _write_branch_csv(branch, problem.variables, fh)
         sys.stdout.write(
             f"{len(branch.points)} solution pairs ({branch.termination}) "
             f"-> {args.out}\n"
         )
     else:
-        _write_branch_csv(branch, problem.variables, problem.k, sys.stdout)
+        _write_branch_csv(branch, problem.variables, sys.stdout)
     return 0
 
 
-def _write_branch_csv(branch, variables, k, out):
-    x_names = variables[:k]
-    y_names = variables[k:]
-    header = ["index", "lambda", *x_names, *y_names, "amplitude", "residual", "drift"]
+def _write_branch_csv(branch, variables, out):
+    header = ["index", "lambda", *variables, "amplitude", "residual", "drift"]
     out.write(",".join(header) + "\n")
     for i, pair in enumerate(branch.points):
         cells = [str(i), f"{pair.lam:.17g}"]
-        cells += [f"{v:.17g}" for v in pair.x0]
-        cells += [f"{v:.17g}" for v in pair.y0]
+        cells += [f"{v:.17g}" for v in (*pair.x0, *pair.y0)]
         cells += [f"{pair.amplitude:.17g}", f"{pair.residual:.17g}",
                   f"{pair.drift:.17g}"]
         out.write(",".join(cells) + "\n")

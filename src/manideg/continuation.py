@@ -66,7 +66,8 @@ class SolutionPair:
 class Branch:
     points: list
     seed: object
-    termination: str  # 'lambda_max' | 'max_steps' | 'corrector_failure' | 'left_domain'
+    termination: str  # 'lambda_max' | 'max_steps' | 'corrector_failure' | 'left_domain',
+    # the last for two ends: a pair off the box or at lam < 0, or a failure that ran off it
 
 
 def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_PERIOD,
@@ -216,7 +217,10 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
 
     Returns
     -------
-    Branch with the ordered points and a termination reason.
+    Branch with the ordered points and its termination: ``lambda_max``,
+    ``max_steps``, ``corrector_failure`` (every halving of an advance
+    failed) or ``left_domain``, which names two ends: a last pair off the
+    box or at lam < 0, and an advance whose last failure ran off the box.
     """
     if not (math.isfinite(ds) and ds > 0.0):
         raise ValueError(f"ds must be a positive finite step, got {ds!r}")
@@ -224,65 +228,41 @@ def trace_branch(dae, seed, ds=0.02, lambda_max=1.0, max_steps=400, *,
         raise ValueError("lambda_max must not be nan")
     _integer("max_steps", max_steps, 1)
     k = dae.constraint.k
-    box = dae.constraint.domain
-    x_seed = np.asarray(seed.location[:k], dtype=float)
-    y_hint = np.asarray(seed.location[k:], dtype=float)
-
-    _, pair = shooting_residual(dae, x_seed, 0.0, steps_per_period=steps_per_period,
-                                y_guess=y_hint)
+    _, pair = shooting_residual(dae, np.asarray(seed.location[:k], dtype=float), 0.0,
+                                steps_per_period=steps_per_period,
+                                y_guess=np.asarray(seed.location[k:], dtype=float))
     if pair.residual > 1e-6:
-        raise CorrectorError(
-            f"seed at {x_seed} is not a periodic pair at lam = 0 "
-            f"(residual {pair.residual:.3e})"
-        )
+        raise CorrectorError(f"seed at {pair.x0} is not a periodic pair at lam = 0 "
+                             f"(residual {pair.residual:.3e})")
     points = [pair]
-    termination = None
-    tangent = None
-
-    while termination is None:
-        last = points[-1]
-        if last.lam >= lambda_max:
-            termination = "lambda_max"
-            break
+    tangent = np.eye(k + 1)[k]  # first step: grow the forcing from zero
+    while True:
+        if pair.lam >= lambda_max:
+            return Branch(points, seed, "lambda_max")
         if len(points) >= max_steps:
-            termination = "max_steps"
-            break
-        if not box.contains(np.concatenate([last.x0, last.y0])) or last.lam < 0.0:
-            termination = "left_domain"
-            break
-        z_last = np.concatenate([last.x0, [last.lam]])
-        if len(points) == 1:
-            tangent = np.zeros(k + 1)
-            tangent[k] = 1.0  # first step: grow the forcing from zero
-        else:
-            prev = points[-2]
-            z_prev = np.concatenate([prev.x0, [prev.lam]])
-            secant = z_last - z_prev
+            return Branch(points, seed, "max_steps")
+        if not dae.constraint.domain.contains([*pair.x0, *pair.y0]) or pair.lam < 0.0:
+            return Branch(points, seed, "left_domain")
+        zs = np.array([[*p.x0, p.lam] for p in points[-4:]])  # (x0, lam), oldest first
+        if len(zs) > 1:
+            secant = zs[-1] - zs[-2]
             norm = np.linalg.norm(secant)
             if norm > 1e-14:  # coincident points keep the old direction
                 tangent = secant / norm
-
-        corrected = None
         escaped = False  # whether the last failure ran off the box; the error itself
         step = float(ds)  # would keep this frame, and every pair, in a reference cycle
-        zs = np.array([[*p.x0, p.lam] for p in points[-4:]])
         for _ in range(ARCLENGTH_HALVINGS + 1):
             pred = _predict(zs, tangent, step)
             try:
-                corrected = correct(dae, pred[:k], pred[k], arclength=(z_last, tangent, step),
-                                    steps_per_period=steps_per_period, y_guess=last.y0)
+                pair = correct(dae, pred[:k], pred[k], arclength=(zs[-1], tangent, step),
+                               steps_per_period=steps_per_period, y_guess=pair.y0)
                 break
             except CorrectorError as exc:
                 escaped = _escaped_domain(exc)
                 step /= 2.0
-        if corrected is None:
+        else:
             if len(points) == 1:
-                raise CorrectorError(
-                    "corrector failed on the very first continuation step; "
-                    "the seed does not start a traceable branch"
-                )
-            termination = "left_domain" if escaped else "corrector_failure"
-            break
-        points.append(corrected)
-
-    return Branch(points, seed, termination)
+                raise CorrectorError("corrector failed on the very first continuation step; "
+                                     "the seed does not start a traceable branch")
+            return Branch(points, seed, "left_domain" if escaped else "corrector_failure")
+        points.append(pair)

@@ -91,10 +91,19 @@ def test_build_phi1_rejects_quadrature_nodes_below_one(nodes):
     lambda t: t.replace("box = -2 2, -2 2, -2 2", "box = -inf 2, -2 2, -2 2"),
     lambda t: t.replace("box = -2 2, -2 2, -2 2", "box = -2 2, -2 inf, -2 2"),
     lambda t: t.replace("period = 6.283185307179586", "period = inf"),
+    # (mutation, the message it must produce): the shape checks of Problem
+    (lambda t: t.replace("k = 2", "k = 0"), "k and s must be positive"),
+    (lambda t: t + "g = y - x1\n", "2 constraint lines, expected 1"),
+    (lambda t: t + "gamma = x1\n", "3 gamma lines, expected 2"),
+    (lambda t: t.replace("box = -2 2, -2 2, -2 2", "box = -2 2, -2 2"),
+     "2 box ranges for 3 variables"),
+    (lambda t: t.replace("period = 6.283185307179586\n", ""),
+     "a forcing term needs a positive period"),
 ])
 def test_malformed_problem_text_rejected(mutation):
     # expression-level failures surface as their own ProblemError subclass
-    with pytest.raises(ProblemError):
+    mutation, message = mutation if isinstance(mutation, tuple) else (mutation, None)
+    with pytest.raises(ProblemError, match=message):
         parse_problem(mutation(SPRING_TEXT))
 
 
@@ -225,6 +234,18 @@ def test_degree_from_problem_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "degree", str(path))
     assert code == 0
     assert json.loads(out)["manifold_degree"] == 1
+
+
+def test_degree_record_escapes_a_control_character_in_the_name(capsys, tmp_path):
+    path = tmp_path / "tab.problem"
+    path.write_text(SPRING_TEXT.replace("name = osc", "name = tab\there"), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "degree", str(path))
+    assert code == 0 and json.loads(out)["problem"] == "tab\there"
+
+
+def test_json_refuses_a_value_it_cannot_write():
+    with pytest.raises(TypeError, match="cannot serialise"):
+        cli._json(object())
 
 
 def test_bundled_problem_is_not_shadowed_by_a_directory(capsys, tmp_path, monkeypatch):
@@ -441,6 +462,8 @@ def test_trace_ends_cleanly_when_a_stage_overflows(capsys, tmp_path):
 #       --out tests/golden_trace_example_5_7.csv
 #   PYTHONPATH=src python -m manideg.cli trace example-5-7 --lambda-max 0.3 \
 #       --out tests/golden_trace_example_5_7_to_0_3.csv
+#   PYTHONPATH=src python -m manideg.cli trace example-5-3 \
+#       --out tests/golden_trace_example_5_3.csv
 
 
 def assert_trace_matches_golden(capsys, tmp_path, golden, *argv):
@@ -481,6 +504,13 @@ def test_two_constraint_trace_matches_golden_branch(capsys, tmp_path, golden, la
     out = assert_trace_matches_golden(capsys, tmp_path, golden, "example-5-7",
                                       "--lambda-max", lambda_max)
     assert "(lambda_max)" in out
+
+
+def test_sigma_only_trace_matches_golden_branch(capsys, tmp_path):
+    # the paper's Example 5.3, k = 1: a sigma-only branch to its lambda_max
+    out = assert_trace_matches_golden(capsys, tmp_path, "golden_trace_example_5_3.csv",
+                                      "example-5-3")
+    assert "76 solution pairs (lambda_max)" in out
 
 
 # --- verify-paper -------------------------------------------------------------------

@@ -356,6 +356,20 @@ def test_correct_fails_when_starved(monkeypatch):
         correct(spring(), x0, 0.0, arclength=held(x0, 0.0))
 
 
+def test_correct_refuses_a_zero_shooting_jacobian(monkeypatch):
+    # W - [I | 0] = 0 leaves only the arclength row in the Newton matrix
+    inner = continuation.shooting_residual
+
+    def flat(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        return (*out[:2], np.zeros_like(out[2])) if kwargs.get("jacobian") else out
+
+    monkeypatch.setattr(continuation, "shooting_residual", flat)
+    x0 = np.array([0.3, 0.2])
+    with pytest.raises(CorrectorError, match="singular shooting sensitivity matrix"):
+        correct(spring(), x0, 0.0, arclength=held(x0, 0.0))
+
+
 # --- tracing ---------------------------------------------------------------------
 
 def test_trace_integrates_one_period_per_shot(monkeypatch):
@@ -545,6 +559,33 @@ def test_branch_ended_by_a_failure_is_freed_without_the_cycle_collector(monkeypa
         assert last() is None
     finally:
         gc.enable()
+
+
+def test_trace_ends_left_domain_at_a_negative_lambda(monkeypatch):
+    # every corrected pair comes back at lam = -0.001, inside the box
+    real = continuation.correct
+    monkeypatch.setattr(continuation, "correct", lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), lam=-0.001))
+    dae, seed = spring_seed()
+    branch = trace_branch(dae, seed, ds=0.05, steps_per_period=64)
+    assert branch.termination == "left_domain"
+    assert [p.lam for p in branch.points] == [0.0, -0.001]
+    assert dae.constraint.domain.contains([*branch.points[-1].x0, *branch.points[-1].y0])
+
+
+def test_trace_refuses_a_seed_whose_first_step_never_corrects(monkeypatch):
+    steps = []  # the arclength step of every attempt
+
+    def failing(dae, x0, lam, arclength, **options):
+        steps.append(arclength[2])
+        raise CorrectorError("corrector stalled")
+
+    monkeypatch.setattr(continuation, "correct", failing)
+    dae, seed = spring_seed()
+    with pytest.raises(CorrectorError,
+                       match="corrector failed on the very first continuation step"):
+        trace_branch(dae, seed, ds=0.05, steps_per_period=64)
+    assert steps == [0.05 / 2 ** i for i in range(continuation.ARCLENGTH_HALVINGS + 1)]
 
 
 def test_trace_rejects_nonperiodic_seed():

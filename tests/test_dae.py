@@ -211,6 +211,9 @@ SEPARABLE = {
         AmbientMap.from_expressions(("x*cos(t)^2",), ("x", "y")), TWO_PI, 2, BOX2.grid(9)),
     "cos-squared-4-nodes": lambda: (
         AmbientMap.from_expressions(("x*cos(t)^2",), ("x", "y")), TWO_PI, 4, BOX2.grid(9)),
+    "negated-sum": lambda: (  # separated under its Neg
+        AmbientMap.from_expressions(("-(x*cos(t)^2 + y)",), ("x", "y")), TWO_PI, 4,
+        BOX2.grid(9)),
 }
 
 

@@ -317,6 +317,23 @@ def test_vector_backend_gradients_match_scalar():
         ref = gs(float(a), float(b))
         for out_v, out_s in zip(vec, ref):
             assert out_v[i] == out_s
+    # the backends round differently (numpy's x ** 3 against Python's), so elsewhere the
+    # gradients agree to a few ulps; the vector one holds a NaN exactly where the scalar
+    # one raises: x^(-2) at x = 0 and abs(x - 2) at x = 2
+    xs = np.linspace(-1.0, 3.0, 9)
+    ys = np.linspace(-1.5, 1.5, 9)
+    for text, raising in (("x^(-2) + y^3", [2]), ("abs(x - 2)*y", [6])):
+        ast = expr.parse(text, ("x", "y"))
+        gs = expr.compile_gradient(ast, ("x", "y"))
+        vec = np.array(expr.compile_gradient(ast, ("x", "y"), backend="vector")(xs, ys))
+        assert np.isnan(vec).any(axis=0).nonzero()[0].tolist() == raising
+        for i, point in enumerate(zip(xs.tolist(), ys.tolist())):
+            if i in raising:
+                with pytest.raises(DomainEvalError):
+                    gs(*point)
+            else:
+                ref = np.array(gs(*point))
+                assert (np.abs(vec[:, i] - ref) <= 4.0 * np.spacing(np.abs(ref))).all()
 
 
 def test_compilation_is_cached():
