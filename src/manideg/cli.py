@@ -341,11 +341,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except tuple(cls for cls, _ in _EXIT_BY_ERROR) as exc:
-        for cls, code in _EXIT_BY_ERROR:
-            if isinstance(exc, cls):
-                sys.stderr.write(f"error: {exc}\n")
-                return code
-        raise  # unreachable: the tuple above only admits listed classes
+        sys.stderr.write(f"error: {exc}\n")
+        return next(code for cls, code in _EXIT_BY_ERROR if isinstance(exc, cls))
 
 
 def run():

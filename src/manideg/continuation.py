@@ -58,7 +58,9 @@ class SolutionPair:
     # the full-state |xi(T) - xi(0)|, y included, as the CSV prints it; the corrector
     # bounds only the x-part with the arclength row, so this may exceed CORRECTOR_TOL
     residual: float
-    amplitude: float  # max deviation of the trajectory from its time mean
+    # max deviation of the step-end states from their mean, which counts the start state
+    # twice (xi(T) ~ xi(0)): off the one-period time mean by about (xi(0) - mean) / (n + 1)
+    amplitude: float
     drift: float      # max |g| along the trajectory
 
 

@@ -376,12 +376,14 @@ _FUNC_NAMES = {
 # rules, _folded, _negated, _divided and _sum, apply as the records are built.
 
 class Term:
-    """``fmt`` with its {} filled by the operands ``args``, which name every local it
-    reads.  It may raise when it says so (a call, a power, a division by anything but a
-    non-zero literal, an item of a sequence, a raise statement) or when an operand may."""
+    """The source ``text``: ``fmt`` with its {} filled by the operands ``args``, which name
+    every local it reads.  It may raise when it says so (a call, a power, a division by anything
+    but a non-zero literal, an item of a sequence, a raise statement) or when an operand may."""
+
+    overflow = None  # a power's statement that raises where it raises, set by _Emitter._pow
 
     def __init__(self, fmt, *args, raises=False):
-        self.fmt, self.args, self.text = fmt, args, None  # text: _text's, once computed
+        self.fmt, self.args, self.text = fmt, args, fmt.format(*map(_text, args))
         self.raises = raises or any(isinstance(x, Term) and x.raises for x in args)
 
 
@@ -401,13 +403,9 @@ def _reads(*operands):  # the local names the operands read
 
 
 def _text(operand):  # an operand as source: a literal by its repr, parenthesised when negative
-    if isinstance(operand, Term):  # a shot prints each stage line once per stage
-        if operand.text is None:
-            operand.text = operand.fmt.format(*map(_text, operand.args))
-        return operand.text
     if isinstance(operand, float):
         return repr(operand) if math.copysign(1.0, operand) > 0.0 else f"({operand!r})"
-    return operand
+    return operand.text if isinstance(operand, Term) else operand
 
 
 def _printed(name, params, ops, result):
@@ -560,7 +558,14 @@ class _Emitter:
             return vb, db
 
         def powered(m):
-            return Term(f"_ipow({{}}, {m})" if m < 0 else f"{{}} ** {m}", vb, raises=True)
+            if m < 0:
+                return Term(f"_ipow({{}}, {m})", vb, raises=True)
+            # u ** m, m >= 2, and its overflow: if not lo <= u <= hi: u ** m, [lo, hi] the floats
+            # whose m-th power is finite (a nan or inf u passes: nan ** m, inf ** m do not raise)
+            power, (lo, hi) = Term(f"{{}} ** {m}", vb, raises=True), _finite_powers(m)
+            power.overflow = Term(f"if not {{}} <= {{}} <= {{}}: {{}} ** {m}", lo, vb, hi, vb,
+                                  raises=True)
+            return power
 
         v = self.new(powered(n))
         d = {}
@@ -590,22 +595,6 @@ class _Emitter:
             f"{self.fn['cos']}({{}})" if func == "sin" else f"-{self.fn['sin']}({{}})",
             vu, raises=True))
         return v, {j: self.operand(_folded(slope, "*", dj)) for j, dj in du.items()}
-
-
-_POWER = re.compile(r"\{\} \*\* (\d+)")  # the format of u ** m, m >= 2, as _pow writes it
-
-
-def _overflow_test(term):
-    """For ``term`` a power u ** m (m >= 2), the statement that raises
-    where it raises, without its value: ``if not lo <= u <= hi: u ** m``,
-    with [lo, hi] the floats whose m-th power is finite (a nan or inf u
-    passes, as nan ** m and inf ** m do not raise); None for any other
-    Term."""
-    power = _POWER.fullmatch(term.fmt)
-    if power is None:
-        return None
-    (lo, hi), u = _finite_powers(int(power[1])), term.args[0]
-    return Term(f"if not {{}} <= {{}} <= {{}}: {{}} ** {power[1]}", lo, u, hi, u, raises=True)
 
 
 @functools.cache

@@ -391,9 +391,7 @@ def _pruned(ops, live, may_raise=False):
         if op.target is not None and op.target not in live:
             if may_raise or not (isinstance(op.value, Term) and op.value.raises):
                 continue
-            test = expr._overflow_test(op.value)
-            if test is not None:
-                op = Op(None, test, op.indent)
+            op = op if op.value.overflow is None else Op(None, op.value.overflow, op.indent)
         live |= expr._reads(op.value)
         kept.append(op)
     return kept[::-1]

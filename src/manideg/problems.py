@@ -16,6 +16,7 @@ per line, in order::
     period = 6.283185307179586
     box = -2 2, -2 2, -2 2
 
+Every key except ``g``, ``gamma`` and ``sigma`` appears at most once.
 ``g`` needs s lines over the declared variables; ``gamma`` (autonomous
 drift, k lines, time-free) and ``sigma`` (forcing, k lines, may use
 ``t``) are optional; ``box`` lists one finite ``lo hi`` pair (lo < hi)
@@ -172,9 +173,9 @@ def parse_problem(text):
             raise ProblemFormatError(f"line {lineno}: empty value for {key!r}")
         if key in multi:
             multi[key].append(value)
+        elif key in singles or key in options:
+            raise ProblemFormatError(f"line {lineno}: duplicate key {key!r}")
         elif key in ("name", "k", "s", "vars", "period", "box"):
-            if key in singles:
-                raise ProblemFormatError(f"line {lineno}: duplicate key {key!r}")
             singles[key] = value
         elif key in _OPTION_KEYS:
             try:

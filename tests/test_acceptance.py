@@ -1,6 +1,6 @@
 """End-to-end acceptance checks.
 
-Thirteen checks cover the bundled reference problems, the independent
+Fourteen checks cover the bundled reference problems, the independent
 degree oracles, the determinant factorisation, the degree axioms, flow
 quality, branch continuation, and the verification subcommand.  Each
 prints one PASS/FAIL line with its runtime; checks with a time budget

@@ -99,6 +99,12 @@ def test_build_phi1_rejects_quadrature_nodes_below_one(nodes):
      "2 box ranges for 3 variables"),
     (lambda t: t.replace("period = 6.283185307179586\n", ""),
      "a forcing term needs a positive period"),
+    (lambda t: t.replace("vars = x1, x2, y", "vars = x1, x2"), "2 variables for k \\+ s = 3"),
+    (lambda t: t.replace("vars = x1, x2, y", "vars = x1, t, y"),
+     "'t' is reserved for time"),
+    # a repeated option, like a repeated name, is refused instead of overriding the first
+    (lambda t: t + "grid_density = 4\ngrid_density = 9\n",
+     "line 15: duplicate key 'grid_density'"),
 ])
 def test_malformed_problem_text_rejected(mutation):
     # expression-level failures surface as their own ProblemError subclass
@@ -405,6 +411,17 @@ def test_exit_4_for_boundary_zero(capsys):
 def test_exit_5_for_trace_without_forcing(capsys):
     code, _, err = run_cli(capsys, "trace", "example-4-1")
     assert code == 5 and "period" in err
+
+
+def test_exit_5_for_trace_without_a_seed_zero(capsys, tmp_path):
+    # example-5-3's g and sigma on a box that holds no zero of the averaged forcing
+    path = tmp_path / "no-seed.problem"
+    path.write_text("name = no-seed\nk = 1\ns = 1\nvars = x, y\ng = y^3 + y - x^2\n"
+                    "sigma = x + y + sin(t)\nperiod = 6.283185307179586\nbox = 1 2, 1 2\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "trace", str(path))
+    assert (code, out) == (5, "")
+    assert err == "error: no nondegenerate seed-map zero inside the box\n"
 
 
 # --- trace subcommand --------------------------------------------------------------

@@ -374,6 +374,21 @@ def test_winding_closed_forms(sources, box, want):
     assert degree_winding_2d(handle(sources, ("x", "y")), box) == want
 
 
+def test_winding_refuses_increments_that_stay_above_a_quarter_turn(monkeypatch):
+    # one pass cannot settle the refining field's boundary walk
+    monkeypatch.setattr(degree, "_WINDING_MAX_PASSES", 1)
+    with pytest.raises(NumericError, match="boundary angle increments stay above pi/2 after "
+                                           "refinement"):
+        degree_winding_2d(handle(REFINING, ("x", "y")), DomainBox.cube(-2.0, 2.0, 2))
+
+
+def test_boundary_min_rejects_a_sample_outside_the_field_domain():
+    field = handle(("log(x)", "y"), ("x", "y"))
+    with pytest.raises(DomainEvalError,
+                       match=re.escape("the field is undefined at the sample [-1. -1.]")):
+        boundary_min(field, DomainBox.cube(-1.0, 1.0, 2))
+
+
 def test_winding_starts_from_the_margin_samples_and_evaluates_only_new_points(monkeypatch):
     # the old walk sampled its own path and evaluated every sample again on each
     # pass: 1,774 rows over 6 batches on the refining field

@@ -229,6 +229,8 @@ GRAD_SOURCES = [
     "sin(x*y) - cos(z)",
     "exp(x - y^2)",
     "x/(1 + y^2)",
+    "x/(1 + x^2)",  # numerator and denominator depend on the same seed
+    "(x + y)/(x - z + 3)",
     "sqrt(1 + x^2)*log(2 + z)",
     "abs(x - 2)*y",
     "x^(-2) + y^3",

@@ -20,6 +20,7 @@ import pytest
 from manideg import (
     AmbientMap,
     DomainBox,
+    DomainEscapeError,
     DomainEvalError,
     ForcedField,
     ImplicitConstraint,
@@ -67,6 +68,15 @@ def test_projected_step_accuracy_and_drift():
     state = projected_step(field, np.array([1.0, 1.0]), 0.0, 0.01)
     assert state[0] == pytest.approx(math.exp(0.01), abs=1e-11)
     assert abs(state[1] - state[0]) <= 1e-12
+
+
+def test_projected_step_raises_its_failed_projection_instead_of_halving():
+    # a unit step from this example-5-5 state leaves the box in its projection; flow_map
+    # would halve that step, projected_step raises the projection's error
+    field, start = spring_field(), [1.0, 1.5, 1.0]
+    with pytest.raises(DomainEscapeError, match="outside the domain box"):
+        projected_step(field, start, 0.0, 1.0)
+    assert np.all(np.isfinite(projected_step(field, start, 0.0, 0.01)))
 
 
 def test_dp5_order_from_step_halving():
@@ -663,7 +673,10 @@ def _overflow(fn, *args):  # the message of the OverflowError fn(*args) raises, 
 def test_overflow_test_of_an_unread_power_raises_where_the_power_raises(m):
     # a power u ** m whose value nothing reads is kept as the statement
     # if not lo <= u <= hi: u ** m, which raises exactly where the power raises
-    (test,) = manifold._pruned([expr.Op("v", expr.Term(f"{{}} ** {m}", "u", raises=True))], ())
+    em = expr._Emitter(("u",), (), "scalar")
+    em.bind(("u",), (), ("u",))
+    em.emit(expr.parse(f"u^{m}", ("u",)))
+    (test,) = manifold._pruned(em.lines, ())
     assert test.target is None and f"u ** {m}" in expr._text(test.value)
     ns = {}
     exec(expr._printed("guarded", "u", [test], "u"), ns)

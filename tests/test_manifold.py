@@ -11,6 +11,7 @@ Hand-computed oracles:
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from manideg import (
     AmbientMap,
     DomainBox,
     DomainEscapeError,
+    DomainEvalError,
     ForcedField,
     ImplicitConstraint,
     RegularityError,
@@ -126,6 +128,14 @@ def test_partial2_sign_density_must_be_an_integer(density):
     # 2.9 and True used to sample two nodes per axis without a word, and "8" to pass
     with pytest.raises(ValueError, match="sample_density must be an integer"):
         partial2_sign(two_branch(), sample_density=density)
+
+
+def test_partial2_sign_rejects_a_sample_outside_the_constraint_domain():
+    con = ImplicitConstraint.from_expressions(
+        1, 1, ("y - log(x)",), ("x", "y"), DomainBox.cube(-1.0, 1.0, 2))
+    with pytest.raises(DomainEvalError,
+                       match=re.escape("the constraint is undefined at the sample [-1. -1.]")):
+        partial2_sign(con)
 
 
 def test_partial2_sign_rejects_singular_sample():
