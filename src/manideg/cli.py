@@ -16,7 +16,8 @@ Three subcommands:
     compare against their known values; exit 1 on any mismatch.
 
 ``PROBLEM`` is a problem-file path or the name of a bundled problem.
-Exit codes: 2 malformed problem or option value, 3 constraint
+Exit codes: 2 malformed problem or option value, an unwritable
+``--out`` path or an expression nested too deeply, 3 constraint
 regularity failure, 4 inadmissible boundary, 5 numeric failure.
 """
 
@@ -81,8 +82,8 @@ def _json(value, indent=0):
     raise TypeError(f"cannot serialise {type(value)!r}")
 
 
-def _print_json(record, out=None):
-    (out or sys.stdout).write(_json(record) + "\n")
+def _print_json(record):
+    sys.stdout.write(_json(record) + "\n")
 
 
 # --- problem loading --------------------------------------------------------
@@ -180,9 +181,6 @@ def _cmd_degree(args):
         "warnings": list(ambient.warnings),
     }
     _print_json(record)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _print_json(record, fh)
     return 0
 
 
@@ -209,8 +207,11 @@ def _cmd_trace(args):
     branch = trace_branch(dae, seed, ds=args.ds, lambda_max=args.lambda_max,
                           max_steps=args.max_steps, steps_per_period=steps)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_branch_csv(branch, problem.variables, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                _write_branch_csv(branch, problem.variables, fh)
+        except OSError as exc:
+            raise ProblemFormatError(f"cannot write {args.out!r}: {exc}") from None
         sys.stdout.write(
             f"{len(branch.points)} solution pairs ({branch.termination}) "
             f"-> {args.out}\n"
@@ -308,7 +309,6 @@ def build_parser():
     p_degree.add_argument("--box", help="override region, --box=lo:hi,lo:hi,... (with '=', "
                                "since a range may start with '-')")
     p_degree.add_argument("--quadrature-nodes", type=int, default=None)
-    p_degree.add_argument("--out", help="also write the JSON record to a file")
     p_degree.set_defaults(func=_cmd_degree)
 
     p_trace = sub.add_parser("trace", help="trace a branch of forced periodic pairs")
@@ -343,6 +343,10 @@ def main(argv=None):
     except tuple(cls for cls, _ in _EXIT_BY_ERROR) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return next(code for cls, code in _EXIT_BY_ERROR if isinstance(exc, cls))
+    except RecursionError:
+        # parsing, compiling and evaluating an expression each walk its tree recursively
+        sys.stderr.write("error: an expression nests too deeply to parse, compile or evaluate\n")
+        return 2
 
 
 def run():

@@ -90,19 +90,6 @@ def _separated(node, ts):
     return None
 
 
-def _separated_map(sigma, period, nodes):
-    """The mean of an expression-backed sigma over the nodes, term by term: the
-    expression map of its trees with each time-only part replaced by its node
-    mean.  None for a callable sigma or a tree that does not separate."""
-    if sigma.asts is None:
-        return None
-    ts = _nodes(period, nodes)
-    trees = tuple(_separated(tree, ts) for tree in sigma.asts)
-    if any(tree is None for tree in trees):
-        return None
-    return AmbientMap._from_asts(trees, sigma.variables)
-
-
 def _sampled_map(sigma, period, nodes):
     """Uniform-node mean of sigma over one period, as a time-free map.
 
@@ -134,12 +121,18 @@ def _averaged_map(sigma, period, nodes):
 
     Uniform sampling of a periodic integrand is the composite
     trapezoid rule and is exact for trigonometric polynomials of
-    degree below the node count.  The mean is separated term by term
-    where sigma allows it (:func:`_separated_map`), else sampled
-    (:func:`_sampled_map`); the two agree up to rounding.
+    degree below the node count.  Where every tree of an expression
+    sigma separates (see the module docstring), the mean is the
+    expression map of its trees with each time-only part replaced by its
+    node mean; otherwise it is sampled (:func:`_sampled_map`).  The two
+    agree up to rounding.
     """
-    separated = _separated_map(sigma, period, nodes)
-    return separated if separated is not None else _sampled_map(sigma, period, nodes)
+    if sigma.asts is not None:
+        ts = _nodes(period, nodes)
+        trees = tuple(_separated(tree, ts) for tree in sigma.asts)
+        if all(tree is not None for tree in trees):
+            return AmbientMap._from_asts(trees, sigma.variables)
+    return _sampled_map(sigma, period, nodes)
 
 
 def average_wind(field, quadrature_nodes=DEFAULT_QUADRATURE_NODES):

@@ -84,13 +84,15 @@ def projected_step(field, state, t, dt, lam=0.0):
     """One Dormand-Prince step of ``field.velocity(t, ., lam)`` plus y-projection.
 
     It runs the generated step code of :func:`flow_map`; a step whose
-    projection fails raises that error instead of being halved.  The
-    sensitivities W are stepped by ``flow_map(..., sensitivity=True)``.
+    projection fails raises that error instead of being halved, and a
+    stage that overflows raises :func:`flow_map`'s ``DomainEvalError``.
+    The sensitivities W are stepped by ``flow_map(..., sensitivity=True)``.
     """
     _check_finite(lam=lam, t=t, dt=dt)
     state = _floats(state, field.constraint.dim, "state")
     _, stepped, _, failure = field._code["dp5"](0, 1, t, dt, float(lam), None, [], [], *state)
     if failure is not None:
+        _check_projection_failure(failure, t)
         raise failure
     return np.array(stepped)
 
@@ -101,17 +103,22 @@ def _check_finite(**values):
             raise IntegrationError(f"{name} must be finite, got {value!r}")
 
 
+def _check_projection_failure(failure, t):
+    # the error a step from time t returned passes when its projection failed (a
+    # RootFindingError); any other is a stage that overflowed, which is outside the field's
+    # domain as a stage's _div or _log error is, and like that error it is not halved
+    if not isinstance(failure, RootFindingError):
+        raise DomainEvalError(
+            f"the field does not evaluate to finite numbers near t = {t:.6g}: {failure}"
+        ) from failure
+
+
 def _advance(shot, state, w, t, dt, lam, failure, depth=0):
     # (state, W, drift) one projected step of dt after ``state`` at time t, whose try in
     # ``shot`` returned ``failure``: the step again as two half steps, each a shot of one
     # step (at t + 0 * dt, which is t) and halved in turn if it fails; W stays None when
     # not integrated
-    if not isinstance(failure, RootFindingError):
-        # a stage that overflows is outside the field's domain, as a stage's _div or
-        # _log error is; like that error, it is not halved
-        raise DomainEvalError(
-            f"the field does not evaluate to finite numbers near t = {t:.6g}: {failure}"
-        ) from failure
+    _check_projection_failure(failure, t)
     if depth >= _MAX_HALVINGS:
         reason = ("the trajectory left the domain box"
                   if isinstance(failure, DomainEscapeError)

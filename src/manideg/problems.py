@@ -67,9 +67,8 @@ class Problem:
     sigma: tuple | None = None
     period: float | None = None
     options: tuple = ()  # sorted (key, value) pairs
-    _constraint: object = field(default=None, init=False, repr=False, compare=False)
-    _dae: object = field(default=None, init=False, repr=False, compare=False)
-    _averages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # what the builders built, kept on the instance: "constraint", "dae" and each node count
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1 or self.s < 1:
@@ -100,15 +99,15 @@ class Problem:
 
     def build_constraint(self):
         """The problem's constraint, built on the first call and kept on the instance."""
-        if self._constraint is None:
-            object.__setattr__(self, "_constraint", ImplicitConstraint.from_expressions(
-                self.k, self.s, self.g, self.variables, self.domain()))
-        return self._constraint
+        if "constraint" not in self._built:
+            self._built["constraint"] = ImplicitConstraint.from_expressions(
+                self.k, self.s, self.g, self.variables, self.domain())
+        return self._built["constraint"]
 
     def build_dae(self):
         """The problem's DAE, a :class:`ForcedField` with the problem's period,
         built on the first call and kept on the instance."""
-        if self._dae is None:
+        if "dae" not in self._built:
             if self.gamma is None and self.sigma is None:
                 raise ProblemFormatError("a system needs gamma, sigma or both")
             constraint = self.build_constraint()
@@ -118,9 +117,8 @@ class Problem:
                                                     allow_time=False)
             if self.sigma is not None:
                 sigma = AmbientMap.from_expressions(self.sigma, self.variables)
-            object.__setattr__(
-                self, "_dae", ForcedField(constraint, gamma, sigma, self.period))
-        return self._dae
+            self._built["dae"] = ForcedField(constraint, gamma, sigma, self.period)
+        return self._built["dae"]
 
     def build_phi1(self, quadrature_nodes=None):
         """First-component map whose zeros seed the analysis.
@@ -136,9 +134,9 @@ class Problem:
         if quadrature_nodes is None:
             quadrature_nodes = self.option("quadrature_nodes", DEFAULT_QUADRATURE_NODES)
         nodes = _integer("quadrature_nodes", quadrature_nodes, 1)
-        if nodes not in self._averages:
-            self._averages[nodes] = average_wind(dae, nodes)
-        return self._averages[nodes]
+        if nodes not in self._built:
+            self._built[nodes] = average_wind(dae, nodes)
+        return self._built[nodes]
 
     def build_seed_map(self, quadrature_nodes=None):
         return reduced_map(self.build_phi1(quadrature_nodes), self.build_dae().constraint)

@@ -228,12 +228,6 @@ def test_degree_box_override_excludes_zero(capsys):
     assert record["zeros"] == []
 
 
-def test_degree_out_file_matches_stdout(capsys, tmp_path):
-    path = tmp_path / "record.json"
-    _, out, _ = run_cli(capsys, "degree", "example-5-5", "--out", str(path))
-    assert path.read_text(encoding="utf-8") == out
-
-
 def test_degree_from_problem_file(capsys, tmp_path):
     path = tmp_path / "osc.problem"
     path.write_text(SPRING_TEXT, encoding="utf-8")
@@ -355,6 +349,29 @@ def test_exit_2_for_unreadable_problem_path(capsys, tmp_path, monkeypatch, case)
         monkeypatch.setattr(cli, "open", _raise_permission_error, raising=False)
     code, _, err = run_cli(capsys, "degree", str(path))
     assert code == 2 and "cannot read" in err
+
+
+@pytest.mark.parametrize("case", ["missing-directory", "directory"])
+def test_exit_2_for_unwritable_trace_out_path(capsys, tmp_path, case):
+    path = tmp_path / "no-such-dir" / "b.csv" if case == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, "trace", "example-5-5", "--lambda-max", "0.02",
+                             "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {str(path)!r}: ")
+
+
+@pytest.mark.parametrize("gamma", [
+    " + ".join(["x"] * 3000),
+    "(" * 1000 + "x" + ")" * 1000,
+    "-" * 2000 + "x",
+], ids=["long-sum", "nested-parentheses", "minus-signs"])
+def test_exit_2_for_an_expression_nested_too_deeply(capsys, tmp_path, gamma):
+    path = tmp_path / "deep.problem"
+    path.write_text(f"name = deep\nk = 1\ns = 1\nvars = x, y\ng = y - x\ngamma = {gamma}\n"
+                    "box = -2 2, -2 2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "degree", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: an expression nests too deeply to parse, compile or evaluate\n"
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

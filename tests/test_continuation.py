@@ -356,6 +356,22 @@ def test_correct_fails_when_starved(monkeypatch):
         correct(spring(), x0, 0.0, arclength=held(x0, 0.0))
 
 
+def test_correct_converging_on_its_last_step_returns_that_pair(monkeypatch):
+    # from the seed, a step of 0.02 in lam takes three Newton steps: a cap of three
+    # converges on its last and returns the default cap's pair bit for bit, two stall
+    dae, seed = spring_seed()
+    x = seed.location[:2]
+    arclength = (np.array([*x, 0.0]), np.eye(3)[-1], 0.02)
+    want = correct(dae, x, 0.02, arclength=arclength)
+    monkeypatch.setattr(continuation, "CORRECTOR_MAX_ITER", 3)
+    got = correct(dae, x, 0.02, arclength=arclength)
+    for f in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+    monkeypatch.setattr(continuation, "CORRECTOR_MAX_ITER", 2)
+    with pytest.raises(CorrectorError, match="stalled"):
+        correct(dae, x, 0.02, arclength=arclength)
+
+
 def test_correct_refuses_a_zero_shooting_jacobian(monkeypatch):
     # W - [I | 0] = 0 leaves only the arclength row in the Newton matrix
     inner = continuation.shooting_residual

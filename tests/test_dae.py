@@ -96,6 +96,26 @@ def test_accepts_true_period_and_multiples():
         assert ForcedField(cubic_constraint(), sigma=sigma, period=period).period == period
 
 
+def test_periodicity_probes_skip_a_time_free_sigma_and_points_outside_its_domain():
+    # a time-free sigma is periodic whatever the period: no probe evaluates it
+    calls = []
+
+    def first(p):
+        calls.append(p)
+        return np.array([p[0]])
+
+    ForcedField(cubic_constraint(), sigma=AmbientMap.from_callable(2, 1, first), period=1.0)
+    assert calls == []
+    # log(x) is undefined at the centre of [-1, 1]^2 and at one more probe; the probe that
+    # is left still refuses a wrong period
+    con = ImplicitConstraint.from_expressions(
+        1, 1, ("y^3 + y - x^2",), ("x", "y"), DomainBox.cube(-1.0, 1.0, 2))
+    sigma = AmbientMap.from_expressions(("log(x) + cos(t)",), ("x", "y"))
+    assert ForcedField(con, sigma=sigma, period=TWO_PI).period == TWO_PI
+    with pytest.raises(ProblemFormatError, match="periodic"):
+        ForcedField(con, sigma=sigma, period=1.0)
+
+
 # --- tangent fields ----------------------------------------------------------
 
 def test_missing_parts_raise():

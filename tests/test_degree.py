@@ -203,6 +203,17 @@ def test_degree_rejects_degenerate_zero():
         degree_sign_sum(squared, DomainBox.cube(-1.0, 1.0, 1))
 
 
+def test_polish_out_of_steps_keeps_its_last_iterate():
+    # Newton on x^5 shrinks x by 4/5 a step, so polishing the converged start spends all
+    # its steps; the iterate it keeps is a degenerate zero, which the degree refuses
+    field = handle(("x^5", "y"), ("x", "y"))
+    box = DomainBox.cube(-1.0, 1.0, 2)
+    [zero] = find_zeros(field, box)
+    assert zero.degenerate and abs(zero.location[0]) < 1e-7 and zero.location[1] == 0.0
+    with pytest.raises(DegenerateZeroError):
+        degree_sign_sum(field, box)
+
+
 # --- degree axioms (unit instances; the property suite runs in acceptance) --
 
 def test_additivity_over_disjoint_subboxes():

@@ -95,6 +95,11 @@ def test_undeclared_variable_offset():
     assert str(err.value) == "undeclared variable 'quux' (byte offset 4)"
 
 
+def test_compiling_over_fewer_variables_names_the_unbound_ones():
+    with pytest.raises(UndeclaredVariableError, match=r"unbound variables \['y'\]"):
+        expr.compile_value(expr.parse("x + y", ("x", "y")), ("x",))
+
+
 def test_unexpected_character_reports_byte_position():
     with pytest.raises(ExpressionSyntaxError) as err:
         expr.parse("x + ∂y", XYZ)

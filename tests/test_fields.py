@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from manideg import (
-    AmbientMap, DomainBox, DomainEvalError, ImplicitConstraint, find_zeros,
+    AmbientMap, DomainBox, DomainEvalError, ImplicitConstraint, ProblemFormatError, find_zeros,
 )
 from manideg.dae import _averaged_map
 from manideg.manifold import reduced_map
@@ -104,6 +104,11 @@ def _zero_search_cases():
     yield (AmbientMap.from_callable(
         2, 2, lambda p: np.array([np.sin(3 * p[0]) - p[1], p[0] ** 2 + p[1] ** 2 - 1])),
         DomainBox.cube(-1.5, 1.5, 2))
+
+
+def test_a_map_needs_a_component():
+    with pytest.raises(ProblemFormatError, match="at least one component expression"):
+        AmbientMap.from_expressions((), ("x",))
 
 
 def test_zero_records_come_from_the_batch():

@@ -419,6 +419,24 @@ def test_overflowing_stage_is_a_domain_error_and_not_halved(monkeypatch, sensiti
     assert attempts == [1]
 
 
+def test_projected_step_raises_flow_maps_domain_error_for_an_overflowing_stage():
+    # the field above: one step raises what a one-step flow_map raises, not the stage's
+    # bare OverflowError
+    names = ("x1", "x2", "y")
+    con = ImplicitConstraint.from_expressions(
+        2, 1, ("y - x1",), names, DomainBox.cube(-2.0, 2.0, 3))
+    gamma = AmbientMap.from_expressions(("x2", "-4*x1 + 1e-300*exp(800*x1)"), names)
+    field = ForcedField(con, gamma, AmbientMap.from_expressions(("0", "cos(t)"), names))
+    messages = []
+    for step in (lambda: projected_step(field, [1.0, 0.0, 1.0], 0.0, 0.25, 0.3),
+                 lambda: flow_map(field, np.array([1.0, 0.0, 1.0]), 0.0, 0.25, 0.3, n_steps=1)):
+        with pytest.raises(DomainEvalError, match="near t = 0: math range error") as info:
+            step()
+        assert isinstance(info.value.__cause__, OverflowError)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 def test_zero_pivot_raises_regularity_error():
     # g = y^2 - x has d_y g = 2y = 0 at the origin; g = 0*y - x has the literal d_y g 0.0,
     # whose zero checks stay where those of a non-zero literal are left out
