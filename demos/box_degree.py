@@ -23,7 +23,7 @@ for z in find_zeros(field, box):
 
 result = degree_sign_sum(field, box)
 print("sign-sum degree:", result.degree)
-print("winding degree: ", degree_winding_2d(field, box))
+print("winding degree: ", degree_winding_2d(field, box).degree)
 
 # the degree is additive over disjoint boxes that carry all the zeros
 left = DomainBox.from_bounds([(-1.5, -0.4), (-1.5, 1.5)])
@@ -46,4 +46,4 @@ try:
     degree_sign_sum(squaring, box)
 except DegenerateZeroError as exc:
     print("\nsign-sum on the squaring field:", exc)
-print("winding on the squaring field:", degree_winding_2d(squaring, box))
+print("winding on the squaring field:", degree_winding_2d(squaring, box).degree)

@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from .continuation import DEFAULT_TRACE_STEPS_PER_PERIOD, trace_branch
-from .degree import DegreeResult, boundary_min, degree_winding_2d, find_zeros
+from .degree import degree_winding_2d, find_zeros
 from .errors import (
     AdmissibilityError,
     NumericError,
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .manifold import ManifoldDegreeResult, manifold_degree, partial2_sign, reduced_map
 from .problems import (
-    REFERENCE_DEGREES, REGISTRY, ZERO_SEARCH_OPTIONS, _domain, _parse_box, parse_problem,
+    REFERENCE_DEGREES, REGISTRY, _domain, _parse_box, parse_problem,
 )
 
 __all__ = ["main", "run", "load_problem", "verify_reference_problems"]
@@ -132,6 +132,13 @@ def _check_trace_options(args):
     _check_count("--quadrature-nodes", args.quadrature_nodes)
     if args.seed_index < 0:
         raise ProblemFormatError(f"--seed-index must be non-negative, got {args.seed_index}")
+    if args.out:  # an unwritable path is refused before the trace runs, creating nothing
+        parent = os.path.dirname(args.out) or "."
+        if os.path.isdir(args.out):
+            raise ProblemFormatError(f"cannot write {args.out!r}: it is a directory")
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise ProblemFormatError(
+                f"cannot write {args.out!r}: {parent!r} is not a writable directory")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -143,24 +150,14 @@ def _cmd_degree(args):
     phi1 = problem.build_phi1(args.quadrature_nodes)
     box = (_parse_box_option(args.box, constraint.dim)
            if args.box else problem.domain())
-    options = problem.solver_options()
     if args.method == "winding":
         if constraint.dim != 2:
-            raise ProblemFormatError(
-                "--method winding applies to planar problems only"
-            )
-        sign = partial2_sign(constraint, box=box,
-                             sample_density=options.get("sample_density"))
-        field = reduced_map(phi1, constraint)
-        degree = degree_winding_2d(field, box)
-        result = ManifoldDegreeResult(
-            sign * degree,
-            DegreeResult(degree, [], "winding",
-                         boundary_min(field, box, options.get("boundary_samples"))),
-            sign,
-        )
+            raise ProblemFormatError("--method winding applies to planar problems only")
+        sign = partial2_sign(constraint, box=box)
+        ambient = degree_winding_2d(reduced_map(phi1, constraint), box)
+        result = ManifoldDegreeResult(sign * ambient.degree, ambient, sign)
     else:
-        result = manifold_degree(phi1, constraint, box, **options)
+        result = manifold_degree(phi1, constraint, box, **problem.solver_options())
     ambient = result.ambient
     record = {
         "problem": problem.name,
@@ -190,7 +187,7 @@ def _cmd_trace(args):
     dae = problem.build_dae()
     seed_map = problem.build_seed_map(args.quadrature_nodes)
     seeds = [z for z in find_zeros(seed_map, problem.domain(),
-                                   **problem.solver_options(ZERO_SEARCH_OPTIONS))
+                                   **problem.solver_options())
              if not z.degenerate]
     if not seeds:
         raise NumericError("no nondegenerate seed-map zero inside the box")

@@ -174,7 +174,12 @@ class DegreeResult:
 def _norms(a):
     # Euclidean norm of each row, bit for bit np.linalg.norm of the row; rows
     # that may overflow need np.errstate(over="ignore", invalid="ignore")
-    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+    r = np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+    if np.isinf(r).any():  # a finite row past about 1.3e154 squares to inf: scale it first
+        big = np.isinf(r) & np.isfinite(a).all(axis=1)
+        m = np.abs(a[big]).max(axis=1)
+        r[big] = m * np.sqrt(((a[big] / m[:, None]) ** 2).sum(axis=1))
+    return r
 
 
 def _residual_norms(values, valid):
@@ -450,9 +455,15 @@ def boundary_min(field, box, samples_per_face=None):
     """
     _check_field(field, box)
     n = _count("samples_per_face", samples_per_face, _DEFAULT_FACE.get(box.dim, 6))
-    values = _sample(field, box.boundary_grid(n))
+    return _boundary_samples(field, box, n)[2]
+
+
+def _boundary_samples(field, box, n):
+    # the points of box.boundary_grid(n), the field's values there and their least norm
+    points = box.boundary_grid(n)
+    values = _sample(field, points)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(_norms(values).min())
+        return points, values, float(_norms(values).min())
 
 
 def _sample(field, points, jacobian=False):
@@ -463,8 +474,7 @@ def _sample(field, points, jacobian=False):
     return values
 
 
-def degree_sign_sum(field, box, *, grid_density=None, newton_tol=1e-10,
-                    dedup_radius=None, boundary_samples=None):
+def degree_sign_sum(field, box, *, grid_density=None, newton_tol=1e-10, dedup_radius=None):
     """Brouwer degree of ``field`` on ``box`` by summing local indices.
 
     Raises
@@ -479,7 +489,7 @@ def degree_sign_sum(field, box, *, grid_density=None, newton_tol=1e-10,
         If the field is not a time-free map R^m -> R^m on the m-D box,
         a tolerance is out of range or a count is not an integer.
     """
-    bmin = boundary_min(field, box, _count("boundary_samples", boundary_samples, None))
+    bmin = boundary_min(field, box)
     if bmin <= ADMISSIBILITY_TOL:
         raise AdmissibilityError(
             f"field magnitude {bmin:.3e} on the sampled boundary of {box.bounds}; "
@@ -506,22 +516,24 @@ def degree_sign_sum(field, box, *, grid_density=None, newton_tol=1e-10,
 # --- 2-D winding oracle -----------------------------------------------------
 
 def degree_winding_2d(field, box):
-    """Degree of a planar field as the winding number of its boundary image.
+    """Degree of a planar field as the winding number of its boundary image,
+    returned as a :class:`DegreeResult` with method "winding" and no zeros.
 
-    The walk starts from ``boundary_min``'s default samples,
-    ``box.boundary_grid(64)``, taken counterclockwise (the four repeated
-    corners are segments of increment 0).  Angle increments between
-    consecutive samples are accumulated along it; whenever an increment
-    exceeds pi/2 the segment's midpoint is inserted and evaluated, so no
-    increment can silently jump by a full half-turn.  The accumulated
-    angle divided by 2*pi is returned, rounded to the nearest integer.
+    The walk starts from one batch at ``box.boundary_grid(64)``, taken
+    counterclockwise (the four repeated corners are segments of increment
+    0); the least norm of that batch is the record's ``boundary_min``, bit
+    for bit ``boundary_min(field, box)``.  Angle increments between
+    consecutive samples are accumulated along the walk; a segment whose
+    increment exceeds pi/2 has its midpoint inserted and evaluated, so no
+    increment can silently jump by a full half-turn.
     """
     _check_field(field, box)
     if box.dim != 2:
         raise ValueError("the winding computation applies to planar fields only")
-    left, right, bottom, top = box.boundary_grid(_DEFAULT_FACE[2]).reshape(4, -1, 2)
-    pts = np.concatenate([bottom, right, top[::-1], left[::-1]])
-    vals = _sample(field, pts)
+    pts, vals, margin = _boundary_samples(field, box, _DEFAULT_FACE[2])
+    left, right, bottom, top = np.arange(len(pts)).reshape(4, -1)
+    walk = np.concatenate([bottom, right, top[::-1], left[::-1]])
+    pts, vals = pts[walk], vals[walk]
     for passes in range(1, _WINDING_MAX_PASSES + 1):
         norms = np.hypot(vals[:, 0], vals[:, 1])
         if norms.min() <= _WINDING_ZERO_TOL:
@@ -534,14 +546,11 @@ def degree_winding_2d(field, box):
         diffs -= 2.0 * np.pi * np.round(diffs / (2.0 * np.pi))
         too_big = np.abs(diffs) > 0.5 * np.pi
         if not too_big.any():
-            total = float(diffs.sum())
-            winding = total / (2.0 * np.pi)
+            winding = float(diffs.sum()) / (2.0 * np.pi)
             degree = int(round(winding))
             if abs(winding - degree) > 0.25:
-                raise NumericError(
-                    f"winding total {winding:.6f} turns is not close to an integer"
-                )
-            return degree
+                raise NumericError(f"winding total {winding:.6f} turns is not close to an integer")
+            return DegreeResult(degree, [], "winding", margin)
         at = np.flatnonzero(too_big)
         mids = (pts[at] + pts[(at + 1) % len(pts)]) / 2.0
         # no pass would check the last pass's midpoints

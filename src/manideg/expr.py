@@ -620,14 +620,8 @@ def _finite_powers(m):
     return last(-1.0), last(1.0)
 
 
-_COMPILED = {}
-
-
+@functools.cache  # variables and seeds come as tuples; a call that raises is not kept
 def _compile(ast, variables, seeds, backend):
-    key = (ast, tuple(variables), tuple(seeds), backend)
-    fn = _COMPILED.get(key)
-    if fn is not None:
-        return fn
     _check_declared(variables)
     if len(set(seeds)) != len(seeds) or not set(seeds) <= set(variables):
         raise ExpressionSyntaxError(f"seeds {seeds} are not distinct variables of {variables}")
@@ -646,9 +640,7 @@ def _compile(ast, variables, seeds, backend):
                       _tuple(parts) if seeds or isinstance(ast, tuple) else parts[0])
     ns = dict(_SCALAR_NS if backend == "scalar" else _VECTOR_NS)
     exec(compile(source + "\n", "<manideg expression>", "exec"), ns)
-    fn = ns["_f"]
-    _COMPILED[key] = fn
-    return fn
+    return ns["_f"]
 
 
 def compile_value(ast, variables, backend="scalar"):

@@ -616,11 +616,10 @@ class ManifoldDegreeResult:
 def manifold_degree(phi1, constraint, box=None, **degree_options):
     """Degree of the tangent field with first components ``phi1`` on M.
 
-    ``degree_options`` are forwarded to :func:`degree_sign_sum`
-    (grid_density, boundary_samples, ...).
+    ``degree_options`` (grid_density, newton_tol, dedup_radius) are
+    forwarded to :func:`degree_sign_sum`, which passes them to the zero search.
     """
     box = box or constraint.domain
-    sign = partial2_sign(constraint, box=box,
-                         sample_density=degree_options.pop("sample_density", None))
+    sign = partial2_sign(constraint, box=box)
     ambient = degree_sign_sum(reduced_map(phi1, constraint), box, **degree_options)
     return ManifoldDegreeResult(sign * ambient.degree, ambient, sign)

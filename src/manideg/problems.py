@@ -21,10 +21,10 @@ Every key except ``g``, ``gamma`` and ``sigma`` appears at most once.
 drift, k lines, time-free) and ``sigma`` (forcing, k lines, may use
 ``t``) are optional; ``box`` lists one finite ``lo hi`` pair (lo < hi)
 per variable, of finite diameter, and the period must be finite.
-Remaining keys are numeric solver overrides (grid_density, newton_tol,
-dedup_radius, boundary_samples, sample_density, quadrature_nodes,
-steps_per_period); the integer ones must be at least 1, newton_tol
-positive and finite, dedup_radius non-negative and finite.
+Remaining keys are numeric solver overrides: the zero search's
+grid_density, newton_tol and dedup_radius, quadrature_nodes and
+steps_per_period; any other key is refused.  Integer ones are at least 1,
+newton_tol positive and finite, dedup_radius non-negative and finite.
 
 The registry at the bottom bundles six reference problems whose
 degrees are known in closed form; ``manideg verify-paper`` recomputes
@@ -45,12 +45,10 @@ __all__ = [
     "REGISTRY", "REFERENCE_DEGREES", "ReferenceDegrees",
 ]
 
-# solver overrides accepted by find_zeros, and in addition by manifold_degree
+# solver overrides accepted by find_zeros, and so by degree_sign_sum and manifold_degree
 ZERO_SEARCH_OPTIONS = ("grid_density", "newton_tol", "dedup_radius")
-DEGREE_OPTIONS = ZERO_SEARCH_OPTIONS + ("boundary_samples", "sample_density")
-_OPTION_KEYS = DEGREE_OPTIONS + ("quadrature_nodes", "steps_per_period")
-_INT_OPTIONS = {"grid_density", "boundary_samples", "sample_density",
-                "quadrature_nodes", "steps_per_period"}
+_OPTION_KEYS = ZERO_SEARCH_OPTIONS + ("quadrature_nodes", "steps_per_period")
+_INT_OPTIONS = {"grid_density", "quadrature_nodes", "steps_per_period"}
 
 
 @dataclass(frozen=True)
@@ -141,9 +139,9 @@ class Problem:
     def build_seed_map(self, quadrature_nodes=None):
         return reduced_map(self.build_phi1(quadrature_nodes), self.build_dae().constraint)
 
-    def solver_options(self, keys=DEGREE_OPTIONS):
-        """The problem's overrides among ``keys``, as keyword arguments."""
-        return {key: value for key, value in self.options if key in keys}
+    def solver_options(self):
+        """The problem's zero-search overrides, as keyword arguments."""
+        return {key: value for key, value in self.options if key in ZERO_SEARCH_OPTIONS}
 
     def option(self, key, default=None):
         for name, value in self.options:

@@ -16,9 +16,10 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from manideg import REGISTRY, Problem, cli, parse_problem
+from manideg import REGISTRY, AmbientMap, Problem, cli, parse_problem
 from manideg.cli import load_problem, main, verify_reference_problems
 from manideg.errors import ProblemError, ProblemFormatError
 from manideg.problems import REFERENCE_DEGREES, ReferenceDegrees
@@ -105,6 +106,9 @@ def test_build_phi1_rejects_quadrature_nodes_below_one(nodes):
     # a repeated option, like a repeated name, is refused instead of overriding the first
     (lambda t: t + "grid_density = 4\ngrid_density = 9\n",
      "line 15: duplicate key 'grid_density'"),
+    # the boundary and constraint sampling densities are no longer problem-file keys
+    (lambda t: t + "boundary_samples = 4\n", "line 14: unknown key 'boundary_samples'"),
+    (lambda t: t + "sample_density = 4\n", "line 14: unknown key 'sample_density'"),
 ])
 def test_malformed_problem_text_rejected(mutation):
     # expression-level failures surface as their own ProblemError subclass
@@ -192,15 +196,44 @@ def test_degree_winding_method_agrees(capsys):
 
 
 def test_degree_methods_sample_the_same_boundary(capsys, tmp_path):
-    # the problem's boundary_samples sets the boundary sampling of either method
+    # the winding record takes its margin from the sign-sum's boundary samples
     path = tmp_path / "parabola.problem"
     path.write_text("name = parabola\nk = 1\ns = 1\nvars = x, y\ng = y - x^2\n"
-                    "gamma = x - 0.3\nbox = -2 2, -1 5\nboundary_samples = 3\n",
+                    "gamma = x - 0.3\nbox = -2 2, -1 5\n",
                     encoding="utf-8")
     sign_sum, winding = (json.loads(run_cli(capsys, "degree", str(path), "--method", m)[1])
                          for m in ("sign-sum", "winding"))
-    assert sign_sum["boundary_min"] == winding["boundary_min"] == 1.0440306508910551
+    assert sign_sum["boundary_min"] == winding["boundary_min"] == 1.0296360024097659
     assert sign_sum["degree"] == winding["degree"]
+
+
+@pytest.mark.parametrize("name", ["example-4-1", "example-5-3"])
+def test_degree_winding_evaluates_the_boundary_samples_once(capsys, monkeypatch, name):
+    # the record's margin and the walk's first pass come from one batch
+    batches = []
+    batch = AmbientMap.batch
+    monkeypatch.setattr(AmbientMap, "batch",
+                        lambda self, points, jacobian=False: batches.append(
+                            (np.array(points), jacobian)) or batch(self, points, jacobian))
+    assert run_cli(capsys, "degree", name, "--method", "winding")[0] == 0
+    boundary = REGISTRY[name].domain().boundary_grid(64)  # 256 rows, each corner twice
+    seen = np.concatenate([points for points, jacobian in batches if not jacobian])
+    for point in boundary:
+        assert (seen == point).all(axis=1).sum() == (boundary == point).all(axis=1).sum()
+
+
+def test_degree_counts_a_zero_whose_field_values_exceed_1e154(capsys, tmp_path):
+    # |F| squared overflows on the whole boundary and at every Newton start here
+    path = tmp_path / "big.problem"
+    path.write_text("name = big\nk = 1\ns = 1\nvars = x, y\ng = y - x\n"
+                    "gamma = x^3 - 1e308*x\nbox = -2 2, -2 2\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "degree", str(path))
+    record = json.loads(out)
+    assert code == 0
+    assert (record["degree"], record["manifold_degree"]) == (-1, -1)
+    assert record["boundary_min"] == 3.1746031746031631e+306
+    [zero] = record["zeros"]
+    assert np.allclose(zero["location"], 0.0) and zero["jacobian_det"] == pytest.approx(-1e308)
 
 
 def test_degree_winding_rejects_higher_dimensions(capsys):
@@ -358,6 +391,15 @@ def test_exit_2_for_unwritable_trace_out_path(capsys, tmp_path, case):
                              "--out", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {str(path)!r}: ")
+
+
+def test_unwritable_trace_out_path_is_refused_before_the_trace(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "trace_branch", lambda *args, **kw: pytest.fail("traced"))
+    path = tmp_path / "no-such-dir" / "b.csv"
+    code, out, err = run_cli(capsys, "trace", "example-5-5", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {str(path)!r}: ")
+    assert not path.parent.exists()
 
 
 @pytest.mark.parametrize("gamma", [

@@ -247,13 +247,13 @@ def test_perturbation_stability():
 def test_winding_matches_sign_sum_on_simple_fields():
     for sources in [("x", "y"), ("-y", "x"), ("x^3 - x", "y"), ("-x", "-y")]:
         field = handle(sources, ("x", "y"))
-        assert degree_winding_2d(field, SQUARE) == degree_sign_sum(field, SQUARE).degree
+        assert degree_winding_2d(field, SQUARE).degree == degree_sign_sum(field, SQUARE).degree
 
 
 def test_winding_complex_squaring_is_two():
     # (x+iy)^2 has one double zero; sign-sum cannot see it, winding can
     squaring = handle(("x^2 - y^2", "2*x*y"), ("x", "y"))
-    assert degree_winding_2d(squaring, SQUARE) == 2
+    assert degree_winding_2d(squaring, SQUARE).degree == 2
     assert brute_winding(squaring, SQUARE) == 2
     with pytest.raises(DegenerateZeroError):
         degree_sign_sum(squaring, SQUARE)
@@ -263,12 +263,12 @@ def test_winding_split_double_zero_agrees_with_sign_sum():
     # z^2 - 0.25: the double zero splits into two simple ones
     field = handle(("x^2 - y^2 - 0.25", "2*x*y"), ("x", "y"))
     assert degree_sign_sum(field, SQUARE).degree == 2
-    assert degree_winding_2d(field, SQUARE) == 2
+    assert degree_winding_2d(field, SQUARE).degree == 2
 
 
 def test_winding_zero_outside_box():
     field = handle(("x - 5", "y"), ("x", "y"))
-    assert degree_winding_2d(field, SQUARE) == 0
+    assert degree_winding_2d(field, SQUARE).degree == 0
 
 
 def test_winding_agrees_with_brute_oracle():
@@ -281,7 +281,7 @@ def test_winding_agrees_with_brute_oracle():
             expected = brute_winding(field, SQUARE)
         except ValueError:
             continue
-        assert degree_winding_2d(field, SQUARE) == expected
+        assert degree_winding_2d(field, SQUARE).degree == expected
 
 
 def test_winding_rejects_boundary_zero():
@@ -373,7 +373,18 @@ def test_winding_matches_its_old_walk(name, field, box):
         with pytest.raises(type(exc)):
             degree_winding_2d(field, box)
     else:
-        assert degree_winding_2d(field, box) == want
+        assert degree_winding_2d(field, box).degree == want
+
+
+@pytest.mark.parametrize("name, field, box", list(_winding_cases()),
+                         ids=[name for name, _, _ in _winding_cases()])
+def test_winding_margin_is_boundary_min(name, field, box):
+    try:
+        result = degree_winding_2d(field, box)
+    except (AdmissibilityError, NumericError, DomainEvalError):
+        return  # a refused walk returns no record to compare
+    assert (result.method, result.zeros) == ("winding", [])
+    assert result.boundary_min.hex() == boundary_min(field, box).hex()
 
 
 @pytest.mark.parametrize("sources, box, want", [
@@ -382,7 +393,7 @@ def test_winding_matches_its_old_walk(name, field, box):
     (REFINING, DomainBox.cube(-2.0, 2.0, 2), 0),
 ], ids=["quintic", "sin(9x), sin(9y)", "refining"])
 def test_winding_closed_forms(sources, box, want):
-    assert degree_winding_2d(handle(sources, ("x", "y")), box) == want
+    assert degree_winding_2d(handle(sources, ("x", "y")), box).degree == want
 
 
 def test_winding_refuses_increments_that_stay_above_a_quarter_turn(monkeypatch):
@@ -391,6 +402,21 @@ def test_winding_refuses_increments_that_stay_above_a_quarter_turn(monkeypatch):
     with pytest.raises(NumericError, match="boundary angle increments stay above pi/2 after "
                                            "refinement"):
         degree_winding_2d(handle(REFINING, ("x", "y")), DomainBox.cube(-2.0, 2.0, 2))
+
+
+def test_norms_are_numpy_row_norms_bit_for_bit_and_scale_past_overflow():
+    rng = np.random.default_rng(5)
+    rows = np.vstack([rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-150, 150, size=(200, 1)),
+                      np.zeros((1, 3)), [[1e153, -1e153, 0.5]]])
+    want = [np.linalg.norm(row) for row in rows]
+    assert degree._norms(rows).tolist() == want
+    # rows whose squares overflow are scaled by their largest entry; the others keep their bits
+    huge = np.vstack([rows, [[1e308, -1e308, 3.0], [np.inf, 1.0, 0.0], [np.nan, 1.0, 0.0]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = degree._norms(huge)
+    assert got[:len(rows)].tolist() == want
+    assert got[-3] == pytest.approx(math.sqrt(2.0) * 1e308)
+    assert got[-2] == math.inf and math.isnan(got[-1])
 
 
 def test_boundary_min_rejects_a_sample_outside_the_field_domain():
@@ -412,7 +438,7 @@ def test_winding_starts_from_the_margin_samples_and_evaluates_only_new_points(mo
     boundary_min(field, box)
     [margin] = batches
     batches.clear()
-    assert degree_winding_2d(field, box) == 0
+    assert degree_winding_2d(field, box).degree == 0
     assert sorted(map(tuple, batches[0])) == sorted(map(tuple, margin))
     assert len(batches) > 1 and sum(map(len, batches)) < 1774
 
@@ -440,8 +466,7 @@ def test_find_zeros_rejects_bad_tolerances(newton_tol, dedup_radius):
         find_zeros(field, SQUARE, newton_tol=newton_tol, dedup_radius=dedup_radius)
 
 
-COUNTS = [(find_zeros, "grid_density"), (boundary_min, "samples_per_face"),
-          (degree_sign_sum, "boundary_samples")]
+COUNTS = [(find_zeros, "grid_density"), (boundary_min, "samples_per_face")]
 
 
 @pytest.mark.parametrize("entry, name", COUNTS, ids=[name for _, name in COUNTS])
