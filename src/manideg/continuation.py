@@ -58,8 +58,8 @@ class SolutionPair:
     # the full-state |xi(T) - xi(0)|, y included, as the CSV prints it; the corrector
     # bounds only the x-part with the arclength row, so this may exceed CORRECTOR_TOL
     residual: float
-    # max deviation of the step-end states from their mean, which counts the start state
-    # twice (xi(T) ~ xi(0)): off the one-period time mean by about (xi(0) - mean) / (n + 1)
+    # max deviation of the states at the n step starts of the period from their mean,
+    # the rectangle-rule time mean; the end state xi(T) ~ xi(0) is left out, not counted twice
     amplitude: float
     drift: float      # max |g| along the trajectory
 
@@ -95,7 +95,8 @@ def shooting_residual(dae, x0, lam, *, steps_per_period=DEFAULT_TRACE_STEPS_PER_
     xi0 = np.concatenate([x0, y0])
     _check_finite(lam=lam)
     state, w, states, drifts = _steps(dae, xi0, 0.0, dae.period, n_steps, lam, jacobian)
-    states = np.array(states).reshape(n_steps + 1, xi0.size)
+    # the states at the start of each step: the last step's end is about the first state
+    states = np.array(states).reshape(n_steps + 1, xi0.size)[:n_steps]
     end = np.array(state)
     mean = states.mean(axis=0)
     amplitude = float(np.max(np.linalg.norm(states - mean, axis=1)))

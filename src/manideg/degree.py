@@ -12,7 +12,9 @@ zeros.
 The Newton starts run in lock-step: per iteration one batched Jacobian
 (``AmbientMap.batch``), one stacked linear solve and at most three
 batched residuals (the full steps, then two chunks of halvings) serve
-every live start, each with its own halvings.  The live starts are held
+every live start, each with its own halvings.  A tail of at most
+``_FEW_LIVE`` live starts that needed the deep halvings tries all its
+step scales in a single batch.  The live starts are held
 compact, and a start leaves them once, converged, fenced, with a
 non-finite step or stalled (see :func:`_lockstep_newton`), so an
 iteration costs what its live starts cost.  Only the first converged
@@ -51,6 +53,10 @@ _WINDING_MAX_POINTS = 200000  # and on its boundary samples
 # batch per chunk: halvings 1-3, then 4-19 for the starts still not improved
 _HALVING_CHUNKS = tuple(np.array([0.5 ** j for j in levels])
                         for levels in ((1, 2, 3), range(4, 20)))
+# at most this many live starts, after an iteration that ran halvings 4-19, try
+# all 20 scales (the full step included) in one batch: a tail that keeps halving
+_FEW_LIVE = 16
+_ALL_SCALES = (np.concatenate(([1.0], *_HALVING_CHUNKS)),)
 
 
 # a lock-step Newton start's region, unchecked: three box widths across, its diameter may overflow
@@ -263,12 +269,22 @@ def _lockstep_newton(field, x, tol, max_iter, fence):
     field is also evaluated at the levels of a chunk past the one a start
     takes, points between its iterate and its rejected full step; a
     callable-backed field sees these as extra calls.
+
+    After an iteration that tried halvings 4-19, an iteration with at
+    most ``_FEW_LIVE`` live starts tries all 20 scales of every start,
+    the full step included, in one batch, and keeps doing so while the
+    starts stay that few, since that batch holds the deep levels too.
+    Each start still takes the first scale that decreases its residual
+    norm, but a start that the full step improves is evaluated at its 19
+    halvings as well, so a callable-backed field sees more extra calls in
+    that batch.
     """
     fx, valid = field.batch(x)
     r = _residual_norms(fx, valid)
     converged = np.zeros(len(x), dtype=bool)
     rows = np.flatnonzero(np.isfinite(r))
     xl, fl, rl = x[rows], fx[rows], r[rows]
+    deep = False
     for _ in range(max_iter):
         done, inside = rl <= tol, _inside(fence, xl)
         converged[rows[done]] = inside[done]
@@ -278,16 +294,22 @@ def _lockstep_newton(field, x, tol, max_iter, fence):
         steps = _newton_steps(field, xl, fl)
         finite = np.isfinite(steps).all(axis=1)
         rows, xl, fl, rl, steps = _retire(x, fx, ~finite, rows, xl, fl, rl, steps)  # non-finite
-        xn = xl + steps  # the full steps
-        fn, valid = field.batch(xn)
-        rn = _residual_norms(fn, valid)
-        moved = rn < rl
-        xl[moved], fl[moved], rl[moved] = xn[moved], fn[moved], rn[moved]
-        waiting = np.flatnonzero(~moved)  # the live starts no scale has improved yet
-        steps = steps[waiting]
-        for scales in _HALVING_CHUNKS:
+        if deep and len(rows) <= _FEW_LIVE:
+            chunks, waiting = _ALL_SCALES, np.arange(len(rows))
+        else:
+            chunks = _HALVING_CHUNKS
+            xn = xl + steps  # the full steps
+            fn, valid = field.batch(xn)
+            rn = _residual_norms(fn, valid)
+            moved = rn < rl
+            xl[moved], fl[moved], rl[moved] = xn[moved], fn[moved], rn[moved]
+            waiting = np.flatnonzero(~moved)  # the live starts no scale has improved yet
+            steps = steps[waiting]
+        deep = False  # whether this iteration tries halvings 4-19
+        for scales in chunks:
             if not waiting.size:
                 break
+            deep = scales is chunks[-1]
             # start i, level j of the chunk at flat index i * len(scales) + j
             xn = (xl[waiting][:, None] + scales[:, None] * steps[:, None]).reshape(-1, x.shape[1])
             fn, valid = field.batch(xn)
@@ -525,7 +547,10 @@ def degree_winding_2d(field, box):
     for bit ``boundary_min(field, box)``.  Angle increments between
     consecutive samples are accumulated along the walk; a segment whose
     increment exceeds pi/2 has its midpoint inserted and evaluated, so no
-    increment can silently jump by a full half-turn.
+    increment can silently jump by a full half-turn.  A walk that still
+    has such a segment after ``_WINDING_MAX_PASSES`` passes, or would
+    pass ``_WINDING_MAX_POINTS`` samples, raises :class:`NumericError`
+    naming its last pass and the length of its shortest such segment.
     """
     _check_field(field, box)
     if box.dim != 2:
@@ -552,13 +577,16 @@ def degree_winding_2d(field, box):
                 raise NumericError(f"winding total {winding:.6f} turns is not close to an integer")
             return DegreeResult(degree, [], "winding", margin)
         at = np.flatnonzero(too_big)
-        mids = (pts[at] + pts[(at + 1) % len(pts)]) / 2.0
+        ends = pts[(at + 1) % len(pts)]
         # no pass would check the last pass's midpoints
-        if passes == _WINDING_MAX_PASSES or len(pts) + len(mids) > _WINDING_MAX_POINTS:
+        if passes == _WINDING_MAX_PASSES or len(pts) + len(at) > _WINDING_MAX_POINTS:
             break
+        mids = (pts[at] + ends) / 2.0
         pts = np.insert(pts, at + 1, mids, axis=0)
         vals = np.insert(vals, at + 1, _sample(field, mids), axis=0)
+    shortest = float(_norms(ends - pts[at]).min())
     raise NumericError(
-        "boundary angle increments stay above pi/2 after refinement; "
-        "the field nearly vanishes on the boundary"
+        f"boundary angle increments stay above pi/2 after refinement (pass {passes}; the "
+        f"shortest segment still turning by more than pi/2 has length {shortest:.2g}); the "
+        "field nearly vanishes on the boundary or turns within a shorter span"
     )

@@ -236,6 +236,18 @@ def test_degree_counts_a_zero_whose_field_values_exceed_1e154(capsys, tmp_path):
     assert np.allclose(zero["location"], 0.0) and zero["jacobian_det"] == pytest.approx(-1e308)
 
 
+def test_degree_winding_refusal_names_the_span_it_could_not_resolve(capsys, tmp_path):
+    # on y = +-2 the first component changes sign within about 1e-308 of x = 0,
+    # far below the 2^-47 of a segment that 48 passes bisect down to
+    path = tmp_path / "big.problem"
+    path.write_text("name = big\nk = 1\ns = 1\nvars = x, y\ng = y - x\n"
+                    "gamma = x^3 - 1e308*x\nbox = -2 2, -2 2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "degree", str(path), "--method", "winding")
+    assert (code, out) == (5, "")
+    assert err.startswith("error: boundary angle increments stay above pi/2 after ")
+    assert "pass 48;" in err and "has length 4.5e-16" in err
+
+
 def test_degree_winding_rejects_higher_dimensions(capsys):
     code, _, err = run_cli(capsys, "degree", "example-4-2", "--method", "winding")
     assert code == 2

@@ -214,8 +214,9 @@ def reference_shooting_residual(dae, x0, lam, *, steps_per_period=64, y_guess=No
     xi0 = np.concatenate([x0, y0])
     res = flow_map(dae, xi0, 0.0, dae.period, lam, n_steps=steps_per_period,
                    sensitivity=jacobian)
-    mean = res.states.mean(axis=0)
-    amplitude = float(np.max(np.linalg.norm(res.states - mean, axis=1)))
+    states = res.states[:steps_per_period]
+    mean = states.mean(axis=0)
+    amplitude = float(np.max(np.linalg.norm(states - mean, axis=1)))
     residual = float(np.linalg.norm(res.final_state - xi0))
     pair = continuation.SolutionPair(float(lam), x0, y0, dae.period, residual, amplitude,
                                      res.max_drift)

@@ -414,7 +414,14 @@ def _lockstep_cases():
         yield f"mirror {m}", _mirror_field(m), np.array([[1.0], [3.0]]), DomainBox.cube(-4, 4, 1)
 
 
-def test_chunked_halvings_match_one_level_per_batch_bit_for_bit():
+@pytest.mark.parametrize("few_live", [None, 0, 10 ** 9],
+                         ids=["default", "never one batch", "one batch after every deep"])
+def test_chunked_halvings_match_one_level_per_batch_bit_for_bit(monkeypatch, few_live):
+    # _FEW_LIVE = 0 keeps the full step and the two chunks in every iteration;
+    # 10**9 tries all 20 scales in one batch after every iteration that ran
+    # halvings 4-19, however many starts are live
+    if few_live is not None:
+        monkeypatch.setattr(degree, "_FEW_LIVE", few_live)
     levels = []
     for name, field, starts, fence in _lockstep_cases():
         with np.errstate(over="ignore", invalid="ignore"):
@@ -432,7 +439,9 @@ def test_chunked_halvings_match_one_level_per_batch_bit_for_bit():
 
 
 def test_chunked_halvings_cut_the_batch_calls(monkeypatch):
-    # example-4-1's starts take many halvings: one batch per level made 424 calls
+    # example-4-1's starts take many halvings: one batch per level made 424 calls,
+    # the full step and two chunks per iteration 109, and one batch of all 20
+    # scales for its tail of a few deeply halving starts makes 71
     problem = REGISTRY["example-4-1"]
     field = reduced_map(problem.build_phi1(), problem.build_constraint())
     calls = []
@@ -440,7 +449,22 @@ def test_chunked_halvings_cut_the_batch_calls(monkeypatch):
     monkeypatch.setattr(type(field), "batch",
                         lambda self, *args, **kw: calls.append(args) or batch(self, *args, **kw))
     assert len(find_zeros(field, problem.domain())) == 1
-    assert len(calls) <= 110
+    assert len(calls) <= 75
+
+
+def test_few_deep_live_starts_try_every_scale_in_one_batch(monkeypatch):
+    # example-4-1 ends in a tail of a few starts that halve deep in every
+    # iteration: a Jacobian batch of k rows is followed by one batch of 20 k rows
+    problem = REGISTRY["example-4-1"]
+    field = reduced_map(problem.build_phi1(), problem.build_constraint())
+    sizes = []
+    batch = type(field).batch
+    monkeypatch.setattr(type(field), "batch",
+                        lambda self, points, jacobian=False:
+                        sizes.append((len(points), jacobian)) or batch(self, points, jacobian))
+    find_zeros(field, problem.domain())
+    assert any(jac and not next_jac and n == 20 * k <= 20 * degree._FEW_LIVE
+               for (k, jac), (n, next_jac) in zip(sizes, sizes[1:]))
 
 
 def test_zero_search_evaluates_no_empty_batch(monkeypatch):
