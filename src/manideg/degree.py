@@ -12,9 +12,10 @@ zeros.
 The Newton starts run in lock-step: per iteration one batched Jacobian
 (``AmbientMap.batch``), one stacked linear solve and at most three
 batched residuals (the full steps, then two chunks of halvings) serve
-every live start, each with its own halvings.  A tail of at most
-``_FEW_LIVE`` live starts that needed the deep halvings tries all its
-step scales in a single batch.  The live starts are held
+every live start, each with its own halvings.  After an iteration that
+tried halvings 4-19, an iteration with at most ``_FEW_LIVE`` live starts
+tries all 20 step scales in a single batch instead, in which a
+callable-backed field sees more extra calls.  The live starts are held
 compact, and a start leaves them once, converged, fenced, with a
 non-finite step or stalled (see :func:`_lockstep_newton`), so an
 iteration costs what its live starts cost.  Only the first converged
@@ -53,10 +54,11 @@ _WINDING_MAX_POINTS = 200000  # and on its boundary samples
 # batch per chunk: halvings 1-3, then 4-19 for the starts still not improved
 _HALVING_CHUNKS = tuple(np.array([0.5 ** j for j in levels])
                         for levels in ((1, 2, 3), range(4, 20)))
-# at most this many live starts, after an iteration that ran halvings 4-19, try
-# all 20 scales (the full step included) in one batch: a tail that keeps halving
+# after an iteration that ran halvings 4-19, at most this many live starts try all
+# 20 scales, the full step included, in one batch; for more starts, or starts that
+# the full step improves, the extra rows cost more than the batch calls saved
 _FEW_LIVE = 16
-_ALL_SCALES = (np.concatenate(([1.0], *_HALVING_CHUNKS)),)
+_ALL_SCALES = (np.concatenate(([1.0], *_HALVING_CHUNKS)),)  # that batch's one chunk
 
 
 # a lock-step Newton start's region, unchecked: three box widths across, its diameter may overflow
