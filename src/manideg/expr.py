@@ -28,6 +28,12 @@ The default ``scalar`` backend works on Python floats and raises
 backend takes numpy arrays, evaluates every point at once and returns
 NaN at a point outside the domain, so one bad point does not fail the
 others.  Maps (:mod:`manideg.fields`) evaluate on the ``vector`` one only.
+The ``vector`` backend writes an integer power u^m, m >= 3, as a chain of
+products (u^m = (u^(m/2))^2 for even m, u^(m-1) * u for odd m), which is
+faster than numpy's ``**`` kernel and rounds the same on every machine.
+The ``scalar`` backend keeps Python's ``u ** m``, whose bits the generated
+step code and the trace CSVs print and which raises ``OverflowError``
+where the power overflows.
 """
 
 import functools
@@ -480,7 +486,7 @@ class _Emitter:
         self.lines = []
         self.counter = itertools.count()
         self.bind(variables, seeds)
-        self.fn = _FUNC_NAMES[backend]
+        self.fn, self.vector = _FUNC_NAMES[backend], backend == "vector"
 
     def bind(self, variables, seeds, point=None):
         # for the trees emitted next: each variable's operand, point's (a0, a1, ... by
@@ -556,21 +562,37 @@ class _Emitter:
             return 1.0, {}
         if n == 1:
             return vb, db
+        # The vector backend writes u^n, n >= 3, as products: u^m = (u^(m/2))^2 for even m and
+        # u^(m-1) * u for odd m, with u^2 = u * u, each power once, so that the derivative reads
+        # u^(n-1) from the value's chain where the chain has it.  IEEE products round the same
+        # on every machine, where numpy's ** kernel is slow and rounds by its SIMD dispatch, and
+        # they overflow to inf as ** does there.  The scalar backend keeps u ** m: the generated
+        # step code and its CSVs print its bits, and it raises OverflowError where a product
+        # would run on with inf.
+        chain = {1: vb}
 
-        def powered(m):
+        def powered(m):  # an operand holding u ** m
             if m < 0:
-                return Term(f"_ipow({{}}, {m})", vb, raises=True)
-            # u ** m, m >= 2, and its overflow: if not lo <= u <= hi: u ** m, [lo, hi] the floats
-            # whose m-th power is finite (a nan or inf u passes: nan ** m, inf ** m do not raise)
-            power, (lo, hi) = Term(f"{{}} ** {m}", vb, raises=True), _finite_powers(m)
-            power.overflow = Term(f"if not {{}} <= {{}} <= {{}}: {{}} ** {m}", lo, vb, hi, vb,
-                                  raises=True)
-            return power
+                return self.new(Term(f"_ipow({{}}, {m})", vb, raises=True))
+            if self.vector and n >= 3:
+                if m not in chain:
+                    a, b = (powered(m - 1), vb) if m % 2 else (powered(m // 2),) * 2
+                    chain[m] = self.operand(_folded(a, "*", b))
+                return chain[m]
+            power = Term(f"{{}} ** {m}", vb, raises=True)
+            if not self.vector:
+                # u ** m, m >= 2, raises OverflowError, so it carries its overflow test: if not
+                # lo <= u <= hi: u ** m, [lo, hi] the floats whose m-th power is finite (a nan or
+                # inf u passes: nan ** m, inf ** m do not raise)
+                lo, hi = _finite_powers(m)
+                power.overflow = Term(f"if not {{}} <= {{}} <= {{}}: {{}} ** {m}", lo, vb, hi, vb,
+                                      raises=True)
+            return self.new(power)
 
-        v = self.new(powered(n))
+        v = powered(n)
         d = {}
         if db:
-            power = vb if n == 2 else self.new(powered(n - 1))
+            power = vb if n == 2 else powered(n - 1)
             factor = self.new(Term(f"{float(n)!r} * {{}}", power))
             d = {j: self.operand(_folded(factor, "*", dj)) for j, dj in db.items()}
         return v, d

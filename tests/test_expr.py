@@ -324,9 +324,10 @@ def test_vector_backend_gradients_match_scalar():
         ref = gs(float(a), float(b))
         for out_v, out_s in zip(vec, ref):
             assert out_v[i] == out_s
-    # the backends round differently (numpy's x ** 3 against Python's), so elsewhere the
-    # gradients agree to a few ulps; the vector one holds a NaN exactly where the scalar
-    # one raises: x^(-2) at x = 0 and abs(x - 2) at x = 2
+    # the backends round differently (the vector y^3 is the product y * y * y and x^(-2) numpy's
+    # x ** -2, the scalar ones Python's **), so elsewhere the gradients agree to a few ulps;
+    # the vector one holds a NaN exactly where the scalar one raises: x^(-2) at x = 0 and
+    # abs(x - 2) at x = 2
     xs = np.linspace(-1.0, 3.0, 9)
     ys = np.linspace(-1.5, 1.5, 9)
     for text, raising in (("x^(-2) + y^3", [2]), ("abs(x - 2)*y", [6])):
@@ -341,6 +342,90 @@ def test_vector_backend_gradients_match_scalar():
             else:
                 ref = np.array(gs(*point))
                 assert (np.abs(vec[:, i] - ref) <= 4.0 * np.spacing(np.abs(ref))).all()
+
+
+def _chain(u, m):  # u ** m on Python floats by the vector backend's rule
+    if m == 1:
+        return u
+    if m % 2:
+        return _chain(u, m - 1) * u
+    half = _chain(u, m // 2)
+    return half * half
+
+
+def _power_bases():
+    # seeded bases over many magnitudes and both signs, with their m-th powers underflowing
+    # and overflowing, plus signed zeros, infinities, nan and subnormals
+    rng = np.random.default_rng(37)
+    random = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-120.0, 120.0, 2000)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.5e-310, -1e-308,
+               1.0, -1.0, 1.5, -2.0, 1e103, -1e103, 1e300, -1e300]
+    return np.concatenate([random, special])
+
+
+POWER_EXPONENTS = [3, 4, 5, 6, 7, 8, 9, 16, 17, 31]
+
+
+@pytest.mark.parametrize("m", POWER_EXPONENTS)
+def test_vector_powers_are_product_chains(m):
+    # the vector backend's x^m is bit for bit the product chain on Python floats, so it
+    # rounds as IEEE products do on every machine; it has nan and inf where numpy's ** has
+    # them, and it lies within m spacings of the scalar backend's x ** m
+    xs = _power_bases()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        vec = expr.compile_value(expr.parse(f"x^{m}", ("x",)), ("x",), backend="vector")(xs)
+        numpy_power = xs ** m
+    ref = np.array([_chain(u, m) for u in xs.tolist()])
+    assert np.array_equal(np.isnan(vec), np.isnan(ref))
+    assert np.array_equal(vec.view(np.int64)[~np.isnan(ref)], ref.view(np.int64)[~np.isnan(ref)])
+    for kind in (np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(kind(vec), kind(numpy_power))
+    scalar = expr.compile_value(expr.parse(f"x^{m}", ("x",)), ("x",))
+    checked = 0
+    for u, v in zip(xs.tolist(), vec.tolist()):
+        try:
+            want = scalar(u)
+        except OverflowError:
+            continue
+        if math.isfinite(want):
+            assert abs(v - want) <= m * np.spacing(abs(want)), (u, v, want)
+            checked += 1
+    assert checked > 1000
+
+
+def _emitted(source, seeds, backend):  # (value, {seed slot: derivative}, lines) of x's tree
+    em = expr._Emitter(("x",), seeds, backend)
+    value, deriv = em.emit(expr.parse(source, ("x",)))
+    return value, deriv, em.lines
+
+
+def test_vector_power_gradient_reads_the_value_chain():
+    # x^5 = (x^2)^2 * x, and its derivative 5 x^4 reads the chain's x^4: no second power
+    value, deriv, lines = _emitted("x^5", ("x",), "vector")
+    assert [(op.target, expr._text(op.value)) for op in lines] == [
+        ("v0", "a0 * a0"), ("v1", "v0 * v0"), ("v2", "v1 * a0"), ("v3", "5.0 * v1")]
+    assert (value, deriv) == ("v2", {0: "v3"})
+    xs = np.array([-1.75, -0.5, 0.0, 0.3, 2.5, 1e70])
+    with np.errstate(over="ignore"):
+        _, slope = expr.compile_gradient(expr.parse("x^5", ("x",)), ("x",), backend="vector")(xs)
+    assert slope.tolist() == [5.0 * _chain(u, 4) for u in xs.tolist()]
+
+
+def test_vector_power_source_has_no_power_kernel():
+    value, deriv, lines = _emitted("x^7", ("x",), "vector")
+    source = expr._printed("_f", "a0", lines, expr._tuple([value, deriv[0]]))
+    assert "**" not in source and source.count(" * ") == 5
+    assert all(op.value.overflow is None for op in lines)
+
+
+def test_scalar_power_keeps_python_power_and_its_overflow_test():
+    value, deriv, lines = _emitted("x^3", ("x",), "scalar")
+    source = expr._printed("_f", "a0", lines, expr._tuple([value, deriv[0]]))
+    assert "a0 ** 3" in source and "a0 ** 2" in source
+    lo, hi = expr._finite_powers(3)
+    assert expr._text(lines[0].value.overflow) == f"if not ({lo!r}) <= a0 <= {hi!r}: a0 ** 3"
+    with pytest.raises(OverflowError):
+        expr.compile_value(expr.parse("x^3", ("x",)), ("x",))(1e300)
 
 
 def test_compilation_is_cached():
