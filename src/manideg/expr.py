@@ -562,13 +562,11 @@ class _Emitter:
             return 1.0, {}
         if n == 1:
             return vb, db
-        # The vector backend writes u^n, n >= 3, as products: u^m = (u^(m/2))^2 for even m and
+        # The vector backend writes u^n, n >= 3, as products, u^m = (u^(m/2))^2 for even m and
         # u^(m-1) * u for odd m, with u^2 = u * u, each power once, so that the derivative reads
-        # u^(n-1) from the value's chain where the chain has it.  IEEE products round the same
-        # on every machine, where numpy's ** kernel is slow and rounds by its SIMD dispatch, and
-        # they overflow to inf as ** does there.  The scalar backend keeps u ** m: the generated
-        # step code and its CSVs print its bits, and it raises OverflowError where a product
-        # would run on with inf.
+        # u^(n-1) from the value's chain where the chain has it; a product overflows to inf as
+        # numpy's ** does.  The scalar backend keeps u ** m: the generated step code and its CSVs
+        # print its bits, and it raises OverflowError where a product would run on with inf.
         chain = {1: vb}
 
         def powered(m):  # an operand holding u ** m
