@@ -65,7 +65,7 @@ def _timed(node):
 def _node_mean(part, ts):
     # the time-only tree ``part`` as the literal of its mean over the nodes ``ts``, as the
     # sampled average takes it (a constant keeps its value); None where that is not finite
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value = np.asarray(expr.compile_value(part, (TIME_NAME,), backend="vector")(ts))
     mean = float(np.mean(value) if value.shape == ts.shape else value)
     return Num(mean) if math.isfinite(mean) else None

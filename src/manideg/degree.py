@@ -446,7 +446,9 @@ def find_zeros(field, box, grid_density=None, newton_tol=1e-10, dedup_radius=Non
         x, fx = _polish(field, x[firsts], fx[firsts])
     inside = _inside(box, x)
     x, fx = x[inside], fx[inside]
-    kept = sorted(_firsts(x, radius), key=lambda i: tuple(x[i]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        apart = _apart(x, radius)
+    kept = sorted(range(len(x)) if apart else _firsts(x, radius), key=lambda i: tuple(x[i]))
     if not kept:
         return []
 
@@ -469,6 +471,13 @@ def _firsts(points, radius):
         far = _norms(points - points[0]) > radius
         rows, points = rows[far], points[far]
     return kept
+
+
+def _apart(points, radius):
+    # whether every two points lie more than the radius apart, by the distances _firsts
+    # computes (the norm of a difference is that of its negative): then _firsts keeps all
+    i, j = np.triu_indices(len(points), 1)
+    return bool((_norms(points[j] - points[i]) > radius).all())
 
 
 def boundary_min(field, box, samples_per_face=None):

@@ -28,12 +28,12 @@ The default ``scalar`` backend works on Python floats and raises
 backend takes numpy arrays, evaluates every point at once and returns
 NaN at a point outside the domain, so one bad point does not fail the
 others.  Maps (:mod:`manideg.fields`) evaluate on the ``vector`` one only.
-The ``vector`` backend writes an integer power u^m, m >= 3, as a chain of
-products (u^m = (u^(m/2))^2 for even m, u^(m-1) * u for odd m), which is
-faster than numpy's ``**`` kernel and rounds the same on every machine.
-The ``scalar`` backend keeps Python's ``u ** m``, whose bits the generated
-step code and the trace CSVs print and which raises ``OverflowError``
-where the power overflows.
+Both backends write an integer power u^m, m >= 2, as a chain of products
+(u^m = (u^(m/2))^2 for even m, u^(m-1) * u for odd m), faster than ``**``
+and the same on every machine; the ``vector`` one writes u^(-m) as
+1.0 / u^m.  The ``scalar`` one keeps ``**`` for u^(-m), and before each
+chain it tests u, raising ``OverflowError`` for exactly the finite u whose
+power or chain overflows (:func:`_finite_powers`).
 """
 
 import functools
@@ -349,12 +349,6 @@ def _sqrt_v(x):
     return np.sqrt(np.where(x < 0.0, np.nan, x))
 
 
-def _ipow_v(b, n):
-    if n < 0:
-        b = np.where(b == 0.0, np.nan, b)
-    return b ** n
-
-
 def _dabs_v(u, du):
     return np.where(u > 0.0, du, np.where(u < 0.0, -du, np.nan))
 
@@ -364,8 +358,7 @@ _SCALAR_NS = {
     "_ipow": _ipow, "_dabs": _dabs,
 }
 _VECTOR_NS = {
-    "np": np, "_div": _div_v, "_log": _log_v, "_sqrt": _sqrt_v,
-    "_ipow": _ipow_v, "_dabs": _dabs_v,
+    "np": np, "_div": _div_v, "_log": _log_v, "_sqrt": _sqrt_v, "_dabs": _dabs_v,
 }
 _FUNC_NAMES = {
     "scalar": {"sin": "math.sin", "cos": "math.cos", "exp": "math.exp", "abs": "abs",
@@ -385,8 +378,6 @@ class Term:
     """The source ``text``: ``fmt`` with its {} filled by the operands ``args``, which name
     every local it reads.  It may raise when it says so (a call, a power, a division by anything
     but a non-zero literal, an item of a sequence, a raise statement) or when an operand may."""
-
-    overflow = None  # a power's statement that raises where it raises, set by _Emitter._pow
 
     def __init__(self, fmt, *args, raises=False):
         self.fmt, self.args, self.text = fmt, args, fmt.format(*map(_text, args))
@@ -558,42 +549,32 @@ class _Emitter:
 
     def _pow(self, base, n):
         vb, db = self.emit(base)
-        if n == 0:
-            return 1.0, {}
-        if n == 1:
-            return vb, db
-        # The vector backend writes u^n, n >= 3, as products, u^m = (u^(m/2))^2 for even m and
-        # u^(m-1) * u for odd m, with u^2 = u * u, each power once, so that the derivative reads
-        # u^(n-1) from the value's chain where the chain has it; a product overflows to inf as
-        # numpy's ** does.  The scalar backend keeps u ** m: the generated step code and its CSVs
-        # print its bits, and it raises OverflowError where a product would run on with inf.
+        if n in (0, 1):
+            return (1.0, {}) if n == 0 else (vb, db)
+        # u^m, m >= 2, is _power's product chain, so the derivative reads u^(n-1) from the
+        # value's chain.  A product gives inf where u ** m raised OverflowError, so the scalar
+        # backend first tests u by _finite_powers.  The vector u^(-m) is 1.0 / u^m: nan for a
+        # zero u, inf where the chain underflows, as numpy's ** gave them.
+        if n > 0 and not self.vector:
+            lo, hi, e = _finite_powers(n)
+            self.lines.append(Op(None, Term(f"if not {{}} <= {{}} <= {{}}: {{}} ** {e}",
+                                            lo, vb, hi, vb, raises=True)))
+        elif n < 0 and self.vector:
+            vb = self.new(Term("np.where({} == 0.0, np.nan, {})", vb, vb))
         chain = {1: vb}
 
-        def powered(m):  # an operand holding u ** m
+        def power(m):  # an operand holding u^m, by _ipow for the scalar backend's m < 0
             if m < 0:
                 return self.new(Term(f"_ipow({{}}, {m})", vb, raises=True))
-            if self.vector and n >= 3:
-                if m not in chain:
-                    a, b = (powered(m - 1), vb) if m % 2 else (powered(m // 2),) * 2
-                    chain[m] = self.operand(_folded(a, "*", b))
-                return chain[m]
-            power = Term(f"{{}} ** {m}", vb, raises=True)
-            if not self.vector:
-                # u ** m, m >= 2, raises OverflowError, so it carries its overflow test: if not
-                # lo <= u <= hi: u ** m, [lo, hi] the floats whose m-th power is finite (a nan or
-                # inf u passes: nan ** m, inf ** m do not raise)
-                lo, hi = _finite_powers(m)
-                power.overflow = Term(f"if not {{}} <= {{}} <= {{}}: {{}} ** {m}", lo, vb, hi, vb,
-                                      raises=True)
-            return self.new(power)
+            return _power(m, chain, lambda a, b: self.operand(_folded(a, "*", b)))
 
-        v = powered(n)
-        d = {}
-        if db:
-            power = vb if n == 2 else powered(n - 1)
-            factor = self.new(Term(f"{float(n)!r} * {{}}", power))
-            d = {j: self.operand(_folded(factor, "*", dj)) for j, dj in db.items()}
-        return v, d
+        if n > 0 or not self.vector:
+            v = power(n)
+            slope = self.new(Term(f"{float(n)!r} * {{}}", power(n - 1))) if db else None
+        else:
+            v = self.operand(_divided(1.0, power(-n)))
+            slope = self.operand(_divided(float(n), power(1 - n))) if db else None
+        return v, {j: self.operand(_folded(slope, "*", dj)) for j, dj in db.items()}
 
     def _call(self, func, arg):
         vu, du = self.emit(arg)
@@ -617,12 +598,31 @@ class _Emitter:
         return v, {j: self.operand(_folded(slope, "*", dj)) for j, dj in du.items()}
 
 
+def _power(m, chain, times):
+    # u^m, m >= 1, by the product chain u^m = (u^(m/2))^2 for even m and u^(m-1) * u for odd
+    # m: ``times`` multiplies two powers, and ``chain`` maps each exponent to its power,
+    # u's at 1 and the new ones added
+    if m not in chain:
+        a = _power(m - 1 if m % 2 else m // 2, chain, times)
+        chain[m] = times(a, chain[1] if m % 2 else a)
+    return chain[m]
+
+
 @functools.cache
 def _finite_powers(m):
-    # (lo, hi): the negative and the positive float of largest magnitude whose m-th power
-    # is finite, by bisection over each sign's floats (ordered as their bit patterns)
-    # with this platform's ** itself, so that u ** m raises OverflowError exactly for a
-    # finite u outside [lo, hi]
+    # (lo, hi, e): the negative and the positive float of largest magnitude whose m-th power
+    # is finite by this platform's ** and by the product chain (bisecting each sign's floats,
+    # ordered as their bit patterns), and the least e >= m for which u ** e raises
+    # OverflowError at the first float past either bound, and so at every finite u outside
+    # [lo, hi]; nan ** e and inf ** e do not raise.  Of m = 2, ..., 40 only m = 13 needs
+    # e = m + 1: its chain overflows where ** does not.
+    def raises(u, e):  # whether u ** e raises OverflowError
+        try:
+            u ** e
+        except OverflowError:
+            return True
+        return False
+
     def last(sign):
         def at(bits):
             return sign * struct.unpack("<d", struct.pack("<q", bits))[0]
@@ -630,14 +630,16 @@ def _finite_powers(m):
         good, bad = 0, 0x7FF0000000000000  # the bits of 0.0 and of inf
         while bad - good > 1:
             mid = (good + bad) // 2
-            try:
-                at(mid) ** m
-                good = mid
-            except OverflowError:
-                bad = mid
+            u = at(mid)
+            overflows = raises(u, m) or math.isinf(_power(m, {1: u}, float.__mul__))
+            good, bad = (good, mid) if overflows else (mid, bad)
         return at(good)
 
-    return last(-1.0), last(1.0)
+    lo, hi = last(-1.0), last(1.0)
+    e = m
+    while not all(raises(math.nextafter(u, u * 2.0), e) for u in (lo, hi)):
+        e += 1
+    return lo, hi, e
 
 
 @functools.cache  # variables and seeds come as tuples; a call that raises is not kept

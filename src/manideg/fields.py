@@ -159,7 +159,7 @@ class AmbientMap:
             raise DomainEvalError(f"the map does not evaluate to finite numbers at {point}")
         return row
 
-    @np.errstate(over="ignore", invalid="ignore")
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # 1.0 / an underflowed u^m
     def _rows(self, cols, t, jacobian):
         # vector's flat outputs at the points with coordinates ``cols``, a row each
         parts = self.vector(cols, t, jacobian)

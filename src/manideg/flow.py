@@ -43,13 +43,12 @@ such a term can change a result in two ways only: a zero may change sign,
 and an inf or nan operand no longer meets the dropped 0.0.  A non-finite
 ``lam`` is therefore rejected up front, as are a non-finite time and step;
 a dropped division divides by a pivot its generated zero test passed.  No
-power, call or other division is folded.  A power u ** m (m >= 2) whose
-value nothing reads is not computed: it stays as its overflow test,
-``if not lo <= u <= hi: u ** m``, with [lo, hi] the floats whose m-th
-power is finite on this platform, which raises the power's
-OverflowError for exactly the u whose power raises (a nan or inf u
-passes, as nan ** m and inf ** m do not raise).  So a step raises where
-the unfolded code raised.
+call or other division is folded.  A power u^m (m >= 2) is a chain of
+products after its overflow test ``if not lo <= u <= hi: u ** e``, which
+raises OverflowError for exactly the finite u whose u ** m or chain
+overflows (:func:`~manideg.expr._finite_powers`), so a step raises where
+the unfolded code's ``u ** m`` raised; a product nothing reads is not
+computed.
 """
 
 import math

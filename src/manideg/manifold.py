@@ -222,9 +222,9 @@ def _source(k, s, g, *field):
     # changes a result in two ways only: a zero result may change sign, and an inf or nan
     # operand no longer meets the dropped 0.0 (a flow's lam is never one: flow_map and
     # projected_step reject it; a dropped 0.0 / pivot follows the pivot's zero test).  _pruned
-    # drops the lines nothing reads that cannot raise (a division by a non-zero literal cannot)
-    # from each function that does not loop and from the stages a shot inlines; of an unread
-    # power u ** m it keeps only the overflow test, which raises where the power raised.
+    # drops the lines nothing reads that cannot raise (a division by a non-zero literal or a
+    # product of a power's chain cannot; the chain's overflow test stays) from each function
+    # that does not loop and from the stages a shot inlines.
     n = k + s
     a = [f"a{i}" for i in range(n)]
     point, em, out = ", ".join(a), expr._Emitter((), (), "scalar"), []
@@ -384,14 +384,12 @@ def _block(*items, indent=0):
 
 def _pruned(ops, live, may_raise=False):
     # ``ops`` without the lines that assign a name no later line reads, nor ``live``,
-    # and that cannot raise (or that may, too, when ``may_raise``): one backward walk.
-    # Such a line that may raise stays, a power u ** m as its overflow test
+    # and that cannot raise (or that may, too, when ``may_raise``): one backward walk
     live, kept = set(live), []
     for op in reversed(ops):
         if op.target is not None and op.target not in live:
             if may_raise or not (isinstance(op.value, Term) and op.value.raises):
                 continue
-            op = op if op.value.overflow is None else Op(None, op.value.overflow, op.indent)
         live |= expr._reads(op.value)
         kept.append(op)
     return kept[::-1]

@@ -419,6 +419,27 @@ def test_norms_are_numpy_row_norms_bit_for_bit_and_scale_past_overflow():
     assert got[-2] == math.inf and math.isnan(got[-1])
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_apart_points_are_exactly_those_dedup_keeps_whole(dim):
+    # find_zeros skips the second dedup pass when every two zeros lie more than the radius
+    # apart; then _firsts keeps every row, and otherwise it is run, so the kept rows are
+    # _firsts' bit for bit.  Near-duplicates sit at exactly the radius (dropped), one
+    # spacing past it (kept) and one short of it
+    rng = np.random.default_rng(dim)
+    for trial in range(200):
+        points = rng.uniform(-1.0, 1.0, size=(int(rng.integers(0, 12)), dim))
+        radius = 0.1 * rng.uniform()
+        if len(points) >= 2 and trial % 2:
+            i, j = rng.choice(len(points), 2, replace=False)
+            points[j] = points[i] + rng.normal(size=dim) * radius / math.sqrt(dim)
+            at = float(degree._norms((points[j] - points[i])[None])[0])
+            radius = [at, math.nextafter(at, 0.0), math.nextafter(at, 1.0)][trial // 2 % 3]
+        firsts = [int(i) for i in degree._firsts(points, radius)]
+        apart = degree._apart(points, radius)
+        assert apart == (firsts == list(range(len(points)))), (trial, points, radius)
+    assert degree._apart(np.zeros((0, dim)), 0.0) and degree._apart(np.zeros((1, dim)), 1.0)
+
+
 def test_boundary_min_rejects_a_sample_outside_the_field_domain():
     field = handle(("log(x)", "y"), ("x", "y"))
     with pytest.raises(DomainEvalError,

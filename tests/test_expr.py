@@ -6,6 +6,7 @@ checked by hand before freezing.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -415,17 +416,96 @@ def test_vector_power_source_has_no_power_kernel():
     value, deriv, lines = _emitted("x^7", ("x",), "vector")
     source = expr._printed("_f", "a0", lines, expr._tuple([value, deriv[0]]))
     assert "**" not in source and source.count(" * ") == 5
-    assert all(op.value.overflow is None for op in lines)
+    assert "if not" not in source
 
 
-def test_scalar_power_keeps_python_power_and_its_overflow_test():
+def test_scalar_power_is_the_chain_after_its_overflow_test():
+    # x^3 is x * x * x after the statement that raises where x ** 3 raised, and its
+    # derivative 3 x^2 reads the chain's x^2
     value, deriv, lines = _emitted("x^3", ("x",), "scalar")
-    source = expr._printed("_f", "a0", lines, expr._tuple([value, deriv[0]]))
-    assert "a0 ** 3" in source and "a0 ** 2" in source
-    lo, hi = expr._finite_powers(3)
-    assert expr._text(lines[0].value.overflow) == f"if not ({lo!r}) <= a0 <= {hi!r}: a0 ** 3"
+    lo, hi, e = expr._finite_powers(3)
+    assert [(op.target, expr._text(op.value)) for op in lines] == [
+        (None, f"if not ({lo!r}) <= a0 <= {hi!r}: a0 ** 3"),
+        ("v0", "a0 * a0"), ("v1", "v0 * a0"), ("v2", "3.0 * v0")]
+    assert (value, deriv, e) == ("v1", {0: "v2"}, 3)
     with pytest.raises(OverflowError):
         expr.compile_value(expr.parse("x^3", ("x",)), ("x",))(1e300)
+
+
+@pytest.mark.parametrize("m", [*range(2, 18), 31])
+def test_scalar_and_vector_powers_agree_bit_for_bit(m):
+    # both backends write x^m as the same product chain, so wherever the scalar backend
+    # does not raise its x^m and m x^(m-1) are the vector backend's, bit for bit
+    xs = _power_bases()
+    scalar = expr.compile_gradient(expr.parse(f"x^{m}", ("x",)), ("x",))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vector = np.array(expr.compile_gradient(expr.parse(f"x^{m}", ("x",)), ("x",),
+                                                backend="vector")(xs)).T
+    compared = 0
+    for u, row in zip(xs.tolist(), vector):
+        try:
+            want = np.array(scalar(u))
+        except OverflowError:
+            continue
+        assert np.array_equal(row.view(np.int64), want.view(np.int64)) or (
+            np.isnan(u) and np.isnan(row).all() and np.isnan(want).all()), (u, row, want)
+        compared += 1
+    assert compared > 1000
+
+
+def _raises_overflow(fn, u):
+    try:
+        fn(u)
+    except OverflowError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 12, 13, 14, 31])
+def test_scalar_power_raises_exactly_outside_its_bounds(m):
+    # x^m raises OverflowError for exactly the finite x outside [lo, hi]: x ** m raises at
+    # each of them, or (m = 13) the chain overflows there first, and no x inside overflows
+    # the chain or its x^(m-1); a nan or inf x does not raise
+    lo, hi, e = expr._finite_powers(m)
+    f = expr.compile_gradient(expr.parse(f"x^{m}", ("x",)), ("x",))
+    past = [math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+    for u in (lo, hi, 0.0, -0.0, 1.0, -3.5, math.nan, math.inf, -math.inf):
+        assert not _raises_overflow(f, u), u
+        if math.isfinite(u):
+            assert all(map(math.isfinite, f(u))), u
+    for u in (*past, 2.0 * lo, 2.0 * hi, -1e308, 1e308, -sys.float_info.max):
+        assert _raises_overflow(f, u), u
+    for u in past:
+        chain_overflows = not math.isfinite(_chain(u, m))
+        assert _raises_overflow(lambda u: u ** m, u) or chain_overflows, u
+    # m = 13 is the one exponent from 2 to 40 whose chain overflows where ** does not:
+    # its test raises with x ** 14
+    assert (e, all(not _raises_overflow(lambda u: u ** m, u) for u in past)) == (
+        (14, True) if m == 13 else (m, False))
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_vector_negative_powers_are_reciprocal_chains(m):
+    # the vector backend's x^(-m) is 1.0 / x^m and its derivative -m / x^(m+1), both from
+    # the product chain, bit for bit; nan, inf and -inf fall where numpy's ** puts them
+    # with a zero base made nan (an underflowed chain gives inf)
+    xs = _power_bases()
+    nonzero = [math.nan if u == 0.0 else u for u in xs.tolist()]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value, slope = expr.compile_gradient(expr.parse(f"x^(-{m})", ("x",)), ("x",),
+                                             backend="vector")(xs)
+        numpy_power = np.array(nonzero) ** -m
+        # IEEE divisions of the chains on Python floats, by numpy for 1.0 / 0.0 = inf
+        chains = [np.array([_chain(u, q) for u in nonzero]) for q in (m, m + 1)]
+        wanted = 1.0 / chains[0], float(-m) / chains[1]
+    for got, want in zip((value, slope), wanted):
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got[~np.isnan(want)].view(np.int64),
+                              want[~np.isnan(want)].view(np.int64))
+    for kind in (np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(kind(value), kind(numpy_power))
+    source = expr._printed("_f", "a0", *_emitted(f"x^(-{m})", (), "vector")[2:], "v0")
+    assert "**" not in source
 
 
 def test_compilation_is_cached():

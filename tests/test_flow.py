@@ -698,7 +698,7 @@ def test_overflow_test_of_an_unread_power_raises_where_the_power_raises(m):
     assert test.target is None and f"u ** {m}" in expr._text(test.value)
     ns = {}
     exec(expr._printed("guarded", "u", [test], "u"), ns)
-    lo, hi = expr._finite_powers(m)
+    lo, hi, _ = expr._finite_powers(m)
     values = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
               -math.inf, math.inf, math.nan, 0.0, -0.0, 1.5, -1e300, 1e300]
     raised = 0
@@ -709,35 +709,25 @@ def test_overflow_test_of_an_unread_power_raises_where_the_power_raises(m):
     assert raised == 4  # past either bound, and +-1e300
 
 
-@pytest.mark.parametrize("name", ["example-5-5", "example-5-3"])
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_shots_assign_no_power_that_nothing_reads(name):
-    # in dp5 and dp5w, every name a power assigns is read before it is assigned again;
-    # an unread power is left as its overflow test (example-5-5's y ** 3 and x1 ** 5 in
-    # each of the six stages of a step, at the stage's point, as the constraint's value
-    # needs them)
+    # in dp5 and dp5w a power is a chain of products, pruned of the lines nothing reads
+    # (test_inlined_stages_keep_every_line_that_may_raise finds no unread line), after its
+    # overflow test if not lo <= u <= hi: u ** m: no line assigns a power, and ** appears
+    # in those statements only.  example-5-5 tests y for y^3 and x1 for x1^5 in each of the
+    # six stages of a step, at the stage's point, and at the projected point in the
+    # projection's first residual, in its halving loop's residual and in its jet
     field = REGISTRY[name].build_dae()
     c = field.constraint
     sources = dict(manifold._source(c.k, c.s, c.gmap, field.gamma, field.sigma))
-    assignment = re.compile(r"\s*(\w+) = (.*)")
+    overflow_test = re.compile(r"if not \(-[\d.e+]+\) <= (\w+) <= [\d.e+]+: \1 \*\* \d+")
     for shot in generated_shots(field):
-        lines = sources[shot].splitlines()
-        for i, line in enumerate(lines):
-            power = assignment.fullmatch(line)
-            if power is None or "**" not in power[2]:
-                continue
-            name_at = re.compile(rf"\b{power[1]}\b")
-            for later in lines[i + 1:]:
-                assigned = assignment.fullmatch(later)
-                if name_at.search(assigned[2] if assigned else later):
-                    break
-                assert not (assigned and assigned[1] == power[1]), (shot, line)
-            else:
-                raise AssertionError((shot, line))
-        tests = [ln.strip() for ln in lines if ln.strip().startswith("if not (-")]
-        if name == "example-5-5":  # at the start state in stage 0, at ai_0, ... in stage i
-            assert len(tests) == 12 and sorted(t.rsplit(": ", 1)[1] for t in tests) == sorted(
-                f"{x}{j} ** {m}" for x in ("u", *(f"a{i}_" for i in range(1, 6)))
-                for j, m in ((2, 3), (0, 5))), (shot, tests)
+        tests = [ln.strip() for ln in sources[shot].splitlines() if "**" in ln]
+        assert all(map(overflow_test.fullmatch, tests)), (shot, tests)
+        if name == "example-5-5":
+            assert sorted(t.rsplit(": ", 1)[1] for t in tests) == sorted(
+                [f"{x}{j} ** {m}" for x in ("u", *(f"a{i}_" for i in range(1, 6)))
+                 for j, m in ((2, 3), (0, 5))] + ["a2 ** 3", "a0 ** 5"] * 3), (shot, tests)
 
 
 # --- drift control -------------------------------------------------------------

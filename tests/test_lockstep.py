@@ -1078,6 +1078,15 @@ def test_escaping_shot_matches_one_step_per_call():
 
 # --- the folded stages against the unfolded arithmetic --------------------------------
 
+def _oracle_chain(u, m):  # u^m, m >= 1: (u^(m/2))^2 for even m, u^(m-1) * u for odd m
+    if m == 1:
+        return u
+    if m % 2:
+        return _oracle_chain(u, m - 1) * u
+    half = _oracle_chain(u, m // 2)
+    return half * half
+
+
 def _oracle_dual(node, env, seeds):
     """(value, {seed slot: partial}) of the tree ``node`` at the floats ``env`` (by name),
     differentiated by the names ``seeds`` maps to slots: the operations the unfolded
@@ -1094,11 +1103,14 @@ def _oracle_dual(node, env, seeds):
             vb, db = _oracle_dual(base, env, seeds)
             if n in (0, 1):
                 return (1.0, {}) if n == 0 else (vb, db)
-            v = expr._ipow(vb, n) if n < 0 else vb ** n
+            if n < 0:
+                v = expr._ipow(vb, n)
+            else:  # the product chain, which raises where the unfolded vb ** n raised
+                vb ** n
+                v = _oracle_chain(vb, n)
             if not db:
                 return v, {}
-            factor = float(n) * (vb if n == 2 else expr._ipow(vb, n - 1) if n < 0
-                                 else vb ** (n - 1))
+            factor = float(n) * (expr._ipow(vb, n - 1) if n < 0 else _oracle_chain(vb, n - 1))
             return v, {j: factor * dj for j, dj in db.items()}
         case expr.Bin(op, left, right):
             (vl, dl), (vr, dr) = _oracle_dual(left, env, seeds), _oracle_dual(right, env, seeds)
