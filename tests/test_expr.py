@@ -504,8 +504,8 @@ def test_vector_negative_powers_are_reciprocal_chains(m):
                               want[~np.isnan(want)].view(np.int64))
     for kind in (np.isnan, np.isposinf, np.isneginf):
         assert np.array_equal(kind(value), kind(numpy_power))
-    source = expr._printed("_f", "a0", *_emitted(f"x^(-{m})", (), "vector")[2:], "v0")
-    assert "**" not in source
+    lines = _emitted(f"x^(-{m})", ("x",), "vector")[2]
+    assert not any("**" in expr._text(op.value) for op in lines)
 
 
 def test_compilation_is_cached():
