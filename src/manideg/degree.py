@@ -475,9 +475,11 @@ def _firsts(points, radius):
 
 def _apart(points, radius):
     # whether every two points lie more than the radius apart, by the distances _firsts
-    # computes (the norm of a difference is that of its negative): then _firsts keeps all
-    i, j = np.triu_indices(len(points), 1)
-    return bool((_norms(points[j] - points[i]) > radius).all())
+    # computes (the norm of a difference is that of its negative): then _firsts keeps all.
+    # One batch of all n * n differences, the diagonal's zeros masked
+    n, dim = points.shape
+    far = _norms((points[:, None] - points).reshape(n * n, dim)) > radius
+    return bool((far | np.eye(n, dtype=bool).ravel()).all())
 
 
 def boundary_min(field, box, samples_per_face=None):
