@@ -345,7 +345,7 @@ def test_vector_backend_gradients_match_scalar():
                 assert (np.abs(vec[:, i] - ref) <= 4.0 * np.spacing(np.abs(ref))).all()
 
 
-def _chain(u, m):  # u ** m on Python floats by the vector backend's rule
+def _chain(u, m):  # u^m on Python floats by the product chain both backends write
     if m == 1:
         return u
     if m % 2:

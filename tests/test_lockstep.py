@@ -60,6 +60,7 @@ from manideg.errors import (
 )
 from manideg.manifold import Y_SOLVE_TOL, ForcedField, ImplicitConstraint, reduced_map
 from manideg.problems import REGISTRY
+from test_expr import _chain
 from test_flow import callable_spring_field, duffing_field, generated_shots, named_field
 
 EVAL_ERRORS = (DomainEvalError, OverflowError, ZeroDivisionError, FloatingPointError)
@@ -1078,15 +1079,6 @@ def test_escaping_shot_matches_one_step_per_call():
 
 # --- the folded stages against the unfolded arithmetic --------------------------------
 
-def _oracle_chain(u, m):  # u^m, m >= 1: (u^(m/2))^2 for even m, u^(m-1) * u for odd m
-    if m == 1:
-        return u
-    if m % 2:
-        return _oracle_chain(u, m - 1) * u
-    half = _oracle_chain(u, m // 2)
-    return half * half
-
-
 def _oracle_dual(node, env, seeds):
     """(value, {seed slot: partial}) of the tree ``node`` at the floats ``env`` (by name),
     differentiated by the names ``seeds`` maps to slots: the operations the unfolded
@@ -1107,10 +1099,10 @@ def _oracle_dual(node, env, seeds):
                 v = expr._ipow(vb, n)
             else:  # the product chain, which raises where the unfolded vb ** n raised
                 vb ** n
-                v = _oracle_chain(vb, n)
+                v = _chain(vb, n)
             if not db:
                 return v, {}
-            factor = float(n) * (expr._ipow(vb, n - 1) if n < 0 else _oracle_chain(vb, n - 1))
+            factor = float(n) * (expr._ipow(vb, n - 1) if n < 0 else _chain(vb, n - 1))
             return v, {j: factor * dj for j, dj in db.items()}
         case expr.Bin(op, left, right):
             (vl, dl), (vr, dr) = _oracle_dual(left, env, seeds), _oracle_dual(right, env, seeds)
